@@ -35,15 +35,23 @@ class RingParameterError(ValueError):
     """Raised for parameter tuples that do not define a chain ring."""
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
+def _factorize(m: int) -> dict[int, int]:
+    """Prime factorization of m >= 1 by trial division: prime -> exponent,
+    primes ascending."""
+    out = {}
     d = 2
     while d * d <= m:
-        if m % d == 0:
-            return False
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
         d += 1
-    return True
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def _is_prime(m: int) -> bool:
+    return m > 1 and _factorize(m) == {m: 1}
 
 
 def _poly_mulmod(a, b, h, p):
@@ -320,23 +328,9 @@ class RingSpec:
     def unit_count(self) -> int:
         return self.q**self.n - self.q ** (self.n - 1)
 
-    def omega_units(self) -> list["RingElem"]:
-        """The Teichmueller-style basis units omega_i = y^(i-1)."""
-        out = []
-        for i in range(self.f):
-            c = [0] * self._fn
-            c[i * self.n] = 1
-            out.append(RingElem(self, tuple(c)))
-        return out
-
     def ideal_indices(self, j: int) -> list[int]:
         """Indices of the ideal pi^j R, j in [0, n]."""
         return [i for i in range(self.size) if self.valuation(self.from_index(i)) >= min(j, self.n)]
-
-    @property
-    def omega1_index(self) -> int:
-        """Ideal index of the p-torsion subgroup Omega_1(R, +) = pi^(n-xi) R."""
-        return self.n - self.xi
 
     @property
     def d_invariant(self) -> int:
@@ -491,23 +485,6 @@ def make_ring(p: int, f: int, e, n: int) -> RingSpec:
     if e == "inf":
         e = INF
     return RingSpec(p, f, e, n)
-
-
-def valuation(a: RingElem) -> int:
-    return a.ring.valuation(a)
-
-
-def units(R: RingSpec) -> Iterator[RingElem]:
-    return R.units()
-
-
-def omega_units(R: RingSpec) -> list[RingElem]:
-    return R.omega_units()
-
-
-def omega1_subgroup(R: RingSpec) -> int:
-    """Ideal index of the p-torsion subgroup: n - xi."""
-    return R.omega1_index
 
 
 # -- ring isomorphism testing (small rings) --------------------------

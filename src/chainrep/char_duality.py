@@ -176,39 +176,12 @@ def restrict_to_omega1(chi: AddChar) -> DualVector:
 # -- F_p linear algebra helpers --------------------------------------
 
 
-def fp_rank(vectors, p: int) -> int:
+def _independent(vectors, p: int):
+    """Positions of the vectors (tuples or DualVectors) that lie outside
+    the F_p span of the vectors before them, in order."""
     pivots = []
-    for v in vectors:
-        v = list(v)
-        for piv_col, piv_row in pivots:
-            c = v[piv_col] % p
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, piv_row)]
-        nz = next((i for i, x in enumerate(v) if x % p), None)
-        if nz is not None:
-            inv = pow(v[nz] % p, -1, p)
-            v = [(x * inv) % p for x in v]
-            pivots.append((nz, v))
-    return len(pivots)
-
-
-def spans_dual(vectors, R: RingSpec) -> bool:
-    """Do the restricted characters span the full dual of Omega_1?"""
-    vs = [v.coords if isinstance(v, DualVector) else tuple(v) for v in vectors]
-    return fp_rank(vs, R.p) == R.d_invariant
-
-
-def basis_greedy(vectors, weights, p: int, dim: int) -> list[int]:
-    """Minimum-weight spanning subset of the given F_p vectors, greedy
-    by (weight, position); exact by the matroid exchange property.
-    Returns selected positions; raises NotSpanningError if the pool
-    does not span a space of the stated dimension."""
-    vs = [v.coords if isinstance(v, DualVector) else tuple(v) for v in vectors]
-    order = sorted(range(len(vs)), key=lambda i: (weights[i], i))
-    pivots = []
-    chosen = []
-    for i in order:
-        v = list(vs[i])
+    for i, v in enumerate(vectors):
+        v = list(v.coords if isinstance(v, DualVector) else v)
         for piv_col, piv_row in pivots:
             c = v[piv_col] % p
             if c:
@@ -216,9 +189,28 @@ def basis_greedy(vectors, weights, p: int, dim: int) -> list[int]:
         nz = next((t for t, x in enumerate(v) if x % p), None)
         if nz is not None:
             inv = pow(v[nz] % p, -1, p)
-            v = [(x * inv) % p for x in v]
-            pivots.append((nz, v))
-            chosen.append(i)
-            if len(pivots) == dim:
-                return chosen
-    raise NotSpanningError(f"pool spans rank {len(pivots)} < {dim}")
+            pivots.append((nz, [(x * inv) % p for x in v]))
+            yield i
+
+
+def fp_rank(vectors, p: int) -> int:
+    return sum(1 for _ in _independent(vectors, p))
+
+
+def spans_dual(vectors, R: RingSpec) -> bool:
+    """Do the restricted characters span the full dual of Omega_1?"""
+    return fp_rank(vectors, R.p) == R.d_invariant
+
+
+def basis_greedy(vectors, weights, p: int, dim: int) -> list[int]:
+    """Minimum-weight spanning subset of the given F_p vectors, greedy
+    by (weight, position); exact by the matroid exchange property.
+    Returns selected positions; raises NotSpanningError if the pool
+    does not span a space of the stated dimension."""
+    order = sorted(range(len(vectors)), key=lambda i: (weights[i], i))
+    chosen = []
+    for t in _independent([vectors[i] for i in order], p):
+        chosen.append(order[t])
+        if len(chosen) == dim:
+            return chosen
+    raise NotSpanningError(f"pool spans rank {len(chosen)} < {dim}")

@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 
 
 class SpecParseError(ValueError):
@@ -45,82 +46,67 @@ def _e_repr(e):
     return "inf" if e == math.inf else int(e)
 
 
+def _spec_value(spec, key, text):
+    """A table path, an e value, integers a|b|... for multipliers, else
+    an integer."""
+    if key == "table":
+        return text
+    if key == "e":
+        return _parse_e(text)
+    try:
+        if key != "multipliers":
+            return int(text)
+        mults = [int(x) for x in text.split("|") if x]
+    except ValueError:
+        raise SpecParseError(f"{key}= must be an integer in {spec!r}") from None
+    if not mults:
+        raise SpecParseError(f"semidirect spec {spec!r} needs multipliers=a|b|...")
+    return mults
+
+
+@contextmanager
+def _parse_errors(source):
+    """A group that cannot be built from its parameters, or an
+    unreadable table file, is a parse error."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise SpecParseError(f"cannot build group from {source!r}: {exc}") from None
+
+
 def parse_group_spec(spec: str, cap=None):
     """'family:key=value,...' -> (AbstractGroup, description).
 
-    Families: heis, unitri, aff, gl2, semidirect, quaternion, table.
-    """
-    from .chain_ring import make_ring
-    from .group_models import (
-        AbstractGroup,
-        AffineGroup,
-        HeisenbergGroup,
-        UnitriangularGroup,
-        general_linear_2,
-        quaternion_group,
-        semidirect_cyclic,
-        semidirect_cyclic_hom,
-    )
+    Families are the spec names in the family table: heis, unitri, aff,
+    gl2, semidirect, quaternion, and table, whose spec is
+    'table:<path>' or 'table:path=<path>'."""
+    from .minfaith_solver import FAMILIES, FamilyInstance
 
     if ":" not in spec:
         raise SpecParseError(f"group spec {spec!r} lacks a 'family:' prefix")
-    family, _, rest = spec.partition(":")
+    name, _, rest = spec.partition(":")
     kv = {}
-    if rest:
+    if name == "table":  # the rest of a table spec is a file path
+        kv["table"] = rest.removeprefix("path=")
+    elif rest:
         for part in rest.split(","):
             if "=" not in part:
                 raise SpecParseError(f"bad key=value field {part!r} in {spec!r}")
             k, _, v = part.partition("=")
             kv[k.strip()] = v.strip()
-
-    def geti(key, default=None):
-        if key not in kv:
-            if default is None:
-                raise SpecParseError(f"group spec {spec!r} is missing {key}=")
-            return default
-        try:
-            return int(kv[key])
-        except ValueError:
-            raise SpecParseError(f"{key}= must be an integer in {spec!r}")
-
-    try:
-        if family == "heis":
-            R = make_ring(geti("p"), geti("f", 1), _parse_e(kv.get("e", "1")), geti("n", 1))
-            k = geti("k", 1)
-            return HeisenbergGroup(R, k).to_abstract(cap=cap), f"heis k={k} over {R!r}"
-        if family == "unitri":
-            R = make_ring(geti("p"), geti("f", 1), _parse_e(kv.get("e", "1")), geti("n", 1))
-            size = geti("size")
-            return UnitriangularGroup(R, size).to_abstract(cap=cap), f"unitri size={size} over {R!r}"
-        if family == "aff":
-            R = make_ring(geti("p"), geti("f", 1), _parse_e(kv.get("e", "1")), geti("n", 1))
-            return AffineGroup(R).to_abstract(cap=cap), f"aff over {R!r}"
-        if family == "gl2":
-            R = make_ring(geti("p"), geti("f", 1), 1, 1)
-            return general_linear_2(R), f"gl2 over {R!r}"
-        if family == "semidirect":
-            modulus = geti("modulus")
-            mults = [int(x) for x in kv.get("multipliers", "").split("|") if x]
-            if not mults:
-                raise SpecParseError(f"semidirect spec {spec!r} needs multipliers=a|b|...")
-            if "h_order" in kv:
-                return (
-                    semidirect_cyclic_hom(modulus, mults[0], geti("h_order")),
-                    f"Z/{modulus} by Z/{kv['h_order']} via {mults[0]}",
-                )
-            return semidirect_cyclic(modulus, mults), f"Z/{modulus} by units {mults}"
-        if family == "quaternion":
-            return quaternion_group(), "quaternion order 8"
-        if family == "table":
-            path = kv.get("path") or rest
-            with open(path) as fh:
-                obj = json.load(fh)
-            return AbstractGroup.from_json(obj, cap=cap), f"table from {path}"
-    except SpecParseError:
-        raise
-    except (ValueError, OSError) as exc:
-        raise SpecParseError(f"cannot build group from {spec!r}: {exc}")
-    raise SpecParseError(f"unknown group family {family!r}")
+    family = next((f for f, fam in FAMILIES.items() if fam.spec == name), None)
+    if family is None:
+        raise SpecParseError(f"unknown group family {name!r}")
+    fam = FAMILIES[family]
+    params = {}
+    for key in fam.keys:
+        if key in kv:
+            params[key] = _spec_value(spec, key, kv[key])
+        elif key not in fam.defaults:
+            raise SpecParseError(f"group spec {spec!r} is missing {key}=")
+    with _parse_errors(spec):
+        b = FamilyInstance(family, params, cap)
+        return b.group, fam.describe(b)
 
 
 # -- emission ---------------------------------------------------------
@@ -223,75 +209,40 @@ def _cmd_irreps(args) -> int:
     return 0
 
 
-def _minfaith_values(args, family):
-    """(values dict, solution json or None) for the requested modes."""
-    from . import minfaith_solver as solver
+def _minfaith_values(target, params):
+    """(values dict, solution json or None) for the requested mode.  The
+    two-step target is the table family with the two-step routes."""
     from . import oracle as orc
+    from .minfaith_solver import TWO_STEP_ROUTES, FaithfulSolution, FamilyInstance
 
-    mode = args.mode
+    mode = params["mode"]
+    if "e" in params:
+        params = {**params, "e": _parse_e(params["e"])}
+    two_step = target == "two-step"
+    with _parse_errors(params.get("table")):
+        b = FamilyInstance("table" if two_step else target, params)
+    routes = TWO_STEP_ROUTES if two_step else b.family.routes
     values = {}
     solution = None
-    if family == "heisenberg":
-        R = _ring_from_args(args)
-        if mode in ("formula", "all"):
-            values["formula"] = solver.formula_heisenberg(R.p, R.f, R.e, R.n, args.k)
-        if mode in ("construct", "all"):
-            sol = solver.construct_faithful_heisenberg(R, args.k)
-            values["construct"] = sol.total_dim
-            solution = sol.to_json()
-        if mode in ("oracle", "all"):
-            from .group_models import HeisenbergGroup
-
-            order = R.size ** (2 * args.k + 1)
-            if mode == "oracle" or order <= orc.group_cap():
-                T = orc.CharacterTable(HeisenbergGroup(R, args.k).to_abstract())
-                values["oracle"], _ = orc.min_faithful_exhaustive(T)
-    elif family == "unitriangular":
-        R = _ring_from_args(args)
-        if mode in ("formula", "all"):
-            values["formula"] = solver.formula_unitriangular(R.p, R.f, R.e, R.n, args.size)
-        if mode in ("oracle", "all"):
-            from .group_models import UnitriangularGroup
-
-            order = R.size ** (args.size * (args.size - 1) // 2)
-            if mode == "oracle" or order <= orc.group_cap():
-                T = orc.CharacterTable(UnitriangularGroup(R, args.size).to_abstract())
-                values["oracle"], _ = orc.min_faithful_exhaustive(T)
-    elif family == "affine":
-        R = _ring_from_args(args)
-        if mode in ("formula", "all"):
-            values["formula"] = solver.formula_affine(R.p, R.f, R.n)
-        if mode in ("construct", "all"):
-            sol = solver.construct_faithful_affine(R)
-            values["construct"] = sol.total_dim
-            solution = sol.to_json()
-        if mode in ("oracle", "all"):
-            from .group_models import AffineGroup
-
-            order = R.size * R.unit_count()
-            if mode == "oracle" or order <= orc.group_cap():
-                T = orc.CharacterTable(AffineGroup(R).to_abstract())
-                values["oracle"], _ = orc.min_faithful_exhaustive(T)
-    elif family == "two-step":
-        from .group_models import AbstractGroup
-
-        with open(args.table) as fh:
-            G = AbstractGroup.from_json(json.load(fh))
-        if mode in ("formula", "all"):
-            values["formula"] = solver.formula_two_step(G)
-        if mode in ("construct", "all"):
-            sol = solver.construct_faithful_two_step(G)
-            values["construct"] = sol.total_dim
-            solution = sol.to_json()
-        if mode in ("oracle", "all"):
-            T = orc.CharacterTable(G)
-            values["oracle"], _ = orc.min_faithful_exhaustive(T)
+    for key in ("formula", "construct") if mode == "all" else (mode,):
+        if key in routes:
+            out = routes[key](b)
+            if isinstance(out, FaithfulSolution):
+                solution = out.to_json()
+                out = out.total_dim
+            values[key] = out
+    if mode == "oracle" or (mode == "all" and b.family.order(b) <= orc.group_cap()):
+        T = orc.CharacterTable(b.group)
+        values["oracle"], _ = orc.min_faithful_exhaustive(T)
     return values, solution
 
 
 def _cmd_minfaith(args) -> int:
     family = args.target
-    values, solution = _minfaith_values(args, family)
+    params = dict(vars(args))
+    for drop in ("func", "format", "target"):
+        params.pop(drop, None)
+    values, solution = _minfaith_values(family, params)
     agree = len(set(values.values())) <= 1
     m = next(iter(values.values())) if values else None
     result = {"family": family, "values": values, "agree": agree}
@@ -299,9 +250,6 @@ def _cmd_minfaith(args) -> int:
         result["m"] = m
     if solution is not None:
         result["solution"] = solution
-    params = dict(vars(args))
-    for drop in ("func", "format", "target"):
-        params.pop(drop, None)
     if args.format == "json":
         _emit_json("minfaith", params, result)
     elif args.format == "csv":
@@ -478,17 +426,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .group_models import group_cap
+
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:  # argparse reports its own errors on code 2
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except SpecParseError as exc:
+        group_cap()
+    except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    try:
+        return args.func(args)
+    except (SpecParseError, FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -212,10 +212,6 @@ class LinearChar:
         self.order = order
         self.exps = {a: e % order for a, e in exps.items()}
 
-    @staticmethod
-    def from_function(elements, order, fn) -> "LinearChar":
-        return LinearChar(order, {a: fn(a) for a in elements})
-
     def __call__(self, a) -> Cyclotomic:
         return Cyclotomic.root(self.order, self.exps[a])
 
@@ -409,11 +405,3 @@ class DirectSumRep:
 
     def is_faithful(self) -> bool:
         return self.kernel() == [self.group.identity]
-
-
-def direct_sum(reps) -> DirectSumRep:
-    return DirectSumRep(reps)
-
-
-def is_faithful(reps) -> bool:
-    return DirectSumRep(reps).is_faithful()

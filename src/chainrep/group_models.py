@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain_ring import RingElem, RingSpec
+from .chain_ring import RingElem, RingSpec, _factorize
 
 
 class CapExceededError(ValueError):
@@ -30,8 +30,23 @@ class Char2UnsupportedError(ValueError):
 
 
 def group_cap(default: int = 4096) -> int:
+    """The largest group order built or tabulated: CHAINREP_ORACLE_CAP
+    when set, else the default.  Raises ValueError for a setting that
+    is not a positive integer."""
     value = os.environ.get("CHAINREP_ORACLE_CAP")
-    return int(value) if value else default
+    if not value:
+        return default
+    cap = int(value) if value.strip().isdecimal() else 0
+    if cap < 1:
+        raise ValueError(f"CHAINREP_ORACLE_CAP must be a positive integer, got {value!r}")
+    return cap
+
+
+def _check_cap(order: int, cap: int | None = None):
+    """Refuse to build a group of this order; called before allocating."""
+    cap = cap or group_cap()
+    if order > cap:
+        raise CapExceededError(f"|G| = {order} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -150,9 +165,7 @@ class HeisenbergGroup:
         return SubgroupHandle("L_s", tuple(els))
 
     def to_abstract(self, cap: int | None = None) -> "AbstractGroup":
-        cap = cap or group_cap()
-        if self.order > cap:
-            raise CapExceededError(f"|G| = {self.order} exceeds cap {cap}")
+        _check_cap(self.order, cap)
         S = self.ring.size
         k = self.k
         w = 2 * k + 1
@@ -283,9 +296,7 @@ class UnitriangularGroup:
         return SubgroupHandle("middle", tuple(els))
 
     def to_abstract(self, cap: int | None = None) -> "AbstractGroup":
-        cap = cap or group_cap()
-        if self.order > cap:
-            raise CapExceededError(f"|G| = {self.order} exceeds cap {cap}")
+        _check_cap(self.order, cap)
         S = self.ring.size
         EL = np.array(self.elements, dtype=np.int64)
         radix = S ** np.arange(self.nentries - 1, -1, -1, dtype=np.int64)
@@ -350,17 +361,18 @@ class AffineGroup:
         )
 
     def to_abstract(self, cap: int | None = None) -> "AbstractGroup":
-        cap = cap or group_cap()
-        if self.order > cap:
-            raise CapExceededError(f"|G| = {self.order} exceeds cap {cap}")
-        els = self.elements
-        pos = {g: i for i, g in enumerate(els)}
-        N = self.order
-        table = np.empty((N, N), dtype=np.int32)
-        for i, g in enumerate(els):
-            row = [pos[self.mul(g, h)] for h in els]
-            table[i] = row
-        return AbstractGroup(table, names=els, validate=False)
+        _check_cap(self.order, cap)
+        return _tabulate(self.elements, self.mul, validate=False)
+
+
+def _tabulate(els, mul, validate) -> "AbstractGroup":
+    """The group on the element list els (kept as names) under the
+    product mul, as a dense table."""
+    pos = {g: i for i, g in enumerate(els)}
+    table = np.empty((len(els), len(els)), dtype=np.int32)
+    for i, g in enumerate(els):
+        table[i] = [pos[mul(g, h)] for h in els]
+    return AbstractGroup(table, names=els, validate=validate)
 
 
 # -- abstract table groups -------------------------------------------
@@ -461,10 +473,7 @@ class AbstractGroup:
 
     @cached_property
     def exponent(self) -> int:
-        out = 1
-        for o in set(self.element_orders.tolist()):
-            out = out * o // math.gcd(out, o)
-        return out
+        return math.lcm(*set(self.element_orders.tolist()))
 
     @cached_property
     def center(self) -> list[int]:
@@ -546,51 +555,40 @@ class AbstractGroup:
 
     @staticmethod
     def from_json(obj, cap: int | None = None) -> "AbstractGroup":
-        cap = cap or group_cap()
-        table = np.asarray(obj["table"], dtype=np.int64)
-        if table.shape[0] > cap:
-            raise CapExceededError(f"table of order {table.shape[0]} exceeds cap {cap}")
-        return AbstractGroup(table, names=obj.get("names"), validate=True)
-
-
-def subgroup_from_predicate(group, pred) -> list:
-    """Elements satisfying pred, verified to form a subgroup."""
-    els = [g for g in group.elements if pred(g)]
-    eset = set(els)
-    if group.identity not in eset:
-        raise ValueError("predicate excludes the identity")
-    for a in els:
-        if group.inv(a) not in eset:
-            raise ValueError("predicate set not closed under inversion")
-    for a in els:
-        for b in els:
-            if group.mul(a, b) not in eset:
-                raise ValueError("predicate set not closed under multiplication")
-    return els
+        rows = obj.get("table") if isinstance(obj, dict) else None
+        if not isinstance(rows, list):
+            raise ValueError("a group table is a JSON object whose 'table' is a list of rows")
+        _check_cap(len(rows), cap)
+        return AbstractGroup(np.asarray(rows, dtype=np.int64), names=obj.get("names"), validate=True)
 
 
 # -- distinguished abstract groups -----------------------------------
 
 
-def semidirect_cyclic(modulus: int, multipliers) -> AbstractGroup:
-    """Z/modulus acted on by the unit subgroup generated by the given
-    multipliers: elements (c, m), (c1,m1)(c2,m2) = (c1+m1*c2, m1*m2)."""
-    mults = {1}
+def multiplier_closure(modulus: int, multipliers) -> list[int]:
+    """The subgroup of (Z/modulus)^* generated by the multipliers, sorted;
+    raises ValueError for a multiplier that is not a unit."""
     frontier = {m % modulus for m in multipliers}
+    for m in sorted(frontier):
+        if math.gcd(m, modulus) != 1:
+            raise ValueError(f"multiplier {m} is not a unit mod {modulus}")
+    mults = {1}
     while frontier - mults:
         mults |= frontier
         frontier = {(a * b) % modulus for a in mults for b in mults}
-    for m in mults:
-        if math.gcd(m, modulus) != 1:
-            raise ValueError(f"multiplier {m} is not a unit mod {modulus}")
-    ms = sorted(mults)
-    els = [(c, m) for c in range(modulus) for m in ms]
-    pos = {g: i for i, g in enumerate(els)}
-    n = len(els)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, (c1, m1) in enumerate(els):
-        table[i] = [pos[((c1 + m1 * c2) % modulus, (m1 * m2) % modulus)] for (c2, m2) in els]
-    return AbstractGroup(table, names=els, validate=True)
+    return sorted(mults)
+
+
+def semidirect_cyclic(modulus: int, multipliers) -> AbstractGroup:
+    """Z/modulus acted on by the unit subgroup generated by the given
+    multipliers: elements (c, m), (c1,m1)(c2,m2) = (c1+m1*c2, m1*m2)."""
+    ms = multiplier_closure(modulus, multipliers)
+    _check_cap(modulus * len(ms))
+    return _tabulate(
+        [(c, m) for c in range(modulus) for m in ms],
+        lambda g, h: ((g[0] + g[1] * h[0]) % modulus, (g[1] * h[1]) % modulus),
+        validate=True,
+    )
 
 
 def semidirect_cyclic_hom(modulus: int, multiplier: int, h_order: int) -> AbstractGroup:
@@ -601,16 +599,13 @@ def semidirect_cyclic_hom(modulus: int, multiplier: int, h_order: int) -> Abstra
         raise ValueError(f"multiplier {m} is not a unit mod {modulus}")
     if pow(m, h_order, modulus) != 1:
         raise ValueError("multiplier order does not divide h_order")
-    els = [(c, t) for c in range(modulus) for t in range(h_order)]
-    pos = {g: i for i, g in enumerate(els)}
-    n = len(els)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, (c1, t1) in enumerate(els):
-        mt = pow(m, t1, modulus)
-        table[i] = [
-            pos[((c1 + mt * c2) % modulus, (t1 + t2) % h_order)] for (c2, t2) in els
-        ]
-    return AbstractGroup(table, names=els, validate=True)
+    _check_cap(modulus * h_order)
+    mt = [pow(m, t, modulus) for t in range(h_order)]
+    return _tabulate(
+        [(c, t) for c in range(modulus) for t in range(h_order)],
+        lambda g, h: ((g[0] + mt[g[1]] * h[0]) % modulus, (g[1] + h[1]) % h_order),
+        validate=True,
+    )
 
 
 def quaternion_group() -> AbstractGroup:
@@ -623,49 +618,35 @@ def quaternion_group() -> AbstractGroup:
         ("j", "k"): ("i", 1), ("k", "j"): ("i", -1),
         ("k", "i"): ("j", 1), ("i", "k"): ("j", -1),
     }
-    els = [(ax, s) for ax in ("1", "i", "j", "k") for s in (1, -1)]
-    pos = {g: i for i, g in enumerate(els)}
-    n = 8
-    table = np.empty((n, n), dtype=np.int64)
-    for a, (ax1, s1) in enumerate(els):
-        for b, (ax2, s2) in enumerate(els):
-            ax, s = basis[(ax1, ax2)]
-            table[a, b] = pos[(ax, s * s1 * s2)]
-    return AbstractGroup(table, names=els, validate=True)
+
+    def mul(g, h):
+        ax, s = basis[(g[0], h[0])]
+        return ax, s * g[1] * h[1]
+
+    return _tabulate([(ax, s) for ax in ("1", "i", "j", "k") for s in (1, -1)], mul, validate=True)
 
 
 def general_linear_2(R: RingSpec) -> AbstractGroup:
     """GL_2 over a residue field (n = 1 rings only; oracle-scale)."""
+    from itertools import product
+
     if R.n != 1:
         raise ValueError("general_linear_2 supports fields only")
-    mul, add = R.mul_table, R.add_table
-    neg = R.neg_table
-    els = []
-    for a in range(R.size):
-        for b in range(R.size):
-            for c in range(R.size):
-                for d in range(R.size):
-                    det = add[mul[a, d], neg[mul[b, c]]]
-                    if det != 0:
-                        els.append((a, b, c, d))
-    pos = {g: i for i, g in enumerate(els)}
-    n = len(els)
-    if n > group_cap():
-        raise CapExceededError(f"|GL2| = {n} exceeds cap")
-    table = np.empty((n, n), dtype=np.int64)
-    for i, (a, b, c, d) in enumerate(els):
-        row = []
-        for (e, f, g, h) in els:
-            row.append(
-                pos[(
-                    int(add[mul[a, e], mul[b, g]]),
-                    int(add[mul[a, f], mul[b, h]]),
-                    int(add[mul[c, e], mul[d, g]]),
-                    int(add[mul[c, f], mul[d, h]]),
-                )]
-            )
-        table[i] = row
-    return AbstractGroup(table, names=els, validate=False)
+    q = R.size
+    _check_cap((q * q - 1) * (q * q - q))
+    mul, add, neg = R.mul_table.tolist(), R.add_table.tolist(), R.neg_table.tolist()
+    els = [(a, b, c, d) for a, b, c, d in product(range(q), repeat=4) if add[mul[a][d]][neg[mul[b][c]]]]
+
+    def matmul(x, y):
+        (a, b, c, d), (e, f, g, h) = x, y
+        return (
+            add[mul[a][e]][mul[b][g]],
+            add[mul[a][f]][mul[b][h]],
+            add[mul[c][e]][mul[d][g]],
+            add[mul[c][f]][mul[d][h]],
+        )
+
+    return _tabulate(els, matmul, validate=False)
 
 
 # -- structure scan ---------------------------------------------------
@@ -693,18 +674,9 @@ def _invariant_count(G: AbstractGroup, elems) -> int:
     p-rank maximized over primes."""
     if len(elems) == 1:
         return 0
-    orders = [int(G.element_orders[g]) for g in elems]
     primes = set()
-    for o in orders:
-        d = 2
-        while d * d <= o:
-            if o % d == 0:
-                primes.add(d)
-                while o % d == 0:
-                    o //= d
-            d += 1
-        if o > 1:
-            primes.add(o)
+    for o in {int(G.element_orders[g]) for g in elems}:
+        primes.update(_factorize(o))
     best = 0
     for p in primes:
         cnt = sum(1 for g in elems if G.element_orders[g] in (1, p))
@@ -717,20 +689,9 @@ def _invariant_count(G: AbstractGroup, elems) -> int:
 
 
 def structure_scan(G: AbstractGroup, cap: int | None = None) -> StructureScan:
-    cap = cap or group_cap()
-    if G.order > cap:
-        raise CapExceededError(f"|G| = {G.order} exceeds cap {cap}")
+    _check_cap(G.order, cap)
     n = G.order
-    facs = {}
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            facs[d] = facs.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        facs[m] = facs.get(m, 0) + 1
+    facs = _factorize(n)
     is_p = len(facs) == 1
     p = next(iter(facs)) if is_p else None
 
@@ -958,9 +919,7 @@ def abelian_characters(group, elems):
     from itertools import product as iproduct
 
     gens, orders, coords = abelian_basis(group, elems)
-    M = 1
-    for d in orders:
-        M = M * d // math.gcd(M, d)
+    M = math.lcm(*orders)
     out = []
     for w in iproduct(*[range(d) for d in orders]):
         exps = {}

@@ -14,8 +14,11 @@ matroid exchange property."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .chain_ring import INF, RingSpec, make_ring
 from .char_duality import (
@@ -33,9 +36,15 @@ from .group_models import (
     Char2UnsupportedError,
     HeisenbergGroup,
     StructureScan,
+    UnitriangularGroup,
     abelian_basis,
     abelian_characters,
     extend_character,
+    general_linear_2,
+    multiplier_closure,
+    quaternion_group,
+    semidirect_cyclic,
+    semidirect_cyclic_hom,
     structure_scan,
 )
 from .mackey_irreps import irrep_catalog, mackey_induced_rep
@@ -368,14 +377,146 @@ def orbit_lower_bound(modulus: int, multipliers, h_order: int | None = None):
     orbit of a generator under the multiplier subgroup is the subgroup
     itself; equality in the dimension bound holds when the acting group
     embeds (h_order equals the multiplier subgroup size)."""
-    mults = {1}
-    frontier = {m % modulus for m in multipliers}
-    for m in frontier:
-        if math.gcd(m, modulus) != 1:
-            raise ValueError(f"multiplier {m} is not invertible mod {modulus}")
-    while frontier - mults:
-        mults |= frontier
-        frontier = {(a * b) % modulus for a in mults for b in mults}
-    bound = len(mults)
+    bound = len(multiplier_closure(modulus, multipliers))
     equality = h_order is None or h_order == bound
     return bound, equality
+
+
+# -- the group families -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """A group family for the CLI and suite cross-validation: spec name,
+    parameter ``keys`` and ``defaults`` (a key without one is required),
+    and callables on a FamilyInstance that build the ring (None: no
+    ring) and table group, give |G| before the group is built, describe
+    it, and run the ``routes`` and orbit ``bound`` that apply; ``oracle``
+    says whether the oracle runs by default.  The callables look builders
+    up when called, so a rebound module-level builder is the one run."""
+
+    spec: str
+    keys: tuple
+    defaults: dict
+    group: Callable
+    order: Callable
+    describe: Callable
+    ring: Callable | None = None
+    routes: dict = field(default_factory=dict)
+    bound: Callable | None = None
+    oracle: bool = True
+
+
+def _ring(b) -> RingSpec:
+    return make_ring(b.p, b.f, b.e, b.n)
+
+
+def _semidirect(b) -> AbstractGroup:
+    if b.h_order is None:
+        return semidirect_cyclic(b.modulus, b.multipliers)
+    return semidirect_cyclic_hom(b.modulus, b.multipliers[0], b.h_order)
+
+
+def _table_group(b) -> AbstractGroup:
+    obj = b.table
+    if isinstance(obj, str):  # a path to a JSON file
+        with open(obj) as fh:
+            obj = json.load(fh)
+    return AbstractGroup.from_json(obj, cap=b.cap)
+
+
+_RING_KEYS = ("p", "f", "e", "n")
+_RING_DEFAULTS = {"f": 1, "e": 1, "n": 1}
+
+FAMILIES = {
+    "heisenberg": Family(
+        "heis", _RING_KEYS + ("k",), {**_RING_DEFAULTS, "k": 1}, ring=_ring, oracle=False,
+        group=lambda b: HeisenbergGroup(b.ring, b.k).to_abstract(cap=b.cap),
+        order=lambda b: b.ring.size ** (2 * b.k + 1),
+        describe=lambda b: f"heis k={b.k} over {b.ring!r}",
+        routes={
+            "formula": lambda b: formula_heisenberg(b.ring.p, b.ring.f, b.ring.e, b.ring.n, b.k),
+            "solver": lambda b: solve_heisenberg(b.ring, b.k),
+            "construct": lambda b: construct_faithful_heisenberg(b.ring, b.k),
+        },
+    ),
+    "unitriangular": Family(
+        "unitri", _RING_KEYS + ("size",), _RING_DEFAULTS, ring=_ring, oracle=False,
+        group=lambda b: UnitriangularGroup(b.ring, b.size).to_abstract(cap=b.cap),
+        order=lambda b: b.ring.size ** (b.size * (b.size - 1) // 2),
+        describe=lambda b: f"unitri size={b.size} over {b.ring!r}",
+        routes={
+            "formula": lambda b: formula_unitriangular(b.ring.p, b.ring.f, b.ring.e, b.ring.n, b.size),
+        },
+    ),
+    "affine": Family(
+        "aff", _RING_KEYS, _RING_DEFAULTS, ring=_ring, oracle=False,
+        group=lambda b: AffineGroup(b.ring).to_abstract(cap=b.cap),
+        order=lambda b: b.ring.size * b.ring.unit_count(),
+        describe=lambda b: f"aff over {b.ring!r}",
+        routes={
+            "formula": lambda b: formula_affine(b.ring.p, b.ring.f, b.ring.n),
+            "construct": lambda b: construct_faithful_affine(b.ring),
+        },
+    ),
+    "gl2": Family(
+        "gl2", ("p", "f"), {"f": 1}, ring=lambda b: make_ring(b.p, b.f, 1, 1),
+        group=lambda b: general_linear_2(b.ring),
+        order=lambda b: (b.ring.size**2 - 1) * (b.ring.size**2 - b.ring.size),
+        describe=lambda b: f"gl2 over {b.ring!r}",
+    ),
+    "semidirect": Family(
+        "semidirect", ("modulus", "multipliers", "h_order"), {"h_order": None},
+        group=_semidirect,
+        order=lambda b: b.modulus * (b.h_order or len(multiplier_closure(b.modulus, b.multipliers))),
+        describe=lambda b: (
+            f"Z/{b.modulus} by units {b.multipliers}"
+            if b.h_order is None
+            else f"Z/{b.modulus} by Z/{b.h_order} via {b.multipliers[0]}"
+        ),
+        bound=lambda b: orbit_lower_bound(b.modulus, b.multipliers, b.h_order),
+    ),
+    "quaternion": Family(
+        "quaternion", (), {},
+        group=lambda b: quaternion_group(),
+        order=lambda b: 8,
+        describe=lambda b: "quaternion order 8",
+    ),
+    "table": Family(
+        "table", ("table",), {},
+        group=_table_group,
+        order=lambda b: b.group.order,
+        describe=lambda b: f"table from {b.table}",
+    ),
+}
+
+# The two-step closed form and construction, for any table group.
+TWO_STEP_ROUTES = {
+    "formula": lambda b: formula_two_step(b.group),
+    "construct": lambda b: construct_faithful_two_step(b.group),
+}
+
+
+class FamilyInstance:
+    """A family's parameters, taken from a dict as attributes (family
+    defaults filling in).  The ring and the table group are built on
+    first use, except that a family whose oracle runs by default is
+    given by its group, which is then built at once."""
+
+    def __init__(self, family: str, params: dict, cap: int | None = None):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family}")
+        self.family = FAMILIES[family]
+        self.cap = cap
+        for key in self.family.keys:
+            setattr(self, key, params[key] if key in params else self.family.defaults[key])
+        if self.family.oracle:
+            self.group  # noqa: B018 (builds and caches the group)
+
+    @cached_property
+    def ring(self) -> RingSpec:
+        return self.family.ring(self)
+
+    @cached_property
+    def group(self) -> AbstractGroup:
+        return self.family.group(self)

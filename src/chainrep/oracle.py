@@ -16,11 +16,9 @@ branch-and-bound settles exactly at these sizes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chain_ring import _is_prime
+from .chain_ring import _factorize, _is_prime
 from .char_duality import DualVector
 from .exactrep import Cyclotomic, _ctx
 from .group_models import (
@@ -41,17 +39,16 @@ MAX_PRIME_TRIES = 8
 # -- modular linear algebra ------------------------------------------
 
 
-def _modinv(a: int, l: int) -> int:
-    return pow(int(a) % l, l - 2, l)
-
-
-def _nullspace(A, l):
-    """Column basis of ker(A) over F_l."""
+def _rref(A, l):
+    """Gauss-Jordan elimination over F_l: (reduced row echelon form of A,
+    pivot columns)."""
     A = np.array(A % l, dtype=np.int64)
     m, n = A.shape
     row = 0
     pivcol = []
     for col in range(n):
+        if row == m:
+            break
         pr = None
         for i in range(row, m):
             if A[i, col] % l:
@@ -61,12 +58,19 @@ def _nullspace(A, l):
             continue
         if pr != row:
             A[[row, pr]] = A[[pr, row]]
-        A[row] = (A[row] * _modinv(A[row, col], l)) % l
+        A[row] = (A[row] * pow(int(A[row, col]), -1, l)) % l
         for i in range(m):
             if i != row and A[i, col]:
                 A[i] = (A[i] - A[i, col] * A[row]) % l
         pivcol.append(col)
         row += 1
+    return A, pivcol
+
+
+def _nullspace(A, l):
+    """Column basis of ker(A) over F_l."""
+    A, pivcol = _rref(A, l)
+    n = A.shape[1]
     free = [c for c in range(n) if c not in pivcol]
     basis = np.zeros((n, len(free)), dtype=np.int64)
     for t, fc in enumerate(free):
@@ -76,49 +80,9 @@ def _nullspace(A, l):
     return basis
 
 
-def _unit_pivot_columns(B, l):
-    """Column-reduce B so the pivot rows carry an identity block;
-    returns (B, pivot_rows)."""
-    B = np.array(B % l, dtype=np.int64)
-    r, d = B.shape
-    pivots = []
-    c = 0
-    for row in range(r):
-        if c == d:
-            break
-        j = None
-        for jj in range(c, d):
-            if B[row, jj] % l:
-                j = jj
-                break
-        if j is None:
-            continue
-        if j != c:
-            B[:, [c, j]] = B[:, [j, c]]
-        B[:, c] = (B[:, c] * _modinv(B[row, c], l)) % l
-        for jj in range(d):
-            if jj != c and B[row, jj]:
-                B[:, jj] = (B[:, jj] - B[row, jj] * B[:, c]) % l
-        pivots.append(row)
-        c += 1
-    if c != d:
-        raise ModularPrimeNotFoundError("subspace basis degenerated mod l")
-    return B, pivots
-
-
 def _primitive_root_power(l: int, E: int) -> int:
     """A fixed primitive E-th root of unity in F_l (l = 1 mod E)."""
-    fac = []
-    m = l - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
+    fac = _factorize(l - 1)
     for g in range(2, l):
         if all(pow(g, (l - 1) // pf, l) != 1 for pf in fac):
             return pow(g, (l - 1) // E, l)
@@ -126,14 +90,6 @@ def _primitive_root_power(l: int, E: int) -> int:
 
 
 # -- the character table ---------------------------------------------
-
-
-@dataclass
-class KernelLattice:
-    """Per-irrep kernels as element sets; each verified to be a normal
-    subgroup, with trivial overall intersection."""
-
-    kernels: list
 
 
 class CharacterTable:
@@ -214,7 +170,11 @@ class CharacterTable:
                 if d == 1:
                     nxt.append(B)
                     continue
-                B, pivots = _unit_pivot_columns(B, l)
+                # column-reduce B so its pivot rows carry an identity block
+                Bt, pivots = _rref(B.T, l)
+                if len(pivots) != d:
+                    raise ModularPrimeNotFoundError("subspace basis degenerated mod l")
+                B = Bt.T
                 A = (M @ B)[pivots] % l
                 found = 0
                 lam = 0
@@ -238,9 +198,9 @@ class CharacterTable:
             piv = int(v[self.identity_class])
             if piv == 0:
                 raise ModularPrimeNotFoundError("eigenline vanishes at identity")
-            omegas[c] = (v * _modinv(piv, l)) % l
+            omegas[c] = (v * pow(piv, -1, l)) % l
         # 3. degrees through the orthogonality sum
-        inv_sizes = np.array([_modinv(s, l) for s in self.sizes], dtype=np.int64)
+        inv_sizes = np.array([pow(s, -1, l) for s in self.sizes], dtype=np.int64)
         invcls = self.class_of[self.group.inverse[np.array(self.reps)]]
         order_mod = self.group.order % l
         dims = []
@@ -248,7 +208,7 @@ class CharacterTable:
             s = int(np.sum(omegas[c] * omegas[c][invcls] % l * inv_sizes % l) % l)
             if s == 0:
                 raise ModularPrimeNotFoundError("degenerate orthogonality sum")
-            dsq = order_mod * _modinv(s, l) % l
+            dsq = order_mod * pow(s, -1, l) % l
             d = None
             t = 1
             while t * t <= self.group.order:
@@ -280,7 +240,7 @@ class CharacterTable:
             for t in range(E):
                 zmat[s, t] = acc
                 acc = acc * zs % l
-        invE = _modinv(E, l)
+        invE = pow(E, -1, l)
         V = X[:, power_class]  # (c, s, j)
         MU = np.einsum("csj,st->cjt", V % l, zmat % l) % l * invE % l
         MU = np.asarray(MU, dtype=np.int64)
@@ -352,7 +312,9 @@ class CharacterTable:
             if (mask >> int(self.class_of[g])) & 1
         )
 
-    def kernel_lattice(self) -> KernelLattice:
+    def kernel_lattice(self) -> list:
+        """Per-irrep kernels as element sets; each verified to be a
+        subgroup, with trivial overall intersection."""
         kers = [self.kernel_elements(c) for c in range(self.r)]
         for K in kers:
             assert self.group.closure(sorted(K)) == sorted(K), "kernel not closed"
@@ -360,7 +322,7 @@ class CharacterTable:
         for K in kers[1:]:
             inter &= K
         assert inter == {self.group.identity}, "kernel lattice intersection nontrivial"
-        return KernelLattice(kernels=kers)
+        return kers
 
     def to_rows(self):
         """CSV-ready rows: dim then exact values by class."""
@@ -368,10 +330,6 @@ class CharacterTable:
         for c in range(self.r):
             out.append([self.dims[c]] + [self.value(c, j).to_str() for j in range(self.r)])
         return out
-
-
-def character_table(G: AbstractGroup, cap: int | None = None) -> CharacterTable:
-    return CharacterTable(G, cap=cap)
 
 
 # -- minimal normal subgroups and the exact minimum -------------------
@@ -474,13 +432,9 @@ def catalog_from_table(T: CharacterTable):
     central character restricted to a fixed basis of the socle
     Omega_1(Z(G)).  Feeds the greedy basis solver."""
     G = T.group
-    n = G.order
-    p = None
-    for q in range(2, n + 1):
-        if n % q == 0:
-            p = q
-            break
-    assert p is not None and _is_pow(n, p), "catalog_from_table requires a p-group"
+    primes = list(_factorize(G.order))
+    assert len(primes) == 1, "catalog_from_table requires a p-group"
+    p = primes[0]
     orders = G.element_orders
     socle = [g for g in G.center if orders[g] in (1, p)]
     gens, gorders, _ = abelian_basis(G, socle)
@@ -503,31 +457,27 @@ def catalog_from_table(T: CharacterTable):
     return entries
 
 
-def _is_pow(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 # -- cross validation -------------------------------------------------
 
 
 def cross_validate(suite: dict, cap: int | None = None) -> dict:
-    """Run every instance of a suite through each applicable route
-    (closed form, greedy solver, explicit construction, oracle search)
-    and report agreement."""
+    """Run every instance of a suite through each applicable route and
+    report agreement.  The family's own routes (closed form, greedy
+    solver, explicit construction, orbit bound) always run.  The
+    Heisenberg, unitriangular and affine families build their table
+    group only when ``oracle`` is true; the others are given by their
+    group and run the oracle search unless ``oracle`` is false.  Given
+    the group, ``two_step`` adds the two-step closed form and
+    construction, and ``pgroup_catalog`` the greedy solver on the
+    oracle's catalog."""
     from . import minfaith_solver as solver
-    from .chain_ring import make_ring
-    from .group_models import (
-        AffineGroup,
-        HeisenbergGroup,
-        UnitriangularGroup,
-        general_linear_2,
-        quaternion_group,
-        semidirect_cyclic,
-        semidirect_cyclic_hom,
-        structure_scan,
-    )
+
+    def value(out, notes):
+        if isinstance(out, solver.FaithfulSolution):
+            if out.verified_faithful is False:
+                notes.append("construction kernel check failed")
+            return out.total_dim
+        return out
 
     results = []
     for inst in suite["instances"]:
@@ -535,77 +485,28 @@ def cross_validate(suite: dict, cap: int | None = None) -> dict:
         family = inst["family"]
         values = {}
         notes = []
-        group = None
         try:
-            if family == "heisenberg":
-                R = make_ring(inst["p"], inst["f"], inst["e"], inst["n"])
-                k = inst.get("k", 1)
-                values["formula"] = solver.formula_heisenberg(
-                    inst["p"], inst["f"], R.e, inst["n"], k
-                )
-                sol = solver.solve_heisenberg(R, k)
-                values["solver"] = sol.total_dim
-                con = solver.construct_faithful_heisenberg(R, k)
-                values["construct"] = con.total_dim
-                if con.verified_faithful is not None and not con.verified_faithful:
-                    notes.append("construction kernel check failed")
-                if inst.get("oracle", False):
-                    group = HeisenbergGroup(R, k).to_abstract(cap=cap)
-            elif family == "unitriangular":
-                R = make_ring(inst["p"], inst["f"], inst["e"], inst["n"])
-                values["formula"] = solver.formula_unitriangular(
-                    inst["p"], inst["f"], R.e, inst["n"], inst["size"]
-                )
-                if inst.get("oracle", False):
-                    group = UnitriangularGroup(R, inst["size"]).to_abstract(cap=cap)
-            elif family == "affine":
-                R = make_ring(inst["p"], inst["f"], inst["e"], inst["n"])
-                values["formula"] = solver.formula_affine(inst["p"], inst["f"], inst["n"])
-                con = solver.construct_faithful_affine(R)
-                values["construct"] = con.total_dim
-                if con.verified_faithful is not None and not con.verified_faithful:
-                    notes.append("construction kernel check failed")
-                if inst.get("oracle", False):
-                    group = AffineGroup(R).to_abstract(cap=cap)
-            elif family == "semidirect":
-                if "h_order" in inst:
-                    group = semidirect_cyclic_hom(
-                        inst["modulus"], inst["multipliers"][0], inst["h_order"]
-                    )
-                else:
-                    group = semidirect_cyclic(inst["modulus"], inst["multipliers"])
-                b, eq = solver.orbit_lower_bound(
-                    inst["modulus"], inst["multipliers"], inst.get("h_order")
-                )
-                values["orbit_bound"] = b
+            b = solver.FamilyInstance(family, inst, cap)
+            fam = b.family
+            for key, route in fam.routes.items():
+                values[key] = value(route(b), notes)
+            if fam.bound is not None:
+                values["orbit_bound"], eq = fam.bound(b)
                 notes.append("action faithful" if eq else "action through a quotient")
-            elif family == "quaternion":
-                group = quaternion_group()
-            elif family == "gl2":
-                R = make_ring(inst["p"], inst.get("f", 1), 1, 1)
-                group = general_linear_2(R)
-            elif family == "table":
-                group = AbstractGroup.from_json(inst["table"], cap=cap)
-            else:
-                raise ValueError(f"unknown family {family}")
-
-            if group is not None and inst.get("two_step", False):
-                scan = structure_scan(group)
-                values["formula_two_step"] = solver.formula_two_step(group, scan)
-                con = solver.construct_faithful_two_step(group)
-                values["construct_two_step"] = con.total_dim
-                if not con.verified_faithful:
-                    notes.append("construction kernel check failed")
-            if group is not None and inst.get("oracle", True):
-                T = CharacterTable(group, cap=cap)
-                m, sel = min_faithful_exhaustive(T)
-                values["oracle"] = m
-                values["oracle_selection_dims"] = [T.dims[c] for c in sel]
-                if inst.get("pgroup_catalog", False):
-                    entries = catalog_from_table(T)
-                    dprime = len(entries[0][1].coords)
-                    gsol = solver.solve_pgroup(entries, entries[0][1].p, dprime)
-                    values["solver_catalog"] = gsol.total_dim
+            oracle = inst.get("oracle", fam.oracle)
+            if fam.oracle or oracle:  # otherwise no group is built
+                if inst.get("two_step", False):
+                    for key, route in solver.TWO_STEP_ROUTES.items():
+                        values[f"{key}_two_step"] = value(route(b), notes)
+                if oracle:
+                    T = CharacterTable(b.group, cap=cap)
+                    m, sel = min_faithful_exhaustive(T)
+                    values["oracle"] = m
+                    values["oracle_selection_dims"] = [T.dims[c] for c in sel]
+                    if inst.get("pgroup_catalog", False):
+                        entries = catalog_from_table(T)
+                        p, dprime = entries[0][1].p, len(entries[0][1].coords)
+                        values["solver_catalog"] = solver.solve_pgroup(entries, p, dprime).total_dim
         except Exception as exc:  # mismatch bookkeeping, not control flow
             results.append(
                 {
@@ -618,20 +519,7 @@ def cross_validate(suite: dict, cap: int | None = None) -> dict:
             continue
 
         expected = inst.get("expected")
-        core = {
-            k: v
-            for k, v in values.items()
-            if k
-            in (
-                "formula",
-                "solver",
-                "construct",
-                "formula_two_step",
-                "construct_two_step",
-                "oracle",
-                "solver_catalog",
-            )
-        }
+        core = {k: v for k, v in values.items() if k not in ("orbit_bound", "oracle_selection_dims")}
         match = len(set(core.values())) <= 1
         if "orbit_bound" in values and "oracle" in values:
             if values["oracle"] < values["orbit_bound"]:

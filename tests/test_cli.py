@@ -236,6 +236,43 @@ def test_group_spec_parsing():
     assert G.order == 27
 
 
+def test_group_spec_table_forms(tmp_path, group):
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps(group("d4").to_json()))
+    for spec in (f"table:{path}", f"table:path={path}"):
+        G, desc = parse_group_spec(spec)
+        assert G.order == 8
+        assert desc == f"table from {path}"
+
+
+def test_malformed_table_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "table.json"
+    for text in ('{"table": [[0,1],[1,0', "[1, 2]", '{"names": []}', '{"table": [[0, 1], [0, 1]]}'):
+        path.write_text(text)
+        for argv in (
+            ["oracle", "table", "--group", f"table:{path}"],
+            ["minfaith", "two-step", "--table", str(path), "--mode", "all"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, (text, argv)
+            assert err.startswith("parse error:") and out == ""
+
+
+def test_bad_oracle_cap_setting_is_a_parse_error(capsys, tmp_path, monkeypatch):
+    path = _tiny_suite(tmp_path, expected=2)
+    for bad in ("ten", "0", "-1"):
+        monkeypatch.setenv("CHAINREP_ORACLE_CAP", bad)
+        for argv in (
+            ["oracle", "minfaith", "--group", "quaternion:"],
+            ["minfaith", "heisenberg", "--p", "2", "--mode", "all"],
+            ["verify", "--suite", str(path)],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err == f"parse error: CHAINREP_ORACLE_CAP must be a positive integer, got {bad!r}\n"
+
+
 def test_group_spec_errors():
     from chainrep.cli import SpecParseError
 
@@ -327,15 +364,20 @@ def test_exit_code_argparse(capsys):
 
 def test_exit_code_compute_error(capsys, monkeypatch):
     monkeypatch.setenv("CHAINREP_ORACLE_CAP", "10")
-    # group constructed directly (no cap at parse time), oracle then refuses
+    # the oracle route refuses a group over the cap: a computation error
     code, _, err = run_cli(
-        capsys, "oracle", "table", "--group", "semidirect:modulus=8,multipliers=3"
+        capsys, "minfaith", "heisenberg", "--p", "2", "--n", "2", "--mode", "oracle"
     )
     assert code == 1
     assert "CapExceededError" in err
     # cap reached during spec parsing is reported as a parse error instead
     code, _, _ = run_cli(capsys, "oracle", "minfaith", "--group", "heis:p=2,e=1,n=2")
     assert code == 2
+    code, _, err = run_cli(
+        capsys, "oracle", "table", "--group", "semidirect:modulus=8,multipliers=3"
+    )
+    assert code == 2
+    assert "exceeds cap 10" in err
 
 
 def test_json_byte_determinism(capsys):

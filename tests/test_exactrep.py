@@ -11,9 +11,7 @@ from chainrep.exactrep import (
     NotSubgroupError,
     cyc_sum,
     cyclotomic_polynomial,
-    direct_sum,
     induced_character_formula,
-    is_faithful,
     kernel_of,
 )
 
@@ -167,12 +165,12 @@ def test_linear_rep_and_direct_sum(group):
     sgn = LinearChar(2, {g: (0 if g in sub else 1) for g in G.elements})
     lin = MonomialRep.linear(G, sgn)
     assert lin.degree == 1 and lin.check_homomorphism()
-    s = direct_sum([rho, lin])
+    s = DirectSumRep([rho, lin])
     assert isinstance(s, DirectSumRep)
     assert s.is_faithful()
     assert s.character(G.identity) == Cyclotomic.integer(3)
-    assert is_faithful([rho])
-    assert not is_faithful([lin])
+    assert DirectSumRep([rho]).is_faithful()
+    assert not DirectSumRep([lin]).is_faithful()
     assert kernel_of(lin) == sub
 
 

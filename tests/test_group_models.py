@@ -1,5 +1,6 @@
 """Group families, table-backed groups, and abelian decomposition tests."""
 
+import numpy as np
 import pytest
 
 from chainrep.group_models import (
@@ -433,3 +434,33 @@ def test_extend_character(make_abelian):
     for a in G.elements:
         for b in G.elements:
             assert (exps[G.mul(a, b)] - exps[a] - exps[b]) % M == 0
+
+
+def test_cap_checked_before_allocation(monkeypatch):
+    from chainrep.chain_ring import make_ring
+
+    R = make_ring(3, 1, 1, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    # orders just above the cap: 16, 32, 48 and 5
+    cases = [
+        (15, lambda: semidirect_cyclic(8, [3])),
+        (31, lambda: semidirect_cyclic_hom(8, 7, 4)),
+        (47, lambda: general_linear_2(R)),
+        (4, lambda: AbstractGroup.from_json({"table": [[0] * 5] * 5})),
+    ]
+    for name in ("empty", "asarray", "array"):
+        monkeypatch.setattr(np, name, refuse)
+    for cap, build in cases:
+        monkeypatch.setenv("CHAINREP_ORACLE_CAP", str(cap))
+        with pytest.raises(CapExceededError):
+            build()
+
+
+def test_group_cap_rejects_bad_settings(monkeypatch):
+    for bad in ("ten", "0", "-3", "2.5"):
+        monkeypatch.setenv("CHAINREP_ORACLE_CAP", bad)
+        with pytest.raises(ValueError, match="CHAINREP_ORACLE_CAP must be a positive integer"):
+            group_cap()

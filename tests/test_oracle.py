@@ -8,7 +8,6 @@ from chainrep.group_models import CapExceededError
 from chainrep.oracle import (
     CharacterTable,
     catalog_from_table,
-    character_table,
     cross_validate,
     min_faithful_exhaustive,
     minimal_normal_witnesses,
@@ -108,7 +107,7 @@ def test_degrees_divide_order(table):
 def test_table_deterministic(group):
     G = group("d4")
     T1 = CharacterTable(G)
-    T2 = character_table(G)
+    T2 = CharacterTable(G)
     assert (T1.mu == T2.mu).all()
     assert T1.dims == T2.dims
 
@@ -117,20 +116,20 @@ def test_kernels_are_normal_subgroups(table):
     for name in ["d4", "q8", "aff_z9", "gl2_f3"]:
         T = table(name)
         G = T.group
-        lat = T.kernel_lattice()
-        assert len(lat.kernels) == T.r
-        for K in lat.kernels:
+        kernels = T.kernel_lattice()
+        assert len(kernels) == T.r
+        for K in kernels:
             assert G.closure(sorted(K)) == sorted(K)
             for g in G.elements:
                 assert {G.conj(g, k) for k in K} == set(K)
         # trivial character: kernel is everything
-        sizes = [len(K) for K in lat.kernels]
+        sizes = [len(K) for K in kernels]
         assert max(sizes) == G.order
     # a faithful irrep exists iff some kernel is trivial: true for the
     # order-8 groups with cyclic center, false over the non-cyclic center
-    assert any(len(K) == 1 for K in table("q8").kernel_lattice().kernels)
-    assert any(len(K) == 1 for K in table("d4").kernel_lattice().kernels)
-    assert all(len(K) > 1 for K in table("hei3_f2t2").kernel_lattice().kernels)
+    assert any(len(K) == 1 for K in table("q8").kernel_lattice())
+    assert any(len(K) == 1 for K in table("d4").kernel_lattice())
+    assert all(len(K) > 1 for K in table("hei3_f2t2").kernel_lattice())
 
 
 def test_minimal_normal_witnesses(table):
@@ -261,3 +260,84 @@ def test_cross_validate_tiny_suite():
     report = cross_validate(suite)
     assert report["ok"] is True
     assert {r["name"] for r in report["results"]} == {"aff-f3", "m27"}
+
+
+def test_verify_default_golden(suite_report):
+    """The default suite report, serialised as `chainrep verify --suite
+    default --format json` prints it, matches the committed bytes."""
+    import json
+    from pathlib import Path
+
+    golden = (Path(__file__).parent / "data" / "verify_default.json").read_text()
+    payload = {"command": "verify", "parameters": {"suite": "default"}, "result": suite_report}
+    assert json.dumps(payload, sort_keys=True) + "\n" == golden
+
+
+ROUTE_FAMILIES = {
+    "heisenberg": {"family": "heisenberg", "p": 2, "f": 1, "e": 1, "n": 1, "k": 1},
+    "unitriangular": {"family": "unitriangular", "p": 3, "f": 1, "e": 1, "n": 1, "size": 3},
+    "affine": {"family": "affine", "p": 3, "f": 1, "e": 1, "n": 1},
+    "gl2": {"family": "gl2", "p": 2},
+    "semidirect": {"family": "semidirect", "modulus": 4, "multipliers": [3]},
+    "semidirect-hom": {"family": "semidirect", "modulus": 8, "multipliers": [7], "h_order": 4},
+    "quaternion": {"family": "quaternion"},
+    "table": {"family": "table"},
+}
+
+ROUTE_NOTES = {"semidirect": ["action faithful"], "semidirect-hom": ["action through a quotient"]}
+
+# (family, oracle flag or None when absent, two_step, value keys).  The
+# Heisenberg, unitriangular and affine families build no group unless
+# oracle is true; the others run the oracle unless it is false.
+ROUTE_CASES = [
+    ("heisenberg", None, False, "construct formula solver"),
+    ("heisenberg", None, True, "construct formula solver"),
+    ("heisenberg", True, False, "construct formula oracle oracle_selection_dims solver"),
+    ("heisenberg", True, True, "construct construct_two_step formula formula_two_step oracle oracle_selection_dims solver"),
+    ("heisenberg", False, False, "construct formula solver"),
+    ("unitriangular", None, False, "formula"),
+    ("unitriangular", True, False, "formula oracle oracle_selection_dims"),
+    ("unitriangular", True, True, "construct_two_step formula formula_two_step oracle oracle_selection_dims"),
+    ("unitriangular", False, False, "formula"),
+    ("affine", None, False, "construct formula"),
+    ("affine", True, False, "construct formula oracle oracle_selection_dims"),
+    ("affine", False, False, "construct formula"),
+    ("gl2", None, False, "oracle oracle_selection_dims"),
+    ("gl2", True, False, "oracle oracle_selection_dims"),
+    ("gl2", False, False, ""),
+    ("semidirect", None, False, "oracle oracle_selection_dims orbit_bound"),
+    ("semidirect", None, True, "construct_two_step formula_two_step oracle oracle_selection_dims orbit_bound"),
+    ("semidirect", True, False, "oracle oracle_selection_dims orbit_bound"),
+    ("semidirect", False, False, "orbit_bound"),
+    ("semidirect", False, True, "construct_two_step formula_two_step orbit_bound"),
+    ("semidirect-hom", None, False, "oracle oracle_selection_dims orbit_bound"),
+    ("semidirect-hom", True, False, "oracle oracle_selection_dims orbit_bound"),
+    ("semidirect-hom", False, False, "orbit_bound"),
+    ("quaternion", None, False, "oracle oracle_selection_dims"),
+    ("quaternion", True, False, "oracle oracle_selection_dims"),
+    ("quaternion", False, False, ""),
+    ("quaternion", False, True, "construct_two_step formula_two_step"),
+    ("table", None, False, "oracle oracle_selection_dims"),
+    ("table", None, True, "construct_two_step formula_two_step oracle oracle_selection_dims"),
+    ("table", True, False, "oracle oracle_selection_dims"),
+    ("table", False, False, ""),
+    ("table", False, True, "construct_two_step formula_two_step"),
+]
+
+
+def test_cross_validate_route_selection(group):
+    instances = []
+    for family, oracle, two_step, _ in ROUTE_CASES:
+        inst = dict(ROUTE_FAMILIES[family], name=f"{family}/{oracle}/{two_step}")
+        if family == "table":
+            inst["table"] = group("d4").to_json()
+        if oracle is not None:
+            inst["oracle"] = oracle
+        if two_step:
+            inst["two_step"] = True
+        instances.append(inst)
+    report = cross_validate({"name": "routes", "instances": instances})
+    assert report["ok"] is True
+    for (family, _, _, keys), rr in zip(ROUTE_CASES, report["results"]):
+        assert sorted(rr["values"]) == keys.split(), rr["name"]
+        assert rr.get("notes") == ROUTE_NOTES.get(family), rr["name"]
