@@ -37,7 +37,9 @@ def _parse_e(text):
 def _ring_from_args(args):
     from .chain_ring import make_ring
 
-    return make_ring(args.p, args.f, _parse_e(args.e), args.n)
+    e = _parse_e(args.e)
+    with _parse_errors(f"p={args.p},f={args.f},e={args.e},n={args.n}", "ring"):
+        return make_ring(args.p, args.f, e, args.n)
 
 
 def _e_repr(e):
@@ -65,13 +67,13 @@ def _spec_value(spec, key, text):
 
 
 @contextmanager
-def _parse_errors(source):
-    """A group that cannot be built from its parameters, or an
+def _parse_errors(source, what="group"):
+    """A ring or group that cannot be built from its parameters, or an
     unreadable table file, is a parse error."""
     try:
         yield
     except (ValueError, OSError) as exc:
-        raise SpecParseError(f"cannot build group from {source!r}: {exc}") from None
+        raise SpecParseError(f"cannot build {what} from {source!r}: {exc}") from None
 
 
 def parse_group_spec(spec: str, cap=None):
@@ -98,6 +100,9 @@ def parse_group_spec(spec: str, cap=None):
     if family is None:
         raise SpecParseError(f"unknown group family {name!r}")
     fam = FAMILIES[family]
+    unknown = sorted(set(kv) - set(fam.keys))
+    if unknown:
+        raise SpecParseError(f"group spec {spec!r} has unknown keys {', '.join(unknown)}")
     params = {}
     for key in fam.keys:
         if key in kv:
@@ -219,8 +224,13 @@ def _minfaith_values(target, params):
     if "e" in params:
         params = {**params, "e": _parse_e(params["e"])}
     two_step = target == "two-step"
-    with _parse_errors(params.get("table")):
-        b = FamilyInstance("table" if two_step else target, params)
+    if two_step:
+        with _parse_errors(params["table"]):
+            b = FamilyInstance("table", params)
+    else:  # the ring families build their group on first use, their ring here
+        with _parse_errors(",".join(f"{k}={params[k]}" for k in "pfen"), "ring"):
+            b = FamilyInstance(target, params)
+            b.ring  # noqa: B018 (builds and caches the ring)
     routes = TWO_STEP_ROUTES if two_step else b.family.routes
     values = {}
     solution = None

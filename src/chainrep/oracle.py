@@ -9,6 +9,13 @@ the orthogonality sum, and values lifted to exact cyclotomic integers
 via root-of-unity multiplicity vectors.  Every table is re-verified with
 exact integer orthogonality before use.
 
+The split follows Dixon and Schneider: each common eigenspace carries a
+basis B that is the identity on its pivot rows, so a class matrix M
+restricts to it as M[pivots] @ B.  A restriction that is scalar leaves
+the space whole; otherwise its eigenvalues are the roots of the
+characteristic polynomial of a Hessenberg form, evaluated at all of F_l
+at once, and nullspaces are taken only at those roots.
+
 The minimum search rewrites "trivial kernel intersection" as a weighted
 set cover over the minimal normal subgroups (the joint kernel is trivial
 iff every minimal normal subgroup escapes some summand's kernel), which
@@ -68,7 +75,8 @@ def _rref(A, l):
 
 
 def _nullspace(A, l):
-    """Column basis of ker(A) over F_l."""
+    """(column basis N of ker(A) over F_l, free columns): N[free] is the
+    identity."""
     A, pivcol = _rref(A, l)
     n = A.shape[1]
     free = [c for c in range(n) if c not in pivcol]
@@ -77,7 +85,45 @@ def _nullspace(A, l):
         basis[fc, t] = 1
         for rr, pc in enumerate(pivcol):
             basis[pc, t] = (-A[rr, fc]) % l
-    return basis
+    return basis, free
+
+
+def _hessenberg(A, l):
+    """An upper Hessenberg matrix similar to A over F_l."""
+    H = np.array(A % l, dtype=np.int64)
+    d = H.shape[0]
+    for k in range(d - 2):
+        nz = np.nonzero(H[k + 1 :, k])[0]
+        if not len(nz):
+            continue
+        i = k + 1 + int(nz[0])
+        if i != k + 1:
+            H[[k + 1, i]] = H[[i, k + 1]]
+            H[:, [k + 1, i]] = H[:, [i, k + 1]]
+        m = H[k + 2 :, k] * pow(int(H[k + 1, k]), -1, l) % l
+        # rows j -= m_j * row k+1, then column k+1 += sum_j m_j * column j
+        H[k + 2 :] = (H[k + 2 :] - np.outer(m, H[k + 1])) % l
+        H[:, k + 1] = (H[:, k + 1] + H[:, k + 2 :] @ m) % l
+    return H
+
+
+def _eigenvalues(A, l):
+    """The roots in F_l of the characteristic polynomial of A, ascending:
+    the polynomial of a Hessenberg form, evaluated at every x in F_l at
+    once by the recurrence over its leading principal minors."""
+    H = _hessenberg(A, l)
+    d = H.shape[0]
+    x = np.arange(l, dtype=np.int64)
+    P = np.empty((d + 1, l), dtype=np.int64)  # P[m](x) = det(x - H[:m, :m])
+    P[0] = 1
+    beta = np.empty(0, dtype=np.int64)  # beta[i] = H[i+1, i] ... H[m-1, m-2]
+    for m in range(1, d + 1):
+        k = m - 1
+        P[m] = (x - H[k, k]) * P[k] % l
+        if k:
+            beta = np.append(beta * H[k, k - 1] % l, H[k, k - 1])
+            P[m] = (P[m] - (H[:k, k] * beta % l) @ P[:k]) % l
+    return np.nonzero(P[d] == 0)[0]
 
 
 def _primitive_root_power(l: int, E: int) -> int:
@@ -156,44 +202,40 @@ class CharacterTable:
     def _compute(self, l: int):
         G = self.group
         r = self.r
-        # 1. split the class algebra into common eigenlines
-        spaces = [np.eye(r, dtype=np.int64)]
+        # 1. split the class algebra into common eigenlines.  A space is
+        # (B, piv) with B[piv] the identity, so M restricted to it is
+        # M[piv] @ B; a child B @ N has its identity at piv[free].
+        spaces = [(np.eye(r, dtype=np.int64), np.arange(r))]
         for i in range(r):
-            if all(B.shape[1] == 1 for B in spaces):
+            if all(len(piv) == 1 for _, piv in spaces):
                 break
             if i == self.identity_class:
                 continue
             M = self._class_matrix(i) % l
             nxt = []
-            for B in spaces:
-                d = B.shape[1]
+            for B, piv in spaces:
+                d = len(piv)
                 if d == 1:
-                    nxt.append(B)
+                    nxt.append((B, piv))
                     continue
-                # column-reduce B so its pivot rows carry an identity block
-                Bt, pivots = _rref(B.T, l)
-                if len(pivots) != d:
-                    raise ModularPrimeNotFoundError("subspace basis degenerated mod l")
-                B = Bt.T
-                A = (M @ B)[pivots] % l
+                A = (M[piv] @ B) % l
+                eye = np.eye(d, dtype=np.int64)
+                if np.array_equal(A, A[0, 0] * eye):  # one eigenvalue: no split
+                    nxt.append((B, piv))
+                    continue
                 found = 0
-                lam = 0
-                while found < d:
-                    if lam >= l:
-                        raise ModularPrimeNotFoundError(
-                            "class matrix not diagonalizable mod l"
-                        )
-                    N = _nullspace(A - lam * np.eye(d, dtype=np.int64), l)
-                    if N.shape[1]:
-                        nxt.append((B @ N) % l)
-                        found += N.shape[1]
-                    lam += 1
+                for lam in _eigenvalues(A, l):
+                    N, free = _nullspace(A - lam * eye, l)
+                    nxt.append(((B @ N) % l, piv[free]))
+                    found += N.shape[1]
+                if found != d:
+                    raise ModularPrimeNotFoundError("class matrix not diagonalizable mod l")
             spaces = nxt
-        if not all(B.shape[1] == 1 for B in spaces):
+        if not all(len(piv) == 1 for _, piv in spaces):
             raise ModularPrimeNotFoundError("class algebra did not fully split")
         # 2. normalize to central-character rows omega
         omegas = np.empty((r, r), dtype=np.int64)
-        for c, B in enumerate(spaces):
+        for c, (B, _) in enumerate(spaces):
             v = B[:, 0] % l
             piv = int(v[self.identity_class])
             if piv == 0:

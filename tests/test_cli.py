@@ -2,6 +2,7 @@
 exit codes, and byte determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -205,6 +206,23 @@ def test_oracle_table_json(capsys, schema):
     assert len(res["classes"]) == 5
 
 
+# sha256 of `oracle table --format json` stdout: pins the prime, the
+# degrees, the row order and every exact value.
+TABLE_SHA256 = {
+    "gl2:p=3": "5b3e5419a180b1a24f0d8eb3f4418f132bd13046745f4df355277f7b89789bc9",
+    "gl2:p=5": "15d2d8a5aea761392d546528d018160441cb0847eff830666d62891bd4966fdb",
+    "heis:p=3,f=1,e=1,n=2,k=1": "f592d87a8d758caae8e5d91d7cd5ab8efa802002eef997246785e774674a65c0",
+    "semidirect:modulus=27,multipliers=2": "6df1d91c2bf8ae0b0228e95b88d3c906df433b2a40f9031d71c435ad0c08356f",
+}
+
+
+def test_oracle_table_json_bytes_frozen(capsys):
+    for spec, digest in TABLE_SHA256.items():
+        code, out, _ = run_cli(capsys, "oracle", "table", "--group", spec, "--format", "json")
+        assert code == 0, spec
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, spec
+
+
 def test_oracle_minfaith(capsys, schema):
     code, out, _ = run_cli(
         capsys,
@@ -355,6 +373,24 @@ def test_exit_code_parse_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "minfaith", "two-step", "--table", "/nonexistent.json")
     assert code == 2
+    for spec, unknown in (("gl2:p=3,n=2,bogus=1", "bogus, n"), ("quaternion:foo=1", "foo")):
+        code, out, err = run_cli(capsys, "oracle", "minfaith", "--group", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error:") and f"unknown keys {unknown}" in err
+
+
+def test_bad_ring_is_a_parse_error(capsys):
+    for ring in (["--p", "4"], ["--p", "2", "--e", "0"], ["--p", "3", "--n", "0"]):
+        for argv in (
+            ["ring"],
+            ["irreps", "list"],
+            ["minfaith", "heisenberg"],
+            ["minfaith", "unitriangular", "--size", "3"],
+            ["minfaith", "affine", "--mode", "all"],
+        ):
+            code, out, err = run_cli(capsys, *argv, *ring)
+            assert code == 2, argv + ring
+            assert out == "" and err.startswith("parse error: cannot build ring from"), argv + ring
 
 
 def test_exit_code_argparse(capsys):

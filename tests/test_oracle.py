@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainrep.exactrep import Cyclotomic, cyc_sum
 from chainrep.group_models import CapExceededError
 from chainrep.oracle import (
     CharacterTable,
+    _eigenvalues,
+    _hessenberg,
+    _nullspace,
+    _rref,
     catalog_from_table,
     cross_validate,
     min_faithful_exhaustive,
@@ -27,6 +33,7 @@ FROZEN_PRIMES = {
     "gl2_f3": 73,   # 1 mod 24, square > 192
     "hei3_z9": 73,  # 1 mod 9, square > 2916
     "u4_f3": 73,    # 1 mod 9, square > 2916
+    "hei3_gr42": 137,  # 1 mod 8, square > 16384
 }
 
 EXHAUSTIVE_MIN = {
@@ -49,6 +56,7 @@ EXHAUSTIVE_MIN = {
     "aff_z9": 6,
     "aff_f4": 3,
     "gl2_f3": 2,
+    "hei3_gr42": 32,
 }
 
 
@@ -102,6 +110,60 @@ def test_degrees_divide_order(table):
         T = table(name)
         for d in T.dims:
             assert T.group.order % d == 0
+
+
+def scan_eigenvalues(A, l):
+    """Reference: every lambda in F_l with a nonzero kernel of A - lambda."""
+    d = A.shape[0]
+    eye = np.eye(d, dtype=np.int64)
+    return [lam for lam in range(l) if _nullspace(A - lam * eye, l)[0].shape[1]]
+
+
+@st.composite
+def matrices_mod_l(draw):
+    """(A, l): P D P^-1 with D diagonal (kind 'diag'), a scalar matrix, a
+    Jordan form with a block of size >= 2 conjugated by P, or entries
+    drawn uniformly."""
+    l = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    d = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["diag", "scalar", "jordan", "uniform"]))
+    entries = st.integers(0, l - 1)
+
+    def square():
+        return np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d)), dtype=np.int64).reshape(d, d)
+
+    if kind == "uniform":
+        return square(), l
+    if kind == "scalar":
+        return draw(entries) * np.eye(d, dtype=np.int64), l
+    D = np.diag(draw(st.lists(entries, min_size=d, max_size=d))).astype(np.int64)
+    if kind == "jordan" and d >= 2:
+        k = draw(st.integers(0, d - 2))
+        D[k + 1, k + 1] = D[k, k]
+        D[k, k + 1] = 1
+    # unit lower times unit upper triangular: invertible mod l
+    P = (np.tril(square(), -1) + np.eye(d, dtype=np.int64)) @ (np.triu(square(), 1) + np.eye(d, dtype=np.int64)) % l
+    R, _ = _rref(np.hstack([P, np.eye(d, dtype=np.int64)]), l)
+    return P @ D @ R[:, d:] % l, l
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(matrices_mod_l())
+def test_eigenvalues_match_lambda_scan(case):
+    A, l = case
+    H = _hessenberg(A, l)
+    assert not np.tril(H, -2).any()
+    assert _eigenvalues(A, l).tolist() == scan_eigenvalues(A, l)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(matrices_mod_l())
+def test_nullspace_carries_identity_on_free_rows(case):
+    A, l = case
+    N, free = _nullspace(A, l)
+    assert np.array_equal(N[free], np.eye(len(free), dtype=np.int64))
+    assert not (A @ N % l).any()
+    assert len(free) == A.shape[0] - len(_rref(A, l)[1])
 
 
 def test_table_deterministic(group):
