@@ -170,7 +170,8 @@ def _cmd_irreps(args) -> int:
     from .mackey_irreps import irrep_catalog
 
     R = _ring_from_args(args)
-    H = HeisenbergGroup(R, args.k)
+    with _parse_errors(f"k={args.k}"):
+        H = HeisenbergGroup(R, args.k)
     catalog = irrep_catalog(H)
     agg = {}
     for d in catalog:
@@ -231,6 +232,8 @@ def _minfaith_values(target, params):
         with _parse_errors(",".join(f"{k}={params[k]}" for k in "pfen"), "ring"):
             b = FamilyInstance(target, params)
             b.ring  # noqa: B018 (builds and caches the ring)
+    with _parse_errors(",".join(f"{k}={params[k]}" for k in b.family.keys)):
+        order = b.family.order(b)  # checks the group parameters
     routes = TWO_STEP_ROUTES if two_step else b.family.routes
     values = {}
     solution = None
@@ -241,7 +244,7 @@ def _minfaith_values(target, params):
                 solution = out.to_json()
                 out = out.total_dim
             values[key] = out
-    if mode == "oracle" or (mode == "all" and b.family.order(b) <= orc.group_cap()):
+    if mode == "oracle" or (mode == "all" and order <= orc.group_cap()):
         T = orc.CharacterTable(b.group)
         values["oracle"], _ = orc.min_faithful_exhaustive(T)
     return values, solution

@@ -6,13 +6,23 @@ Character values live in Z[zeta_m], held as integer coefficient vectors
 reduced modulo the m-th cyclotomic polynomial, so equality of values is
 equality of tuples at a common order.  Representations built here are
 monomial (permutation matrices with root-of-unity scalars), which is
-all the induction machinery ever produces from a linear character.
+all the induction machinery ever produces from a linear character.  A
+representation is stored as two (|G|, degree) integer arrays, sigma and
+exps, with rows in ``group.elements`` order; induction fills them from
+index-array products of the group (``group.product``), and the kernel is
+the set of rows equal to (arange(degree), 0), an integer test that for
+these exact matrices is chi(g) = chi(1).
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
+
+from .group_models import index_inverse
 
 
 class NotSubgroupError(ValueError):
@@ -219,130 +229,116 @@ class LinearChar:
         return self.exps[a]
 
 
-def _check_subgroup(group, elems, exhaustive_cap=512):
-    import random
+def _pairs(count: int, seed: int, exhaustive_cap: int):
+    """Positions (i, j) in a list of this length: every pair, or 1000
+    pairs drawn with the seed when the list is longer than the cap."""
+    if count <= exhaustive_cap:
+        return np.divmod(np.arange(count * count), count)
+    rng = random.Random(seed)
+    draws = np.array([rng.randrange(count) for _ in range(2000)])
+    return draws[0::2], draws[1::2]
 
-    eset = set(elems)
-    if group.identity not in eset:
+
+def _check_subgroup(group, sub, exhaustive_cap=512):
+    """sub: row indices of the claimed subgroup."""
+    member = np.zeros(group.order, dtype=bool)
+    member[sub] = True
+    if not member[group.index_of([group.identity])[0]]:
         raise NotSubgroupError("identity missing")
-    for a in elems:
-        if group.inv(a) not in eset:
-            raise NotSubgroupError(f"inverse of {a!r} missing")
-    if len(elems) <= exhaustive_cap:
-        pairs = ((a, b) for a in elems for b in elems)
-    else:
-        rng = random.Random(11)
-        pairs = ((rng.choice(elems), rng.choice(elems)) for _ in range(1000))
-    for a, b in pairs:
-        if group.mul(a, b) not in eset:
-            raise NotSubgroupError("not closed under multiplication")
+    missing = np.flatnonzero(~member[index_inverse(group, sub)])
+    if len(missing):
+        raise NotSubgroupError(f"inverse of {group.elements[sub[missing[0]]]!r} missing")
+    i, j = _pairs(len(sub), 11, exhaustive_cap)
+    if not member[group.product(sub[i], sub[j])].all():
+        raise NotSubgroupError("not closed under multiplication")
 
 
-def _check_character(group, elems, chi, exhaustive_cap=512):
-    import random
-
-    m = chi.order
-    if chi.value_exp(group.identity) % m != 0:
+def _check_character(group, sub, vals, m, exhaustive_cap=512):
+    """vals[i]: the exponent of chi at the element with row index sub[i]."""
+    pos = np.full(group.order, -1, dtype=np.int64)
+    pos[sub] = np.arange(len(sub))
+    if vals[pos[group.index_of([group.identity])[0]]] % m != 0:
         raise ChiNotHomomorphismError("chi(identity) != 1")
-    if len(elems) <= exhaustive_cap:
-        pairs = ((a, b) for a in elems for b in elems)
-    else:
-        rng = random.Random(13)
-        pairs = ((rng.choice(elems), rng.choice(elems)) for _ in range(1000))
-    for a, b in pairs:
-        if (chi.value_exp(a) + chi.value_exp(b) - chi.value_exp(group.mul(a, b))) % m:
-            raise ChiNotHomomorphismError(f"chi not multiplicative at ({a!r}, {b!r})")
+    i, j = _pairs(len(sub), 13, exhaustive_cap)
+    ij = pos[group.product(sub[i], sub[j])]
+    if (ij < 0).any():
+        raise NotSubgroupError("not closed under multiplication")
+    bad = np.flatnonzero((vals[i] + vals[j] - vals[ij]) % m)
+    if len(bad):
+        a, b = (group.elements[sub[x[bad[0]]]] for x in (i, j))
+        raise ChiNotHomomorphismError(f"chi not multiplicative at ({a!r}, {b!r})")
 
 
 class MonomialRep:
-    """A monomial representation: for each group element a permutation
-    sigma of the basis and scalar exponents, rho(g) e_t =
-    zeta^exps[t] e_sigma[t]."""
+    """A monomial representation: for the element in row g of the group
+    (``group.elements`` order) a permutation sigma[g] of the basis and
+    scalar exponents exps[g], rho(g) e_t = zeta^exps[g, t] e_sigma[g, t].
+    sigma and exps are (|G|, degree) integer arrays."""
 
-    def __init__(self, group, degree, scalar_order, maps):
+    def __init__(self, group, degree, scalar_order, sigma, exps):
         self.group = group
         self.degree = degree
         self.scalar_order = scalar_order
-        self.maps = maps  # elem -> (sigma tuple, exps tuple)
+        self.sigma = sigma
+        self.exps = exps
 
     @staticmethod
     def induce(group, sub_elems, chi: LinearChar, check=True) -> "MonomialRep":
         """Induction of the linear character chi from the subgroup with
-        element list sub_elems to the whole group."""
-        if check:
-            _check_subgroup(group, sub_elems)
-            _check_character(group, sub_elems, chi)
-        elements = group.elements
-        coset_of = {}
-        reps = []
-        for g in elements:
-            if g in coset_of:
-                continue
-            t = len(reps)
-            reps.append(g)
-            for a in sub_elems:
-                coset_of[group.mul(g, a)] = t
-        if len(coset_of) != len(elements):
-            raise NotSubgroupError("cosets do not partition the group")
-        deg = len(reps)
+        element list sub_elems to the whole group.  The coset
+        representatives are the least row of each left coset; for each
+        row w, w = reps[coset_of[w]] * sub[a_of[w]]."""
         m = chi.order
-        rep_inv = [group.inv(r) for r in reps]
-        maps = {}
-        for g in elements:
-            sigma = [0] * deg
-            exps = [0] * deg
-            for t in range(deg):
-                w = group.mul(g, reps[t])
-                s = coset_of[w]
-                a = group.mul(rep_inv[s], w)
-                sigma[t] = s
-                exps[t] = chi.value_exp(a) % m
-            maps[g] = (tuple(sigma), tuple(exps))
-        return MonomialRep(group, deg, m, maps)
+        sub = group.index_of(sub_elems)
+        vals = np.array([chi.value_exp(a) for a in sub_elems], dtype=np.int64) % m
+        if check:
+            _check_subgroup(group, sub)
+            _check_character(group, sub, vals, m)
+        n = group.order
+        coset_of = np.full(n, -1, dtype=np.int64)
+        a_of = np.empty(n, dtype=np.int64)
+        reps, positions = [], np.arange(len(sub))
+        for g in range(n):
+            if coset_of[g] < 0:
+                w = group.product(g, sub)
+                coset_of[w] = len(reps)
+                a_of[w] = positions
+                reps.append(g)
+        if (coset_of < 0).any() or len(reps) * len(sub) != n:
+            raise NotSubgroupError("cosets do not partition the group")
+        w = group.product(np.arange(n)[:, None], np.array(reps)[None, :])
+        return MonomialRep(group, len(reps), m, coset_of[w], vals[a_of[w]])
 
     @staticmethod
     def linear(group, chi: LinearChar) -> "MonomialRep":
         """A one-dimensional character of the full group as a degree-1 rep."""
-        maps = {g: ((0,), (chi.value_exp(g),)) for g in group.elements}
-        return MonomialRep(group, 1, chi.order, maps)
-
-    def apply(self, g):
-        return self.maps[g]
+        exps = np.array([[chi.value_exp(g)] for g in group.elements], dtype=np.int64)
+        return MonomialRep(group, 1, chi.order, np.zeros_like(exps), exps)
 
     def character(self, g) -> Cyclotomic:
-        sigma, exps = self.maps[g]
+        row = self.group.index_of([g])[0]
         _, _, zpow = _ctx(self.scalar_order)
-        deg = len(zpow[0])
-        acc = [0] * deg
-        for t in range(self.degree):
-            if sigma[t] == t:
-                for i, z in enumerate(zpow[exps[t]]):
-                    acc[i] += z
+        acc = [0] * len(zpow[0])
+        for t in np.flatnonzero(self.sigma[row] == np.arange(self.degree)):
+            for i, z in enumerate(zpow[self.exps[row, t]]):
+                acc[i] += z
         return Cyclotomic(self.scalar_order, acc)
 
-    def is_identity_matrix(self, g) -> bool:
-        sigma, exps = self.maps[g]
-        m = self.scalar_order
-        return all(sigma[t] == t and exps[t] % m == 0 for t in range(self.degree))
+    @property
+    def identity_rows(self) -> np.ndarray:
+        """Mask of the rows whose matrix is the identity: the kernel."""
+        return ((self.sigma == np.arange(self.degree)) & (self.exps % self.scalar_order == 0)).all(axis=1)
 
     def check_homomorphism(self, exhaustive_cap=512) -> bool:
-        import random
-
-        els = self.group.elements
-        if len(els) <= exhaustive_cap:
-            pairs = ((a, b) for a in els for b in els)
-        else:
-            rng = random.Random(17)
-            pairs = ((rng.choice(els), rng.choice(els)) for _ in range(1000))
-        for a, b in pairs:
-            sa, ea = self.maps[a]
-            sb, eb = self.maps[b]
-            sab, eab = self.maps[self.group.mul(a, b)]
-            for t in range(self.degree):
-                if sa[sb[t]] != sab[t]:
-                    return False
-                if (eb[t] + ea[sb[t]] - eab[t]) % self.scalar_order:
-                    return False
+        a, b = _pairs(self.group.order, 17, exhaustive_cap)
+        n, m = self.group.order, self.scalar_order
+        for lo in range(0, len(a), n):  # |G| pairs at a time: |G| x degree arrays
+            x, y = a[lo : lo + n], b[lo : lo + n]
+            xy, sy = self.group.product(x, y), self.sigma[y]
+            if (np.take_along_axis(self.sigma[x], sy, 1) != self.sigma[xy]).any():
+                return False
+            if ((self.exps[y] + np.take_along_axis(self.exps[x], sy, 1) - self.exps[xy]) % m).any():
+                return False
         return True
 
     def to_json(self) -> dict:
@@ -350,8 +346,8 @@ class MonomialRep:
             "degree": self.degree,
             "scalar_order": self.scalar_order,
             "matrices": [
-                {"perm": list(self.maps[g][0]), "exps": list(self.maps[g][1])}
-                for g in self.group.elements
+                {"perm": perm, "exps": exps}
+                for perm, exps in zip(self.sigma.tolist(), self.exps.tolist())
             ],
         }
 
@@ -378,10 +374,8 @@ def induced_character_formula(group, sub_elems, chi: LinearChar, g) -> Cyclotomi
 
 
 def kernel_of(rep: MonomialRep) -> list:
-    """Elements with chi(g) = chi(identity), which for these exact
-    values picks out exactly the kernel."""
-    ident_val = rep.character(rep.group.identity)
-    return [g for g in rep.group.elements if rep.character(g) == ident_val]
+    """Elements whose matrix is the identity, in ``elements`` order."""
+    return DirectSumRep([rep]).kernel()
 
 
 class DirectSumRep:
@@ -397,11 +391,9 @@ class DirectSumRep:
         return cyc_sum([s.character(g) for s in self.summands])
 
     def kernel(self) -> list:
-        kern = None
-        for s in self.summands:
-            k = set(kernel_of(s))
-            kern = k if kern is None else kern & k
-        return [g for g in self.group.elements if g in kern]
+        els = self.group.elements
+        rows = np.logical_and.reduce([s.identity_rows for s in self.summands])
+        return [els[g] for g in np.flatnonzero(rows)]
 
     def is_faithful(self) -> bool:
         return self.kernel() == [self.group.identity]

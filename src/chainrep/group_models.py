@@ -2,10 +2,13 @@
 chain ring, plus table-backed abstract groups for oracle work.
 
 Family elements are tuples of ring element indices, so they hash and
-sort canonically; multiplication routes through the ring lookup tables.
-``to_abstract`` materializes a dense multiplication table (numpy,
-chunked) for groups up to the configured cap, which is what the
-character-table oracle consumes.
+sort canonically.  Each family writes its group law once, as a numpy
+function on coordinates through the ring lookup tables, and numbers its
+elements by a codec between coordinates and row indices, rows in
+``elements`` order.  The scalar ``mul``, the index-array ``product`` used
+by induction and ``to_abstract`` (a dense multiplication table, filled in
+chunks, for groups up to the configured cap, which is what the
+character-table oracle consumes) all evaluate that one law.
 """
 
 from __future__ import annotations
@@ -66,10 +69,82 @@ class SubgroupHandle:
         return len(self.elements)
 
 
+# -- the ring families ------------------------------------------------
+
+
+def index_inverse(group, I):
+    """Row indices of the inverses of the elements with row indices I:
+    I^(2|G| - 1), as g^|G| = 1, by squaring under ``group.product``."""
+    out, e = None, 2 * group.order - 1
+    while True:
+        if e & 1:
+            out = I if out is None else group.product(out, I)
+        e >>= 1
+        if not e:
+            return out
+        I = group.product(I, I)
+
+
+def _family_table(self, cap: int | None = None) -> "AbstractGroup":
+    """The dense multiplication table of a ring family, filled from its
+    law a block of rows at a time; names are the family elements."""
+    _check_cap(self.order, cap)
+    N = self.order
+    idx = np.arange(N)
+    table = np.empty((N, N), dtype=np.int32)
+    # the law holds about width + 2 int64 arrays of a block at once:
+    # blocks of 250k coordinates keep them to a few MB
+    rows = max(1, 250_000 // (N * len(self.identity)))
+    for lo in range(0, N, rows):
+        table[lo : lo + rows] = self.product(idx[lo : lo + rows, None], idx[None, :])
+    return AbstractGroup(table, names=self.elements, validate=False)
+
+
+class _RingFamily:
+    """What the ring families share.  Each family writes its product
+    once, as ``_law`` on coordinates (one integer or one numpy array per
+    coordinate), and numbers its elements by a codec ``_encode`` /
+    ``_decode`` between coordinates and row indices; the default codec
+    is a radix over the ring size, first coordinate most significant.
+    Scalar ``mul`` and ``inv``, the index-array ``product`` and the
+    ``to_abstract`` table all come from the law, and rows follow
+    ``elements``.  Each family class binds ``to_abstract`` in its own
+    namespace, which is where perfbench's tracer looks for it."""
+
+    def _encode(self, coords):
+        idx = 0
+        for c in coords:
+            idx = idx * self.ring.size + c
+        return idx
+
+    def _decode(self, idx):
+        S, w = self.ring.size, len(self.identity)
+        return [idx // S ** (w - 1 - t) % S for t in range(w)]
+
+    @cached_property
+    def elements(self) -> list[tuple]:
+        return list(zip(*(c.tolist() for c in self._decode(np.arange(self.order)))))
+
+    def index_of(self, elems) -> np.ndarray:
+        """Row indices of a list of elements."""
+        return self._encode(np.asarray(elems, dtype=np.int64).T)
+
+    def product(self, I, J) -> np.ndarray:
+        """Row indices of the products of the elements with row indices
+        I and J (numpy broadcasting)."""
+        return self._encode(self._law(self._decode(I), self._decode(J)))
+
+    def mul(self, g, h):
+        return tuple(int(c) for c in self._law(g, h))
+
+    def inv(self, g):
+        return tuple(int(c) for c in self._decode(index_inverse(self, self._encode(g))))
+
+
 # -- Heisenberg groups -----------------------------------------------
 
 
-class HeisenbergGroup:
+class HeisenbergGroup(_RingFamily):
     """Hei_{2k+1}(R): triples (x, y, z) with x, y in R^k, z in R, and
     (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1.y2)."""
 
@@ -79,45 +154,21 @@ class HeisenbergGroup:
         self.ring = R
         self.k = k
         self.order = R.size ** (2 * k + 1)
-        self._add = R.add_table
-        self._mul = R.mul_table
-        self._neg = R.neg_table
+        self._add = R.add_table.astype(np.int64)
+        self._mul = R.mul_table.astype(np.int64)
         self.identity = (0,) * (2 * k + 1)
 
     def __repr__(self):
         return f"HeisenbergGroup({self.ring!r}, k={self.k})"
 
-    @cached_property
-    def elements(self) -> list[tuple]:
-        from itertools import product
-
-        return [t for t in product(range(self.ring.size), repeat=2 * self.k + 1)]
-
-    def mul(self, g, h):
-        k = self.k
-        add, mul = self._add, self._mul
-        out = [int(add[g[t], h[t]]) for t in range(2 * k)]
+    def _law(self, g, h):
+        k, add, mul = self.k, self._add, self._mul
         z = add[g[2 * k], h[2 * k]]
         for t in range(k):
             z = add[z, mul[g[t], h[k + t]]]
-        out.append(int(z))
-        return tuple(out)
+        return [add[g[t], h[t]] for t in range(2 * k)] + [z]
 
-    def inv(self, g):
-        k = self.k
-        add, mul, neg = self._add, self._mul, self._neg
-        out = [int(neg[g[t]]) for t in range(2 * k)]
-        z = neg[g[2 * k]]
-        for t in range(k):
-            z = add[z, mul[g[t], g[k + t]]]
-        out.append(int(z))
-        return tuple(out)
-
-    def conj(self, h, g):
-        return self.mul(h, self.mul(g, self.inv(h)))
-
-    def commutator(self, g, h):
-        return self.mul(self.mul(g, h), self.mul(self.inv(g), self.inv(h)))
+    to_abstract = _family_table
 
     def pack(self, x, y, z):
         """Element from RingElem vectors x, y (length k) and scalar z."""
@@ -164,40 +215,11 @@ class HeisenbergGroup:
         els = [(0,) * k + y + (0,) for y in product(sorted(ann_indices), repeat=k)]
         return SubgroupHandle("L_s", tuple(els))
 
-    def to_abstract(self, cap: int | None = None) -> "AbstractGroup":
-        _check_cap(self.order, cap)
-        S = self.ring.size
-        k = self.k
-        w = 2 * k + 1
-        EL = np.array(self.elements, dtype=np.int64)
-        radix = S ** np.arange(w - 1, -1, -1, dtype=np.int64)
-        add = np.asarray(self._add, dtype=np.int64)
-        mul = np.asarray(self._mul, dtype=np.int64)
-        N = self.order
-        table = np.empty((N, N), dtype=np.int32)
-        chunk = max(1, 4_000_000 // N)
-        for lo in range(0, N, chunk):
-            hi = min(N, lo + chunk)
-            L = EL[lo:hi, None, :]
-            Rr = EL[None, :, :]
-            cols = []
-            for t in range(2 * k):
-                cols.append(add[L[:, :, t], Rr[:, :, t]])
-            z = add[L[:, :, 2 * k], Rr[:, :, 2 * k]]
-            for t in range(k):
-                z = add[z, mul[L[:, :, t], Rr[:, :, k + t]]]
-            cols.append(z)
-            idx = np.zeros_like(cols[0])
-            for t in range(w):
-                idx += cols[t] * radix[t]
-            table[lo:hi] = idx
-        return AbstractGroup(table, names=self.elements, validate=False)
-
 
 # -- unitriangular groups --------------------------------------------
 
 
-class UnitriangularGroup:
+class UnitriangularGroup(_RingFamily):
     """Upper unitriangular size x size matrices over R; elements are
     tuples of the strictly-upper entries in row-major order."""
 
@@ -211,44 +233,23 @@ class UnitriangularGroup:
         self.nentries = len(self.positions)
         self.order = R.size**self.nentries
         self.identity = (0,) * self.nentries
-        self._add = R.add_table
-        self._mul = R.mul_table
-        self._neg = R.neg_table
+        self._add = R.add_table.astype(np.int64)
+        self._mul = R.mul_table.astype(np.int64)
 
     def __repr__(self):
         return f"UnitriangularGroup({self.ring!r}, size={self.size})"
 
-    @cached_property
-    def elements(self) -> list[tuple]:
-        from itertools import product
-
-        return [t for t in product(range(self.ring.size), repeat=self.nentries)]
-
-    def mul(self, a, b):
-        add, mul = self._add, self._mul
+    def _law(self, a, b):
+        add, mul, pos = self._add, self._mul, self.pos_index
         out = []
-        for (i, j) in self.positions:
-            c = add[a[self.pos_index[(i, j)]], b[self.pos_index[(i, j)]]]
+        for i, j in self.positions:
+            c = add[a[pos[i, j]], b[pos[i, j]]]
             for t in range(i + 1, j):
-                c = add[c, mul[a[self.pos_index[(i, t)]], b[self.pos_index[(t, j)]]]]
-            out.append(int(c))
-        return tuple(out)
+                c = add[c, mul[a[pos[i, t]], b[pos[t, j]]]]
+            out.append(c)
+        return out
 
-    def inv(self, a):
-        add, mul, neg = self._add, self._mul, self._neg
-        out = [0] * self.nentries
-        # back-substitute by increasing band j - i
-        for gap in range(1, self.size):
-            for i in range(self.size - gap):
-                j = i + gap
-                c = a[self.pos_index[(i, j)]]
-                for t in range(i + 1, j):
-                    c = add[c, mul[a[self.pos_index[(i, t)]], out[self.pos_index[(t, j)]]]]
-                out[self.pos_index[(i, j)]] = int(neg[c])
-        return tuple(out)
-
-    def conj(self, h, g):
-        return self.mul(h, self.mul(g, self.inv(h)))
+    to_abstract = _family_table
 
     @cached_property
     def center(self) -> SubgroupHandle:
@@ -295,63 +296,40 @@ class UnitriangularGroup:
             els.append(tuple(v))
         return SubgroupHandle("middle", tuple(els))
 
-    def to_abstract(self, cap: int | None = None) -> "AbstractGroup":
-        _check_cap(self.order, cap)
-        S = self.ring.size
-        EL = np.array(self.elements, dtype=np.int64)
-        radix = S ** np.arange(self.nentries - 1, -1, -1, dtype=np.int64)
-        add = np.asarray(self._add, dtype=np.int64)
-        mul = np.asarray(self._mul, dtype=np.int64)
-        N = self.order
-        table = np.empty((N, N), dtype=np.int32)
-        chunk = max(1, 4_000_000 // N)
-        for lo in range(0, N, chunk):
-            hi = min(N, lo + chunk)
-            L = EL[lo:hi, None, :]
-            Rr = EL[None, :, :]
-            idx = np.zeros((hi - lo, N), dtype=np.int64)
-            for (i, j) in self.positions:
-                c = add[L[:, :, self.pos_index[(i, j)]], Rr[:, :, self.pos_index[(i, j)]]]
-                for t in range(i + 1, j):
-                    c = add[c, mul[L[:, :, self.pos_index[(i, t)]], Rr[:, :, self.pos_index[(t, j)]]]]
-                idx += c * radix[self.pos_index[(i, j)]]
-            table[lo:hi] = idx
-        return AbstractGroup(table, names=self.elements, validate=False)
-
 
 # -- affine groups ----------------------------------------------------
 
 
-class AffineGroup:
+class AffineGroup(_RingFamily):
     """Aff(R) = R join R^*: pairs (a, u) acting as x |-> a + u x, with
-    (a1,u1)(a2,u2) = (a1 + u1 a2, u1 u2)."""
+    (a1,u1)(a2,u2) = (a1 + u1 a2, u1 u2).  Row a*|R^*| + i holds (a, u)
+    for the i-th unit u."""
 
     def __init__(self, R: RingSpec):
         self.ring = R
-        self._units = [u.index for u in R.units()]
+        self._units = np.array([u.index for u in R.units()], dtype=np.int64)
+        self._unit_pos = np.full(R.size, -1, dtype=np.int64)
+        self._unit_pos[self._units] = np.arange(len(self._units))
         self.order = R.size * len(self._units)
-        self._add = R.add_table
-        self._mul = R.mul_table
-        self._neg = R.neg_table
-        self._uinv = R.unit_inverse_table
+        self._add = R.add_table.astype(np.int64)
+        self._mul = R.mul_table.astype(np.int64)
         self.identity = (0, R.one.index)
 
     def __repr__(self):
         return f"AffineGroup({self.ring!r})"
 
-    @cached_property
-    def elements(self) -> list[tuple]:
-        return [(a, u) for a in range(self.ring.size) for u in self._units]
+    def _law(self, g, h):
+        (a1, u1), (a2, u2) = g, h
+        return [self._add[a1, self._mul[u1, a2]], self._mul[u1, u2]]
 
-    def mul(self, g, h):
-        a1, u1 = g
-        a2, u2 = h
-        return (int(self._add[a1, self._mul[u1, a2]]), int(self._mul[u1, u2]))
+    def _encode(self, coords):
+        a, u = coords
+        return a * len(self._units) + self._unit_pos[u]
 
-    def inv(self, g):
-        a, u = g
-        w = self._uinv[u]
-        return (int(self._mul[w, self._neg[a]]), int(w))
+    def _decode(self, idx):
+        return [idx // len(self._units), self._units[idx % len(self._units)]]
+
+    to_abstract = _family_table
 
     @cached_property
     def translations(self) -> SubgroupHandle:
@@ -360,19 +338,15 @@ class AffineGroup:
             "translations", tuple((a, one) for a in range(self.ring.size))
         )
 
-    def to_abstract(self, cap: int | None = None) -> "AbstractGroup":
-        _check_cap(self.order, cap)
-        return _tabulate(self.elements, self.mul, validate=False)
 
-
-def _tabulate(els, mul, validate) -> "AbstractGroup":
+def _tabulate(els, mul) -> "AbstractGroup":
     """The group on the element list els (kept as names) under the
-    product mul, as a dense table."""
+    product mul, as a dense table; the caller vouches for the law."""
     pos = {g: i for i, g in enumerate(els)}
     table = np.empty((len(els), len(els)), dtype=np.int32)
     for i, g in enumerate(els):
         table[i] = [pos[mul(g, h)] for h in els]
-    return AbstractGroup(table, names=els, validate=validate)
+    return AbstractGroup(table, names=els, validate=False)
 
 
 # -- abstract table groups -------------------------------------------
@@ -415,6 +389,12 @@ class AbstractGroup:
 
     def mul(self, a, b):
         return int(self.table[a, b])
+
+    def index_of(self, elems) -> np.ndarray:
+        return np.asarray(elems, dtype=np.int64)
+
+    def product(self, I, J) -> np.ndarray:
+        return self.table[I, J]
 
     def inv(self, a):
         return int(self.inverse[a])
@@ -587,7 +567,6 @@ def semidirect_cyclic(modulus: int, multipliers) -> AbstractGroup:
     return _tabulate(
         [(c, m) for c in range(modulus) for m in ms],
         lambda g, h: ((g[0] + g[1] * h[0]) % modulus, (g[1] * h[1]) % modulus),
-        validate=True,
     )
 
 
@@ -604,7 +583,6 @@ def semidirect_cyclic_hom(modulus: int, multiplier: int, h_order: int) -> Abstra
     return _tabulate(
         [(c, t) for c in range(modulus) for t in range(h_order)],
         lambda g, h: ((g[0] + mt[g[1]] * h[0]) % modulus, (g[1] + h[1]) % h_order),
-        validate=True,
     )
 
 
@@ -623,7 +601,7 @@ def quaternion_group() -> AbstractGroup:
         ax, s = basis[(g[0], h[0])]
         return ax, s * g[1] * h[1]
 
-    return _tabulate([(ax, s) for ax in ("1", "i", "j", "k") for s in (1, -1)], mul, validate=True)
+    return _tabulate([(ax, s) for ax in ("1", "i", "j", "k") for s in (1, -1)], mul)
 
 
 def general_linear_2(R: RingSpec) -> AbstractGroup:
@@ -646,7 +624,7 @@ def general_linear_2(R: RingSpec) -> AbstractGroup:
             add[mul[c][f]][mul[d][h]],
         )
 
-    return _tabulate(els, matmul, validate=False)
+    return _tabulate(els, matmul)
 
 
 # -- structure scan ---------------------------------------------------

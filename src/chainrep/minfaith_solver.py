@@ -432,7 +432,7 @@ FAMILIES = {
     "heisenberg": Family(
         "heis", _RING_KEYS + ("k",), {**_RING_DEFAULTS, "k": 1}, ring=_ring, oracle=False,
         group=lambda b: HeisenbergGroup(b.ring, b.k).to_abstract(cap=b.cap),
-        order=lambda b: b.ring.size ** (2 * b.k + 1),
+        order=lambda b: HeisenbergGroup(b.ring, b.k).order,
         describe=lambda b: f"heis k={b.k} over {b.ring!r}",
         routes={
             "formula": lambda b: formula_heisenberg(b.ring.p, b.ring.f, b.ring.e, b.ring.n, b.k),
@@ -443,7 +443,7 @@ FAMILIES = {
     "unitriangular": Family(
         "unitri", _RING_KEYS + ("size",), _RING_DEFAULTS, ring=_ring, oracle=False,
         group=lambda b: UnitriangularGroup(b.ring, b.size).to_abstract(cap=b.cap),
-        order=lambda b: b.ring.size ** (b.size * (b.size - 1) // 2),
+        order=lambda b: UnitriangularGroup(b.ring, b.size).order,
         describe=lambda b: f"unitri size={b.size} over {b.ring!r}",
         routes={
             "formula": lambda b: formula_unitriangular(b.ring.p, b.ring.f, b.ring.e, b.ring.n, b.size),
@@ -452,7 +452,7 @@ FAMILIES = {
     "affine": Family(
         "aff", _RING_KEYS, _RING_DEFAULTS, ring=_ring, oracle=False,
         group=lambda b: AffineGroup(b.ring).to_abstract(cap=b.cap),
-        order=lambda b: b.ring.size * b.ring.unit_count(),
+        order=lambda b: AffineGroup(b.ring).order,
         describe=lambda b: f"aff over {b.ring!r}",
         routes={
             "formula": lambda b: formula_affine(b.ring.p, b.ring.f, b.ring.n),

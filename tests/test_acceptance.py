@@ -23,6 +23,7 @@ from chainrep.exactrep import (
     MonomialRep,
     cyc_sum,
     induced_character_formula,
+    kernel_of,
 )
 from chainrep.mackey_irreps import (
     SymplecticModule,
@@ -348,10 +349,13 @@ def test_criterion_7e_induced_characters(group, heis, capsys):
             for M, exps in abelian_characters(G, sub):
                 chi = LinearChar(M, exps)
                 rep = MonomialRep.induce(G, sub, chi)
+                vals = [rep.character(g) for g in range(G.order)]
                 for g in range(G.order):
-                    assert rep.character(g) == induced_character_formula(
+                    assert vals[g] == induced_character_formula(
                         G, sub, chi, g
                     )
+                # the kernel from identity rows is the character kernel
+                assert kernel_of(rep) == [g for g in range(G.order) if vals[g] == vals[G.identity]]
                 checked += 1
         assert checked >= 40
 

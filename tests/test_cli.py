@@ -377,6 +377,14 @@ def test_exit_code_parse_errors(capsys):
         code, out, err = run_cli(capsys, "oracle", "minfaith", "--group", spec)
         assert code == 2 and out == ""
         assert err.startswith("parse error:") and f"unknown keys {unknown}" in err
+    for argv in (
+        ["irreps", "list", "--p", "2", "--k", "0"],
+        ["minfaith", "heisenberg", "--p", "2", "--k", "0"],
+        ["minfaith", "unitriangular", "--p", "3", "--size", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("parse error: cannot build group from"), argv
 
 
 def test_bad_ring_is_a_parse_error(capsys):

@@ -1,6 +1,10 @@
 """Exact cyclotomic arithmetic and monomial induced representations."""
 
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainrep.exactrep import (
     ChiNotHomomorphismError,
@@ -14,6 +18,7 @@ from chainrep.exactrep import (
     induced_character_formula,
     kernel_of,
 )
+from chainrep.group_models import abelian_characters, semidirect_cyclic
 
 
 def test_cyclotomic_polynomial_frozen():
@@ -171,7 +176,7 @@ def test_linear_rep_and_direct_sum(group):
     assert s.character(G.identity) == Cyclotomic.integer(3)
     assert DirectSumRep([rho]).is_faithful()
     assert not DirectSumRep([lin]).is_faithful()
-    assert kernel_of(lin) == sub
+    assert kernel_of(lin) == sub == _character_kernel(lin)
 
 
 def test_identity_matrix_detection(group):
@@ -179,7 +184,7 @@ def test_identity_matrix_detection(group):
     sub = _rotation_subgroup(G)
     rho = MonomialRep.induce(G, sub, _faithful_rotation_char(G, sub))
     for g in G.elements:
-        assert rho.is_identity_matrix(g) == (g == G.identity)
+        assert rho.identity_rows[g] == (g == G.identity)
 
 
 def test_induce_rejects_non_subgroup(group):
@@ -224,3 +229,35 @@ def test_rep_json_shape(group):
     assert obj["scalar_order"] == rho.scalar_order
     assert len(obj["matrices"]) == G.order
     assert set(obj["matrices"][0]) == {"perm", "exps"}
+
+
+def _character_kernel(rep):
+    # the kernel by its definition through characters: chi(g) = chi(1)
+    one = rep.character(rep.group.identity)
+    return [g for g in rep.group.elements if rep.character(g) == one]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.data())
+def test_row_kernel_is_character_kernel(data):
+    # random Z/modulus by a unit subgroup, a random cyclic subgroup with a
+    # random character, and a linear character through the unit part
+    modulus = data.draw(st.integers(2, 30), label="modulus")
+    units = [u for u in range(1, modulus) if gcd(u, modulus) == 1]
+    mults = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=2), label="mults")
+    G = semidirect_cyclic(modulus, mults)
+    g = data.draw(st.integers(0, G.order - 1), label="g")
+    powers = [G.identity]
+    while G.mul(powers[-1], g) != G.identity:
+        powers.append(G.mul(powers[-1], g))
+    j = data.draw(st.integers(0, len(powers) - 1), label="j")
+    chi = LinearChar(len(powers), {x: i * j for i, x in enumerate(powers)})
+    rep = MonomialRep.induce(G, powers, chi)
+    assert kernel_of(rep) == _character_kernel(rep)
+    top = [h for h, nm in enumerate(G.names) if nm[0] == 0]
+    M, exps = data.draw(st.sampled_from(abelian_characters(G, top)), label="linear")
+    row_of = {nm: h for h, nm in enumerate(G.names)}
+    lin = MonomialRep.linear(G, LinearChar(M, {h: exps[row_of[0, nm[1]]] for h, nm in enumerate(G.names)}))
+    assert kernel_of(lin) == _character_kernel(lin)
+    both = set(_character_kernel(rep)) & set(_character_kernel(lin))
+    assert DirectSumRep([rep, lin]).kernel() == sorted(both)

@@ -62,7 +62,7 @@ def test_heisenberg_commutator_form(heis, rng):
         k = H.k
         for _ in range(120):
             g, h = rng.choice(H.elements), rng.choice(H.elements)
-            c = H.commutator(g, h)
+            c = H.mul(H.mul(g, h), H.mul(H.inv(g), H.inv(h)))
             assert all(c[t] == 0 for t in range(2 * k))
             acc = R.zero
             for t in range(k):
@@ -281,6 +281,65 @@ def test_semidirect_families(group):
     assert group("m27").order == 27
     assert group("m27").exponent == 9
     assert group("z8_cyclic").order == 8  # trivial action: plain cyclic group
+
+
+def test_built_tables_are_associative(ring):
+    # the builders tabulate a known law without Light's test; run it here
+    groups = [semidirect_cyclic(m, mults) for m, mults in [
+        (3, [2]), (4, [3]), (8, [3, 5]), (9, [2]), (12, [5, 7]), (15, [2]), (16, [3]),
+    ]]
+    # the hom variant, faithful and through a proper quotient of Z/h_order
+    groups += [semidirect_cyclic_hom(m, a, h) for m, a, h in [
+        (5, 2, 4), (8, 7, 4), (9, 4, 6), (7, 2, 9), (16, 1, 3),
+    ]]
+    groups += [quaternion_group(), general_linear_2(ring("f2")), general_linear_2(ring("f3"))]
+    groups += [HeisenbergGroup(ring("z4")).to_abstract(), UnitriangularGroup(ring("f2"), 4).to_abstract()]
+    groups += [AffineGroup(ring(r)).to_abstract() for r in ("z4", "z9", "f4", "ram222")]
+    for G in groups:
+        G._check_associativity()
+
+
+# sha256 of to_abstract().table.tobytes() and of repr(names), taken when
+# each family still had a scalar product and a separate table loop
+FROZEN_FAMILY_TABLES = {
+    "hei3_z4": ("29b3104e471515219e5c9371fae21d187cf0915526e0c6820a7ad0c5cf192ec7",
+                "438af202d2b4f197fcad55c6381c497c248225c72c8200f5148c9b9af92abb88"),
+    "hei5_f2": ("d37c4ea6e0142c3fa9a000af975b21a9ba03feff3969c9782e9dce3ecef7969f",
+                "8ce715da449ef41d4f46eca4a9d926ca5093973d19a3fd1a1edc870b582e4f97"),
+    "u4_f3": ("f8d64abefb128530779d1ed31e83383ccb0a5e4e69f61ea4db41f37434c39703",
+              "33e5a6c38a94d7a1fd72aa6b4938474f6c7afdbebfcb6240316659787672dbf0"),
+    "aff_z4": ("dba84c503560792b4c9055e0b717c9730e0cecfd978e92a5d9ac70212be9187f",
+               "db371fadca59fa9c0e984d90dc6cc871cca148ecab9246971a81dcfd0b89f8ab"),
+    "aff_z9": ("47d1e2674a1c82e91a994ee78e0d2a16c88f18591d453cce95a80e2b9747eddb",
+               "e5b3ad8814f87a0f71fe1f60f9a51e8e2aa84e2eeae0da5b39d80dc1f88a6be0"),
+}
+
+
+def test_family_tables_frozen(group):
+    import hashlib
+
+    for name, (table_sha, names_sha) in FROZEN_FAMILY_TABLES.items():
+        G = group(name)
+        assert G.table.dtype == np.int32
+        assert hashlib.sha256(G.table.tobytes()).hexdigest() == table_sha, name
+        assert hashlib.sha256(repr(G.names).encode()).hexdigest() == names_sha, name
+
+
+def test_family_scalar_and_index_products_agree(ring, heis, rng):
+    # scalar mul/inv on tuples and the index-array product run the same
+    # law through different plumbing: the codec must line up with elements
+    for F in [heis("hei3_z4"), heis("hei5_f2"), UnitriangularGroup(ring("f3"), 4),
+              AffineGroup(ring("z9")), AffineGroup(ring("f4"))]:
+        els = F.elements
+        assert len(els) == F.order and F.index_of(els).tolist() == list(range(F.order))
+        G = F.to_abstract()
+        for _ in range(60):
+            i, j = rng.randrange(F.order), rng.randrange(F.order)
+            assert F.mul(els[i], els[j]) == els[G.table[i, j]]
+            assert F.inv(els[i]) == els[G.inverse[i]]
+        I = np.array([rng.randrange(F.order) for _ in range(50)])
+        J = np.array([rng.randrange(F.order) for _ in range(50)])
+        assert (F.product(I, J) == G.table[I, J]).all()
 
 
 def test_semidirect_rejects_non_units():

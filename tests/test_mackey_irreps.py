@@ -193,7 +193,8 @@ def test_induced_rep_central_character(heis):
     zero = [0] * H.k
     for z in range(R.size):
         g = tuple(zero + zero + [z])
-        perm, exps = rho.maps[g]
+        row = H.index_of([g])[0]
+        perm, exps = rho.sigma[row], rho.exps[row]
         assert list(perm) == list(range(rho.degree))  # center acts by scalars
         val = chi_b.value_exp(z) * (rho.scalar_order // chi_b.modulus)
         assert all(e % rho.scalar_order == val % rho.scalar_order for e in exps)
