@@ -341,8 +341,16 @@ def _cmd_verify(args) -> int:
     if args.suite == "default":
         suite = load_default_suite()
     else:
-        with open(args.suite) as fh:
-            suite = json.load(fh)
+        with _parse_errors(args.suite, "suite"):
+            with open(args.suite) as fh:
+                suite = json.load(fh)
+            instances = suite.get("instances") if isinstance(suite, dict) else None
+            if not isinstance(instances, list) or not all(
+                isinstance(inst, dict) and "name" in inst and "family" in inst for inst in instances
+            ):
+                raise ValueError(
+                    "a suite is a JSON object whose 'instances' is a list of objects with 'name' and 'family'"
+                )
     report = orc.cross_validate(suite)
     if args.format == "json":
         _emit_json("verify", {"suite": args.suite}, report)

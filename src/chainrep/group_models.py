@@ -402,37 +402,43 @@ class AbstractGroup:
     def conj(self, h, g):
         return int(self.table[self.table[h, g], self.inverse[h]])
 
-    def _generating_set(self) -> list[int]:
+    def _span(self, seed) -> tuple[np.ndarray, list[int]]:
+        """Greedy closure: (member mask of the subgroup generated by seed,
+        the seed elements that enlarged it, in seed order).  Each kept
+        element grows the mask breadth-first by right multiplication with
+        the kept elements, which in a finite group reaches every product."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[self.identity] = True
         gens = []
-        known = {self.identity}
-        while len(known) < self.order:
-            g = min(set(range(self.order)) - known)
-            gens.append(g)
-            known = set(self.closure(list(known) + [g]))
-        return gens
+        for g in seed:
+            if mask[g]:
+                continue
+            gens.append(int(g))
+            front = np.nonzero(mask)[0]
+            while len(front):
+                prod = self.table[front[:, None], gens].ravel()
+                front = np.unique(prod[~mask[prod]])
+                mask[front] = True
+        return mask, gens
+
+    @cached_property
+    def generators(self) -> list[int]:
+        """A generating set: each element that is not yet generated by
+        the smaller ones."""
+        return self._span(range(self.order))[1]
 
     def _check_associativity(self):
         # Light's test: associativity on a generating set implies it
         # everywhere
-        for a in self._generating_set():
+        for a in self.generators:
             left = self.table[:, self.table[a, :]]
             right = self.table[self.table[:, a], :]
             if not np.array_equal(left, right):
                 raise ValueError(f"associativity fails through element {a}")
 
     def closure(self, seed) -> list[int]:
-        out = {self.identity}
-        frontier = set(seed) - out
-        out |= frontier
-        while frontier:
-            new = set()
-            base = np.array(sorted(out), dtype=np.int64)
-            for g in frontier:
-                new |= set(self.table[base, g].tolist())
-                new |= set(self.table[g, base].tolist())
-            frontier = new - out
-            out |= frontier
-        return sorted(out)
+        """The subgroup generated by seed, ascending."""
+        return np.nonzero(self._span(seed)[0])[0].tolist()
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -457,8 +463,7 @@ class AbstractGroup:
 
     @cached_property
     def center(self) -> list[int]:
-        eq = self.table == self.table.T
-        return [g for g in range(self.order) if eq[g].all()]
+        return self.centralizer(self.generators)
 
     @cached_property
     def conjugacy(self):
@@ -478,18 +483,21 @@ class AbstractGroup:
 
     @cached_property
     def commutator_subgroup(self) -> list[int]:
-        n = self.order
-        vals = set()
-        chunk = max(1, 2_000_000 // n)
-        allg = np.arange(n)
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            x = allg[lo:hi, None]
-            y = allg[None, :]
-            conj = self.table[self.table[x, y], self.inverse[x]]
-            comm = self.table[conj, self.inverse[y]]
-            vals |= set(np.unique(comm).tolist())
-        return self.closure(sorted(vals))
+        """The normal closure of the commutators of the generators: modulo
+        it the generators commute, so the quotient is abelian."""
+        X = self.generators
+        comm = self.table[self._conjugates(X, X), self.inverse[X]]  # x y x^-1 y^-1
+        mask, gens = self._span(comm.ravel())
+        while True:
+            conj = self._conjugates(X, gens).ravel()
+            if mask[conj].all():
+                return np.nonzero(mask)[0].tolist()
+            mask, gens = self._span(gens + conj[~mask[conj]].tolist())
+
+    def _conjugates(self, X, elems) -> np.ndarray:
+        """x s x^-1 at [x, s] for x in X and s in elems."""
+        X = np.asarray(X, dtype=np.int64)[:, None]
+        return self.table[self.table[X, np.asarray(elems, dtype=np.int64)], self.inverse[X]]
 
     def centralizer(self, elems) -> list[int]:
         mask = np.ones(self.order, dtype=bool)
@@ -497,37 +505,16 @@ class AbstractGroup:
             mask &= self.table[:, s] == self.table[s, :]
         return [int(g) for g in np.nonzero(mask)[0]]
 
-    def subgroup(self, elems) -> "AbstractGroup":
-        elems = sorted(elems)
-        pos = {g: i for i, g in enumerate(elems)}
-        sub = np.array(
-            [[pos[int(self.table[a, b])] for b in elems] for a in elems],
-            dtype=np.int64,
-        )
-        names = [self.names[g] for g in elems] if self.names else list(elems)
-        return AbstractGroup(sub, names=names, validate=False)
-
     def quotient(self, normal_elems):
         """(quotient group, coset_of array); normal_elems must be a
-        normal subgroup."""
-        nset = set(normal_elems)
-        for g in range(self.order):
-            for s in normal_elems:
-                if self.conj(g, s) not in nset:
-                    raise ValueError("subgroup is not normal")
-        coset_of = np.full(self.order, -1, dtype=np.int64)
-        reps = []
-        for g in range(self.order):
-            if coset_of[g] >= 0:
-                continue
-            for s in normal_elems:
-                coset_of[self.mul(g, s)] = len(reps)
-            reps.append(g)
-        m = len(reps)
-        qt = np.array(
-            [[coset_of[self.mul(reps[a], reps[b])] for b in range(m)] for a in range(m)],
-            dtype=np.int64,
-        )
+        normal subgroup.  Cosets are numbered by their least element."""
+        N = np.asarray(normal_elems, dtype=np.int64)
+        if not np.isin(self._conjugates(self.generators, N), N).all():
+            raise ValueError("subgroup is not normal")
+        least = self.table[:, N].min(axis=1)  # of the coset gN
+        reps = np.unique(least)
+        coset_of = np.searchsorted(reps, least)
+        qt = coset_of[self.table[np.ix_(reps, reps)]]
         return AbstractGroup(qt, validate=False), coset_of
 
     def to_json(self) -> dict:
@@ -539,7 +526,10 @@ class AbstractGroup:
         if not isinstance(rows, list):
             raise ValueError("a group table is a JSON object whose 'table' is a list of rows")
         _check_cap(len(rows), cap)
-        return AbstractGroup(np.asarray(rows, dtype=np.int64), names=obj.get("names"), validate=True)
+        names = obj.get("names")
+        if names is not None and (not isinstance(names, list) or len(names) != len(rows)):
+            raise ValueError("a group table's 'names' is a list with one entry per row")
+        return AbstractGroup(np.asarray(rows, dtype=np.int64), names=names, validate=True)
 
 
 # -- distinguished abstract groups -----------------------------------
@@ -687,14 +677,13 @@ def structure_scan(G: AbstractGroup, cap: int | None = None) -> StructureScan:
     reps, class_of, sizes = G.conjugacy
 
     # greedy maximal abelian: extend the center by commuting elements
-    S = set(G.closure(center))
+    S, gens = G._span(center)
     while True:
-        C = G.centralizer(sorted(S))
-        extra = [g for g in C if g not in S]
+        extra = [g for g in G.centralizer(gens) if not S[g]]
         if not extra:
             break
-        S = set(G.closure(sorted(S) + [min(extra)]))
-    max_ab = sorted(S)
+        S, gens = G._span(gens + extra[:1])
+    max_ab = np.nonzero(S)[0].tolist()
 
     return StructureScan(
         order=n,
@@ -731,24 +720,11 @@ def abelian_basis(group, elems):
     tuple.  Validated internally by checking the coordinate map is a
     bijection."""
     elems = list(elems)
-    eset = set(elems)
     N = len(elems)
     ident = group.identity
     if N == 1:
         return [], [], {ident: ()}
-    # greedy generators
-    gens = []
-    known = {ident}
-    for g in elems:
-        if g not in known:
-            gens.append(g)
-            frontier = set(known)
-            while True:
-                new = {group.mul(a, h) for a in frontier for h in gens} - known
-                if not new:
-                    break
-                known |= new
-                frontier = new
+    gens = group._span(elems)[1]
     m = len(gens)
     # spanning-tree exponent vectors
     coords_raw = {ident: [0] * m}

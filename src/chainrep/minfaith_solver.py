@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .chain_ring import INF, RingSpec, make_ring
+from .chain_ring import INF, RingSpec, _factorize, make_ring
 from .char_duality import (
     DualVector,
     NotSpanningError,
@@ -373,13 +373,16 @@ def construct_faithful_affine(R: RingSpec, matrices: bool | None = None) -> Fait
 
 
 def orbit_lower_bound(modulus: int, multipliers, h_order: int | None = None):
-    """(orbit size of a generator of Z/modulus, equality flag).  The
-    orbit of a generator under the multiplier subgroup is the subgroup
-    itself; equality in the dimension bound holds when the acting group
-    embeds (h_order equals the multiplier subgroup size)."""
-    bound = len(multiplier_closure(modulus, multipliers))
-    equality = h_order is None or h_order == bound
-    return bound, equality
+    """(lower bound on m, whether the action is faithful).  For each prime
+    power q exactly dividing modulus, a faithful representation has a
+    constituent over a character of Z/modulus faithful on its q-part,
+    whose orbit is at least the multiplier subgroup's image mod q.  A
+    faithful character of Z/modulus induces a faithful representation of
+    dimension [G : Z/modulus], so m equals the bound when the action is
+    faithful and the bound is the whole subgroup, as for a prime power."""
+    mults = multiplier_closure(modulus, multipliers)
+    bound = max((len({u % p**k for u in mults}) for p, k in _factorize(modulus).items()), default=0)
+    return bound, h_order is None or h_order == len(mults)
 
 
 # -- the group families -----------------------------------------------

@@ -19,9 +19,16 @@ at once, and nullspaces are taken only at those roots.
 The minimum search rewrites "trivial kernel intersection" as a weighted
 set cover over the minimal normal subgroups (the joint kernel is trivial
 iff every minimal normal subgroup escapes some summand's kernel), which
-branch-and-bound settles exactly at these sizes."""
+branch-and-bound settles exactly at these sizes.  The minimal normal
+subgroups come from the table as well: every normal subgroup is the
+intersection of the irreducible kernels that contain it (Isaacs,
+Character Theory of Finite Groups, ch. 2), so the normal closure of a
+class is the AND of the kernel class masks that contain it."""
 
 from __future__ import annotations
+
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -378,26 +385,23 @@ class CharacterTable:
 
 
 def minimal_normal_witnesses(T: CharacterTable) -> list:
-    """One witness class index per minimal normal subgroup.  N is
-    contained in a kernel iff the witness class is, so coverage checks
-    reduce to kernel masks."""
-    G = T.group
-    closures = {}
+    """One witness class index per minimal normal subgroup: its lowest
+    non-identity class.  A normal subgroup is the intersection of the
+    irreducible kernels that contain it, so the normal closure of class
+    j is the AND of the kernel class masks with bit j set, and no
+    element closure is needed.  N is contained in a kernel iff the
+    witness class is, so coverage checks reduce to kernel masks."""
+    kernels = [T.kernel_class_mask(c) for c in range(T.r)]
+    normal = {}  # class j -> class mask of its normal closure
     for j in range(T.r):
-        if j == T.identity_class:
-            continue
-        members = [int(g) for g in np.nonzero(T.class_of == j)[0]]
-        closures[j] = frozenset(G.closure(members))
-    minimal = []
-    for j, N in sorted(closures.items(), key=lambda kv: (len(kv[1]), kv[0])):
-        if any(M < N for M in minimal):
-            continue
-        if N not in minimal:
-            minimal.append(N)
-    witnesses = []
-    for N in minimal:
-        witnesses.append(min(j for j, Nc in closures.items() if Nc == N))
-    return sorted(witnesses)
+        if j != T.identity_class:
+            normal[j] = reduce(operator.and_, (k for k in kernels if k >> j & 1))
+    masks = set(normal.values())
+    witness = {}
+    for j, N in normal.items():
+        if not any(M != N and M & N == M for M in masks):
+            witness.setdefault(N, j)
+    return sorted(witness.values())
 
 
 def min_faithful_exhaustive(T: CharacterTable):

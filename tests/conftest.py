@@ -74,34 +74,43 @@ def heis(ring):
     return get
 
 
+# name -> builder from the ``ring`` fixture, for the table groups that
+# are not Heisenberg groups
+GROUP_BUILDERS = {
+    "d4": lambda ring: semidirect_cyclic(4, [3]),
+    "q8": lambda ring: quaternion_group(),
+    "m16": lambda ring: semidirect_cyclic(8, [5]),
+    "m27": lambda ring: semidirect_cyclic(9, [4]),
+    "d8_16": lambda ring: semidirect_cyclic(8, [7]),
+    "z9_units": lambda ring: semidirect_cyclic(9, [2]),
+    "z8_z4_hom": lambda ring: semidirect_cyclic_hom(8, 7, 4),
+    "s3": lambda ring: semidirect_cyclic(3, [2]),
+    "z8_cyclic": lambda ring: semidirect_cyclic(8, [1]),
+    "gl2_f3": lambda ring: general_linear_2(make_ring(3, 1, 1, 1)),
+    "u3_f3": lambda ring: UnitriangularGroup(ring("f3"), 3).to_abstract(),
+    "u4_f3": lambda ring: UnitriangularGroup(ring("f3"), 4).to_abstract(),
+    "aff_f3": lambda ring: AffineGroup(ring("f3")).to_abstract(),
+    "aff_z4": lambda ring: AffineGroup(ring("z4")).to_abstract(),
+    "aff_z9": lambda ring: AffineGroup(ring("z9")).to_abstract(),
+    "aff_f4": lambda ring: AffineGroup(ring("f4")).to_abstract(),
+}
+
+
+@pytest.fixture(scope="session")
+def group_names():
+    """Every name the ``group`` fixture builds."""
+    return list(GROUP_BUILDERS) + list(HEIS_PARAMS)
+
+
 @pytest.fixture(scope="session")
 def group(ring, heis):
     """Cached AbstractGroup instances by short name."""
     cache = {}
 
-    builders = {
-        "d4": lambda: semidirect_cyclic(4, [3]),
-        "q8": quaternion_group,
-        "m16": lambda: semidirect_cyclic(8, [5]),
-        "m27": lambda: semidirect_cyclic(9, [4]),
-        "d8_16": lambda: semidirect_cyclic(8, [7]),
-        "z9_units": lambda: semidirect_cyclic(9, [2]),
-        "z8_z4_hom": lambda: semidirect_cyclic_hom(8, 7, 4),
-        "s3": lambda: semidirect_cyclic(3, [2]),
-        "z8_cyclic": lambda: semidirect_cyclic(8, [1]),
-        "gl2_f3": lambda: general_linear_2(make_ring(3, 1, 1, 1)),
-        "u3_f3": lambda: UnitriangularGroup(ring("f3"), 3).to_abstract(),
-        "u4_f3": lambda: UnitriangularGroup(ring("f3"), 4).to_abstract(),
-        "aff_f3": lambda: AffineGroup(ring("f3")).to_abstract(),
-        "aff_z4": lambda: AffineGroup(ring("z4")).to_abstract(),
-        "aff_z9": lambda: AffineGroup(ring("z9")).to_abstract(),
-        "aff_f4": lambda: AffineGroup(ring("f4")).to_abstract(),
-    }
-
     def get(name):
         if name not in cache:
-            if name in builders:
-                cache[name] = builders[name]()
+            if name in GROUP_BUILDERS:
+                cache[name] = GROUP_BUILDERS[name](ring)
             else:
                 cache[name] = heis(name).to_abstract()
         return cache[name]

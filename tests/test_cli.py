@@ -265,7 +265,10 @@ def test_group_spec_table_forms(tmp_path, group):
 
 def test_malformed_table_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "table.json"
-    for text in ('{"table": [[0,1],[1,0', "[1, 2]", '{"names": []}', '{"table": [[0, 1], [0, 1]]}'):
+    for text in (
+        '{"table": [[0,1],[1,0', "[1, 2]", '{"names": []}', '{"table": [[0, 1], [0, 1]]}',
+        '{"table": [[0, 1], [1, 0]], "names": ["e"]}', '{"table": [[0, 1], [1, 0]], "names": 5}',
+    ):
         path.write_text(text)
         for argv in (
             ["oracle", "table", "--group", f"table:{path}"],
@@ -353,6 +356,23 @@ def test_verify_csv(capsys, tmp_path):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["name", "match", "expected", "values"]
     assert rows[1][0] == "hei3-f2" and rows[1][1] == "True"
+
+
+def test_malformed_suite_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "suite.json"
+    for text in (
+        '{"instances": [',
+        "[1, 2]",
+        '{"name": "no instances"}',
+        '{"instances": {"name": "d4"}}',
+        '{"instances": [7]}',
+        '{"instances": [{"name": "d4", "modulus": 4, "multipliers": [3]}]}',
+        '{"instances": [{"family": "quaternion"}]}',
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--suite", str(path))
+        assert code == 2, text
+        assert out == "" and err.startswith("parse error: cannot build suite from"), text
 
 
 def test_default_suite_loads():
