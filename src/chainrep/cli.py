@@ -100,15 +100,11 @@ def parse_group_spec(spec: str, cap=None):
     if family is None:
         raise SpecParseError(f"unknown group family {name!r}")
     fam = FAMILIES[family]
-    unknown = sorted(set(kv) - set(fam.keys))
-    if unknown:
-        raise SpecParseError(f"group spec {spec!r} has unknown keys {', '.join(unknown)}")
-    params = {}
-    for key in fam.keys:
-        if key in kv:
-            params[key] = _spec_value(spec, key, kv[key])
-        elif key not in fam.defaults:
-            raise SpecParseError(f"group spec {spec!r} is missing {key}=")
+    try:
+        fam.check_keys(kv)
+    except ValueError as exc:
+        raise SpecParseError(f"group spec {spec!r} has {exc}") from None
+    params = {key: _spec_value(spec, key, kv[key]) for key in fam.keys if key in kv}
     with _parse_errors(spec):
         b = FamilyInstance(family, params, cap)
         return b.group, fam.describe(b)
@@ -337,6 +333,7 @@ def load_default_suite() -> dict:
 
 def _cmd_verify(args) -> int:
     from . import oracle as orc
+    from .minfaith_solver import FAMILIES
 
     if args.suite == "default":
         suite = load_default_suite()
@@ -351,6 +348,15 @@ def _cmd_verify(args) -> int:
                 raise ValueError(
                     "a suite is a JSON object whose 'instances' is a list of objects with 'name' and 'family'"
                 )
+            for inst in instances:
+                family = inst["family"]
+                fam = FAMILIES.get(family) if isinstance(family, str) else None
+                if fam is None:
+                    raise ValueError(f"instance {inst['name']!r} has unknown family {family!r}")
+                try:
+                    fam.check_keys(inst, orc.SUITE_KEYS)
+                except ValueError as exc:
+                    raise ValueError(f"instance {inst['name']!r} has {exc}") from None
     report = orc.cross_validate(suite)
     if args.format == "json":
         _emit_json("verify", {"suite": args.suite}, report)

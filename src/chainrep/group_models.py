@@ -8,7 +8,9 @@ elements by a codec between coordinates and row indices, rows in
 ``elements`` order.  The scalar ``mul``, the index-array ``product`` used
 by induction and ``to_abstract`` (a dense multiplication table, filled in
 chunks, for groups up to the configured cap, which is what the
-character-table oracle consumes) all evaluate that one law.
+character-table oracle consumes) all evaluate that one law.  The
+distinguished table groups (semidirect products of cyclic groups, Q8 and
+GL_2) likewise write their law once, on row-index arrays.
 """
 
 from __future__ import annotations
@@ -85,19 +87,25 @@ def index_inverse(group, I):
         I = group.product(I, I)
 
 
+def _index_table(n: int, product, names, width: int = 1) -> "AbstractGroup":
+    """The dense table of the index-array law ``product`` on rows
+    0..n-1, filled a block of rows at a time; ``names`` label the rows
+    and the caller vouches for the law.  The law holds about width + 2
+    int64 arrays of a block at once: blocks of 250k coordinates keep them
+    to a few MB."""
+    idx = np.arange(n)
+    table = np.empty((n, n), dtype=np.int32)
+    rows = max(1, 250_000 // (n * width))
+    for lo in range(0, n, rows):
+        table[lo : lo + rows] = product(idx[lo : lo + rows, None], idx[None, :])
+    return AbstractGroup(table, names=names, validate=False)
+
+
 def _family_table(self, cap: int | None = None) -> "AbstractGroup":
-    """The dense multiplication table of a ring family, filled from its
-    law a block of rows at a time; names are the family elements."""
+    """The dense multiplication table of a ring family, from its law;
+    names are the family elements."""
     _check_cap(self.order, cap)
-    N = self.order
-    idx = np.arange(N)
-    table = np.empty((N, N), dtype=np.int32)
-    # the law holds about width + 2 int64 arrays of a block at once:
-    # blocks of 250k coordinates keep them to a few MB
-    rows = max(1, 250_000 // (N * len(self.identity)))
-    for lo in range(0, N, rows):
-        table[lo : lo + rows] = self.product(idx[lo : lo + rows, None], idx[None, :])
-    return AbstractGroup(table, names=self.elements, validate=False)
+    return _index_table(self.order, self.product, self.elements, len(self.identity))
 
 
 class _RingFamily:
@@ -339,16 +347,6 @@ class AffineGroup(_RingFamily):
         )
 
 
-def _tabulate(els, mul) -> "AbstractGroup":
-    """The group on the element list els (kept as names) under the
-    product mul, as a dense table; the caller vouches for the law."""
-    pos = {g: i for i, g in enumerate(els)}
-    table = np.empty((len(els), len(els)), dtype=np.int32)
-    for i, g in enumerate(els):
-        table[i] = [pos[mul(g, h)] for h in els]
-    return AbstractGroup(table, names=els, validate=False)
-
-
 # -- abstract table groups -------------------------------------------
 
 
@@ -551,70 +549,87 @@ def multiplier_closure(modulus: int, multipliers) -> list[int]:
 
 def semidirect_cyclic(modulus: int, multipliers) -> AbstractGroup:
     """Z/modulus acted on by the unit subgroup generated by the given
-    multipliers: elements (c, m), (c1,m1)(c2,m2) = (c1+m1*c2, m1*m2)."""
+    multipliers: elements (c, m), (c1,m1)(c2,m2) = (c1+m1*c2, m1*m2).
+    Row c*|H| + i holds (c, m) for the i-th unit m of the subgroup H."""
     ms = multiplier_closure(modulus, multipliers)
-    _check_cap(modulus * len(ms))
-    return _tabulate(
-        [(c, m) for c in range(modulus) for m in ms],
-        lambda g, h: ((g[0] + g[1] * h[0]) % modulus, (g[1] * h[1]) % modulus),
-    )
+    h = len(ms)
+    _check_cap(modulus * h)
+    units = np.array(ms, dtype=np.int64)
+    pos = np.zeros(modulus, dtype=np.int64)
+    pos[units] = np.arange(h)
+
+    def product(I, J):
+        m1 = units[I % h]
+        return (I // h + m1 * (J // h)) % modulus * h + pos[m1 * units[J % h] % modulus]
+
+    return _index_table(modulus * h, product, [(c, m) for c in range(modulus) for m in ms])
 
 
 def semidirect_cyclic_hom(modulus: int, multiplier: int, h_order: int) -> AbstractGroup:
     """Z/modulus acted on by Z/h_order through c -> multiplier*c; the
-    action may factor through a proper quotient of Z/h_order."""
+    action may factor through a proper quotient of Z/h_order.  Row
+    c*h_order + t holds (c, t)."""
     m = multiplier % modulus
     if math.gcd(m, modulus) != 1:
         raise ValueError(f"multiplier {m} is not a unit mod {modulus}")
     if pow(m, h_order, modulus) != 1:
         raise ValueError("multiplier order does not divide h_order")
     _check_cap(modulus * h_order)
-    mt = [pow(m, t, modulus) for t in range(h_order)]
-    return _tabulate(
-        [(c, t) for c in range(modulus) for t in range(h_order)],
-        lambda g, h: ((g[0] + mt[g[1]] * h[0]) % modulus, (g[1] + h[1]) % h_order),
+    mt = np.array([pow(m, t, modulus) for t in range(h_order)], dtype=np.int64)
+
+    def product(I, J):
+        c = (I // h_order + mt[I % h_order] * (J // h_order)) % modulus
+        return c * h_order + (I + J) % h_order
+
+    return _index_table(
+        modulus * h_order, product, [(c, t) for c in range(modulus) for t in range(h_order)]
     )
 
 
 def quaternion_group() -> AbstractGroup:
-    """Q8 with elements (+-1, +-i, +-j, +-k)."""
-    basis = {
-        ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1), ("1", "k"): ("k", 1),
-        ("i", "1"): ("i", 1), ("j", "1"): ("j", 1), ("k", "1"): ("k", 1),
-        ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
-        ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
-        ("j", "k"): ("i", 1), ("k", "j"): ("i", -1),
-        ("k", "i"): ("j", 1), ("i", "k"): ("j", -1),
-    }
+    """Q8 with elements (+-1, +-i, +-j, +-k).  Row 2a + s holds the a-th
+    of 1, i, j, k with sign (-1)^s."""
+    # ij = k, jk = i, ki = j and every square of i, j, k is -1: the axis
+    # of a product is the XOR of the axes, and neg[a, b] its extra sign
+    neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
 
-    def mul(g, h):
-        ax, s = basis[(g[0], h[0])]
-        return ax, s * g[1] * h[1]
+    def product(I, J):
+        a, b = I // 2, J // 2
+        return 2 * (a ^ b) + (I ^ J ^ neg[a, b]) % 2
 
-    return _tabulate([(ax, s) for ax in ("1", "i", "j", "k") for s in (1, -1)], mul)
+    return _index_table(8, product, [(ax, s) for ax in ("1", "i", "j", "k") for s in (1, -1)])
 
 
 def general_linear_2(R: RingSpec) -> AbstractGroup:
-    """GL_2 over a residue field (n = 1 rings only; oracle-scale)."""
-    from itertools import product
-
+    """GL_2 over a residue field (n = 1 rings only; oracle-scale).
+    Elements are (a, b, c, d) for the matrix [[a, b], [c, d]], in radix
+    order over the field's element indices."""
     if R.n != 1:
         raise ValueError("general_linear_2 supports fields only")
     q = R.size
     _check_cap((q * q - 1) * (q * q - q))
-    mul, add, neg = R.mul_table.tolist(), R.add_table.tolist(), R.neg_table.tolist()
-    els = [(a, b, c, d) for a, b, c, d in product(range(q), repeat=4) if add[mul[a][d]][neg[mul[b][c]]]]
+    add, mul = R.add_table.astype(np.int64), R.mul_table.astype(np.int64)
+    quad = np.indices((q,) * 4).reshape(4, -1)
+    a, b, c, d = quad
+    coords = quad[:, add[mul[a, d], R.neg_table[mul[b, c]]] != 0]
+    n = coords.shape[1]
+    pos = np.zeros(q**4, dtype=np.int64)  # radix index -> row
+    pos[((coords[0] * q + coords[1]) * q + coords[2]) * q + coords[3]] = np.arange(n)
 
-    def matmul(x, y):
-        (a, b, c, d), (e, f, g, h) = x, y
-        return (
-            add[mul[a][e]][mul[b][g]],
-            add[mul[a][f]][mul[b][h]],
-            add[mul[c][e]][mul[d][g]],
-            add[mul[c][f]][mul[d][h]],
+    def product(I, J):
+        (a, b, c, d), (e, f, g, h) = coords[:, I], coords[:, J]
+        entries = (
+            add[mul[a, e], mul[b, g]],
+            add[mul[a, f], mul[b, h]],
+            add[mul[c, e], mul[d, g]],
+            add[mul[c, f], mul[d, h]],
         )
+        radix = 0
+        for x in entries:
+            radix = radix * q + x
+        return pos[radix]
 
-    return _tabulate(els, matmul)
+    return _index_table(n, product, list(zip(*coords.tolist())), width=4)
 
 
 # -- structure scan ---------------------------------------------------

@@ -409,6 +409,17 @@ class Family:
     bound: Callable | None = None
     oracle: bool = True
 
+    def check_keys(self, given, allowed=()) -> None:
+        """Raise ValueError for keys in ``given`` that are neither family
+        parameters nor ``allowed``, then for required parameters that
+        ``given`` lacks."""
+        unknown = sorted(set(given) - set(self.keys) - set(allowed))
+        if unknown:
+            raise ValueError(f"unknown keys {', '.join(unknown)}")
+        missing = [key for key in self.keys if key not in given and key not in self.defaults]
+        if missing:
+            raise ValueError(f"missing keys {', '.join(missing)}")
+
 
 def _ring(b) -> RingSpec:
     return make_ring(b.p, b.f, b.e, b.n)

@@ -6,8 +6,17 @@ The table pipeline works entirely over a prime field F_l with
 l = 1 (mod exponent) and l > 2*sqrt(|G|): class-matrix eigenvectors are
 split into common one-dimensional eigenspaces, degrees recovered through
 the orthogonality sum, and values lifted to exact cyclotomic integers
-via root-of-unity multiplicity vectors.  Every table is re-verified with
-exact integer orthogonality before use.
+via root-of-unity multiplicity vectors.
+
+Every table is proved exactly orthonormal before use, without forming a
+cyclotomic number.  Nonnegative multiplicities summing to the degrees
+bound |chi(g)| by chi(1), so each orthogonality sum N_ab has
+|N_ab| <= |G|^2.  The table is checked to carry the Galois action
+chi^(sigma_k)(g) = chi(g^k) for generators k of (Z/E)^* (Isaacs,
+Character Theory of Finite Groups, ch. 2 and 9); as g -> g^k permutes
+the classes and keeps their sizes, every N_ab is then a rational
+integer.  N = |G| I is checked modulo primes l = 1 (mod E) until they
+multiply past 2|G|^2, which fixes N exactly (Chinese remaindering).
 
 The split follows Dixon and Schneider: each common eigenspace carries a
 basis B that is the identity on its pivot rows, so a class matrix M
@@ -27,6 +36,7 @@ class is the AND of the kernel class masks that contain it."""
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import reduce
 
@@ -34,7 +44,7 @@ import numpy as np
 
 from .chain_ring import _factorize, _is_prime
 from .char_duality import DualVector
-from .exactrep import Cyclotomic, _ctx
+from .exactrep import Cyclotomic
 from .group_models import (
     AbstractGroup,
     CapExceededError,
@@ -133,6 +143,21 @@ def _eigenvalues(A, l):
     return np.nonzero(P[d] == 0)[0]
 
 
+def _unit_generators(E: int) -> list[int]:
+    """A generating set of (Z/E)^*: each unit not yet generated by the
+    smaller ones."""
+    reached, gens = {1}, []
+    for k in range(2, E):
+        if math.gcd(k, E) != 1 or k in reached:
+            continue
+        gens.append(k)
+        front = reached
+        while front:
+            front = {a * g % E for a in front for g in gens} - reached
+            reached |= front
+    return gens
+
+
 def _primitive_root_power(l: int, E: int) -> int:
     """A fixed primitive E-th root of unity in F_l (l = 1 mod E)."""
     fac = _factorize(l - 1)
@@ -151,7 +176,8 @@ class CharacterTable:
     Attributes: reps/sizes/class_of (classes ordered by least member),
     dims (ascending with the row order), chars (rows of Cyclotomic
     values over zeta_exponent), mu (integer root-multiplicity tensor),
-    kernel class masks, and the modular prime actually used."""
+    power_class (power_class[k, j] is the class of the k-th power of
+    reps[j]), kernel class masks, and the modular prime actually used."""
 
     def __init__(self, G: AbstractGroup, cap: int | None = None):
         cap = cap or group_cap()
@@ -303,32 +329,61 @@ class CharacterTable:
         self.dims = [dims[c] for c in order]
         self.mu = MU[order]
         self.prime = l
+        self.power_class = power_class
 
     def _verify(self):
-        G = self.group
-        r = self.r
-        E = self.exponent
-        assert sum(d * d for d in self.dims) == G.order
-        # identity column: mu = d at exponent 0
+        """Prove that the lifted table is exactly orthonormal, without
+        forming a cyclotomic number.
+
+        (0) mu >= 0, each mu[c, j] sums to dims[c], the identity column
+            is (d, 0, ..., 0) and the squared degrees sum to |G|.  Then
+            |chi_a(g)| <= d_a, so |N_ab| <= |G| d_a d_b <= |G|^2 for
+            N_ab = sum_j |C_j| chi_a(g_j) conj(chi_b(g_j)).
+        (a) For each k in a generating set of (Z/E)^*, the table carries
+            the Galois action chi^(sigma_k)(g) = chi(g^k):
+            mu[c, class(g_j^k), k u mod E] = mu[c, j, u].
+        (b) For gcd(k, E) = 1, g -> g^k permutes the classes and keeps
+            their sizes, so by (a) every sigma_k fixes N_ab, which is
+            then a rational integer.
+        (c) Under zeta -> z, a primitive E-th root of unity mod a prime
+            l = 1 (mod E), N = |G| I holds mod l, checked with one r x r
+            product per prime from the table's own prime upwards, until
+            the primes multiply past 2|G|^2.  Then N = |G| I exactly.
+
+        The cost is r^2 E per generator and r^3 per prime."""
+        G, r, E, mu = self.group, self.r, self.exponent, self.mu
+        dims = np.array(self.dims, dtype=np.int64)
         idc = self.identity_class
-        for c in range(r):
-            assert self.mu[c, idc, 0] == self.dims[c]
-            assert not self.mu[c, idc, 1:].any()
-        # exact row orthogonality via the power-coefficient tensor:
-        # P[a,b,t] = sum_j |C_j| sum_u mu_a[j,u] mu_b[j,u-t]
-        w = np.array(self.sizes, dtype=np.int64)
-        MUw = self.mu * w[None, :, None]
-        P = np.empty((r, r, E), dtype=np.int64)
-        flat = MUw.reshape(r, -1)
-        for t in range(E):
-            Rt = np.roll(self.mu, t, axis=2).reshape(r, -1)
-            P[:, :, t] = flat @ Rt.T
-        deg, _, zpow = _ctx(E)
-        zred = np.array([zpow[t] for t in range(E)], dtype=np.int64)
-        reduced = np.tensordot(P, zred, axes=([2], [0]))
-        expect = np.zeros((r, r, deg), dtype=np.int64)
-        expect[np.arange(r), np.arange(r), 0] = self.group.order
-        assert np.array_equal(reduced, expect), "exact orthogonality failed"
+        # (0) the bound
+        assert (mu >= 0).all(), "negative multiplicity"
+        assert (mu.sum(axis=2) == dims[:, None]).all(), "multiplicities do not sum to the degree"
+        assert np.array_equal(mu[:, idc, 0], dims) and not mu[:, idc, 1:].any(), "identity column"
+        assert int(dims @ dims) == G.order, "degree squares do not sum to |G|"
+        # (a) the Galois action, one (r, r, E) gather at a time
+        u = np.arange(E)
+        for k in _unit_generators(E):
+            pc = self.power_class[k]
+            assert np.array_equal(mu[:, pc[:, None], (k * u % E)[None, :]], mu), (
+                f"Galois action sigma_{k} failed"
+            )
+        # (c) N = |G| I modulo primes l = 1 (mod E)
+        sizes = np.array(self.sizes, dtype=np.int64)
+        l, modulus = self.prime, 1
+        while modulus <= 2 * G.order**2:
+            assert r * l * l < 2**63, "prime too large for int64 products"
+            z = np.empty(E, dtype=np.int64)  # z[u] = z^u mod l
+            z[0] = 1
+            zl = _primitive_root_power(l, E)
+            for t in range(1, E):
+                z[t] = z[t - 1] * zl % l
+            X = (mu @ z) % l
+            Y = (mu @ z[-u % E]) % l
+            N = (X * sizes % l) @ Y.T % l
+            assert np.array_equal(N, G.order % l * np.eye(r, dtype=np.int64)), (
+                f"orthogonality failed mod {l}"
+            )
+            modulus *= l
+            l = self._next_prime(l)
 
     # -- exact values and kernels ------------------------------------
 
@@ -504,6 +559,10 @@ def catalog_from_table(T: CharacterTable):
 
 
 # -- cross validation -------------------------------------------------
+
+
+# What a suite instance may hold besides its family's parameters.
+SUITE_KEYS = ("name", "family", "expected", "oracle", "two_step", "pgroup_catalog")
 
 
 def cross_validate(suite: dict, cap: int | None = None) -> dict:

@@ -87,6 +87,7 @@ GROUP_BUILDERS = {
     "s3": lambda ring: semidirect_cyclic(3, [2]),
     "z8_cyclic": lambda ring: semidirect_cyclic(8, [1]),
     "gl2_f3": lambda ring: general_linear_2(make_ring(3, 1, 1, 1)),
+    "z7_z16": lambda ring: semidirect_cyclic_hom(7, 1, 16),
     "u3_f3": lambda ring: UnitriangularGroup(ring("f3"), 3).to_abstract(),
     "u4_f3": lambda ring: UnitriangularGroup(ring("f3"), 4).to_abstract(),
     "aff_f3": lambda ring: AffineGroup(ring("f3")).to_abstract(),
@@ -96,9 +97,16 @@ GROUP_BUILDERS = {
 }
 
 
+# built by ``group`` but left out of ``group_names``: the plain reference
+# algorithms of test_subgroups take about 17 s on GL_2(F_7)
+LARGE_BUILDERS = {
+    "gl2_f7": lambda ring: general_linear_2(make_ring(7, 1, 1, 1)),
+}
+
+
 @pytest.fixture(scope="session")
 def group_names():
-    """Every name the ``group`` fixture builds."""
+    """Every name the ``group`` fixture builds, but LARGE_BUILDERS."""
     return list(GROUP_BUILDERS) + list(HEIS_PARAMS)
 
 
@@ -109,8 +117,9 @@ def group(ring, heis):
 
     def get(name):
         if name not in cache:
-            if name in GROUP_BUILDERS:
-                cache[name] = GROUP_BUILDERS[name](ring)
+            builder = GROUP_BUILDERS.get(name) or LARGE_BUILDERS.get(name)
+            if builder is not None:
+                cache[name] = builder(ring)
             else:
                 cache[name] = heis(name).to_abstract()
         return cache[name]

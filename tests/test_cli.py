@@ -375,6 +375,24 @@ def test_malformed_suite_is_a_parse_error(capsys, tmp_path):
         assert out == "" and err.startswith("parse error: cannot build suite from"), text
 
 
+def test_suite_instance_keys_are_checked(capsys, tmp_path):
+    # a misspelt, missing or foreign key, or an unknown family, is a
+    # parse error naming the instance, not a route mismatch
+    path = tmp_path / "suite.json"
+    for instance, reason in (
+        ({"family": "semidirect", "multiplers": [3]}, "unknown keys multiplers"),
+        ({"family": "semidirect", "multipliers": [3]}, "missing keys modulus"),
+        ({"family": "heisenberg", "p": 2, "k": 1, "two_step": True, "size": 3}, "unknown keys size"),
+        ({"family": "gl2"}, "missing keys p"),
+        ({"family": "dihedral", "p": 2}, "unknown family 'dihedral'"),
+        ({"family": ["gl2"], "p": 2}, "unknown family ['gl2']"),
+    ):
+        path.write_text(json.dumps({"instances": [dict(instance, name="x")]}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(path))
+        assert code == 2 and out == "", instance
+        assert err == f"parse error: cannot build suite from {str(path)!r}: instance 'x' has {reason}\n"
+
+
 def test_default_suite_loads():
     suite = load_default_suite()
     assert suite["name"] == "default"

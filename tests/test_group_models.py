@@ -19,6 +19,7 @@ from chainrep.group_models import (
     semidirect_cyclic_hom,
     structure_scan,
 )
+from chainrep.chain_ring import make_ring
 from chainrep.exactrep import Cyclotomic, cyc_sum
 
 
@@ -304,6 +305,89 @@ def test_built_tables_are_associative(ring):
     groups += [AffineGroup(ring(r)).to_abstract() for r in ("z4", "z9", "f4", "ram222")]
     for G in groups:
         G._check_associativity()
+
+
+def tabulate(els, mul):
+    """Reference: the dense table of the law mul on the element list els,
+    one scalar product per entry."""
+    pos = {g: i for i, g in enumerate(els)}
+    table = np.empty((len(els), len(els)), dtype=np.int32)
+    for i, g in enumerate(els):
+        table[i] = [pos[mul(g, h)] for h in els]
+    return table, els
+
+
+def reference_semidirect(modulus, multipliers):
+    from chainrep.group_models import multiplier_closure
+
+    ms = multiplier_closure(modulus, multipliers)
+    return tabulate(
+        [(c, m) for c in range(modulus) for m in ms],
+        lambda g, h: ((g[0] + g[1] * h[0]) % modulus, (g[1] * h[1]) % modulus),
+    )
+
+
+def reference_semidirect_hom(modulus, multiplier, h_order):
+    mt = [pow(multiplier % modulus, t, modulus) for t in range(h_order)]
+    return tabulate(
+        [(c, t) for c in range(modulus) for t in range(h_order)],
+        lambda g, h: ((g[0] + mt[g[1]] * h[0]) % modulus, (g[1] + h[1]) % h_order),
+    )
+
+
+def reference_quaternion():
+    basis = {
+        ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1), ("1", "k"): ("k", 1),
+        ("i", "1"): ("i", 1), ("j", "1"): ("j", 1), ("k", "1"): ("k", 1),
+        ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
+        ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
+        ("j", "k"): ("i", 1), ("k", "j"): ("i", -1),
+        ("k", "i"): ("j", 1), ("i", "k"): ("j", -1),
+    }
+
+    def mul(g, h):
+        ax, s = basis[(g[0], h[0])]
+        return ax, s * g[1] * h[1]
+
+    return tabulate([(ax, s) for ax in ("1", "i", "j", "k") for s in (1, -1)], mul)
+
+
+def reference_gl2(R):
+    from itertools import product
+
+    q = R.size
+    mul, add, neg = R.mul_table.tolist(), R.add_table.tolist(), R.neg_table.tolist()
+    els = [(a, b, c, d) for a, b, c, d in product(range(q), repeat=4) if add[mul[a][d]][neg[mul[b][c]]]]
+
+    def matmul(x, y):
+        (a, b, c, d), (e, f, g, h) = x, y
+        return (
+            add[mul[a][e]][mul[b][g]],
+            add[mul[a][f]][mul[b][h]],
+            add[mul[c][e]][mul[d][g]],
+            add[mul[c][f]][mul[d][h]],
+        )
+
+    return tabulate(els, matmul)
+
+
+def test_builders_match_the_scalar_loop(ring):
+    # the index-array laws against one scalar product per table entry:
+    # same element order, names and int32 table bytes
+    cases = [(semidirect_cyclic(*a), reference_semidirect(*a)) for a in [
+        (3, [2]), (4, [3]), (8, [3, 5]), (9, [2]), (12, [5, 7]), (15, [2]), (16, [3]),
+    ]]
+    cases += [(semidirect_cyclic_hom(*a), reference_semidirect_hom(*a)) for a in [
+        (5, 2, 4), (8, 7, 4), (9, 4, 6), (7, 2, 9), (16, 1, 3),
+    ]]
+    cases += [(quaternion_group(), reference_quaternion())]
+    cases += [(general_linear_2(R), reference_gl2(R)) for R in (
+        ring("f2"), ring("f3"), ring("f5"), make_ring(7, 1, 1, 1),
+    )]
+    for G, (table, names) in cases:
+        assert G.table.dtype == np.int32
+        assert G.table.tobytes() == table.tobytes()
+        assert G.names == names
 
 
 # sha256 of to_abstract().table.tobytes() and of repr(names), taken when

@@ -1,12 +1,22 @@
 """Modular character tables and the independent minimal-dimension search."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainrep.exactrep import Cyclotomic, cyc_sum
-from chainrep.group_models import CapExceededError
+from chainrep import oracle
+from chainrep.chain_ring import _is_prime
+from chainrep.exactrep import Cyclotomic, _ctx, cyc_sum
+from chainrep.group_models import (
+    CapExceededError,
+    multiplier_closure,
+    semidirect_cyclic,
+    semidirect_cyclic_hom,
+)
 from chainrep.oracle import (
     CharacterTable,
     _eigenvalues,
@@ -34,6 +44,8 @@ FROZEN_PRIMES = {
     "hei3_z9": 73,  # 1 mod 9, square > 2916
     "u4_f3": 73,    # 1 mod 9, square > 2916
     "hei3_gr42": 137,  # 1 mod 8, square > 16384
+    "gl2_f7": 337,  # 1 mod 336, square > 8064
+    "z7_z16": 113,  # 1 mod 112, square > 448
 }
 
 EXHAUSTIVE_MIN = {
@@ -57,6 +69,8 @@ EXHAUSTIVE_MIN = {
     "aff_f4": 3,
     "gl2_f3": 2,
     "hei3_gr42": 32,
+    "gl2_f7": 6,  # q - 1, as for GL_2(F_3) and GL_2(F_5)
+    "z7_z16": 1,  # Z/7 x Z/16 is cyclic of order 112
 }
 
 
@@ -164,6 +178,163 @@ def test_nullspace_carries_identity_on_free_rows(case):
     assert np.array_equal(N[free], np.eye(len(free), dtype=np.int64))
     assert not (A @ N % l).any()
     assert len(free) == A.shape[0] - len(_rref(A, l)[1])
+
+
+def roll_verify(T):
+    """Reference: exact row orthogonality through the power-coefficient
+    tensor P[a, b, t] = sum_j |C_j| sum_u mu_a[j, u] mu_b[j, u - t], one
+    (r, rE) @ (rE, r) product over an np.roll copy of mu per t, then
+    reduced in a basis of Z[zeta_E]."""
+    G, r, E = T.group, T.r, T.exponent
+    assert sum(d * d for d in T.dims) == G.order
+    idc = T.identity_class
+    for c in range(r):
+        assert T.mu[c, idc, 0] == T.dims[c]
+        assert not T.mu[c, idc, 1:].any()
+    w = np.array(T.sizes, dtype=np.int64)
+    flat = (T.mu * w[None, :, None]).reshape(r, -1)
+    P = np.empty((r, r, E), dtype=np.int64)
+    for t in range(E):
+        P[:, :, t] = flat @ np.roll(T.mu, t, axis=2).reshape(r, -1).T
+    deg, _, zpow = _ctx(E)
+    reduced = np.tensordot(P, np.array([zpow[t] for t in range(E)], dtype=np.int64), axes=([2], [0]))
+    expect = np.zeros((r, r, deg), dtype=np.int64)
+    expect[np.arange(r), np.arange(r), 0] = G.order
+    assert np.array_equal(reduced, expect), "exact orthogonality failed"
+
+
+def altered(T, mu=None, dims=None, prime=None):
+    """A copy of the table with some fields replaced, to run _verify on."""
+    U = copy.copy(T)
+    U.mu = T.mu.copy() if mu is None else mu
+    U.dims = list(T.dims) if dims is None else dims
+    U.prime = T.prime if prime is None else prime
+    return U
+
+
+def shifted(T, c, j, t, t2):
+    """mu with one unit of mu[c, j, t] moved to exponent t2."""
+    mu = T.mu.copy()
+    mu[c, j, t] -= 1
+    mu[c, j, t2] += 1
+    return mu
+
+
+def test_verify_accepts_the_reference_tables(table):
+    for name in ["d4", "q8", "hei3_f3", "gl2_f3", "aff_z9", "z8_z4_hom", "aff_f4"]:
+        T = table(name)
+        roll_verify(T)
+        T._verify()
+
+
+def test_verify_rejects_a_shift_on_a_non_rational_class(table):
+    T = table("aff_z9")
+    E = T.exponent
+    units = [k for k in range(1, E) if math.gcd(k, E) == 1]
+    # a class moved by some sigma_k, and a row whose value there is not 0
+    j = next(j for j in range(T.r) if any(T.power_class[k, j] != j for k in units))
+    c = next(c for c in range(T.r) if T.mu[c, j, 0] < T.dims[c])
+    t = int(np.nonzero(T.mu[c, j])[0][0])
+    with pytest.raises(AssertionError, match="Galois action"):
+        altered(T, mu=shifted(T, c, j, t, (t + 1) % E))._verify()
+
+
+def test_verify_rejects_a_duplicated_row(table):
+    # two rows of the same degree: each keeps the Galois action, but
+    # their inner product is |G| instead of 0
+    T = table("gl2_f3")
+    a = next(a for a in range(T.r - 1) if T.dims[a] == T.dims[a + 1])
+    mu = T.mu.copy()
+    mu[a + 1] = mu[a]
+    with pytest.raises(AssertionError, match=f"orthogonality failed mod {T.prime}"):
+        altered(T, mu=mu)._verify()
+
+
+def test_verify_rejects_a_table_outside_the_bound(table):
+    T = table("d4")
+    j = next(j for j in range(T.r) if j != T.identity_class)
+    c = T.r - 1  # the degree-2 row
+    negative = T.mu.copy()
+    negative[c, j, 0] -= T.dims[c] + 1
+    negative[c, j, 1] += T.dims[c] + 1
+    over = T.mu.copy()
+    over[c, j, 0] += 1
+    idc = T.identity_class
+    # a degree-3 row: one more unit at exponent 0 in every class
+    grown = T.mu.copy()
+    grown[c, :, 0] += 1
+    for U, message in [
+        (altered(T, mu=negative), "negative multiplicity"),
+        (altered(T, mu=over), "do not sum to the degree"),
+        (altered(T, mu=shifted(T, c, idc, 0, 1)), "identity column"),
+        (altered(T, mu=grown, dims=T.dims[:-1] + [T.dims[-1] + 1]), "degree squares"),
+    ]:
+        with pytest.raises(AssertionError, match=message):
+            U._verify()
+
+
+def test_verify_refuses_a_prime_too_large_for_int64(table):
+    T = table("d4")
+    l = (math.isqrt(2**63 // T.r) // T.exponent + 1) * T.exponent + 1
+    while not _is_prime(l):
+        l += T.exponent
+    with pytest.raises(AssertionError, match="too large"):
+        altered(T, prime=l)._verify()
+
+
+def test_verify_checks_primes_past_twice_the_squared_order(table, monkeypatch):
+    # |N_ab - |G| delta_ab| <= |G|^2, so primes multiplying past 2|G|^2
+    # pin N exactly, and the check stops at the first such product
+    used = []
+    root = oracle._primitive_root_power
+
+    def record(l, E):
+        used.append(l)
+        return root(l, E)
+
+    monkeypatch.setattr(oracle, "_primitive_root_power", record)
+    for name in ["d4", "hei3_gr42", "gl2_f7"]:
+        T = table(name)
+        used.clear()
+        T._verify()
+        bound = 2 * T.group.order**2
+        assert used[0] == T.prime
+        assert math.prod(used) > bound >= math.prod(used[:-1])
+        assert all(l % T.exponent == 1 and _is_prime(l) for l in used)
+
+
+@st.composite
+def semidirect_groups(draw):
+    """Z/modulus by a unit subgroup, or by Z/h through one unit, of
+    order at most 160."""
+    modulus = draw(st.integers(2, 24))
+    units = [u for u in range(1, modulus) if math.gcd(u, modulus) == 1]
+    if draw(st.booleans()):
+        mults = draw(st.lists(st.sampled_from(units), min_size=1, max_size=2))
+        assume(modulus * len(multiplier_closure(modulus, mults)) <= 160)
+        return semidirect_cyclic(modulus, mults)
+    a = draw(st.sampled_from(units))
+    h = len(multiplier_closure(modulus, [a])) * draw(st.integers(1, 4))
+    assume(modulus * h <= 160)
+    return semidirect_cyclic_hom(modulus, a, h)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(semidirect_groups(), st.data())
+def test_verify_agrees_with_the_roll_loop(G, data):
+    T = CharacterTable(G)
+    roll_verify(T)
+    T._verify()
+    # move one unit of a value at a non-identity class
+    c = data.draw(st.integers(0, T.r - 1))
+    j = data.draw(st.sampled_from([j for j in range(T.r) if j != T.identity_class]))
+    t = data.draw(st.sampled_from(np.nonzero(T.mu[c, j])[0].tolist()))
+    t2 = data.draw(st.sampled_from([u for u in range(T.exponent) if u != t]))
+    U = altered(T, mu=shifted(T, c, j, t, t2))
+    with pytest.raises(AssertionError):
+        roll_verify(U)
+    with pytest.raises(AssertionError):
+        U._verify()
 
 
 def test_table_deterministic(group):
