@@ -66,6 +66,38 @@ def _spec_value(spec, key, text):
     return mults
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_flag(v) -> bool:
+    return isinstance(v, bool)
+
+
+# What a suite instance's value takes, by key; a key not named here
+# takes an integer.
+_SUITE_VALUES = {
+    "e": (lambda v: _is_int(v) or v == "inf", 'an integer or "inf"'),
+    "multipliers": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_int, v)), "a non-empty list of integers"),
+    "h_order": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "table": (lambda v: isinstance(v, (str, dict)), "a path or a table object"),
+    "oracle": (_is_flag, "true or false"),
+    "two_step": (_is_flag, "true or false"),
+    "pgroup_catalog": (_is_flag, "true or false"),
+}
+
+
+def _check_suite_values(inst: dict) -> None:
+    """Raise ValueError for the first value of a suite instance, other
+    than its name and family, of the wrong type."""
+    for key, value in inst.items():
+        if key in ("name", "family"):
+            continue
+        test, want = _SUITE_VALUES.get(key, (_is_int, "an integer"))
+        if not test(value):
+            raise ValueError(f"{key} = {json.dumps(value)}, not {want}")
+
+
 @contextmanager
 def _parse_errors(source, what="group"):
     """A ring or group that cannot be built from its parameters, or an
@@ -355,6 +387,7 @@ def _cmd_verify(args) -> int:
                     raise ValueError(f"instance {inst['name']!r} has unknown family {family!r}")
                 try:
                     fam.check_keys(inst, orc.SUITE_KEYS)
+                    _check_suite_values(inst)
                 except ValueError as exc:
                     raise ValueError(f"instance {inst['name']!r} has {exc}") from None
     report = orc.cross_validate(suite)

@@ -652,25 +652,6 @@ class StructureScan:
     maximal_abelian: list
 
 
-def _invariant_count(G: AbstractGroup, elems) -> int:
-    """Number of invariant factors of an abelian subgroup, via the
-    p-rank maximized over primes."""
-    if len(elems) == 1:
-        return 0
-    primes = set()
-    for o in {int(G.element_orders[g]) for g in elems}:
-        primes.update(_factorize(o))
-    best = 0
-    for p in primes:
-        cnt = sum(1 for g in elems if G.element_orders[g] in (1, p))
-        rank = 0
-        while p**rank < cnt:
-            rank += 1
-        assert p**rank == cnt, "p-torsion subgroup size is not a p-power"
-        best = max(best, rank)
-    return best
-
-
 def structure_scan(G: AbstractGroup, cap: int | None = None) -> StructureScan:
     _check_cap(G.order, cap)
     n = G.order
@@ -688,6 +669,9 @@ def structure_scan(G: AbstractGroup, cap: int | None = None) -> StructureScan:
     omega1 = []
     if is_p:
         omega1 = [g for g in center if G.element_orders[g] in (1, p)]
+    # d(Z): the largest rank of the socle of a Sylow subgroup of Z, whose
+    # greedy generators are a basis
+    rank = max((len(G._span(g for g in center if G.element_orders[g] == q)[1]) for q in facs), default=0)
 
     reps, class_of, sizes = G.conjugacy
 
@@ -706,7 +690,7 @@ def structure_scan(G: AbstractGroup, cap: int | None = None) -> StructureScan:
         p=p,
         exponent=G.exponent,
         center=center,
-        center_invariant_count=_invariant_count(G, center),
+        center_invariant_count=rank,
         omega1_center=omega1,
         commutator=comm,
         is_two_step=two_step,
@@ -717,196 +701,85 @@ def structure_scan(G: AbstractGroup, cap: int | None = None) -> StructureScan:
     )
 
 
-# -- abelian decomposition and characters ----------------------------
+# -- characters of abelian subgroups ---------------------------------
 
 
-def _extgcd(a, b):
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, u, v = _extgcd(b, a % b)
-    return g, v, u - (a // b) * v
+def _generator_series(group, elems, seed=()):
+    """Greedy generator series of the abelian subgroup A generated by
+    seed and elems: (picks, orders, relations, exps, M).  Candidates are
+    seed then elems, and each that is not yet generated becomes the next
+    generator g_i; picks holds its position among the candidates, orders
+    its relative order d_i (the least d with g_i^d in <g_1..g_{i-1}>)
+    and relations the exponent vector of g_i^{d_i} over the earlier
+    generators.  Row a of exps is the exponent vector of candidate a
+    (0 <= e_i < d_i), and M is the exponent of A."""
+    cand = group.index_of(list(seed) + list(elems))
+    ident = int(group.index_of([group.identity])[0])
+    where = np.full(group.order, -1, dtype=np.int64)  # position in members
+    where[ident] = 0
+    members, exps = np.array([ident]), np.zeros((1, 0), dtype=np.int64)
+    picks, orders, relations, M = [], [], [], 1
+    for a, g in enumerate(cand.tolist()):
+        if where[g] >= 0:
+            continue
+        powers, x = [ident], g
+        while where[x] < 0:
+            powers.append(x)
+            x = int(group.product(x, g))
+        d = o = len(powers)
+        picks.append(a)
+        orders.append(d)
+        relations.append(exps[where[x]].tolist())
+        while x != ident:  # the order of g is d_i times that of g^{d_i}
+            x, o = int(group.product(x, g)), o + 1
+        M = math.lcm(M, o)
+        members = group.product(members[:, None], np.array(powers)[None, :]).ravel()
+        where[members] = np.arange(len(members))
+        exps = np.column_stack([np.repeat(exps, d, axis=0), np.tile(np.arange(d), len(members) // d)])
+    return picks, orders, relations, exps[where[cand]], M
 
 
-def abelian_basis(group, elems):
-    """Decompose an abelian subgroup into cyclic factors.
-
-    Returns (gens, orders, coords): independent generators with orders
-    d1 | d2 | ..., and a dict mapping each element to its coordinate
-    tuple.  Validated internally by checking the coordinate map is a
-    bijection."""
-    elems = list(elems)
-    N = len(elems)
-    ident = group.identity
-    if N == 1:
-        return [], [], {ident: ()}
-    gens = group._span(elems)[1]
-    m = len(gens)
-    # spanning-tree exponent vectors
-    coords_raw = {ident: [0] * m}
-    queue = [ident]
-    relations = []
-    while queue:
-        a = queue.pop()
-        for i, g in enumerate(gens):
-            b = group.mul(a, g)
-            v = list(coords_raw[a])
-            v[i] += 1
-            if b in coords_raw:
-                relations.append([x - y for x, y in zip(v, coords_raw[b])])
-            else:
-                coords_raw[b] = v
-                queue.append(b)
-    assert len(coords_raw) == N
-    # HNF of the relation lattice
-    H = [None] * m
-    for row in relations:
-        row = list(row)
-        for c in range(m):
-            if row[c] == 0:
-                continue
-            if H[c] is None:
-                H[c] = row
-                row = None
-                break
-            a0, b0 = H[c][c], row[c]
-            g0, u0, v0 = _extgcd(a0, b0)
-            newpiv = [u0 * x + v0 * y for x, y in zip(H[c], row)]
-            row = [(a0 // g0) * y - (b0 // g0) * x for x, y in zip(H[c], row)]
-            H[c] = newpiv
-        # fully reduced rows vanish
-    assert all(h is not None for h in H), "relation lattice not full rank"
-    K = [list(h) for h in H]
-    # SNF D = U K V; only V^-1 is needed: rows of K are relations, so
-    # column operations are the generator-coordinate changes and the new
-    # cyclic generators are products by rows of V^-1
-    Vinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def row_op(i, j, c):  # row_i += c * row_j
-        K[i] = [x + c * y for x, y in zip(K[i], K[j])]
-
-    def row_swap(i, j):
-        K[i], K[j] = K[j], K[i]
-
-    def col_op(i, j, c):  # col_i += c * col_j ; Vinv: row_j -= c * row_i
-        for t in range(m):
-            K[t][i] += c * K[t][j]
-        Vinv[j] = [x - c * y for x, y in zip(Vinv[j], Vinv[i])]
-
-    def col_swap(i, j):
-        for t in range(m):
-            K[t][i], K[t][j] = K[t][j], K[t][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def neg_row(i):
-        K[i] = [-x for x in K[i]]
-
-    for t in range(m):
-        while True:
-            # find a nonzero pivot in the remaining block
-            piv = None
-            for i in range(t, m):
-                for j in range(t, m):
-                    if K[i][j]:
-                        if piv is None or abs(K[i][j]) < abs(K[piv[0]][piv[1]]):
-                            piv = (i, j)
-            if piv is None:
-                break
-            i0, j0 = piv
-            if i0 != t:
-                row_swap(t, i0)
-            if j0 != t:
-                col_swap(t, j0)
-            if K[t][t] < 0:
-                neg_row(t)
-            done = True
-            for i in range(t + 1, m):
-                if K[i][t] % K[t][t]:
-                    row_op(i, t, -(K[i][t] // K[t][t]))
-                    done = False
-                elif K[i][t]:
-                    row_op(i, t, -(K[i][t] // K[t][t]))
-            for j in range(t + 1, m):
-                if K[t][j] % K[t][t]:
-                    col_op(j, t, -(K[t][j] // K[t][t]))
-                    done = False
-                elif K[t][j]:
-                    col_op(j, t, -(K[t][j] // K[t][t]))
-            if done:
-                # divisibility fix-up: pivot must divide the rest
-                bad = None
-                for i in range(t + 1, m):
-                    for j in range(t + 1, m):
-                        if K[i][j] % K[t][t]:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                row_op(t, bad, 1)
-        assert K[t][t] != 0
-    dvec = [K[t][t] for t in range(m)]
-    assert math.prod(dvec) == N, "relation lattice misses the group order"
-
-    def power(g, expo):
-        out = ident
-        base = g
-        e = expo % N if expo >= 0 else (expo % N + N) % N
-        while e:
-            if e & 1:
-                out = group.mul(out, base)
-            base = group.mul(base, base)
-            e >>= 1
-        return out
-
-    new_gens = []
-    for i in range(m):
-        h = ident
-        for t in range(m):
-            h = group.mul(h, power(gens[t], Vinv[i][t]))
-        new_gens.append(h)
-    keep = [i for i in range(m) if dvec[i] > 1]
-    new_gens = [new_gens[i] for i in keep]
-    orders = [dvec[i] for i in keep]
-    # coordinates by enumeration
-    coords = {}
-    from itertools import product as iproduct
-
-    for tup in iproduct(*[range(d) for d in orders]):
-        g = ident
-        for h, e in zip(new_gens, tup):
-            g = group.mul(g, power(h, e))
-        assert g not in coords, "coordinate map not injective"
-        coords[g] = tup
-    assert len(coords) == N and all(g in coords for g in elems)
-    return new_gens, orders, coords
+def _relation_value(relation, values, M) -> int:
+    """chi(g_i^{d_i}) as an exponent mod M, from its exponent vector over
+    generators with the given values."""
+    return sum(r * v for r, v in zip(relation, values)) % M
 
 
 def abelian_characters(group, elems):
     """All characters of an abelian subgroup as (order M, exponent dict)
-    pairs, deterministically ordered."""
-    from itertools import product as iproduct
-
-    gens, orders, coords = abelian_basis(group, elems)
-    M = math.lcm(*orders)
-    out = []
-    for w in iproduct(*[range(d) for d in orders]):
-        exps = {}
-        for g, tup in coords.items():
-            exps[g] = sum(wi * (M // di) * ti for wi, di, ti in zip(w, orders, tup)) % M
-        out.append((M, exps))
-    return out
+    pairs, M the subgroup's exponent: every choice of a value per
+    generator of the greedy series, deterministically ordered."""
+    elems = list(elems)
+    _, orders, relations, exps, M = _generator_series(group, elems)
+    choices = [[]]
+    for d, rel in zip(orders, relations):
+        choices = [
+            v + [_relation_value(rel, v, M) // d + k * (M // d)] for v in choices for k in range(d)
+        ]
+    return [(M, dict(zip(elems, (exps @ np.array(v, dtype=np.int64) % M).tolist()))) for v in choices]
 
 
 def extend_character(group, sub_elems, sub_order, sub_exps, big_elems):
     """Extend a character of a subgroup (given by exponent dict at the
-    stated root order) over a larger abelian subgroup; first match in
-    canonical order."""
-    for M, exps in abelian_characters(group, big_elems):
-        scale_ok = M % sub_order == 0
-        if not scale_ok:
-            continue
-        t = M // sub_order
-        if all((exps[a] - t * sub_exps[a]) % M == 0 for a in sub_elems):
-            return M, exps
-    raise ValueError("no extension found (subgroup data inconsistent?)")
+    stated root order) over a larger abelian subgroup, at order the lcm
+    of sub_order and the exponent: the greedy series seeded with the
+    subgroup fixes the seed generators' values and takes the least value
+    at each later one.  Raises ValueError when the seed values are not a
+    character of the subgroup."""
+    sub, big = list(sub_elems), list(big_elems)
+    picks, orders, relations, exps, M = _generator_series(group, big, seed=sub)
+    M = math.lcm(M, sub_order)
+    t = M // sub_order
+    values = []
+    for a, d, rel in zip(picks, orders, relations):
+        c = _relation_value(rel, values, M)
+        if a >= len(sub):
+            values.append(c // d)
+        elif (d * t * sub_exps[sub[a]] - c) % M:
+            raise ValueError("seed values are not a character of the subgroup")
+        else:
+            values.append(t * sub_exps[sub[a]] % M)
+    vals = exps @ np.array(values, dtype=np.int64) % M
+    if any((vals[a] - t * sub_exps[s]) % M for a, s in enumerate(sub)):
+        raise ValueError("seed values are not a character of the subgroup")
+    return M, dict(zip(big, vals[len(sub) :].tolist()))

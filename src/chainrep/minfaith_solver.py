@@ -37,8 +37,6 @@ from .group_models import (
     HeisenbergGroup,
     StructureScan,
     UnitriangularGroup,
-    abelian_basis,
-    abelian_characters,
     extend_character,
     general_linear_2,
     multiplier_closure,
@@ -286,45 +284,31 @@ def construct_faithful_heisenberg(
 
 
 def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
-    """Induced character from a maximal abelian subgroup through a
-    center character faithful on the commutator subgroup, plus r-1
-    linear characters through the commutator quotient."""
+    """Induced character from a maximal abelian subgroup A through a
+    character chi1 faithful on the cyclic commutator subgroup B, plus r-1
+    linear characters through G/B dual to a basis of the socle of the
+    image of ker(chi1) on the center Z (ker(chi1) meets B trivially, so it
+    maps into G/B injectively).  The sum's kernel meets the socle
+    Omega_1(Z) inside ker(chi1), where the linear characters are jointly
+    faithful, so not at all; in a p-group every nontrivial normal
+    subgroup meets Omega_1(Z), so the kernel is trivial."""
     scan = structure_scan(G)
     target = formula_two_step(G, scan)
-    Z = scan.center
-    B = scan.commutator
-    A = scan.maximal_abelian
-    r = scan.center_invariant_count
-    # chi1: character of Z injective on B
-    bgens, borders, _ = abelian_basis(G, B)
-    assert len(borders) == 1
-    c = borders[0]
-    bgen = bgens[0]
-    chi1 = None
-    for M, exps in abelian_characters(G, Z):
-        v = exps[bgen]
-        if v and M // math.gcd(v, M) == c:
-            chi1 = (M, exps)
-            break
-    assert chi1 is not None, "no center character is faithful on the commutator"
-    M1, exps1 = chi1
-    MA, expsA = extend_character(G, Z, M1, exps1, A)
+    Z, B, A = scan.center, scan.commutator, scan.maximal_abelian
+    # chi1 on A: b -> zeta_|B| for a generator b of B
+    b = next(g for g in B if G.element_orders[g] == len(B))
+    MA, expsA = extend_character(G, [b], len(B), {b: 1}, A)
     rho = MonomialRep.induce(G, A, LinearChar(MA, expsA), check=False)
     assert rho.degree == G.order // len(A)
     assert rho.degree**2 == G.order // len(Z), (
         "maximal abelian does not sit halfway between center and group"
     )
     reps = [rho]
-    # remaining summands: coordinate characters of ker(chi1) extended
-    # through G/B
-    K1 = sorted(g for g in Z if exps1[g] % M1 == 0)
     Q, coset_of = G.quotient(B)
-    k1_images = sorted({int(coset_of[g]) for g in K1})
-    kgens, korders, kcoords = abelian_basis(Q, k1_images)
-    for t in range(len(kgens)):
-        dt = korders[t]
-        sub_exps = {g: kcoords[g][t] % dt for g in k1_images}
-        MQ, expsQ = extend_character(Q, k1_images, dt, sub_exps, Q.elements)
+    kernel = sorted({int(coset_of[z]) for z in Z if expsA[z] == 0})
+    basis = Q._span(g for g in kernel if Q.element_orders[g] == scan.p)[1]
+    for s in basis:
+        MQ, expsQ = extend_character(Q, basis, scan.p, {t: int(t == s) for t in basis}, Q.elements)
         lin = LinearChar(MQ, {g: expsQ[int(coset_of[g])] for g in G.elements})
         reps.append(MonomialRep.linear(G, lin))
     total = sum(rep.degree for rep in reps)

@@ -48,7 +48,6 @@ from .exactrep import Cyclotomic
 from .group_models import (
     AbstractGroup,
     CapExceededError,
-    abelian_basis,
     group_cap,
 )
 
@@ -387,16 +386,6 @@ class CharacterTable:
 
     # -- exact values and kernels ------------------------------------
 
-    @property
-    def chars(self):
-        if not hasattr(self, "_chars"):
-            E = self.exponent
-            self._chars = [
-                [Cyclotomic(E, self.mu[c, j].tolist()) for j in range(self.r)]
-                for c in range(self.r)
-            ]
-        return self._chars
-
     def value(self, c: int, j: int) -> Cyclotomic:
         return Cyclotomic(self.exponent, self.mu[c, j].tolist())
 
@@ -537,9 +526,7 @@ def catalog_from_table(T: CharacterTable):
     assert len(primes) == 1, "catalog_from_table requires a p-group"
     p = primes[0]
     orders = G.element_orders
-    socle = [g for g in G.center if orders[g] in (1, p)]
-    gens, gorders, _ = abelian_basis(G, socle)
-    assert all(o == p for o in gorders)
+    gens = G._span(g for g in G.center if orders[g] == p)[1]
     E = T.exponent
     step = E // p
     entries = []

@@ -376,8 +376,9 @@ def test_malformed_suite_is_a_parse_error(capsys, tmp_path):
 
 
 def test_suite_instance_keys_are_checked(capsys, tmp_path):
-    # a misspelt, missing or foreign key, or an unknown family, is a
-    # parse error naming the instance, not a route mismatch
+    # a misspelt, missing or foreign key, a value of the wrong type, or
+    # an unknown family, is a parse error naming the instance, not a
+    # route mismatch
     path = tmp_path / "suite.json"
     for instance, reason in (
         ({"family": "semidirect", "multiplers": [3]}, "unknown keys multiplers"),
@@ -386,6 +387,10 @@ def test_suite_instance_keys_are_checked(capsys, tmp_path):
         ({"family": "gl2"}, "missing keys p"),
         ({"family": "dihedral", "p": 2}, "unknown family 'dihedral'"),
         ({"family": ["gl2"], "p": 2}, "unknown family ['gl2']"),
+        ({"family": "semidirect", "modulus": 8, "multipliers": 3}, "multipliers = 3, not a non-empty list of integers"),
+        ({"family": "gl2", "p": "2"}, 'p = "2", not an integer'),
+        ({"family": "gl2", "p": 2, "oracle": "no"}, 'oracle = "no", not true or false'),
+        ({"family": "semidirect", "modulus": 8, "multipliers": [3], "h_order": True}, "h_order = true, not an integer or null"),
     ):
         path.write_text(json.dumps({"instances": [dict(instance, name="x")]}))
         code, out, err = run_cli(capsys, "verify", "--suite", str(path))

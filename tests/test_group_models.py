@@ -1,7 +1,11 @@
-"""Group families, table-backed groups, and abelian decomposition tests."""
+"""Group families, table-backed groups, and abelian character tests."""
+
+from math import gcd, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainrep.group_models import (
     AbstractGroup,
@@ -9,7 +13,6 @@ from chainrep.group_models import (
     CapExceededError,
     HeisenbergGroup,
     UnitriangularGroup,
-    abelian_basis,
     abelian_characters,
     extend_character,
     general_linear_2,
@@ -522,37 +525,14 @@ def test_cap_enforcement(heis, monkeypatch):
         H.to_abstract()
 
 
-# -- abelian decomposition -------------------------------------------
+# -- abelian characters ----------------------------------------------
 
 
-def test_abelian_basis_invariant_factors(make_abelian):
-    for orders, expect in [
-        ((8,), [8]),
-        ((2, 4), [2, 4]),
-        ((4, 2), [2, 4]),
-        ((3, 3, 3), [3, 3, 3]),
-        ((2, 3), [6]),
-        ((6, 4), [2, 12]),
-    ]:
-        G = make_abelian(orders)
-        gens, facs, coords = abelian_basis(G, G.elements)
-        assert facs == expect
-        assert len(coords) == G.order
-        for d1, d2 in zip(facs, facs[1:]):
-            assert d2 % d1 == 0
-
-
-def test_abelian_basis_of_subgroup(group):
+def test_abelian_characters_of_subgroup(group):
     G = group("m16")
-    gens, facs, coords = abelian_basis(G, G.center)
-    assert math_prod(facs) == len(G.center)
-
-
-def math_prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
+    chars = abelian_characters(G, G.center)
+    assert len(chars) == len(G.center) == 4
+    assert len({tuple(exps[g] for g in G.center) for _, exps in chars}) == 4
 
 
 def test_abelian_characters_orthogonality(make_abelian):
@@ -584,6 +564,79 @@ def test_extend_character(make_abelian):
     for a in G.elements:
         for b in G.elements:
             assert (exps[G.mul(a, b)] - exps[a] - exps[b]) % M == 0
+
+
+def _draw_abelian_subgroup(data, make_abelian):
+    """(group, elements): the centre, the greedy maximal abelian subgroup
+    or a cyclic subgroup of a random semidirect product of order at most
+    200, or all of a random direct product of cyclic groups."""
+    kind = data.draw(st.sampled_from(["center", "maximal", "cyclic", "abelian"]), label="kind")
+    if kind == "abelian":
+        orders = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=3).filter(lambda o: prod(o) <= 72))
+        G = make_abelian(orders)
+        return G, G.elements
+    modulus = data.draw(st.integers(2, 50), label="modulus")
+    # each unit with its multiplicative order, when Z/modulus by it fits
+    units = {}
+    for u in (u for u in range(1, modulus) if gcd(u, modulus) == 1):
+        t = next(t for t in range(1, modulus + 1) if pow(u, t, modulus) == 1)
+        if modulus * t <= 200:
+            units[u] = t
+    m = data.draw(st.sampled_from(sorted(units)), label="multiplier")
+    if data.draw(st.booleans(), label="hom"):
+        h = units[m] * data.draw(st.integers(1, 200 // (modulus * units[m])), label="h")
+        G = semidirect_cyclic_hom(modulus, m, h)
+    else:
+        G = semidirect_cyclic(modulus, [m])
+    if kind == "center":
+        return G, G.center
+    if kind == "maximal":
+        return G, structure_scan(G).maximal_abelian
+    return G, G.closure([data.draw(st.integers(0, G.order - 1), label="g")])
+
+
+def _check_multiplicative(G, elems, M, exps):
+    """exps is a character of the subgroup at order M: multiplicative
+    through each of its generators, so on all of it."""
+    where = {g: i for i, g in enumerate(elems)}
+    vals = np.array([exps[g] for g in elems])
+    for g in G._span(elems)[1]:
+        through = vals[[where[G.mul(a, g)] for a in elems]]
+        assert np.array_equal(through, (vals + exps[g]) % M)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_abelian_characters_property(make_abelian, data):
+    G, A = _draw_abelian_subgroup(data, make_abelian)
+    chars = abelian_characters(G, A)
+    assert len(chars) == len(A)
+    assert len({tuple(exps[g] for g in A) for _, exps in chars}) == len(A)
+    for M, exps in chars:
+        _check_multiplicative(G, A, M, exps)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_extend_character_property(make_abelian, data):
+    G, A = _draw_abelian_subgroup(data, make_abelian)
+    seeds = data.draw(st.lists(st.sampled_from(A), min_size=1, max_size=2), label="seeds")
+    S = G.closure(seeds)
+    Ms, sub = data.draw(st.sampled_from(abelian_characters(G, S)), label="chi")
+    M, exps = extend_character(G, S, Ms, sub, A)
+    assert M % Ms == 0
+    assert all((exps[s] - M // Ms * sub[s]) % M == 0 for s in S)
+    _check_multiplicative(G, A, M, exps)
+    # values that are not a character: a nonzero value at the identity,
+    # or one value moved where the subgroup has more than two elements
+    if Ms > 1:
+        bad = dict(sub)
+        ident = G.identity
+        if len(S) > 2:
+            ident = data.draw(st.sampled_from(S), label="moved")
+        bad[ident] = (bad[ident] + 1) % Ms
+        with pytest.raises(ValueError, match="not a character"):
+            extend_character(G, S, Ms, bad, A)
 
 
 def test_cap_checked_before_allocation(monkeypatch):

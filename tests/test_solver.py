@@ -2,10 +2,12 @@
 and the explicit faithful constructions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainrep.chain_ring import INF, RingParameterError
+from chainrep.chain_ring import INF, RingParameterError, make_ring
 from chainrep.char_duality import DualVector
-from chainrep.group_models import Char2UnsupportedError
+from chainrep.group_models import Char2UnsupportedError, HeisenbergGroup, semidirect_cyclic_hom, structure_scan
 from chainrep.minfaith_solver import (
     CommutatorNotCyclicError,
     ConstraintViolationError,
@@ -26,6 +28,7 @@ from chainrep.minfaith_solver import (
     solve_heisenberg,
     solve_pgroup,
 )
+from chainrep.oracle import CharacterTable, min_faithful_exhaustive
 
 HEISENBERG_VALUES = [
     # (p, f, e, n, k) -> m
@@ -226,6 +229,33 @@ def test_construct_two_step_rejects(group):
         construct_faithful_two_step(group("d8_16"))
     with pytest.raises(CommutatorNotCyclicError):
         construct_faithful_two_step(group("hei3_f4"))
+
+
+def _check_two_step(G):
+    sol = construct_faithful_two_step(G)
+    assert sol.verified_faithful is True
+    assert sol.total_dim == formula_two_step(G) == min_faithful_exhaustive(CharacterTable(G))[0]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(2, 8), st.integers(1, 7), st.integers(1, p - 1))
+    ).filter(lambda t: t[0] ** (t[1] + t[2]) <= 486)
+)
+def test_construct_two_step_property(params):
+    # Z/p^a by Z/p^b through 1 + p^(a-1) u: two-step with commutator
+    # subgroup p^(a-1) Z/p^a, cyclic of order p
+    p, a, b, u = params
+    G = semidirect_cyclic_hom(p**a, 1 + p ** (a - 1) * u, p**b)
+    scan = structure_scan(G)
+    assert scan.is_two_step and scan.commutator_cyclic
+    _check_two_step(G)
+
+
+def test_construct_two_step_heisenberg_tables(group, ring):
+    _check_two_step(group("hei3_z9"))
+    _check_two_step(HeisenbergGroup(ring("z8")).to_abstract())
 
 
 def test_construct_affine(ring):
