@@ -19,6 +19,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 
 class SpecParseError(ValueError):
@@ -87,15 +88,21 @@ _SUITE_VALUES = {
 }
 
 
+# The least value of a semidirect parameter, as the group builders require.
+_SUITE_LEAST = {"modulus": 2, "h_order": 1}
+
+
 def _check_suite_values(inst: dict) -> None:
     """Raise ValueError for the first value of a suite instance, other
-    than its name and family, of the wrong type."""
+    than its name and family, of the wrong type or below its least."""
     for key, value in inst.items():
         if key in ("name", "family"):
             continue
         test, want = _SUITE_VALUES.get(key, (_is_int, "an integer"))
         if not test(value):
             raise ValueError(f"{key} = {json.dumps(value)}, not {want}")
+        if key in _SUITE_LEAST and value is not None and value < _SUITE_LEAST[key]:
+            raise ValueError(f"{key} = {value}, not >= {_SUITE_LEAST[key]}")
 
 
 @contextmanager
@@ -245,8 +252,11 @@ def _cmd_irreps(args) -> int:
 
 def _minfaith_values(target, params):
     """(values dict, solution json or None) for the requested mode.  The
-    two-step target is the table family with the two-step routes."""
+    two-step target is the table family with the two-step routes.  In
+    mode all, a route that refuses the group is left out, with its reason
+    on stderr."""
     from . import oracle as orc
+    from .group_models import Char2UnsupportedError
     from .minfaith_solver import TWO_STEP_ROUTES, FaithfulSolution, FamilyInstance
 
     mode = params["mode"]
@@ -267,7 +277,13 @@ def _minfaith_values(target, params):
     solution = None
     for key in ("formula", "construct") if mode == "all" else (mode,):
         if key in routes:
-            out = routes[key](b)
+            try:
+                out = routes[key](b)
+            except Char2UnsupportedError as exc:
+                if mode != "all":
+                    raise
+                print(f"{key} skipped: {exc}", file=sys.stderr)
+                continue
             if isinstance(out, FaithfulSolution):
                 solution = out.to_json()
                 out = out.total_dim
@@ -365,6 +381,7 @@ def load_default_suite() -> dict:
 
 def _cmd_verify(args) -> int:
     from . import oracle as orc
+    from .chain_ring import RingParameterError
     from .minfaith_solver import FAMILIES
 
     if args.suite == "default":
@@ -388,6 +405,10 @@ def _cmd_verify(args) -> int:
                 try:
                     fam.check_keys(inst, orc.SUITE_KEYS)
                     _check_suite_values(inst)
+                    if fam.ring is not None:  # builds the ring, and no group
+                        fam.ring(SimpleNamespace(**{**fam.defaults, **inst}))
+                except RingParameterError as exc:
+                    raise ValueError(f"instance {inst['name']!r} has no chain ring: {exc}") from None
                 except ValueError as exc:
                     raise ValueError(f"instance {inst['name']!r} has {exc}") from None
     report = orc.cross_validate(suite)

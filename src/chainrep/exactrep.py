@@ -6,12 +6,15 @@ Character values live in Z[zeta_m], held as integer coefficient vectors
 reduced modulo the m-th cyclotomic polynomial, so equality of values is
 equality of tuples at a common order.  Representations built here are
 monomial (permutation matrices with root-of-unity scalars), which is
-all the induction machinery ever produces from a linear character.  A
-representation is stored as two (|G|, degree) integer arrays, sigma and
-exps, with rows in ``group.elements`` order; induction fills them from
-index-array products of the group (``group.product``), and the kernel is
-the set of rows equal to (arange(degree), 0), an integer test that for
-these exact matrices is chi(g) = chi(1).
+all the induction machinery ever produces from a linear character.
+Group elements are named by their rows in ``group.elements`` order
+only: a linear character is two aligned int64 arrays, the rows of its
+subgroup and its root-of-unity exponents there, and a representation is
+two (|G|, degree) integer arrays, sigma and exps, indexed by row.
+Induction fills them from index-array products of the group
+(``group.product``), and the kernel is the rows equal to
+(arange(degree), 0), an integer test that for these exact matrices is
+chi(g) = chi(1).
 """
 
 from __future__ import annotations
@@ -216,17 +219,13 @@ def cyc_sum(values, order: int = 1) -> Cyclotomic:
 
 class LinearChar:
     """A one-dimensional character of a subgroup, tabulated as root-of-
-    unity exponents: chi(a) = zeta_order^exps[a]."""
+    unity exponents on the subgroup's group rows: chi(rows[i]) =
+    zeta_order^exps[i], rows and exps aligned int64 arrays."""
 
-    def __init__(self, order: int, exps: dict):
+    def __init__(self, order: int, rows, exps):
         self.order = order
-        self.exps = {a: e % order for a, e in exps.items()}
-
-    def __call__(self, a) -> Cyclotomic:
-        return Cyclotomic.root(self.order, self.exps[a])
-
-    def value_exp(self, a) -> int:
-        return self.exps[a]
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.exps = np.asarray(exps, dtype=np.int64) % order
 
 
 def _pairs(count: int, seed: int, exhaustive_cap: int):
@@ -283,14 +282,12 @@ class MonomialRep:
         self.exps = exps
 
     @staticmethod
-    def induce(group, sub_elems, chi: LinearChar, check=True) -> "MonomialRep":
-        """Induction of the linear character chi from the subgroup with
-        element list sub_elems to the whole group.  The coset
-        representatives are the least row of each left coset; for each
-        row w, w = reps[coset_of[w]] * sub[a_of[w]]."""
-        m = chi.order
-        sub = group.index_of(sub_elems)
-        vals = np.array([chi.value_exp(a) for a in sub_elems], dtype=np.int64) % m
+    def induce(group, chi: LinearChar, check=True) -> "MonomialRep":
+        """Induction of the linear character chi from its subgroup (the
+        rows chi.rows) to the whole group.  The coset representatives are
+        the least row of each left coset; for each row w, w =
+        reps[coset_of[w]] * sub[a_of[w]]."""
+        m, sub, vals = chi.order, chi.rows, chi.exps
         if check:
             _check_subgroup(group, sub)
             _check_character(group, sub, vals, m)
@@ -311,12 +308,14 @@ class MonomialRep:
 
     @staticmethod
     def linear(group, chi: LinearChar) -> "MonomialRep":
-        """A one-dimensional character of the full group as a degree-1 rep."""
-        exps = np.array([[chi.value_exp(g)] for g in group.elements], dtype=np.int64)
+        """A one-dimensional character of the full group (chi.rows every
+        row) as a degree-1 rep."""
+        exps = np.zeros((group.order, 1), dtype=np.int64)
+        exps[chi.rows, 0] = chi.exps
         return MonomialRep(group, 1, chi.order, np.zeros_like(exps), exps)
 
-    def character(self, g) -> Cyclotomic:
-        row = self.group.index_of([g])[0]
+    def character(self, row) -> Cyclotomic:
+        """The trace at the element with this row."""
         _, _, zpow = _ctx(self.scalar_order)
         acc = [0] * len(zpow[0])
         for t in np.flatnonzero(self.sigma[row] == np.arange(self.degree)):
@@ -352,30 +351,14 @@ class MonomialRep:
         }
 
 
-def induced_character_formula(group, sub_elems, chi: LinearChar, g) -> Cyclotomic:
-    """Independent evaluation of the induced character at g: sum of
-    chi(r^-1 g r) over coset representatives r with r^-1 g r in the
-    subgroup."""
-    sub = set(sub_elems)
-    coset_of = {}
-    reps = []
-    for h in group.elements:
-        if h in coset_of:
-            continue
-        reps.append(h)
-        for a in sub_elems:
-            coset_of[group.mul(h, a)] = len(reps) - 1
-    acc = Cyclotomic.integer(0, chi.order)
-    for r in reps:
-        w = group.mul(group.inv(r), group.mul(g, r))
-        if w in sub:
-            acc = acc + chi(w)
-    return acc
-
-
-def kernel_of(rep: MonomialRep) -> list:
-    """Elements whose matrix is the identity, in ``elements`` order."""
-    return DirectSumRep([rep]).kernel()
+def induced_character_formula(group, chi: LinearChar, g) -> Cyclotomic:
+    """Independent evaluation of the induced character at row g: sum of
+    chi(r^-1 g r) over coset representatives r (the least row of each
+    left coset) with r^-1 g r in the subgroup."""
+    value = dict(zip(chi.rows.tolist(), chi.exps.tolist()))
+    reps = np.unique(group.product(np.arange(group.order)[:, None], chi.rows[None, :]).min(axis=1))
+    conj = group.product(index_inverse(group, reps), group.product(g, reps)).tolist()
+    return cyc_sum([Cyclotomic.root(chi.order, value[w]) for w in conj if w in value], chi.order)
 
 
 class DirectSumRep:
@@ -387,13 +370,12 @@ class DirectSumRep:
         self.group = summands[0].group
         self.degree = sum(s.degree for s in summands)
 
-    def character(self, g) -> Cyclotomic:
-        return cyc_sum([s.character(g) for s in self.summands])
+    def character(self, row) -> Cyclotomic:
+        return cyc_sum([s.character(row) for s in self.summands])
 
-    def kernel(self) -> list:
-        els = self.group.elements
-        rows = np.logical_and.reduce([s.identity_rows for s in self.summands])
-        return [els[g] for g in np.flatnonzero(rows)]
+    def kernel(self) -> np.ndarray:
+        """Rows, ascending, whose matrix is the identity."""
+        return np.flatnonzero(np.logical_and.reduce([s.identity_rows for s in self.summands]))
 
     def is_faithful(self) -> bool:
-        return self.kernel() == [self.group.identity]
+        return self.kernel().tolist() == self.group.index_of([self.group.identity]).tolist()

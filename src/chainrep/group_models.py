@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .chain_ring import RingElem, RingSpec, _factorize
+from .chain_ring import RingSpec, _factorize
 
 
 class CapExceededError(ValueError):
@@ -52,23 +52,6 @@ def _check_cap(order: int, cap: int | None = None):
     cap = cap or group_cap()
     if order > cap:
         raise CapExceededError(f"|G| = {order} exceeds cap {cap}")
-
-
-@dataclass(frozen=True)
-class SubgroupHandle:
-    label: str
-    elements: tuple = field(repr=False)
-
-    def __contains__(self, g):
-        return g in self._set
-
-    @cached_property
-    def _set(self):
-        return frozenset(self.elements)
-
-    @property
-    def order(self):
-        return len(self.elements)
 
 
 # -- the ring families ------------------------------------------------
@@ -137,6 +120,13 @@ class _RingFamily:
         """Row indices of a list of elements."""
         return self._encode(np.asarray(elems, dtype=np.int64).T)
 
+    def _rows(self, free) -> np.ndarray:
+        """Rows, ascending, of the elements whose coordinate t runs over
+        the ring indices free[t] and whose other coordinates are the
+        identity's."""
+        axes = [np.asarray(free.get(t, [c]), dtype=np.int64) for t, c in enumerate(self.identity)]
+        return np.sort(self._encode([a.ravel() for a in np.meshgrid(*axes, indexing="ij")]))
+
     def product(self, I, J) -> np.ndarray:
         """Row indices of the products of the elements with row indices
         I and J (numpy broadcasting)."""
@@ -185,43 +175,24 @@ class HeisenbergGroup(_RingFamily):
         return xi + yi + (z.index,)
 
     @cached_property
-    def center(self) -> SubgroupHandle:
-        zer = (0,) * (2 * self.k)
-        return SubgroupHandle(
-            "center", tuple(zer + (z,) for z in range(self.ring.size))
-        )
+    def center(self) -> np.ndarray:
+        """Z = {(0, 0, z)}."""
+        return self._rows({2 * self.k: range(self.ring.size)})
 
     @cached_property
-    def abelian_polarization(self) -> SubgroupHandle:
+    def abelian_polarization(self) -> np.ndarray:
         """A = {(x, 0, z)}: the fixed maximal abelian subgroup."""
-        from itertools import product
-
-        S = self.ring.size
-        k = self.k
-        els = [
-            x + (0,) * k + (z,)
-            for x in product(range(S), repeat=k)
-            for z in range(S)
-        ]
-        return SubgroupHandle("A", tuple(els))
+        k, S = self.k, range(self.ring.size)
+        return self._rows({t: S for t in (*range(k), 2 * k)})
 
     @cached_property
-    def complement(self) -> SubgroupHandle:
+    def complement(self) -> np.ndarray:
         """L = {(0, y, 0)}."""
-        from itertools import product
+        return self.stabilizer_subgroup(range(self.ring.size))
 
-        S = self.ring.size
-        k = self.k
-        els = [(0,) * k + y + (0,) for y in product(range(S), repeat=k)]
-        return SubgroupHandle("L", tuple(els))
-
-    def stabilizer_subgroup(self, ann_indices) -> SubgroupHandle:
+    def stabilizer_subgroup(self, ann_indices) -> np.ndarray:
         """L_s = {(0, y, 0) : every y_t in the given ideal}."""
-        from itertools import product
-
-        k = self.k
-        els = [(0,) * k + y + (0,) for y in product(sorted(ann_indices), repeat=k)]
-        return SubgroupHandle("L_s", tuple(els))
+        return self._rows({self.k + t: ann_indices for t in range(self.k)})
 
 
 # -- unitriangular groups --------------------------------------------
@@ -259,16 +230,15 @@ class UnitriangularGroup(_RingFamily):
 
     to_abstract = _family_table
 
+    def _block_rows(self, entries) -> np.ndarray:
+        """Rows of the matrices supported on the given (i, j) entries."""
+        S = range(self.ring.size)
+        return self._rows({self.pos_index[pos]: S for pos in entries})
+
     @cached_property
-    def center(self) -> SubgroupHandle:
+    def center(self) -> np.ndarray:
         """Matrices supported on the top-right corner entry."""
-        corner = self.pos_index[(0, self.size - 1)]
-        els = []
-        for z in range(self.ring.size):
-            v = [0] * self.nentries
-            v[corner] = z
-            els.append(tuple(v))
-        return SubgroupHandle("center", tuple(els))
+        return self._block_rows([(0, self.size - 1)])
 
     def embed_heisenberg(self, g) -> tuple:
         """Image of a Hei_{2k+1} element (k = size-2): x fills the first
@@ -282,27 +252,14 @@ class UnitriangularGroup(_RingFamily):
         return tuple(out)
 
     @cached_property
-    def heisenberg_subgroup(self) -> SubgroupHandle:
-        H = HeisenbergGroup(self.ring, self.size - 2)
-        return SubgroupHandle(
-            "heisenberg", tuple(self.embed_heisenberg(g) for g in H.elements)
-        )
+    def heisenberg_subgroup(self) -> np.ndarray:
+        """The image of ``embed_heisenberg``: the first row and last column."""
+        return self._block_rows([(i, j) for i, j in self.positions if i == 0 or j == self.size - 1])
 
     @cached_property
-    def middle_subgroup(self) -> SubgroupHandle:
+    def middle_subgroup(self) -> np.ndarray:
         """Unitriangular matrices of the inner (size-2) block."""
-        from itertools import product
-
-        inner = [
-            (i, j) for i in range(1, self.size - 1) for j in range(i + 1, self.size - 1)
-        ]
-        els = []
-        for vals in product(range(self.ring.size), repeat=len(inner)):
-            v = [0] * self.nentries
-            for pos, c in zip(inner, vals):
-                v[self.pos_index[pos]] = c
-            els.append(tuple(v))
-        return SubgroupHandle("middle", tuple(els))
+        return self._block_rows([(i, j) for i, j in self.positions if i > 0 and j < self.size - 1])
 
 
 # -- affine groups ----------------------------------------------------
@@ -340,11 +297,9 @@ class AffineGroup(_RingFamily):
     to_abstract = _family_table
 
     @cached_property
-    def translations(self) -> SubgroupHandle:
-        one = self.ring.one.index
-        return SubgroupHandle(
-            "translations", tuple((a, one) for a in range(self.ring.size))
-        )
+    def translations(self) -> np.ndarray:
+        """{(a, 1)}: the normal subgroup R."""
+        return self._rows({0: range(self.ring.size)})
 
 
 # -- abstract table groups -------------------------------------------
@@ -535,15 +490,18 @@ class AbstractGroup:
 
 def multiplier_closure(modulus: int, multipliers) -> list[int]:
     """The subgroup of (Z/modulus)^* generated by the multipliers, sorted;
-    raises ValueError for a multiplier that is not a unit."""
-    frontier = {m % modulus for m in multipliers}
-    for m in sorted(frontier):
+    raises ValueError for a modulus below 2 or a multiplier that is not a
+    unit."""
+    if modulus < 2:
+        raise ValueError("modulus must be >= 2")
+    gens = sorted({m % modulus for m in multipliers})
+    for m in gens:
         if math.gcd(m, modulus) != 1:
             raise ValueError(f"multiplier {m} is not a unit mod {modulus}")
-    mults = {1}
-    while frontier - mults:
+    mults, frontier = {1}, {1}
+    while frontier:
+        frontier = {a * m % modulus for a in frontier for m in gens} - mults
         mults |= frontier
-        frontier = {(a * b) % modulus for a in mults for b in mults}
     return sorted(mults)
 
 
@@ -569,9 +527,10 @@ def semidirect_cyclic_hom(modulus: int, multiplier: int, h_order: int) -> Abstra
     """Z/modulus acted on by Z/h_order through c -> multiplier*c; the
     action may factor through a proper quotient of Z/h_order.  Row
     c*h_order + t holds (c, t)."""
+    if h_order < 1:
+        raise ValueError("h_order must be >= 1")
+    multiplier_closure(modulus, [multiplier])  # modulus >= 2 and a unit multiplier
     m = multiplier % modulus
-    if math.gcd(m, modulus) != 1:
-        raise ValueError(f"multiplier {m} is not a unit mod {modulus}")
     if pow(m, h_order, modulus) != 1:
         raise ValueError("multiplier order does not divide h_order")
     _check_cap(modulus * h_order)
@@ -704,16 +663,16 @@ def structure_scan(G: AbstractGroup, cap: int | None = None) -> StructureScan:
 # -- characters of abelian subgroups ---------------------------------
 
 
-def _generator_series(group, elems, seed=()):
-    """Greedy generator series of the abelian subgroup A generated by
-    seed and elems: (picks, orders, relations, exps, M).  Candidates are
-    seed then elems, and each that is not yet generated becomes the next
-    generator g_i; picks holds its position among the candidates, orders
-    its relative order d_i (the least d with g_i^d in <g_1..g_{i-1}>)
-    and relations the exponent vector of g_i^{d_i} over the earlier
-    generators.  Row a of exps is the exponent vector of candidate a
-    (0 <= e_i < d_i), and M is the exponent of A."""
-    cand = group.index_of(list(seed) + list(elems))
+def _generator_series(group, rows, seed=()):
+    """Greedy generator series of the abelian subgroup A generated by the
+    rows seed and rows: (picks, orders, relations, exps, M).  Candidates
+    are seed then rows, and each that is not yet generated becomes the
+    next generator g_i; picks holds its position among the candidates,
+    orders its relative order d_i (the least d with g_i^d in
+    <g_1..g_{i-1}>) and relations the exponent vector of g_i^{d_i} over
+    the earlier generators.  Row a of exps is the exponent vector of
+    candidate a (0 <= e_i < d_i), and M is the exponent of A."""
+    cand = np.concatenate([np.asarray(seed, dtype=np.int64), np.asarray(rows, dtype=np.int64)])
     ident = int(group.index_of([group.identity])[0])
     where = np.full(group.order, -1, dtype=np.int64)  # position in members
     where[ident] = 0
@@ -745,41 +704,41 @@ def _relation_value(relation, values, M) -> int:
     return sum(r * v for r, v in zip(relation, values)) % M
 
 
-def abelian_characters(group, elems):
-    """All characters of an abelian subgroup as (order M, exponent dict)
-    pairs, M the subgroup's exponent: every choice of a value per
-    generator of the greedy series, deterministically ordered."""
-    elems = list(elems)
-    _, orders, relations, exps, M = _generator_series(group, elems)
+def abelian_characters(group, rows):
+    """All characters of the abelian subgroup with these rows as (order
+    M, exponent array aligned with rows) pairs, M the subgroup's
+    exponent: every choice of a value per generator of the greedy
+    series, deterministically ordered."""
+    _, orders, relations, exps, M = _generator_series(group, rows)
     choices = [[]]
     for d, rel in zip(orders, relations):
         choices = [
             v + [_relation_value(rel, v, M) // d + k * (M // d)] for v in choices for k in range(d)
         ]
-    return [(M, dict(zip(elems, (exps @ np.array(v, dtype=np.int64) % M).tolist()))) for v in choices]
+    return [(M, exps @ np.array(v, dtype=np.int64) % M) for v in choices]
 
 
-def extend_character(group, sub_elems, sub_order, sub_exps, big_elems):
-    """Extend a character of a subgroup (given by exponent dict at the
-    stated root order) over a larger abelian subgroup, at order the lcm
-    of sub_order and the exponent: the greedy series seeded with the
-    subgroup fixes the seed generators' values and takes the least value
-    at each later one.  Raises ValueError when the seed values are not a
-    character of the subgroup."""
-    sub, big = list(sub_elems), list(big_elems)
+def extend_character(group, sub, sub_order, sub_exps, big):
+    """Extend a character of a subgroup (rows sub, exponents sub_exps
+    aligned with them at the stated root order) over a larger abelian
+    subgroup with rows big, at order M the lcm of sub_order and the
+    exponent: (M, exponent array aligned with big).  The greedy series
+    seeded with the subgroup fixes the seed generators' values and takes
+    the least value at each later one.  Raises ValueError when the seed
+    values are not a character of the subgroup."""
     picks, orders, relations, exps, M = _generator_series(group, big, seed=sub)
     M = math.lcm(M, sub_order)
-    t = M // sub_order
+    seed = M // sub_order * np.asarray(sub_exps, dtype=np.int64) % M
     values = []
     for a, d, rel in zip(picks, orders, relations):
         c = _relation_value(rel, values, M)
-        if a >= len(sub):
+        if a >= len(seed):
             values.append(c // d)
-        elif (d * t * sub_exps[sub[a]] - c) % M:
+        elif (d * seed[a] - c) % M:
             raise ValueError("seed values are not a character of the subgroup")
         else:
-            values.append(t * sub_exps[sub[a]] % M)
+            values.append(int(seed[a]))
     vals = exps @ np.array(values, dtype=np.int64) % M
-    if any((vals[a] - t * sub_exps[s]) % M for a, s in enumerate(sub)):
+    if ((vals[: len(seed)] - seed) % M).any():
         raise ValueError("seed values are not a character of the subgroup")
-    return M, dict(zip(big, vals[len(sub) :].tolist()))
+    return M, vals[len(seed) :]

@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .chain_ring import RingElem, RingSpec
+import numpy as np
+
+from .chain_ring import RingSpec
 from .char_duality import AddChar, base_character_data, psi_b
 from .exactrep import LinearChar, MonomialRep
-from .group_models import Char2UnsupportedError, HeisenbergGroup, SubgroupHandle
+from .group_models import Char2UnsupportedError, HeisenbergGroup
 
 EXPLICIT_CAP = 100_000
 
@@ -50,35 +52,26 @@ def ideal_of(R: RingSpec, b_idx: int) -> list[int]:
     return sorted(set(int(v) for v in R.mul_table[b_idx]))
 
 
-def _coset_min_reps(R: RingSpec, ideal: list[int]) -> list[int]:
-    """rep[v] = least index in the coset v + ideal."""
-    add = R.add_table
-    rep = [None] * R.size
-    for v in range(R.size):
-        rep[v] = min(int(add[v, i]) for i in ideal)
-    return rep
+def _coset_reps(R: RingSpec, ideal: list[int], k: int) -> list[tuple]:
+    """The lex-least representatives of the cosets of ideal^k in R^k,
+    ascending."""
+    least = sorted({int(R.add_table[v, ideal].min()) for v in range(R.size)})
+    return list(product(least, repeat=k))
 
 
 def orbit_representatives(H: HeisenbergGroup, b_idx: int) -> list[tuple]:
     """Lex-least representatives of the orbits of L on characters with
     central parameter b: cosets of (bR)^k."""
-    R = H.ring
-    rep = _coset_min_reps(R, ideal_of(R, b_idx))
-    reps = sorted({tuple(rep[v] for v in w) for w in product(range(R.size), repeat=H.k)})
-    return reps
+    return _coset_reps(H.ring, ideal_of(H.ring, b_idx), H.k)
 
 
 def orbit_of(H: HeisenbergGroup, b_vec: tuple, b_idx: int) -> list[tuple]:
-    R = H.ring
-    ideal = ideal_of(R, b_idx)
-    add = R.add_table
-    out = set()
-    for shift in product(ideal, repeat=H.k):
-        out.add(tuple(int(add[v, s]) for v, s in zip(b_vec, shift)))
-    return sorted(out)
+    add = H.ring.add_table
+    shifts = product(ideal_of(H.ring, b_idx), repeat=H.k)
+    return sorted({tuple(int(add[v, s]) for v, s in zip(b_vec, shift)) for shift in shifts})
 
 
-def stabilizer_subgroup(H: HeisenbergGroup, b_idx: int) -> SubgroupHandle:
+def stabilizer_subgroup(H: HeisenbergGroup, b_idx: int) -> np.ndarray:
     return H.stabilizer_subgroup(annihilator_indices(H.ring, b_idx))
 
 
@@ -99,8 +92,7 @@ def irrep_catalog(H: HeisenbergGroup) -> list[IrrepDescriptor]:
         # dim = [L : stabilizer] = orbit size = |bR|^k
         dim = len(ideal_of(R, b_idx)) ** H.k
         # lambda labels: coset reps of pi^level R ... duality for Ann(b)
-        lam_rep = _coset_min_reps(R, ideal_of(R, _power_uniformizer(R, level)))
-        lam_labels = sorted({tuple(lam_rep[v] for v in w) for w in product(range(R.size), repeat=H.k)})
+        lam_labels = _coset_reps(R, ideal_of(R, _power_uniformizer(R, level)), H.k)
         for w in orbit_representatives(H, b_idx):
             for lab in lam_labels:
                 out.append(
@@ -232,27 +224,20 @@ def schrodinger_dim(M: SymplecticModule, chi: AddChar) -> int:
 # -- explicit induced models -----------------------------------------
 
 
-def extended_character(H: HeisenbergGroup, b_vec: tuple, b_idx: int, lam_label: tuple):
-    """The linear character psi_{b_vec, b} x lambda on H_s = A . L_s,
-    tabulated; returns (subgroup elements, LinearChar)."""
-    R = H.ring
-    k = H.k
+def extended_character(H: HeisenbergGroup, b_vec: tuple, b_idx: int, lam_label: tuple) -> LinearChar:
+    """The linear character psi_{b_vec, b} x lambda on H_s = A . L_s:
+    (x, y, z) -> psi(b z + b_vec.x + lam_label.y) for y in Ann(b)^k."""
+    R, k = H.ring, H.k
     mod, base = base_character_data(R)
-    mul, add = R.mul_table, R.add_table
+    S = range(R.size)
     ann = annihilator_indices(R, b_idx)
-    exps = {}
-    els = []
-    for x in product(range(R.size), repeat=k):
-        for y in product(ann, repeat=k):
-            for z in range(R.size):
-                g = x + y + (z,)
-                acc = base[mul[b_idx, z]]
-                for t in range(k):
-                    acc += base[mul[b_vec[t], x[t]]]
-                    acc += base[mul[lam_label[t], y[t]]]
-                els.append(g)
-                exps[g] = acc % mod
-    return els, LinearChar(mod, exps)
+    rows = H._rows({t: S if t < k or t == 2 * k else ann for t in range(2 * k + 1)})
+    c = H._decode(rows)
+    add, mul = H._add, H._mul
+    acc = mul[b_idx, c[2 * k]]
+    for t in range(k):
+        acc = add[add[acc, mul[b_vec[t], c[t]]], mul[lam_label[t], c[k + t]]]
+    return LinearChar(mod, rows, np.asarray(base)[acc])
 
 
 def mackey_induced_rep(
@@ -262,5 +247,4 @@ def mackey_induced_rep(
     of psi_{b_vec, b} and the stabilizer character lambda."""
     if lam_label is None:
         lam_label = (0,) * H.k
-    els, chi = extended_character(H, b_vec, b_idx, lam_label)
-    return MonomialRep.induce(H, els, chi, check=check)
+    return MonomialRep.induce(H, extended_character(H, b_vec, b_idx, lam_label), check=check)

@@ -20,10 +20,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
+import numpy as np
+
 from .chain_ring import INF, RingSpec, _factorize, make_ring
 from .char_duality import (
     DualVector,
     NotSpanningError,
+    base_character_data,
     basis_greedy,
     psi_b,
     restrict_to_omega1,
@@ -297,20 +300,19 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     Z, B, A = scan.center, scan.commutator, scan.maximal_abelian
     # chi1 on A: b -> zeta_|B| for a generator b of B
     b = next(g for g in B if G.element_orders[g] == len(B))
-    MA, expsA = extend_character(G, [b], len(B), {b: 1}, A)
-    rho = MonomialRep.induce(G, A, LinearChar(MA, expsA), check=False)
+    MA, expsA = extend_character(G, [b], len(B), [1], A)
+    rho = MonomialRep.induce(G, LinearChar(MA, A, expsA), check=False)
     assert rho.degree == G.order // len(A)
     assert rho.degree**2 == G.order // len(Z), (
         "maximal abelian does not sit halfway between center and group"
     )
     reps = [rho]
     Q, coset_of = G.quotient(B)
-    kernel = sorted({int(coset_of[z]) for z in Z if expsA[z] == 0})
+    kernel = np.unique(coset_of[Z][expsA[np.searchsorted(A, Z)] == 0])  # Z inside A, both ascending
     basis = Q._span(g for g in kernel if Q.element_orders[g] == scan.p)[1]
-    for s in basis:
-        MQ, expsQ = extend_character(Q, basis, scan.p, {t: int(t == s) for t in basis}, Q.elements)
-        lin = LinearChar(MQ, {g: expsQ[int(coset_of[g])] for g in G.elements})
-        reps.append(MonomialRep.linear(G, lin))
+    for unit in np.eye(len(basis), dtype=np.int64):
+        MQ, expsQ = extend_character(Q, basis, scan.p, unit, range(Q.order))
+        reps.append(MonomialRep.linear(G, LinearChar(MQ, range(G.order), expsQ[coset_of])))
     total = sum(rep.degree for rep in reps)
     assert total == target, f"construction reached {total}, closed form {target}"
     verified = DirectSumRep(reps).is_faithful()
@@ -327,8 +329,6 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
 def construct_faithful_affine(R: RingSpec, matrices: bool | None = None) -> FaithfulSolution:
     """Induce the fixed primitive character of the translation subgroup
     up to Aff(R): a faithful model of dimension q^n - q^(n-1)."""
-    from .char_duality import base_character_data
-
     Aff = AffineGroup(R)
     target = formula_affine(R.p, R.f, R.n)
     if matrices is None:
@@ -338,9 +338,9 @@ def construct_faithful_affine(R: RingSpec, matrices: bool | None = None) -> Fait
     verified = None
     if matrices:
         mod, base = base_character_data(R)
-        trans = list(Aff.translations.elements)
-        chi = LinearChar(mod, {g: base[g[0]] for g in trans})
-        rho = MonomialRep.induce(Aff, trans, chi, check=False)
+        trans = Aff.translations
+        chi = LinearChar(mod, trans, np.asarray(base)[Aff._decode(trans)[0]])
+        rho = MonomialRep.induce(Aff, chi, check=False)
         assert rho.degree == target
         reps = [rho]
         verified = DirectSumRep(reps).is_faithful()

@@ -48,6 +48,7 @@ from .exactrep import Cyclotomic
 from .group_models import (
     AbstractGroup,
     CapExceededError,
+    Char2UnsupportedError,
     group_cap,
 )
 
@@ -561,7 +562,8 @@ def cross_validate(suite: dict, cap: int | None = None) -> dict:
     group and run the oracle search unless ``oracle`` is false.  Given
     the group, ``two_step`` adds the two-step closed form and
     construction, and ``pgroup_catalog`` the greedy solver on the
-    oracle's catalog."""
+    oracle's catalog.  A family route that refuses the instance
+    (Char2UnsupportedError) is left out, with a "skipped" note."""
     from . import minfaith_solver as solver
 
     def value(out, notes):
@@ -581,7 +583,10 @@ def cross_validate(suite: dict, cap: int | None = None) -> dict:
             b = solver.FamilyInstance(family, inst, cap)
             fam = b.family
             for key, route in fam.routes.items():
-                values[key] = value(route(b), notes)
+                try:
+                    values[key] = value(route(b), notes)
+                except Char2UnsupportedError as exc:  # a route that refuses
+                    notes.append(f"{key} skipped: {exc}")
             if fam.bound is not None:
                 values["orbit_bound"], eq = fam.bound(b)
                 notes.append("action faithful" if eq else "action through a quotient")

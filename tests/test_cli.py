@@ -358,6 +358,38 @@ def test_verify_csv(capsys, tmp_path):
     assert rows[1][0] == "hei3-f2" and rows[1][1] == "True"
 
 
+def test_refused_route_is_skipped(capsys, tmp_path, schema):
+    # the unitriangular closed form refuses residue characteristic 2: the
+    # route is left out with its reason and the oracle decides the value
+    refusal = "unitriangular reduction is not available in residue characteristic 2"
+    cases = {
+        "u4-f2": ({"p": 2, "size": 4}, 4),
+        "u5-f2": ({"p": 2, "size": 5}, 8),
+        "u3-z4": ({"p": 2, "e": 1, "n": 2, "size": 3}, 4),
+    }
+    instances = [
+        dict(params, name=name, family="unitriangular", oracle=True, expected=m)
+        for name, (params, m) in cases.items()
+    ]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"name": "char2", "instances": instances}))
+    code, out, _ = run_cli(capsys, "verify", "--suite", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    check_schema(schema, payload)
+    results = payload["result"]["results"]
+    assert [rr["name"] for rr in results] == list(cases)
+    for rr, (_, m) in zip(results, cases.values()):
+        assert rr["match"] is True and rr["values"]["oracle"] == m, rr
+        assert "formula" not in rr["values"] and "error" not in rr, rr
+        assert rr["notes"] == [f"formula skipped: {refusal}"], rr
+    argv = ["minfaith", "unitriangular", "--p", "2", "--size", "4", "--mode"]
+    code, out, err = run_cli(capsys, *argv, "all")
+    assert (code, out, err) == (0, "4\noracle: 4\n", f"formula skipped: {refusal}\n")
+    code, out, err = run_cli(capsys, *argv, "formula")
+    assert code == 1 and out == "" and err == f"error: Char2UnsupportedError: {refusal}\n"
+
+
 def test_malformed_suite_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "suite.json"
     for text in (
@@ -391,6 +423,12 @@ def test_suite_instance_keys_are_checked(capsys, tmp_path):
         ({"family": "gl2", "p": "2"}, 'p = "2", not an integer'),
         ({"family": "gl2", "p": 2, "oracle": "no"}, 'oracle = "no", not true or false'),
         ({"family": "semidirect", "modulus": 8, "multipliers": [3], "h_order": True}, "h_order = true, not an integer or null"),
+        # well-typed parameters that build no group, caught at load time
+        ({"family": "heisenberg", "p": 4}, "no chain ring: p = 4 is not prime"),
+        ({"family": "gl2", "p": 4}, "no chain ring: p = 4 is not prime"),
+        ({"family": "affine", "p": 2, "n": 0}, "no chain ring: length n = 0 invalid"),
+        ({"family": "semidirect", "modulus": 0, "multipliers": [1]}, "modulus = 0, not >= 2"),
+        ({"family": "semidirect", "modulus": 8, "multipliers": [3], "h_order": 0}, "h_order = 0, not >= 1"),
     ):
         path.write_text(json.dumps({"instances": [dict(instance, name="x")]}))
         code, out, err = run_cli(capsys, "verify", "--suite", str(path))
@@ -428,6 +466,18 @@ def test_exit_code_parse_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("parse error: cannot build group from"), argv
+    # semidirect parameters are range-checked before anything is built
+    for params, reason in (
+        ("modulus=0,multipliers=1", "modulus must be >= 2"),
+        ("modulus=1,multipliers=1", "modulus must be >= 2"),
+        ("modulus=-3,multipliers=1", "modulus must be >= 2"),
+        ("modulus=8,multipliers=3,h_order=0", "h_order must be >= 1"),
+        ("modulus=8,multipliers=3,h_order=-2", "h_order must be >= 1"),
+    ):
+        spec = f"semidirect:{params}"
+        code, out, err = run_cli(capsys, "oracle", "minfaith", "--group", spec)
+        assert code == 2 and out == "", spec
+        assert err == f"parse error: cannot build group from {spec!r}: {reason}\n"
 
 
 def test_bad_ring_is_a_parse_error(capsys):

@@ -16,7 +16,6 @@ from chainrep.exactrep import (
     cyc_sum,
     cyclotomic_polynomial,
     induced_character_formula,
-    kernel_of,
 )
 from chainrep.group_models import abelian_characters, semidirect_cyclic
 
@@ -132,18 +131,17 @@ def _rotation_subgroup(G):
 
 
 def _faithful_rotation_char(G, sub):
-    exps = {g: G.names[g][0] for g in sub}
-    return LinearChar(4, exps)
+    return LinearChar(4, sub, [G.names[g][0] for g in sub])
 
 
 def test_induce_dihedral(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
     chi = _faithful_rotation_char(G, sub)
-    rho = MonomialRep.induce(G, sub, chi)
+    rho = MonomialRep.induce(G, chi)
     assert rho.degree == 2
     assert rho.check_homomorphism()
-    assert kernel_of(rho) == [G.identity]
+    assert DirectSumRep([rho]).kernel().tolist() == [G.identity]
     # character: 2 at identity, -2 at the central rotation, 0 elsewhere
     two, zero = Cyclotomic.integer(2), Cyclotomic.integer(0)
     vals = [rho.character(g) for g in G.elements]
@@ -156,18 +154,18 @@ def test_induced_character_formula_matches_matrices(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
     chi = _faithful_rotation_char(G, sub)
-    rho = MonomialRep.induce(G, sub, chi)
+    rho = MonomialRep.induce(G, chi)
     for g in G.elements:
-        assert rho.character(g) == induced_character_formula(G, sub, chi, g)
+        assert rho.character(g) == induced_character_formula(G, chi, g)
 
 
 def test_linear_rep_and_direct_sum(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
     chi = _faithful_rotation_char(G, sub)
-    rho = MonomialRep.induce(G, sub, chi)
+    rho = MonomialRep.induce(G, chi)
     # sign character of the quotient by rotations
-    sgn = LinearChar(2, {g: (0 if g in sub else 1) for g in G.elements})
+    sgn = LinearChar(2, G.elements, [0 if g in sub else 1 for g in G.elements])
     lin = MonomialRep.linear(G, sgn)
     assert lin.degree == 1 and lin.check_homomorphism()
     s = DirectSumRep([rho, lin])
@@ -176,13 +174,22 @@ def test_linear_rep_and_direct_sum(group):
     assert s.character(G.identity) == Cyclotomic.integer(3)
     assert DirectSumRep([rho]).is_faithful()
     assert not DirectSumRep([lin]).is_faithful()
-    assert kernel_of(lin) == sub == _character_kernel(lin)
+    assert DirectSumRep([lin]).kernel().tolist() == sub == _character_kernel(lin)
+
+
+def test_linear_reads_rows(group):
+    # the exponents land on their own rows, in whatever order they come
+    G = group("d4")
+    sub = _rotation_subgroup(G)
+    sgn = [0 if g in sub else 1 for g in G.elements]
+    lin = MonomialRep.linear(G, LinearChar(2, G.elements[::-1], sgn[::-1]))
+    assert lin.exps[:, 0].tolist() == sgn
 
 
 def test_identity_matrix_detection(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
-    rho = MonomialRep.induce(G, sub, _faithful_rotation_char(G, sub))
+    rho = MonomialRep.induce(G, _faithful_rotation_char(G, sub))
     for g in G.elements:
         assert rho.identity_rows[g] == (g == G.identity)
 
@@ -192,38 +199,36 @@ def test_induce_rejects_non_subgroup(group):
     sub = _rotation_subgroup(G)
     bad = sub[:-1]  # drops one rotation: not closed
     with pytest.raises(NotSubgroupError):
-        MonomialRep.induce(G, bad, LinearChar(1, {g: 0 for g in bad}))
+        MonomialRep.induce(G, LinearChar(1, bad, [0] * len(bad)))
 
 
 def test_induce_rejects_non_character(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
-    exps = {g: G.names[g][0] for g in sub}
-    k = next(g for g in sub if G.names[g][0] == 1)
-    exps[k] = 3  # breaks chi(a)chi(b) = chi(ab)
+    exps = [G.names[g][0] for g in sub]
+    exps[exps.index(1)] = 3  # breaks chi(a)chi(b) = chi(ab)
     with pytest.raises(ChiNotHomomorphismError):
-        MonomialRep.induce(G, sub, LinearChar(4, exps))
+        MonomialRep.induce(G, LinearChar(4, sub, exps))
 
 
 def test_trivial_induction_is_regular_rep(group):
     # inducing the trivial character of the trivial subgroup gives the
     # regular representation: character |G| at 1 and 0 elsewhere
     G = group("q8")
-    sub = [G.identity]
-    chi = LinearChar(1, {G.identity: 0})
-    rho = MonomialRep.induce(G, sub, chi)
+    chi = LinearChar(1, [G.identity], [0])
+    rho = MonomialRep.induce(G, chi)
     assert rho.degree == G.order
     assert rho.character(G.identity) == Cyclotomic.integer(G.order)
     for g in G.elements:
         if g != G.identity:
             assert rho.character(g).is_zero()
-    assert kernel_of(rho) == [G.identity]
+    assert DirectSumRep([rho]).kernel().tolist() == [G.identity]
 
 
 def test_rep_json_shape(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
-    rho = MonomialRep.induce(G, sub, _faithful_rotation_char(G, sub))
+    rho = MonomialRep.induce(G, _faithful_rotation_char(G, sub))
     obj = rho.to_json()
     assert obj["degree"] == 2
     assert obj["scalar_order"] == rho.scalar_order
@@ -251,13 +256,13 @@ def test_row_kernel_is_character_kernel(data):
     while G.mul(powers[-1], g) != G.identity:
         powers.append(G.mul(powers[-1], g))
     j = data.draw(st.integers(0, len(powers) - 1), label="j")
-    chi = LinearChar(len(powers), {x: i * j for i, x in enumerate(powers)})
-    rep = MonomialRep.induce(G, powers, chi)
-    assert kernel_of(rep) == _character_kernel(rep)
+    chi = LinearChar(len(powers), powers, [i * j for i in range(len(powers))])
+    rep = MonomialRep.induce(G, chi)
+    assert DirectSumRep([rep]).kernel().tolist() == _character_kernel(rep)
     top = [h for h, nm in enumerate(G.names) if nm[0] == 0]
     M, exps = data.draw(st.sampled_from(abelian_characters(G, top)), label="linear")
-    row_of = {nm: h for h, nm in enumerate(G.names)}
-    lin = MonomialRep.linear(G, LinearChar(M, {h: exps[row_of[0, nm[1]]] for h, nm in enumerate(G.names)}))
-    assert kernel_of(lin) == _character_kernel(lin)
+    at = {G.names[h]: e for h, e in zip(top, exps.tolist())}
+    lin = MonomialRep.linear(G, LinearChar(M, G.elements, [at[0, nm[1]] for nm in G.names]))
+    assert DirectSumRep([lin]).kernel().tolist() == _character_kernel(lin)
     both = set(_character_kernel(rep)) & set(_character_kernel(lin))
-    assert DirectSumRep([rep, lin]).kernel() == sorted(both)
+    assert DirectSumRep([rep, lin]).kernel().tolist() == sorted(both)

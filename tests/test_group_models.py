@@ -23,7 +23,8 @@ from chainrep.group_models import (
     structure_scan,
 )
 from chainrep.chain_ring import make_ring
-from chainrep.exactrep import Cyclotomic, cyc_sum
+from chainrep.exactrep import Cyclotomic, _check_subgroup, cyc_sum
+from chainrep.mackey_irreps import annihilator_indices
 
 
 # -- Heisenberg models -----------------------------------------------
@@ -39,9 +40,9 @@ def test_heisenberg_orders(ring, heis):
         H = heis(name)
         R = ring(rname)
         assert len(H.elements) == R.size ** (2 * k + 1)
-        assert H.center.order == R.size
-        assert H.abelian_polarization.order == R.size ** (k + 1)
-        assert H.complement.order == R.size**k
+        assert len(H.center) == R.size
+        assert len(H.abelian_polarization) == R.size ** (k + 1)
+        assert len(H.complement) == R.size**k
 
 
 def test_heisenberg_group_laws(heis, rng):
@@ -97,9 +98,9 @@ def test_heisenberg_to_abstract_names(heis):
 
 def test_unitriangular_orders(ring):
     U3 = UnitriangularGroup(ring("f3"), 3)
-    assert U3.order == 27 and U3.center.order == 3
+    assert U3.order == 27 and len(U3.center) == 3
     U4 = UnitriangularGroup(ring("f3"), 4)
-    assert U4.order == 3**6 and U4.center.order == 3
+    assert U4.order == 3**6 and len(U4.center) == 3
     with pytest.raises(ValueError):
         UnitriangularGroup(ring("f3"), 1)
 
@@ -121,9 +122,10 @@ def test_heisenberg_embedding_is_homomorphism(ring, rng):
         assert U.mul(U.embed_heisenberg(g), U.embed_heisenberg(h)) == U.embed_heisenberg(
             H.mul(g, h)
         )
-    assert U.heisenberg_subgroup.order == len(H.elements)
+    assert len(U.heisenberg_subgroup) == len(H.elements)
     # corner entry carries the Heisenberg center
-    assert all(U.embed_heisenberg(z) in U.center._set for z in H.center.elements)
+    center = set(U.center.tolist())
+    assert all(U.index_of([U.embed_heisenberg(H.elements[z])])[0] in center for z in H.center)
 
 
 def test_u3_is_heisenberg(ring):
@@ -136,9 +138,10 @@ def test_u3_is_heisenberg(ring):
 
 def test_middle_subgroup(ring):
     U = UnitriangularGroup(ring("f3"), 4)
-    assert U.middle_subgroup.order == 3
-    for m in U.middle_subgroup.elements:
-        assert m in U.middle_subgroup
+    assert len(U.middle_subgroup) == 3
+    members = set(U.middle_subgroup.tolist())
+    for m in U.middle_subgroup.tolist():
+        assert m in members
 
 
 # -- affine models ----------------------------------------------------
@@ -162,10 +165,51 @@ def test_affine_group_laws(ring, rng):
 
 def test_affine_translations_normal(ring):
     A = AffineGroup(ring("z4"))
-    T = set(A.translations.elements)
+    T = {A.elements[t] for t in A.translations}
     for g in A.elements:
         for t in T:
             assert A.mul(A.mul(g, t), A.inv(g)) in T
+
+
+def _check_subgroup_rows(G, rows, size, member):
+    """rows: strictly ascending group rows of a subgroup of the given
+    size whose elements (as coordinate rows) all satisfy member."""
+    assert rows.dtype == np.int64 and (np.diff(rows) > 0).all()
+    _check_subgroup(G, rows)
+    assert len(rows) == size
+    assert member(np.array(G.elements)[rows]).all()
+
+
+def test_family_subgroups_are_ascending_rows(ring, heis):
+    for name in ["hei3_f2", "hei3_f3", "hei3_f4", "hei3_f5", "hei3_z4", "hei3_f2t2",
+                 "hei3_ram222", "hei3_z9", "hei3_gr42", "hei5_f2"]:
+        H = heis(name)
+        S, k = H.ring.size, H.k
+        x, y, z = (lambda c: c[:, :k]), (lambda c: c[:, k : 2 * k]), (lambda c: c[:, 2 * k])
+        _check_subgroup_rows(H, H.center, S, lambda c: (c[:, : 2 * k] == 0).all(axis=1))
+        _check_subgroup_rows(H, H.abelian_polarization, S ** (k + 1), lambda c: (y(c) == 0).all(axis=1))
+        _check_subgroup_rows(H, H.complement, S**k, lambda c: (x(c) == 0).all(axis=1) & (z(c) == 0))
+        for b in range(S):
+            ann = annihilator_indices(H.ring, b)
+            _check_subgroup_rows(
+                H, H.stabilizer_subgroup(ann), len(ann) ** k,
+                lambda c: (x(c) == 0).all(axis=1) & (z(c) == 0) & np.isin(y(c), ann).all(axis=1),
+            )
+    for size in (3, 4):
+        U = UnitriangularGroup(ring("f3"), size)
+        last = size - 1
+        kept = np.array([i == 0 or j == last for i, j in U.positions])  # first row, last column
+        corner = np.array([(i, j) == (0, last) for i, j in U.positions])
+        _check_subgroup_rows(U, U.center, 3, lambda c: (c[:, ~corner] == 0).all(axis=1))
+        _check_subgroup_rows(U, U.heisenberg_subgroup, 3 ** (2 * size - 3), lambda c: (c[:, ~kept] == 0).all(axis=1))
+        _check_subgroup_rows(U, U.middle_subgroup, 3 ** ((size - 2) * (size - 3) // 2), lambda c: (c[:, kept] == 0).all(axis=1))
+        H = HeisenbergGroup(ring("f3"), size - 2)
+        embedded = U.index_of([U.embed_heisenberg(g) for g in H.elements])
+        assert U.heisenberg_subgroup.tolist() == sorted(embedded.tolist())
+    for rname in ["f3", "z4", "z9", "f4"]:
+        A = AffineGroup(ring(rname))
+        one = A.ring.one.index
+        _check_subgroup_rows(A, A.translations, A.ring.size, lambda c: c[:, 1] == one)
 
 
 def test_affine_f4_is_alternating(group):
@@ -532,7 +576,7 @@ def test_abelian_characters_of_subgroup(group):
     G = group("m16")
     chars = abelian_characters(G, G.center)
     assert len(chars) == len(G.center) == 4
-    assert len({tuple(exps[g] for g in G.center) for _, exps in chars}) == 4
+    assert len({tuple(exps.tolist()) for _, exps in chars}) == 4
 
 
 def test_abelian_characters_orthogonality(make_abelian):
@@ -554,12 +598,13 @@ def test_extend_character(make_abelian):
     # extend the order-2 character of 2Z/8 over Z/8
     G = make_abelian((8,))
     sub = [g for g in G.elements if G.names[g][0] % 2 == 0]
-    sub_exps = {g: (G.names[g][0] // 2) % 2 for g in sub}
+    sub_exps = [(G.names[g][0] // 2) % 2 for g in sub]
     M, exps = extend_character(G, sub, 2, sub_exps, G.elements)
-    # the extension restricts correctly
+    # the extension restricts correctly (exps is aligned with G.elements,
+    # which are the rows)
     t = M // 2
-    for g in sub:
-        assert exps[g] % M == (t * sub_exps[g]) % M
+    for g, e in zip(sub, sub_exps):
+        assert exps[g] % M == (t * e) % M
     # and is a character of the big group
     for a in G.elements:
         for b in G.elements:
@@ -596,13 +641,13 @@ def _draw_abelian_subgroup(data, make_abelian):
 
 
 def _check_multiplicative(G, elems, M, exps):
-    """exps is a character of the subgroup at order M: multiplicative
-    through each of its generators, so on all of it."""
+    """exps, aligned with elems, is a character of the subgroup at order
+    M: multiplicative through each of its generators, so on all of it."""
     where = {g: i for i, g in enumerate(elems)}
-    vals = np.array([exps[g] for g in elems])
+    vals = np.asarray(exps)
     for g in G._span(elems)[1]:
         through = vals[[where[G.mul(a, g)] for a in elems]]
-        assert np.array_equal(through, (vals + exps[g]) % M)
+        assert np.array_equal(through, (vals + vals[where[g]]) % M)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -611,7 +656,7 @@ def test_abelian_characters_property(make_abelian, data):
     G, A = _draw_abelian_subgroup(data, make_abelian)
     chars = abelian_characters(G, A)
     assert len(chars) == len(A)
-    assert len({tuple(exps[g] for g in A) for _, exps in chars}) == len(A)
+    assert len({tuple(exps.tolist()) for _, exps in chars}) == len(A)
     for M, exps in chars:
         _check_multiplicative(G, A, M, exps)
 
@@ -625,16 +670,17 @@ def test_extend_character_property(make_abelian, data):
     Ms, sub = data.draw(st.sampled_from(abelian_characters(G, S)), label="chi")
     M, exps = extend_character(G, S, Ms, sub, A)
     assert M % Ms == 0
-    assert all((exps[s] - M // Ms * sub[s]) % M == 0 for s in S)
+    where = {g: i for i, g in enumerate(A)}
+    assert all((exps[where[s]] - M // Ms * e) % M == 0 for s, e in zip(S, sub))
     _check_multiplicative(G, A, M, exps)
     # values that are not a character: a nonzero value at the identity,
     # or one value moved where the subgroup has more than two elements
     if Ms > 1:
-        bad = dict(sub)
+        bad = sub.copy()
         ident = G.identity
         if len(S) > 2:
             ident = data.draw(st.sampled_from(S), label="moved")
-        bad[ident] = (bad[ident] + 1) % Ms
+        bad[S.index(ident)] = (bad[S.index(ident)] + 1) % Ms
         with pytest.raises(ValueError, match="not a character"):
             extend_character(G, S, Ms, bad, A)
 

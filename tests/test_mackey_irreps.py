@@ -1,9 +1,10 @@
 """Orbit-method irreducibles of Heisenberg groups: counts, dimension
 laws, stabilizers, and explicit induced models."""
 
+import numpy as np
 import pytest
 
-from chainrep.char_duality import psi_b
+from chainrep.char_duality import base_character_data, psi_b
 from chainrep.exactrep import Cyclotomic, cyc_sum
 from chainrep.group_models import Char2UnsupportedError, HeisenbergGroup
 from chainrep.mackey_irreps import (
@@ -82,7 +83,7 @@ def test_stabilizer_sizes_exhaustive(heis):
             assert len(ann) == R.q**lev
             # y-side stabilizer directions: Ann(b)^k, of size q^(level k)
             S = stabilizer_subgroup(H, b_idx)
-            assert S.order == len(ann) ** H.k == R.q ** (lev * H.k)
+            assert len(S) == len(ann) ** H.k == R.q ** (lev * H.k)
 
 
 def test_orbits_partition_dual(heis):
@@ -157,13 +158,41 @@ def test_extended_character_is_multiplicative(heis, rng):
     R = H.ring
     for b_idx in [R.one.index, R.uniformizer.index, 0]:
         w = orbit_representatives(H, b_idx)[0]
-        els, chi = extended_character(H, w, b_idx, (0,))
-        eset = set(els)
+        chi = extended_character(H, w, b_idx, (0,))
+        rows = chi.rows.tolist()
+        value = dict(zip(rows, chi.exps.tolist()))
         for _ in range(200):
-            a, b = rng.choice(els), rng.choice(els)
-            ab = H.mul(a, b)
-            assert ab in eset
-            assert (chi.value_exp(a) + chi.value_exp(b) - chi.value_exp(ab)) % chi.order == 0
+            a, b = rng.choice(rows), rng.choice(rows)
+            ab = int(H.product(a, b))
+            assert ab in value
+            assert (value[a] + value[b] - value[ab]) % chi.order == 0
+
+
+def test_extended_character_values(heis):
+    # psi(b z + w.x + lambda.y) at every row of H_s, for every b, its first
+    # orbit representative w and every lambda label, against sums and
+    # products formed with RingElem digit arithmetic
+    for name in ["hei3_z4", "hei3_f2t2", "hei3_z9", "hei5_f2", "hei3_gr42"]:
+        H = heis(name)
+        R, k = H.ring, H.k
+        mod, base = base_character_data(R)
+        els = [R.from_index(i) for i in range(R.size)]
+        add = np.array([[(a + c).index for c in els] for a in els])
+        mul = np.array([[(a * c).index for c in els] for a in els])
+        catalog, coords = irrep_catalog(H), np.array(H.elements)
+        for b in range(R.size):
+            w = orbit_representatives(H, b)[0]
+            ann = annihilator_indices(R, b)
+            for lam in sorted({d.lambda_label for d in catalog if d.orbit_rep == (w, b)}):
+                chi = extended_character(H, w, b, lam)
+                c = coords[chi.rows]
+                assert len(chi.rows) == R.size ** (k + 1) * len(ann) ** k
+                assert np.isin(c[:, k : 2 * k], ann).all()
+                acc = mul[b, c[:, 2 * k]]
+                for t in range(k):
+                    acc = add[add[acc, mul[w[t], c[:, t]]], mul[lam[t], c[:, k + t]]]
+                assert chi.order == mod
+                assert chi.exps.tolist() == np.array(base)[acc].tolist(), (name, b, lam)
 
 
 def test_induced_rep_explicit(heis):
@@ -178,7 +207,7 @@ def test_induced_rep_explicit(heis):
             assert rho.degree == d.dim
             # irreducibility: <chi, chi> = |H|
             total = cyc_sum(
-                [rho.character(g) * rho.character(g).conjugate() for g in H.elements]
+                [rho.character(g) * rho.character(g).conjugate() for g in range(H.order)]
             )
             assert total == Cyclotomic.integer(len(H.elements))
 
@@ -210,6 +239,6 @@ def test_distinct_lambda_labels_are_orthogonal(heis):
     r1 = mackey_induced_rep(H, w, b_idx, cat[0].lambda_label)
     r2 = mackey_induced_rep(H, w, b_idx, cat[1].lambda_label)
     inner = cyc_sum(
-        [r1.character(g) * r2.character(g).conjugate() for g in H.elements]
+        [r1.character(g) * r2.character(g).conjugate() for g in range(H.order)]
     )
     assert inner.is_zero()
