@@ -405,8 +405,11 @@ def _cmd_verify(args) -> int:
                 try:
                     fam.check_keys(inst, orc.SUITE_KEYS)
                     _check_suite_values(inst)
-                    if fam.ring is not None:  # builds the ring, and no group
-                        fam.ring(SimpleNamespace(**{**fam.defaults, **inst}))
+                    b = SimpleNamespace(**{**fam.defaults, **inst})
+                    if fam.ring is not None:
+                        b.ring = fam.ring(b)
+                    if fam is not FAMILIES["table"]:  # whose order is its table's
+                        fam.order(b)  # checks the group parameters, and builds no table
                 except RingParameterError as exc:
                     raise ValueError(f"instance {inst['name']!r} has no chain ring: {exc}") from None
                 except ValueError as exc:

@@ -6,11 +6,12 @@ sort canonically.  Each family writes its group law once, as a numpy
 function on coordinates through the ring lookup tables, and numbers its
 elements by a codec between coordinates and row indices, rows in
 ``elements`` order.  The scalar ``mul``, the index-array ``product`` used
-by induction and ``to_abstract`` (a dense multiplication table, filled in
-chunks, for groups up to the configured cap, which is what the
-character-table oracle consumes) all evaluate that one law.  The
-distinguished table groups (semidirect products of cyclic groups, Q8 and
-GL_2) likewise write their law once, on row-index arrays.
+by induction and ``to_abstract`` (a dense multiplication table for
+groups up to the configured cap, which is what the character-table
+oracle consumes, evaluated on an open mesh of coordinates) all evaluate
+that one law.  The distinguished table groups (semidirect products of
+cyclic groups, Q8 and GL_2) likewise write their law once, on row-index
+arrays, and their tables are filled a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -70,25 +71,48 @@ def index_inverse(group, I):
         I = group.product(I, I)
 
 
+# Entries of a table block: the laws hold a few int64 arrays of a block
+# at once, a few MB.
+_BLOCK = 250_000
+
+
 def _index_table(n: int, product, names, width: int = 1) -> "AbstractGroup":
     """The dense table of the index-array law ``product`` on rows
     0..n-1, filled a block of rows at a time; ``names`` label the rows
     and the caller vouches for the law.  The law holds about width + 2
-    int64 arrays of a block at once: blocks of 250k coordinates keep them
-    to a few MB."""
+    int64 arrays of a block at once, so a block has _BLOCK // width
+    entries."""
     idx = np.arange(n)
     table = np.empty((n, n), dtype=np.int32)
-    rows = max(1, 250_000 // (n * width))
+    rows = max(1, _BLOCK // (n * width))
     for lo in range(0, n, rows):
         table[lo : lo + rows] = product(idx[lo : lo + rows, None], idx[None, :])
     return AbstractGroup(table, names=names, validate=False)
 
 
 def _family_table(self, cap: int | None = None) -> "AbstractGroup":
-    """The dense multiplication table of a ring family, from its law;
-    names are the family elements."""
+    """The dense multiplication table of a ring family, from its law on
+    an open mesh; names are the family elements.  Row indices are the
+    codec's digits, so the table is viewed with shape radices + radices:
+    with w digits, digit t of the left factor runs along axis t and of
+    the right factor along axis w + t.  Each coordinate of the law's
+    output then spans only the axes it depends on, and ``_encode``
+    broadcasts them to the full-size block of the view.  A block fixes as
+    few leading digits of the left factor as keep it within _BLOCK
+    entries."""
     _check_cap(self.order, cap)
-    return _index_table(self.order, self.product, self.elements, len(self.identity))
+    n, radices = self.order, [len(v) for v in self._digits]
+    lead = 0
+    while lead < len(radices) and n * math.prod(radices[lead:]) > _BLOCK:
+        lead += 1
+    table = np.empty((n, n), dtype=np.int32)
+    view = table.reshape(radices + radices)
+    mesh = np.ix_(*self._digits[lead:], *self._digits)
+    free, right = list(mesh[: len(radices) - lead]), list(mesh[len(radices) - lead :])
+    for fixed in np.ndindex(*radices[:lead]):
+        left = [v[d] for v, d in zip(self._digits, fixed)] + free
+        view[fixed] = self._encode(self._law(left, right))
+    return AbstractGroup(table, names=self.elements, validate=False)
 
 
 class _RingFamily:
@@ -97,10 +121,15 @@ class _RingFamily:
     coordinate), and numbers its elements by a codec ``_encode`` /
     ``_decode`` between coordinates and row indices; the default codec
     is a radix over the ring size, first coordinate most significant.
-    Scalar ``mul`` and ``inv``, the index-array ``product`` and the
-    ``to_abstract`` table all come from the law, and rows follow
+    ``_digits`` holds, per radix digit, the coordinate value of each
+    digit value.  Scalar ``mul`` and ``inv``, the index-array ``product``
+    and the ``to_abstract`` table all come from the law, and rows follow
     ``elements``.  Each family class binds ``to_abstract`` in its own
     namespace, which is where perfbench's tracer looks for it."""
+
+    @cached_property
+    def _digits(self) -> list[np.ndarray]:
+        return [np.arange(self.ring.size)] * len(self.identity)
 
     def _encode(self, coords):
         idx = 0
@@ -275,6 +304,7 @@ class AffineGroup(_RingFamily):
         self._units = np.array([u.index for u in R.units()], dtype=np.int64)
         self._unit_pos = np.full(R.size, -1, dtype=np.int64)
         self._unit_pos[self._units] = np.arange(len(self._units))
+        self._digits = [np.arange(R.size), self._units]
         self.order = R.size * len(self._units)
         self._add = R.add_table.astype(np.int64)
         self._mul = R.mul_table.astype(np.int64)
@@ -326,12 +356,16 @@ class AbstractGroup:
         if ident is None or not np.array_equal(table[:, ident], rng):
             raise ValueError("no two-sided identity")
         self.identity = ident
+        # the first identity in each row, a block of rows at a time; with n
+        # identities in all, no row holds a second
         inv = np.empty(n, dtype=np.int64)
-        for g in range(n):
-            w = np.nonzero(table[g] == ident)[0]
-            if len(w) != 1 or table[int(w[0]), g] != ident:
-                raise ValueError("inverses missing or not two-sided")
-            inv[g] = w[0]
+        count, rows = 0, max(1, _BLOCK // n)
+        for lo in range(0, n, rows):
+            hit = table[lo : lo + rows] == ident
+            inv[lo : lo + rows] = hit.argmax(axis=1)
+            count += np.count_nonzero(hit)
+        if count != n or (table[rng, inv] != ident).any() or (table[inv, rng] != ident).any():
+            raise ValueError("inverses missing or not two-sided")
         self.inverse = inv
         if validate:
             self._check_associativity()
@@ -420,19 +454,22 @@ class AbstractGroup:
 
     @cached_property
     def conjugacy(self):
-        """(reps, class_of, class_sizes): reps ascending by least member."""
-        n = self.order
-        class_of = np.full(n, -1, dtype=np.int64)
-        reps = []
-        allg = np.arange(n)
-        for g in range(n):
-            if class_of[g] >= 0:
-                continue
-            members = np.unique(self.table[self.table[allg, g], self.inverse[allg]])
-            class_of[members] = len(reps)
-            reps.append(g)
-        sizes = np.bincount(class_of, minlength=len(reps))
-        return reps, class_of, sizes
+        """(reps, class_of, class_sizes): reps ascending by least member.
+        Classes are the orbits under conjugation by the generators.  Each
+        element's label, at first itself, falls to the least label of its
+        conjugates by a generator, and pointer jumping (lab = lab[lab])
+        shortens the chains, until nothing changes; then every label is
+        the least member of its class."""
+        perms = self._conjugates(self.generators, np.arange(self.order))
+        lab = np.arange(self.order)
+        while True:
+            low = np.minimum(lab, lab[perms].min(axis=0, initial=self.order))
+            low = low[low]
+            if np.array_equal(low, lab):
+                break
+            lab = low
+        reps, class_of, sizes = np.unique(lab, return_inverse=True, return_counts=True)
+        return reps.tolist(), class_of, sizes
 
     @cached_property
     def commutator_subgroup(self) -> list[int]:
@@ -523,17 +560,24 @@ def semidirect_cyclic(modulus: int, multipliers) -> AbstractGroup:
     return _index_table(modulus * h, product, [(c, m) for c in range(modulus) for m in ms])
 
 
+def semidirect_hom_order(modulus: int, multiplier: int, h_order: int) -> int:
+    """|G| of semidirect_cyclic_hom(modulus, multiplier, h_order), with
+    its parameter checks: h_order >= 1, modulus >= 2, a unit multiplier
+    whose order divides h_order.  Builds no table."""
+    if h_order < 1:
+        raise ValueError("h_order must be >= 1")
+    multiplier_closure(modulus, [multiplier])  # modulus >= 2 and a unit multiplier
+    if pow(multiplier % modulus, h_order, modulus) != 1:
+        raise ValueError("multiplier order does not divide h_order")
+    return modulus * h_order
+
+
 def semidirect_cyclic_hom(modulus: int, multiplier: int, h_order: int) -> AbstractGroup:
     """Z/modulus acted on by Z/h_order through c -> multiplier*c; the
     action may factor through a proper quotient of Z/h_order.  Row
     c*h_order + t holds (c, t)."""
-    if h_order < 1:
-        raise ValueError("h_order must be >= 1")
-    multiplier_closure(modulus, [multiplier])  # modulus >= 2 and a unit multiplier
+    _check_cap(semidirect_hom_order(modulus, multiplier, h_order))
     m = multiplier % modulus
-    if pow(m, h_order, modulus) != 1:
-        raise ValueError("multiplier order does not divide h_order")
-    _check_cap(modulus * h_order)
     mt = np.array([pow(m, t, modulus) for t in range(h_order)], dtype=np.int64)
 
     def product(I, J):

@@ -46,6 +46,7 @@ from .group_models import (
     quaternion_group,
     semidirect_cyclic,
     semidirect_cyclic_hom,
+    semidirect_hom_order,
     structure_scan,
 )
 from .mackey_irreps import irrep_catalog, mackey_induced_rep
@@ -415,6 +416,13 @@ def _semidirect(b) -> AbstractGroup:
     return semidirect_cyclic_hom(b.modulus, b.multipliers[0], b.h_order)
 
 
+def _semidirect_order(b) -> int:
+    """|G| with the parameter checks of its build, and no table."""
+    if b.h_order is None:
+        return b.modulus * len(multiplier_closure(b.modulus, b.multipliers))
+    return semidirect_hom_order(b.modulus, b.multipliers[0], b.h_order)
+
+
 def _table_group(b) -> AbstractGroup:
     obj = b.table
     if isinstance(obj, str):  # a path to a JSON file
@@ -466,7 +474,7 @@ FAMILIES = {
     "semidirect": Family(
         "semidirect", ("modulus", "multipliers", "h_order"), {"h_order": None},
         group=_semidirect,
-        order=lambda b: b.modulus * (b.h_order or len(multiplier_closure(b.modulus, b.multipliers))),
+        order=_semidirect_order,
         describe=lambda b: (
             f"Z/{b.modulus} by units {b.multipliers}"
             if b.h_order is None

@@ -97,10 +97,12 @@ GROUP_BUILDERS = {
 }
 
 
-# built by ``group`` but left out of ``group_names``: the plain reference
-# algorithms of test_subgroups take about 17 s on GL_2(F_7)
+# built by ``group`` but left out of ``group_names``, which the plain
+# reference algorithms of test_subgroups run over: they take about 17 s
+# on GL_2(F_7)
 LARGE_BUILDERS = {
     "gl2_f7": lambda ring: general_linear_2(make_ring(7, 1, 1, 1)),
+    "u5_f2": lambda ring: UnitriangularGroup(ring("f2"), 5).to_abstract(),
 }
 
 

@@ -429,6 +429,11 @@ def test_suite_instance_keys_are_checked(capsys, tmp_path):
         ({"family": "affine", "p": 2, "n": 0}, "no chain ring: length n = 0 invalid"),
         ({"family": "semidirect", "modulus": 0, "multipliers": [1]}, "modulus = 0, not >= 2"),
         ({"family": "semidirect", "modulus": 8, "multipliers": [3], "h_order": 0}, "h_order = 0, not >= 1"),
+        ({"family": "heisenberg", "p": 2, "k": 0}, "k must be >= 1"),
+        ({"family": "unitriangular", "p": 2, "size": 1}, "matrix size must be >= 2"),
+        ({"family": "semidirect", "modulus": 8, "multipliers": [2]}, "multiplier 2 is not a unit mod 8"),
+        ({"family": "semidirect", "modulus": 8, "multipliers": [2], "h_order": 4}, "multiplier 2 is not a unit mod 8"),
+        ({"family": "semidirect", "modulus": 8, "multipliers": [3], "h_order": 3}, "multiplier order does not divide h_order"),
     ):
         path.write_text(json.dumps({"instances": [dict(instance, name="x")]}))
         code, out, err = run_cli(capsys, "verify", "--suite", str(path))

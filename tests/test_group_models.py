@@ -4,7 +4,7 @@ from math import gcd, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from chainrep.group_models import (
@@ -279,6 +279,37 @@ def test_class_map_consistent(group):
                 assert class_of[G.conj(h, g)] == class_of[g]
 
 
+def _reference_conjugacy(G):
+    """(reps, class_of, class_sizes) the plain way: one |G|-row conjugate
+    set per element not yet in a class."""
+    class_of = np.full(G.order, -1, dtype=np.int64)
+    reps = []
+    allg = np.arange(G.order)
+    for g in range(G.order):
+        if class_of[g] < 0:
+            class_of[np.unique(G.table[G.table[allg, g], G.inverse[allg]])] = len(reps)
+            reps.append(g)
+    return reps, class_of, np.bincount(class_of, minlength=len(reps))
+
+
+def test_conjugacy_matches_reference(group):
+    # orbits under the generators give exactly the classes, neither merged
+    # nor split, whatever the numbering of the elements; every class of
+    # Z/7 x Z/32 is a singleton, and the trivial group has no generators
+    cases = [group("d4"), group("gl2_f3"), semidirect_cyclic_hom(7, 1, 32),
+             semidirect_cyclic(64, [3, 5]), group("hei3_gr42"), AbstractGroup([[0]])]
+    for i, G in enumerate(cases):
+        perm = np.random.default_rng(i).permutation(G.order)
+        table = np.empty_like(G.table)
+        table[np.ix_(perm, perm)] = perm[G.table]
+        H = AbstractGroup(table, validate=False)
+        reps, class_of, sizes = H.conjugacy
+        ref_reps, ref_class_of, ref_sizes = _reference_conjugacy(H)
+        assert reps == ref_reps, G.order
+        assert class_of.dtype == ref_class_of.dtype and np.array_equal(class_of, ref_class_of)
+        assert sizes.dtype == ref_sizes.dtype and np.array_equal(sizes, ref_sizes)
+
+
 def test_quotient_d4_by_center(group):
     G = group("d4")
     Q, coset_of = G.quotient(G.center)
@@ -450,6 +481,12 @@ FROZEN_FAMILY_TABLES = {
                "db371fadca59fa9c0e984d90dc6cc871cca148ecab9246971a81dcfd0b89f8ab"),
     "aff_z9": ("47d1e2674a1c82e91a994ee78e0d2a16c88f18591d453cce95a80e2b9747eddb",
                "e5b3ad8814f87a0f71fe1f60f9a51e8e2aa84e2eeae0da5b39d80dc1f88a6be0"),
+    # taken from the row-block fill, before the open-mesh fill: large
+    # enough that a block fixes two (Hei) and three (U_5) leading digits
+    "hei3_gr42": ("e09bf13312708a3a391fcaf1a0b4e4be3cb6835a40ed735005c44fd309ab6ea7",
+                  "84284b701ec2bd8bd1d55e79ed85e62e19c05712682104d0b556039eefc4bf95"),
+    "u5_f2": ("7b29e899d43c12f6cff33356574a4cc7f0169a3581a7e20854a29c6e955e038f",
+              "d2396693f8922ee06f08755de88a0c8fe8cb23348bf351042a50defbfd5a1113"),
 }
 
 
@@ -478,6 +515,40 @@ def test_family_scalar_and_index_products_agree(ring, heis, rng):
         I = np.array([rng.randrange(F.order) for _ in range(50)])
         J = np.array([rng.randrange(F.order) for _ in range(50)])
         assert (F.product(I, J) == G.table[I, J]).all()
+
+
+# Ring families of order up to 1024, by the ring size S and residue field
+# size q: (builder, |G|).
+MESH_FAMILIES = {
+    "hei3": (lambda R: HeisenbergGroup(R, 1), lambda S, q: S**3),
+    "hei5": (lambda R: HeisenbergGroup(R, 2), lambda S, q: S**5),
+    "u3": (lambda R: UnitriangularGroup(R, 3), lambda S, q: S**3),
+    "u4": (lambda R: UnitriangularGroup(R, 4), lambda S, q: S**6),
+    "aff": (AffineGroup, lambda S, q: S * (S - S // q)),
+}
+
+
+@seed(20151002)
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    st.sampled_from(sorted(MESH_FAMILIES)),
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 2),
+    st.sampled_from([1, 2, "inf"]),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_mesh_table_is_the_law(kind, p, f, e, n, data):
+    # the open-mesh table against the index-array product on random
+    # pairs, and Light's associativity test on the whole table
+    build, order = MESH_FAMILIES[kind]
+    assume(order(p ** (f * n), p**f) <= 1024)
+    F = build(make_ring(p, f, e, n))
+    G = F.to_abstract()
+    I, J = (np.array(data.draw(st.lists(st.integers(0, F.order - 1), min_size=200, max_size=200)))
+            for _ in range(2))
+    assert (G.table[I, J] == F.product(I, J)).all()
+    AbstractGroup(G.table, validate=True)
 
 
 def test_semidirect_rejects_non_units():
@@ -689,16 +760,20 @@ def test_cap_checked_before_allocation(monkeypatch):
     from chainrep.chain_ring import make_ring
 
     R = make_ring(3, 1, 1, 1)
+    H, U, A = HeisenbergGroup(R), UnitriangularGroup(R, 4), AffineGroup(R)
 
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before the cap check")
 
-    # orders just above the cap: 16, 32, 48 and 5
+    # orders just above the cap: 16, 32, 48, 5, 27, 729 and 6
     cases = [
         (15, lambda: semidirect_cyclic(8, [3])),
         (31, lambda: semidirect_cyclic_hom(8, 7, 4)),
         (47, lambda: general_linear_2(R)),
         (4, lambda: AbstractGroup.from_json({"table": [[0] * 5] * 5})),
+        (26, H.to_abstract),
+        (728, U.to_abstract),
+        (5, A.to_abstract),
     ]
     for name in ("empty", "asarray", "array"):
         monkeypatch.setattr(np, name, refuse)
