@@ -330,7 +330,7 @@ class RingSpec:
 
     def ideal_indices(self, j: int) -> list[int]:
         """Indices of the ideal pi^j R, j in [0, n]."""
-        return [i for i in range(self.size) if self.valuation(self.from_index(i)) >= min(j, self.n)]
+        return np.flatnonzero(self.valuation_table >= min(j, self.n)).tolist()
 
     @property
     def d_invariant(self) -> int:

@@ -176,25 +176,46 @@ def restrict_to_omega1(chi: AddChar) -> DualVector:
 # -- F_p linear algebra helpers --------------------------------------
 
 
-def _independent(vectors, p: int):
+def _rref(A, l):
+    """Gauss-Jordan elimination over F_l: (reduced row echelon form of A,
+    pivot columns)."""
+    A = np.array(A % l, dtype=np.int64)
+    m, n = A.shape
+    row = 0
+    pivcol = []
+    for col in range(n):
+        if row == m:
+            break
+        pr = None
+        for i in range(row, m):
+            if A[i, col] % l:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != row:
+            A[[row, pr]] = A[[pr, row]]
+        A[row] = (A[row] * pow(int(A[row, col]), -1, l)) % l
+        for i in range(m):
+            if i != row and A[i, col]:
+                A[i] = (A[i] - A[i, col] * A[row]) % l
+        pivcol.append(col)
+        row += 1
+    return A, pivcol
+
+
+def _independent(vectors, p: int) -> list[int]:
     """Positions of the vectors (tuples or DualVectors) that lie outside
-    the F_p span of the vectors before them, in order."""
-    pivots = []
-    for i, v in enumerate(vectors):
-        v = list(v.coords if isinstance(v, DualVector) else v)
-        for piv_col, piv_row in pivots:
-            c = v[piv_col] % p
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, piv_row)]
-        nz = next((t for t, x in enumerate(v) if x % p), None)
-        if nz is not None:
-            inv = pow(v[nz] % p, -1, p)
-            pivots.append((nz, [(x * inv) % p for x in v]))
-            yield i
+    the F_p span of the vectors before them, in order: the pivot columns
+    of the matrix with the vectors as columns."""
+    rows = [v.coords if isinstance(v, DualVector) else v for v in vectors]
+    if not rows:
+        return []
+    return _rref(np.array(rows, dtype=np.int64).T, p)[1]
 
 
 def fp_rank(vectors, p: int) -> int:
-    return sum(1 for _ in _independent(vectors, p))
+    return len(_independent(vectors, p))
 
 
 def spans_dual(vectors, R: RingSpec) -> bool:

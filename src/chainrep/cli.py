@@ -115,7 +115,7 @@ def _parse_errors(source, what="group"):
         raise SpecParseError(f"cannot build {what} from {source!r}: {exc}") from None
 
 
-def parse_group_spec(spec: str, cap=None):
+def parse_group_spec(spec: str):
     """'family:key=value,...' -> (AbstractGroup, description).
 
     Families are the spec names in the family table: heis, unitri, aff,
@@ -145,7 +145,7 @@ def parse_group_spec(spec: str, cap=None):
         raise SpecParseError(f"group spec {spec!r} has {exc}") from None
     params = {key: _spec_value(spec, key, kv[key]) for key in fam.keys if key in kv}
     with _parse_errors(spec):
-        b = FamilyInstance(family, params, cap)
+        b = FamilyInstance(family, params)
         return b.group, fam.describe(b)
 
 
@@ -256,7 +256,7 @@ def _minfaith_values(target, params):
     mode all, a route that refuses the group is left out, with its reason
     on stderr."""
     from . import oracle as orc
-    from .group_models import Char2UnsupportedError
+    from .group_models import Char2UnsupportedError, group_cap
     from .minfaith_solver import TWO_STEP_ROUTES, FaithfulSolution, FamilyInstance
 
     mode = params["mode"]
@@ -288,7 +288,7 @@ def _minfaith_values(target, params):
                 solution = out.to_json()
                 out = out.total_dim
             values[key] = out
-    if mode == "oracle" or (mode == "all" and order <= orc.group_cap()):
+    if mode == "oracle" or (mode == "all" and order <= group_cap()):
         T = orc.CharacterTable(b.group)
         values["oracle"], _ = orc.min_faithful_exhaustive(T)
     return values, solution

@@ -35,22 +35,22 @@ class Char2UnsupportedError(ValueError):
     residue characteristic 2."""
 
 
-def group_cap(default: int = 4096) -> int:
+def group_cap() -> int:
     """The largest group order built or tabulated: CHAINREP_ORACLE_CAP
-    when set, else the default.  Raises ValueError for a setting that
-    is not a positive integer."""
+    when set, else 4096.  Raises ValueError for a setting that is not a
+    positive integer."""
     value = os.environ.get("CHAINREP_ORACLE_CAP")
     if not value:
-        return default
+        return 4096
     cap = int(value) if value.strip().isdecimal() else 0
     if cap < 1:
         raise ValueError(f"CHAINREP_ORACLE_CAP must be a positive integer, got {value!r}")
     return cap
 
 
-def _check_cap(order: int, cap: int | None = None):
+def _check_cap(order: int):
     """Refuse to build a group of this order; called before allocating."""
-    cap = cap or group_cap()
+    cap = group_cap()
     if order > cap:
         raise CapExceededError(f"|G| = {order} exceeds cap {cap}")
 
@@ -90,7 +90,7 @@ def _index_table(n: int, product, names, width: int = 1) -> "AbstractGroup":
     return AbstractGroup(table, names=names, validate=False)
 
 
-def _family_table(self, cap: int | None = None) -> "AbstractGroup":
+def _family_table(self) -> "AbstractGroup":
     """The dense multiplication table of a ring family, from its law on
     an open mesh; names are the family elements.  Row indices are the
     codec's digits, so the table is viewed with shape radices + radices:
@@ -100,7 +100,7 @@ def _family_table(self, cap: int | None = None) -> "AbstractGroup":
     broadcasts them to the full-size block of the view.  A block fixes as
     few leading digits of the left factor as keep it within _BLOCK
     entries."""
-    _check_cap(self.order, cap)
+    _check_cap(self.order)
     n, radices = self.order, [len(v) for v in self._digits]
     lead = 0
     while lead < len(radices) and n * math.prod(radices[lead:]) > _BLOCK:
@@ -130,6 +130,16 @@ class _RingFamily:
     @cached_property
     def _digits(self) -> list[np.ndarray]:
         return [np.arange(self.ring.size)] * len(self.identity)
+
+    # the ring's N x N tables, built on first use of the law: |G| and
+    # the closed forms need none
+    @cached_property
+    def _add(self) -> np.ndarray:
+        return self.ring.add_table.astype(np.int64)
+
+    @cached_property
+    def _mul(self) -> np.ndarray:
+        return self.ring.mul_table.astype(np.int64)
 
     def _encode(self, coords):
         idx = 0
@@ -181,8 +191,6 @@ class HeisenbergGroup(_RingFamily):
         self.ring = R
         self.k = k
         self.order = R.size ** (2 * k + 1)
-        self._add = R.add_table.astype(np.int64)
-        self._mul = R.mul_table.astype(np.int64)
         self.identity = (0,) * (2 * k + 1)
 
     def __repr__(self):
@@ -241,8 +249,6 @@ class UnitriangularGroup(_RingFamily):
         self.nentries = len(self.positions)
         self.order = R.size**self.nentries
         self.identity = (0,) * self.nentries
-        self._add = R.add_table.astype(np.int64)
-        self._mul = R.mul_table.astype(np.int64)
 
     def __repr__(self):
         return f"UnitriangularGroup({self.ring!r}, size={self.size})"
@@ -306,8 +312,6 @@ class AffineGroup(_RingFamily):
         self._unit_pos[self._units] = np.arange(len(self._units))
         self._digits = [np.arange(R.size), self._units]
         self.order = R.size * len(self._units)
-        self._add = R.add_table.astype(np.int64)
-        self._mul = R.mul_table.astype(np.int64)
         self.identity = (0, R.one.index)
 
     def __repr__(self):
@@ -511,11 +515,11 @@ class AbstractGroup:
         return {"table": self.table.tolist()}
 
     @staticmethod
-    def from_json(obj, cap: int | None = None) -> "AbstractGroup":
+    def from_json(obj) -> "AbstractGroup":
         rows = obj.get("table") if isinstance(obj, dict) else None
         if not isinstance(rows, list):
             raise ValueError("a group table is a JSON object whose 'table' is a list of rows")
-        _check_cap(len(rows), cap)
+        _check_cap(len(rows))
         names = obj.get("names")
         if names is not None and (not isinstance(names, list) or len(names) != len(rows)):
             raise ValueError("a group table's 'names' is a list with one entry per row")
@@ -655,8 +659,8 @@ class StructureScan:
     maximal_abelian: list
 
 
-def structure_scan(G: AbstractGroup, cap: int | None = None) -> StructureScan:
-    _check_cap(G.order, cap)
+def structure_scan(G: AbstractGroup) -> StructureScan:
+    _check_cap(G.order)
     n = G.order
     facs = _factorize(n)
     is_p = len(facs) == 1

@@ -43,13 +43,12 @@ class IrrepDescriptor:
 
 def annihilator_indices(R: RingSpec, b_idx: int) -> list[int]:
     """Indices of Ann(b) = {y : b y = 0} = pi^(n - val b) R."""
-    row = R.mul_table[b_idx]
-    return [y for y in range(R.size) if row[y] == 0]
+    return R.ideal_indices(R.n - int(R.valuation_table[b_idx]))
 
 
 def ideal_of(R: RingSpec, b_idx: int) -> list[int]:
-    """Indices of the principal ideal b R."""
-    return sorted(set(int(v) for v in R.mul_table[b_idx]))
+    """Indices of the principal ideal b R = pi^(val b) R."""
+    return R.ideal_indices(int(R.valuation_table[b_idx]))
 
 
 def _coset_reps(R: RingSpec, ideal: list[int], k: int) -> list[tuple]:
@@ -92,7 +91,7 @@ def irrep_catalog(H: HeisenbergGroup) -> list[IrrepDescriptor]:
         # dim = [L : stabilizer] = orbit size = |bR|^k
         dim = len(ideal_of(R, b_idx)) ** H.k
         # lambda labels: coset reps of pi^level R ... duality for Ann(b)
-        lam_labels = _coset_reps(R, ideal_of(R, _power_uniformizer(R, level)), H.k)
+        lam_labels = _coset_reps(R, R.ideal_indices(level), H.k)
         for w in orbit_representatives(H, b_idx):
             for lab in lam_labels:
                 out.append(
@@ -105,18 +104,6 @@ def irrep_catalog(H: HeisenbergGroup) -> list[IrrepDescriptor]:
                     )
                 )
     return out
-
-
-def _power_uniformizer(R: RingSpec, j: int) -> int:
-    """Index of pi^j (0 if j >= n)."""
-    if j >= R.n:
-        return 0
-    if j == 0:
-        return R.one.index
-    pw = R.uniformizer
-    for _ in range(j - 1):
-        pw = pw * R.uniformizer
-    return pw.index
 
 
 @dataclass(frozen=True)

@@ -428,7 +428,7 @@ def _table_group(b) -> AbstractGroup:
     if isinstance(obj, str):  # a path to a JSON file
         with open(obj) as fh:
             obj = json.load(fh)
-    return AbstractGroup.from_json(obj, cap=b.cap)
+    return AbstractGroup.from_json(obj)
 
 
 _RING_KEYS = ("p", "f", "e", "n")
@@ -437,7 +437,7 @@ _RING_DEFAULTS = {"f": 1, "e": 1, "n": 1}
 FAMILIES = {
     "heisenberg": Family(
         "heis", _RING_KEYS + ("k",), {**_RING_DEFAULTS, "k": 1}, ring=_ring, oracle=False,
-        group=lambda b: HeisenbergGroup(b.ring, b.k).to_abstract(cap=b.cap),
+        group=lambda b: HeisenbergGroup(b.ring, b.k).to_abstract(),
         order=lambda b: HeisenbergGroup(b.ring, b.k).order,
         describe=lambda b: f"heis k={b.k} over {b.ring!r}",
         routes={
@@ -448,7 +448,7 @@ FAMILIES = {
     ),
     "unitriangular": Family(
         "unitri", _RING_KEYS + ("size",), _RING_DEFAULTS, ring=_ring, oracle=False,
-        group=lambda b: UnitriangularGroup(b.ring, b.size).to_abstract(cap=b.cap),
+        group=lambda b: UnitriangularGroup(b.ring, b.size).to_abstract(),
         order=lambda b: UnitriangularGroup(b.ring, b.size).order,
         describe=lambda b: f"unitri size={b.size} over {b.ring!r}",
         routes={
@@ -457,7 +457,7 @@ FAMILIES = {
     ),
     "affine": Family(
         "aff", _RING_KEYS, _RING_DEFAULTS, ring=_ring, oracle=False,
-        group=lambda b: AffineGroup(b.ring).to_abstract(cap=b.cap),
+        group=lambda b: AffineGroup(b.ring).to_abstract(),
         order=lambda b: AffineGroup(b.ring).order,
         describe=lambda b: f"aff over {b.ring!r}",
         routes={
@@ -509,11 +509,10 @@ class FamilyInstance:
     first use, except that a family whose oracle runs by default is
     given by its group, which is then built at once."""
 
-    def __init__(self, family: str, params: dict, cap: int | None = None):
+    def __init__(self, family: str, params: dict):
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family}")
         self.family = FAMILIES[family]
-        self.cap = cap
         for key in self.family.keys:
             setattr(self, key, params[key] if key in params else self.family.defaults[key])
         if self.family.oracle:

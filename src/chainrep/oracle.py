@@ -32,25 +32,20 @@ branch-and-bound settles exactly at these sizes.  The minimal normal
 subgroups come from the table as well: every normal subgroup is the
 intersection of the irreducible kernels that contain it (Isaacs,
 Character Theory of Finite Groups, ch. 2), so the normal closure of a
-class is the AND of the kernel class masks that contain it."""
+class is the set of classes lying in every kernel that contains it, read
+off the boolean kernel matrix."""
 
 from __future__ import annotations
 
 import math
-import operator
-from functools import reduce
+from functools import cached_property
 
 import numpy as np
 
 from .chain_ring import _factorize, _is_prime
-from .char_duality import DualVector
+from .char_duality import DualVector, _rref
 from .exactrep import Cyclotomic
-from .group_models import (
-    AbstractGroup,
-    CapExceededError,
-    Char2UnsupportedError,
-    group_cap,
-)
+from .group_models import AbstractGroup, Char2UnsupportedError, _check_cap, multiplier_closure
 
 
 class ModularPrimeNotFoundError(RuntimeError):
@@ -61,34 +56,6 @@ MAX_PRIME_TRIES = 8
 
 
 # -- modular linear algebra ------------------------------------------
-
-
-def _rref(A, l):
-    """Gauss-Jordan elimination over F_l: (reduced row echelon form of A,
-    pivot columns)."""
-    A = np.array(A % l, dtype=np.int64)
-    m, n = A.shape
-    row = 0
-    pivcol = []
-    for col in range(n):
-        if row == m:
-            break
-        pr = None
-        for i in range(row, m):
-            if A[i, col] % l:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != row:
-            A[[row, pr]] = A[[pr, row]]
-        A[row] = (A[row] * pow(int(A[row, col]), -1, l)) % l
-        for i in range(m):
-            if i != row and A[i, col]:
-                A[i] = (A[i] - A[i, col] * A[row]) % l
-        pivcol.append(col)
-        row += 1
-    return A, pivcol
 
 
 def _nullspace(A, l):
@@ -148,13 +115,9 @@ def _unit_generators(E: int) -> list[int]:
     smaller ones."""
     reached, gens = {1}, []
     for k in range(2, E):
-        if math.gcd(k, E) != 1 or k in reached:
-            continue
-        gens.append(k)
-        front = reached
-        while front:
-            front = {a * g % E for a in front for g in gens} - reached
-            reached |= front
+        if math.gcd(k, E) == 1 and k not in reached:
+            gens.append(k)
+            reached = set(multiplier_closure(E, gens))
     return gens
 
 
@@ -174,15 +137,14 @@ class CharacterTable:
     """Exact character table of an abstract group.
 
     Attributes: reps/sizes/class_of (classes ordered by least member),
-    dims (ascending with the row order), chars (rows of Cyclotomic
-    values over zeta_exponent), mu (integer root-multiplicity tensor),
-    power_class (power_class[k, j] is the class of the k-th power of
-    reps[j]), kernel class masks, and the modular prime actually used."""
+    dims (ascending with the row order), mu (integer root-multiplicity
+    tensor: mu[c, j, u] is the multiplicity of zeta_exponent^u in
+    chi_c(reps[j])), power_class (power_class[k, j] is the class of the
+    k-th power of reps[j]), kernels (the boolean kernel matrix) and the
+    modular prime actually used."""
 
-    def __init__(self, G: AbstractGroup, cap: int | None = None):
-        cap = cap or group_cap()
-        if G.order > cap:
-            raise CapExceededError(f"|G| = {G.order} exceeds oracle cap {cap}")
+    def __init__(self, G: AbstractGroup):
+        _check_cap(G.order)
         self.group = G
         reps, class_of, sizes = G.conjugacy
         self.reps = list(reps)
@@ -390,33 +352,11 @@ class CharacterTable:
     def value(self, c: int, j: int) -> Cyclotomic:
         return Cyclotomic(self.exponent, self.mu[c, j].tolist())
 
-    def kernel_class_mask(self, c: int) -> int:
-        """Bitmask over classes j with chi_c(C_j) = chi_c(1)."""
-        mask = 0
-        for j in range(self.r):
-            if self.mu[c, j, 0] == self.dims[c] and not self.mu[c, j, 1:].any():
-                mask |= 1 << j
-        return mask
-
-    def kernel_elements(self, c: int) -> frozenset:
-        mask = self.kernel_class_mask(c)
-        return frozenset(
-            int(g)
-            for g in range(self.group.order)
-            if (mask >> int(self.class_of[g])) & 1
-        )
-
-    def kernel_lattice(self) -> list:
-        """Per-irrep kernels as element sets; each verified to be a
-        subgroup, with trivial overall intersection."""
-        kers = [self.kernel_elements(c) for c in range(self.r)]
-        for K in kers:
-            assert self.group.closure(sorted(K)) == sorted(K), "kernel not closed"
-        inter = set(kers[0])
-        for K in kers[1:]:
-            inter &= K
-        assert inter == {self.group.identity}, "kernel lattice intersection nontrivial"
-        return kers
+    @cached_property
+    def kernels(self) -> np.ndarray:
+        """kernels[c, j]: class j lies in ker chi_c, i.e. chi_c(C_j) =
+        chi_c(1), all of whose multiplicity sits at zeta^0."""
+        return self.mu[:, :, 0] == np.array(self.dims)[:, None]
 
     def to_rows(self):
         """CSV-ready rows: dim then exact values by class."""
@@ -432,21 +372,18 @@ class CharacterTable:
 def minimal_normal_witnesses(T: CharacterTable) -> list:
     """One witness class index per minimal normal subgroup: its lowest
     non-identity class.  A normal subgroup is the intersection of the
-    irreducible kernels that contain it, so the normal closure of class
-    j is the AND of the kernel class masks with bit j set, and no
-    element closure is needed.  N is contained in a kernel iff the
-    witness class is, so coverage checks reduce to kernel masks."""
-    kernels = [T.kernel_class_mask(c) for c in range(T.r)]
-    normal = {}  # class j -> class mask of its normal closure
-    for j in range(T.r):
-        if j != T.identity_class:
-            normal[j] = reduce(operator.and_, (k for k in kernels if k >> j & 1))
-    masks = set(normal.values())
-    witness = {}
-    for j, N in normal.items():
-        if not any(M != N and M & N == M for M in masks):
-            witness.setdefault(N, j)
-    return sorted(witness.values())
+    irreducible kernels that contain it, so class i lies in the normal
+    closure N_j of class j iff no kernel holds j without i, and no
+    element closure is needed.  N_j is minimal iff every non-identity
+    class in it has closure N_j.  N is contained in a kernel iff the
+    witness class is, so coverage checks reduce to kernel columns."""
+    K = T.kernels.astype(np.int64)
+    inside = K.T @ (1 - K) == 0  # inside[j, i]: class i lies in N_j
+    nontrivial = np.arange(T.r) != T.identity_class
+    sub = inside & nontrivial
+    minimal = ~(sub & ~inside.T).any(axis=1)
+    least = sub.argmax(axis=1) == np.arange(T.r)
+    return np.flatnonzero(nontrivial & minimal & least).tolist()
 
 
 def min_faithful_exhaustive(T: CharacterTable):
@@ -459,14 +396,8 @@ def min_faithful_exhaustive(T: CharacterTable):
         return 0, ()
     full = (1 << s) - 1
     # coverage mask per row: witness bits whose class escapes the kernel
-    cover = []
-    for c in range(T.r):
-        kmask = T.kernel_class_mask(c)
-        m = 0
-        for u, j in enumerate(witnesses):
-            if not (kmask >> j) & 1:
-                m |= 1 << u
-        cover.append(m)
+    # (Python ints, as s may pass 63)
+    cover = [sum(1 << u for u in np.flatnonzero(row).tolist()) for row in ~T.kernels[:, witnesses]]
     # dedupe: cheapest row per coverage mask, drop useless rows
     best_row = {}
     for c in range(T.r):
@@ -528,22 +459,14 @@ def catalog_from_table(T: CharacterTable):
     p = primes[0]
     orders = G.element_orders
     gens = G._span(g for g in G.center if orders[g] == p)[1]
-    E = T.exponent
-    step = E // p
-    entries = []
-    for c in range(T.r):
-        coords = []
-        for g in gens:
-            j = int(T.class_of[g])
-            nz = np.nonzero(T.mu[c, j])[0]
-            assert len(nz) == 1 and T.mu[c, j, nz[0]] == T.dims[c], (
-                "central class value is not a scalar root of unity"
-            )
-            t = int(nz[0])
-            assert t % step == 0
-            coords.append((t // step) % p)
-        entries.append((T.dims[c], DualVector(p, tuple(coords)), c))
-    return entries
+    step = T.exponent // p
+    V = T.mu[:, T.class_of[gens], :]  # (row, generator, root exponent)
+    t = V.argmax(axis=2)
+    scalar = (np.count_nonzero(V, axis=2) == 1) & (V.max(axis=2) == np.array(T.dims)[:, None])
+    assert scalar.all(), "central class value is not a scalar root of unity"
+    assert (t % step == 0).all()
+    coords = (t // step % p).tolist()
+    return [(T.dims[c], DualVector(p, tuple(coords[c])), c) for c in range(T.r)]
 
 
 # -- cross validation -------------------------------------------------
@@ -553,7 +476,7 @@ def catalog_from_table(T: CharacterTable):
 SUITE_KEYS = ("name", "family", "expected", "oracle", "two_step", "pgroup_catalog")
 
 
-def cross_validate(suite: dict, cap: int | None = None) -> dict:
+def cross_validate(suite: dict) -> dict:
     """Run every instance of a suite through each applicable route and
     report agreement.  The family's own routes (closed form, greedy
     solver, explicit construction, orbit bound) always run.  The
@@ -580,7 +503,7 @@ def cross_validate(suite: dict, cap: int | None = None) -> dict:
         values = {}
         notes = []
         try:
-            b = solver.FamilyInstance(family, inst, cap)
+            b = solver.FamilyInstance(family, inst)
             fam = b.family
             for key, route in fam.routes.items():
                 try:
@@ -596,7 +519,7 @@ def cross_validate(suite: dict, cap: int | None = None) -> dict:
                     for key, route in solver.TWO_STEP_ROUTES.items():
                         values[f"{key}_two_step"] = value(route(b), notes)
                 if oracle:
-                    T = CharacterTable(b.group, cap=cap)
+                    T = CharacterTable(b.group)
                     m, sel = min_faithful_exhaustive(T)
                     values["oracle"] = m
                     values["oracle_selection_dims"] = [T.dims[c] for c in sel]

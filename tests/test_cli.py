@@ -156,6 +156,15 @@ def test_minfaith_unitriangular(capsys):
     assert out.splitlines()[0] == "9"
 
 
+def test_closed_form_builds_no_ring_table(capsys):
+    # |G| and the closed form need no N x N ring table, so a ring of
+    # 101^2 elements, past the ring table cap, still gets its answer
+    for family, m in [(["heisenberg"], 10201), (["affine"], 10100), (["unitriangular", "--size", "3"], 10201)]:
+        code, out, err = run_cli(capsys, "minfaith", *family, "--p", "101", "--n", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == str(m)
+
+
 def test_minfaith_two_step_table(capsys, tmp_path, group, schema):
     path = tmp_path / "d4.json"
     path.write_text(json.dumps(group("d4").to_json()))

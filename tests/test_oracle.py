@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chainrep import oracle
 from chainrep.chain_ring import _is_prime
+from chainrep.char_duality import _rref
 from chainrep.exactrep import Cyclotomic, _ctx, cyc_sum
 from chainrep.group_models import (
     CapExceededError,
@@ -22,7 +23,6 @@ from chainrep.oracle import (
     _eigenvalues,
     _hessenberg,
     _nullspace,
-    _rref,
     catalog_from_table,
     cross_validate,
     min_faithful_exhaustive,
@@ -304,18 +304,18 @@ def test_verify_checks_primes_past_twice_the_squared_order(table, monkeypatch):
 
 
 @st.composite
-def semidirect_groups(draw):
+def semidirect_groups(draw, bound=160):
     """Z/modulus by a unit subgroup, or by Z/h through one unit, of
-    order at most 160."""
+    order at most the bound."""
     modulus = draw(st.integers(2, 24))
     units = [u for u in range(1, modulus) if math.gcd(u, modulus) == 1]
     if draw(st.booleans()):
         mults = draw(st.lists(st.sampled_from(units), min_size=1, max_size=2))
-        assume(modulus * len(multiplier_closure(modulus, mults)) <= 160)
+        assume(modulus * len(multiplier_closure(modulus, mults)) <= bound)
         return semidirect_cyclic(modulus, mults)
     a = draw(st.sampled_from(units))
     h = len(multiplier_closure(modulus, [a])) * draw(st.integers(1, 4))
-    assume(modulus * h <= 160)
+    assume(modulus * h <= bound)
     return semidirect_cyclic_hom(modulus, a, h)
 
 
@@ -345,24 +345,35 @@ def test_table_deterministic(group):
     assert T1.dims == T2.dims
 
 
+def kernel_rows(T, c):
+    """The elements of ker chi_c, ascending."""
+    return np.flatnonzero(T.kernels[c][T.class_of]).tolist()
+
+
 def test_kernels_are_normal_subgroups(table):
-    for name in ["d4", "q8", "aff_z9", "gl2_f3"]:
+    for name in ["d4", "q8", "aff_z9", "gl2_f3", "hei3_f2t2"]:
         T = table(name)
         G = T.group
-        kernels = T.kernel_lattice()
+        kernels = [kernel_rows(T, c) for c in range(T.r)]
         assert len(kernels) == T.r
         for K in kernels:
-            assert G.closure(sorted(K)) == sorted(K)
+            assert G.closure(K) == K
             for g in G.elements:
                 assert {G.conj(g, k) for k in K} == set(K)
         # trivial character: kernel is everything
         sizes = [len(K) for K in kernels]
         assert max(sizes) == G.order
+        # the kernels meet in the identity alone
+        assert T.kernels.all(axis=0).tolist() == [j == T.identity_class for j in range(T.r)]
     # a faithful irrep exists iff some kernel is trivial: true for the
     # order-8 groups with cyclic center, false over the non-cyclic center
-    assert any(len(K) == 1 for K in table("q8").kernel_lattice())
-    assert any(len(K) == 1 for K in table("d4").kernel_lattice())
-    assert all(len(K) > 1 for K in table("hei3_f2t2").kernel_lattice())
+    def faithful(name):
+        T = table(name)
+        return [len(kernel_rows(T, c)) == 1 for c in range(T.r)]
+
+    assert any(faithful("q8"))
+    assert any(faithful("d4"))
+    assert not any(faithful("hei3_f2t2"))
 
 
 def test_minimal_normal_witnesses(table):
@@ -374,14 +385,43 @@ def test_minimal_normal_witnesses(table):
     assert len(minimal_normal_witnesses(table("gl2_f3"))) == 1
 
 
+def reference_witnesses(T):
+    """The least non-identity class of each minimal normal subgroup, by
+    brute force: the normal closure of each element is the span of its
+    conjugates, and the minimal normal subgroups are the closures that
+    hold no smaller one."""
+    G = T.group
+    others = np.arange(G.order) != G.identity
+    closures = {
+        G._span(G._conjugates(np.arange(G.order), [g]).ravel())[0].tobytes()
+        for g in np.flatnonzero(others)
+    }
+    masks = [np.frombuffer(N, dtype=bool) for N in closures]
+    minimal = [N for N in masks if not any(M.sum() < N.sum() and (N | ~M).all() for M in masks)]
+    return sorted(int(T.class_of[N & others].min()) for N in minimal)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.data())
+def test_witnesses_are_least_classes_of_minimal_normal_subgroups(make_abelian, data):
+    if data.draw(st.booleans(), label="abelian"):
+        orders = data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=4), label="orders")
+        assume(math.prod(orders) <= 200)
+        G = make_abelian(orders)
+    else:
+        G = data.draw(semidirect_groups(bound=200))
+    T = CharacterTable(G)
+    assert minimal_normal_witnesses(T) == reference_witnesses(T)
+
+
 def test_min_faithful_exhaustive(table):
     for name, m in EXHAUSTIVE_MIN.items():
         got, sel = min_faithful_exhaustive(table(name))
         assert got == m, name
         T = table(name)
-        joint = set(T.kernel_elements(sel[0]))
+        joint = set(kernel_rows(T, sel[0]))
         for c in sel[1:]:
-            joint &= T.kernel_elements(c)
+            joint &= set(kernel_rows(T, c))
         assert joint == {T.group.identity}
         assert sum(int(T.dims[c]) for c in sel) == m
 
@@ -409,9 +449,11 @@ def test_catalog_from_table_rejects_non_p_group(table):
         catalog_from_table(table("aff_z9"))
 
 
-def test_cap_enforcement(group):
-    with pytest.raises(CapExceededError):
-        CharacterTable(group("d4"), cap=4)
+def test_cap_enforcement(group, monkeypatch):
+    G = group("d4")
+    monkeypatch.setenv("CHAINREP_ORACLE_CAP", "4")
+    with pytest.raises(CapExceededError, match="exceeds cap 4"):
+        CharacterTable(G)
 
 
 def test_cross_validate_ok(suite_report):
