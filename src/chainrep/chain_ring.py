@@ -35,6 +35,10 @@ class RingParameterError(ValueError):
     """Raised for parameter tuples that do not define a chain ring."""
 
 
+class CapExceededError(ValueError):
+    """Raised, before allocating, for a table or catalog past its size cap."""
+
+
 def _factorize(m: int) -> dict[int, int]:
     """Prime factorization of m >= 1 by trial division: prime -> exponent,
     primes ascending."""
@@ -371,7 +375,7 @@ class RingSpec:
     def _tables(self):
         N = self.size
         if N > TABLE_CAP:
-            raise RingParameterError(f"ring of size {N} exceeds table cap {TABLE_CAP}")
+            raise CapExceededError(f"ring of size {N} exceeds table cap {TABLE_CAP}")
         D = self._digit_matrix()
         fn = self._fn
         radix = np.array(self._radix, dtype=np.int64)

@@ -253,10 +253,11 @@ def _cmd_irreps(args) -> int:
 def _minfaith_values(target, params):
     """(values dict, solution json or None) for the requested mode.  The
     two-step target is the table family with the two-step routes.  In
-    mode all, a route that refuses the group is left out, with its reason
-    on stderr."""
+    mode all, a route that refuses the group (group_models.REFUSALS), the
+    oracle above the cap among them, is left out, with its reason on
+    stderr."""
     from . import oracle as orc
-    from .group_models import Char2UnsupportedError, group_cap
+    from .group_models import REFUSALS
     from .minfaith_solver import TWO_STEP_ROUTES, FaithfulSolution, FamilyInstance
 
     mode = params["mode"]
@@ -271,15 +272,19 @@ def _minfaith_values(target, params):
             b = FamilyInstance(target, params)
             b.ring  # noqa: B018 (builds and caches the ring)
     with _parse_errors(",".join(f"{k}={params[k]}" for k in b.family.keys)):
-        order = b.family.order(b)  # checks the group parameters
-    routes = TWO_STEP_ROUTES if two_step else b.family.routes
+        b.family.order(b)  # checks the group parameters
+
+    def oracle(b):  # the group build checks the cap before allocating
+        return orc.min_faithful_exhaustive(orc.CharacterTable(b.group))[0]
+
+    routes = {**(TWO_STEP_ROUTES if two_step else b.family.routes), "oracle": oracle}
     values = {}
     solution = None
-    for key in ("formula", "construct") if mode == "all" else (mode,):
+    for key in ("formula", "construct", "oracle") if mode == "all" else (mode,):
         if key in routes:
             try:
                 out = routes[key](b)
-            except Char2UnsupportedError as exc:
+            except REFUSALS as exc:
                 if mode != "all":
                     raise
                 print(f"{key} skipped: {exc}", file=sys.stderr)
@@ -288,9 +293,6 @@ def _minfaith_values(target, params):
                 solution = out.to_json()
                 out = out.total_dim
             values[key] = out
-    if mode == "oracle" or (mode == "all" and order <= group_cap()):
-        T = orc.CharacterTable(b.group)
-        values["oracle"], _ = orc.min_faithful_exhaustive(T)
     return values, solution
 
 

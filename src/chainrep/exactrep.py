@@ -15,11 +15,16 @@ Induction fills them from index-array products of the group
 (``group.product``), and the kernel is the rows equal to
 (arange(degree), 0), an integer test that for these exact matrices is
 chi(g) = chi(1).
+
+Checks are exact, on generators: induction requires the greedy span of
+the subgroup's rows to be those rows, and chi(x s) = chi(x) chi(s) for
+every row x and each generator s of the span, which by induction on word
+length makes chi multiplicative; ``check_homomorphism`` does the same
+for a representation on the group's generators.
 """
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from math import gcd
 
@@ -228,44 +233,31 @@ class LinearChar:
         self.exps = np.asarray(exps, dtype=np.int64) % order
 
 
-def _pairs(count: int, seed: int, exhaustive_cap: int):
-    """Positions (i, j) in a list of this length: every pair, or 1000
-    pairs drawn with the seed when the list is longer than the cap."""
-    if count <= exhaustive_cap:
-        return np.divmod(np.arange(count * count), count)
-    rng = random.Random(seed)
-    draws = np.array([rng.randrange(count) for _ in range(2000)])
-    return draws[0::2], draws[1::2]
-
-
-def _check_subgroup(group, sub, exhaustive_cap=512):
-    """sub: row indices of the claimed subgroup."""
+def _check_subgroup(group, sub) -> list[int]:
+    """Rows generating the subgroup with rows sub; raises NotSubgroupError
+    unless their span, which holds every product of rows of sub, is sub."""
     member = np.zeros(group.order, dtype=bool)
     member[sub] = True
-    if not member[group.index_of([group.identity])[0]]:
-        raise NotSubgroupError("identity missing")
-    missing = np.flatnonzero(~member[index_inverse(group, sub)])
-    if len(missing):
-        raise NotSubgroupError(f"inverse of {group.elements[sub[missing[0]]]!r} missing")
-    i, j = _pairs(len(sub), 11, exhaustive_cap)
-    if not member[group.product(sub[i], sub[j])].all():
+    span, gens = group._span(sub)
+    if not np.array_equal(span, member):
         raise NotSubgroupError("not closed under multiplication")
+    return gens
 
 
-def _check_character(group, sub, vals, m, exhaustive_cap=512):
-    """vals[i]: the exponent of chi at the element with row index sub[i]."""
+def _check_character(group, sub, vals, m, gens):
+    """vals[i]: the exponent of chi at the element with row index sub[i];
+    gens: rows generating the subgroup.  chi(x s) = chi(x) chi(s) for
+    every x and each generator s makes chi multiplicative, by induction
+    on the word length of the right factor."""
     pos = np.full(group.order, -1, dtype=np.int64)
     pos[sub] = np.arange(len(sub))
     if vals[pos[group.index_of([group.identity])[0]]] % m != 0:
         raise ChiNotHomomorphismError("chi(identity) != 1")
-    i, j = _pairs(len(sub), 13, exhaustive_cap)
-    ij = pos[group.product(sub[i], sub[j])]
-    if (ij < 0).any():
-        raise NotSubgroupError("not closed under multiplication")
-    bad = np.flatnonzero((vals[i] + vals[j] - vals[ij]) % m)
-    if len(bad):
-        a, b = (group.elements[sub[x[bad[0]]]] for x in (i, j))
-        raise ChiNotHomomorphismError(f"chi not multiplicative at ({a!r}, {b!r})")
+    for s in gens:
+        bad = np.flatnonzero((vals + vals[pos[s]] - vals[pos[group.product(sub, s)]]) % m)
+        if len(bad):
+            a, b = group.elements[sub[bad[0]]], group.elements[s]
+            raise ChiNotHomomorphismError(f"chi not multiplicative at ({a!r}, {b!r})")
 
 
 class MonomialRep:
@@ -282,15 +274,14 @@ class MonomialRep:
         self.exps = exps
 
     @staticmethod
-    def induce(group, chi: LinearChar, check=True) -> "MonomialRep":
+    def induce(group, chi: LinearChar) -> "MonomialRep":
         """Induction of the linear character chi from its subgroup (the
-        rows chi.rows) to the whole group.  The coset representatives are
-        the least row of each left coset; for each row w, w =
-        reps[coset_of[w]] * sub[a_of[w]]."""
+        rows chi.rows) to the whole group, after checking exactly, on
+        generators, that the rows form a subgroup and chi is a character
+        of it.  The coset representatives are the least row of each left
+        coset; for each row w, w = reps[coset_of[w]] * sub[a_of[w]]."""
         m, sub, vals = chi.order, chi.rows, chi.exps
-        if check:
-            _check_subgroup(group, sub)
-            _check_character(group, sub, vals, m)
+        _check_character(group, sub, vals, m, _check_subgroup(group, sub))
         n = group.order
         coset_of = np.full(n, -1, dtype=np.int64)
         a_of = np.empty(n, dtype=np.int64)
@@ -328,15 +319,19 @@ class MonomialRep:
         """Mask of the rows whose matrix is the identity: the kernel."""
         return ((self.sigma == np.arange(self.degree)) & (self.exps % self.scalar_order == 0)).all(axis=1)
 
-    def check_homomorphism(self, exhaustive_cap=512) -> bool:
-        a, b = _pairs(self.group.order, 17, exhaustive_cap)
-        n, m = self.group.order, self.scalar_order
-        for lo in range(0, len(a), n):  # |G| pairs at a time: |G| x degree arrays
-            x, y = a[lo : lo + n], b[lo : lo + n]
-            xy, sy = self.group.product(x, y), self.sigma[y]
-            if (np.take_along_axis(self.sigma[x], sy, 1) != self.sigma[xy]).any():
+    def check_homomorphism(self) -> bool:
+        """rho(1) = 1 and rho(g s) = rho(g) rho(s) for every row g and each
+        generator s of the group: by induction on the word length of the
+        right factor, rho is then a homomorphism."""
+        g, m = np.arange(self.group.order), self.scalar_order
+        if not self.identity_rows[self.group.index_of([self.group.identity])[0]]:
+            return False
+        for s in self.group.generators:
+            gs, ss = self.group.product(g, s), self.sigma[s]
+            # rho(g) rho(s) e_t = zeta^(exps[s, t] + exps[g, ss[t]]) e_sigma[g, ss[t]]
+            if (self.sigma[:, ss] != self.sigma[gs]).any():
                 return False
-            if ((self.exps[y] + np.take_along_axis(self.exps[x], sy, 1) - self.exps[xy]) % m).any():
+            if ((self.exps[s] + self.exps[:, ss] - self.exps[gs]) % m).any():
                 return False
         return True
 

@@ -23,16 +23,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain_ring import RingSpec, _factorize
-
-
-class CapExceededError(ValueError):
-    pass
+from .chain_ring import CapExceededError, RingSpec, _factorize
 
 
 class Char2UnsupportedError(ValueError):
     """Raised by operations that rely on halving and are not offered in
     residue characteristic 2."""
+
+
+# What a route raises to refuse an instance: where several routes run, a
+# refusing route is left out with a "skipped" note.
+REFUSALS = (Char2UnsupportedError, CapExceededError)
 
 
 def group_cap() -> int:
@@ -115,7 +116,37 @@ def _family_table(self) -> "AbstractGroup":
     return AbstractGroup(table, names=self.elements, validate=False)
 
 
-class _RingFamily:
+class _Spanned:
+    """Spans of rows, written against ``product``, ``index_of`` and
+    ``identity``, which the ring families and the table groups share."""
+
+    def _span(self, seed) -> tuple[np.ndarray, list[int]]:
+        """Greedy closure: (member mask of the subgroup generated by the
+        rows seed, the seed rows that enlarged it, in seed order).  Each
+        kept row grows the mask breadth-first by right multiplication with
+        the kept rows, which in a finite group reaches every product."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[self.index_of([self.identity])] = True
+        gens = []
+        for g in seed:
+            if mask[g]:
+                continue
+            gens.append(int(g))
+            front = np.flatnonzero(mask)
+            while len(front):
+                prod = self.product(front[:, None], np.array(gens)).ravel()
+                front = np.unique(prod[~mask[prod]])
+                mask[front] = True
+        return mask, gens
+
+    @cached_property
+    def generators(self) -> list[int]:
+        """A generating set: each row that is not yet generated by the
+        smaller ones."""
+        return self._span(range(self.order))[1]
+
+
+class _RingFamily(_Spanned):
     """What the ring families share.  Each family writes its product
     once, as ``_law`` on coordinates (one integer or one numpy array per
     coordinate), and numbers its elements by a codec ``_encode`` /
@@ -339,7 +370,7 @@ class AffineGroup(_RingFamily):
 # -- abstract table groups -------------------------------------------
 
 
-class AbstractGroup:
+class AbstractGroup(_Spanned):
     """A finite group given by its dense multiplication table.  Elements
     are 0..n-1; ``names`` optionally attaches labels (family tuples)."""
 
@@ -392,31 +423,6 @@ class AbstractGroup:
 
     def conj(self, h, g):
         return int(self.table[self.table[h, g], self.inverse[h]])
-
-    def _span(self, seed) -> tuple[np.ndarray, list[int]]:
-        """Greedy closure: (member mask of the subgroup generated by seed,
-        the seed elements that enlarged it, in seed order).  Each kept
-        element grows the mask breadth-first by right multiplication with
-        the kept elements, which in a finite group reaches every product."""
-        mask = np.zeros(self.order, dtype=bool)
-        mask[self.identity] = True
-        gens = []
-        for g in seed:
-            if mask[g]:
-                continue
-            gens.append(int(g))
-            front = np.nonzero(mask)[0]
-            while len(front):
-                prod = self.table[front[:, None], gens].ravel()
-                front = np.unique(prod[~mask[prod]])
-                mask[front] = True
-        return mask, gens
-
-    @cached_property
-    def generators(self) -> list[int]:
-        """A generating set: each element that is not yet generated by
-        the smaller ones."""
-        return self._span(range(self.order))[1]
 
     def _check_associativity(self):
         # Light's test: associativity on a generating set implies it

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .chain_ring import RingSpec
+from .chain_ring import CapExceededError, RingSpec
 from .char_duality import AddChar, base_character_data, psi_b
 from .exactrep import LinearChar, MonomialRep
 from .group_models import Char2UnsupportedError, HeisenbergGroup
@@ -76,14 +76,11 @@ def stabilizer_subgroup(H: HeisenbergGroup, b_idx: int) -> np.ndarray:
 
 def irrep_catalog(H: HeisenbergGroup) -> list[IrrepDescriptor]:
     """One descriptor per irreducible: orbit representative plus a
-    character label of the stabilizer.  Explicit mode; use
-    catalog_summary for rings beyond the desk cap."""
+    character label of the stabilizer.  Refuses a dual past
+    EXPLICIT_CAP; catalog_summary counts any size."""
     R = H.ring
     if R.size ** (H.k + 1) > EXPLICIT_CAP:
-        raise ValueError(
-            f"dual of size {R.size ** (H.k + 1)} exceeds the explicit cap; "
-            "use catalog_summary"
-        )
+        raise CapExceededError(f"dual of size {R.size ** (H.k + 1)} exceeds the explicit cap {EXPLICIT_CAP}")
     out = []
     for b_idx in range(R.size):
         level = int(R.valuation_table[b_idx])
@@ -228,10 +225,10 @@ def extended_character(H: HeisenbergGroup, b_vec: tuple, b_idx: int, lam_label: 
 
 
 def mackey_induced_rep(
-    H: HeisenbergGroup, b_vec: tuple, b_idx: int, lam_label: tuple | None = None, check=True
+    H: HeisenbergGroup, b_vec: tuple, b_idx: int, lam_label: tuple | None = None
 ) -> MonomialRep:
     """Explicit monomial model of the irreducible attached to the orbit
     of psi_{b_vec, b} and the stabilizer character lambda."""
     if lam_label is None:
         lam_label = (0,) * H.k
-    return MonomialRep.induce(H, extended_character(H, b_vec, b_idx, lam_label), check=check)
+    return MonomialRep.induce(H, extended_character(H, b_vec, b_idx, lam_label))

@@ -42,6 +42,7 @@ from .group_models import (
     UnitriangularGroup,
     extend_character,
     general_linear_2,
+    group_cap,
     multiplier_closure,
     quaternion_group,
     semidirect_cyclic,
@@ -50,8 +51,6 @@ from .group_models import (
     structure_scan,
 )
 from .mackey_irreps import irrep_catalog, mackey_induced_rep
-
-MATRIX_CAP = 4096
 
 
 class NotTwoStepError(ValueError):
@@ -243,13 +242,11 @@ def heisenberg_basis_parameters(R: RingSpec) -> list:
     return out
 
 
-def construct_faithful_heisenberg(
-    R: RingSpec, k: int = 1, matrices: bool | None = None
-) -> FaithfulSolution:
+def construct_faithful_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
     """Direct sum over the basis parameters b_ij of the induced model
     with trivial orbit and stabilizer character.  Emits explicit
-    monomial matrices and verifies the kernel when the group is at desk
-    scale (or when forced via matrices=True)."""
+    monomial matrices and verifies the kernel when |G| is within
+    group_cap()."""
     H = HeisenbergGroup(R, k)
     params = heisenberg_basis_parameters(R)
     vectors = [restrict_to_omega1(psi_b(R, b)) for b in params]
@@ -266,15 +263,10 @@ def construct_faithful_heisenberg(
         )
     expected = formula_heisenberg(R.p, R.f, R.e, R.n, k)
     assert total == expected, "construction total deviates from the closed form"
-    if matrices is None:
-        matrices = H.order <= MATRIX_CAP
     reps = None
     verified = None
-    if matrices:
-        reps = [
-            mackey_induced_rep(H, (0,) * k, b.index, (0,) * k, check=False)
-            for b in params
-        ]
+    if H.order <= group_cap():
+        reps = [mackey_induced_rep(H, (0,) * k, b.index, (0,) * k) for b in params]
         assert [r.degree for r in reps] == [s["dim"] for s in summands]
         verified = DirectSumRep(reps).is_faithful()
     return FaithfulSolution(
@@ -302,7 +294,7 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     # chi1 on A: b -> zeta_|B| for a generator b of B
     b = next(g for g in B if G.element_orders[g] == len(B))
     MA, expsA = extend_character(G, [b], len(B), [1], A)
-    rho = MonomialRep.induce(G, LinearChar(MA, A, expsA), check=False)
+    rho = MonomialRep.induce(G, LinearChar(MA, A, expsA))
     assert rho.degree == G.order // len(A)
     assert rho.degree**2 == G.order // len(Z), (
         "maximal abelian does not sit halfway between center and group"
@@ -327,21 +319,21 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     )
 
 
-def construct_faithful_affine(R: RingSpec, matrices: bool | None = None) -> FaithfulSolution:
+def construct_faithful_affine(R: RingSpec) -> FaithfulSolution:
     """Induce the fixed primitive character of the translation subgroup
-    up to Aff(R): a faithful model of dimension q^n - q^(n-1)."""
+    up to Aff(R): a faithful model of dimension q^n - q^(n-1), with
+    explicit matrices and a verified kernel when |G| is within
+    group_cap()."""
     Aff = AffineGroup(R)
     target = formula_affine(R.p, R.f, R.n)
-    if matrices is None:
-        matrices = Aff.order <= MATRIX_CAP
     summand = {"kind": "induced from translations", "dim": target}
     reps = None
     verified = None
-    if matrices:
+    if Aff.order <= group_cap():
         mod, base = base_character_data(R)
         trans = Aff.translations
         chi = LinearChar(mod, trans, np.asarray(base)[Aff._decode(trans)[0]])
-        rho = MonomialRep.induce(Aff, chi, check=False)
+        rho = MonomialRep.induce(Aff, chi)
         assert rho.degree == target
         reps = [rho]
         verified = DirectSumRep(reps).is_faithful()

@@ -45,7 +45,7 @@ import numpy as np
 from .chain_ring import _factorize, _is_prime
 from .char_duality import DualVector, _rref
 from .exactrep import Cyclotomic
-from .group_models import AbstractGroup, Char2UnsupportedError, _check_cap, multiplier_closure
+from .group_models import REFUSALS, AbstractGroup, _check_cap, multiplier_closure
 
 
 class ModularPrimeNotFoundError(RuntimeError):
@@ -486,7 +486,7 @@ def cross_validate(suite: dict) -> dict:
     the group, ``two_step`` adds the two-step closed form and
     construction, and ``pgroup_catalog`` the greedy solver on the
     oracle's catalog.  A family route that refuses the instance
-    (Char2UnsupportedError) is left out, with a "skipped" note."""
+    (group_models.REFUSALS) is left out, with a "skipped" note."""
     from . import minfaith_solver as solver
 
     def value(out, notes):
@@ -508,7 +508,7 @@ def cross_validate(suite: dict) -> dict:
             for key, route in fam.routes.items():
                 try:
                     values[key] = value(route(b), notes)
-                except Char2UnsupportedError as exc:  # a route that refuses
+                except REFUSALS as exc:
                     notes.append(f"{key} skipped: {exc}")
             if fam.bound is not None:
                 values["orbit_bound"], eq = fam.bound(b)

@@ -132,7 +132,7 @@ def test_criterion_1_heisenberg_endpoints(suite_report, ring, capsys):
             == big["values"]["construct"]
             == 32
         )
-        sol = construct_faithful_heisenberg(ring("gr42"), 1, matrices=True)
+        sol = construct_faithful_heisenberg(ring("gr42"), 1)
         assert sol.total_dim == 32 and sol.verified_faithful is True
 
 
@@ -213,7 +213,7 @@ def test_criterion_4_affine(suite_report, ring, capsys):
             assert rows[name]["match"], rows[name]
             assert rows[name]["values"]["oracle"] == m == q**n - q ** (n - 1)
         for rn, m in [("f3", 2), ("z4", 2), ("z9", 6), ("f4", 3)]:
-            sol = construct_faithful_affine(ring(rn), matrices=True)
+            sol = construct_faithful_affine(ring(rn))
             assert sol.total_dim == m and sol.verified_faithful is True
 
 

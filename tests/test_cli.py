@@ -165,6 +165,32 @@ def test_closed_form_builds_no_ring_table(capsys):
         assert out.splitlines()[0] == str(m)
 
 
+def test_mode_all_skips_refusing_routes(capsys):
+    # past the ring table cap the construction refuses, and past the group
+    # cap the oracle: mode all leaves both out and names them on stderr
+    argv = ["minfaith", "heisenberg", "--p", "101", "--n", "2", "--mode"]
+    code, out, err = run_cli(capsys, *argv, "all")
+    assert (code, out) == (0, "10201\nformula: 10201\n")
+    assert err == (
+        "construct skipped: ring of size 10201 exceeds table cap 6000\n"
+        "oracle skipped: |G| = 1061520150601 exceeds cap 4096\n"
+    )
+    code, out, err = run_cli(capsys, *argv, "construct")
+    assert (code, out) == (1, "")
+    assert err == "error: CapExceededError: ring of size 10201 exceeds table cap 6000\n"
+    # the oracle alone above the cap: stdout is the two routes that ran
+    argv = ["minfaith", "heisenberg", "--p", "2", "--f", "2", "--n", "3", "--mode", "all"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (0, "128\nconstruct: 128\nformula: 128\n")
+    assert err == "oracle skipped: |G| = 262144 exceeds cap 4096\n"
+
+
+def test_irreps_past_explicit_cap(capsys):
+    code, out, err = run_cli(capsys, "irreps", "list", "--p", "101", "--n", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: CapExceededError: dual of size 104060401 exceeds the explicit cap 100000\n"
+
+
 def test_minfaith_two_step_table(capsys, tmp_path, group, schema):
     path = tmp_path / "d4.json"
     path.write_text(json.dumps(group("d4").to_json()))

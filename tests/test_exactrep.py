@@ -2,6 +2,7 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +210,55 @@ def test_induce_rejects_non_character(group):
     exps[exps.index(1)] = 3  # breaks chi(a)chi(b) = chi(ab)
     with pytest.raises(ChiNotHomomorphismError):
         MonomialRep.induce(G, LinearChar(4, sub, exps))
+
+
+def test_induce_checks_every_row_past_512():
+    # Z/1024 and chi(c) = zeta_1024^c with row 9 off by one: row 9 is
+    # one of the 56 rows that 1000 pairs sampled with seed 13 never touch
+    G = semidirect_cyclic(1024, [1])
+    exps = np.arange(1024)
+    exps[9] += 1
+    with pytest.raises(ChiNotHomomorphismError):
+        MonomialRep.induce(G, LinearChar(1024, np.arange(1024), exps))
+
+
+def test_check_homomorphism_checks_every_row_past_512():
+    # the dihedral group of order 1024, induced from its rotations; row
+    # 13, the reflection (6, 511), is one of the 55 rows that 1000 pairs
+    # sampled with seed 17 never touch
+    G = semidirect_cyclic(512, [511])
+    sub = _rotation_subgroup(G)
+    rho = MonomialRep.induce(G, LinearChar(512, sub, [G.names[g][0] for g in sub]))
+    assert rho.check_homomorphism()
+    assert G.names[13] == (6, 511)
+    for t in range(rho.degree):
+        rho.exps[13, t] += 1
+        assert not rho.check_homomorphism()
+        rho.exps[13, t] -= 1
+
+
+def test_checks_use_every_generator(group):
+    # scaling by zeta_4 on the coset {(1, 1), (1, 3)} (rows 2 and 3) of
+    # the first generator, the reflection (0, 3), keeps every relation
+    # through that generator: only the rotation (1, 1) catches it
+    G = group("d4")
+    assert G.generators == [1, 2] and G.mul(2, 1) == 3
+    sign = np.array([2 * (G.names[g][1] == 3) for g in G.elements])
+    MonomialRep.induce(G, LinearChar(4, G.elements, sign))
+    sign[[2, 3]] += 1
+    with pytest.raises(ChiNotHomomorphismError):
+        MonomialRep.induce(G, LinearChar(4, G.elements, sign))
+    rho = MonomialRep.induce(G, _faithful_rotation_char(G, _rotation_subgroup(G)))
+    rho.exps[[2, 3]] += 1
+    assert not rho.check_homomorphism()
+
+
+def test_check_homomorphism_rejects_non_invertible(group):
+    # every matrix the projection e_0 <- e_0, e_1: multiplicative, yet no
+    # homomorphism into GL_2, as rho(1) is not the identity
+    G = group("d4")
+    sigma = np.zeros((G.order, 2), dtype=np.int64)
+    assert not MonomialRep(G, 2, 1, sigma, np.zeros_like(sigma)).check_homomorphism()
 
 
 def test_trivial_induction_is_regular_rep(group):

@@ -202,8 +202,10 @@ def test_construct_heisenberg(ring):
         assert len(sol.reps) == len(dims)
 
 
-def test_construct_heisenberg_without_matrices(ring):
-    sol = construct_faithful_heisenberg(ring("z9"), matrices=False)
+def test_construct_heisenberg_without_matrices(ring, monkeypatch):
+    # Hei(Z/9) has 729 elements: above the cap no matrices are built
+    monkeypatch.setenv("CHAINREP_ORACLE_CAP", "512")
+    sol = construct_faithful_heisenberg(ring("z9"))
     assert sol.reps is None and sol.verified_faithful is None
     assert sol.total_dim == 9
 
