@@ -353,10 +353,14 @@ class RingSpec:
 
     # -- lookup tables ------------------------------------------------
 
-    def _digit_matrix(self):
-        idx = np.arange(self.size)
-        cols = [(idx // r) % self.p for r in self._radix]
-        return np.stack(cols, axis=1).astype(np.int64)
+    @cached_property
+    def _place(self) -> np.ndarray:
+        return np.array(self._radix, dtype=np.int64)
+
+    def digits(self, idx) -> np.ndarray:
+        """Digit vectors of the elements with indices idx: an int64 array
+        with one more axis, of length f*n, in ``coords`` order."""
+        return np.asarray(idx, dtype=np.int64)[..., None] // self._place % self.p
 
     def _canon_array(self, acc):
         # acc: [..., fn] int64, reduced in place column by column
@@ -376,9 +380,8 @@ class RingSpec:
         N = self.size
         if N > TABLE_CAP:
             raise CapExceededError(f"ring of size {N} exceeds table cap {TABLE_CAP}")
-        D = self._digit_matrix()
+        D = self.digits(np.arange(N))
         fn = self._fn
-        radix = np.array(self._radix, dtype=np.int64)
         # basis products, unreduced
         BP = np.zeros((fn, fn, fn), dtype=np.int64)
         for i in range(self.f):
@@ -397,9 +400,9 @@ class RingSpec:
         for lo in range(0, N, chunk):
             hi = min(N, lo + chunk)
             raw = D[lo:hi, None, :] + D[None, :, :]
-            add[lo:hi] = self._canon_array(raw) @ radix
+            add[lo:hi] = self._canon_array(raw) @ self._place
             raw = np.einsum("ap,bq,pqr->abr", D[lo:hi], D, BP)
-            mul[lo:hi] = self._canon_array(raw) @ radix
+            mul[lo:hi] = self._canon_array(raw) @ self._place
         return add, mul
 
     @property
@@ -412,16 +415,14 @@ class RingSpec:
 
     @cached_property
     def neg_table(self) -> np.ndarray:
-        # index of -a for each a
-        add = self.add_table
-        out = np.empty(self.size, dtype=add.dtype)
-        for a in range(self.size):
-            out[a] = int(np.nonzero(add[a] == 0)[0][0])
-        return out
+        """Index of -a for each index a: the negated digits, carried."""
+        return self._canon_array(-self.digits(np.arange(self.size))) @ self._place
 
     @cached_property
     def valuation_table(self) -> np.ndarray:
-        return np.array([self.valuation(a) for a in self.elements()], dtype=np.int64)
+        """Valuation by index: the first column with a nonzero digit."""
+        nonzero = self.digits(np.arange(self.size)).reshape(-1, self.f, self.n).any(axis=1)
+        return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), self.n)
 
     @cached_property
     def unit_inverse_table(self) -> dict[int, int]:

@@ -1,13 +1,16 @@
 """Additive characters of finite chain rings and their restriction to
 the p-torsion subgroup.
 
-A fixed primitive character psi is built per ring family: via the
-Galois-ring trace for unramified rings, the digit-sum for equal
-characteristic, and a coefficient-precision construction for ramified
-rings (the additive group decomposes as a sum of cyclic p-groups whose
-j-th block has precision ceil((n-j)/e); the character weights each
-block accordingly).  Every additive character is then psi_b : x |->
-psi(b x) for a unique b, and level(psi_b) = val(b).
+The fixed primitive character psi is a linear form in the digits: a
+modulus p^M and one weight per digit position, with psi(x) =
+zeta_{p^M}^(digits(x) . w).  The weights are all 1 mod p (the digit sum)
+in equal characteristic, the Galois-ring trace for unramified rings,
+and for ramified rings a coefficient-precision construction (the
+additive group decomposes as a sum of cyclic p-groups whose j-th block
+has precision ceil((n-j)/e); the character weights each block
+accordingly).  Every additive character is then psi_b : x |-> psi(b x)
+for a unique b, and level(psi_b) = val(b).  A value of psi_b is one ring
+product and one dot product, so nothing here enumerates the ring.
 
 Restricting psi_b to the p-torsion subgroup Omega_1(R,+) and reading
 off zeta_p-exponents at the canonical generators gives an F_p vector of
@@ -30,89 +33,72 @@ class NotSpanningError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def base_character_data(R: RingSpec) -> tuple[int, tuple[int, ...]]:
-    """(modulus p^M, exponent tuple) of the fixed primitive character."""
+def character_weights(R: RingSpec) -> tuple[int, tuple[int, ...]]:
+    """(modulus p^M, weight per digit position) of the fixed primitive
+    character: psi(x) = zeta_{p^M}^(digits(x) . w)."""
     p, f, e, n = R.p, R.f, R.e, R.n
-    N = R.size
-    digits = np.array([R.from_index(i).coords for i in range(N)], dtype=np.int64)
     if e == INF:
         mod = p
-        exps = np.remainder(digits.sum(axis=1), p)
+        w = [1] * (f * n)
     elif e == 1:
         mod = p**n
-        # column values a_i(x) = sum_j c[i][j] p^j per basis unit omega_i
-        pw = np.array([p**j for j in range(n)], dtype=np.int64)
-        A = np.stack([digits[:, i * n : (i + 1) * n] @ pw for i in range(f)], axis=1)
-        if f == 1:
-            exps = np.remainder(A[:, 0], mod)
-        else:
-            tvec = _trace_coefficients(R)
-            exps = np.remainder(A @ np.array(tvec, dtype=np.int64), mod)
+        w = [t * p**j for t in _trace_coefficients(R) for j in range(n)]
     else:
+        # column c is place c // e of block c mod e, whose precision
+        # ceil((n - c mod e)/e) is -((n - c % e) // -e)
         M = -(-n // e)
         mod = p**M
-        exps = np.zeros(N, dtype=np.int64)
-        for i in range(f):
-            for j in range(R.xi):
-                mj = -(-(n - j) // e)
-                t = np.zeros(N, dtype=np.int64)
-                l = 0
-                while j + e * l < n:
-                    t += digits[:, i * n + j + e * l] * p**l
-                    l += 1
-                exps += t * p ** (M - mj)
-        exps = np.remainder(exps, mod)
-    # primitivity: nontrivial somewhere on the socle pi^(n-1) R
-    socle = [i for i in range(N) if R.valuation_table[i] >= n - 1]
-    assert any(exps[i] % mod for i in socle), "base character not primitive"
-    return mod, tuple(int(v) for v in exps)
+        w = [p ** (c // e + M + (n - c % e) // -e) for _ in range(f) for c in range(n)]
+    w = tuple(v % mod for v in w)
+    # primitivity: nontrivial somewhere on the socle pi^(n-1) R, whose
+    # elements have digits in column n-1 only
+    assert any(w[i * n + n - 1] for i in range(f)), "base character not primitive"
+    return mod, w
 
 
 def _trace_coefficients(R: RingSpec) -> list[int]:
-    """Integer power sums T_i = sum of rho^(i-1) over the roots rho of
-    the unramified polynomial inside R (e = 1, f >= 2)."""
-    f, n, p = R.f, R.n, R.p
-    h = R.unramified_poly
-    roots = []
-    for a in R.elements():
-        acc = R.zero
-        pw = R.one
-        for c in h:
-            if c:
-                acc = acc + pw * R.from_int(c)
-            pw = pw * a
-        if acc.is_zero():
-            roots.append(a)
-    assert len(roots) == f, f"found {len(roots)} roots of the unramified polynomial"
-    out = []
-    for i in range(f):
-        s = R.zero
-        for rho in roots:
-            pw = R.one
-            for _ in range(i):
-                pw = pw * rho
-            s = s + pw
-        # Galois-stable, so s lies in the prime subring
-        assert all(s.coords[k * n + j] == 0 for k in range(1, f) for j in range(n))
-        out.append(sum(s.coords[j] * p**j for j in range(n)))
-    return out
+    """The traces T_i = Tr(omega_i), i < f, of an unramified ring (e = 1)
+    as integers mod p^n: the power sums of rho^i over the roots rho of
+    the unramified polynomial h inside R.
+
+    h is irreducible mod p, so its f roots in F_{p^f} (a normal
+    extension) are distinct: h is separable mod p.  By Hensel's lemma
+    each simple root lifts to a root in R = GR(p^n, f), and the lifts
+    are pairwise distinct mod p, so h = prod (x - rho) splits into
+    distinct linear factors over R.  Newton's identities then give the
+    power sums from the coefficients a_k of x^(f-k) in h,
+        T_k = -(a_1 T_(k-1) + ... + a_(k-1) T_1 + k a_k),  0 < k < f,
+    with T_0 = f.  The recurrence has integer coefficients, so each T_k
+    lies in the prime subring Z/p^n, and no root is searched for."""
+    f, h, mod = R.f, R.unramified_poly, R.p**R.n
+    a = h[::-1]  # a[k]: coefficient of x^(f-k)
+    T = [f]
+    for k in range(1, f):
+        T.append(-(sum(a[t] * T[k - t] for t in range(1, k)) + k * a[k]) % mod)
+    return T
+
+
+def psi(R: RingSpec, idx) -> np.ndarray:
+    """Exponents of the fixed primitive character on the elements with
+    indices idx, mod the modulus of character_weights(R)."""
+    mod, w = character_weights(R)
+    return R.digits(idx) @ np.array(w, dtype=np.int64) % mod
 
 
 class AddChar:
-    """The additive character psi_b of a chain ring."""
+    """The additive character psi_b of a chain ring, evaluated pointwise."""
 
     def __init__(self, R: RingSpec, b: RingElem):
         self.ring = R
         self.b = b
         self.level = R.valuation(b)
-        mod, base = base_character_data(R)
-        self.modulus = mod
-        row = R.mul_table[R.index(b)]
-        self.exps = np.array([base[int(x)] for x in row], dtype=np.int64)
+        self.modulus, self._weights = character_weights(R)
 
     def value_exp(self, x) -> int:
-        idx = x if isinstance(x, int) else self.ring.index(x)
-        return int(self.exps[idx])
+        """Exponent of psi(b x); x is a RingElem or an element index."""
+        if not isinstance(x, RingElem):
+            x = self.ring.element(self.ring.digits(x))
+        return sum(c * w for c, w in zip((self.b * x).coords, self._weights)) % self.modulus
 
     def __call__(self, x) -> Cyclotomic:
         return Cyclotomic.root(self.modulus, self.value_exp(x))

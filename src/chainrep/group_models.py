@@ -338,12 +338,23 @@ class AffineGroup(_RingFamily):
 
     def __init__(self, R: RingSpec):
         self.ring = R
-        self._units = np.array([u.index for u in R.units()], dtype=np.int64)
-        self._unit_pos = np.full(R.size, -1, dtype=np.int64)
-        self._unit_pos[self._units] = np.arange(len(self._units))
-        self._digits = [np.arange(R.size), self._units]
-        self.order = R.size * len(self._units)
+        self.order = R.size * R.unit_count()
         self.identity = (0, R.one.index)
+
+    @cached_property
+    def _units(self) -> np.ndarray:
+        """The units, ascending, listed on first use of the law."""
+        return np.flatnonzero(self.ring.valuation_table == 0)
+
+    @cached_property
+    def _unit_pos(self) -> np.ndarray:
+        pos = np.full(self.ring.size, -1, dtype=np.int64)
+        pos[self._units] = np.arange(len(self._units))
+        return pos
+
+    @cached_property
+    def _digits(self) -> list[np.ndarray]:
+        return [np.arange(self.ring.size), self._units]
 
     def __repr__(self):
         return f"AffineGroup({self.ring!r})"

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .chain_ring import CapExceededError, RingSpec
-from .char_duality import AddChar, base_character_data, psi_b
+from .char_duality import AddChar, character_weights, psi, psi_b
 from .exactrep import LinearChar, MonomialRep
 from .group_models import Char2UnsupportedError, HeisenbergGroup
 
@@ -212,16 +212,15 @@ def extended_character(H: HeisenbergGroup, b_vec: tuple, b_idx: int, lam_label: 
     """The linear character psi_{b_vec, b} x lambda on H_s = A . L_s:
     (x, y, z) -> psi(b z + b_vec.x + lam_label.y) for y in Ann(b)^k."""
     R, k = H.ring, H.k
-    mod, base = base_character_data(R)
+    add, mul = H._add, H._mul  # the ring table cap refuses before any row is listed
     S = range(R.size)
     ann = annihilator_indices(R, b_idx)
     rows = H._rows({t: S if t < k or t == 2 * k else ann for t in range(2 * k + 1)})
     c = H._decode(rows)
-    add, mul = H._add, H._mul
     acc = mul[b_idx, c[2 * k]]
     for t in range(k):
         acc = add[add[acc, mul[b_vec[t], c[t]]], mul[lam_label[t], c[k + t]]]
-    return LinearChar(mod, rows, np.asarray(base)[acc])
+    return LinearChar(character_weights(R)[0], rows, psi(R, acc))
 
 
 def mackey_induced_rep(

@@ -26,8 +26,9 @@ from .chain_ring import INF, RingSpec, _factorize, make_ring
 from .char_duality import (
     DualVector,
     NotSpanningError,
-    base_character_data,
     basis_greedy,
+    character_weights,
+    psi,
     psi_b,
     restrict_to_omega1,
     spans_dual,
@@ -330,9 +331,8 @@ def construct_faithful_affine(R: RingSpec) -> FaithfulSolution:
     reps = None
     verified = None
     if Aff.order <= group_cap():
-        mod, base = base_character_data(R)
         trans = Aff.translations
-        chi = LinearChar(mod, trans, np.asarray(base)[Aff._decode(trans)[0]])
+        chi = LinearChar(character_weights(R)[0], trans, psi(R, Aff._decode(trans)[0]))
         rho = MonomialRep.induce(Aff, chi)
         assert rho.degree == target
         reps = [rho]

@@ -166,23 +166,63 @@ def test_closed_form_builds_no_ring_table(capsys):
 
 
 def test_mode_all_skips_refusing_routes(capsys):
-    # past the ring table cap the construction refuses, and past the group
-    # cap the oracle: mode all leaves both out and names them on stderr
+    # past the group cap the oracle refuses: mode all leaves it out and
+    # names it on stderr, while the construction, which builds no matrices
+    # there and so needs no ring table, answers past the ring table cap
     argv = ["minfaith", "heisenberg", "--p", "101", "--n", "2", "--mode"]
     code, out, err = run_cli(capsys, *argv, "all")
-    assert (code, out) == (0, "10201\nformula: 10201\n")
-    assert err == (
-        "construct skipped: ring of size 10201 exceeds table cap 6000\n"
-        "oracle skipped: |G| = 1061520150601 exceeds cap 4096\n"
-    )
+    assert (code, out) == (0, "10201\nconstruct: 10201\nformula: 10201\n")
+    assert err == "oracle skipped: |G| = 1061520150601 exceeds cap 4096\n"
     code, out, err = run_cli(capsys, *argv, "construct")
-    assert (code, out) == (1, "")
-    assert err == "error: CapExceededError: ring of size 10201 exceeds table cap 6000\n"
+    assert (code, out, err) == (0, "10201\nconstruct: 10201\n", "")
     # the oracle alone above the cap: stdout is the two routes that ran
     argv = ["minfaith", "heisenberg", "--p", "2", "--f", "2", "--n", "3", "--mode", "all"]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (0, "128\nconstruct: 128\nformula: 128\n")
     assert err == "oracle skipped: |G| = 262144 exceeds cap 4096\n"
+
+
+def test_large_rings_are_not_enumerated(capsys, monkeypatch):
+    # past the group cap the closed forms and the constructions read no
+    # listing of the ring and decode few elements from their indices, so
+    # rings of 101^4 elements answer at once
+    from chainrep.chain_ring import RingSpec
+
+    def listing(self):
+        raise AssertionError("the ring was enumerated")
+
+    decoded = []
+    from_index = RingSpec.from_index
+
+    def counted(self, idx):
+        decoded.append(idx)
+        if len(decoded) > 1000:
+            raise AssertionError("more than 1000 elements decoded")
+        return from_index(self, idx)
+
+    monkeypatch.setattr(RingSpec, "elements", listing)
+    monkeypatch.setattr(RingSpec, "from_index", counted)
+    for family, m, order in [
+        ("heisenberg", 104060401, 101**12),
+        ("affine", 103030100, 101**4 * 103030100),
+    ]:
+        code, out, err = run_cli(capsys, "minfaith", family, "--p", "101", "--n", "4", "--mode", "all")
+        assert (code, out) == (0, f"{m}\nconstruct: {m}\nformula: {m}\n")
+        assert err == f"oracle skipped: |G| = {order} exceeds cap 4096\n"
+
+
+def test_construct_json_golden(capsys):
+    """`minfaith {heisenberg,affine} --mode construct --format json` on
+    the default suite's Heisenberg and affine instances matches the
+    committed bytes: totals, summands and certificate vectors."""
+    from pathlib import Path
+
+    pins = json.loads((Path(__file__).parent / "data" / "minfaith_construct.json").read_text())
+    instances = load_default_suite()["instances"]
+    assert sorted(pins) == sorted(i["name"] for i in instances if i["family"] in ("heisenberg", "affine"))
+    for name, pin in pins.items():
+        code, out, err = run_cli(capsys, *pin["argv"].split())
+        assert (code, out, err) == (0, pin["stdout"], ""), name
 
 
 def test_irreps_past_explicit_cap(capsys):

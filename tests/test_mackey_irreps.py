@@ -4,7 +4,7 @@ laws, stabilizers, and explicit induced models."""
 import numpy as np
 import pytest
 
-from chainrep.char_duality import base_character_data, psi_b
+from chainrep.char_duality import character_weights, psi, psi_b
 from chainrep.exactrep import Cyclotomic, cyc_sum
 from chainrep.group_models import Char2UnsupportedError, HeisenbergGroup
 from chainrep.mackey_irreps import (
@@ -175,7 +175,7 @@ def test_extended_character_values(heis):
     for name in ["hei3_z4", "hei3_f2t2", "hei3_z9", "hei5_f2", "hei3_gr42"]:
         H = heis(name)
         R, k = H.ring, H.k
-        mod, base = base_character_data(R)
+        mod, base = character_weights(R)[0], psi(R, np.arange(R.size))
         els = [R.from_index(i) for i in range(R.size)]
         add = np.array([[(a + c).index for c in els] for a in els])
         mul = np.array([[(a * c).index for c in els] for a in els])
