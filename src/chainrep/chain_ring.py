@@ -424,33 +424,6 @@ class RingSpec:
         nonzero = self.digits(np.arange(self.size)).reshape(-1, self.f, self.n).any(axis=1)
         return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), self.n)
 
-    @cached_property
-    def unit_inverse_table(self) -> dict[int, int]:
-        mul = self.mul_table
-        one = self.index(self.one)
-        out = {}
-        for u in range(self.size):
-            if self.valuation_table[u] == 0:
-                out[u] = int(np.nonzero(mul[u] == one)[0][0])
-        return out
-
-    # -- serialization ------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "f": self.f,
-            "e": "inf" if self.e == INF else self.e,
-            "n": self.n,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "RingSpec":
-        e = obj["e"]
-        if e == "inf":
-            e = INF
-        return make_ring(obj["p"], obj["f"], e, obj["n"])
-
 
 @dataclass(frozen=True)
 class RingElem:
@@ -491,90 +464,3 @@ def make_ring(p: int, f: int, e, n: int) -> RingSpec:
         e = INF
     return RingSpec(p, f, e, n)
 
-
-# -- ring isomorphism testing (small rings) --------------------------
-
-
-def _hom_images(R1: RingSpec, R2: RingSpec, gens, cands, assignment, pos):
-    if pos == len(gens):
-        yield list(assignment)
-        return
-    for img in cands[pos]:
-        assignment.append(img)
-        yield from _hom_images(R1, R2, gens, cands, assignment, pos + 1)
-        assignment.pop()
-
-
-def ring_isomorphism(R1: RingSpec, R2: RingSpec):
-    """Search for a ring isomorphism R1 -> R2; returns an index map or
-    None.  Exhaustive over additive-generator images, so intended for
-    small rings only."""
-    if R1.size != R2.size or R1.p != R2.p:
-        return None
-    if R1.size > 256:
-        raise RingParameterError("isomorphism search capped at size 256")
-    if sorted(R1.valuation_table.tolist()).count(0) != sorted(R2.valuation_table.tolist()).count(0):
-        return None
-    gens = []
-    for i in range(R1.f):
-        for j in range(R1.xi):
-            c = [0] * R1._fn
-            c[i * R1.n + j] = 1
-            gens.append(R1.element(c))
-    orders = [R1.additive_order(g) for g in gens]
-    elems2 = list(R2.elements())
-    cands = []
-    for g, o in zip(gens, orders):
-        if g == R1.one:
-            cands.append([R2.one])
-        else:
-            cands.append([b for b in elems2 if R2.additive_order(b) == o])
-    # digit grouping: coordinates of x in terms of the generators
-    ebound = R1.n + 1 if R1.e == INF else R1.e
-
-    def gen_coords(x: RingElem) -> list[int]:
-        out = []
-        for i in range(R1.f):
-            for j in range(R1.xi):
-                t, l = 0, 0
-                while j + ebound * l < R1.n:
-                    t += x.coords[i * R1.n + j + ebound * l] * R1.p**l
-                    l += 1
-                out.append(t)
-        return out
-
-    n1 = R1.size
-    for imgs in _hom_images(R1, R2, gens, cands, [], 0):
-        phi = {}
-        ok = True
-        for idx in range(n1):
-            x = R1.from_index(idx)
-            acc = R2.zero
-            for t, img in zip(gen_coords(x), imgs):
-                term = R2.zero
-                base = img
-                tt = t
-                while tt:
-                    if tt & 1:
-                        term = term + base
-                    base = base + base
-                    tt >>= 1
-                acc = acc + term
-            phi[idx] = acc.index
-        if len(set(phi.values())) != n1:
-            continue
-        for a in range(n1):
-            for b in range(n1):
-                pa, pb = R1.from_index(a), R1.from_index(b)
-                if phi[(pa * pb).index] != int(R2.mul_table[phi[a], phi[b]]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return phi
-    return None
-
-
-def ring_isomorphic(R1: RingSpec, R2: RingSpec) -> bool:
-    return ring_isomorphism(R1, R2) is not None

@@ -103,9 +103,6 @@ class AddChar:
     def __call__(self, x) -> Cyclotomic:
         return Cyclotomic.root(self.modulus, self.value_exp(x))
 
-    def is_primitive(self) -> bool:
-        return self.level == 0
-
     def __eq__(self, other):
         return (
             isinstance(other, AddChar)
@@ -119,23 +116,10 @@ class AddChar:
     def __repr__(self):
         return f"AddChar(b={self.b!r}, level={self.level})"
 
-    def to_json(self) -> dict:
-        return {"b": list(self.b.coords), "level": self.level}
-
-
-def primitive_character(R: RingSpec) -> AddChar:
-    """The fixed primitive character, psi_b with b = 1."""
-    return AddChar(R, R.one)
-
 
 def psi_b(R: RingSpec, b: RingElem) -> AddChar:
     """The character x |-> psi(b x)."""
     return AddChar(R, b)
-
-
-def conductor(chi: AddChar) -> int:
-    """Ideal index of the largest ideal inside ker chi: n - level."""
-    return chi.ring.n - chi.level
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from types import SimpleNamespace
 
 
 class SpecParseError(ValueError):
@@ -106,12 +105,17 @@ def _check_suite_values(inst: dict) -> None:
 
 
 @contextmanager
-def _parse_errors(source, what="group"):
+def _parse_errors(source, what="group", ring_source=None):
     """A ring or group that cannot be built from its parameters, or an
-    unreadable table file, is a parse error."""
+    unreadable table file, is a parse error.  Given ``ring_source``, a
+    RingParameterError is reported as a ring not built from it."""
+    from .chain_ring import RingParameterError
+
     try:
         yield
     except (ValueError, OSError) as exc:
+        if ring_source is not None and isinstance(exc, RingParameterError):
+            source, what = ring_source, "ring"
         raise SpecParseError(f"cannot build {what} from {source!r}: {exc}") from None
 
 
@@ -258,7 +262,7 @@ def _minfaith_values(target, params):
     stderr."""
     from . import oracle as orc
     from .group_models import REFUSALS
-    from .minfaith_solver import TWO_STEP_ROUTES, FaithfulSolution, FamilyInstance
+    from .minfaith_solver import FAMILIES, TWO_STEP_ROUTES, FaithfulSolution, FamilyInstance
 
     mode = params["mode"]
     if "e" in params:
@@ -267,12 +271,10 @@ def _minfaith_values(target, params):
     if two_step:
         with _parse_errors(params["table"]):
             b = FamilyInstance("table", params)
-    else:  # the ring families build their group on first use, their ring here
-        with _parse_errors(",".join(f"{k}={params[k]}" for k in "pfen"), "ring"):
+    else:  # the ring families build their group on first use
+        source = ",".join(f"{k}={params[k]}" for k in FAMILIES[target].keys)
+        with _parse_errors(source, ring_source=",".join(f"{k}={params[k]}" for k in "pfen")):
             b = FamilyInstance(target, params)
-            b.ring  # noqa: B018 (builds and caches the ring)
-    with _parse_errors(",".join(f"{k}={params[k]}" for k in b.family.keys)):
-        b.family.order(b)  # checks the group parameters
 
     def oracle(b):  # the group build checks the cap before allocating
         return orc.min_faithful_exhaustive(orc.CharacterTable(b.group))[0]
@@ -384,7 +386,7 @@ def load_default_suite() -> dict:
 def _cmd_verify(args) -> int:
     from . import oracle as orc
     from .chain_ring import RingParameterError
-    from .minfaith_solver import FAMILIES
+    from .minfaith_solver import FAMILIES, FamilyInstance
 
     if args.suite == "default":
         suite = load_default_suite()
@@ -407,14 +409,10 @@ def _cmd_verify(args) -> int:
                 try:
                     fam.check_keys(inst, orc.SUITE_KEYS)
                     _check_suite_values(inst)
-                    b = SimpleNamespace(**{**fam.defaults, **inst})
-                    if fam.ring is not None:
-                        b.ring = fam.ring(b)
-                    if fam is not FAMILIES["table"]:  # whose order is its table's
-                        fam.order(b)  # checks the group parameters, and builds no table
+                    FamilyInstance(family, inst)  # builds the ring and works out |G|
                 except RingParameterError as exc:
                     raise ValueError(f"instance {inst['name']!r} has no chain ring: {exc}") from None
-                except ValueError as exc:
+                except (ValueError, OSError) as exc:
                     raise ValueError(f"instance {inst['name']!r} has {exc}") from None
     report = orc.cross_validate(suite)
     if args.format == "json":

@@ -30,8 +30,6 @@ from math import gcd
 
 import numpy as np
 
-from .group_models import index_inverse
-
 
 class NotSubgroupError(ValueError):
     pass
@@ -334,26 +332,6 @@ class MonomialRep:
             if ((self.exps[s] + self.exps[:, ss] - self.exps[gs]) % m).any():
                 return False
         return True
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "scalar_order": self.scalar_order,
-            "matrices": [
-                {"perm": perm, "exps": exps}
-                for perm, exps in zip(self.sigma.tolist(), self.exps.tolist())
-            ],
-        }
-
-
-def induced_character_formula(group, chi: LinearChar, g) -> Cyclotomic:
-    """Independent evaluation of the induced character at row g: sum of
-    chi(r^-1 g r) over coset representatives r (the least row of each
-    left coset) with r^-1 g r in the subgroup."""
-    value = dict(zip(chi.rows.tolist(), chi.exps.tolist()))
-    reps = np.unique(group.product(np.arange(group.order)[:, None], chi.rows[None, :]).min(axis=1))
-    conj = group.product(index_inverse(group, reps), group.product(g, reps)).tolist()
-    return cyc_sum([Cyclotomic.root(chi.order, value[w]) for w in conj if w in value], chi.order)
 
 
 class DirectSumRep:

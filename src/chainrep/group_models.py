@@ -77,14 +77,22 @@ def index_inverse(group, I):
 _BLOCK = 250_000
 
 
+def _empty_table(n: int) -> np.ndarray:
+    """An unfilled n x n int32 table; numpy's refusal to allocate it
+    (too big for an array, or for memory) is a cap refusal."""
+    try:
+        return np.empty((n, n), dtype=np.int32)
+    except (ValueError, MemoryError) as exc:
+        raise CapExceededError(f"|G| = {n}: its table cannot be allocated ({exc})") from None
+
+
 def _index_table(n: int, product, names, width: int = 1) -> "AbstractGroup":
     """The dense table of the index-array law ``product`` on rows
     0..n-1, filled a block of rows at a time; ``names`` label the rows
     and the caller vouches for the law.  The law holds about width + 2
     int64 arrays of a block at once, so a block has _BLOCK // width
     entries."""
-    idx = np.arange(n)
-    table = np.empty((n, n), dtype=np.int32)
+    table, idx = _empty_table(n), np.arange(n)
     rows = max(1, _BLOCK // (n * width))
     for lo in range(0, n, rows):
         table[lo : lo + rows] = product(idx[lo : lo + rows, None], idx[None, :])
@@ -106,7 +114,7 @@ def _family_table(self) -> "AbstractGroup":
     lead = 0
     while lead < len(radices) and n * math.prod(radices[lead:]) > _BLOCK:
         lead += 1
-    table = np.empty((n, n), dtype=np.int32)
+    table = _empty_table(n)
     view = table.reshape(radices + radices)
     mesh = np.ix_(*self._digits[lead:], *self._digits)
     free, right = list(mesh[: len(radices) - lead]), list(mesh[len(radices) - lead :])
@@ -236,27 +244,10 @@ class HeisenbergGroup(_RingFamily):
 
     to_abstract = _family_table
 
-    def pack(self, x, y, z):
-        """Element from RingElem vectors x, y (length k) and scalar z."""
-        xi = tuple(a.index for a in x)
-        yi = tuple(a.index for a in y)
-        return xi + yi + (z.index,)
-
     @cached_property
     def center(self) -> np.ndarray:
         """Z = {(0, 0, z)}."""
         return self._rows({2 * self.k: range(self.ring.size)})
-
-    @cached_property
-    def abelian_polarization(self) -> np.ndarray:
-        """A = {(x, 0, z)}: the fixed maximal abelian subgroup."""
-        k, S = self.k, range(self.ring.size)
-        return self._rows({t: S for t in (*range(k), 2 * k)})
-
-    @cached_property
-    def complement(self) -> np.ndarray:
-        """L = {(0, y, 0)}."""
-        return self.stabilizer_subgroup(range(self.ring.size))
 
     def stabilizer_subgroup(self, ann_indices) -> np.ndarray:
         """L_s = {(0, y, 0) : every y_t in the given ideal}."""
@@ -540,6 +531,12 @@ class AbstractGroup(_Spanned):
         names = obj.get("names")
         if names is not None and (not isinstance(names, list) or len(names) != len(rows)):
             raise ValueError("a group table's 'names' is a list with one entry per row")
+        n = len(rows)
+        for row in rows:  # before numpy, which would read false, "0" or 1.9 as an integer
+            if not isinstance(row, list) or len(row) != n:
+                raise ValueError("table must be square")
+            if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+                raise ValueError(f"a group table's entries are integers in [0, {n})")
         return AbstractGroup(np.asarray(rows, dtype=np.int64), names=names, validate=True)
 
 
@@ -767,20 +764,6 @@ def _relation_value(relation, values, M) -> int:
     """chi(g_i^{d_i}) as an exponent mod M, from its exponent vector over
     generators with the given values."""
     return sum(r * v for r, v in zip(relation, values)) % M
-
-
-def abelian_characters(group, rows):
-    """All characters of the abelian subgroup with these rows as (order
-    M, exponent array aligned with rows) pairs, M the subgroup's
-    exponent: every choice of a value per generator of the greedy
-    series, deterministically ordered."""
-    _, orders, relations, exps, M = _generator_series(group, rows)
-    choices = [[]]
-    for d, rel in zip(orders, relations):
-        choices = [
-            v + [_relation_value(rel, v, M) // d + k * (M // d)] for v in choices for k in range(d)
-        ]
-    return [(M, exps @ np.array(v, dtype=np.int64) % M) for v in choices]
 
 
 def extend_character(group, sub, sub_order, sub_exps, big):

@@ -14,19 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .chain_ring import CapExceededError, RingSpec
 from .char_duality import AddChar, character_weights, psi, psi_b
 from .exactrep import LinearChar, MonomialRep
-from .group_models import Char2UnsupportedError, HeisenbergGroup
+from .group_models import HeisenbergGroup
 
 EXPLICIT_CAP = 100_000
-
-
-class NotGenericError(ValueError):
-    """Central character is not primitive, so the two-step uniqueness
-    statement does not apply."""
 
 
 @dataclass(frozen=True)
@@ -64,20 +57,10 @@ def orbit_representatives(H: HeisenbergGroup, b_idx: int) -> list[tuple]:
     return _coset_reps(H.ring, ideal_of(H.ring, b_idx), H.k)
 
 
-def orbit_of(H: HeisenbergGroup, b_vec: tuple, b_idx: int) -> list[tuple]:
-    add = H.ring.add_table
-    shifts = product(ideal_of(H.ring, b_idx), repeat=H.k)
-    return sorted({tuple(int(add[v, s]) for v, s in zip(b_vec, shift)) for shift in shifts})
-
-
-def stabilizer_subgroup(H: HeisenbergGroup, b_idx: int) -> np.ndarray:
-    return H.stabilizer_subgroup(annihilator_indices(H.ring, b_idx))
-
-
 def irrep_catalog(H: HeisenbergGroup) -> list[IrrepDescriptor]:
     """One descriptor per irreducible: orbit representative plus a
     character label of the stabilizer.  Refuses a dual past
-    EXPLICIT_CAP; catalog_summary counts any size."""
+    EXPLICIT_CAP."""
     R = H.ring
     if R.size ** (H.k + 1) > EXPLICIT_CAP:
         raise CapExceededError(f"dual of size {R.size ** (H.k + 1)} exceeds the explicit cap {EXPLICIT_CAP}")
@@ -101,108 +84,6 @@ def irrep_catalog(H: HeisenbergGroup) -> list[IrrepDescriptor]:
                     )
                 )
     return out
-
-
-@dataclass(frozen=True)
-class LevelSummary:
-    level: int
-    num_central_params: int
-    orbits_per_param: int
-    lambdas_per_orbit: int
-    dim: int
-
-    @property
-    def irrep_count(self) -> int:
-        return self.num_central_params * self.orbits_per_param * self.lambdas_per_orbit
-
-    @property
-    def dim_sq_total(self) -> int:
-        return self.irrep_count * self.dim * self.dim
-
-
-def catalog_summary(R: RingSpec, k: int) -> list[LevelSummary]:
-    """Counts per level without enumerating the dual; exact for any
-    parameter size."""
-    q, n = R.q, R.n
-    out = []
-    for i in range(n + 1):
-        num_b = q ** (n - i) - q ** (n - i - 1) if i < n else 1
-        out.append(
-            LevelSummary(
-                level=i,
-                num_central_params=num_b,
-                orbits_per_param=q ** (i * k),
-                lambdas_per_orbit=q ** (i * k),
-                dim=q ** ((n - i) * k),
-            )
-        )
-    total = sum(s.dim_sq_total for s in out)
-    assert total == q ** (n * (2 * k + 1)), "catalog does not exhaust the group"
-    return out
-
-
-def stone_von_neumann_dim(H: HeisenbergGroup, chi: AddChar) -> int:
-    """Dimension of the unique irreducible with primitive central
-    character chi: [H : A] = q^{nk}."""
-    if chi.level != 0:
-        raise NotGenericError(
-            f"central character has level {chi.level}; kernel meets the socle"
-        )
-    return H.ring.q ** (H.ring.n * H.k)
-
-
-@dataclass(frozen=True)
-class SymplecticModule:
-    """V = R^{2k} with the standard symplectic pairing."""
-
-    ring: RingSpec
-    k: int
-
-    def pairing_index(self, v: tuple, w: tuple) -> int:
-        R = self.ring
-        add, mul, neg = R.add_table, R.mul_table, R.neg_table
-        acc = 0
-        for t in range(self.k):
-            acc = add[acc, mul[v[t], w[self.k + t]]]
-            acc = add[acc, neg[mul[v[self.k + t], w[t]]]]
-        return int(acc)
-
-    def radical_of_ideal(self, ideal_index: int) -> list[tuple]:
-        """V(a) = {v : <v, V> inside pi^ideal_index R}, computed by
-        pairing against the standard basis vectors."""
-        R = self.ring
-        cut = min(ideal_index, R.n)
-        basis = []
-        for t in range(2 * self.k):
-            e = [0] * (2 * self.k)
-            e[t] = R.one.index
-            basis.append(tuple(e))
-        out = []
-        for v in product(range(R.size), repeat=2 * self.k):
-            if all(R.valuation_table[self.pairing_index(v, e)] >= cut for e in basis):
-                out.append(v)
-        return out
-
-
-def schrodinger_dim(M: SymplecticModule, chi: AddChar) -> int:
-    """sqrt of [V : V(conductor chi)], the dimension of the attached
-    two-step model; refuses residue characteristic 2."""
-    R = M.ring
-    if R.p == 2:
-        raise Char2UnsupportedError("halving is unavailable in residue characteristic 2")
-    if R.size ** (2 * M.k) > EXPLICIT_CAP:
-        raise ValueError("module too large for explicit radical computation")
-    from .char_duality import conductor
-
-    rad = M.radical_of_ideal(conductor(chi))
-    total = R.size ** (2 * M.k)
-    quot, rem = divmod(total, len(rad))
-    assert rem == 0
-    import math
-
-    root = math.isqrt(quot)
-    assert root * root == quot, "index of the radical is not a perfect square"
-    return root
 
 
 # -- explicit induced models -----------------------------------------

@@ -66,10 +66,6 @@ class NonSquareIndexError(ValueError):
     pass
 
 
-class ConstraintViolationError(ValueError):
-    pass
-
-
 class PoolDoesNotSpanError(NotSpanningError):
     pass
 
@@ -124,31 +120,6 @@ def formula_two_step(G: AbstractGroup, scan: StructureScan | None = None) -> int
     if root * root != index:
         raise NonSquareIndexError(f"[G:Z] = {index} is not a perfect square")
     return root + scan.center_invariant_count - 1
-
-
-# -- level profile audit ----------------------------------------------
-
-
-def levels_lower_bound_audit(p: int, f: int, e, n: int, k: int, alphas) -> bool:
-    """Check one level profile: alphas[i] spanning vectors taken at
-    level i must satisfy the suffix bounds, and the resulting dimension
-    total must dominate the closed form."""
-    if e == "inf":
-        e = INF
-    xi = n if e == INF else min(e, n)
-    q = p**f
-    alphas = list(alphas)
-    if len(alphas) != xi or any(a < 0 for a in alphas):
-        raise ConstraintViolationError(f"profile {alphas} malformed for xi = {xi}")
-    if sum(alphas) != f * xi:
-        raise ConstraintViolationError(f"profile {alphas} does not have f*xi entries")
-    for i in range(xi):
-        if sum(alphas[i:]) > f * (xi - i):
-            raise ConstraintViolationError(
-                f"profile {alphas} packs too many vectors at levels >= {i}"
-            )
-    total = sum(alphas[i] * q ** (k * (n - i)) for i in range(xi))
-    return total >= formula_heisenberg(p, f, e, n, k)
 
 
 # -- solver -----------------------------------------------------------
@@ -370,10 +341,11 @@ class Family:
     """A group family for the CLI and suite cross-validation: spec name,
     parameter ``keys`` and ``defaults`` (a key without one is required),
     and callables on a FamilyInstance that build the ring (None: no
-    ring) and table group, give |G| before the group is built, describe
-    it, and run the ``routes`` and orbit ``bound`` that apply; ``oracle``
-    says whether the oracle runs by default.  The callables look builders
-    up when called, so a rebound module-level builder is the one run."""
+    ring) and table group, give |G| (building no group, but for a
+    table), describe it, and run the ``routes`` and orbit ``bound`` that
+    apply; ``oracle`` says whether the oracle runs by default.  The
+    callables look builders up when called, so a rebound module-level
+    builder is the one run."""
 
     spec: str
     keys: tuple
@@ -497,9 +469,10 @@ TWO_STEP_ROUTES = {
 
 class FamilyInstance:
     """A family's parameters, taken from a dict as attributes (family
-    defaults filling in).  The ring and the table group are built on
-    first use, except that a family whose oracle runs by default is
-    given by its group, which is then built at once."""
+    defaults filling in).  Construction builds the ring and works out
+    |G|, which checks the parameters (a table instance reads its table
+    for that); the table group of the other families is built on first
+    use."""
 
     def __init__(self, family: str, params: dict):
         if family not in FAMILIES:
@@ -507,12 +480,8 @@ class FamilyInstance:
         self.family = FAMILIES[family]
         for key in self.family.keys:
             setattr(self, key, params[key] if key in params else self.family.defaults[key])
-        if self.family.oracle:
-            self.group  # noqa: B018 (builds and caches the group)
-
-    @cached_property
-    def ring(self) -> RingSpec:
-        return self.family.ring(self)
+        self.ring = self.family.ring(self) if self.family.ring is not None else None
+        self.order = self.family.order(self)
 
     @cached_property
     def group(self) -> AbstractGroup:

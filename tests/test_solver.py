@@ -10,7 +10,6 @@ from chainrep.char_duality import DualVector
 from chainrep.group_models import Char2UnsupportedError, HeisenbergGroup, semidirect_cyclic_hom, structure_scan
 from chainrep.minfaith_solver import (
     CommutatorNotCyclicError,
-    ConstraintViolationError,
     FaithfulSolution,
     NotTwoStepError,
     PoolDoesNotSpanError,
@@ -23,11 +22,11 @@ from chainrep.minfaith_solver import (
     formula_unitriangular,
     heisenberg_basis_parameters,
     heisenberg_catalog_entries,
-    levels_lower_bound_audit,
     orbit_lower_bound,
     solve_heisenberg,
     solve_pgroup,
 )
+from reference import ConstraintViolationError, levels_lower_bound_audit
 from chainrep.oracle import CharacterTable, min_faithful_exhaustive
 
 HEISENBERG_VALUES = [
