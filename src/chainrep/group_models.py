@@ -661,15 +661,11 @@ class StructureScan:
     order: int
     is_p_group: bool
     p: int | None
-    exponent: int
     center: list
     center_invariant_count: int
-    omega1_center: list
     commutator: list
     is_two_step: bool
     commutator_cyclic: bool
-    class_reps: list
-    class_sizes: list
     maximal_abelian: list
 
 
@@ -687,14 +683,9 @@ def structure_scan(G: AbstractGroup) -> StructureScan:
     comm_orders = [int(G.element_orders[g]) for g in comm]
     comm_cyclic = max(comm_orders) == len(comm) if len(comm) > 1 else True
 
-    omega1 = []
-    if is_p:
-        omega1 = [g for g in center if G.element_orders[g] in (1, p)]
     # d(Z): the largest rank of the socle of a Sylow subgroup of Z, whose
     # greedy generators are a basis
     rank = max((len(G._span(g for g in center if G.element_orders[g] == q)[1]) for q in facs), default=0)
-
-    reps, class_of, sizes = G.conjugacy
 
     # greedy maximal abelian: extend the center by commuting elements
     S, gens = G._span(center)
@@ -709,15 +700,11 @@ def structure_scan(G: AbstractGroup) -> StructureScan:
         order=n,
         is_p_group=is_p,
         p=p,
-        exponent=G.exponent,
         center=center,
         center_invariant_count=rank,
-        omega1_center=omega1,
         commutator=comm,
         is_two_step=two_step,
         commutator_cyclic=comm_cyclic,
-        class_reps=reps,
-        class_sizes=[int(s) for s in sizes],
         maximal_abelian=max_ab,
     )
 

@@ -338,12 +338,13 @@ def orbit_lower_bound(modulus: int, multipliers, h_order: int | None = None):
 
 @dataclass(frozen=True)
 class Family:
-    """A group family for the CLI and suite cross-validation: spec name,
+    """A group family for the CLI and oracle.cross_validate: spec name,
     parameter ``keys`` and ``defaults`` (a key without one is required),
     and callables on a FamilyInstance that build the ring (None: no
     ring) and table group, give |G| (building no group, but for a
-    table), describe it, and run the ``routes`` and orbit ``bound`` that
-    apply; ``oracle`` says whether the oracle runs by default.  The
+    table), describe it, and run the family's ``routes`` and orbit
+    ``bound``, which cross_validate runs before the two-step routes and
+    the oracle; ``oracle`` says whether the oracle runs by default.  The
     callables look builders up when called, so a rebound module-level
     builder is the one run."""
 
@@ -475,8 +476,6 @@ class FamilyInstance:
     use."""
 
     def __init__(self, family: str, params: dict):
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family}")
         self.family = FAMILIES[family]
         for key in self.family.keys:
             setattr(self, key, params[key] if key in params else self.family.defaults[key])

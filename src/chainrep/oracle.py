@@ -37,12 +37,13 @@ off the boolean kernel matrix."""
 
 from __future__ import annotations
 
+import json
 import math
 from functools import cached_property
 
 import numpy as np
 
-from .chain_ring import _factorize, _is_prime
+from .chain_ring import RingParameterError, _factorize, _is_prime
 from .char_duality import DualVector, _rref
 from .exactrep import Cyclotomic
 from .group_models import REFUSALS, AbstractGroup, _check_cap, multiplier_closure
@@ -264,19 +265,15 @@ class CharacterTable:
             X[c] = np.array(dims[c], dtype=np.int64) * omegas[c] % l * inv_sizes % l
         E = self.exponent
         power_class = np.empty((E, r), dtype=np.int64)
-        for j, z in enumerate(self.reps):
-            pw = self.group.identity
-            for s in range(E):
-                power_class[s, j] = self.class_of[pw]
-                pw = int(self.group.table[pw, z])
-        z_root = _primitive_root_power(l, E)
-        zmat = np.empty((E, E), dtype=np.int64)
+        reps = np.array(self.reps)
+        pw = np.full(r, G.identity, dtype=np.int64)  # pw[j] = reps[j]^s
         for s in range(E):
-            zs = pow(z_root, (-s) % (l - 1), l)
-            acc = 1
-            for t in range(E):
-                zmat[s, t] = acc
-                acc = acc * zs % l
+            power_class[s] = self.class_of[pw]
+            pw = G.table[pw, reps]
+        z_root = _primitive_root_power(l, E)
+        zpow = np.array([pow(z_root, u, l) for u in range(E)], dtype=np.int64)
+        u = np.arange(E)
+        zmat = zpow[np.outer(u, -u) % E]  # zmat[s, t] = z^(-st)
         invE = pow(E, -1, l)
         V = X[:, power_class]  # (c, s, j)
         MU = np.einsum("csj,st->cjt", V % l, zmat % l) % l * invE % l
@@ -475,58 +472,112 @@ def catalog_from_table(T: CharacterTable):
 # What a suite instance may hold besides its family's parameters.
 SUITE_KEYS = ("name", "family", "expected", "oracle", "two_step", "pgroup_catalog")
 
+_INT = (lambda v: type(v) is int, "an integer")
+_FLAG = (lambda v: type(v) is bool, "true or false")
 
-def cross_validate(suite: dict) -> dict:
-    """Run every instance of a suite through each applicable route and
-    report agreement.  The family's own routes (closed form, greedy
-    solver, explicit construction, orbit bound) always run.  The
-    Heisenberg, unitriangular and affine families build their table
-    group only when ``oracle`` is true; the others are given by their
-    group and run the oracle search unless ``oracle`` is false.  Given
-    the group, ``two_step`` adds the two-step closed form and
-    construction, and ``pgroup_catalog`` the greedy solver on the
-    oracle's catalog.  A family route that refuses the instance
-    (group_models.REFUSALS) is left out, with a "skipped" note."""
+# What a suite instance's value takes, by key; a key not named here
+# takes an integer.
+_SUITE_VALUES = {
+    "e": (lambda v: type(v) is int or v == "inf", 'an integer or "inf"'),
+    "multipliers": (lambda v: type(v) is list and bool(v) and all(type(m) is int for m in v), "a non-empty list of integers"),
+    "h_order": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "table": (lambda v: isinstance(v, (str, dict)), "a path or a table object"),
+    "oracle": _FLAG,
+    "two_step": _FLAG,
+    "pgroup_catalog": _FLAG,
+}
+
+
+def _suite_instance(inst: dict):
+    """The FamilyInstance of a suite instance, which builds the ring and
+    works out |G| (reading a table instance's table).  Raises ValueError
+    naming the instance for an unknown family, a key that is neither a
+    family parameter nor in SUITE_KEYS, a missing family parameter, a
+    value of the wrong type, or parameters that define no ring or group."""
     from . import minfaith_solver as solver
 
-    def value(out, notes):
-        if isinstance(out, solver.FaithfulSolution):
-            if out.verified_faithful is False:
-                notes.append("construction kernel check failed")
-            return out.total_dim
-        return out
+    family = inst["family"]
+    fam = solver.FAMILIES.get(family) if isinstance(family, str) else None
+    try:
+        if fam is None:
+            raise ValueError(f"unknown family {family!r}")
+        fam.check_keys(inst, SUITE_KEYS)
+        for key, value in inst.items():
+            test, want = _SUITE_VALUES.get(key, _INT)
+            if key not in ("name", "family") and not test(value):
+                raise ValueError(f"{key} = {json.dumps(value)}, not {want}")
+        return solver.FamilyInstance(family, inst)
+    except RingParameterError as exc:
+        raise ValueError(f"instance {inst['name']!r} has no chain ring: {exc}") from None
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"instance {inst['name']!r} has {exc}") from None
 
+
+def _oracle_values(b, pgroup_catalog: bool):
+    """The oracle's (key, value) pairs on the group of b: its minimum and
+    the dims of its selection, then, given ``pgroup_catalog``, the greedy
+    solver's minimum on the oracle's catalog."""
+    from . import minfaith_solver as solver
+
+    T = CharacterTable(b.group)
+    m, sel = min_faithful_exhaustive(T)
+    yield "oracle", m
+    yield "oracle_selection_dims", [T.dims[c] for c in sel]
+    if pgroup_catalog:
+        entries = catalog_from_table(T)
+        p, dprime = entries[0][1].p, len(entries[0][1].coords)
+        yield "solver_catalog", solver.solve_pgroup(entries, p, dprime).total_dim
+
+
+def cross_validate(suite: dict) -> dict:
+    """Check every instance of a suite, then run each through the routes
+    that apply and report agreement.  The check builds each instance once
+    and, before any route runs, raises ValueError for a suite that is not
+    an object whose ``instances`` is a list of objects with ``name`` and
+    ``family``, or for the first malformed instance (_suite_instance).
+    The routes run in this order: the family's own (closed form, greedy
+    solver, explicit construction), the orbit bound, the two-step closed
+    form and construction when ``two_step`` is true, and the oracle
+    search when ``oracle`` is true (by default for the families given by
+    their group), with the greedy solver on its catalog under
+    ``pgroup_catalog``.  A route that refuses the instance
+    (group_models.REFUSALS) is left out with a "<key> skipped: <reason>"
+    note; any other failure ends the instance with an error entry."""
+    from . import minfaith_solver as solver
+
+    instances = suite.get("instances") if isinstance(suite, dict) else None
+    if not isinstance(instances, list) or not all(
+        isinstance(inst, dict) and "name" in inst and "family" in inst for inst in instances
+    ):
+        raise ValueError("a suite is a JSON object whose 'instances' is a list of objects with 'name' and 'family'")
+    built = [_suite_instance(inst) for inst in instances][::-1]
     results = []
-    for inst in suite["instances"]:
-        name = inst["name"]
-        family = inst["family"]
+    for inst in suite["instances"]:  # popped, so each built instance is freed once it has run
+        b, name = built.pop(), inst["name"]
+        fam = b.family
+        routes = dict(fam.routes)
+        if fam.bound is not None:
+            routes["orbit_bound"] = fam.bound
+        if inst.get("two_step", False):
+            routes.update({f"{key}_two_step": route for key, route in solver.TWO_STEP_ROUTES.items()})
+        if inst.get("oracle", fam.oracle):
+            routes["oracle"] = lambda b: _oracle_values(b, inst.get("pgroup_catalog", False))
         values = {}
         notes = []
         try:
-            b = solver.FamilyInstance(family, inst)
-            fam = b.family
-            for key, route in fam.routes.items():
+            for key, route in routes.items():
                 try:
-                    values[key] = value(route(b), notes)
+                    out = route(b)
+                    if key == "orbit_bound":
+                        out, faithful = out
+                        notes.append("action faithful" if faithful else "action through a quotient")
+                    elif isinstance(out, solver.FaithfulSolution):
+                        if out.verified_faithful is False:
+                            notes.append("construction kernel check failed")
+                        out = out.total_dim
+                    values.update(out if key == "oracle" else {key: out})
                 except REFUSALS as exc:
                     notes.append(f"{key} skipped: {exc}")
-            if fam.bound is not None:
-                values["orbit_bound"], eq = fam.bound(b)
-                notes.append("action faithful" if eq else "action through a quotient")
-            oracle = inst.get("oracle", fam.oracle)
-            if fam.oracle or oracle:  # otherwise no group is built
-                if inst.get("two_step", False):
-                    for key, route in solver.TWO_STEP_ROUTES.items():
-                        values[f"{key}_two_step"] = value(route(b), notes)
-                if oracle:
-                    T = CharacterTable(b.group)
-                    m, sel = min_faithful_exhaustive(T)
-                    values["oracle"] = m
-                    values["oracle_selection_dims"] = [T.dims[c] for c in sel]
-                    if inst.get("pgroup_catalog", False):
-                        entries = catalog_from_table(T)
-                        p, dprime = entries[0][1].p, len(entries[0][1].coords)
-                        values["solver_catalog"] = solver.solve_pgroup(entries, p, dprime).total_dim
         except Exception as exc:  # mismatch bookkeeping, not control flow
             results.append(
                 {

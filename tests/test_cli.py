@@ -507,7 +507,7 @@ def test_verify_csv(capsys, tmp_path):
     assert rows[1][0] == "hei3-f2" and rows[1][1] == "True"
 
 
-def test_refused_route_is_skipped(capsys, tmp_path, schema):
+def test_refused_route_is_skipped(capsys, tmp_path, monkeypatch, schema):
     # the unitriangular closed form refuses residue characteristic 2: the
     # route is left out with its reason and the oracle decides the value
     refusal = "unitriangular reduction is not available in residue characteristic 2"
@@ -537,6 +537,14 @@ def test_refused_route_is_skipped(capsys, tmp_path, schema):
     assert (code, out, err) == (0, "4\noracle: 4\n", f"formula skipped: {refusal}\n")
     code, out, err = run_cli(capsys, *argv, "formula")
     assert code == 1 and out == "" and err == f"error: Char2UnsupportedError: {refusal}\n"
+    # an oracle past the group cap is skipped in the same way
+    monkeypatch.setenv("CHAINREP_ORACLE_CAP", "20")
+    instance = {"name": "hei3-f3", "family": "heisenberg", "p": 3, "oracle": True, "expected": 3}
+    path.write_text(json.dumps({"name": "cap", "instances": [instance]}))
+    code, out, _ = run_cli(capsys, "verify", "--suite", str(path), "--format", "json")
+    assert code == 0
+    (rr,) = json.loads(out)["result"]["results"]
+    assert rr["match"] is True and rr["notes"] == ["oracle skipped: |G| = 27 exceeds cap 20"], rr
 
 
 def test_malformed_suite_is_a_parse_error(capsys, tmp_path):
@@ -576,8 +584,8 @@ def test_suite_instance_keys_are_checked(capsys, tmp_path):
         ({"family": "heisenberg", "p": 4}, "no chain ring: p = 4 is not prime"),
         ({"family": "gl2", "p": 4}, "no chain ring: p = 4 is not prime"),
         ({"family": "affine", "p": 2, "n": 0}, "no chain ring: length n = 0 invalid"),
-        ({"family": "semidirect", "modulus": 0, "multipliers": [1]}, "modulus = 0, not >= 2"),
-        ({"family": "semidirect", "modulus": 8, "multipliers": [3], "h_order": 0}, "h_order = 0, not >= 1"),
+        ({"family": "semidirect", "modulus": 0, "multipliers": [1]}, "modulus must be >= 2"),
+        ({"family": "semidirect", "modulus": 8, "multipliers": [3], "h_order": 0}, "h_order must be >= 1"),
         ({"family": "heisenberg", "p": 2, "k": 0}, "k must be >= 1"),
         ({"family": "unitriangular", "p": 2, "size": 1}, "matrix size must be >= 2"),
         ({"family": "semidirect", "modulus": 8, "multipliers": [2]}, "multiplier 2 is not a unit mod 8"),
@@ -590,10 +598,19 @@ def test_suite_instance_keys_are_checked(capsys, tmp_path):
         assert err == f"parse error: cannot build suite from {str(path)!r}: instance 'x' has {reason}\n"
 
 
-def test_suite_tables_are_read_by_the_check(capsys, tmp_path):
+def test_suite_tables_are_read_by_the_check(capsys, tmp_path, monkeypatch, group):
     # the suite check reads each table instance's table: a malformed or
-    # missing one is a parse error naming the instance
+    # missing one is a parse error naming the instance, and a good one
+    # is read once, by the check, and not again by the routes
+    from chainrep.group_models import AbstractGroup
+
+    from_json = AbstractGroup.from_json
+    reads = []
+    monkeypatch.setattr(AbstractGroup, "from_json", staticmethod(lambda obj: reads.append(1) or from_json(obj)))
     path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"instances": [{"name": "d4", "family": "table", "table": group("d4").to_json()}]}))
+    code, out, _ = run_cli(capsys, "verify", "--suite", str(path))
+    assert (code, len(reads)) == (0, 1), out
     for table, reason in (
         ({"table": [[0, 1], [1, False]]}, "a group table's entries are integers in [0, 2)"),
         ({"table": [[0, 1], [0, 1]]}, "no two-sided identity"),
@@ -696,3 +713,19 @@ def test_json_byte_determinism(capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+# -- tooling ----------------------------------------------------------
+
+
+def test_benchmark_tracer_installs():
+    # perfbench's tracer wraps functions and methods by name; one that
+    # moved or was renamed fails here, not only in a traced benchmark run
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = 'import sys; sys.path[:0] = ["src", "perfbench"]; import tracer; tracer.install(tracer.Tracer())'
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

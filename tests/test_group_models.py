@@ -604,13 +604,14 @@ def test_gl2_requires_field():
 
 
 def test_structure_scan_m27(group):
-    scan = structure_scan(group("m27"))
+    G = group("m27")
+    scan = structure_scan(G)
     assert scan.is_p_group and scan.p == 3
-    assert scan.order == 27 and scan.exponent == 9
+    assert scan.order == 27 and G.exponent == 9
     assert len(scan.center) == 3
     assert scan.center_invariant_count == 1
-    assert len(scan.omega1_center) == 3
-    assert sum(scan.class_sizes) == 27
+    assert sum(G.element_orders[g] in (1, 3) for g in scan.center) == 3
+    assert sum(G.conjugacy[2]) == 27
 
 
 def test_structure_scan_maximal_abelian(group, heis):

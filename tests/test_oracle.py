@@ -562,11 +562,12 @@ ROUTE_FAMILIES = {
 ROUTE_NOTES = {"semidirect": ["action faithful"], "semidirect-hom": ["action through a quotient"]}
 
 # (family, oracle flag or None when absent, two_step, value keys).  The
-# Heisenberg, unitriangular and affine families build no group unless
-# oracle is true; the others run the oracle unless it is false.
+# Heisenberg, unitriangular and affine families run the oracle only when
+# it is true; the others run it unless it is false.  The two-step routes
+# run whenever two_step is true.
 ROUTE_CASES = [
     ("heisenberg", None, False, "construct formula solver"),
-    ("heisenberg", None, True, "construct formula solver"),
+    ("heisenberg", None, True, "construct construct_two_step formula formula_two_step solver"),
     ("heisenberg", True, False, "construct formula oracle oracle_selection_dims solver"),
     ("heisenberg", True, True, "construct construct_two_step formula formula_two_step oracle oracle_selection_dims solver"),
     ("heisenberg", False, False, "construct formula solver"),
@@ -618,11 +619,18 @@ def test_cross_validate_route_selection(group):
         assert rr.get("notes") == ROUTE_NOTES.get(family), rr["name"]
 
 
-def test_family_instance_builds_its_group_on_first_use():
+def test_family_instance_builds_its_group_on_first_use(monkeypatch):
     # |G| = 5000 is past the group cap, but with the oracle off only the
-    # orbit bound runs, and it needs no group
+    # orbit bound runs, and it needs no group; the two-step routes need
+    # it, and are skipped past the cap
     inst = {"name": "big", "family": "semidirect", "modulus": 5000, "multipliers": [1], "oracle": False}
-    (rr,) = cross_validate({"name": "lazy", "instances": [inst]})["results"]
-    assert rr["values"] == {"orbit_bound": 1}
-    assert rr["notes"] == ["action faithful"]
-    assert rr["match"] is True
+    monkeypatch.delenv("CHAINREP_ORACLE_CAP", raising=False)
+    refusal = "skipped: |G| = 5000 exceeds cap 4096"
+    for extra, notes in (
+        ({}, ["action faithful"]),
+        ({"two_step": True}, ["action faithful", f"formula_two_step {refusal}", f"construct_two_step {refusal}"]),
+    ):
+        (rr,) = cross_validate({"name": "lazy", "instances": [dict(inst, **extra)]})["results"]
+        assert rr["values"] == {"orbit_bound": 1}
+        assert rr["notes"] == notes
+        assert rr["match"] is True
