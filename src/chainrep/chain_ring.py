@@ -158,9 +158,6 @@ class RingSpec:
         self.xi = n if e == INF else min(e, n)
         self.size = self.q**n
         self.unramified_poly = minimal_irreducible(p, f)
-        # precision of the unramified coefficient ring W
-        self.base_precision = 1 if e == INF else -(-n // e)
-        self.eisenstein_unit = 1 if (e != INF and 1 < e) else None
         self._fn = f * n
         self._radix = tuple(p ** (self._fn - 1 - t) for t in range(self._fn))
         self._yred = self._build_yred()

@@ -219,11 +219,10 @@ def _cmd_irreps(args) -> int:
 def _minfaith_values(target, params):
     """(values dict, solution json or None) for the requested mode.  The
     two-step target is the table family with the two-step routes.  In
-    mode all, a route that refuses the group (group_models.REFUSALS), the
-    oracle above the cap among them, is left out, with its reason on
-    stderr."""
+    mode all, a route past a size cap (CapExceededError), the oracle above
+    the group cap among them, is left out, with its reason on stderr."""
     from . import oracle as orc
-    from .group_models import REFUSALS
+    from .chain_ring import CapExceededError
     from .minfaith_solver import FAMILIES, TWO_STEP_ROUTES, FaithfulSolution, FamilyInstance
 
     mode = params["mode"]
@@ -248,7 +247,7 @@ def _minfaith_values(target, params):
         if key in routes:
             try:
                 out = routes[key](b)
-            except REFUSALS as exc:
+            except CapExceededError as exc:
                 if mode != "all":
                     raise
                 print(f"{key} skipped: {exc}", file=sys.stderr)
@@ -376,6 +375,8 @@ def _cmd_verify(args) -> int:
             )
             status = "ok" if rr["match"] else "MISMATCH"
             extra = f"  [{rr['error']}]" if "error" in rr else ""
+            if not rr["match"] and "notes" in rr:
+                extra += f"  ({'; '.join(rr['notes'])})"
             print(f"{rr['name']}: {status}  {vals}{extra}")
         print(f"suite {report['suite']}: {'all match' if report['ok'] else 'MISMATCHES: ' + ', '.join(report['mismatches'])}")
     return 0 if report["ok"] else 1

@@ -295,14 +295,6 @@ class MonomialRep:
         w = group.product(np.arange(n)[:, None], np.array(reps)[None, :])
         return MonomialRep(group, len(reps), m, coset_of[w], vals[a_of[w]])
 
-    @staticmethod
-    def linear(group, chi: LinearChar) -> "MonomialRep":
-        """A one-dimensional character of the full group (chi.rows every
-        row) as a degree-1 rep."""
-        exps = np.zeros((group.order, 1), dtype=np.int64)
-        exps[chi.rows, 0] = chi.exps
-        return MonomialRep(group, 1, chi.order, np.zeros_like(exps), exps)
-
     def character(self, row) -> Cyclotomic:
         """The trace at the element with this row."""
         _, _, zpow = _ctx(self.scalar_order)

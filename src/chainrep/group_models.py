@@ -26,16 +26,6 @@ import numpy as np
 from .chain_ring import CapExceededError, RingSpec, _factorize
 
 
-class Char2UnsupportedError(ValueError):
-    """Raised by operations that rely on halving and are not offered in
-    residue characteristic 2."""
-
-
-# What a route raises to refuse an instance: where several routes run, a
-# refusing route is left out with a "skipped" note.
-REFUSALS = (Char2UnsupportedError, CapExceededError)
-
-
 def group_cap() -> int:
     """The largest group order built or tabulated: CHAINREP_ORACLE_CAP
     when set, else 4096.  Raises ValueError for a setting that is not a

@@ -3,7 +3,7 @@ solver, and explicit faithful models.
 
 The closed forms: for Heisenberg groups over a chain ring the minimum
 is sum_{i<xi} f q^{k(n-i)}; unitriangular groups of size k+2 match the
-Heisenberg value away from residue characteristic 2; affine groups give
+Heisenberg value in every residue characteristic; affine groups give
 q^n - q^{n-1}; a two-step p-group with cyclic commutator subgroup gives
 sqrt([G:Z]) + d'(Z) - 1.
 
@@ -37,7 +37,6 @@ from .exactrep import DirectSumRep, LinearChar, MonomialRep
 from .group_models import (
     AbstractGroup,
     AffineGroup,
-    Char2UnsupportedError,
     HeisenbergGroup,
     StructureScan,
     UnitriangularGroup,
@@ -88,14 +87,19 @@ def formula_heisenberg(p: int, f: int, e, n: int, k: int = 1) -> int:
 
 
 def formula_unitriangular(p: int, f: int, e, n: int, size: int) -> int:
-    """Unitriangular groups of matrix size k+2 share the Heisenberg
-    value; residue characteristic 2 is out of scope."""
+    """m(U_{k+2}(R)) = m(Hei_{2k+1}(R)) for matrix size k+2, in every
+    residue characteristic.  Lower bound: embed_heisenberg puts
+    Hei_{2k+1}(R) in U_{k+2}(R).  Upper bound: for each basis parameter
+    b of heisenberg_basis_parameters, psi_b(g_{1,k+2}) is a character of
+    S_b = {g : g_{1j} in Ann(b) for 1 < j < k+2}, since b kills the cross
+    terms of the corner entry, and its induced representation has degree
+    [U : S_b] = |R/Ann(b)|^k.  The centre is the corner, inside every
+    S_b, where the induced sum restricts to copies of the psi_b, which are
+    jointly faithful there; a nontrivial normal subgroup of a p-group
+    meets the centre, so the sum is faithful, and its degree is the
+    Heisenberg sum.  No step halves."""
     if size < 3:
         raise ValueError("matrix size must be >= 3")
-    if p == 2:
-        raise Char2UnsupportedError(
-            "unitriangular reduction is not available in residue characteristic 2"
-        )
     return formula_heisenberg(p, f, e, n, k=size - 2)
 
 
@@ -251,7 +255,7 @@ def construct_faithful_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
     )
 
 
-def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
+def construct_faithful_two_step(G: AbstractGroup, scan: StructureScan | None = None) -> FaithfulSolution:
     """Induced character from a maximal abelian subgroup A through a
     character chi1 faithful on the cyclic commutator subgroup B, plus r-1
     linear characters through G/B dual to a basis of the socle of the
@@ -259,8 +263,10 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     maps into G/B injectively).  The sum's kernel meets the socle
     Omega_1(Z) inside ker(chi1), where the linear characters are jointly
     faithful, so not at all; in a p-group every nontrivial normal
-    subgroup meets Omega_1(Z), so the kernel is trivial."""
-    scan = structure_scan(G)
+    subgroup meets Omega_1(Z), so the kernel is trivial.  Each summand,
+    linear ones included, is built by MonomialRep.induce, which checks its
+    character exactly; ``scan`` is structure_scan(G) when given."""
+    scan = scan or structure_scan(G)
     target = formula_two_step(G, scan)
     Z, B, A = scan.center, scan.commutator, scan.maximal_abelian
     # chi1 on A: b -> zeta_|B| for a generator b of B
@@ -277,7 +283,7 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     basis = Q._span(g for g in kernel if Q.element_orders[g] == scan.p)[1]
     for unit in np.eye(len(basis), dtype=np.int64):
         MQ, expsQ = extend_character(Q, basis, scan.p, unit, range(Q.order))
-        reps.append(MonomialRep.linear(G, LinearChar(MQ, range(G.order), expsQ[coset_of])))
+        reps.append(MonomialRep.induce(G, LinearChar(MQ, range(G.order), expsQ[coset_of])))
     total = sum(rep.degree for rep in reps)
     assert total == target, f"construction reached {total}, closed form {target}"
     verified = DirectSumRep(reps).is_faithful()
@@ -463,8 +469,8 @@ FAMILIES = {
 
 # The two-step closed form and construction, for any table group.
 TWO_STEP_ROUTES = {
-    "formula": lambda b: formula_two_step(b.group),
-    "construct": lambda b: construct_faithful_two_step(b.group),
+    "formula": lambda b: formula_two_step(b.group, b.scan),
+    "construct": lambda b: construct_faithful_two_step(b.group, b.scan),
 }
 
 
@@ -472,8 +478,8 @@ class FamilyInstance:
     """A family's parameters, taken from a dict as attributes (family
     defaults filling in).  Construction builds the ring and works out
     |G|, which checks the parameters (a table instance reads its table
-    for that); the table group of the other families is built on first
-    use."""
+    for that); the table group of the other families, and the structure
+    scan the two-step routes share, are built on first use."""
 
     def __init__(self, family: str, params: dict):
         self.family = FAMILIES[family]
@@ -485,3 +491,7 @@ class FamilyInstance:
     @cached_property
     def group(self) -> AbstractGroup:
         return self.family.group(self)
+
+    @cached_property
+    def scan(self) -> StructureScan:
+        return structure_scan(self.group)

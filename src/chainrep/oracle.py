@@ -43,10 +43,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain_ring import RingParameterError, _factorize, _is_prime
+from .chain_ring import CapExceededError, RingParameterError, _factorize, _is_prime
 from .char_duality import DualVector, _rref
 from .exactrep import Cyclotomic
-from .group_models import REFUSALS, AbstractGroup, _check_cap, multiplier_closure
+from .group_models import AbstractGroup, _check_cap, multiplier_closure
 
 
 class ModularPrimeNotFoundError(RuntimeError):
@@ -540,9 +540,9 @@ def cross_validate(suite: dict) -> dict:
     form and construction when ``two_step`` is true, and the oracle
     search when ``oracle`` is true (by default for the families given by
     their group), with the greedy solver on its catalog under
-    ``pgroup_catalog``.  A route that refuses the instance
-    (group_models.REFUSALS) is left out with a "<key> skipped: <reason>"
-    note; any other failure ends the instance with an error entry."""
+    ``pgroup_catalog``.  A route past a size cap (CapExceededError) is
+    left out with a "<key> skipped: <reason>" note; any other failure ends
+    the instance with an error entry."""
     from . import minfaith_solver as solver
 
     instances = suite.get("instances") if isinstance(suite, dict) else None
@@ -576,7 +576,7 @@ def cross_validate(suite: dict) -> dict:
                             notes.append("construction kernel check failed")
                         out = out.total_dim
                     values.update(out if key == "oracle" else {key: out})
-                except REFUSALS as exc:
+                except CapExceededError as exc:
                     notes.append(f"{key} skipped: {exc}")
         except Exception as exc:  # mismatch bookkeeping, not control flow
             results.append(
@@ -596,12 +596,9 @@ def cross_validate(suite: dict) -> dict:
             if values["oracle"] < values["orbit_bound"]:
                 match = False
                 notes.append("oracle fell below the orbit lower bound")
-        if expected is not None and core and set(core.values()) != {expected}:
+        if expected is not None and set(core.values()) != {expected}:
             match = False
-        if expected is not None and not core:
-            # orbit-bound-only instances: compare expected to the oracle
-            match = values.get("oracle") == expected
-        entry = {"name": name, "values": values, "match": bool(match)}
+        entry = {"name": name, "values": values, "match": match}
         if expected is not None:
             entry["expected"] = expected
         if notes:

@@ -15,7 +15,6 @@ from chainrep.chain_ring import INF, RingSpec
 from chainrep.char_duality import AddChar
 from chainrep.exactrep import Cyclotomic, LinearChar, cyc_sum
 from chainrep.group_models import (
-    Char2UnsupportedError,
     HeisenbergGroup,
     _generator_series,
     _relation_value,
@@ -131,6 +130,11 @@ class SymplecticModule:
             if all(R.valuation_table[self.pairing_index(v, e)] >= cut for e in basis):
                 out.append(v)
         return out
+
+
+class Char2UnsupportedError(ValueError):
+    """Raised by schrodinger_dim, which is not offered in residue
+    characteristic 2."""
 
 
 def schrodinger_dim(M: SymplecticModule, chi: AddChar) -> int:

@@ -491,11 +491,18 @@ def test_verify_custom_suite_ok(capsys, tmp_path, schema):
     assert payload["result"]["ok"] is True
 
 
-def test_verify_custom_suite_mismatch(capsys, tmp_path):
+def test_verify_custom_suite_mismatch(capsys, tmp_path, monkeypatch):
     path = _tiny_suite(tmp_path, expected=5)
     code, out, _ = run_cli(capsys, "verify", "--suite", str(path))
     assert code == 1
     assert "MISMATCH" in out
+    # a mismatching instance's human line says why: its only route skipped
+    monkeypatch.setenv("CHAINREP_ORACLE_CAP", "10")
+    instance = {"name": "gl2-f3", "family": "gl2", "p": 3, "expected": 2}
+    path.write_text(json.dumps({"name": "cap", "instances": [instance]}))
+    code, out, _ = run_cli(capsys, "verify", "--suite", str(path))
+    assert code == 1
+    assert out.splitlines()[0] == "gl2-f3: MISMATCH    (oracle skipped: |G| = 48 exceeds cap 10)"
 
 
 def test_verify_csv(capsys, tmp_path):
@@ -508,13 +515,13 @@ def test_verify_csv(capsys, tmp_path):
 
 
 def test_refused_route_is_skipped(capsys, tmp_path, monkeypatch, schema):
-    # the unitriangular closed form refuses residue characteristic 2: the
-    # route is left out with its reason and the oracle decides the value
-    refusal = "unitriangular reduction is not available in residue characteristic 2"
+    # the unitriangular closed form answers in residue characteristic 2,
+    # where the oracle agrees with it; only a cap refuses a route
     cases = {
         "u4-f2": ({"p": 2, "size": 4}, 4),
         "u5-f2": ({"p": 2, "size": 5}, 8),
         "u3-z4": ({"p": 2, "e": 1, "n": 2, "size": 3}, 4),
+        "u4-z4": ({"p": 2, "e": 1, "n": 2, "size": 4}, 16),
     }
     instances = [
         dict(params, name=name, family="unitriangular", oracle=True, expected=m)
@@ -530,13 +537,13 @@ def test_refused_route_is_skipped(capsys, tmp_path, monkeypatch, schema):
     assert [rr["name"] for rr in results] == list(cases)
     for rr, (_, m) in zip(results, cases.values()):
         assert rr["match"] is True and rr["values"]["oracle"] == m, rr
-        assert "formula" not in rr["values"] and "error" not in rr, rr
-        assert rr["notes"] == [f"formula skipped: {refusal}"], rr
+        assert rr["values"]["formula"] == m and "error" not in rr, rr
+        assert "notes" not in rr, rr
     argv = ["minfaith", "unitriangular", "--p", "2", "--size", "4", "--mode"]
     code, out, err = run_cli(capsys, *argv, "all")
-    assert (code, out, err) == (0, "4\noracle: 4\n", f"formula skipped: {refusal}\n")
+    assert (code, out, err) == (0, "4\nformula: 4\noracle: 4\n", "")
     code, out, err = run_cli(capsys, *argv, "formula")
-    assert code == 1 and out == "" and err == f"error: Char2UnsupportedError: {refusal}\n"
+    assert (code, out, err) == (0, "4\nformula: 4\n", "")
     # an oracle past the group cap is skipped in the same way
     monkeypatch.setenv("CHAINREP_ORACLE_CAP", "20")
     instance = {"name": "hei3-f3", "family": "heisenberg", "p": 3, "oracle": True, "expected": 3}
@@ -725,7 +732,16 @@ def test_benchmark_tracer_installs():
     import sys
     from pathlib import Path
 
-    code = 'import sys; sys.path[:0] = ["src", "perfbench"]; import tracer; tracer.install(tracer.Tracer())'
+    # and two benchmark instances run with it installed: U_4(F_3) calls
+    # formula_unitriangular, Hei(Z/16) formula_two_step(G, scan) and
+    # construct_faithful_two_step(G), so a changed signature fails here too
+    code = "\n".join([
+        'import sys; sys.path[:0] = ["src", "perfbench"]; import tracer, workloads; tracer.install(tracer.Tracer())',
+        'for workload, name in [("oracle-pgroups", "U_4(F_3)"), ("construct-4096", "Hei(Z/16)")]:',
+        '    (inst,) = [i for i in workloads.build_inputs(workload, 0, 0) if i.name == name]',
+        '    values, problems = inst.run()',
+        '    assert values and not problems, (name, values, problems)',
+    ])
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -167,7 +167,7 @@ def test_linear_rep_and_direct_sum(group):
     rho = MonomialRep.induce(G, chi)
     # sign character of the quotient by rotations
     sgn = LinearChar(2, G.elements, [0 if g in sub else 1 for g in G.elements])
-    lin = MonomialRep.linear(G, sgn)
+    lin = MonomialRep.induce(G, sgn)
     assert lin.degree == 1 and lin.check_homomorphism()
     s = DirectSumRep([rho, lin])
     assert isinstance(s, DirectSumRep)
@@ -183,7 +183,7 @@ def test_linear_reads_rows(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
     sgn = [0 if g in sub else 1 for g in G.elements]
-    lin = MonomialRep.linear(G, LinearChar(2, G.elements[::-1], sgn[::-1]))
+    lin = MonomialRep.induce(G, LinearChar(2, G.elements[::-1], sgn[::-1]))
     assert lin.exps[:, 0].tolist() == sgn
 
 
@@ -301,7 +301,7 @@ def test_row_kernel_is_character_kernel(data):
     top = [h for h, nm in enumerate(G.names) if nm[0] == 0]
     M, exps = data.draw(st.sampled_from(abelian_characters(G, top)), label="linear")
     at = {G.names[h]: e for h, e in zip(top, exps.tolist())}
-    lin = MonomialRep.linear(G, LinearChar(M, G.elements, [at[0, nm[1]] for nm in G.names]))
+    lin = MonomialRep.induce(G, LinearChar(M, G.elements, [at[0, nm[1]] for nm in G.names]))
     assert DirectSumRep([lin]).kernel().tolist() == _character_kernel(lin)
     both = set(_character_kernel(rep)) & set(_character_kernel(lin))
     assert DirectSumRep([rep, lin]).kernel().tolist() == sorted(both)

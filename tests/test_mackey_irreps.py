@@ -6,7 +6,7 @@ import pytest
 
 from chainrep.char_duality import character_weights, psi, psi_b
 from chainrep.exactrep import Cyclotomic, cyc_sum
-from chainrep.group_models import Char2UnsupportedError, HeisenbergGroup
+from chainrep.group_models import HeisenbergGroup
 from chainrep.mackey_irreps import (
     annihilator_indices,
     extended_character,
@@ -15,7 +15,7 @@ from chainrep.mackey_irreps import (
     mackey_induced_rep,
     orbit_representatives,
 )
-from reference import SymplecticModule, catalog_summary, orbit_of, schrodinger_dim
+from reference import Char2UnsupportedError, SymplecticModule, catalog_summary, orbit_of, schrodinger_dim
 
 CATALOG_COUNTS = {
     "hei3_f2": 5,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chainrep import minfaith_solver as solver
 from chainrep import oracle
 from chainrep.chain_ring import _is_prime
 from chainrep.char_duality import _rref
@@ -507,7 +508,11 @@ def test_cross_validate_detects_mismatch():
     assert report["mismatches"] == ["hei3-f2-wrong"]
 
 
-def test_cross_validate_tiny_suite():
+def test_cross_validate_tiny_suite(monkeypatch):
+    # the two-step routes share one structure scan of the instance
+    scans = []
+    scan = solver.structure_scan
+    monkeypatch.setattr(solver, "structure_scan", lambda G: scans.append(G) or scan(G))
     suite = {
         "name": "tiny",
         "instances": [
@@ -535,6 +540,7 @@ def test_cross_validate_tiny_suite():
     report = cross_validate(suite)
     assert report["ok"] is True
     assert {r["name"] for r in report["results"]} == {"aff-f3", "m27"}
+    assert len(scans) == 1
 
 
 def test_verify_default_golden(suite_report):

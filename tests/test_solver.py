@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainrep import minfaith_solver
 from chainrep.chain_ring import INF, RingParameterError, make_ring
-from chainrep.char_duality import DualVector
-from chainrep.group_models import Char2UnsupportedError, HeisenbergGroup, semidirect_cyclic_hom, structure_scan
+from chainrep.char_duality import DualVector, character_weights, psi
+from chainrep.exactrep import ChiNotHomomorphismError, DirectSumRep, LinearChar, MonomialRep
+from chainrep.group_models import HeisenbergGroup, UnitriangularGroup, semidirect_cyclic_hom, structure_scan
+from chainrep.mackey_irreps import annihilator_indices
 from chainrep.minfaith_solver import (
     CommutatorNotCyclicError,
     FaithfulSolution,
@@ -67,10 +70,30 @@ def test_formula_unitriangular():
     assert formula_unitriangular(3, 1, 1, 1, 4) == 9
     assert formula_unitriangular(5, 1, 1, 1, 4) == 25
     assert formula_unitriangular(3, 1, 1, 2, 3) == 9
-    with pytest.raises(Char2UnsupportedError):
-        formula_unitriangular(2, 1, 1, 1, 4)
+    assert formula_unitriangular(2, 1, 1, 1, 4) == 4
+    assert formula_unitriangular(2, 1, 1, 2, 4) == 16
     with pytest.raises(ValueError):
         formula_unitriangular(3, 1, 1, 1, 2)
+
+
+def test_unitriangular_upper_bound_is_faithful(ring):
+    # the upper bound of formula_unitriangular, built in residue
+    # characteristic 2: for each basis parameter b, psi_b of the corner
+    # induced from S_b, the matrices whose other first-row entries lie in
+    # Ann(b), has degree |R/Ann(b)|^k, and the sum is faithful
+    for name, size in [("f2", 4), ("f2", 5), ("z4", 4), ("f2t2", 4)]:
+        R = ring(name)
+        U = UnitriangularGroup(R, size)
+        reps = []
+        for b in heisenberg_basis_parameters(R):
+            ann = annihilator_indices(R, b.index)
+            rows = U._rows({t: ann if i == 0 and j < size - 1 else range(R.size) for t, (i, j) in enumerate(U.positions)})
+            corner = U._decode(rows)[U.pos_index[0, size - 1]]
+            chi = LinearChar(character_weights(R)[0], rows, psi(R, R.mul_table[b.index, corner]))
+            reps.append(MonomialRep.induce(U, chi))
+            assert reps[-1].degree == (R.size // len(ann)) ** (size - 2)
+        assert sum(rep.degree for rep in reps) == formula_unitriangular(R.p, R.f, R.e, R.n, size)
+        assert DirectSumRep(reps).is_faithful(), (name, size)
 
 
 def test_formula_affine():
@@ -225,11 +248,28 @@ def test_construct_two_step(group):
         assert all(k == "linear" for k in kinds[1:])
 
 
-def test_construct_two_step_rejects(group):
+def test_construct_two_step_rejects(group, monkeypatch):
     with pytest.raises(NotTwoStepError):
         construct_faithful_two_step(group("d8_16"))
     with pytest.raises(CommutatorNotCyclicError):
         construct_faithful_two_step(group("hei3_f4"))
+    # a linear summand is checked like the induced one: corrupt the
+    # exponents of the one linear summand of Z/8 by Z/4 via 5, whose
+    # centre Z/4 x Z/2 has rank 2
+    G = semidirect_cyclic_hom(8, 5, 4)
+    assert len(construct_faithful_two_step(G).reps) == 2
+    original = minfaith_solver.extend_character
+
+    def corrupted(group, *args):
+        M, exps = original(group, *args)
+        if group is not G:  # a linear summand, a character of G/B
+            exps = exps.copy()
+            exps[-1] += 1
+        return M, exps
+
+    monkeypatch.setattr(minfaith_solver, "extend_character", corrupted)
+    with pytest.raises(ChiNotHomomorphismError):
+        construct_faithful_two_step(G)
 
 
 def _check_two_step(G):
