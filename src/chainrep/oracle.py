@@ -18,12 +18,28 @@ the classes and keeps their sizes, every N_ab is then a rational
 integer.  N = |G| I is checked modulo primes l = 1 (mod E) until they
 multiply past 2|G|^2, which fixes N exactly (Chinese remaindering).
 
-The split follows Dixon and Schneider: each common eigenspace carries a
-basis B that is the identity on its pivot rows, so a class matrix M
-restricts to it as M[pivots] @ B.  A restriction that is scalar leaves
-the space whole; otherwise its eigenvalues are the roots of the
-characteristic polynomial of a Hessenberg form, evaluated at all of F_l
-at once, and nullspaces are taken only at those roots.
+The split follows Dixon (Numer. Math. 10, 1967) as refined by Schneider
+("Dixon's character table algorithm revisited", J. Symbolic Comput. 9,
+1990).  The |G/G'| linear characters are written down from the abelian
+quotient G/G': along a greedy generator series of it, each generator
+takes one of the d_i roots of its relation.  Their rows need no
+eigenvector, and their multiplicities are one-hot.  By orthogonality
+with the characters of G/G', the central characters
+omega(C_j) = |C_j| chi(g_j)/chi(1) of the other rows sum to zero over
+each fibre of G -> G/G', and they span that space.  Its basis
+e_j - e_(least class of j's fibre), over the classes that are not least
+in their fibre, is read off the fibres with no row reduction, and it is
+the only space the class matrices split; an abelian group builds none.
+Each common eigenspace carries a basis B that is the identity on its
+pivot rows, so a class matrix M restricts to it as M[pivots] @ B.  A
+restriction that is scalar leaves the space whole; otherwise its
+eigenvalues are the roots of the characteristic polynomial of a
+Hessenberg form, evaluated at all of F_l at once, and nullspaces are
+taken only at those roots.  Values are lifted per element order: chi(g^s)
+depends on s mod o(g) alone, so the multiplicities at a class of order
+o sit at multiples of E/o, and one length-o transform per order among
+the class representatives lifts them, at a cost of sum_j r o_j^2 rather
+than r^2 E^2.
 
 The minimum search rewrites "trivial kernel intersection" as a weighted
 set cover over the minimal normal subgroups (the joint kernel is trivial
@@ -46,7 +62,7 @@ import numpy as np
 from .chain_ring import CapExceededError, RingParameterError, _factorize, _is_prime
 from .char_duality import DualVector, _rref
 from .exactrep import Cyclotomic
-from .group_models import AbstractGroup, _check_cap, multiplier_closure
+from .group_models import AbstractGroup, _check_cap, _generator_series, multiplier_closure
 
 
 class ModularPrimeNotFoundError(RuntimeError):
@@ -138,11 +154,16 @@ class CharacterTable:
     """Exact character table of an abstract group.
 
     Attributes: reps/sizes/class_of (classes ordered by least member),
-    dims (ascending with the row order), mu (integer root-multiplicity
-    tensor: mu[c, j, u] is the multiplicity of zeta_exponent^u in
-    chi_c(reps[j])), power_class (power_class[k, j] is the class of the
-    k-th power of reps[j]), kernels (the boolean kernel matrix) and the
-    modular prime actually used."""
+    dims (ascending with the row order), mu (root-multiplicity tensor in
+    the smallest unsigned dtype that holds max(dims): mu[c, j, u] is the
+    multiplicity of zeta_exponent^u in chi_c(reps[j])), power_class
+    (power_class[k, j] is the class of the k-th power of reps[j]),
+    kernels (the boolean kernel matrix), the modular prime actually used,
+    and stats, a plain dict of counters: linear_rows (rows seeded from
+    G/G'), complement_dim (the dimension left for the class matrices to
+    split), class_matrices (class matrices built, over every prime tried)
+    and primes (each prime tried, with the ModularPrimeNotFoundError
+    message it raised, or None for the prime used)."""
 
     def __init__(self, G: AbstractGroup):
         _check_cap(G.order)
@@ -154,13 +175,17 @@ class CharacterTable:
         self.r = len(reps)
         self.identity_class = int(self.class_of[G.identity])
         self.exponent = int(G.exponent)
+        lin, fibre = self._linear_rows()
+        self.stats = {"linear_rows": len(lin), "complement_dim": self.r - len(lin), "class_matrices": 0, "primes": []}
         last_err = None
         l = self._first_prime()
         for _ in range(MAX_PRIME_TRIES):
             try:
-                self._compute(l)
+                self._compute(l, lin, fibre)
+                self.stats["primes"].append((l, None))
                 break
             except ModularPrimeNotFoundError as exc:
+                self.stats["primes"].append((l, str(exc)))
                 last_err = exc
                 l = self._next_prime(l)
         else:
@@ -195,19 +220,50 @@ class CharacterTable:
         np.add.at(M, (cls, cols), 1)
         return M
 
-    def _compute(self, l: int):
+    def _linear_rows(self):
+        """(t, fibre): chi_c(reps[j]) = zeta_E^t[c, j] for the |G/G'|
+        linear characters c, and fibre[j] the image of reps[j] in
+        Q = G/G'.  These are the characters of the abelian group Q.  Along
+        a greedy generator series of Q, with relative orders d_i and
+        relations g_i^(d_i) = prod_k g_k^(rel_k), a character's value at
+        g_i, as an exponent v_i mod M (the exponent of Q), solves
+        d_i v_i = rel . v (mod M): once the earlier values fix the right
+        side c, the solutions are c/d_i + k M/d_i for 0 <= k < d_i."""
+        G = self.group
+        Q, coset_of = G.quotient(G.commutator_subgroup)
+        _, orders, relations, exps, M = _generator_series(Q, np.arange(Q.order))
+        values = np.zeros((1, 0), dtype=np.int64)  # one row per character
+        for d, rel in zip(orders, relations):
+            c = values @ np.asarray(rel, dtype=np.int64) % M
+            roots = c[:, None] // d + np.arange(d) * (M // d)
+            values = np.column_stack([np.repeat(values, d, axis=0), roots.ravel()])
+        fibre = coset_of[self.reps]
+        return values @ exps[fibre].T % M * (self.exponent // M), fibre
+
+    def _compute(self, l: int, lin, fibre):
         G = self.group
         r = self.r
-        # 1. split the class algebra into common eigenlines.  A space is
-        # (B, piv) with B[piv] the identity, so M restricted to it is
-        # M[piv] @ B; a child B @ N has its identity at piv[free].
-        spaces = [(np.eye(r, dtype=np.int64), np.arange(r))]
+        # 1. split the complement of the linear eigenlines into common
+        # eigenlines.  A space is (B, piv) with B[piv] the identity, so M
+        # restricted to it is M[piv] @ B; a child B @ N has its identity
+        # at piv[free].  The complement holds the vectors that sum to zero
+        # over each fibre of G -> G/G', with basis e_j - e_(least class of
+        # j's fibre) over the classes j that are not least.
+        least = np.full(len(lin), r)
+        np.minimum.at(least, fibre, np.arange(r))
+        lead = least[fibre]
+        piv = np.flatnonzero(lead != np.arange(r))
+        B = np.zeros((r, len(piv)), dtype=np.int64)
+        B[piv, np.arange(len(piv))] = 1
+        B[lead[piv], np.arange(len(piv))] = l - 1
+        spaces = [(B, piv)] if len(piv) else []
         for i in range(r):
             if all(len(piv) == 1 for _, piv in spaces):
                 break
             if i == self.identity_class:
                 continue
             M = self._class_matrix(i) % l
+            self.stats["class_matrices"] += 1
             nxt = []
             for B, piv in spaces:
                 d = len(piv)
@@ -230,7 +286,7 @@ class CharacterTable:
         if not all(len(piv) == 1 for _, piv in spaces):
             raise ModularPrimeNotFoundError("class algebra did not fully split")
         # 2. normalize to central-character rows omega
-        omegas = np.empty((r, r), dtype=np.int64)
+        omegas = np.empty((len(spaces), r), dtype=np.int64)
         for c, (B, _) in enumerate(spaces):
             v = B[:, 0] % l
             piv = int(v[self.identity_class])
@@ -242,7 +298,7 @@ class CharacterTable:
         invcls = self.class_of[self.group.inverse[np.array(self.reps)]]
         order_mod = self.group.order % l
         dims = []
-        for c in range(r):
+        for c in range(len(spaces)):
             s = int(np.sum(omegas[c] * omegas[c][invcls] % l * inv_sizes % l) % l)
             if s == 0:
                 raise ModularPrimeNotFoundError("degenerate orthogonality sum")
@@ -257,12 +313,15 @@ class CharacterTable:
             if d is None:
                 raise ModularPrimeNotFoundError("no degree matches the modular square")
             dims.append(d)
-        if sum(d * d for d in dims) != self.group.order:
+        if len(lin) + sum(d * d for d in dims) != self.group.order:
             raise ModularPrimeNotFoundError("degree squares do not sum to |G|")
-        # 4. modular character values, then exact lifting
-        X = np.empty((r, r), dtype=np.int64)
-        for c in range(r):
-            X[c] = np.array(dims[c], dtype=np.int64) * omegas[c] % l * inv_sizes % l
+        # 4. modular character values, then exact lifting.  A linear row
+        # is one-hot at its exponent.  chi(g^s) depends on s mod o(g)
+        # alone, so for a class of element order o the multiplicities sit
+        # at multiples of E/o, and one length-o transform lifts them:
+        # mu[c, j, (E/o) u] = (1/o) sum_{s<o} chi_c(g_j^s) w^(-su), w = z^(E/o).
+        dcol = np.array(dims, dtype=np.int64)[:, None, None]
+        X = dcol[:, :, 0] * omegas % l * inv_sizes % l
         E = self.exponent
         power_class = np.empty((E, r), dtype=np.int64)
         reps = np.array(self.reps)
@@ -270,23 +329,30 @@ class CharacterTable:
         for s in range(E):
             power_class[s] = self.class_of[pw]
             pw = G.table[pw, reps]
+        dims = [1] * len(lin) + dims
+        mu = np.zeros((r, r, E), dtype=np.min_scalar_type(max(dims)))
+        mu[np.arange(len(lin))[:, None], np.arange(r), lin] = 1
         z_root = _primitive_root_power(l, E)
-        zpow = np.array([pow(z_root, u, l) for u in range(E)], dtype=np.int64)
-        u = np.arange(E)
-        zmat = zpow[np.outer(u, -u) % E]  # zmat[s, t] = z^(-st)
-        invE = pow(E, -1, l)
-        V = X[:, power_class]  # (c, s, j)
-        MU = np.einsum("csj,st->cjt", V % l, zmat % l) % l * invE % l
-        MU = np.asarray(MU, dtype=np.int64)
-        dcol = np.array(dims, dtype=np.int64)[:, None, None]
-        if np.any(MU > dcol):
-            raise ModularPrimeNotFoundError("lifted multiplicity exceeds the degree")
-        if np.any(MU.sum(axis=2) != dcol[:, :, 0]):
-            raise ModularPrimeNotFoundError("multiplicities do not sum to the degree")
-        # 5. deterministic row order: by dimension, then value data
-        order = sorted(range(r), key=lambda c: (dims[c], MU[c].reshape(-1).tolist()))
+        rows = np.arange(len(lin), r)
+        orders = G.element_orders[reps]
+        for o in np.unique(orders).tolist():
+            js = np.flatnonzero(orders == o)
+            w = pow(z_root, E // o, l)
+            s = np.arange(o)
+            wmat = np.array([pow(w, -u, l) for u in range(o)], dtype=np.int64)[np.outer(s, s) % o]
+            F = X[:, power_class[:o, js]]  # (c, s, j)
+            MU = np.einsum("csj,su->cju", F, wmat) % l * pow(o, -1, l) % l
+            if np.any(MU > dcol):
+                raise ModularPrimeNotFoundError("lifted multiplicity exceeds the degree")
+            if np.any(MU.sum(axis=2) != dcol[:, :, 0]):
+                raise ModularPrimeNotFoundError("multiplicities do not sum to the degree")
+            mu[np.ix_(rows, js, E // o * s)] = MU
+        # 5. deterministic row order: by dimension, then value data (the
+        # big-endian bytes of an unsigned row compare as its values do)
+        big = mu.dtype.newbyteorder(">")
+        order = sorted(range(r), key=lambda c: (dims[c], mu[c].astype(big).tobytes()))
         self.dims = [dims[c] for c in order]
-        self.mu = MU[order]
+        self.mu = mu[order]
         self.prime = l
         self.power_class = power_class
 
@@ -386,7 +452,31 @@ def minimal_normal_witnesses(T: CharacterTable) -> list:
 def min_faithful_exhaustive(T: CharacterTable):
     """(minimum total dimension, row selection) over direct sums with
     trivial kernel: exact branch-and-bound set cover over the minimal
-    normal subgroups."""
+    normal subgroups.
+
+    A node (rows chosen, rows pool[start:] still available, pool sorted
+    by degree) is pruned once its cost plus a lower bound on the cost of
+    any completion reaches the best cover found.  The bound is the larger
+    of two:
+    (a) each uncovered witness needs an available row that covers it, so
+        the completion costs at least the largest, over uncovered
+        witnesses, of the least degree of such a row;
+    (b) fix a prime q.  The central subgroups of order q are minimal
+        normal, the lines of Omega_1(Z)_q, and those left uncovered are
+        the lines of W = (joint kernel) n Omega_1(Z)_q, so
+        #uncovered = (q^w - 1)/(q - 1) for w = dim W.  An irreducible
+        row is scalar on the central W, so it restricts to W as its
+        degree times a linear character, whose kernel has codimension at
+        most 1 in W.  Covering every line takes W to 0, so at least
+        w = log_q((q - 1) #uncovered + 1) more rows are needed, which
+        cost at least the w least available degrees,
+        pool[start:start + w].
+    Both bounds are valid, so no strictly cheaper cover is pruned.  By
+    (a) a node's bound is at least the degree of pool[start], the next
+    row taken, so every cover reached is strictly cheaper than the best
+    one so far, and a stronger bound only skips subtrees that hold
+    none: the search meets the same improving covers in the same order
+    and returns the same selection as with (a) alone."""
     witnesses = minimal_normal_witnesses(T)
     s = len(witnesses)
     if s == 0:  # trivial group
@@ -416,9 +506,23 @@ def min_faithful_exhaustive(T: CharacterTable):
         chosen.append(pick)
         covered |= cover[pick]
     best = [sum(T.dims[c] for c in chosen), tuple(sorted(chosen))]
+    # (b): the witness bits of the central subgroups of order q, by q, and
+    # the dimension w of a space with (q^w - 1)/(q - 1) lines
+    central = {}
+    for u, j in enumerate(witnesses):
+        if T.sizes[j] == 1:
+            q = int(T.group.element_orders[T.reps[j]])
+            central[q] = central.get(q, 0) | 1 << u
+    rank = {q: {(q**w - 1) // (q - 1): w for w in range(mask.bit_count().bit_length() + 1)} for q, mask in central.items()}
+    prefix = np.cumsum([0] + [T.dims[c] for c in pool]).tolist()
 
     def bound(covered, start):
         need = 0
+        for q, mask in central.items():
+            w = rank[q][(mask & ~covered).bit_count()]
+            if start + w > len(pool):
+                return None
+            need = max(need, prefix[start + w] - prefix[start])
         for u in range(s):
             if (covered >> u) & 1:
                 continue
@@ -430,9 +534,7 @@ def min_faithful_exhaustive(T: CharacterTable):
 
     def dfs(start, covered, cost, sel):
         if covered == full:
-            if cost < best[0] or (cost == best[0] and tuple(sorted(sel)) < best[1]):
-                best[0] = cost
-                best[1] = tuple(sorted(sel))
+            best[:] = cost, tuple(sorted(sel))  # cheaper than best, by the bound
             return
         lb = bound(covered, start)
         if lb is None or cost + lb >= best[0]:

@@ -14,6 +14,7 @@ from chainrep.chain_ring import _is_prime
 from chainrep.char_duality import _rref
 from chainrep.exactrep import Cyclotomic, _ctx, cyc_sum
 from chainrep.group_models import (
+    AbstractGroup,
     CapExceededError,
     multiplier_closure,
     semidirect_cyclic,
@@ -187,16 +188,17 @@ def roll_verify(T):
     (r, rE) @ (rE, r) product over an np.roll copy of mu per t, then
     reduced in a basis of Z[zeta_E]."""
     G, r, E = T.group, T.r, T.exponent
+    mu = T.mu.astype(np.int64)  # one cast, not one per product
     assert sum(d * d for d in T.dims) == G.order
     idc = T.identity_class
     for c in range(r):
-        assert T.mu[c, idc, 0] == T.dims[c]
-        assert not T.mu[c, idc, 1:].any()
+        assert mu[c, idc, 0] == T.dims[c]
+        assert not mu[c, idc, 1:].any()
     w = np.array(T.sizes, dtype=np.int64)
-    flat = (T.mu * w[None, :, None]).reshape(r, -1)
+    flat = (mu * w[None, :, None]).reshape(r, -1)
     P = np.empty((r, r, E), dtype=np.int64)
     for t in range(E):
-        P[:, :, t] = flat @ np.roll(T.mu, t, axis=2).reshape(r, -1).T
+        P[:, :, t] = flat @ np.roll(mu, t, axis=2).reshape(r, -1).T
     deg, _, zpow = _ctx(E)
     reduced = np.tensordot(P, np.array([zpow[t] for t in range(E)], dtype=np.int64), axes=([2], [0]))
     expect = np.zeros((r, r, deg), dtype=np.int64)
@@ -255,7 +257,7 @@ def test_verify_rejects_a_table_outside_the_bound(table):
     T = table("d4")
     j = next(j for j in range(T.r) if j != T.identity_class)
     c = T.r - 1  # the degree-2 row
-    negative = T.mu.copy()
+    negative = T.mu.astype(np.int64)  # mu is unsigned: a signed copy holds the negative entry
     negative[c, j, 0] -= T.dims[c] + 1
     negative[c, j, 1] += T.dims[c] + 1
     over = T.mu.copy()
@@ -336,6 +338,22 @@ def test_verify_agrees_with_the_roll_loop(G, data):
         roll_verify(U)
     with pytest.raises(AssertionError):
         U._verify()
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(semidirect_groups())
+def test_lift_per_order_matches_the_full_transform(G):
+    # Reference: the length-E transform of every power of every class,
+    # mu[c, j, t] = (1/E) sum_{s<E} chi_c(g_j^s) z^(-st) mod l, from the
+    # modular values chi_c(g) = sum_u mu[c, j, u] z^u of the table itself
+    T = CharacterTable(G)
+    l, E = T.prime, T.exponent
+    z = oracle._primitive_root_power(l, E)
+    zpow = np.array([pow(z, u, l) for u in range(E)], dtype=np.int64)
+    X = T.mu.astype(np.int64) @ zpow % l
+    u = np.arange(E)
+    full = np.einsum("csj,st->cjt", X[:, T.power_class], zpow[np.outer(u, -u) % E]) % l * pow(E, -1, l) % l
+    assert np.array_equal(full, T.mu)
 
 
 def test_table_deterministic(group):
@@ -434,6 +452,61 @@ def test_min_faithful_abelian(make_abelian):
         got, sel = min_faithful_exhaustive(T)
         assert got == m
         assert all(int(T.dims[c]) == 1 for c in sel)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.lists(st.integers(2, 12), min_size=1, max_size=4))
+def test_min_faithful_abelian_is_the_rank(make_abelian, orders):
+    # a faithful sum of an abelian group needs one summand per cyclic
+    # factor of its largest elementary abelian section: the most factors
+    # any one prime divides
+    assume(math.prod(orders) <= 144)
+    T = CharacterTable(make_abelian(orders))
+    primes = {q for m in orders for q in range(2, m + 1) if m % q == 0 and _is_prime(q)}
+    assert min_faithful_exhaustive(T)[0] == max(sum(m % q == 0 for m in orders) for q in primes)
+    assert T.stats["class_matrices"] == 0
+
+
+def test_cyclic_224_builds_no_class_matrix():
+    # Z/7 x Z/32 is cyclic of order 224: every row is a seeded linear
+    # character, so no class matrix is built, and one summand is faithful
+    T = CharacterTable(semidirect_cyclic_hom(7, 1, 32))
+    assert T.stats == {"linear_rows": 224, "complement_dim": 0, "class_matrices": 0, "primes": [(449, None)]}
+    assert T.dims == [1] * 224 and T.mu.dtype == np.uint8
+    m, (c,) = min_faithful_exhaustive(T)
+    assert m == 1 and kernel_rows(T, c) == [T.group.identity]
+
+
+def test_elementary_abelian_64_needs_six_summands():
+    # (Z/2)^6: 63 central witnesses, each row covers half of them, so the
+    # per-witness bound is 1; the rank bound settles it at the greedy cover
+    i = np.arange(64)
+    T = CharacterTable(AbstractGroup(i[:, None] ^ i[None, :]))
+    assert T.stats["class_matrices"] == 0
+    m, sel = min_faithful_exhaustive(T)
+    assert m == 6 and len(sel) == 6
+    assert len(minimal_normal_witnesses(T)) == 63
+
+
+def test_stats_count_the_seeded_split(table):
+    T = table("hei3_z9")
+    assert T.stats == {"linear_rows": 81, "complement_dim": 24, "class_matrices": 21, "primes": [(73, None)]}
+    assert T.r == 105 and T.mu.dtype == np.uint8
+
+
+def test_stats_keep_each_rejected_prime(group, monkeypatch):
+    # a prime whose split fails is kept with its reason, and the next
+    # prime = 1 (mod 24) gives the same degrees
+    eigenvalues = oracle._eigenvalues
+
+    def none_at_73(A, l):
+        return eigenvalues(A, l)[: 0 if l == 73 else None]
+
+    monkeypatch.setattr(oracle, "_eigenvalues", none_at_73)
+    T = CharacterTable(group("gl2_f3"))
+    assert T.stats["primes"] == [(73, "class matrix not diagonalizable mod l"), (97, None)]
+    assert T.prime == 97 and sorted(T.dims) == FROZEN_DIMS["gl2_f3"]
+    assert T.stats["linear_rows"] == 2 and T.stats["complement_dim"] == 6
 
 
 def test_catalog_from_table_pgroup(table):
