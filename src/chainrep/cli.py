@@ -25,45 +25,32 @@ class SpecParseError(ValueError):
     pass
 
 
-def _parse_e(text):
-    if text == "inf":
-        return "inf"
+def _text_value(key, text):
+    """The value a suite file would hold for ``key=text``: a table path
+    stays text, multipliers are split on '|', text that int() accepts
+    becomes that integer, and any other text stays text, for the family
+    check to refuse."""
+    if key == "table":
+        return text
+    if key == "multipliers":
+        return [_text_value("multiplier", part) for part in text.split("|")]
     try:
         return int(text)
     except ValueError:
-        raise SpecParseError(f"--e must be a positive integer or 'inf', got {text!r}")
+        return text
 
 
 def _ring_from_args(args):
     from .chain_ring import make_ring
 
-    e = _parse_e(args.e)
     with _parse_errors(f"p={args.p},f={args.f},e={args.e},n={args.n}", "ring"):
-        return make_ring(args.p, args.f, e, args.n)
+        return make_ring(args.p, args.f, _text_value("e", args.e), args.n)
 
 
 def _e_repr(e):
     import math
 
     return "inf" if e == math.inf else int(e)
-
-
-def _spec_value(spec, key, text):
-    """A table path, an e value, integers a|b|... for multipliers, else
-    an integer."""
-    if key == "table":
-        return text
-    if key == "e":
-        return _parse_e(text)
-    try:
-        if key != "multipliers":
-            return int(text)
-        mults = [int(x) for x in text.split("|") if x]
-    except ValueError:
-        raise SpecParseError(f"{key}= must be an integer in {spec!r}") from None
-    if not mults:
-        raise SpecParseError(f"semidirect spec {spec!r} needs multipliers=a|b|...")
-    return mults
 
 
 @contextmanager
@@ -81,12 +68,25 @@ def _parse_errors(source, what="group", ring_source=None):
         raise SpecParseError(f"cannot build {what} from {source!r}: {exc}") from None
 
 
+def _flag_instance(family, flags):
+    """The FamilyInstance of a subcommand's flags: the family's keys only,
+    each through _text_value, so --e takes what a spec's e= takes."""
+    from .minfaith_solver import FAMILIES, FamilyInstance
+
+    keys = FAMILIES[family].keys
+    source = ",".join(f"{key}={flags[key]}" for key in keys)
+    ring_source = None if family == "table" else ",".join(f"{key}={flags[key]}" for key in "pfen")
+    with _parse_errors(source, ring_source=ring_source):
+        return FamilyInstance(family, {key: _text_value(key, flags[key]) for key in keys})
+
+
 def parse_group_spec(spec: str):
     """'family:key=value,...' -> (AbstractGroup, description).
 
     Families are the spec names in the family table: heis, unitri, aff,
     gl2, semidirect, quaternion, and table, whose spec is
-    'table:<path>' or 'table:path=<path>'."""
+    'table:<path>' or 'table:path=<path>'.  Each value goes through
+    _text_value to FamilyInstance, the check a suite instance takes."""
     from .minfaith_solver import FAMILIES, FamilyInstance
 
     if ":" not in spec:
@@ -99,20 +99,17 @@ def parse_group_spec(spec: str):
         for part in rest.split(","):
             if "=" not in part:
                 raise SpecParseError(f"bad key=value field {part!r} in {spec!r}")
-            k, _, v = part.partition("=")
-            kv[k.strip()] = v.strip()
+            key, _, text = part.partition("=")
+            key = key.strip()
+            if key in kv:
+                raise SpecParseError(f"group spec {spec!r} repeats key {key!r}")
+            kv[key] = _text_value(key, text.strip())
     family = next((f for f, fam in FAMILIES.items() if fam.spec == name), None)
     if family is None:
         raise SpecParseError(f"unknown group family {name!r}")
-    fam = FAMILIES[family]
-    try:
-        fam.check_keys(kv)
-    except ValueError as exc:
-        raise SpecParseError(f"group spec {spec!r} has {exc}") from None
-    params = {key: _spec_value(spec, key, kv[key]) for key in fam.keys if key in kv}
     with _parse_errors(spec):
-        b = FamilyInstance(family, params)
-        return b.group, fam.describe(b)
+        b = FamilyInstance(family, kv)
+        return b.group, b.family.describe(b)
 
 
 # -- emission ---------------------------------------------------------
@@ -170,9 +167,9 @@ def _cmd_irreps(args) -> int:
     from .group_models import HeisenbergGroup
     from .mackey_irreps import irrep_catalog
 
-    R = _ring_from_args(args)
-    with _parse_errors(f"k={args.k}"):
-        H = HeisenbergGroup(R, args.k)
+    b = _flag_instance("heisenberg", vars(args))
+    R = b.ring
+    H = HeisenbergGroup(R, b.k)
     catalog = irrep_catalog(H)
     agg = {}
     for d in catalog:
@@ -218,29 +215,24 @@ def _cmd_irreps(args) -> int:
 
 def _minfaith_values(target, params):
     """(values dict, solution json or None) for the requested mode.  The
-    two-step target is the table family with the two-step routes.  In
-    mode all, a route past a size cap (CapExceededError), the oracle above
-    the group cap among them, is left out, with its reason on stderr."""
+    two-step target is the table family with the two-step routes.  A
+    single mode the target has no route for is a parse error.  In mode
+    all, a route past a size cap (CapExceededError), the oracle above the
+    group cap among them, is left out, with its reason on stderr."""
     from . import oracle as orc
     from .chain_ring import CapExceededError
-    from .minfaith_solver import FAMILIES, TWO_STEP_ROUTES, FaithfulSolution, FamilyInstance
+    from .minfaith_solver import FAMILIES, TWO_STEP_ROUTES, FaithfulSolution
 
     mode = params["mode"]
-    if "e" in params:
-        params = {**params, "e": _parse_e(params["e"])}
     two_step = target == "two-step"
-    if two_step:
-        with _parse_errors(params["table"]):
-            b = FamilyInstance("table", params)
-    else:  # the ring families build their group on first use
-        source = ",".join(f"{k}={params[k]}" for k in FAMILIES[target].keys)
-        with _parse_errors(source, ring_source=",".join(f"{k}={params[k]}" for k in "pfen")):
-            b = FamilyInstance(target, params)
 
     def oracle(b):  # the group build checks the cap before allocating
         return orc.min_faithful_exhaustive(orc.CharacterTable(b.group))[0]
 
-    routes = {**(TWO_STEP_ROUTES if two_step else b.family.routes), "oracle": oracle}
+    routes = {**(TWO_STEP_ROUTES if two_step else FAMILIES[target].routes), "oracle": oracle}
+    if mode != "all" and mode not in routes:
+        raise SpecParseError(f"{target} has no {mode} route; its routes are {', '.join(routes)}")
+    b = _flag_instance("table" if two_step else target, params)
     values = {}
     solution = None
     for key in ("formula", "construct", "oracle") if mode == "all" else (mode,):

@@ -350,9 +350,10 @@ class Family:
     ring) and table group, give |G| (building no group, but for a
     table), describe it, and run the family's ``routes`` and orbit
     ``bound``, which cross_validate runs before the two-step routes and
-    the oracle; ``oracle`` says whether the oracle runs by default.  The
-    callables look builders up when called, so a rebound module-level
-    builder is the one run."""
+    the oracle; ``oracle`` says whether the oracle runs by default.  What
+    each parameter's value takes is in VALUE_KINDS, and FamilyInstance
+    checks it.  The callables look builders up when called, so a rebound
+    module-level builder is the one run."""
 
     spec: str
     keys: tuple
@@ -364,17 +365,6 @@ class Family:
     routes: dict = field(default_factory=dict)
     bound: Callable | None = None
     oracle: bool = True
-
-    def check_keys(self, given, allowed=()) -> None:
-        """Raise ValueError for keys in ``given`` that are neither family
-        parameters nor ``allowed``, then for required parameters that
-        ``given`` lacks."""
-        unknown = sorted(set(given) - set(self.keys) - set(allowed))
-        if unknown:
-            raise ValueError(f"unknown keys {', '.join(unknown)}")
-        missing = [key for key in self.keys if key not in given and key not in self.defaults]
-        if missing:
-            raise ValueError(f"missing keys {', '.join(missing)}")
 
 
 def _ring(b) -> RingSpec:
@@ -474,19 +464,55 @@ TWO_STEP_ROUTES = {
 }
 
 
+_INT = (lambda v: type(v) is int, "an integer")
+_FLAG = (lambda v: type(v) is bool, "true or false")
+
+# What a value takes, by key, for the family parameters and the suite
+# flags; a key not named here takes an integer.
+VALUE_KINDS = {
+    "e": (lambda v: type(v) is int or v == "inf", 'an integer or "inf"'),
+    "multipliers": (lambda v: type(v) is list and bool(v) and all(type(m) is int for m in v), "a non-empty list of integers"),
+    "h_order": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "table": (lambda v: isinstance(v, (str, dict)), "a path or a table object"),
+    "oracle": _FLAG,
+    "two_step": _FLAG,
+    "pgroup_catalog": _FLAG,
+}
+
+
 class FamilyInstance:
     """A family's parameters, taken from a dict as attributes (family
-    defaults filling in).  Construction builds the ring and works out
-    |G|, which checks the parameters (a table instance reads its table
-    for that); the table group of the other families, and the structure
-    scan the two-step routes share, are built on first use."""
+    defaults filling in).  This is the one check of a group's parameters,
+    for --group specs, subcommand flags and suite instances alike: it
+    raises ValueError for an unknown family, then for keys in ``params``
+    that are neither family parameters nor ``allowed``, then for missing
+    required parameters, then for a value of the wrong kind (VALUE_KINDS).
+    Last, it builds the ring and works out |G|, which checks the values
+    (a table instance reads its table for that), raising
+    RingParameterError for parameters that define no ring and ValueError
+    for ones that define no group.  The table group of the other
+    families, and the structure scan the two-step routes share, are built
+    on first use."""
 
-    def __init__(self, family: str, params: dict):
-        self.family = FAMILIES[family]
-        for key in self.family.keys:
-            setattr(self, key, params[key] if key in params else self.family.defaults[key])
-        self.ring = self.family.ring(self) if self.family.ring is not None else None
-        self.order = self.family.order(self)
+    def __init__(self, family: str, params: dict, allowed=()):
+        fam = FAMILIES.get(family) if isinstance(family, str) else None
+        if fam is None:
+            raise ValueError(f"unknown family {family!r}")
+        unknown = sorted(set(params) - set(fam.keys) - set(allowed))
+        if unknown:
+            raise ValueError(f"unknown keys {', '.join(unknown)}")
+        missing = [key for key in fam.keys if key not in params and key not in fam.defaults]
+        if missing:
+            raise ValueError(f"missing keys {', '.join(missing)}")
+        for key, value in params.items():
+            test, want = VALUE_KINDS.get(key, _INT)
+            if not test(value):
+                raise ValueError(f"{key} = {json.dumps(value)}, not {want}")
+        self.family = fam
+        for key in fam.keys:
+            setattr(self, key, params[key] if key in params else fam.defaults[key])
+        self.ring = fam.ring(self) if fam.ring is not None else None
+        self.order = fam.order(self)
 
     @cached_property
     def group(self) -> AbstractGroup:

@@ -53,7 +53,6 @@ off the boolean kernel matrix."""
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cached_property
 
@@ -67,6 +66,16 @@ from .group_models import AbstractGroup, _check_cap, _generator_series, multipli
 
 class ModularPrimeNotFoundError(RuntimeError):
     pass
+
+
+class OracleCheckError(AssertionError):
+    """A table that fails its proof, or a catalog asked of a group that is
+    not a p-group.  Raised explicitly, so python -O keeps the check."""
+
+
+def _check(ok, message: str) -> None:
+    if not ok:
+        raise OracleCheckError(message)
 
 
 MAX_PRIME_TRIES = 8
@@ -358,7 +367,7 @@ class CharacterTable:
 
     def _verify(self):
         """Prove that the lifted table is exactly orthonormal, without
-        forming a cyclotomic number.
+        forming a cyclotomic number, or raise OracleCheckError.
 
         (0) mu >= 0, each mu[c, j] sums to dims[c], the identity column
             is (d, 0, ..., 0) and the squared degrees sum to |G|.  Then
@@ -380,22 +389,21 @@ class CharacterTable:
         dims = np.array(self.dims, dtype=np.int64)
         idc = self.identity_class
         # (0) the bound
-        assert (mu >= 0).all(), "negative multiplicity"
-        assert (mu.sum(axis=2) == dims[:, None]).all(), "multiplicities do not sum to the degree"
-        assert np.array_equal(mu[:, idc, 0], dims) and not mu[:, idc, 1:].any(), "identity column"
-        assert int(dims @ dims) == G.order, "degree squares do not sum to |G|"
+        _check((mu >= 0).all(), "negative multiplicity")
+        _check((mu.sum(axis=2) == dims[:, None]).all(), "multiplicities do not sum to the degree")
+        _check(np.array_equal(mu[:, idc, 0], dims) and not mu[:, idc, 1:].any(), "identity column")
+        _check(int(dims @ dims) == G.order, "degree squares do not sum to |G|")
         # (a) the Galois action, one (r, r, E) gather at a time
         u = np.arange(E)
         for k in _unit_generators(E):
             pc = self.power_class[k]
-            assert np.array_equal(mu[:, pc[:, None], (k * u % E)[None, :]], mu), (
-                f"Galois action sigma_{k} failed"
-            )
+            galois = mu[:, pc[:, None], (k * u % E)[None, :]]
+            _check(np.array_equal(galois, mu), f"Galois action sigma_{k} failed")
         # (c) N = |G| I modulo primes l = 1 (mod E)
         sizes = np.array(self.sizes, dtype=np.int64)
         l, modulus = self.prime, 1
         while modulus <= 2 * G.order**2:
-            assert r * l * l < 2**63, "prime too large for int64 products"
+            _check(r * l * l < 2**63, "prime too large for int64 products")
             z = np.empty(E, dtype=np.int64)  # z[u] = z^u mod l
             z[0] = 1
             zl = _primitive_root_power(l, E)
@@ -404,9 +412,8 @@ class CharacterTable:
             X = (mu @ z) % l
             Y = (mu @ z[-u % E]) % l
             N = (X * sizes % l) @ Y.T % l
-            assert np.array_equal(N, G.order % l * np.eye(r, dtype=np.int64)), (
-                f"orthogonality failed mod {l}"
-            )
+            identity = G.order % l * np.eye(r, dtype=np.int64)
+            _check(np.array_equal(N, identity), f"orthogonality failed mod {l}")
             modulus *= l
             l = self._next_prime(l)
 
@@ -554,7 +561,7 @@ def catalog_from_table(T: CharacterTable):
     Omega_1(Z(G)).  Feeds the greedy basis solver."""
     G = T.group
     primes = list(_factorize(G.order))
-    assert len(primes) == 1, "catalog_from_table requires a p-group"
+    _check(len(primes) == 1, "catalog_from_table requires a p-group")
     p = primes[0]
     orders = G.element_orders
     gens = G._span(g for g in G.center if orders[g] == p)[1]
@@ -571,44 +578,28 @@ def catalog_from_table(T: CharacterTable):
 # -- cross validation -------------------------------------------------
 
 
-# What a suite instance may hold besides its family's parameters.
-SUITE_KEYS = ("name", "family", "expected", "oracle", "two_step", "pgroup_catalog")
-
-_INT = (lambda v: type(v) is int, "an integer")
-_FLAG = (lambda v: type(v) is bool, "true or false")
-
-# What a suite instance's value takes, by key; a key not named here
-# takes an integer.
-_SUITE_VALUES = {
-    "e": (lambda v: type(v) is int or v == "inf", 'an integer or "inf"'),
-    "multipliers": (lambda v: type(v) is list and bool(v) and all(type(m) is int for m in v), "a non-empty list of integers"),
-    "h_order": (lambda v: v is None or type(v) is int, "an integer or null"),
-    "table": (lambda v: isinstance(v, (str, dict)), "a path or a table object"),
-    "oracle": _FLAG,
-    "two_step": _FLAG,
-    "pgroup_catalog": _FLAG,
-}
+# What a suite instance may hold besides its name, family and family
+# parameters.
+SUITE_FLAGS = ("expected", "oracle", "two_step", "pgroup_catalog")
 
 
 def _suite_instance(inst: dict):
-    """The FamilyInstance of a suite instance, which builds the ring and
-    works out |G| (reading a table instance's table).  Raises ValueError
-    naming the instance for an unknown family, a key that is neither a
-    family parameter nor in SUITE_KEYS, a missing family parameter, a
-    value of the wrong type, or parameters that define no ring or group."""
+    """The FamilyInstance of a suite instance (solver.FamilyInstance, the
+    one parameter check, with the suite flags allowed).  Raises
+    ValueError naming the instance for whatever that check refuses, and
+    for ``pgroup_catalog`` set on an instance whose oracle is off or whose
+    |G| is not a prime power."""
     from . import minfaith_solver as solver
 
-    family = inst["family"]
-    fam = solver.FAMILIES.get(family) if isinstance(family, str) else None
+    params = {key: value for key, value in inst.items() if key not in ("name", "family")}
     try:
-        if fam is None:
-            raise ValueError(f"unknown family {family!r}")
-        fam.check_keys(inst, SUITE_KEYS)
-        for key, value in inst.items():
-            test, want = _SUITE_VALUES.get(key, _INT)
-            if key not in ("name", "family") and not test(value):
-                raise ValueError(f"{key} = {json.dumps(value)}, not {want}")
-        return solver.FamilyInstance(family, inst)
+        b = solver.FamilyInstance(inst["family"], params, SUITE_FLAGS)
+        if inst.get("pgroup_catalog", False):
+            if not inst.get("oracle", b.family.oracle):
+                raise ValueError("pgroup_catalog = true, but the oracle is off")
+            if len(_factorize(b.order)) != 1:
+                raise ValueError(f"pgroup_catalog = true, but |G| = {b.order} is not a prime power")
+        return b
     except RingParameterError as exc:
         raise ValueError(f"instance {inst['name']!r} has no chain ring: {exc}") from None
     except (ValueError, OSError) as exc:
@@ -636,7 +627,8 @@ def cross_validate(suite: dict) -> dict:
     that apply and report agreement.  The check builds each instance once
     and, before any route runs, raises ValueError for a suite that is not
     an object whose ``instances`` is a list of objects with ``name`` and
-    ``family``, or for the first malformed instance (_suite_instance).
+    ``family``, for a name two instances share, or for the first
+    malformed instance (_suite_instance).
     The routes run in this order: the family's own (closed form, greedy
     solver, explicit construction), the orbit bound, the two-step closed
     form and construction when ``two_step`` is true, and the oracle
@@ -652,6 +644,10 @@ def cross_validate(suite: dict) -> dict:
         isinstance(inst, dict) and "name" in inst and "family" in inst for inst in instances
     ):
         raise ValueError("a suite is a JSON object whose 'instances' is a list of objects with 'name' and 'family'")
+    names = [inst["name"] for inst in instances]
+    for t, name in enumerate(names):
+        if name in names[:t]:
+            raise ValueError(f"instance name {name!r} is used twice")
     built = [_suite_instance(inst) for inst in instances][::-1]
     results = []
     for inst in suite["instances"]:  # popped, so each built instance is freed once it has run

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -686,6 +687,127 @@ def test_bad_ring_is_a_parse_error(capsys):
             code, out, err = run_cli(capsys, *argv, *ring)
             assert code == 2, argv + ring
             assert out == "" and err.startswith("parse error: cannot build ring from"), argv + ring
+
+
+def test_repeated_spec_key_is_a_parse_error(capsys):
+    # the last value used to win, silently
+    for spec, key in (("heis:p=2,p=3", "p"), ("semidirect:modulus=8,multipliers=3,multipliers=5", "multipliers")):
+        code, out, err = run_cli(capsys, "oracle", "minfaith", "--group", spec)
+        assert (code, out) == (2, ""), spec
+        assert err == f"parse error: group spec {spec!r} repeats key {key!r}\n"
+
+
+def test_mode_without_a_route_is_a_parse_error(capsys):
+    argv = ["minfaith", "unitriangular", "--p", "3", "--size", "3", "--mode"]
+    for fmt in ("human", "json"):
+        code, out, err = run_cli(capsys, *argv, "construct", "--format", fmt)
+        assert (code, out) == (2, ""), fmt
+        assert err == "parse error: unitriangular has no construct route; its routes are formula, oracle\n"
+    assert run_cli(capsys, *argv, "all")[:2] == (0, "3\nformula: 3\noracle: 3\n")
+
+
+def test_suite_flags_and_names_are_checked_at_load(capsys, tmp_path):
+    # pgroup_catalog on a group that is not a p-group, or with the oracle
+    # off, and a name two instances share, are parse errors, not a
+    # mismatch, a silently ignored flag or an ambiguous report
+    path = tmp_path / "suite.json"
+    z9_units = {"name": "z9-units", "family": "semidirect", "modulus": 9, "multipliers": [2]}
+    hei = {"name": "hei", "family": "heisenberg", "p": 2}
+    for instances, reason in (
+        ([dict(z9_units, pgroup_catalog=True)], "instance 'z9-units' has pgroup_catalog = true, but |G| = 54 is not a prime power"),
+        ([dict(hei, pgroup_catalog=True, oracle=False)], "instance 'hei' has pgroup_catalog = true, but the oracle is off"),
+        ([dict(hei, pgroup_catalog=True)], "instance 'hei' has pgroup_catalog = true, but the oracle is off"),
+        ([dict(hei, name="a"), dict(z9_units, name="a", expected=7)], "instance name 'a' is used twice"),
+    ):
+        path.write_text(json.dumps({"instances": instances}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(path))
+        assert (code, out) == (2, ""), instances
+        assert err == f"parse error: cannot build suite from {str(path)!r}: {reason}\n"
+    path.write_text(json.dumps({"instances": [dict(hei, pgroup_catalog=True, oracle=True)]}))
+    assert run_cli(capsys, "verify", "--suite", str(path))[0] == 0
+
+
+# Parameter text by key: values the families take (every group they
+# build has order at most 729, so each door can run it), wrong kinds, and
+# values that define no ring or group.
+PARAM_TEXT = {
+    "valid": {"p": ["2", "3"], "f": ["1"], "e": ["1", "2", "inf"], "n": ["1", "2"], "k": ["1"], "size": ["3"],
+              "modulus": ["4", "8", "9"], "multipliers": ["3", "5", "5|7"], "h_order": ["2", "6"]},
+    "kind": {"p": ["x", ""], "f": ["y"], "e": ["Inf", "2.0"], "n": ["z"], "k": ["a"], "size": ["b"],
+             "modulus": ["m"], "multipliers": ["", "3|x"], "h_order": ["h"]},
+    "no group": {"p": ["4", "1"], "f": ["0"], "e": ["0"], "n": ["0"], "k": ["0"], "size": ["1"],
+                 "modulus": ["1", "-3"], "multipliers": ["2"], "h_order": ["0", "3"]},
+}
+RING_FAMILIES = ("heisenberg", "unitriangular", "affine")
+
+
+@st.composite
+def family_texts(draw):
+    """(family, {key: text}): valid text for every family key, then up to
+    two faults: a wrong kind, a value that builds no group, a missing key
+    or a key the family does not take."""
+    from chainrep.minfaith_solver import FAMILIES
+
+    family = draw(st.sampled_from(RING_FAMILIES + ("gl2", "semidirect", "quaternion")))
+    keys = FAMILIES[family].keys
+    text = {key: draw(st.sampled_from(PARAM_TEXT["valid"][key])) for key in keys}
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["kind", "no group", "missing", "unknown"]))
+        if fault == "unknown" or not keys:
+            text[draw(st.sampled_from([k for k in PARAM_TEXT["valid"] if k not in keys] + ["bogus"]))] = "1"
+        elif fault == "missing":
+            text.pop(draw(st.sampled_from(keys)), None)
+        else:
+            key = draw(st.sampled_from(keys))
+            text[key] = draw(st.sampled_from(PARAM_TEXT[fault][key]))
+    return family, text
+
+
+def _suite_value(key, text):
+    if key == "multipliers":
+        return [_suite_value("", part) for part in text.split("|")]
+    return int(text) if text.lstrip("-").isdigit() else text
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family_texts())
+def test_every_door_takes_the_same_parameters(capsys, tmp_path, drawn):
+    # an --group spec, a one-instance suite file and, for the ring
+    # families, the minfaith flags accept the same parameters, and refuse
+    # the others with exit 2 and the same reason
+    from chainrep.minfaith_solver import FAMILIES
+
+    family, text = drawn
+    fam = FAMILIES[family]
+    spec = f"{fam.spec}:" + ",".join(f"{key}={value}" for key, value in text.items())
+    path = tmp_path / "suite.json"
+    instance = {"name": "x", "family": family, **{key: _suite_value(key, value) for key, value in text.items()}}
+    path.write_text(json.dumps({"instances": [instance]}))
+    doors = {
+        "spec": (["oracle", "minfaith", "--group", spec], rf"cannot build group from {re.escape(repr(spec))}: (.*)"),
+        "suite": (["verify", "--suite", str(path)], rf"cannot build suite from {re.escape(repr(str(path)))}: instance 'x' has (?:no chain ring: )?(.*)"),
+    }
+    argparse_ints = [key for key in text if key != "e"]
+    if (
+        family in RING_FAMILIES
+        and set(text) <= set(fam.keys)
+        and all(key in text for key in fam.keys if key not in fam.defaults)
+        and all(text[key].isdigit() for key in argparse_ints)
+    ):
+        flags = [arg for key, value in text.items() for arg in (f"--{key}", value)]
+        doors["minfaith"] = (["minfaith", family, *flags, "--mode", "formula"], r"cannot build (?:ring|group) from '[^']*': (.*)")
+    outcomes = {}
+    for door, (argv, pattern) in doors.items():
+        code, out, err = run_cli(capsys, *argv)
+        if code == 2:
+            match = re.fullmatch(rf"parse error: {pattern}\n", err)
+            assert match and out == "", (door, err)
+            outcomes[door] = match[1]
+        else:
+            assert code in (0, 1), (door, err)
+            outcomes[door] = "accepted"
+    assert len(set(outcomes.values())) == 1, outcomes
 
 
 def test_exit_code_argparse(capsys):

@@ -285,6 +285,35 @@ def test_verify_refuses_a_prime_too_large_for_int64(table):
         altered(T, prime=l)._verify()
 
 
+def test_table_checks_survive_python_O():
+    # python -O strips assert statements: _verify's proof and
+    # catalog_from_table's p-group precondition raise explicitly, so a
+    # corrupted Q_8 table and a group of order 54 are still refused
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = "\n".join([
+        'import copy, sys; sys.path[:0] = ["src"]',
+        'from chainrep.group_models import quaternion_group, semidirect_cyclic',
+        'from chainrep.oracle import CharacterTable, catalog_from_table',
+        'if not sys.flags.optimize: sys.exit("asserts are on")',
+        'T = copy.copy(CharacterTable(quaternion_group()))',
+        'T.mu = T.mu.copy()',
+        '(c, j) = next((c, j) for c in range(T.r) for j in range(T.r) if T.mu[c, j, 1])',
+        'T.mu[c, j, 1] -= 1; T.mu[c, j, 0] += 1  # one unit of zeta moved to 1',
+        'for check, arg in [(type(T)._verify, T), (catalog_from_table, CharacterTable(semidirect_cyclic(9, [2])))]:',
+        '    try:',
+        '        check(arg)',
+        '    except AssertionError as exc:',
+        '        print(exc)',
+    ])
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=root, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Galois action sigma_3 failed\ncatalog_from_table requires a p-group\n"
+
+
 def test_verify_checks_primes_past_twice_the_squared_order(table, monkeypatch):
     # |N_ab - |G| delta_ab| <= |G|^2, so primes multiplying past 2|G|^2
     # pin N exactly, and the check stops at the first such product
