@@ -338,15 +338,16 @@ class RingSpec:
         """Minimal generator count of (R, +): f * xi."""
         return self.f * self.xi
 
-    def omega1_generators(self) -> list["RingElem"]:
-        """The f*xi generators omega_i * pi^(n-xi+j), (i, j)-lexicographic."""
-        out = []
-        for i in range(self.f):
-            for j in range(self.xi):
-                c = [0] * self._fn
-                c[i * self.n + self.n - self.xi + j] = 1
-                out.append(RingElem(self, tuple(c)))
-        return out
+    def basis_index(self, pos: int) -> int:
+        """Index of the digit basis element beta_pos = omega_i pi^j, pos =
+        i*n + j: digit 1 at position pos, 0 elsewhere.  beta_0 is 1."""
+        return self._radix[pos]
+
+    def omega1_generators(self) -> list[int]:
+        """Indices of the f*xi generators omega_i * pi^(n-xi+j),
+        (i, j)-lexicographic."""
+        n, xi = self.n, self.xi
+        return [self.basis_index(i * n + n - xi + j) for i in range(self.f) for j in range(xi)]
 
     # -- lookup tables ------------------------------------------------
 
@@ -373,23 +374,27 @@ class RingSpec:
         return acc
 
     @cached_property
+    def basis_products(self) -> np.ndarray:
+        """BP[s, t]: digits of beta_s * beta_t before carrying, so the
+        product of digit vectors a and b is sum a_s b_t BP[s, t], carried."""
+        f, n = self.f, self.n
+        BP = np.zeros((self._fn, self._fn, self._fn), dtype=np.int64)
+        for i in range(f):
+            for j in range(n):
+                for i2 in range(f):
+                    for j2 in range(n - j):
+                        row = self._yred[i + i2]
+                        for t in range(f):
+                            BP[i * n + j, i2 * n + j2, t * n + j + j2] += row[t]
+        return BP
+
+    @cached_property
     def _tables(self):
         N = self.size
         if N > TABLE_CAP:
             raise CapExceededError(f"ring of size {N} exceeds table cap {TABLE_CAP}")
         D = self.digits(np.arange(N))
-        fn = self._fn
-        # basis products, unreduced
-        BP = np.zeros((fn, fn, fn), dtype=np.int64)
-        for i in range(self.f):
-            for j in range(self.n):
-                for i2 in range(self.f):
-                    for j2 in range(self.n):
-                        if j + j2 >= self.n:
-                            continue
-                        row = self._yred[i + i2]
-                        for t in range(self.f):
-                            BP[i * self.n + j, i2 * self.n + j2, t * self.n + j + j2] += row[t]
+        BP = self.basis_products
         dtype = np.int32 if N > 255 else np.int16
         add = np.empty((N, N), dtype=dtype)
         mul = np.empty((N, N), dtype=dtype)

@@ -8,13 +8,14 @@ in equal characteristic, the Galois-ring trace for unramified rings,
 and for ramified rings a coefficient-precision construction (the
 additive group decomposes as a sum of cyclic p-groups whose j-th block
 has precision ceil((n-j)/e); the character weights each block
-accordingly).  Every additive character is then psi_b : x |-> psi(b x)
-for a unique b, and level(psi_b) = val(b).  A value of psi_b is one ring
-product and one dot product, so nothing here enumerates the ring.
+accordingly).  Every additive character is then x |-> psi(b x) for a
+unique b, of level val(b); its values are psi over the row b of the
+multiplication table, and nothing here enumerates the ring.
 
-Restricting psi_b to the p-torsion subgroup Omega_1(R,+) and reading
+Restricting psi(b .) to the p-torsion subgroup Omega_1(R,+) and reading
 off zeta_p-exponents at the canonical generators gives an F_p vector of
-length f*xi; b |-> vector is linear and identifies R / pi^xi R with the
+length f*xi.  b |-> vector is linear, so it is one (f*n) x (f*xi)
+matrix applied to b's digits, and it identifies R / pi^xi R with the
 dual of Omega_1."""
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain_ring import INF, RingElem, RingSpec
-from .exactrep import Cyclotomic
+from .chain_ring import INF, RingSpec
 
 
 class NotSpanningError(ValueError):
@@ -85,41 +85,29 @@ def psi(R: RingSpec, idx) -> np.ndarray:
     return R.digits(idx) @ np.array(w, dtype=np.int64) % mod
 
 
-class AddChar:
-    """The additive character psi_b of a chain ring, evaluated pointwise."""
-
-    def __init__(self, R: RingSpec, b: RingElem):
-        self.ring = R
-        self.b = b
-        self.level = R.valuation(b)
-        self.modulus, self._weights = character_weights(R)
-
-    def value_exp(self, x) -> int:
-        """Exponent of psi(b x); x is a RingElem or an element index."""
-        if not isinstance(x, RingElem):
-            x = self.ring.element(self.ring.digits(x))
-        return sum(c * w for c, w in zip((self.b * x).coords, self._weights)) % self.modulus
-
-    def __call__(self, x) -> Cyclotomic:
-        return Cyclotomic.root(self.modulus, self.value_exp(x))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AddChar)
-            and self.ring == other.ring
-            and self.b.coords == other.b.coords
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.b.coords))
-
-    def __repr__(self):
-        return f"AddChar(b={self.b!r}, level={self.level})"
+@lru_cache(maxsize=None)
+def _socle_matrix(R: RingSpec) -> np.ndarray:
+    """Row t: the F_p coordinates of psi(beta_t .) on Omega_1, for the
+    digit basis element beta_t.  psi(beta_t g) at a socle generator g is
+    psi of the carried digits of the basis product, a multiple of p^(M-1)
+    since beta_t g is p-torsion."""
+    mod, w = character_weights(R)
+    gens = R.digits(R.omega1_generators())
+    prods = R._canon_array(np.einsum("gq,tqr->tgr", gens, R.basis_products))
+    exps = prods @ np.array(w, dtype=np.int64) % mod
+    scale = mod // R.p
+    assert not (exps % scale).any(), "character value on p-torsion is not a p-th root"
+    return exps // scale
 
 
-def psi_b(R: RingSpec, b: RingElem) -> AddChar:
-    """The character x |-> psi(b x)."""
-    return AddChar(R, b)
+def socle_restriction(R: RingSpec, b) -> np.ndarray:
+    """F_p coordinates of x |-> psi(b x) restricted to Omega_1(R, +),
+    read at the generators omega_i pi^(n-xi+j) in (i, j)-lexicographic
+    order, for the elements with indices b: one more axis, of length
+    f*xi.  The restriction is additive in b, and b = sum c_t beta_t over
+    its digits c, so this is digits(b) @ _socle_matrix(R) mod p, and no
+    character value is formed."""
+    return R.digits(b) @ _socle_matrix(R) % R.p
 
 
 @dataclass(frozen=True)
@@ -129,18 +117,6 @@ class DualVector:
 
     p: int
     coords: tuple[int, ...]
-
-
-def restrict_to_omega1(chi: AddChar) -> DualVector:
-    R = chi.ring
-    p = R.p
-    scale = chi.modulus // p
-    coords = []
-    for g in R.omega1_generators():
-        v = chi.value_exp(g)
-        assert v % scale == 0, "character value on p-torsion is not a p-th root"
-        coords.append((v // scale) % p)
-    return DualVector(p, tuple(coords))
 
 
 # -- F_p linear algebra helpers --------------------------------------

@@ -140,7 +140,7 @@ def _cmd_ring(args) -> int:
         "size": R.size,
         "unit_count": R.unit_count(),
         "d_invariant": R.d_invariant,
-        "omega1_generators": [g.index for g in R.omega1_generators()],
+        "omega1_generators": R.omega1_generators(),
     }
     if args.format == "json":
         _emit_json("ring", _ring_params(args), result)

@@ -51,50 +51,54 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     num[0], num[m] = -1, 1
     for d in range(1, m):
         if m % d == 0:
-            div = cyclotomic_polynomial(d)
-            num = _exact_div(num, div)
+            num, rem = _divide(num, cyclotomic_polynomial(d))
+            assert not any(rem), "non-exact cyclotomic division"
     return tuple(num)
-
-
-def _exact_div(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for d in range(len(num) - 1, dd - 1, -1):
-        c = num[d]
-        if c == 0:
-            continue
-        assert den[dd] == 1
-        out[d - dd] = c
-        for t in range(dd + 1):
-            num[d - dd + t] -= c * den[t]
-    assert not any(num), "non-exact cyclotomic division"
-    return out
 
 
 @lru_cache(maxsize=None)
 def _ctx(m: int):
+    """(deg Phi_m, Phi_m, zpow): row s of the read-only (m, deg) array
+    zpow holds z^s reduced mod Phi_m, by z^(s+1) = z * z^s: shift up one
+    place and fold the top coefficient back with z^deg = -sum phi_t z^t.
+    The coefficients stay small (at most 15 in absolute value for every
+    m < 1200 and for m = 4290), far inside int64."""
     phi_poly = cyclotomic_polynomial(m)
     deg = len(phi_poly) - 1
-    zpow = []
-    for s in range(m):
-        raw = [0] * (s + 1)
-        raw[s] = 1
-        zpow.append(tuple(_reduce(raw, phi_poly, deg)))
-    return deg, phi_poly, tuple(zpow)
+    low = np.array(phi_poly[:deg], dtype=np.int64)
+    zpow = np.zeros((m, deg), dtype=np.int64)
+    zpow[0, 0] = 1
+    for s in range(1, m):
+        zpow[s, 1:] = zpow[s - 1, :-1]
+        zpow[s] -= zpow[s - 1, -1] * low
+    zpow.flags.writeable = False
+    return deg, phi_poly, zpow
 
 
-def _reduce(raw, phi_poly, deg):
-    raw = list(raw)
-    if len(raw) < deg:
-        raw += [0] * (deg - len(raw))
-    for d in range(len(raw) - 1, deg - 1, -1):
-        c = raw[d]
+@lru_cache(maxsize=None)
+def _fold_terms(den) -> list[tuple[int, int]]:
+    """(t - deg, den_t) for the nonzero coefficients den_t, t < deg, of a
+    monic den: z^d = -sum den_t z^(d - deg + t) mod den."""
+    deg = len(den) - 1
+    assert den[deg] == 1
+    return [(t - deg, v) for t, v in enumerate(den[:deg]) if v]
+
+
+def _divide(num, den):
+    """(quotient, remainder) of num by the monic den, as coefficient
+    lists; the remainder has length deg den."""
+    num, deg = list(num), len(den) - 1
+    num += [0] * (deg - len(num))
+    quot = [0] * max(len(num) - deg, 0)
+    terms = _fold_terms(den)
+    for d in range(len(num) - 1, deg - 1, -1):
+        c = num[d]
         if c:
-            raw[d] = 0
-            for t in range(deg):
-                raw[d - deg + t] -= c * phi_poly[t]
-    return raw[:deg]
+            num[d] = 0
+            quot[d - deg] = c
+            for t, v in terms:
+                num[d + t] -= c * v
+    return quot, num[:deg]
 
 
 class Cyclotomic:
@@ -109,9 +113,9 @@ class Cyclotomic:
         deg, phi_poly, _ = _ctx(order)
         coeffs = list(coeffs)
         if len(coeffs) != deg:
-            coeffs = _reduce(coeffs, phi_poly, deg)
+            coeffs = _divide(coeffs, phi_poly)[1]
         self.order = order
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = tuple(map(int, coeffs))
 
     @staticmethod
     def root(m: int, k: int = 1) -> "Cyclotomic":
@@ -155,13 +159,12 @@ class Cyclotomic:
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        deg, phi_poly, _ = _ctx(a.order)
-        raw = [0] * (2 * deg)
+        raw = [0] * (2 * len(a.coeffs))  # never deg long, so reduced
         for i, ca in enumerate(a.coeffs):
             if ca:
                 for j, cb in enumerate(b.coeffs):
                     raw[i + j] += ca * cb
-        return Cyclotomic(a.order, _reduce(raw, phi_poly, deg))
+        return Cyclotomic(a.order, raw)
 
     __rmul__ = __mul__
 
@@ -188,26 +191,18 @@ class Cyclotomic:
 
     def to_str(self) -> str:
         """Deterministic human form, z standing for zeta_order."""
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            else:
-                mon = "z" if j == 1 else f"z^{j}"
-                if c == 1:
-                    terms.append(mon)
-                elif c == -1:
-                    terms.append(f"-{mon}")
-                else:
-                    terms.append(f"{c}*{mon}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+        return cyc_str((j, c) for j, c in enumerate(self.coeffs) if c)
+
+
+def cyc_str(terms) -> str:
+    """Deterministic human form of sum c z^j over the (j, c) terms, j
+    ascending and c nonzero."""
+    out = ""
+    for j, c in terms:
+        mon = "z" if j == 1 else f"z^{j}"
+        term = str(c) if j == 0 else mon if c == 1 else f"-{mon}" if c == -1 else f"{c}*{mon}"
+        out += term if not out or term.startswith("-") else "+" + term
+    return out or "0"
 
 
 def cyc_sum(values, order: int = 1) -> Cyclotomic:
@@ -298,11 +293,8 @@ class MonomialRep:
     def character(self, row) -> Cyclotomic:
         """The trace at the element with this row."""
         _, _, zpow = _ctx(self.scalar_order)
-        acc = [0] * len(zpow[0])
-        for t in np.flatnonzero(self.sigma[row] == np.arange(self.degree)):
-            for i, z in enumerate(zpow[self.exps[row, t]]):
-                acc[i] += z
-        return Cyclotomic(self.scalar_order, acc)
+        fixed = self.sigma[row] == np.arange(self.degree)
+        return Cyclotomic(self.scalar_order, zpow[self.exps[row, fixed]].sum(axis=0))
 
     @property
     def identity_rows(self) -> np.ndarray:

@@ -320,7 +320,7 @@ class AffineGroup(_RingFamily):
     def __init__(self, R: RingSpec):
         self.ring = R
         self.order = R.size * R.unit_count()
-        self.identity = (0, R.one.index)
+        self.identity = (0, R.basis_index(0))
 
     @cached_property
     def _units(self) -> np.ndarray:

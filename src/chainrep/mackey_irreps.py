@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .chain_ring import CapExceededError, RingSpec
-from .char_duality import AddChar, character_weights, psi, psi_b
+from .char_duality import character_weights, psi
 from .exactrep import LinearChar, MonomialRep
 from .group_models import HeisenbergGroup
 
@@ -29,9 +29,6 @@ class IrrepDescriptor:
     dim: int
     lambda_label: tuple
     stabilizer_order: int
-
-    def central_char(self, R: RingSpec) -> AddChar:
-        return psi_b(R, R.from_index(self.orbit_rep[1]))
 
 
 def annihilator_indices(R: RingSpec, b_idx: int) -> list[int]:

@@ -29,8 +29,7 @@ from .char_duality import (
     basis_greedy,
     character_weights,
     psi,
-    psi_b,
-    restrict_to_omega1,
+    socle_restriction,
     spans_dual,
 )
 from .exactrep import DirectSumRep, LinearChar, MonomialRep
@@ -90,11 +89,11 @@ def formula_unitriangular(p: int, f: int, e, n: int, size: int) -> int:
     """m(U_{k+2}(R)) = m(Hei_{2k+1}(R)) for matrix size k+2, in every
     residue characteristic.  Lower bound: embed_heisenberg puts
     Hei_{2k+1}(R) in U_{k+2}(R).  Upper bound: for each basis parameter
-    b of heisenberg_basis_parameters, psi_b(g_{1,k+2}) is a character of
+    b of heisenberg_basis_parameters, psi(b g_{1,k+2}) is a character of
     S_b = {g : g_{1j} in Ann(b) for 1 < j < k+2}, since b kills the cross
     terms of the corner entry, and its induced representation has degree
     [U : S_b] = |R/Ann(b)|^k.  The centre is the corner, inside every
-    S_b, where the induced sum restricts to copies of the psi_b, which are
+    S_b, where the induced sum restricts to copies of psi(b .), which are
     jointly faithful there; a nontrivial normal subgroup of a p-group
     meets the centre, so the sum is faithful, and its degree is the
     Heisenberg sum.  No step halves."""
@@ -187,13 +186,11 @@ def solve_pgroup(entries, p: int, ambient_dim: int) -> FaithfulSolution:
 
 
 def heisenberg_catalog_entries(H: HeisenbergGroup):
-    """(dim, DualVector, descriptor) per catalog irrep."""
-    R = H.ring
-    out = []
-    for desc in irrep_catalog(H):
-        chi = desc.central_char(R)
-        out.append((desc.dim, restrict_to_omega1(chi), desc))
-    return out
+    """(dim, DualVector, descriptor) per catalog irrep: the restriction
+    of its central character psi(b .) to Omega_1."""
+    p, catalog = H.ring.p, irrep_catalog(H)
+    vectors = socle_restriction(H.ring, [desc.orbit_rep[1] for desc in catalog]).tolist()
+    return [(desc.dim, DualVector(p, tuple(v)), desc) for desc, v in zip(catalog, vectors)]
 
 
 def solve_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
@@ -206,16 +203,11 @@ def solve_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
 # -- explicit constructions ------------------------------------------
 
 
-def heisenberg_basis_parameters(R: RingSpec) -> list:
-    """The central parameters b_ij = omega_i pi^j, i <= f, j < xi, whose
-    characters restrict to a basis of the dual of Omega_1."""
-    out = []
-    for i in range(R.f):
-        for j in range(R.xi):
-            c = [0] * (R.f * R.n)
-            c[i * R.n + j] = 1
-            out.append(R.element(c))
-    return out
+def heisenberg_basis_parameters(R: RingSpec) -> list[int]:
+    """Indices of the central parameters b_ij = omega_i pi^j, i < f,
+    j < xi, (i, j)-lexicographic, whose characters restrict to a basis of
+    the dual of Omega_1."""
+    return [R.basis_index(i * R.n + j) for i in range(R.f) for j in range(R.xi)]
 
 
 def construct_faithful_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
@@ -225,31 +217,29 @@ def construct_faithful_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
     group_cap()."""
     H = HeisenbergGroup(R, k)
     params = heisenberg_basis_parameters(R)
-    vectors = [restrict_to_omega1(psi_b(R, b)) for b in params]
+    vectors = socle_restriction(R, params).tolist()
     if not spans_dual(vectors, R):
         raise PoolDoesNotSpanError("basis parameters fail to span (internal error)")
     summands = []
     total = 0
-    for b in params:
-        j = R.valuation(b)
+    for t, digits in enumerate(R.digits(params).tolist()):
+        j = t % R.xi  # b_ij has level j
         dim = R.q ** (k * (R.n - j))
         total += dim
-        summands.append(
-            {"b": list(b.coords), "level": j, "dim": dim}
-        )
+        summands.append({"b": digits, "level": j, "dim": dim})
     expected = formula_heisenberg(R.p, R.f, R.e, R.n, k)
     assert total == expected, "construction total deviates from the closed form"
     reps = None
     verified = None
     if H.order <= group_cap():
-        reps = [mackey_induced_rep(H, (0,) * k, b.index, (0,) * k) for b in params]
+        reps = [mackey_induced_rep(H, (0,) * k, b, (0,) * k) for b in params]
         assert [r.degree for r in reps] == [s["dim"] for s in summands]
         verified = DirectSumRep(reps).is_faithful()
     return FaithfulSolution(
         group=f"heisenberg k={k} over {R!r}",
         total_dim=total,
         summands=summands,
-        certificate=[v.coords for v in vectors],
+        certificate=[tuple(v) for v in vectors],
         reps=reps,
         verified_faithful=verified,
     )

@@ -60,7 +60,7 @@ import numpy as np
 
 from .chain_ring import CapExceededError, RingParameterError, _factorize, _is_prime
 from .char_duality import DualVector, _rref
-from .exactrep import Cyclotomic
+from .exactrep import Cyclotomic, _ctx, cyc_str
 from .group_models import AbstractGroup, _check_cap, _generator_series, multiplier_closure
 
 
@@ -429,10 +429,20 @@ class CharacterTable:
         return self.mu[:, :, 0] == np.array(self.dims)[:, None]
 
     def to_rows(self):
-        """CSV-ready rows: dim then exact values by class."""
+        """CSV-ready rows: dim then exact values by class.  A row's values
+        are reduced at once, as the sum of their nonzero multiplicities
+        times the rows z^u of the reduced powers, and each value is
+        formatted from its nonzero coefficients."""
+        zpow = _ctx(self.exponent)[2]
         out = []
         for c in range(self.r):
-            out.append([self.dims[c]] + [self.value(c, j).to_str() for j in range(self.r)])
+            j, u = np.nonzero(self.mu[c])
+            vals = np.zeros((self.r, zpow.shape[1]), dtype=np.int64)
+            np.add.at(vals, j, self.mu[c, j, u, None].astype(np.int64) * zpow[u])
+            j, t = np.nonzero(vals)
+            cuts = np.searchsorted(j, np.arange(self.r + 1)).tolist()
+            terms = list(zip(t.tolist(), vals[j, t].tolist()))
+            out.append([self.dims[c]] + [cyc_str(terms[a:b]) for a, b in zip(cuts, cuts[1:])])
         return out
 
 
@@ -626,9 +636,9 @@ def cross_validate(suite: dict) -> dict:
     """Check every instance of a suite, then run each through the routes
     that apply and report agreement.  The check builds each instance once
     and, before any route runs, raises ValueError for a suite that is not
-    an object whose ``instances`` is a list of objects with ``name`` and
-    ``family``, for a name two instances share, or for the first
-    malformed instance (_suite_instance).
+    an object whose ``instances`` is a list of objects with a string
+    ``name`` and a ``family``, for a name two instances share, or for the
+    first malformed instance (_suite_instance).
     The routes run in this order: the family's own (closed form, greedy
     solver, explicit construction), the orbit bound, the two-step closed
     form and construction when ``two_step`` is true, and the oracle
@@ -641,9 +651,9 @@ def cross_validate(suite: dict) -> dict:
 
     instances = suite.get("instances") if isinstance(suite, dict) else None
     if not isinstance(instances, list) or not all(
-        isinstance(inst, dict) and "name" in inst and "family" in inst for inst in instances
+        isinstance(inst, dict) and isinstance(inst.get("name"), str) and "family" in inst for inst in instances
     ):
-        raise ValueError("a suite is a JSON object whose 'instances' is a list of objects with 'name' and 'family'")
+        raise ValueError("a suite is a JSON object whose 'instances' is a list of objects with a string 'name' and a 'family'")
     names = [inst["name"] for inst in instances]
     for t, name in enumerate(names):
         if name in names[:t]:

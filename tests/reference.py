@@ -11,8 +11,8 @@ from itertools import product
 
 import numpy as np
 
-from chainrep.chain_ring import INF, RingSpec
-from chainrep.char_duality import AddChar
+from chainrep.chain_ring import INF, RingElem, RingSpec
+from chainrep.char_duality import DualVector, character_weights
 from chainrep.exactrep import Cyclotomic, LinearChar, cyc_sum
 from chainrep.group_models import (
     HeisenbergGroup,
@@ -36,6 +36,55 @@ def unit_inverse_table(R: RingSpec) -> dict[int, int]:
         if R.valuation_table[u] == 0:
             out[u] = int(np.nonzero(mul[u] == one)[0][0])
     return out
+
+
+class AddChar:
+    """The additive character psi_b of a chain ring, evaluated pointwise."""
+
+    def __init__(self, R: RingSpec, b: RingElem):
+        self.ring = R
+        self.b = b
+        self.level = R.valuation(b)
+        self.modulus, self._weights = character_weights(R)
+
+    def value_exp(self, x) -> int:
+        """Exponent of psi(b x); x is a RingElem or an element index."""
+        if not isinstance(x, RingElem):
+            x = self.ring.element(self.ring.digits(x))
+        return sum(c * w for c, w in zip((self.b * x).coords, self._weights)) % self.modulus
+
+    def __call__(self, x) -> Cyclotomic:
+        return Cyclotomic.root(self.modulus, self.value_exp(x))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, AddChar)
+            and self.ring == other.ring
+            and self.b.coords == other.b.coords
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.b.coords))
+
+    def __repr__(self):
+        return f"AddChar(b={self.b!r}, level={self.level})"
+
+
+def psi_b(R: RingSpec, b: RingElem) -> AddChar:
+    """The character x |-> psi(b x)."""
+    return AddChar(R, b)
+
+
+def restrict_to_omega1(chi: AddChar) -> DualVector:
+    R = chi.ring
+    p = R.p
+    scale = chi.modulus // p
+    coords = []
+    for g in R.omega1_generators():
+        v = chi.value_exp(g)
+        assert v % scale == 0, "character value on p-torsion is not a p-th root"
+        coords.append((v // scale) % p)
+    return DualVector(p, tuple(coords))
 
 
 def conductor(chi: AddChar) -> int:

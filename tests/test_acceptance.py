@@ -12,12 +12,9 @@ import contextlib
 import random
 
 from chainrep.chain_ring import INF
-from chainrep.char_duality import (
-    psi_b,
-    restrict_to_omega1,
-    spans_dual,
-)
+from chainrep.char_duality import character_weights, psi, socle_restriction, spans_dual
 from chainrep.exactrep import (
+    Cyclotomic,
     DirectSumRep,
     LinearChar,
     MonomialRep,
@@ -39,6 +36,7 @@ from reference import (
     conductor,
     induced_character_formula,
     levels_lower_bound_audit,
+    psi_b,
     schrodinger_dim,
 )
 
@@ -401,22 +399,16 @@ def test_criterion_7g_duality_invariants(ring, capsys):
     with gate(capsys, label):
         for rn in RING_NAMES:
             R = ring(rn)
-            chars = [psi_b(R, b) for b in R.elements()]
-            assert len({tuple(c.value_exp(x) for x in range(R.size)) for c in chars}) == R.size
+            mod, rows = character_weights(R)[0], psi(R, R.mul_table)  # rows[b, x] = psi(b x)
+            assert len({tuple(row) for row in rows.tolist()}) == R.size
             add = R.add_table
-            for c in chars:
-                for x in range(R.size):
-                    for y in range(R.size):
-                        assert (
-                            c.value_exp(int(add[x, y]))
-                            - c.value_exp(x)
-                            - c.value_exp(y)
-                        ) % c.modulus == 0
-                s = cyc_sum([c(x) for x in range(R.size)], c.modulus)
-                assert s.is_zero() == (c.level < R.n)
-            vectors = [restrict_to_omega1(c) for c in chars]
+            assert ((rows[:, add] - rows[:, :, None] - rows[:, None, :]) % mod == 0).all()
+            for b, row in enumerate(rows.tolist()):
+                s = cyc_sum([Cyclotomic.root(mod, v) for v in row], mod)
+                assert s.is_zero() == (b != 0)
+            vectors = socle_restriction(R, range(R.size))
             assert spans_dual(vectors, R)
-            assert len(set(vectors)) == R.p**R.d_invariant
+            assert len({tuple(v) for v in vectors.tolist()}) == R.p**R.d_invariant
 
 
 def test_criterion_8_greedy_equals_search(suite_report, table, capsys):

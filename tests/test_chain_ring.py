@@ -162,7 +162,7 @@ def test_omega1_is_p_torsion(ring):
         torsion = {a.index for a in R.elements() if R.additive_order(a) in (1, R.p)}
         assert torsion == set(R.ideal_indices(R.n - R.xi))
         assert len(torsion) == R.p**R.d_invariant
-        gens = R.omega1_generators()
+        gens = [R.from_index(g) for g in R.omega1_generators()]
         assert len(gens) == R.d_invariant
         for g in gens:
             assert g.index in torsion and not g.is_zero()

@@ -7,19 +7,17 @@ from hypothesis import strategies as st
 
 from chainrep.chain_ring import INF, make_ring
 from chainrep.char_duality import (
-    AddChar,
     DualVector,
     NotSpanningError,
     basis_greedy,
     character_weights,
     fp_rank,
     psi,
-    psi_b,
-    restrict_to_omega1,
+    socle_restriction,
     spans_dual,
 )
-from chainrep.exactrep import cyc_sum
-from reference import conductor
+from chainrep.exactrep import Cyclotomic, cyc_sum
+from reference import psi_b, restrict_to_omega1
 
 DUALITY_RINGS = ["f2", "f3", "f4", "f5", "z4", "f2t2", "ram222", "z9", "gr42", "z8"]
 
@@ -128,17 +126,38 @@ SMALL_RINGS = [
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(st.sampled_from(SMALL_RINGS))
 def test_ring_tables_and_psi_property(params):
-    # the vectorized digits, valuations and negatives agree with the
-    # scalar arithmetic; psi is additive and nontrivial on the socle
+    # the vectorized digits, valuations, negatives and products agree
+    # with the scalar arithmetic, the product distributes over the sum,
+    # psi is additive and nontrivial on the socle, and the linear map
+    # restricts every psi(b .) as the scalar reference does
     R = make_ring(*params)
     idx = np.arange(R.size)
     elems = list(R.elements())
     assert R.digits(idx).tolist() == [list(x.coords) for x in elems]
     assert R.valuation_table.tolist() == [R.valuation(x) for x in elems]
     assert R.neg_table.tolist() == [(-x).index for x in elems]
+    # the rings are commutative: the table is symmetric, and each pair
+    # a <= b is checked once against the scalar product
+    add, mul = R.add_table, R.mul_table
+    assert (mul == mul.T).all()
+    upper = R.digits(mul[np.triu_indices(R.size)]).tolist()
+    assert upper == [list((a * b).coords) for i, a in enumerate(elems) for b in elems[i:]]
+    a, b, c = np.random.default_rng(params[:2]).integers(R.size, size=(3, 200))
+    assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
     mod, vals = character_weights(R)[0], values(R)
     assert ((vals[:, None] + vals[None, :] - vals[R.add_table]) % mod == 0).all()
     assert psi(R, R.ideal_indices(R.n - 1)).any()
+    vecs = [tuple(v) for v in socle_restriction(R, idx).tolist()]
+    assert vecs == [restrict_to_omega1(psi_b(R, b)).coords for b in elems]
+
+
+def test_restriction_past_the_table_cap():
+    # (101, 1, 1, 4) has 101^4 elements, past TABLE_CAP: the linear map
+    # against the scalar reference on sampled b
+    R = make_ring(101, 1, 1, 4)
+    b = np.random.default_rng(101).integers(R.size, size=300)
+    vecs = [tuple(v) for v in socle_restriction(R, b).tolist()]
+    assert vecs == [restrict_to_omega1(psi_b(R, R.from_index(int(x)))).coords for x in b]
 
 
 def test_base_character_modulus(ring):
@@ -186,55 +205,56 @@ def test_base_character_family_formulas(ring):
             assert base[R.from_int(m).index] == m % mod
 
 
+def characters(R):
+    """Row b: exponents of x |-> psi(b x) on every element x."""
+    return psi(R, R.mul_table)
+
+
 def test_psi_b_matches_multiplication(ring):
+    # the array form psi(b x) over the multiplication table against the
+    # scalar reference character
     for name in ["z4", "f2t2", "z9", "gr42"]:
         R = ring(name)
-        mod, base = character_weights(R)[0], values(R)
+        rows = characters(R)
         for b in R.elements():
             chi = psi_b(R, b)
-            assert chi.modulus == mod
-            for x in range(R.size):
-                assert chi.value_exp(x) == base[int(R.mul_table[b.index, x])]
+            assert chi.modulus == character_weights(R)[0]
+            assert [chi.value_exp(x) for x in range(R.size)] == rows[b.index].tolist()
 
 
 def test_psi_b_injective(ring):
     for name in DUALITY_RINGS:
         R = ring(name)
-        seen = {tuple(psi_b(R, b).value_exp(x) for x in range(R.size)) for b in R.elements()}
-        assert len(seen) == R.size
+        assert len({tuple(row) for row in characters(R).tolist()}) == R.size
 
 
 def test_level_and_conductor(ring):
+    # the level of psi(b .) is val(b), 0 exactly for units, and its
+    # kernel holds the ideal pi^(n - level) and not the next one up
     for name in DUALITY_RINGS:
         R = ring(name)
-        for b in R.elements():
-            chi = psi_b(R, b)
-            assert chi.level == R.valuation(b)
-            assert conductor(chi) == R.n - chi.level
-            assert (chi.level == 0) == b.is_unit()
-            # ker chi contains the ideal pi^conductor and not the next one up
-            ker_ideal = R.ideal_indices(conductor(chi))
-            assert all(chi.value_exp(i) == 0 for i in ker_ideal)
-            if conductor(chi) > 0:
-                bigger = R.ideal_indices(conductor(chi) - 1)
-                assert any(chi.value_exp(i) != 0 for i in bigger)
+        rows = characters(R)
+        for b in range(R.size):
+            level = int(R.valuation_table[b])
+            assert (level == 0) == R.from_index(b).is_unit()
+            assert not rows[b, R.ideal_indices(R.n - level)].any()
+            if level < R.n:
+                assert rows[b, R.ideal_indices(R.n - level - 1)].any()
 
 
 def test_primitive_character_is_b_equals_one(ring):
     R = ring("z9")
-    chi = psi_b(R, R.one)
-    assert chi.level == 0
-    # psi_1 is the fixed character psi itself
-    assert [chi.value_exp(x) for x in range(R.size)] == psi(R, np.arange(R.size)).tolist()
+    # psi(1 .) is the fixed character psi itself
+    assert (characters(R)[R.one.index] == psi(R, np.arange(R.size))).all()
 
 
 def test_nontrivial_characters_sum_to_zero(ring):
     for name in ["z4", "f2t2", "ram222", "z9"]:
         R = ring(name)
-        for b in R.elements():
-            chi = psi_b(R, b)
-            total = cyc_sum([chi(x) for x in range(R.size)])
-            if b.is_zero():
+        mod = character_weights(R)[0]
+        for b, row in enumerate(characters(R).tolist()):
+            total = cyc_sum([Cyclotomic.root(mod, v) for v in row])
+            if b == 0:
                 assert total == R.size
             else:
                 assert total.is_zero()
@@ -244,42 +264,31 @@ def test_transverse_primitive_char_on_nilpotents(ring):
     # over F_2[T]/T^2 the character x -> (-1)^(coefficient of T in x) has
     # b = 1 + T: it is primitive even though it kills the units' span of 1
     R = ring("f2t2")
-    b = R.element((1, 1))
-    chi = psi_b(R, b)
-    assert chi.level == 0
-    for x in R.elements():
-        assert chi.value_exp(x.index) == x.coords[1]
+    b = R.element((1, 1)).index
+    assert R.valuation_table[b] == 0
+    assert (characters(R)[b] == R.digits(np.arange(R.size))[:, 1]).all()
 
 
 def test_restriction_vectors(ring):
-    for name in DUALITY_RINGS:
+    # the linear map against the scalar reference restriction for every
+    # b; trivial exactly on pi^xi R, p^d distinct restrictions, spanning
+    for name in DUALITY_RINGS + ["f3t2"]:
         R = ring(name)
         d = R.d_invariant
-        xi_ideal = set(R.ideal_indices(R.xi))
-        vecs = {}
-        for b in R.elements():
-            v = restrict_to_omega1(psi_b(R, b))
-            assert isinstance(v, DualVector)
-            assert v.p == R.p and len(v.coords) == d
-            vecs[b.index] = v
-            # trivial on the socle iff b kills Omega_1, i.e. b in pi^xi R
-            assert (set(v.coords) == {0}) == (b.index in xi_ideal)
+        vecs = socle_restriction(R, np.arange(R.size))
+        assert vecs.shape == (R.size, d)
+        assert [tuple(v) for v in vecs.tolist()] == [restrict_to_omega1(psi_b(R, b)).coords for b in R.elements()]
+        # trivial on the socle iff b kills Omega_1, i.e. b in pi^xi R
+        assert np.flatnonzero(~vecs.any(axis=1)).tolist() == R.ideal_indices(R.xi)
         # distinct characters of Omega_1: exactly p^d of them
-        assert len(set(vecs.values())) == R.p**d
-        assert spans_dual(list(vecs.values()), R)
+        assert len({tuple(v) for v in vecs.tolist()}) == R.p**d
+        assert spans_dual(vecs, R)
 
 
 def test_restriction_additive(ring):
     R = ring("gr42")
-    add = R.add_table
-    p = R.p
-    for b1 in R.elements():
-        for b2 in R.elements():
-            v1 = restrict_to_omega1(psi_b(R, b1)).coords
-            v2 = restrict_to_omega1(psi_b(R, b2)).coords
-            s = R.from_index(int(add[b1.index, b2.index]))
-            vs = restrict_to_omega1(psi_b(R, s)).coords
-            assert vs == tuple((a + b) % p for a, b in zip(v1, v2))
+    vecs = socle_restriction(R, np.arange(R.size))
+    assert (socle_restriction(R, R.add_table) == (vecs[:, None] + vecs[None, :]) % R.p).all()
 
 
 def test_fp_rank():

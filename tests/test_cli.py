@@ -228,6 +228,33 @@ def test_construct_json_golden(capsys):
         assert (code, out, err) == (0, pin["stdout"], ""), name
 
 
+def test_commands_build_no_ring_element(capsys, monkeypatch):
+    # the commands run on index arrays: with RingElem unconstructible,
+    # each exits as it does unpatched, with the same output
+    from pathlib import Path
+
+    from chainrep.chain_ring import RingElem
+
+    calls = [
+        ("ring", "--p", "3", "--n", "2"),
+        ("ring", "--p", "2", "--f", "2", "--e", "inf", "--n", "2", "--format", "json"),
+        ("irreps", "list", "--p", "2", "--e", "2", "--n", "2"),
+        ("minfaith", "heisenberg", "--p", "3", "--n", "2", "--mode", "all"),
+        ("minfaith", "heisenberg", "--p", "101", "--n", "4", "--mode", "all"),
+        ("minfaith", "affine", "--p", "2", "--n", "2", "--mode", "all"),
+        ("minfaith", "unitriangular", "--p", "2", "--size", "4", "--mode", "all"),
+    ]
+    unpatched = [run_cli(capsys, *argv) for argv in calls]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a command built a RingElem")
+
+    monkeypatch.setattr(RingElem, "__init__", refuse)
+    assert [run_cli(capsys, *argv) for argv in calls] == unpatched
+    golden = (Path(__file__).parent / "data" / "verify_default.json").read_text()
+    assert run_cli(capsys, "verify", "--suite", "default", "--format", "json") == (0, golden, "")
+
+
 def test_unallocatable_table_is_a_cap_refusal(capsys, monkeypatch):
     # a cap past what numpy can index: the oracle's table is refused,
     # before any memory is touched, as a skipped route
@@ -565,6 +592,8 @@ def test_malformed_suite_is_a_parse_error(capsys, tmp_path):
         '{"instances": [7]}',
         '{"instances": [{"name": "d4", "modulus": 4, "multipliers": [3]}]}',
         '{"instances": [{"family": "quaternion"}]}',
+        '{"instances": [{"name": 5, "family": "quaternion", "expected": 3}]}',
+        '{"instances": [{"name": ["a"], "family": "quaternion"}]}',
     ):
         path.write_text(text)
         code, out, err = run_cli(capsys, "verify", "--suite", str(path))

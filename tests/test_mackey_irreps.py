@@ -4,7 +4,7 @@ laws, stabilizers, and explicit induced models."""
 import numpy as np
 import pytest
 
-from chainrep.char_duality import character_weights, psi, psi_b
+from chainrep.char_duality import character_weights, psi
 from chainrep.exactrep import Cyclotomic, cyc_sum
 from chainrep.group_models import HeisenbergGroup
 from chainrep.mackey_irreps import (
@@ -15,7 +15,7 @@ from chainrep.mackey_irreps import (
     mackey_induced_rep,
     orbit_representatives,
 )
-from reference import Char2UnsupportedError, SymplecticModule, catalog_summary, orbit_of, schrodinger_dim
+from reference import Char2UnsupportedError, SymplecticModule, catalog_summary, orbit_of, psi_b, schrodinger_dim
 
 CATALOG_COUNTS = {
     "hei3_f2": 5,
@@ -104,7 +104,7 @@ def test_stone_von_neumann_dimension(heis):
         H = heis(name)
         generic = [d for d in irrep_catalog(H) if d.level == 0]
         assert {d.dim for d in generic} == {H.ring.q ** (H.ring.n * H.k)} == {dim}
-        assert all(d.central_char(H.ring).level == 0 for d in generic)
+        assert all(psi_b(H.ring, H.ring.from_index(d.orbit_rep[1])).level == 0 for d in generic)
         # and there is one of them per primitive central character
         units = np.flatnonzero(H.ring.valuation_table == 0).tolist()
         assert sorted(d.orbit_rep[1] for d in generic) == units
@@ -213,14 +213,14 @@ def test_induced_rep_central_character(heis):
     b_idx = R.one.index
     w = orbit_representatives(H, b_idx)[0]
     rho = mackey_induced_rep(H, w, b_idx)
-    chi_b = psi_b(R, R.one)
+    mod, chi_b = character_weights(R)[0], psi(R, R.mul_table[b_idx])  # psi(b z) by z
     zero = [0] * H.k
     for z in range(R.size):
         g = tuple(zero + zero + [z])
         row = H.index_of([g])[0]
         perm, exps = rho.sigma[row], rho.exps[row]
         assert list(perm) == list(range(rho.degree))  # center acts by scalars
-        val = chi_b.value_exp(z) * (rho.scalar_order // chi_b.modulus)
+        val = chi_b[z] * (rho.scalar_order // mod)
         assert all(e % rho.scalar_order == val % rho.scalar_order for e in exps)
 
 

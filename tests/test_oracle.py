@@ -2,6 +2,7 @@
 
 import copy
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 
 from chainrep import minfaith_solver as solver
 from chainrep import oracle
-from chainrep.chain_ring import _is_prime
+from chainrep.chain_ring import _is_prime, make_ring
 from chainrep.char_duality import _rref
 from chainrep.exactrep import Cyclotomic, _ctx, cyc_sum
 from chainrep.group_models import (
     AbstractGroup,
+    AffineGroup,
     CapExceededError,
     multiplier_closure,
     semidirect_cyclic,
@@ -496,10 +498,35 @@ def test_min_faithful_abelian_is_the_rank(make_abelian, orders):
     assert T.stats["class_matrices"] == 0
 
 
+@lru_cache(maxsize=None)
+def cyclic_224():
+    """The table of Z/7 x Z/32, cyclic of order 224."""
+    return CharacterTable(semidirect_cyclic_hom(7, 1, 32))
+
+
+def test_rows_match_the_per_entry_values(table):
+    # to_rows reduces a row of mu at once, from the reduced powers z^u;
+    # each entry's Cyclotomic, reduced by long division, reads the same.
+    # An entry's value T.value(c, j) is a function of its multiplicities
+    # mu[c, j] alone, so the reference formats each distinct one once
+    for T in (
+        cyclic_224(),
+        CharacterTable(AffineGroup(make_ring(13, 1, 1, 1)).to_abstract()),
+        table("hei3_gr42"),
+    ):
+        strings = {}
+        for c, j in np.ndindex(T.r, T.r):
+            key = T.mu[c, j].tobytes()
+            if key not in strings:
+                strings[key] = T.value(c, j).to_str()
+        expect = [[T.dims[c]] + [strings[T.mu[c, j].tobytes()] for j in range(T.r)] for c in range(T.r)]
+        assert T.to_rows() == expect
+
+
 def test_cyclic_224_builds_no_class_matrix():
     # Z/7 x Z/32 is cyclic of order 224: every row is a seeded linear
     # character, so no class matrix is built, and one summand is faithful
-    T = CharacterTable(semidirect_cyclic_hom(7, 1, 32))
+    T = cyclic_224()
     assert T.stats == {"linear_rows": 224, "complement_dim": 0, "class_matrices": 0, "primes": [(449, None)]}
     assert T.dims == [1] * 224 and T.mu.dtype == np.uint8
     m, (c,) = min_faithful_exhaustive(T)

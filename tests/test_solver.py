@@ -86,10 +86,10 @@ def test_unitriangular_upper_bound_is_faithful(ring):
         U = UnitriangularGroup(R, size)
         reps = []
         for b in heisenberg_basis_parameters(R):
-            ann = annihilator_indices(R, b.index)
+            ann = annihilator_indices(R, b)
             rows = U._rows({t: ann if i == 0 and j < size - 1 else range(R.size) for t, (i, j) in enumerate(U.positions)})
             corner = U._decode(rows)[U.pos_index[0, size - 1]]
-            chi = LinearChar(character_weights(R)[0], rows, psi(R, R.mul_table[b.index, corner]))
+            chi = LinearChar(character_weights(R)[0], rows, psi(R, R.mul_table[b, corner]))
             reps.append(MonomialRep.induce(U, chi))
             assert reps[-1].degree == (R.size // len(ann)) ** (size - 2)
         assert sum(rep.degree for rep in reps) == formula_unitriangular(R.p, R.f, R.e, R.n, size)
@@ -204,7 +204,7 @@ def test_basis_parameters_shape(ring):
         R = ring(name)
         params = heisenberg_basis_parameters(R)
         assert len(params) == R.d_invariant
-        levels = sorted(R.valuation(b) for b in params)
+        levels = sorted(R.valuation_table[params].tolist())
         assert levels == sorted(j for _ in range(R.f) for j in range(R.xi))
 
 
