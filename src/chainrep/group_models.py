@@ -1,17 +1,23 @@
 """Group models: Heisenberg, unitriangular and affine groups over a
-chain ring, plus table-backed abstract groups for oracle work.
+chain ring, plus abstract groups, given by a table or by a family's law.
 
 Family elements are tuples of ring element indices, so they hash and
 sort canonically.  Each family writes its group law once, as a numpy
 function on coordinates through the ring lookup tables, and numbers its
 elements by a codec between coordinates and row indices, rows in
-``elements`` order.  The scalar ``mul``, the index-array ``product`` used
-by induction and ``to_abstract`` (a dense multiplication table for
-groups up to the configured cap, which is what the character-table
-oracle consumes, evaluated on an open mesh of coordinates) all evaluate
-that one law.  The distinguished table groups (semidirect products of
-cyclic groups, Q8 and GL_2) likewise write their law once, on row-index
-arrays, and their tables are filled a block of rows at a time.
+``elements`` order.  The scalar ``mul`` and the index-array ``product``
+used by induction both evaluate that one law, and so does
+``to_abstract``, a LawGroup for groups up to the configured cap: an
+AbstractGroup whose ``product`` is the family's law.  Its dense
+multiplication table, evaluated on an open mesh of coordinates, is
+built only when it is first read, which the character-table oracle
+does before anything else; the structure scan and the constructions
+need only products.  The distinguished table groups (semidirect
+products of cyclic groups, Q8 and GL_2) likewise write their law once,
+on row-index arrays, and their tables are filled a block of rows at a
+time.  AbstractGroup's group layer (element orders, centralizers,
+classes, the commutator subgroup, quotients and the structure scan) is
+written once, against ``product``, ``inverse`` and ``identity``.
 """
 
 from __future__ import annotations
@@ -67,13 +73,18 @@ def index_inverse(group, I):
 _BLOCK = 250_000
 
 
-def _empty_table(n: int) -> np.ndarray:
-    """An unfilled n x n int32 table; numpy's refusal to allocate it
-    (too big for an array, or for memory) is a cap refusal."""
+def _allocate(n: int, what: str, make) -> np.ndarray:
+    """make(), an array for a group of order n; numpy's refusal to
+    allocate it (too big for an array, or for memory) is a cap refusal."""
     try:
-        return np.empty((n, n), dtype=np.int32)
+        return make()
     except (ValueError, MemoryError) as exc:
-        raise CapExceededError(f"|G| = {n}: its table cannot be allocated ({exc})") from None
+        raise CapExceededError(f"|G| = {n}: {what} cannot be allocated ({exc})") from None
+
+
+def _empty_table(n: int) -> np.ndarray:
+    """An unfilled n x n int32 table."""
+    return _allocate(n, "its table", lambda: np.empty((n, n), dtype=np.int32))
 
 
 def _index_table(n: int, product, names, width: int = 1) -> "AbstractGroup":
@@ -89,29 +100,34 @@ def _index_table(n: int, product, names, width: int = 1) -> "AbstractGroup":
     return AbstractGroup(table, names=names, validate=False)
 
 
-def _family_table(self) -> "AbstractGroup":
+def _family_table(self) -> np.ndarray:
     """The dense multiplication table of a ring family, from its law on
-    an open mesh; names are the family elements.  Row indices are the
-    codec's digits, so the table is viewed with shape radices + radices:
-    with w digits, digit t of the left factor runs along axis t and of
-    the right factor along axis w + t.  Each coordinate of the law's
-    output then spans only the axes it depends on, and ``_encode``
-    broadcasts them to the full-size block of the view.  A block fixes as
-    few leading digits of the left factor as keep it within _BLOCK
-    entries."""
+    an open mesh.  Row indices are the codec's digits, so the table is
+    viewed with shape radices + radices: with w digits, digit t of the
+    left factor runs along axis t and of the right factor along axis
+    w + t.  Each coordinate of the law's output then spans only the axes
+    it depends on, and ``_encode`` broadcasts them to the full-size block
+    of the view.  A block fixes as few leading digits of the left factor
+    as keep it within _BLOCK entries."""
     _check_cap(self.order)
-    n, radices = self.order, [len(v) for v in self._digits]
+    n, table = self.order, _empty_table(self.order)  # before the digit arrays, which are O(|R|)
+    radices = [len(v) for v in self._digits]
     lead = 0
     while lead < len(radices) and n * math.prod(radices[lead:]) > _BLOCK:
         lead += 1
-    table = _empty_table(n)
     view = table.reshape(radices + radices)
     mesh = np.ix_(*self._digits[lead:], *self._digits)
     free, right = list(mesh[: len(radices) - lead]), list(mesh[len(radices) - lead :])
     for fixed in np.ndindex(*radices[:lead]):
         left = [v[d] for v, d in zip(self._digits, fixed)] + free
         view[fixed] = self._encode(self._law(left, right))
-    return AbstractGroup(table, names=self.elements, validate=False)
+    return table
+
+
+def _law_group(self) -> "LawGroup":
+    """The family as an AbstractGroup on its law; refused past the cap."""
+    _check_cap(self.order)
+    return LawGroup(self)
 
 
 class _Spanned:
@@ -122,8 +138,10 @@ class _Spanned:
         """Greedy closure: (member mask of the subgroup generated by the
         rows seed, the seed rows that enlarged it, in seed order).  Each
         kept row grows the mask breadth-first by right multiplication with
-        the kept rows, which in a finite group reaches every product."""
-        mask = np.zeros(self.order, dtype=bool)
+        the kept rows, which in a finite group reaches every product.  The
+        mask is the first array of |G| entries that the structure scan and
+        the constructions allocate on a LawGroup."""
+        mask = _allocate(self.order, "a mask of its elements", lambda: np.zeros(self.order, dtype=bool))
         mask[self.index_of([self.identity])] = True
         gens = []
         for g in seed:
@@ -152,7 +170,7 @@ class _RingFamily(_Spanned):
     is a radix over the ring size, first coordinate most significant.
     ``_digits`` holds, per radix digit, the coordinate value of each
     digit value.  Scalar ``mul`` and ``inv``, the index-array ``product``
-    and the ``to_abstract`` table all come from the law, and rows follow
+    and the ``to_abstract`` group all come from the law, and rows follow
     ``elements``.  Each family class binds ``to_abstract`` in its own
     namespace, which is where perfbench's tracer looks for it."""
 
@@ -232,7 +250,7 @@ class HeisenbergGroup(_RingFamily):
             z = add[z, mul[g[t], h[k + t]]]
         return [add[g[t], h[t]] for t in range(2 * k)] + [z]
 
-    to_abstract = _family_table
+    to_abstract = _law_group
 
     @cached_property
     def center(self) -> np.ndarray:
@@ -275,7 +293,7 @@ class UnitriangularGroup(_RingFamily):
             out.append(c)
         return out
 
-    to_abstract = _family_table
+    to_abstract = _law_group
 
     def _block_rows(self, entries) -> np.ndarray:
         """Rows of the matrices supported on the given (i, j) entries."""
@@ -351,7 +369,7 @@ class AffineGroup(_RingFamily):
     def _decode(self, idx):
         return [idx // len(self._units), self._units[idx % len(self._units)]]
 
-    to_abstract = _family_table
+    to_abstract = _law_group
 
     @cached_property
     def translations(self) -> np.ndarray:
@@ -359,12 +377,15 @@ class AffineGroup(_RingFamily):
         return self._rows({0: range(self.ring.size)})
 
 
-# -- abstract table groups -------------------------------------------
+# -- abstract groups -------------------------------------------------
 
 
 class AbstractGroup(_Spanned):
-    """A finite group given by its dense multiplication table.  Elements
-    are 0..n-1; ``names`` optionally attaches labels (family tuples)."""
+    """A finite group on the elements 0..n-1, given by its dense
+    multiplication table; ``names`` optionally attaches labels (family
+    tuples).  Everything past the constructor, which checks the table,
+    is written against ``product``, ``inverse`` and ``identity`` only, so
+    LawGroup runs it on a ring family's law."""
 
     def __init__(self, table, names=None, validate=True):
         table = np.asarray(table)
@@ -402,7 +423,7 @@ class AbstractGroup(_Spanned):
         return list(range(self.order))
 
     def mul(self, a, b):
-        return int(self.table[a, b])
+        return int(self.product(a, b))
 
     def index_of(self, elems) -> np.ndarray:
         return np.asarray(elems, dtype=np.int64)
@@ -414,7 +435,7 @@ class AbstractGroup(_Spanned):
         return int(self.inverse[a])
 
     def conj(self, h, g):
-        return int(self.table[self.table[h, g], self.inverse[h]])
+        return int(self.product(self.product(h, g), self.inverse[h]))
 
     def _check_associativity(self):
         # Light's test: associativity on a generating set implies it
@@ -433,13 +454,12 @@ class AbstractGroup(_Spanned):
     def element_orders(self) -> np.ndarray:
         n = self.order
         orders = np.zeros(n, dtype=np.int64)
-        cur = np.arange(n)
+        cur = idx = np.arange(n)
         orders[self.identity] = 1
         step = 1
-        idx = np.arange(n)
         while np.any(orders == 0):
             step += 1
-            cur = self.table[cur, idx]
+            cur = self.product(cur, idx)
             hit = (orders == 0) & (cur == self.identity)
             orders[hit] = step
             if step > n:
@@ -478,7 +498,7 @@ class AbstractGroup(_Spanned):
         """The normal closure of the commutators of the generators: modulo
         it the generators commute, so the quotient is abelian."""
         X = self.generators
-        comm = self.table[self._conjugates(X, X), self.inverse[X]]  # x y x^-1 y^-1
+        comm = self.product(self._conjugates(X, X), self.inverse[X])  # x y x^-1 y^-1
         mask, gens = self._span(comm.ravel())
         while True:
             conj = self._conjugates(X, gens).ravel()
@@ -489,13 +509,14 @@ class AbstractGroup(_Spanned):
     def _conjugates(self, X, elems) -> np.ndarray:
         """x s x^-1 at [x, s] for x in X and s in elems."""
         X = np.asarray(X, dtype=np.int64)[:, None]
-        return self.table[self.table[X, np.asarray(elems, dtype=np.int64)], self.inverse[X]]
+        return self.product(self.product(X, np.asarray(elems, dtype=np.int64)), self.inverse[X])
 
     def centralizer(self, elems) -> list[int]:
+        idx = np.arange(self.order)
         mask = np.ones(self.order, dtype=bool)
         for s in elems:
-            mask &= self.table[:, s] == self.table[s, :]
-        return [int(g) for g in np.nonzero(mask)[0]]
+            mask &= self.product(idx, s) == self.product(s, idx)
+        return np.flatnonzero(mask).tolist()
 
     def quotient(self, normal_elems):
         """(quotient group, coset_of array); normal_elems must be a
@@ -503,11 +524,52 @@ class AbstractGroup(_Spanned):
         N = np.asarray(normal_elems, dtype=np.int64)
         if not np.isin(self._conjugates(self.generators, N), N).all():
             raise ValueError("subgroup is not normal")
-        least = self.table[:, N].min(axis=1)  # of the coset gN
+        least = self.product(np.arange(self.order)[:, None], N).min(axis=1)  # of the coset gN
         reps = np.unique(least)
         coset_of = np.searchsorted(reps, least)
-        qt = coset_of[self.table[np.ix_(reps, reps)]]
+        qt = coset_of[self.product(reps[:, None], reps)]
         return AbstractGroup(qt, validate=False), coset_of
+
+    @cached_property
+    def scan(self) -> "StructureScan":
+        """The structure scan (``structure_scan``), made once per group."""
+        _check_cap(self.order)
+        n = self.order
+        facs = _factorize(n)
+        is_p = len(facs) == 1
+        p = next(iter(facs)) if is_p else None
+
+        center = self.center
+        comm = self.commutator_subgroup
+        cset = set(center)
+        two_step = all(g in cset for g in comm) and len(comm) > 1
+        comm_orders = [int(self.element_orders[g]) for g in comm]
+        comm_cyclic = max(comm_orders) == len(comm) if len(comm) > 1 else True
+
+        # d(Z): the largest rank of the socle of a Sylow subgroup of Z, whose
+        # greedy generators are a basis
+        rank = max((len(self._span(g for g in center if self.element_orders[g] == q)[1]) for q in facs), default=0)
+
+        # greedy maximal abelian: extend the center by commuting elements
+        S, gens = self._span(center)
+        while True:
+            extra = [g for g in self.centralizer(gens) if not S[g]]
+            if not extra:
+                break
+            S, gens = self._span(gens + extra[:1])
+        max_ab = np.nonzero(S)[0].tolist()
+
+        return StructureScan(
+            order=n,
+            is_p_group=is_p,
+            p=p,
+            center=center,
+            center_invariant_count=rank,
+            commutator=comm,
+            is_two_step=two_step,
+            commutator_cyclic=comm_cyclic,
+            maximal_abelian=max_ab,
+        )
 
     def to_json(self) -> dict:
         return {"table": self.table.tolist()}
@@ -528,6 +590,37 @@ class AbstractGroup(_Spanned):
             if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
                 raise ValueError(f"a group table's entries are integers in [0, {n})")
         return AbstractGroup(np.asarray(rows, dtype=np.int64), names=names, validate=True)
+
+
+class LawGroup(AbstractGroup):
+    """A ring family as an AbstractGroup (``to_abstract``): the family's
+    rows, with ``product`` the family's law until ``table`` is first
+    read, and an index into the table from then on.  ``table`` (the
+    family's open-mesh fill), ``inverse`` and ``names`` are built on first
+    read.  The character-table oracle reads ``table`` before anything
+    else, so it works on the table; the structure scan and the
+    constructions, alone, never build it."""
+
+    def __init__(self, family):
+        self.family = family
+        self.order = family.order
+        self.identity = int(family.index_of([family.identity])[0])
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        return _family_table(self.family)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return index_inverse(self, np.arange(self.order))
+
+    @cached_property
+    def names(self) -> list[tuple]:
+        return self.family.elements
+
+    def product(self, I, J) -> np.ndarray:
+        table = self.__dict__.get("table")
+        return self.family.product(I, J) if table is None else table[I, J]
 
 
 # -- distinguished abstract groups -----------------------------------
@@ -660,43 +753,10 @@ class StructureScan:
 
 
 def structure_scan(G: AbstractGroup) -> StructureScan:
-    _check_cap(G.order)
-    n = G.order
-    facs = _factorize(n)
-    is_p = len(facs) == 1
-    p = next(iter(facs)) if is_p else None
-
-    center = G.center
-    comm = G.commutator_subgroup
-    cset = set(center)
-    two_step = all(g in cset for g in comm) and len(comm) > 1
-    comm_orders = [int(G.element_orders[g]) for g in comm]
-    comm_cyclic = max(comm_orders) == len(comm) if len(comm) > 1 else True
-
-    # d(Z): the largest rank of the socle of a Sylow subgroup of Z, whose
-    # greedy generators are a basis
-    rank = max((len(G._span(g for g in center if G.element_orders[g] == q)[1]) for q in facs), default=0)
-
-    # greedy maximal abelian: extend the center by commuting elements
-    S, gens = G._span(center)
-    while True:
-        extra = [g for g in G.centralizer(gens) if not S[g]]
-        if not extra:
-            break
-        S, gens = G._span(gens + extra[:1])
-    max_ab = np.nonzero(S)[0].tolist()
-
-    return StructureScan(
-        order=n,
-        is_p_group=is_p,
-        p=p,
-        center=center,
-        center_invariant_count=rank,
-        commutator=comm,
-        is_two_step=two_step,
-        commutator_cyclic=comm_cyclic,
-        maximal_abelian=max_ab,
-    )
+    """Center, commutator subgroup, two-step and cyclicity flags, the
+    socle rank of Z and a greedy maximal abelian subgroup of G, made once
+    per group and cached on it (``G.scan``)."""
+    return G.scan
 
 
 # -- characters of abelian subgroups ---------------------------------

@@ -245,7 +245,7 @@ def construct_faithful_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
     )
 
 
-def construct_faithful_two_step(G: AbstractGroup, scan: StructureScan | None = None) -> FaithfulSolution:
+def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     """Induced character from a maximal abelian subgroup A through a
     character chi1 faithful on the cyclic commutator subgroup B, plus r-1
     linear characters through G/B dual to a basis of the socle of the
@@ -255,8 +255,8 @@ def construct_faithful_two_step(G: AbstractGroup, scan: StructureScan | None = N
     faithful, so not at all; in a p-group every nontrivial normal
     subgroup meets Omega_1(Z), so the kernel is trivial.  Each summand,
     linear ones included, is built by MonomialRep.induce, which checks its
-    character exactly; ``scan`` is structure_scan(G) when given."""
-    scan = scan or structure_scan(G)
+    character exactly."""
+    scan = structure_scan(G)
     target = formula_two_step(G, scan)
     Z, B, A = scan.center, scan.commutator, scan.maximal_abelian
     # chi1 on A: b -> zeta_|B| for a generator b of B
@@ -449,8 +449,8 @@ FAMILIES = {
 
 # The two-step closed form and construction, for any table group.
 TWO_STEP_ROUTES = {
-    "formula": lambda b: formula_two_step(b.group, b.scan),
-    "construct": lambda b: construct_faithful_two_step(b.group, b.scan),
+    "formula": lambda b: formula_two_step(b.group),
+    "construct": lambda b: construct_faithful_two_step(b.group),
 }
 
 
@@ -480,9 +480,8 @@ class FamilyInstance:
     Last, it builds the ring and works out |G|, which checks the values
     (a table instance reads its table for that), raising
     RingParameterError for parameters that define no ring and ValueError
-    for ones that define no group.  The table group of the other
-    families, and the structure scan the two-step routes share, are built
-    on first use."""
+    for ones that define no group.  The group of the other families is
+    built on first use."""
 
     def __init__(self, family: str, params: dict, allowed=()):
         fam = FAMILIES.get(family) if isinstance(family, str) else None
@@ -507,7 +506,3 @@ class FamilyInstance:
     @cached_property
     def group(self) -> AbstractGroup:
         return self.family.group(self)
-
-    @cached_property
-    def scan(self) -> StructureScan:
-        return structure_scan(self.group)

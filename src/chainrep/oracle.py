@@ -53,6 +53,7 @@ off the boolean kernel matrix."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 from functools import cached_property
 
@@ -176,6 +177,7 @@ class CharacterTable:
 
     def __init__(self, G: AbstractGroup):
         _check_cap(G.order)
+        G.table  # first: a LawGroup then indexes its table, and refuses one it cannot allocate before any O(|G|) array
         self.group = G
         reps, class_of, sizes = G.conjugacy
         self.reps = list(reps)
@@ -562,6 +564,7 @@ def min_faithful_exhaustive(T: CharacterTable):
         dfs(start + 1, covered, cost, sel)
 
     dfs(0, 0, 0, [])
+    del dfs  # it refers to itself: a cycle that would hold T until the next garbage collection
     return best[0], best[1]
 
 
@@ -673,6 +676,12 @@ def cross_validate(suite: dict) -> dict:
         values = {}
         notes = []
         try:
+            if "oracle" in routes:
+                # the oracle reads the table: built first, the other routes
+                # index it rather than run a family's law; a refusal is the
+                # note of each route that needs the group
+                with contextlib.suppress(CapExceededError):
+                    b.group.table
             for key, route in routes.items():
                 try:
                     out = route(b)

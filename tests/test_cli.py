@@ -264,6 +264,37 @@ def test_unallocatable_table_is_a_cap_refusal(capsys, monkeypatch):
     construct, oracle = err.splitlines()
     assert construct == "construct skipped: ring of size 10201 exceeds table cap 6000"
     assert oracle.startswith("oracle skipped: |G| = 1061520150601: its table cannot be allocated (")
+    # the oracle reads the table before anything else, so the group spec
+    # is refused at the table, before any array of |G| entries
+    for action in ("minfaith", "table"):
+        code, out, err = run_cli(capsys, "oracle", action, "--group", "heis:p=101,n=2")
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "parse error: cannot build group from 'heis:p=101,n=2': "
+            "|G| = 1061520150601: its table cannot be allocated ("
+        )
+
+
+def test_unallocatable_mask_is_a_cap_refusal(capsys, monkeypatch, tmp_path):
+    # the two-step routes run on the family's law, whose first array of
+    # |G| entries is a mask: past what numpy can index, it is refused as
+    # the table is, and every route that needs the group is skipped
+    order = 101**12
+    monkeypatch.setenv("CHAINREP_ORACLE_CAP", str(order))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"instances": [
+        {"name": "h", "family": "heisenberg", "p": 101, "n": 4, "two_step": True, "oracle": True},
+    ]}))
+    code, out, _ = run_cli(capsys, "verify", "--suite", str(path), "--format", "json")
+    (entry,) = json.loads(out)["result"]["results"]
+    assert (code, entry["match"], entry["values"]) == (0, True, {"formula": 101**4})
+    refused = [f"{route} skipped: |G| = {order}: {what} cannot be allocated (" for route, what in [
+        ("formula_two_step", "a mask of its elements"),
+        ("construct_two_step", "a mask of its elements"),
+        ("oracle", "its table"),
+    ]]
+    notes = entry["notes"][2:]  # after the solver's and the construction's ring caps
+    assert len(notes) == 3 and all(note.startswith(want) for note, want in zip(notes, refused)), notes
 
 
 def test_irreps_past_explicit_cap(capsys):

@@ -551,6 +551,80 @@ def test_mesh_table_is_the_law(kind, p, f, e, n, data):
     AbstractGroup(G.table, validate=True)
 
 
+def _group_layer(G) -> dict:
+    """Everything AbstractGroup's group layer answers about G, as plain
+    values; the quotients by the centre and the commutator subgroup as
+    (table, coset_of)."""
+    reps, class_of, sizes = G.conjugacy
+    out = {
+        "identity": G.identity,
+        "inverse": G.inverse.tolist(),
+        "element_orders": G.element_orders.tolist(),
+        "exponent": G.exponent,
+        "generators": G.generators,
+        "center": G.center,
+        "conjugacy": (reps, class_of.tolist(), sizes.tolist()),
+        "commutator_subgroup": G.commutator_subgroup,
+        "scan": vars(structure_scan(G)),
+    }
+    for key in ("center", "commutator_subgroup"):
+        Q, coset_of = G.quotient(out[key])
+        out[f"quotient by {key}"] = (Q.table.tolist(), coset_of.tolist())
+    return out
+
+
+@seed(20261018)
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    st.sampled_from(sorted(MESH_FAMILIES)),
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 2),
+    st.sampled_from([1, 2, "inf"]),
+    st.integers(1, 3),
+)
+def test_law_group_is_its_table(kind, p, f, e, n):
+    # a ring family's to_abstract() runs the group layer on its law; the
+    # same layer on the plain table group of that law answers alike
+    build, order = MESH_FAMILIES[kind]
+    assume(order(p ** (f * n), p**f) <= 729)
+    G = build(make_ring(p, f, e, n)).to_abstract()
+    on_law = _group_layer(G)
+    assert "table" not in vars(G)  # nothing above read the table
+    assert on_law == _group_layer(AbstractGroup(G.table))
+
+
+def test_construction_builds_no_cayley_table(monkeypatch):
+    # the construct-4096 routes of Hei(Z/16) need products only: with the
+    # dense table unallocatable they answer as on the table group
+    from chainrep import group_models
+    from chainrep.minfaith_solver import (
+        construct_faithful_heisenberg,
+        construct_faithful_two_step,
+        formula_two_step,
+        solve_heisenberg,
+    )
+
+    R = make_ring(2, 1, 1, 4)
+
+    def routes(G):
+        scan = structure_scan(G)
+        con, two = construct_faithful_heisenberg(R), construct_faithful_two_step(G)
+        assert con.verified_faithful and two.verified_faithful
+        dims = [solve_heisenberg(R).total_dim, con.total_dim, formula_two_step(G, scan), two.total_dim]
+        return dims, vars(scan), [rep.sigma.tolist() for rep in two.reps]
+
+    want = routes(AbstractGroup(HeisenbergGroup(R).to_abstract().table, validate=False))
+
+    def refuse(n):
+        raise AssertionError(f"a {n} x {n} table was allocated")
+
+    monkeypatch.setattr(group_models, "_empty_table", refuse)
+    G = HeisenbergGroup(R).to_abstract()
+    assert G.order == 4096
+    assert routes(G) == want
+    assert want[0] == [16] * 4
+
+
 def test_semidirect_rejects_non_units():
     with pytest.raises(ValueError):
         semidirect_cyclic(8, [2])

@@ -476,6 +476,23 @@ def test_min_faithful_exhaustive(table):
         assert sum(int(T.dims[c]) for c in sel) == m
 
 
+def test_min_faithful_exhaustive_frees_its_table(group):
+    # the search holds no reference cycle, so a table (and its group) is
+    # freed as soon as it is dropped, not at the next garbage collection
+    import gc
+    import weakref
+
+    T = CharacterTable(group("m16"))
+    assert min_faithful_exhaustive(T)[0] == 2
+    ref = weakref.ref(T)
+    gc.disable()
+    try:
+        del T
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_min_faithful_abelian(make_abelian):
     # abelian groups need one summand per invariant factor
     for orders, m in [((8,), 1), ((2, 4), 2), ((3, 3, 3), 3), ((2, 2), 2), ((6,), 1)]:
@@ -638,10 +655,13 @@ def test_cross_validate_detects_mismatch():
 
 
 def test_cross_validate_tiny_suite(monkeypatch):
-    # the two-step routes share one structure scan of the instance
+    # the two-step routes share one structure scan of the instance: the
+    # scan is made once, however often it is asked for
+    from chainrep import group_models
+
     scans = []
-    scan = solver.structure_scan
-    monkeypatch.setattr(solver, "structure_scan", lambda G: scans.append(G) or scan(G))
+    made = group_models.StructureScan
+    monkeypatch.setattr(group_models, "StructureScan", lambda **kw: scans.append(kw) or made(**kw))
     suite = {
         "name": "tiny",
         "instances": [
