@@ -5,19 +5,23 @@ Family elements are tuples of ring element indices, so they hash and
 sort canonically.  Each family writes its group law once, as a numpy
 function on coordinates through the ring lookup tables, and numbers its
 elements by a codec between coordinates and row indices, rows in
-``elements`` order.  The scalar ``mul`` and the index-array ``product``
-used by induction both evaluate that one law, and so does
-``to_abstract``, a LawGroup for groups up to the configured cap: an
-AbstractGroup whose ``product`` is the family's law.  Its dense
+``elements`` order.  The codec decodes rows by a gather from one array
+of |G| entries per coordinate, built on first use and refused past what
+numpy can allocate as the cap is.  The scalar ``mul`` and the
+index-array ``product`` used by induction both evaluate that one law,
+and so does ``to_abstract``, a LawGroup for groups up to the configured
+cap: an AbstractGroup whose ``product`` is the family's law.  Its dense
 multiplication table, evaluated on an open mesh of coordinates, is
 built only when it is first read, which the character-table oracle
 does before anything else; the structure scan and the constructions
-need only products.  The distinguished table groups (semidirect
-products of cyclic groups, Q8 and GL_2) likewise write their law once,
-on row-index arrays, and their tables are filled a block of rows at a
-time.  AbstractGroup's group layer (element orders, centralizers,
-classes, the commutator subgroup, quotients and the structure scan) is
-written once, against ``product``, ``inverse`` and ``identity``.
+need only products, and its inverses come from the walk g, g^2, ...
+that gives the element orders.  The distinguished table groups
+(semidirect products of cyclic groups, Q8 and GL_2) likewise write
+their law once, on row-index arrays, and their tables are filled a
+block of rows at a time.  AbstractGroup's group layer (element orders,
+centralizers, classes, the commutator subgroup, quotients and the
+structure scan) is written once, against ``product``, ``inverse`` and
+``identity``.
 """
 
 from __future__ import annotations
@@ -82,6 +86,15 @@ def _allocate(n: int, what: str, make) -> np.ndarray:
         raise CapExceededError(f"|G| = {n}: {what} cannot be allocated ({exc})") from None
 
 
+def _distinct(values) -> np.ndarray:
+    """The distinct entries of an integer array, ascending.  np.unique
+    would do, but in numpy 2.4 its first call imports numpy.ma."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _empty_table(n: int) -> np.ndarray:
     """An unfilled n x n int32 table."""
     return _allocate(n, "its table", lambda: np.empty((n, n), dtype=np.int32))
@@ -134,25 +147,31 @@ class _Spanned:
     """Spans of rows, written against ``product``, ``index_of`` and
     ``identity``, which the ring families and the table groups share."""
 
-    def _span(self, seed) -> tuple[np.ndarray, list[int]]:
+    def _span(self, seed, base=None) -> tuple[np.ndarray, list[int]]:
         """Greedy closure: (member mask of the subgroup generated by the
-        rows seed, the seed rows that enlarged it, in seed order).  Each
-        kept row grows the mask breadth-first by right multiplication with
-        the kept rows, which in a finite group reaches every product.  The
-        mask is the first array of |G| entries that the structure scan and
-        the constructions allocate on a LawGroup."""
-        mask = _allocate(self.order, "a mask of its elements", lambda: np.zeros(self.order, dtype=bool))
-        mask[self.index_of([self.identity])] = True
-        gens = []
+        rows seed, the seed rows that enlarged it, in seed order).  With
+        base, the (mask, rows) of a subgroup, the closure of that subgroup
+        and seed, which extends base in place.  Each kept row g grows the
+        mask breadth-first: the subgroup so far times g, then each new
+        layer times every kept row, which in a finite group reaches every
+        product.  The mask is the first array of |G| entries that the
+        structure scan and the constructions allocate on a LawGroup."""
+        if base is None:
+            mask = _allocate(self.order, "a mask of its elements", lambda: np.zeros(self.order, dtype=bool))
+            mask[self.index_of([self.identity])] = True
+            gens = []
+        else:
+            mask, gens = base
         for g in seed:
             if mask[g]:
                 continue
             gens.append(int(g))
-            front = np.flatnonzero(mask)
+            front, right = np.flatnonzero(mask), np.array([g])  # closed under the earlier rows
             while len(front):
-                prod = self.product(front[:, None], np.array(gens)).ravel()
-                front = np.unique(prod[~mask[prod]])
+                prod = self.product(front[:, None], right).ravel()
+                front = _distinct(prod[~mask[prod]])
                 mask[front] = True
+                right = np.array(gens)
         return mask, gens
 
     @cached_property
@@ -169,10 +188,12 @@ class _RingFamily(_Spanned):
     ``_decode`` between coordinates and row indices; the default codec
     is a radix over the ring size, first coordinate most significant.
     ``_digits`` holds, per radix digit, the coordinate value of each
-    digit value.  Scalar ``mul`` and ``inv``, the index-array ``product``
-    and the ``to_abstract`` group all come from the law, and rows follow
-    ``elements``.  Each family class binds ``to_abstract`` in its own
-    namespace, which is where perfbench's tracer looks for it."""
+    digit value, and ``_decode`` gathers from ``_coords``, the
+    coordinates of every row, which they fill.  Scalar ``mul`` and
+    ``inv``, the index-array ``product`` and the ``to_abstract`` group
+    all come from the law, and rows follow ``elements``.  Each family
+    class binds ``to_abstract`` in its own namespace, which is where
+    perfbench's tracer looks for it."""
 
     @cached_property
     def _digits(self) -> list[np.ndarray]:
@@ -194,13 +215,26 @@ class _RingFamily(_Spanned):
             idx = idx * self.ring.size + c
         return idx
 
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        """(w, |G|) int64: coordinate t of the element in each row, which
+        ``_decode`` gathers.  Row indices are mixed-radix numbers over the
+        ``_digits``, so coordinate t, seen with one axis per digit, varies
+        along axis t alone and is filled by broadcasting."""
+        radices = [len(v) for v in self._digits]
+        w = len(radices)
+        coords = _allocate(self.order, "its coordinates", lambda: np.empty((w, self.order), dtype=np.int64))
+        view = coords.reshape([w] + radices)
+        for t, v in enumerate(self._digits):
+            view[t] = v.reshape([-1 if u == t else 1 for u in range(w)])
+        return coords
+
     def _decode(self, idx):
-        S, w = self.ring.size, len(self.identity)
-        return [idx // S ** (w - 1 - t) % S for t in range(w)]
+        return self._coords.take(idx, axis=1)
 
     @cached_property
     def elements(self) -> list[tuple]:
-        return list(zip(*(c.tolist() for c in self._decode(np.arange(self.order)))))
+        return list(zip(*self._coords.tolist()))
 
     def index_of(self, elems) -> np.ndarray:
         """Row indices of a list of elements."""
@@ -366,9 +400,6 @@ class AffineGroup(_RingFamily):
         a, u = coords
         return a * len(self._units) + self._unit_pos[u]
 
-    def _decode(self, idx):
-        return [idx // len(self._units), self._units[idx % len(self._units)]]
-
     to_abstract = _law_group
 
     @cached_property
@@ -451,20 +482,30 @@ class AbstractGroup(_Spanned):
         return np.nonzero(self._span(seed)[0])[0].tolist()
 
     @cached_property
-    def element_orders(self) -> np.ndarray:
-        n = self.order
+    def _power_walk(self) -> tuple[np.ndarray, np.ndarray]:
+        """(element orders, inverses) from one walk g, g^2, ... over the
+        rows whose order is still open: at the first step s at which g^s
+        is the identity, s is the order of g and g^(s-1) its inverse."""
+        n, e = self.order, self.identity
         orders = np.zeros(n, dtype=np.int64)
-        cur = idx = np.arange(n)
-        orders[self.identity] = 1
-        step = 1
-        while np.any(orders == 0):
+        inverse = np.empty(n, dtype=np.int64)
+        orders[e], inverse[e] = 1, e
+        live = np.flatnonzero(np.arange(n) != e)
+        power, step = live, 1  # power = live^step
+        while len(live):
             step += 1
-            cur = self.product(cur, idx)
-            hit = (orders == 0) & (cur == self.identity)
-            orders[hit] = step
             if step > n:
                 raise ValueError("order computation ran away")
-        return orders
+            nxt = self.product(power, live)
+            done = nxt == e
+            orders[live[done]] = step
+            inverse[live[done]] = power[done]
+            live, power = live[~done], nxt[~done]
+        return orders, inverse
+
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        return self._power_walk[0]
 
     @cached_property
     def exponent(self) -> int:
@@ -500,11 +541,12 @@ class AbstractGroup(_Spanned):
         X = self.generators
         comm = self.product(self._conjugates(X, X), self.inverse[X])  # x y x^-1 y^-1
         mask, gens = self._span(comm.ravel())
-        while True:
-            conj = self._conjugates(X, gens).ravel()
-            if mask[conj].all():
-                return np.nonzero(mask)[0].tolist()
-            mask, gens = self._span(gens + conj[~mask[conj]].tolist())
+        new = gens
+        while new:  # conjugates of the earlier generators are already in
+            done = len(gens)
+            mask, gens = self._span(self._conjugates(X, new).ravel(), (mask, gens))
+            new = gens[done:]
+        return np.flatnonzero(mask).tolist()
 
     def _conjugates(self, X, elems) -> np.ndarray:
         """x s x^-1 at [x, s] for x in X and s in elems."""
@@ -512,20 +554,27 @@ class AbstractGroup(_Spanned):
         return self.product(self.product(X, np.asarray(elems, dtype=np.int64)), self.inverse[X])
 
     def centralizer(self, elems) -> list[int]:
-        idx = np.arange(self.order)
-        mask = np.ones(self.order, dtype=bool)
+        return np.flatnonzero(self._commuting(elems, np.ones(self.order, dtype=bool))).tolist()
+
+    def _commuting(self, elems, mask) -> np.ndarray:
+        """mask, narrowed in place to the rows that commute with every row
+        of elems; each row of elems tests only the rows still in it."""
         for s in elems:
-            mask &= self.product(idx, s) == self.product(s, idx)
-        return np.flatnonzero(mask).tolist()
+            live = np.flatnonzero(mask)
+            mask[live] = self.product(live, s) == self.product(s, live)
+        return mask
 
     def quotient(self, normal_elems):
         """(quotient group, coset_of array); normal_elems must be a
         normal subgroup.  Cosets are numbered by their least element."""
         N = np.asarray(normal_elems, dtype=np.int64)
-        if not np.isin(self._conjugates(self.generators, N), N).all():
+        member = np.zeros(self.order, dtype=bool)
+        member[N] = True
+        if not member[self._conjugates(self.generators, N)].all():
             raise ValueError("subgroup is not normal")
-        least = self.product(np.arange(self.order)[:, None], N).min(axis=1)  # of the coset gN
-        reps = np.unique(least)
+        rows = np.arange(self.order)
+        least = self.product(rows[:, None], N).min(axis=1)  # of the coset gN
+        reps = np.flatnonzero(least == rows)  # each coset's least member
         coset_of = np.searchsorted(reps, least)
         qt = coset_of[self.product(reps[:, None], reps)]
         return AbstractGroup(qt, validate=False), coset_of
@@ -550,14 +599,20 @@ class AbstractGroup(_Spanned):
         # greedy generators are a basis
         rank = max((len(self._span(g for g in center if self.element_orders[g] == q)[1]) for q in facs), default=0)
 
-        # greedy maximal abelian: extend the center by commuting elements
+        # greedy maximal abelian: extend the center by the least element
+        # that commutes with every generator so far, and not yet generated.
+        # C is their centralizer, G itself while they lie in the center,
+        # narrowed by each new generator.
         S, gens = self._span(center)
+        C = np.ones(n, dtype=bool)
         while True:
-            extra = [g for g in self.centralizer(gens) if not S[g]]
-            if not extra:
+            extra = np.flatnonzero(C & ~S)
+            if not len(extra):
                 break
-            S, gens = self._span(gens + extra[:1])
-        max_ab = np.nonzero(S)[0].tolist()
+            g = int(extra[0])
+            S, gens = self._span([g], (S, gens))
+            C = self._commuting([g], C)
+        max_ab = np.flatnonzero(S).tolist()
 
         return StructureScan(
             order=n,
@@ -596,10 +651,11 @@ class LawGroup(AbstractGroup):
     """A ring family as an AbstractGroup (``to_abstract``): the family's
     rows, with ``product`` the family's law until ``table`` is first
     read, and an index into the table from then on.  ``table`` (the
-    family's open-mesh fill), ``inverse`` and ``names`` are built on first
-    read.  The character-table oracle reads ``table`` before anything
-    else, so it works on the table; the structure scan and the
-    constructions, alone, never build it."""
+    family's open-mesh fill), ``inverse`` (from the walk that gives the
+    element orders) and ``names`` are built on first read.  The
+    character-table oracle reads ``table`` before anything else, so it
+    works on the table; the structure scan and the constructions, alone,
+    never build it."""
 
     def __init__(self, family):
         self.family = family
@@ -612,7 +668,7 @@ class LawGroup(AbstractGroup):
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        return index_inverse(self, np.arange(self.order))
+        return self._power_walk[1]
 
     @cached_property
     def names(self) -> list[tuple]:

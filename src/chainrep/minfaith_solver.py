@@ -269,7 +269,7 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     )
     reps = [rho]
     Q, coset_of = G.quotient(B)
-    kernel = np.unique(coset_of[Z][expsA[np.searchsorted(A, Z)] == 0])  # Z inside A, both ascending
+    kernel = sorted(set(coset_of[Z][expsA[np.searchsorted(A, Z)] == 0].tolist()))  # Z in A, both ascending
     basis = Q._span(g for g in kernel if Q.element_orders[g] == scan.p)[1]
     for unit in np.eye(len(basis), dtype=np.int64):
         MQ, expsQ = extend_character(Q, basis, scan.p, unit, range(Q.order))

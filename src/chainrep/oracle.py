@@ -346,7 +346,7 @@ class CharacterTable:
         z_root = _primitive_root_power(l, E)
         rows = np.arange(len(lin), r)
         orders = G.element_orders[reps]
-        for o in np.unique(orders).tolist():
+        for o in sorted(set(orders.tolist())):
             js = np.flatnonzero(orders == o)
             w = pow(z_root, E // o, l)
             s = np.arange(o)
@@ -458,9 +458,14 @@ def minimal_normal_witnesses(T: CharacterTable) -> list:
     closure N_j of class j iff no kernel holds j without i, and no
     element closure is needed.  N_j is minimal iff every non-identity
     class in it has closure N_j.  N is contained in a kernel iff the
-    witness class is, so coverage checks reduce to kernel columns."""
-    K = T.kernels.astype(np.int64)
-    inside = K.T @ (1 - K) == 0  # inside[j, i]: class i lies in N_j
+    witness class is, so coverage checks reduce to kernel columns, here
+    packed into bitsets W[j] over the rows: class i lies in N_j iff
+    W[j] & ~W[i] is empty."""
+    W = np.packbits(T.kernels, axis=0).T.copy()
+    outside = ~W
+    inside = np.empty((T.r, T.r), dtype=bool)  # inside[j, i]: class i lies in N_j
+    for j in range(T.r):
+        inside[j] = ~(W[j] & outside).any(axis=1)
     nontrivial = np.arange(T.r) != T.identity_class
     sub = inside & nontrivial
     minimal = ~(sub & ~inside.T).any(axis=1)

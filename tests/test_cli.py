@@ -297,6 +297,21 @@ def test_unallocatable_mask_is_a_cap_refusal(capsys, monkeypatch, tmp_path):
     assert len(notes) == 3 and all(note.startswith(want) for note, want in zip(notes, refused)), notes
 
 
+def test_family_law_past_numpy_is_a_cap_refusal():
+    # a family's law decodes rows by gathering from its coordinate arrays,
+    # the first array of |G| entries that its product allocates: past
+    # what numpy can index they are refused, as the table and the mask are
+    from chainrep.chain_ring import CapExceededError, make_ring
+    from chainrep.group_models import HeisenbergGroup
+
+    H = HeisenbergGroup(make_ring(2, 1, 1, 1), 32)  # Hei_65(F_2): small ring tables, |G| = 2^65
+    refusal = f"|G| = {2**65}: its coordinates cannot be allocated ("
+    for call in (lambda: H.product(0, 1), lambda: H.inv(H.identity), lambda: H.elements):
+        with pytest.raises(CapExceededError) as info:
+            call()
+        assert str(info.value).startswith(refusal)
+
+
 def test_irreps_past_explicit_cap(capsys):
     code, out, err = run_cli(capsys, "irreps", "list", "--p", "101", "--n", "2")
     assert (code, out) == (1, "")
@@ -926,4 +941,30 @@ def test_benchmark_tracer_installs():
     ])
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_leave_numpy_ma_unloaded():
+    # numpy 2.4 imports numpy.ma on the first np.unique without return
+    # arrays, or np.isin by sorting: 10-13 ms inside the first timed call
+    # of a fresh process, which no command needs
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    commands = [
+        ["verify", "--suite", "default"],
+        ["minfaith", "heisenberg", "--p", "3", "--n", "2", "--mode", "all"],
+        ["minfaith", "affine", "--p", "3", "--n", "2", "--mode", "all"],
+        ["oracle", "minfaith", "--group", "heis:p=3,n=2"],
+    ]
+    code = "\n".join([
+        'import contextlib, io, sys; sys.path.insert(0, "src"); from chainrep import cli',
+        f'for argv in {commands!r}:',
+        '    with contextlib.redirect_stdout(io.StringIO()):',
+        '        assert cli.main(argv) == 0, argv',
+        '    assert "numpy.ma" not in sys.modules, argv',
+    ])
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -169,6 +169,15 @@ def test_affine_translations_normal(ring):
             assert A.mul(A.mul(g, t), A.inv(g)) in T
 
 
+def test_affine_commutator_subgroup_is_the_translations():
+    # Aff(F_q)' = R for q > 2.  On Aff(F_8) the commutators of the
+    # generators span less than that, and their conjugates by the
+    # generators as well: the normal closure takes two rounds
+    for args in [(3, 1, 1, 1), (2, 2, 1, 1), (2, 3, 1, 1), (5, 1, 1, 1)]:
+        A = AffineGroup(make_ring(*args))
+        assert A.to_abstract().commutator_subgroup == A.translations.tolist()
+
+
 def _check_subgroup_rows(G, rows, size, member):
     """rows: strictly ascending group rows of a subgroup of the given
     size whose elements (as coordinate rows) all satisfy member."""
@@ -623,6 +632,25 @@ def test_construction_builds_no_cayley_table(monkeypatch):
     assert G.order == 4096
     assert routes(G) == want
     assert want[0] == [16] * 4
+
+
+def test_scan_law_calls_are_pinned():
+    # the structure scan of Hei(F_16) on its law makes exactly this many
+    # calls of the family's product: 216 with a centralizer recomputed
+    # over every generator each round, spans rebuilt from scratch and
+    # inverses by squaring to g^(2|G|-1); 96 with the centralizer kept
+    # across rounds, spans extended and inverses from the order walk
+    F = HeisenbergGroup(make_ring(2, 4, 1, 1))
+    calls, law = [], F.product
+
+    def counted(I, J):
+        calls.append(1)
+        return law(I, J)
+
+    F.product = counted
+    scan = structure_scan(F.to_abstract())
+    assert (len(scan.center), len(scan.maximal_abelian)) == (16, 256)
+    assert len(calls) == 96
 
 
 def test_semidirect_rejects_non_units():
