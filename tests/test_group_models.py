@@ -636,10 +636,10 @@ def test_construction_builds_no_cayley_table(monkeypatch):
 
 def test_scan_law_calls_are_pinned():
     # the structure scan of Hei(F_16) on its law makes exactly this many
-    # calls of the family's product: 216 with a centralizer recomputed
-    # over every generator each round, spans rebuilt from scratch and
-    # inverses by squaring to g^(2|G|-1); 96 with the centralizer kept
-    # across rounds, spans extended and inverses from the order walk
+    # calls of the family's product, which repeats from run to run.  A
+    # centralizer recomputed over every generator each round, spans
+    # rebuilt from scratch and inverses by squaring to g^(2|G|-1) would
+    # make 216
     F = HeisenbergGroup(make_ring(2, 4, 1, 1))
     calls, law = [], F.product
 
