@@ -9,19 +9,18 @@ familiar regimes are e = 1 (Galois rings, including Z/p^n), e = INF
 (F_q[T]/(T^n)) and 1 < e < INF (ramified quotients, Eisenstein unit
 fixed to 1).
 
-Elements are stored as canonical digit vectors: x = sum c[i][j] *
-omega_i * pi^j with 0 <= c[i][j] < p, omega_i = y^(i-1) running over a
-fixed basis of the unramified part and pi the uniformizer.  All
-arithmetic reduces to the digit normal form, so equality of elements is
-equality of tuples.
+Elements are named by indices: x = sum c[i][j] * omega_i * pi^j with
+0 <= c[i][j] < p, omega_i = y^(i-1) running over a fixed basis of the
+unramified part and pi the uniformizer, has the canonical digit vector
+c, read as a base-p number.  Arithmetic runs on index arrays through
+lookup tables, each built by carrying digit vectors to that normal form
+(``_canon_array``), so equality of elements is equality of indices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -177,7 +176,7 @@ class RingSpec:
     def __hash__(self):
         return hash((self.p, self.f, self.e, self.n))
 
-    # -- digit arithmetic --------------------------------------------
+    # -- the unramified basis ----------------------------------------
 
     def _build_yred(self):
         # y^s mod h for 0 <= s <= 2f-2, with integer (unreduced) coeffs
@@ -200,131 +199,7 @@ class RingSpec:
             rows.append(row)
         return rows
 
-    def _canon(self, acc: list[int]) -> tuple[int, ...]:
-        p, e, n, f = self.p, self.e, self.n, self.f
-        for j in range(n):
-            for i in range(f):
-                pos = i * n + j
-                c = acc[pos] % p
-                carry = (acc[pos] - c) // p
-                acc[pos] = c
-                if carry and e != INF and j + e < n:
-                    acc[i * n + j + e] += carry
-        return tuple(acc)
-
-    def _add_digits(self, a, b):
-        return self._canon([x + y for x, y in zip(a, b)])
-
-    def _neg_digits(self, a):
-        return self._canon([-x for x in a])
-
-    def _mul_digits(self, a, b):
-        f, n = self.f, self.n
-        acc = [0] * self._fn
-        yred = self._yred
-        for i in range(f):
-            for j in range(n):
-                ca = a[i * n + j]
-                if not ca:
-                    continue
-                for i2 in range(f):
-                    row = yred[i + i2]
-                    for j2 in range(n - j):
-                        cb = b[i2 * n + j2]
-                        if not cb:
-                            continue
-                        c = ca * cb
-                        jj = j + j2
-                        for t in range(f):
-                            if row[t]:
-                                acc[t * n + jj] += c * row[t]
-        return self._canon(acc)
-
-    # -- element constructors ----------------------------------------
-
-    def element(self, coords) -> "RingElem":
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self._fn or any(c < 0 or c >= self.p for c in coords):
-            raise RingParameterError(f"bad coordinate vector {coords}")
-        return RingElem(self, coords)
-
-    @cached_property
-    def zero(self) -> "RingElem":
-        return RingElem(self, (0,) * self._fn)
-
-    @cached_property
-    def one(self) -> "RingElem":
-        c = [0] * self._fn
-        c[0] = 1
-        return RingElem(self, tuple(c))
-
-    @cached_property
-    def uniformizer(self) -> "RingElem":
-        c = [0] * self._fn
-        if self.n >= 2:
-            c[1] = 1
-        return RingElem(self, tuple(c))
-
-    def from_int(self, m: int) -> "RingElem":
-        """Image of the rational integer m."""
-        acc = [0] * self._fn
-        acc[0] = m
-        return RingElem(self, self._canon(acc))
-
-    def index(self, a: "RingElem") -> int:
-        return sum(c * r for c, r in zip(a.coords, self._radix))
-
-    def from_index(self, idx: int) -> "RingElem":
-        if not 0 <= idx < self.size:
-            raise RingParameterError(f"index {idx} out of range")
-        coords = tuple((idx // r) % self.p for r in self._radix)
-        return RingElem(self, coords)
-
-    def elements(self) -> Iterator["RingElem"]:
-        for idx in range(self.size):
-            yield self.from_index(idx)
-
-    # -- ring operations ---------------------------------------------
-
-    def add(self, a, b):
-        return RingElem(self, self._add_digits(a.coords, b.coords))
-
-    def neg(self, a):
-        return RingElem(self, self._neg_digits(a.coords))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        return RingElem(self, self._mul_digits(a.coords, b.coords))
-
-    def valuation(self, a: "RingElem") -> int:
-        """min j with a nonzero digit in column j; n for the zero element."""
-        n = self.n
-        best = n
-        for i in range(self.f):
-            for j in range(n):
-                if j >= best:
-                    break
-                if a.coords[i * n + j]:
-                    best = j
-                    break
-        return best
-
-    def additive_order(self, a: "RingElem") -> int:
-        v = self.valuation(a)
-        if v >= self.n:
-            return 1
-        if self.e == INF:
-            return self.p
-        return self.p ** (-(-(self.n - v) // self.e))
-
     # -- distinguished subsets ---------------------------------------
-
-    def units(self) -> Iterator["RingElem"]:
-        for a in self.elements():
-            if self.valuation(a) == 0:
-                yield a
 
     def unit_count(self) -> int:
         return self.q**self.n - self.q ** (self.n - 1)
@@ -357,7 +232,8 @@ class RingSpec:
 
     def digits(self, idx) -> np.ndarray:
         """Digit vectors of the elements with indices idx: an int64 array
-        with one more axis, of length f*n, in ``coords`` order."""
+        with one more axis, of length f*n: digit c[i][j] at position
+        i*n + j."""
         return np.asarray(idx, dtype=np.int64)[..., None] // self._place % self.p
 
     def _canon_array(self, acc):
@@ -425,39 +301,6 @@ class RingSpec:
         """Valuation by index: the first column with a nonzero digit."""
         nonzero = self.digits(np.arange(self.size)).reshape(-1, self.f, self.n).any(axis=1)
         return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), self.n)
-
-
-@dataclass(frozen=True)
-class RingElem:
-    """An element of a RingSpec, held as its canonical digit tuple."""
-
-    ring: RingSpec
-    coords: tuple[int, ...]
-
-    def __add__(self, other):
-        return self.ring.add(self, other)
-
-    def __sub__(self, other):
-        return self.ring.sub(self, other)
-
-    def __neg__(self):
-        return self.ring.neg(self)
-
-    def __mul__(self, other):
-        return self.ring.mul(self, other)
-
-    def __repr__(self):
-        return f"<{'.'.join(str(c) for c in self.coords)}>"
-
-    @property
-    def index(self) -> int:
-        return self.ring.index(self)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def is_unit(self) -> bool:
-        return self.ring.valuation(self) == 0
 
 
 def make_ring(p: int, f: int, e, n: int) -> RingSpec:

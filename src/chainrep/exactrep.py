@@ -1,12 +1,14 @@
-"""Exact representation bookkeeping: cyclotomic integers, monomial
+"""Exact representation bookkeeping: cyclotomic polynomials, monomial
 representations, induction from one-dimensional characters, kernels and
 direct sums.
 
-Character values live in Z[zeta_m], held as integer coefficient vectors
-reduced modulo the m-th cyclotomic polynomial, so equality of values is
-equality of tuples at a common order.  Representations built here are
-monomial (permutation matrices with root-of-unity scalars), which is
-all the induction machinery ever produces from a linear character.
+Character values live in Z[zeta_m].  Row s of ``_ctx(m)``'s array holds
+zeta_m^s as an integer coefficient vector reduced modulo the m-th
+cyclotomic polynomial, so a value given by its root-of-unity
+multiplicities (the oracle's ``mu``) reduces by one product with it,
+and ``cyc_str`` prints the reduced vector.  Representations built here
+are monomial (permutation matrices with root-of-unity scalars), which
+is all the induction machinery ever produces from a linear character.
 Group elements are named by their rows in ``group.elements`` order
 only: a linear character is two aligned int64 arrays, the rows of its
 subgroup and its root-of-unity exponents there, and a representation is
@@ -19,14 +21,12 @@ chi(g) = chi(1).
 Checks are exact, on generators: induction requires the greedy span of
 the subgroup's rows to be those rows, and chi(x s) = chi(x) chi(s) for
 every row x and each generator s of the span, which by induction on word
-length makes chi multiplicative; ``check_homomorphism`` does the same
-for a representation on the group's generators.
+length makes chi multiplicative.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class ChiNotHomomorphismError(ValueError):
     pass
 
 
-# -- cyclotomic integers ---------------------------------------------
+# -- cyclotomic polynomials ------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -101,99 +101,6 @@ def _divide(num, den):
     return quot, num[:deg]
 
 
-class Cyclotomic:
-    """An element of Z[zeta_m] in the canonical power-basis
-    representation: coeffs has length deg(Phi_m) and two values are
-    equal iff their vectors agree after promotion to a common order."""
-
-    __slots__ = ("order", "coeffs")
-    __hash__ = None
-
-    def __init__(self, order: int, coeffs):
-        deg, phi_poly, _ = _ctx(order)
-        coeffs = list(coeffs)
-        if len(coeffs) != deg:
-            coeffs = _divide(coeffs, phi_poly)[1]
-        self.order = order
-        self.coeffs = tuple(map(int, coeffs))
-
-    @staticmethod
-    def root(m: int, k: int = 1) -> "Cyclotomic":
-        """zeta_m^k."""
-        _, _, zpow = _ctx(m)
-        return Cyclotomic(m, zpow[k % m])
-
-    @staticmethod
-    def integer(v: int, order: int = 1) -> "Cyclotomic":
-        deg, _, _ = _ctx(order)
-        return Cyclotomic(order, [v] + [0] * (deg - 1))
-
-    def promote(self, order: int) -> "Cyclotomic":
-        if order == self.order:
-            return self
-        assert order % self.order == 0
-        step = order // self.order
-        raw = [0] * order
-        for j, c in enumerate(self.coeffs):
-            raw[(j * step) % order] += c
-        return Cyclotomic(order, raw)
-
-    def _pair(self, other):
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic.integer(int(other))
-        m = self.order * other.order // gcd(self.order, other.order)
-        return self.promote(m), other.promote(m)
-
-    def __add__(self, other):
-        a, b = self._pair(other)
-        return Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.order, [-x for x in self.coeffs])
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        return Cyclotomic(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __mul__(self, other):
-        a, b = self._pair(other)
-        raw = [0] * (2 * len(a.coeffs))  # never deg long, so reduced
-        for i, ca in enumerate(a.coeffs):
-            if ca:
-                for j, cb in enumerate(b.coeffs):
-                    raw[i + j] += ca * cb
-        return Cyclotomic(a.order, raw)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "Cyclotomic":
-        m = self.order
-        _, _, zpow = _ctx(m)
-        deg = len(self.coeffs)
-        out = [0] * deg
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for t, z in enumerate(zpow[(m - j) % m]):
-                    out[t] += c * z
-        return Cyclotomic(m, out)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __eq__(self, other):
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
-
-    def __repr__(self):
-        return f"Cyc({self.order}, {self.to_str()})"
-
-    def to_str(self) -> str:
-        """Deterministic human form, z standing for zeta_order."""
-        return cyc_str((j, c) for j, c in enumerate(self.coeffs) if c)
-
-
 def cyc_str(terms) -> str:
     """Deterministic human form of sum c z^j over the (j, c) terms, j
     ascending and c nonzero."""
@@ -203,13 +110,6 @@ def cyc_str(terms) -> str:
         term = str(c) if j == 0 else mon if c == 1 else f"-{mon}" if c == -1 else f"{c}*{mon}"
         out += term if not out or term.startswith("-") else "+" + term
     return out or "0"
-
-
-def cyc_sum(values, order: int = 1) -> Cyclotomic:
-    acc = Cyclotomic.integer(0, order)
-    for v in values:
-        acc = acc + v
-    return acc
 
 
 # -- linear characters and monomial representations ------------------
@@ -229,9 +129,9 @@ class LinearChar:
 def _check_subgroup(group, sub) -> list[int]:
     """Rows generating the subgroup with rows sub; raises NotSubgroupError
     unless their span, which holds every product of rows of sub, is sub."""
-    member = np.zeros(group.order, dtype=bool)
-    member[sub] = True
     span, gens = group._span(sub)
+    member = np.zeros_like(span)
+    member[sub] = True
     if not np.array_equal(span, member):
         raise NotSubgroupError("not closed under multiplication")
     return gens
@@ -290,32 +190,10 @@ class MonomialRep:
         w = group.product(np.arange(n)[:, None], np.array(reps)[None, :])
         return MonomialRep(group, len(reps), m, coset_of[w], vals[a_of[w]])
 
-    def character(self, row) -> Cyclotomic:
-        """The trace at the element with this row."""
-        _, _, zpow = _ctx(self.scalar_order)
-        fixed = self.sigma[row] == np.arange(self.degree)
-        return Cyclotomic(self.scalar_order, zpow[self.exps[row, fixed]].sum(axis=0))
-
     @property
     def identity_rows(self) -> np.ndarray:
         """Mask of the rows whose matrix is the identity: the kernel."""
         return ((self.sigma == np.arange(self.degree)) & (self.exps % self.scalar_order == 0)).all(axis=1)
-
-    def check_homomorphism(self) -> bool:
-        """rho(1) = 1 and rho(g s) = rho(g) rho(s) for every row g and each
-        generator s of the group: by induction on the word length of the
-        right factor, rho is then a homomorphism."""
-        g, m = np.arange(self.group.order), self.scalar_order
-        if not self.identity_rows[self.group.index_of([self.group.identity])[0]]:
-            return False
-        for s in self.group.generators:
-            gs, ss = self.group.product(g, s), self.sigma[s]
-            # rho(g) rho(s) e_t = zeta^(exps[s, t] + exps[g, ss[t]]) e_sigma[g, ss[t]]
-            if (self.sigma[:, ss] != self.sigma[gs]).any():
-                return False
-            if ((self.exps[s] + self.exps[:, ss] - self.exps[gs]) % m).any():
-                return False
-        return True
 
 
 class DirectSumRep:
@@ -326,9 +204,6 @@ class DirectSumRep:
         self.summands = list(summands)
         self.group = summands[0].group
         self.degree = sum(s.degree for s in summands)
-
-    def character(self, row) -> Cyclotomic:
-        return cyc_sum([s.character(row) for s in self.summands])
 
     def kernel(self) -> np.ndarray:
         """Rows, ascending, whose matrix is the identity."""

@@ -7,15 +7,15 @@ function on coordinates through the ring lookup tables, and numbers its
 elements by a codec between coordinates and row indices, rows in
 ``elements`` order.  The codec decodes rows by a gather from one array
 of |G| entries per coordinate, built on first use and refused past what
-numpy can allocate as the cap is.  The scalar ``mul`` and the
-index-array ``product`` used by induction both evaluate that one law,
-and so does ``to_abstract``, a LawGroup for groups up to the configured
-cap: an AbstractGroup whose ``product`` is the family's law.  Its dense
-multiplication table, evaluated on an open mesh of coordinates, is
-built only when it is first read, which the character-table oracle
-does before anything else; the structure scan and the constructions
-need only products, and its inverses come from the walk g, g^2, ...
-that gives the element orders.  The distinguished table groups
+numpy can allocate as the cap is.  The index-array ``product`` used by
+induction evaluates that one law, and so does ``to_abstract``, a
+LawGroup for groups up to the configured cap: an AbstractGroup whose
+``product`` is the family's law.  Its dense multiplication table,
+evaluated on an open mesh of coordinates, is built only when it is
+first read, which the character-table oracle does before anything
+else; the structure scan and the constructions need only products, and
+its inverses come from the walk g, g^2, ... that gives the element
+orders.  The distinguished table groups
 (semidirect products of cyclic groups, Q8 and GL_2) likewise write
 their law once, on row-index arrays, and their tables are filled a
 block of rows at a time.  AbstractGroup's group layer (element orders,
@@ -57,19 +57,6 @@ def _check_cap(order: int):
 
 
 # -- the ring families ------------------------------------------------
-
-
-def index_inverse(group, I):
-    """Row indices of the inverses of the elements with row indices I:
-    I^(2|G| - 1), as g^|G| = 1, by squaring under ``group.product``."""
-    out, e = None, 2 * group.order - 1
-    while True:
-        if e & 1:
-            out = I if out is None else group.product(out, I)
-        e >>= 1
-        if not e:
-            return out
-        I = group.product(I, I)
 
 
 # Entries of a table block: the laws hold a few int64 arrays of a block
@@ -189,9 +176,9 @@ class _RingFamily(_Spanned):
     is a radix over the ring size, first coordinate most significant.
     ``_digits`` holds, per radix digit, the coordinate value of each
     digit value, and ``_decode`` gathers from ``_coords``, the
-    coordinates of every row, which they fill.  Scalar ``mul`` and
-    ``inv``, the index-array ``product`` and the ``to_abstract`` group
-    all come from the law, and rows follow ``elements``.  Each family
+    coordinates of every row, which they fill.  The index-array
+    ``product`` and the ``to_abstract`` group both come from the law,
+    and rows follow ``elements``.  Each family
     class binds ``to_abstract`` in its own namespace, which is where
     perfbench's tracer looks for it."""
 
@@ -251,12 +238,6 @@ class _RingFamily(_Spanned):
         """Row indices of the products of the elements with row indices
         I and J (numpy broadcasting)."""
         return self._encode(self._law(self._decode(I), self._decode(J)))
-
-    def mul(self, g, h):
-        return tuple(int(c) for c in self._law(g, h))
-
-    def inv(self, g):
-        return tuple(int(c) for c in self._decode(index_inverse(self, self._encode(g))))
 
 
 # -- Heisenberg groups -----------------------------------------------
@@ -453,20 +434,11 @@ class AbstractGroup(_Spanned):
     def elements(self):
         return list(range(self.order))
 
-    def mul(self, a, b):
-        return int(self.product(a, b))
-
     def index_of(self, elems) -> np.ndarray:
         return np.asarray(elems, dtype=np.int64)
 
     def product(self, I, J) -> np.ndarray:
         return self.table[I, J]
-
-    def inv(self, a):
-        return int(self.inverse[a])
-
-    def conj(self, h, g):
-        return int(self.product(self.product(h, g), self.inverse[h]))
 
     def _check_associativity(self):
         # Light's test: associativity on a generating set implies it
@@ -476,10 +448,6 @@ class AbstractGroup(_Spanned):
             right = self.table[self.table[:, a], :]
             if not np.array_equal(left, right):
                 raise ValueError(f"associativity fails through element {a}")
-
-    def closure(self, seed) -> list[int]:
-        """The subgroup generated by seed, ascending."""
-        return np.nonzero(self._span(seed)[0])[0].tolist()
 
     @cached_property
     def _power_walk(self) -> tuple[np.ndarray, np.ndarray]:

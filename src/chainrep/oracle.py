@@ -61,7 +61,7 @@ import numpy as np
 
 from .chain_ring import CapExceededError, RingParameterError, _factorize, _is_prime
 from .char_duality import DualVector, _rref
-from .exactrep import Cyclotomic, _ctx, cyc_str
+from .exactrep import _ctx, cyc_str
 from .group_models import AbstractGroup, _check_cap, _generator_series, multiplier_closure
 
 
@@ -420,9 +420,6 @@ class CharacterTable:
             l = self._next_prime(l)
 
     # -- exact values and kernels ------------------------------------
-
-    def value(self, c: int, j: int) -> Cyclotomic:
-        return Cyclotomic(self.exponent, self.mu[c, j].tolist())
 
     @cached_property
     def kernels(self) -> np.ndarray:

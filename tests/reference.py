@@ -3,7 +3,17 @@
 None of these is reached by a command or a route: each recomputes, by
 a different method, a value the package computes (or a bound its closed
 forms satisfy), so a test can check one against the other.  Methods of
-the package's classes appear here as functions of the instance."""
+the package's classes appear here as functions of the instance.
+
+Two of them are whole scalar layers that the package computes only in
+array form.  ``RingElem`` and the digit functions add and multiply one
+element at a time by carrying a digit tuple in a loop, where RingSpec
+builds its lookup tables from carried digit arrays and the basis-product
+tensor.  ``Cyclotomic`` adds and multiplies exact values in Z[zeta_m] as
+reduced coefficient vectors, where the oracle holds root-of-unity
+multiplicities and reduces a whole row at once.  The group helpers
+(``index_inverse``, ``family_mul``, ``family_inv``) multiply and invert
+one element at a time through a family's law."""
 
 import math
 from dataclasses import dataclass
@@ -11,17 +21,282 @@ from itertools import product
 
 import numpy as np
 
-from chainrep.chain_ring import INF, RingElem, RingSpec
+from chainrep.chain_ring import INF, RingParameterError, RingSpec
 from chainrep.char_duality import DualVector, character_weights
-from chainrep.exactrep import Cyclotomic, LinearChar, cyc_sum
-from chainrep.group_models import (
-    HeisenbergGroup,
-    _generator_series,
-    _relation_value,
-    index_inverse,
-)
+from chainrep.exactrep import LinearChar, _ctx, _divide, cyc_str
+from chainrep.group_models import HeisenbergGroup, _generator_series, _relation_value
 from chainrep.mackey_irreps import EXPLICIT_CAP, ideal_of
 from chainrep.minfaith_solver import formula_heisenberg
+
+
+# -- the scalar ring ------------------------------------------------------
+
+
+def canon(R: RingSpec, acc: list[int]) -> tuple[int, ...]:
+    """The canonical digit tuple of an integer digit list, carried in
+    place column by column: a carry out of digit (i, j) moves to
+    (i, j + e), as p = pi^e, and falls off past column n - 1."""
+    p, e, n, f = R.p, R.e, R.n, R.f
+    for j in range(n):
+        for i in range(f):
+            pos = i * n + j
+            c = acc[pos] % p
+            carry = (acc[pos] - c) // p
+            acc[pos] = c
+            if carry and e != INF and j + e < n:
+                acc[i * n + j + e] += carry
+    return tuple(acc)
+
+
+def add_digits(R: RingSpec, a, b) -> tuple[int, ...]:
+    return canon(R, [x + y for x, y in zip(a, b)])
+
+
+def neg_digits(R: RingSpec, a) -> tuple[int, ...]:
+    return canon(R, [-x for x in a])
+
+
+def mul_digits(R: RingSpec, a, b) -> tuple[int, ...]:
+    """The product of two digit tuples: digit (i, j) times digit (i2, j2)
+    lands on column j + j2 as the row y^(i + i2) mod the unramified
+    polynomial, then carries."""
+    f, n = R.f, R.n
+    acc = [0] * (f * n)
+    yred = R._yred
+    for i in range(f):
+        for j in range(n):
+            ca = a[i * n + j]
+            if not ca:
+                continue
+            for i2 in range(f):
+                row = yred[i + i2]
+                for j2 in range(n - j):
+                    cb = b[i2 * n + j2]
+                    if not cb:
+                        continue
+                    c = ca * cb
+                    jj = j + j2
+                    for t in range(f):
+                        if row[t]:
+                            acc[t * n + jj] += c * row[t]
+    return canon(R, acc)
+
+
+@dataclass(frozen=True)
+class RingElem:
+    """An element of a RingSpec, held as its canonical digit tuple, with
+    the scalar digit arithmetic as its operators."""
+
+    ring: RingSpec
+    coords: tuple[int, ...]
+
+    def __add__(self, other):
+        return RingElem(self.ring, add_digits(self.ring, self.coords, other.coords))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return RingElem(self.ring, neg_digits(self.ring, self.coords))
+
+    def __mul__(self, other):
+        return RingElem(self.ring, mul_digits(self.ring, self.coords, other.coords))
+
+    def __repr__(self):
+        return f"<{'.'.join(str(c) for c in self.coords)}>"
+
+    @property
+    def index(self) -> int:
+        """The digits read as a base-p number, first digit most
+        significant."""
+        p = self.ring.p
+        return sum(c * p ** (len(self.coords) - 1 - t) for t, c in enumerate(self.coords))
+
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+    def is_unit(self) -> bool:
+        return valuation(self.ring, self) == 0
+
+
+def element(R: RingSpec, coords) -> RingElem:
+    coords = tuple(int(c) for c in coords)
+    if len(coords) != R.f * R.n or any(c < 0 or c >= R.p for c in coords):
+        raise RingParameterError(f"bad coordinate vector {coords}")
+    return RingElem(R, coords)
+
+
+def ring_zero(R: RingSpec) -> RingElem:
+    return RingElem(R, (0,) * (R.f * R.n))
+
+
+def ring_one(R: RingSpec) -> RingElem:
+    return from_int(R, 1)
+
+
+def uniformizer(R: RingSpec) -> RingElem:
+    """pi: digit 1 in column 1 (zero when n = 1)."""
+    c = [0] * (R.f * R.n)
+    if R.n >= 2:
+        c[1] = 1
+    return RingElem(R, tuple(c))
+
+
+def from_int(R: RingSpec, m: int) -> RingElem:
+    """Image of the rational integer m."""
+    acc = [0] * (R.f * R.n)
+    acc[0] = m
+    return RingElem(R, canon(R, acc))
+
+
+def from_index(R: RingSpec, idx: int) -> RingElem:
+    if not 0 <= idx < R.size:
+        raise RingParameterError(f"index {idx} out of range")
+    fn = R.f * R.n
+    return RingElem(R, tuple((idx // R.p ** (fn - 1 - t)) % R.p for t in range(fn)))
+
+
+def ring_elements(R: RingSpec):
+    for idx in range(R.size):
+        yield from_index(R, idx)
+
+
+def valuation(R: RingSpec, a: RingElem) -> int:
+    """min j with a nonzero digit in column j; n for the zero element."""
+    n = R.n
+    best = n
+    for i in range(R.f):
+        for j in range(n):
+            if j >= best:
+                break
+            if a.coords[i * n + j]:
+                best = j
+                break
+    return best
+
+
+def additive_order(R: RingSpec, a: RingElem) -> int:
+    v = valuation(R, a)
+    if v >= R.n:
+        return 1
+    if R.e == INF:
+        return R.p
+    return R.p ** (-(-(R.n - v) // R.e))
+
+
+def ring_units(R: RingSpec):
+    for a in ring_elements(R):
+        if valuation(R, a) == 0:
+            yield a
+
+
+# -- cyclotomic integers ---------------------------------------------------
+
+
+class Cyclotomic:
+    """An element of Z[zeta_m] in the canonical power-basis
+    representation: coeffs has length deg(Phi_m) and two values are
+    equal iff their vectors agree after promotion to a common order."""
+
+    __slots__ = ("order", "coeffs")
+    __hash__ = None
+
+    def __init__(self, order: int, coeffs):
+        deg, phi_poly, _ = _ctx(order)
+        coeffs = list(coeffs)
+        if len(coeffs) != deg:
+            coeffs = _divide(coeffs, phi_poly)[1]
+        self.order = order
+        self.coeffs = tuple(map(int, coeffs))
+
+    @staticmethod
+    def root(m: int, k: int = 1) -> "Cyclotomic":
+        """zeta_m^k."""
+        _, _, zpow = _ctx(m)
+        return Cyclotomic(m, zpow[k % m])
+
+    @staticmethod
+    def integer(v: int, order: int = 1) -> "Cyclotomic":
+        deg, _, _ = _ctx(order)
+        return Cyclotomic(order, [v] + [0] * (deg - 1))
+
+    def promote(self, order: int) -> "Cyclotomic":
+        if order == self.order:
+            return self
+        assert order % self.order == 0
+        step = order // self.order
+        raw = [0] * order
+        for j, c in enumerate(self.coeffs):
+            raw[(j * step) % order] += c
+        return Cyclotomic(order, raw)
+
+    def _pair(self, other):
+        if not isinstance(other, Cyclotomic):
+            other = Cyclotomic.integer(int(other))
+        m = math.lcm(self.order, other.order)
+        return self.promote(m), other.promote(m)
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        return Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Cyclotomic(self.order, [-x for x in self.coeffs])
+
+    def __sub__(self, other):
+        a, b = self._pair(other)
+        return Cyclotomic(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        raw = [0] * (2 * len(a.coeffs))  # never deg long, so reduced
+        for i, ca in enumerate(a.coeffs):
+            if ca:
+                for j, cb in enumerate(b.coeffs):
+                    raw[i + j] += ca * cb
+        return Cyclotomic(a.order, raw)
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "Cyclotomic":
+        m = self.order
+        _, _, zpow = _ctx(m)
+        deg = len(self.coeffs)
+        out = [0] * deg
+        for j, c in enumerate(self.coeffs):
+            if c:
+                for t, z in enumerate(zpow[(m - j) % m]):
+                    out[t] += c * z
+        return Cyclotomic(m, out)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __eq__(self, other):
+        a, b = self._pair(other)
+        return a.coeffs == b.coeffs
+
+    def __repr__(self):
+        return f"Cyc({self.order}, {self.to_str()})"
+
+    def to_str(self) -> str:
+        """Deterministic human form, z standing for zeta_order."""
+        return cyc_str((j, c) for j, c in enumerate(self.coeffs) if c)
+
+
+def cyc_sum(values, order: int = 1) -> Cyclotomic:
+    acc = Cyclotomic.integer(0, order)
+    for v in values:
+        acc = acc + v
+    return acc
+
+
+def table_value(T, c: int, j: int) -> Cyclotomic:
+    """chi_c at class j of a CharacterTable, from its multiplicities
+    mu[c, j] reduced by long division."""
+    return Cyclotomic(T.exponent, T.mu[c, j].tolist())
 
 
 # -- rings and additive characters ------------------------------------
@@ -30,7 +305,7 @@ from chainrep.minfaith_solver import formula_heisenberg
 def unit_inverse_table(R: RingSpec) -> dict[int, int]:
     """Unit index -> index of its inverse, by search in the mul table."""
     mul = R.mul_table
-    one = R.index(R.one)
+    one = ring_one(R).index
     out = {}
     for u in range(R.size):
         if R.valuation_table[u] == 0:
@@ -44,13 +319,13 @@ class AddChar:
     def __init__(self, R: RingSpec, b: RingElem):
         self.ring = R
         self.b = b
-        self.level = R.valuation(b)
+        self.level = valuation(R, b)
         self.modulus, self._weights = character_weights(R)
 
     def value_exp(self, x) -> int:
         """Exponent of psi(b x); x is a RingElem or an element index."""
         if not isinstance(x, RingElem):
-            x = self.ring.element(self.ring.digits(x))
+            x = element(self.ring, self.ring.digits(x))
         return sum(c * w for c, w in zip((self.b * x).coords, self._weights)) % self.modulus
 
     def __call__(self, x) -> Cyclotomic:
@@ -172,7 +447,7 @@ class SymplecticModule:
         basis = []
         for t in range(2 * self.k):
             e = [0] * (2 * self.k)
-            e[t] = R.one.index
+            e[t] = ring_one(R).index
             basis.append(tuple(e))
         out = []
         for v in product(range(R.size), repeat=2 * self.k):
@@ -232,7 +507,7 @@ def levels_lower_bound_audit(p: int, f: int, e, n: int, k: int, alphas) -> bool:
     return total >= formula_heisenberg(p, f, e, n, k)
 
 
-# -- characters and induction ---------------------------------------------
+# -- groups, characters and induction -------------------------------------
 
 
 def abelian_characters(group, rows):
@@ -249,11 +524,71 @@ def abelian_characters(group, rows):
     return [(M, exps @ np.array(v, dtype=np.int64) % M) for v in choices]
 
 
-def induced_character_formula(group, chi: LinearChar, g) -> Cyclotomic:
-    """Independent evaluation of the induced character at row g: sum of
-    chi(r^-1 g r) over coset representatives r (the least row of each
-    left coset) with r^-1 g r in the subgroup."""
+def index_inverse(group, I):
+    """Row indices of the inverses of the elements with row indices I:
+    I^(2|G| - 1), as g^|G| = 1, by squaring under ``group.product``."""
+    out, e = None, 2 * group.order - 1
+    while True:
+        if e & 1:
+            out = I if out is None else group.product(out, I)
+        e >>= 1
+        if not e:
+            return out
+        I = group.product(I, I)
+
+
+def family_mul(F, g, h) -> tuple:
+    """The product of two elements of a ring family, as coordinate
+    tuples, by its law."""
+    return tuple(int(c) for c in F._law(g, h))
+
+
+def family_inv(F, g) -> tuple:
+    """The inverse of an element of a ring family, as a coordinate tuple,
+    by ``index_inverse`` on its row."""
+    return tuple(int(c) for c in F._decode(index_inverse(F, F._encode(g))))
+
+
+def character(rep, row) -> Cyclotomic:
+    """The trace of a MonomialRep at the element with this row."""
+    _, _, zpow = _ctx(rep.scalar_order)
+    fixed = rep.sigma[row] == np.arange(rep.degree)
+    return Cyclotomic(rep.scalar_order, zpow[rep.exps[row, fixed]].sum(axis=0))
+
+
+def sum_character(rep, row) -> Cyclotomic:
+    """The trace of a DirectSumRep at the element with this row."""
+    return cyc_sum([character(s, row) for s in rep.summands])
+
+
+def check_homomorphism(rep) -> bool:
+    """rho(1) = 1 and rho(g s) = rho(g) rho(s) for every row g and each
+    generator s of the group of a MonomialRep: by induction on the word
+    length of the right factor, rho is then a homomorphism."""
+    G, m = rep.group, rep.scalar_order
+    g = np.arange(G.order)
+    if not rep.identity_rows[G.index_of([G.identity])[0]]:
+        return False
+    for s in G.generators:
+        gs, ss = G.product(g, s), rep.sigma[s]
+        # rho(g) rho(s) e_t = zeta^(exps[s, t] + exps[g, ss[t]]) e_sigma[g, ss[t]]
+        if (rep.sigma[:, ss] != rep.sigma[gs]).any():
+            return False
+        if ((rep.exps[s] + rep.exps[:, ss] - rep.exps[gs]) % m).any():
+            return False
+    return True
+
+
+def induced_character_formula(group, chi: LinearChar) -> list[Cyclotomic]:
+    """Independent evaluation of the induced character at every row g:
+    the sum of chi(r^-1 g r) over coset representatives r (the least row
+    of each left coset) with r^-1 g r in the subgroup.  The
+    representatives and their inverses are found once per character."""
     value = dict(zip(chi.rows.tolist(), chi.exps.tolist()))
     reps = np.unique(group.product(np.arange(group.order)[:, None], chi.rows[None, :]).min(axis=1))
-    conj = group.product(index_inverse(group, reps), group.product(g, reps)).tolist()
-    return cyc_sum([Cyclotomic.root(chi.order, value[w]) for w in conj if w in value], chi.order)
+    rows = np.arange(group.order)[:, None]
+    conj = group.product(index_inverse(group, reps)[None, :], group.product(rows, reps[None, :]))
+    return [
+        cyc_sum([Cyclotomic.root(chi.order, value[w]) for w in ws if w in value], chi.order)
+        for ws in conj.tolist()
+    ]

@@ -1,4 +1,5 @@
-"""Additive characters, the socle restriction map, and F_p matroid helpers."""
+"""Ring tables, additive characters, the socle restriction map, and F_p
+matroid helpers."""
 
 import numpy as np
 import pytest
@@ -16,8 +17,20 @@ from chainrep.char_duality import (
     socle_restriction,
     spans_dual,
 )
-from chainrep.exactrep import Cyclotomic, cyc_sum
-from reference import psi_b, restrict_to_omega1
+from reference import (
+    Cyclotomic,
+    additive_order,
+    cyc_sum,
+    element,
+    from_index,
+    from_int,
+    psi_b,
+    restrict_to_omega1,
+    ring_elements,
+    ring_one,
+    ring_zero,
+    valuation,
+)
 
 DUALITY_RINGS = ["f2", "f3", "f4", "f5", "z4", "f2t2", "ram222", "z9", "gr42", "z8"]
 
@@ -33,7 +46,7 @@ def reference_character_data(R):
     ramified."""
     p, f, e, n = R.p, R.f, R.e, R.n
     N = R.size
-    digits = np.array([R.from_index(i).coords for i in range(N)], dtype=np.int64)
+    digits = np.array([from_index(R, i).coords for i in range(N)], dtype=np.int64)
     if e == INF:
         mod = p
         exps = np.remainder(digits.sum(axis=1), p)
@@ -72,21 +85,21 @@ def reference_trace_coefficients(R):
     f, n, p = R.f, R.n, R.p
     h = R.unramified_poly
     roots = []
-    for a in R.elements():
-        acc = R.zero
-        pw = R.one
+    for a in ring_elements(R):
+        acc = ring_zero(R)
+        pw = ring_one(R)
         for c in h:
             if c:
-                acc = acc + pw * R.from_int(c)
+                acc = acc + pw * from_int(R, c)
             pw = pw * a
         if acc.is_zero():
             roots.append(a)
     assert len(roots) == f, f"found {len(roots)} roots of the unramified polynomial"
     out = []
     for i in range(f):
-        s = R.zero
+        s = ring_zero(R)
         for rho in roots:
-            pw = R.one
+            pw = ring_one(R)
             for _ in range(i):
                 pw = pw * rho
             s = s + pw
@@ -132,9 +145,9 @@ def test_ring_tables_and_psi_property(params):
     # restricts every psi(b .) as the scalar reference does
     R = make_ring(*params)
     idx = np.arange(R.size)
-    elems = list(R.elements())
+    elems = list(ring_elements(R))
     assert R.digits(idx).tolist() == [list(x.coords) for x in elems]
-    assert R.valuation_table.tolist() == [R.valuation(x) for x in elems]
+    assert R.valuation_table.tolist() == [valuation(R, x) for x in elems]
     assert R.neg_table.tolist() == [(-x).index for x in elems]
     # the rings are commutative: the table is symmetric, and each pair
     # a <= b is checked once against the scalar product
@@ -151,20 +164,38 @@ def test_ring_tables_and_psi_property(params):
     assert vecs == [restrict_to_omega1(psi_b(R, b)).coords for b in elems]
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_RINGS))
+def test_ring_table_laws_property(params):
+    # the package's own tables, with no scalar reference: on sampled
+    # triples both operations associate, index 0 is the zero (additive
+    # identity, absorbing for the product) and basis_index(0) a two-sided
+    # one
+    R = make_ring(*params)
+    add, mul, idx = R.add_table, R.mul_table, np.arange(R.size)
+    a, b, c = np.random.default_rng(params[:2] + (R.n,)).integers(R.size, size=(3, 500))
+    assert (add[add[a, b], c] == add[a, add[b, c]]).all()
+    assert (mul[mul[a, b], c] == mul[a, mul[b, c]]).all()
+    one = R.basis_index(0)
+    assert (mul[one] == idx).all() and (mul[:, one] == idx).all()
+    assert (add[0] == idx).all() and (add[:, 0] == idx).all()
+    assert not mul[0].any() and not mul[:, 0].any()
+
+
 def test_restriction_past_the_table_cap():
     # (101, 1, 1, 4) has 101^4 elements, past TABLE_CAP: the linear map
     # against the scalar reference on sampled b
     R = make_ring(101, 1, 1, 4)
     b = np.random.default_rng(101).integers(R.size, size=300)
     vecs = [tuple(v) for v in socle_restriction(R, b).tolist()]
-    assert vecs == [restrict_to_omega1(psi_b(R, R.from_index(int(x)))).coords for x in b]
+    assert vecs == [restrict_to_omega1(psi_b(R, from_index(R, int(x)))).coords for x in b]
 
 
 def test_base_character_modulus(ring):
     for name in DUALITY_RINGS:
         R = ring(name)
         mod, base = character_weights(R)[0], values(R)
-        assert mod == R.additive_order(R.one)
+        assert mod == additive_order(R, ring_one(R))
         assert len(base) == R.size
         assert base[0] == 0
 
@@ -194,7 +225,7 @@ def test_base_character_family_formulas(ring):
     for name in ["f2", "f3", "f4", "f2t2"]:
         R = ring(name)
         p, base = R.p, values(R)
-        for x in R.elements():
+        for x in ring_elements(R):
             assert base[x.index] == sum(x.coords) % p
     # cyclic case Z/p^n: the integer itself
     for name in ["z4", "z9", "z8"]:
@@ -202,7 +233,7 @@ def test_base_character_family_formulas(ring):
         mod, base = character_weights(R)[0], values(R)
         assert mod == R.size
         for m in range(R.size):
-            assert base[R.from_int(m).index] == m % mod
+            assert base[from_int(R, m).index] == m % mod
 
 
 def characters(R):
@@ -216,7 +247,7 @@ def test_psi_b_matches_multiplication(ring):
     for name in ["z4", "f2t2", "z9", "gr42"]:
         R = ring(name)
         rows = characters(R)
-        for b in R.elements():
+        for b in ring_elements(R):
             chi = psi_b(R, b)
             assert chi.modulus == character_weights(R)[0]
             assert [chi.value_exp(x) for x in range(R.size)] == rows[b.index].tolist()
@@ -236,7 +267,7 @@ def test_level_and_conductor(ring):
         rows = characters(R)
         for b in range(R.size):
             level = int(R.valuation_table[b])
-            assert (level == 0) == R.from_index(b).is_unit()
+            assert (level == 0) == from_index(R, b).is_unit()
             assert not rows[b, R.ideal_indices(R.n - level)].any()
             if level < R.n:
                 assert rows[b, R.ideal_indices(R.n - level - 1)].any()
@@ -245,7 +276,7 @@ def test_level_and_conductor(ring):
 def test_primitive_character_is_b_equals_one(ring):
     R = ring("z9")
     # psi(1 .) is the fixed character psi itself
-    assert (characters(R)[R.one.index] == psi(R, np.arange(R.size))).all()
+    assert (characters(R)[ring_one(R).index] == psi(R, np.arange(R.size))).all()
 
 
 def test_nontrivial_characters_sum_to_zero(ring):
@@ -264,7 +295,7 @@ def test_transverse_primitive_char_on_nilpotents(ring):
     # over F_2[T]/T^2 the character x -> (-1)^(coefficient of T in x) has
     # b = 1 + T: it is primitive even though it kills the units' span of 1
     R = ring("f2t2")
-    b = R.element((1, 1)).index
+    b = element(R, (1, 1)).index
     assert R.valuation_table[b] == 0
     assert (characters(R)[b] == R.digits(np.arange(R.size))[:, 1]).all()
 
@@ -277,7 +308,7 @@ def test_restriction_vectors(ring):
         d = R.d_invariant
         vecs = socle_restriction(R, np.arange(R.size))
         assert vecs.shape == (R.size, d)
-        assert [tuple(v) for v in vecs.tolist()] == [restrict_to_omega1(psi_b(R, b)).coords for b in R.elements()]
+        assert [tuple(v) for v in vecs.tolist()] == [restrict_to_omega1(psi_b(R, b)).coords for b in ring_elements(R)]
         # trivial on the socle iff b kills Omega_1, i.e. b in pi^xi R
         assert np.flatnonzero(~vecs.any(axis=1)).tolist() == R.ideal_indices(R.xi)
         # distinct characters of Omega_1: exactly p^d of them

@@ -1,4 +1,5 @@
-"""Exact cyclotomic arithmetic and monomial induced representations."""
+"""Cyclotomic polynomials, the exact cyclotomic reference, and monomial
+induced representations."""
 
 from math import gcd
 
@@ -7,18 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainrep.chain_ring import CapExceededError, make_ring
 from chainrep.exactrep import (
     ChiNotHomomorphismError,
-    Cyclotomic,
     DirectSumRep,
     LinearChar,
     MonomialRep,
     NotSubgroupError,
-    cyc_sum,
     cyclotomic_polynomial,
 )
-from chainrep.group_models import semidirect_cyclic
-from reference import abelian_characters, induced_character_formula
+from chainrep.group_models import HeisenbergGroup, semidirect_cyclic
+from reference import (
+    Cyclotomic,
+    abelian_characters,
+    character,
+    check_homomorphism,
+    cyc_sum,
+    induced_character_formula,
+    sum_character,
+)
 
 
 def test_cyclotomic_polynomial_frozen():
@@ -141,11 +149,11 @@ def test_induce_dihedral(group):
     chi = _faithful_rotation_char(G, sub)
     rho = MonomialRep.induce(G, chi)
     assert rho.degree == 2
-    assert rho.check_homomorphism()
+    assert check_homomorphism(rho)
     assert DirectSumRep([rho]).kernel().tolist() == [G.identity]
     # character: 2 at identity, -2 at the central rotation, 0 elsewhere
     two, zero = Cyclotomic.integer(2), Cyclotomic.integer(0)
-    vals = [rho.character(g) for g in G.elements]
+    vals = [character(rho, g) for g in G.elements]
     assert vals[G.identity] == two
     assert sum(1 for v in vals if v == -two) == 1
     assert sum(1 for v in vals if v == zero) == 6
@@ -156,8 +164,8 @@ def test_induced_character_formula_matches_matrices(group):
     sub = _rotation_subgroup(G)
     chi = _faithful_rotation_char(G, sub)
     rho = MonomialRep.induce(G, chi)
-    for g in G.elements:
-        assert rho.character(g) == induced_character_formula(G, chi, g)
+    for g, value in zip(G.elements, induced_character_formula(G, chi)):
+        assert character(rho, g) == value
 
 
 def test_linear_rep_and_direct_sum(group):
@@ -168,11 +176,11 @@ def test_linear_rep_and_direct_sum(group):
     # sign character of the quotient by rotations
     sgn = LinearChar(2, G.elements, [0 if g in sub else 1 for g in G.elements])
     lin = MonomialRep.induce(G, sgn)
-    assert lin.degree == 1 and lin.check_homomorphism()
+    assert lin.degree == 1 and check_homomorphism(lin)
     s = DirectSumRep([rho, lin])
     assert isinstance(s, DirectSumRep)
     assert s.is_faithful()
-    assert s.character(G.identity) == Cyclotomic.integer(3)
+    assert sum_character(s, G.identity) == Cyclotomic.integer(3)
     assert DirectSumRep([rho]).is_faithful()
     assert not DirectSumRep([lin]).is_faithful()
     assert DirectSumRep([lin]).kernel().tolist() == sub == _character_kernel(lin)
@@ -203,6 +211,15 @@ def test_induce_rejects_non_subgroup(group):
         MonomialRep.induce(G, LinearChar(1, bad, [0] * len(bad)))
 
 
+def test_induce_past_numpy_is_a_cap_refusal():
+    # the subgroup check's member mask is allocated after the span, whose
+    # mask is the first array of |G| entries: past what numpy can index,
+    # induction is refused as the span is
+    H = HeisenbergGroup(make_ring(2, 1, "inf", 1), 32)  # |G| = 2^65
+    with pytest.raises(CapExceededError, match="a mask of its elements cannot be allocated"):
+        MonomialRep.induce(H, LinearChar(1, H.index_of([H.identity]), [0]))
+
+
 def test_induce_rejects_non_character(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
@@ -229,11 +246,11 @@ def test_check_homomorphism_checks_every_row_past_512():
     G = semidirect_cyclic(512, [511])
     sub = _rotation_subgroup(G)
     rho = MonomialRep.induce(G, LinearChar(512, sub, [G.names[g][0] for g in sub]))
-    assert rho.check_homomorphism()
+    assert check_homomorphism(rho)
     assert G.names[13] == (6, 511)
     for t in range(rho.degree):
         rho.exps[13, t] += 1
-        assert not rho.check_homomorphism()
+        assert not check_homomorphism(rho)
         rho.exps[13, t] -= 1
 
 
@@ -242,7 +259,7 @@ def test_checks_use_every_generator(group):
     # the first generator, the reflection (0, 3), keeps every relation
     # through that generator: only the rotation (1, 1) catches it
     G = group("d4")
-    assert G.generators == [1, 2] and G.mul(2, 1) == 3
+    assert G.generators == [1, 2] and G.product(2, 1) == 3
     sign = np.array([2 * (G.names[g][1] == 3) for g in G.elements])
     MonomialRep.induce(G, LinearChar(4, G.elements, sign))
     sign[[2, 3]] += 1
@@ -250,7 +267,7 @@ def test_checks_use_every_generator(group):
         MonomialRep.induce(G, LinearChar(4, G.elements, sign))
     rho = MonomialRep.induce(G, _faithful_rotation_char(G, _rotation_subgroup(G)))
     rho.exps[[2, 3]] += 1
-    assert not rho.check_homomorphism()
+    assert not check_homomorphism(rho)
 
 
 def test_check_homomorphism_rejects_non_invertible(group):
@@ -258,7 +275,7 @@ def test_check_homomorphism_rejects_non_invertible(group):
     # homomorphism into GL_2, as rho(1) is not the identity
     G = group("d4")
     sigma = np.zeros((G.order, 2), dtype=np.int64)
-    assert not MonomialRep(G, 2, 1, sigma, np.zeros_like(sigma)).check_homomorphism()
+    assert not check_homomorphism(MonomialRep(G, 2, 1, sigma, np.zeros_like(sigma)))
 
 
 def test_trivial_induction_is_regular_rep(group):
@@ -268,17 +285,17 @@ def test_trivial_induction_is_regular_rep(group):
     chi = LinearChar(1, [G.identity], [0])
     rho = MonomialRep.induce(G, chi)
     assert rho.degree == G.order
-    assert rho.character(G.identity) == Cyclotomic.integer(G.order)
+    assert character(rho, G.identity) == Cyclotomic.integer(G.order)
     for g in G.elements:
         if g != G.identity:
-            assert rho.character(g).is_zero()
+            assert character(rho, g).is_zero()
     assert DirectSumRep([rho]).kernel().tolist() == [G.identity]
 
 
 def _character_kernel(rep):
     # the kernel by its definition through characters: chi(g) = chi(1)
-    one = rep.character(rep.group.identity)
-    return [g for g in rep.group.elements if rep.character(g) == one]
+    one = character(rep, rep.group.identity)
+    return [g for g in rep.group.elements if character(rep, g) == one]
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -292,8 +309,8 @@ def test_row_kernel_is_character_kernel(data):
     G = semidirect_cyclic(modulus, mults)
     g = data.draw(st.integers(0, G.order - 1), label="g")
     powers = [G.identity]
-    while G.mul(powers[-1], g) != G.identity:
-        powers.append(G.mul(powers[-1], g))
+    while G.product(powers[-1], g) != G.identity:
+        powers.append(G.product(powers[-1], g))
     j = data.draw(st.integers(0, len(powers) - 1), label="j")
     chi = LinearChar(len(powers), powers, [i * j for i in range(len(powers))])
     rep = MonomialRep.induce(G, chi)

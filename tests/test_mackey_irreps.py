@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from chainrep.char_duality import character_weights, psi
-from chainrep.exactrep import Cyclotomic, cyc_sum
 from chainrep.group_models import HeisenbergGroup
 from chainrep.mackey_irreps import (
     annihilator_indices,
@@ -15,7 +14,22 @@ from chainrep.mackey_irreps import (
     mackey_induced_rep,
     orbit_representatives,
 )
-from reference import Char2UnsupportedError, SymplecticModule, catalog_summary, orbit_of, psi_b, schrodinger_dim
+from reference import (
+    Char2UnsupportedError,
+    Cyclotomic,
+    SymplecticModule,
+    catalog_summary,
+    character,
+    cyc_sum,
+    from_index,
+    orbit_of,
+    psi_b,
+    ring_elements,
+    ring_one,
+    schrodinger_dim,
+    uniformizer,
+    valuation,
+)
 
 CATALOG_COUNTS = {
     "hei3_f2": 5,
@@ -104,7 +118,7 @@ def test_stone_von_neumann_dimension(heis):
         H = heis(name)
         generic = [d for d in irrep_catalog(H) if d.level == 0]
         assert {d.dim for d in generic} == {H.ring.q ** (H.ring.n * H.k)} == {dim}
-        assert all(psi_b(H.ring, H.ring.from_index(d.orbit_rep[1])).level == 0 for d in generic)
+        assert all(psi_b(H.ring, from_index(H.ring, d.orbit_rep[1])).level == 0 for d in generic)
         # and there is one of them per primitive central character
         units = np.flatnonzero(H.ring.valuation_table == 0).tolist()
         assert sorted(d.orbit_rep[1] for d in generic) == units
@@ -116,16 +130,16 @@ def test_schrodinger_matches_mackey_dimension(ring):
     for name in ["f3", "f5", "z9", "f3t2"]:
         R = ring(name)
         M = SymplecticModule(R, k=1)
-        for b in R.elements():
+        for b in ring_elements(R):
             chi = psi_b(R, b)
-            lev = R.valuation(b)
+            lev = valuation(R, b)
             assert schrodinger_dim(M, chi) == R.q ** (R.n - lev)
 
 
 def test_schrodinger_refuses_char_two(ring):
     M = SymplecticModule(ring("z4"), k=1)
     with pytest.raises(Char2UnsupportedError):
-        schrodinger_dim(M, psi_b(ring("z4"), ring("z4").one))
+        schrodinger_dim(M, psi_b(ring("z4"), ring_one(ring("z4"))))
 
 
 def test_catalog_cap(ring):
@@ -151,7 +165,7 @@ def test_catalog_summary_consistency(ring, heis):
 def test_extended_character_is_multiplicative(heis, rng):
     H = heis("hei3_z4")
     R = H.ring
-    for b_idx in [R.one.index, R.uniformizer.index, 0]:
+    for b_idx in [ring_one(R).index, uniformizer(R).index, 0]:
         w = orbit_representatives(H, b_idx)[0]
         chi = extended_character(H, w, b_idx, (0,))
         rows = chi.rows.tolist()
@@ -171,7 +185,7 @@ def test_extended_character_values(heis):
         H = heis(name)
         R, k = H.ring, H.k
         mod, base = character_weights(R)[0], psi(R, np.arange(R.size))
-        els = [R.from_index(i) for i in range(R.size)]
+        els = [from_index(R, i) for i in range(R.size)]
         add = np.array([[(a + c).index for c in els] for a in els])
         mul = np.array([[(a * c).index for c in els] for a in els])
         catalog, coords = irrep_catalog(H), np.array(H.elements)
@@ -202,7 +216,7 @@ def test_induced_rep_explicit(heis):
             assert rho.degree == d.dim
             # irreducibility: <chi, chi> = |H|
             total = cyc_sum(
-                [rho.character(g) * rho.character(g).conjugate() for g in range(H.order)]
+                [character(rho, g) * character(rho, g).conjugate() for g in range(H.order)]
             )
             assert total == Cyclotomic.integer(len(H.elements))
 
@@ -210,7 +224,7 @@ def test_induced_rep_explicit(heis):
 def test_induced_rep_central_character(heis):
     H = heis("hei3_z4")
     R = H.ring
-    b_idx = R.one.index
+    b_idx = ring_one(R).index
     w = orbit_representatives(H, b_idx)[0]
     rho = mackey_induced_rep(H, w, b_idx)
     mod, chi_b = character_weights(R)[0], psi(R, R.mul_table[b_idx])  # psi(b z) by z
@@ -227,13 +241,13 @@ def test_induced_rep_central_character(heis):
 def test_distinct_lambda_labels_are_orthogonal(heis):
     H = heis("hei3_z4")
     R = H.ring
-    b_idx = R.uniformizer.index  # level 1: two orbit reps, two lambdas
+    b_idx = uniformizer(R).index  # level 1: two orbit reps, two lambdas
     w = orbit_representatives(H, b_idx)[0]
     cat = [d for d in irrep_catalog(H) if d.orbit_rep == (w, b_idx)]
     assert len(cat) >= 2
     r1 = mackey_induced_rep(H, w, b_idx, cat[0].lambda_label)
     r2 = mackey_induced_rep(H, w, b_idx, cat[1].lambda_label)
     inner = cyc_sum(
-        [r1.character(g) * r2.character(g).conjugate() for g in range(H.order)]
+        [character(r1, g) * character(r2, g).conjugate() for g in range(H.order)]
     )
     assert inner.is_zero()
