@@ -124,7 +124,11 @@ class DualVector:
 
 def _rref(A, l):
     """Gauss-Jordan elimination over F_l: (reduced row echelon form of A,
-    pivot columns)."""
+    pivot columns).  The reduced form does not depend on which nonzero
+    entry is taken as pivot, so the largest is.  Each pivot column is
+    cleared by one rank-one update, A -= f (x) A[row] with f the column
+    and f[row] = 0, which leaves the rows that do not hold it as they
+    are."""
     A = np.array(A % l, dtype=np.int64)
     m, n = A.shape
     row = 0
@@ -132,19 +136,16 @@ def _rref(A, l):
     for col in range(n):
         if row == m:
             break
-        pr = None
-        for i in range(row, m):
-            if A[i, col] % l:
-                pr = i
-                break
-        if pr is None:
+        pr = row + int(A[row:, col].argmax())
+        if not A[pr, col]:
             continue
         if pr != row:
             A[[row, pr]] = A[[pr, row]]
-        A[row] = (A[row] * pow(int(A[row, col]), -1, l)) % l
-        for i in range(m):
-            if i != row and A[i, col]:
-                A[i] = (A[i] - A[i, col] * A[row]) % l
+        A[row] = A[row] * pow(int(A[row, col]), -1, l) % l
+        f = A[:, col].copy()
+        f[row] = 0
+        A -= np.outer(f, A[row])
+        A %= l
         pivcol.append(col)
         row += 1
     return A, pivcol

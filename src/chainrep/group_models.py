@@ -407,9 +407,12 @@ class AbstractGroup(_Spanned):
         self.table = table
         self.order = n
         self.names = list(names) if names is not None else None
+        # the identity row is the first equal to 0..n-1; it has g 0 = 0,
+        # which in a group holds for g = e alone, so only those rows are
+        # compared
         ident = None
         rng = np.arange(n)
-        for g in range(n):
+        for g in np.flatnonzero(table[:, 0] == 0).tolist():
             if np.array_equal(table[g], rng):
                 ident = g
                 break

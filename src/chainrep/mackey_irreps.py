@@ -17,7 +17,7 @@ from itertools import product
 from .chain_ring import CapExceededError, RingSpec
 from .char_duality import character_weights, psi
 from .exactrep import LinearChar, MonomialRep
-from .group_models import HeisenbergGroup
+from .group_models import HeisenbergGroup, _distinct
 
 EXPLICIT_CAP = 100_000
 
@@ -44,7 +44,7 @@ def ideal_of(R: RingSpec, b_idx: int) -> list[int]:
 def _coset_reps(R: RingSpec, ideal: list[int], k: int) -> list[tuple]:
     """The lex-least representatives of the cosets of ideal^k in R^k,
     ascending."""
-    least = sorted({int(R.add_table[v, ideal].min()) for v in range(R.size)})
+    least = _distinct(R.add_table[:, ideal].min(axis=1)).tolist()
     return list(product(least, repeat=k))
 
 

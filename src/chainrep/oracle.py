@@ -15,8 +15,13 @@ bound |chi(g)| by chi(1), so each orthogonality sum N_ab has
 chi^(sigma_k)(g) = chi(g^k) for generators k of (Z/E)^* (Isaacs,
 Character Theory of Finite Groups, ch. 2 and 9); as g -> g^k permutes
 the classes and keeps their sizes, every N_ab is then a rational
-integer.  N = |G| I is checked modulo primes l = 1 (mod E) until they
-multiply past 2|G|^2, which fixes N exactly (Chinese remaindering).
+integer.  N = |G| I is checked modulo the fewest primes l = 1 (mod E)
+that multiply past 2|G|^2, which fixes N exactly (Chinese remaindering);
+each keeps r l^2 < 2^63, so one r x r int64 product per prime is exact,
+and up to the default cap one prime does it, the least above 2|G|^2.
+The rows of that product are formed one element order o at a time,
+from the multiplicities at multiples of E/o, so no int64 copy of the
+whole multiplicity tensor is made.
 
 The split follows Dixon (Numer. Math. 10, 1967) as refined by Schneider
 ("Dixon's character table algorithm revisited", J. Symbolic Comput. 9,
@@ -30,9 +35,15 @@ each fibre of G -> G/G', and they span that space.  Its basis
 e_j - e_(least class of j's fibre), over the classes that are not least
 in their fibre, is read off the fibres with no row reduction, and it is
 the only space the class matrices split; an abelian group builds none.
-Each common eigenspace carries a basis B that is the identity on its
-pivot rows, so a class matrix M restricts to it as M[pivots] @ B.  A
-restriction that is scalar leaves the space whole; otherwise its
+Classes are taken in ascending size, ties by index: a class matrix costs
+|C_i| r products, and the central classes split a space by central
+character first.  The order changes no result, since l = 1 (mod E) does
+not divide |G| and the class algebra mod l is split semisimple.  Each
+class matrix is one count over its members, in an order of the elements
+by class made once per table.  Each common eigenspace carries a basis B
+that is the identity on its pivot rows, so a class matrix M restricts to
+it as M[pivots] @ B.  A restriction that is scalar leaves the space
+whole; otherwise its
 eigenvalues are the roots of the characteristic polynomial of a
 Hessenberg form, evaluated at all of F_l at once, and nullspaces are
 taken only at those roots.  Values are lifted per element order: chi(g^s)
@@ -87,15 +98,14 @@ MAX_PRIME_TRIES = 8
 
 def _nullspace(A, l):
     """(column basis N of ker(A) over F_l, free columns): N[free] is the
-    identity."""
+    identity, and row pc of N is minus the free entries of the reduced
+    row whose pivot column is pc."""
     A, pivcol = _rref(A, l)
     n = A.shape[1]
-    free = [c for c in range(n) if c not in pivcol]
+    free = np.delete(np.arange(n), pivcol)
     basis = np.zeros((n, len(free)), dtype=np.int64)
-    for t, fc in enumerate(free):
-        basis[fc, t] = 1
-        for rr, pc in enumerate(pivcol):
-            basis[pc, t] = (-A[rr, fc]) % l
+    basis[free, np.arange(len(free))] = 1
+    basis[pivcol] = -A[: len(pivcol), free] % l
     return basis, free
 
 
@@ -137,6 +147,33 @@ def _eigenvalues(A, l):
     return np.nonzero(P[d] == 0)[0]
 
 
+def _verification_primes(bound: int, r: int, E: int) -> list[int]:
+    """The fewest primes l = 1 (mod E) whose product passes the bound,
+    each with r l^2 < 2^63, so that an r x r product of residues mod l
+    stays in int64: the least such prime above the bound when it is that
+    small, else the largest ones, descending.  Up to the default cap the
+    bound 2|G|^2 takes one prime: for every |G| <= 4096, every E dividing
+    |G| and r = |G|, a sieve finds the least prime above the bound within
+    the limit.  Raises OracleCheckError when the primes below the limit
+    do not pass the bound."""
+    top = math.isqrt((2**63 - 1) // r)  # the largest l with r l^2 < 2^63
+    if bound < top:
+        l = bound // E * E + 1
+        while l <= bound or not _is_prime(l):
+            l += E
+        if l <= top:
+            return [l]
+    primes, product = [], 1
+    l = (top - 1) // E * E + 1
+    while product <= bound:
+        _check(l > 1, f"the primes l = 1 (mod {E}) with {r} l^2 < 2^63 do not multiply past {bound}")
+        if _is_prime(l):
+            primes.append(l)
+            product *= l
+        l -= E
+    return primes
+
+
 def _unit_generators(E: int) -> list[int]:
     """A generating set of (Z/E)^*: each unit not yet generated by the
     smaller ones."""
@@ -171,9 +208,11 @@ class CharacterTable:
     kernels (the boolean kernel matrix), the modular prime actually used,
     and stats, a plain dict of counters: linear_rows (rows seeded from
     G/G'), complement_dim (the dimension left for the class matrices to
-    split), class_matrices (class matrices built, over every prime tried)
-    and primes (each prime tried, with the ModularPrimeNotFoundError
-    message it raised, or None for the prime used)."""
+    split), class_matrices (class matrices built, over every prime tried,
+    taking the classes in ascending size and stopping once every space
+    is a line) and primes (each prime tried, with the
+    ModularPrimeNotFoundError message it raised, or None for the prime
+    used)."""
 
     def __init__(self, G: AbstractGroup):
         _check_cap(G.order)
@@ -219,17 +258,21 @@ class CharacterTable:
             l += self.exponent
         return l
 
+    @cached_property
+    def _class_members(self):
+        """(members, starts): the elements sorted by class, and the
+        position where each class begins among them."""
+        members = np.argsort(self.class_of, kind="stable")
+        return members, np.cumsum([0] + self.sizes)
+
     def _class_matrix(self, i: int):
-        """M[j,k] = #{x in C_i : x^{-1} z_k in C_j}."""
-        G = self.group
-        members = np.nonzero(self.class_of == i)[0]
-        xinv = G.inverse[members]
-        prod = G.table[np.ix_(xinv, np.array(self.reps))]
-        cls = self.class_of[prod]
-        M = np.zeros((self.r, self.r), dtype=np.int64)
-        cols = np.broadcast_to(np.arange(self.r), cls.shape)
-        np.add.at(M, (cls, cols), 1)
-        return M
+        """M[j,k] = #{x in C_i : x^{-1} z_k in C_j}, one count over the
+        flat index r j + k."""
+        G, r = self.group, self.r
+        members, starts = self._class_members
+        xinv = G.inverse[members[starts[i] : starts[i + 1]]]
+        cls = self.class_of[G.table[xinv[:, None], np.array(self.reps)]]
+        return np.bincount((cls * r + np.arange(r)).ravel(), minlength=r * r).reshape(r, r)
 
     def _linear_rows(self):
         """(t, fibre): chi_c(reps[j]) = zeta_E^t[c, j] for the |G/G'|
@@ -259,7 +302,9 @@ class CharacterTable:
         # restricted to it is M[piv] @ B; a child B @ N has its identity
         # at piv[free].  The complement holds the vectors that sum to zero
         # over each fibre of G -> G/G', with basis e_j - e_(least class of
-        # j's fibre) over the classes j that are not least.
+        # j's fibre) over the classes j that are not least.  Classes are
+        # taken smallest first: a class matrix costs |C_i| r products, and
+        # the central classes split a space by central character.
         least = np.full(len(lin), r)
         np.minimum.at(least, fibre, np.arange(r))
         lead = least[fibre]
@@ -268,7 +313,7 @@ class CharacterTable:
         B[piv, np.arange(len(piv))] = 1
         B[lead[piv], np.arange(len(piv))] = l - 1
         spaces = [(B, piv)] if len(piv) else []
-        for i in range(r):
+        for i in np.argsort(self.sizes, kind="stable").tolist():
             if all(len(piv) == 1 for _, piv in spaces):
                 break
             if i == self.identity_class:
@@ -383,10 +428,15 @@ class CharacterTable:
             then a rational integer.
         (c) Under zeta -> z, a primitive E-th root of unity mod a prime
             l = 1 (mod E), N = |G| I holds mod l, checked with one r x r
-            product per prime from the table's own prime upwards, until
-            the primes multiply past 2|G|^2.  Then N = |G| I exactly.
+            product per prime, over the fewest primes that multiply past
+            2|G|^2 (_verification_primes): one prime up to the default
+            cap.  Then N = |G| I exactly.  X[c, j] = chi_c(g_j) and
+            Y[c, j] = conj(chi_c(g_j)) mod l are formed one element order
+            o at a time, from the multiplicities at multiples of E/o,
+            after checking that a class of order o holds no other.
 
-        The cost is r^2 E per generator and r^3 per prime."""
+        The cost is r^2 E per generator, r^2 E for the order check, r
+        sum_j o(g_j) for X and Y, and r^3 per prime."""
         G, r, E, mu = self.group, self.r, self.exponent, self.mu
         dims = np.array(self.dims, dtype=np.int64)
         idc = self.identity_class
@@ -401,23 +451,28 @@ class CharacterTable:
             pc = self.power_class[k]
             galois = mu[:, pc[:, None], (k * u % E)[None, :]]
             _check(np.array_equal(galois, mu), f"Galois action sigma_{k} failed")
-        # (c) N = |G| I modulo primes l = 1 (mod E)
+        # (c) N = |G| I modulo primes l = 1 (mod E), from the classes of
+        # each element order o: mu[:, js, (E/o) s], the multiplicity of w^s
+        # for w = zeta^(E/o)
         sizes = np.array(self.sizes, dtype=np.int64)
-        l, modulus = self.prime, 1
-        while modulus <= 2 * G.order**2:
-            _check(r * l * l < 2**63, "prime too large for int64 products")
-            z = np.empty(E, dtype=np.int64)  # z[u] = z^u mod l
-            z[0] = 1
+        orders = G.element_orders[np.array(self.reps)]
+        blocks = []
+        for o in sorted(set(orders.tolist())):
+            js = np.flatnonzero(orders == o)
+            block = mu[:, js].reshape(r, len(js), o, E // o)
+            _check(not block[:, :, :, 1:].any(), f"multiplicity at a root of unity whose order does not divide o(g) = {o}")
+            blocks.append((o, js, np.ascontiguousarray(block[:, :, :, 0])))
+        for l in _verification_primes(2 * G.order**2, r, E):
             zl = _primitive_root_power(l, E)
-            for t in range(1, E):
-                z[t] = z[t - 1] * zl % l
-            X = (mu @ z) % l
-            Y = (mu @ z[-u % E]) % l
+            X = np.empty((r, r), dtype=np.int64)
+            Y = np.empty((r, r), dtype=np.int64)
+            for o, js, part in blocks:
+                w = np.array([pow(zl, E // o * s, l) for s in range(o)], dtype=np.int64)
+                X[:, js] = part @ w % l
+                Y[:, js] = part @ w[-np.arange(o) % o] % l
             N = (X * sizes % l) @ Y.T % l
             identity = G.order % l * np.eye(r, dtype=np.int64)
             _check(np.array_equal(N, identity), f"orthogonality failed mod {l}")
-            modulus *= l
-            l = self._next_prime(l)
 
     # -- exact values and kernels ------------------------------------
 

@@ -13,7 +13,9 @@ tensor.  ``Cyclotomic`` adds and multiplies exact values in Z[zeta_m] as
 reduced coefficient vectors, where the oracle holds root-of-unity
 multiplicities and reduces a whole row at once.  The group helpers
 (``index_inverse``, ``family_mul``, ``family_inv``) multiply and invert
-one element at a time through a family's law."""
+one element at a time through a family's law.  ``rref_loop`` and
+``nullspace_loop`` eliminate over F_l one row and one entry at a time,
+where the package clears a pivot column with one rank-one update."""
 
 import math
 from dataclasses import dataclass
@@ -592,3 +594,48 @@ def induced_character_formula(group, chi: LinearChar) -> list[Cyclotomic]:
         cyc_sum([Cyclotomic.root(chi.order, value[w]) for w in ws if w in value], chi.order)
         for ws in conj.tolist()
     ]
+
+
+# -- F_l elimination ------------------------------------------------------
+
+
+def rref_loop(A, l):
+    """Gauss-Jordan elimination over F_l: (reduced row echelon form of A,
+    pivot columns), one row at a time."""
+    A = np.array(A % l, dtype=np.int64)
+    m, n = A.shape
+    row = 0
+    pivcol = []
+    for col in range(n):
+        if row == m:
+            break
+        pr = None
+        for i in range(row, m):
+            if A[i, col] % l:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != row:
+            A[[row, pr]] = A[[pr, row]]
+        A[row] = (A[row] * pow(int(A[row, col]), -1, l)) % l
+        for i in range(m):
+            if i != row and A[i, col]:
+                A[i] = (A[i] - A[i, col] * A[row]) % l
+        pivcol.append(col)
+        row += 1
+    return A, pivcol
+
+
+def nullspace_loop(A, l):
+    """(column basis N of ker(A) over F_l, free columns): N[free] is the
+    identity, filled one entry at a time."""
+    A, pivcol = rref_loop(A, l)
+    n = A.shape[1]
+    free = [c for c in range(n) if c not in pivcol]
+    basis = np.zeros((n, len(free)), dtype=np.int64)
+    for t, fc in enumerate(free):
+        basis[fc, t] = 1
+        for rr, pc in enumerate(pivcol):
+            basis[pc, t] = (-A[rr, fc]) % l
+    return basis, free

@@ -3,7 +3,7 @@ matroid helpers."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from chainrep.chain_ring import INF, make_ring
@@ -136,6 +136,7 @@ SMALL_RINGS = [
 ]
 
 
+@seed(20261018)
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(st.sampled_from(SMALL_RINGS))
 def test_ring_tables_and_psi_property(params):

@@ -247,6 +247,19 @@ def test_abstract_validation_no_identity():
         AbstractGroup([[0, 1], [0, 1]])
 
 
+def test_abstract_identity_is_the_first_row_equal_to_the_labels():
+    # rows 0 and 2 both have g 0 = 0, which a group allows for one row
+    # only: the identity is row 2, the first row equal to 0..n-1, and the
+    # table passes the identity and inverse checks but not associativity;
+    # with column 2 changed it fails the identity check
+    tab = [[0, 2, 0], [2, 1, 1], [0, 1, 2]]
+    assert AbstractGroup(tab, validate=False).identity == 2
+    with pytest.raises(ValueError, match="associativity"):
+        AbstractGroup(tab)
+    with pytest.raises(ValueError, match="no two-sided identity"):
+        AbstractGroup([[0, 2, 1], [2, 1, 1], [0, 1, 2]])
+
+
 def test_abstract_validation_no_inverses():
     tab = [[0, 1, 2], [1, 0, 0], [2, 2, 1]]
     with pytest.raises(ValueError, match="inverse"):

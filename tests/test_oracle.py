@@ -2,11 +2,12 @@
 
 import copy
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from chainrep import minfaith_solver as solver
@@ -32,7 +33,7 @@ from chainrep.oracle import (
     min_faithful_exhaustive,
     minimal_normal_witnesses,
 )
-from reference import Cyclotomic, cyc_sum, table_value
+from reference import Cyclotomic, cyc_sum, nullspace_loop, rref_loop, table_value
 
 FROZEN_DIMS = {
     "d4": [1, 1, 1, 1, 2],
@@ -185,6 +186,40 @@ def test_nullspace_carries_identity_on_free_rows(case):
     assert len(free) == A.shape[0] - len(_rref(A, l)[1])
 
 
+@st.composite
+def matrices_over_small_primes(draw):
+    """(A, l): an m x n integer matrix and a prime l <= 101, its entries
+    in (-l, 2l) so that the reduction mod l is exercised; half of them
+    are a product of m x k and k x n factors, of rank at most k (the zero
+    matrix for k = 0)."""
+    l = draw(st.sampled_from([p for p in range(2, 102) if _is_prime(p)]))
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    entries = st.integers(1 - l, 2 * l - 1)
+
+    def matrix(a, b):
+        return np.array(draw(st.lists(entries, min_size=a * b, max_size=a * b)), dtype=np.int64).reshape(a, b)
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(m, n) - 1))
+        return matrix(m, k) @ matrix(k, n), l
+    return matrix(m, n), l
+
+
+@seed(20261018)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(matrices_over_small_primes())
+def test_elimination_matches_the_row_loops(case):
+    # the rank-one column clearing and the two-assignment nullspace give
+    # what the row-at-a-time loops give, pivots and free columns included
+    A, l = case
+    R, pivcol = _rref(A, l)
+    R_loop, pivcol_loop = rref_loop(A, l)
+    assert np.array_equal(R, R_loop) and pivcol == pivcol_loop
+    N, free = _nullspace(A, l)
+    N_loop, free_loop = nullspace_loop(A, l)
+    assert np.array_equal(N, N_loop) and list(free) == free_loop
+
+
 def roll_verify(T):
     """Reference: exact row orthogonality through the power-coefficient
     tensor P[a, b, t] = sum_j |C_j| sum_u mu_a[j, u] mu_b[j, u - t], one
@@ -209,12 +244,11 @@ def roll_verify(T):
     assert np.array_equal(reduced, expect), "exact orthogonality failed"
 
 
-def altered(T, mu=None, dims=None, prime=None):
+def altered(T, mu=None, dims=None):
     """A copy of the table with some fields replaced, to run _verify on."""
     U = copy.copy(T)
     U.mu = T.mu.copy() if mu is None else mu
     U.dims = list(T.dims) if dims is None else dims
-    U.prime = T.prime if prime is None else prime
     return U
 
 
@@ -252,7 +286,8 @@ def test_verify_rejects_a_duplicated_row(table):
     a = next(a for a in range(T.r - 1) if T.dims[a] == T.dims[a + 1])
     mu = T.mu.copy()
     mu[a + 1] = mu[a]
-    with pytest.raises(AssertionError, match=f"orthogonality failed mod {T.prime}"):
+    # 4657 is the least prime = 1 (mod 24) above 2 * 48^2 = 4608
+    with pytest.raises(AssertionError, match="orthogonality failed mod 4657"):
         altered(T, mu=mu)._verify()
 
 
@@ -279,13 +314,41 @@ def test_verify_rejects_a_table_outside_the_bound(table):
             U._verify()
 
 
-def test_verify_refuses_a_prime_too_large_for_int64(table):
+def test_verify_rejects_a_multiplicity_off_the_element_order(table):
+    # D_4's degree-2 character is 0 = 1 + zeta^2 on a reflection class,
+    # of order 2; zeta + zeta^3 is 0 as well and keeps sigma_3, but sits
+    # at odd powers of zeta, which a class of order 2 cannot hold, and
+    # the orthogonality rows read only the even ones
     T = table("d4")
-    l = (math.isqrt(2**63 // T.r) // T.exponent + 1) * T.exponent + 1
-    while not _is_prime(l):
-        l += T.exponent
-    with pytest.raises(AssertionError, match="too large"):
-        altered(T, prime=l)._verify()
+    c = T.r - 1
+    j = next(j for j in range(T.r) if T.sizes[j] == 2 and T.group.element_orders[T.reps[j]] == 2)
+    assert T.mu[c, j].tolist() == [1, 0, 1, 0]
+    mu = T.mu.copy()
+    mu[c, j] = [0, 1, 0, 1]
+    with pytest.raises(AssertionError, match=r"^multiplicity at a root of unity whose order does not divide o\(g\) = 2$"):
+        altered(T, mu=mu)._verify()
+
+
+def test_verify_refuses_a_prime_too_large_for_int64():
+    # the primes are chosen with r l^2 < 2^63; a bound past any one such
+    # prime takes the largest ones, descending, and an exponent above the
+    # int64 limit leaves no prime = 1 (mod E) below it at all: |G| = 2^40
+    # and E = 2^32, with r = 5 and limit isqrt((2^63 - 1) // 5) < 2^31
+    bound = 2 * (2**40) ** 2
+    with pytest.raises(AssertionError, match=rf"^the primes l = 1 \(mod {2**32}\) with 5 l\^2 < 2\^63 do not multiply past {bound}$"):
+        oracle._verification_primes(bound, 5, 2**32)
+
+
+def test_verification_primes_past_one_prime():
+    # r = 2^20 puts the int64 limit at isqrt((2^63 - 1) // 2^20) =
+    # 2965820, below the bound 2^41: no prime suffices alone, two of the
+    # largest odd primes under the limit do, and each keeps r l^2 < 2^63
+    bound, r = 2**41, 2**20
+    top = math.isqrt((2**63 - 1) // r)
+    primes = oracle._verification_primes(bound, r, 2)
+    assert primes == [2965819, 2965811]
+    assert all(_is_prime(l) and r * l * l < 2**63 <= r * (top + 1) ** 2 for l in primes)
+    assert math.prod(primes) > bound >= top
 
 
 def test_table_checks_survive_python_O():
@@ -319,7 +382,8 @@ def test_table_checks_survive_python_O():
 
 def test_verify_checks_primes_past_twice_the_squared_order(table, monkeypatch):
     # |N_ab - |G| delta_ab| <= |G|^2, so primes multiplying past 2|G|^2
-    # pin N exactly, and the check stops at the first such product
+    # pin N exactly: one prime, the least l = 1 (mod E) above 2|G|^2,
+    # whose r x r product stays in int64
     used = []
     root = oracle._primitive_root_power
 
@@ -328,14 +392,36 @@ def test_verify_checks_primes_past_twice_the_squared_order(table, monkeypatch):
         return root(l, E)
 
     monkeypatch.setattr(oracle, "_primitive_root_power", record)
-    for name in ["d4", "hei3_gr42", "gl2_f7"]:
+    expect = {"d4": 137, "hei3_gr42": 33554473, "gl2_f7": 8128513, "z7_z16": 25537}
+    for name, l in expect.items():
         T = table(name)
         used.clear()
         T._verify()
-        bound = 2 * T.group.order**2
-        assert used[0] == T.prime
-        assert math.prod(used) > bound >= math.prod(used[:-1])
-        assert all(l % T.exponent == 1 and _is_prime(l) for l in used)
+        bound, E = 2 * T.group.order**2, T.exponent
+        assert used == [l]
+        assert l > bound and l % E == 1 and _is_prime(l) and T.r * l * l < 2**63
+        assert not any(_is_prime(k) for k in range(l - E, bound, -E))
+
+
+def test_verify_makes_one_product_and_no_int64_copy_of_mu(table):
+    # up to the default cap, one verification prime and so one r x r
+    # product (the tables above use one each): checked at the tightest
+    # orders, with r = |G| and every E dividing |G|.  The rows are formed
+    # one element order at a time, so _verify's peak stays below the
+    # 8 r^2 E bytes of a single (r, r, E) int64 array (GL_2(F_7): r = 48,
+    # E = 336; Z/7 x Z/16: r = E = 112)
+    for n in range(4090, 4097):
+        for E in (E for E in range(1, n + 1) if n % E == 0):
+            assert len(oracle._verification_primes(2 * n * n, n, E)) == 1, (n, E)
+    for name in ["gl2_f7", "z7_z16"]:
+        T = table(name)
+        tracemalloc.start()
+        try:
+            T._verify()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * T.r**2 * T.exponent, (name, peak)
 
 
 @st.composite
@@ -565,7 +651,7 @@ def test_elementary_abelian_64_needs_six_summands():
 
 def test_stats_count_the_seeded_split(table):
     T = table("hei3_z9")
-    assert T.stats == {"linear_rows": 81, "complement_dim": 24, "class_matrices": 21, "primes": [(73, None)]}
+    assert T.stats == {"linear_rows": 81, "complement_dim": 24, "class_matrices": 15, "primes": [(73, None)]}
     assert T.r == 105 and T.mu.dtype == np.uint8
 
 
