@@ -13,8 +13,9 @@ Group elements are named by their rows in ``group.elements`` order
 only: a linear character is two aligned int64 arrays, the rows of its
 subgroup and its root-of-unity exponents there, and a representation is
 two (|G|, degree) integer arrays, sigma and exps, indexed by row.
-Induction fills them from index-array products of the group
-(``group.product``), and the kernel is the rows equal to
+Induction finds the cosets as orbits (``group._cosets``) and fills the
+arrays from index-array products (``group.product``), with no loop
+over the rows; the kernel is the rows equal to
 (arange(degree), 0), an integer test that for these exact matrices is
 chi(g) = chi(1).
 
@@ -30,9 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-
-class NotSubgroupError(ValueError):
-    pass
+from .group_models import NotSubgroupError  # noqa: F401 (induce raises it, through group._subgroup)
 
 
 class ChiNotHomomorphismError(ValueError):
@@ -126,17 +125,6 @@ class LinearChar:
         self.exps = np.asarray(exps, dtype=np.int64) % order
 
 
-def _check_subgroup(group, sub) -> list[int]:
-    """Rows generating the subgroup with rows sub; raises NotSubgroupError
-    unless their span, which holds every product of rows of sub, is sub."""
-    span, gens = group._span(sub)
-    member = np.zeros_like(span)
-    member[sub] = True
-    if not np.array_equal(span, member):
-        raise NotSubgroupError("not closed under multiplication")
-    return gens
-
-
 def _check_character(group, sub, vals, m, gens):
     """vals[i]: the exponent of chi at the element with row index sub[i];
     gens: rows generating the subgroup.  chi(x s) = chi(x) chi(s) for
@@ -172,22 +160,15 @@ class MonomialRep:
         rows chi.rows) to the whole group, after checking exactly, on
         generators, that the rows form a subgroup and chi is a character
         of it.  The coset representatives are the least row of each left
-        coset; for each row w, w = reps[coset_of[w]] * sub[a_of[w]]."""
+        coset, an orbit of right multiplication by the subgroup's
+        generators; for each row w, w = reps[coset_of[w]] * sub[a_of[w]]."""
         m, sub, vals = chi.order, chi.rows, chi.exps
-        _check_character(group, sub, vals, m, _check_subgroup(group, sub))
-        n = group.order
-        coset_of = np.full(n, -1, dtype=np.int64)
+        gens = group._subgroup(sub)[1]
+        _check_character(group, sub, vals, m, gens)
+        n, (reps, coset_of) = group.order, group._cosets(gens)
         a_of = np.empty(n, dtype=np.int64)
-        reps, positions = [], np.arange(len(sub))
-        for g in range(n):
-            if coset_of[g] < 0:
-                w = group.product(g, sub)
-                coset_of[w] = len(reps)
-                a_of[w] = positions
-                reps.append(g)
-        if (coset_of < 0).any() or len(reps) * len(sub) != n:
-            raise NotSubgroupError("cosets do not partition the group")
-        w = group.product(np.arange(n)[:, None], np.array(reps)[None, :])
+        a_of[group.product(reps[:, None], sub)] = np.arange(len(sub))
+        w = group.product(np.arange(n)[:, None], reps)
         return MonomialRep(group, len(reps), m, coset_of[w], vals[a_of[w]])
 
     @property

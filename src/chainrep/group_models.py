@@ -21,7 +21,9 @@ their law once, on row-index arrays, and their tables are filled a
 block of rows at a time.  AbstractGroup's group layer (element orders,
 centralizers, classes, the commutator subgroup, quotients and the
 structure scan) is written once, against ``product``, ``inverse`` and
-``identity``.
+``identity``.  Conjugacy classes, quotient cosets and the cosets of an
+induction are orbits of the rows under a few permutations, each
+labelled by its least member by one loop, ``_orbit_labels``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from functools import cached_property
 import numpy as np
 
 from .chain_ring import CapExceededError, RingSpec, _factorize
+
+
+class NotSubgroupError(ValueError):
+    pass
 
 
 def group_cap() -> int:
@@ -80,6 +86,22 @@ def _distinct(values) -> np.ndarray:
     keep = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def _orbit_labels(images) -> np.ndarray:
+    """The least member of each row's orbit under permutations of the
+    rows, images[i, x] the image of row x under the i-th (an empty
+    (0, n) array fixes every row).  Each label falls to the least label
+    among its images, and pointer jumping (lab = lab[lab]) shortens the
+    chains, until nothing changes: then each cycle, so each orbit, has one."""
+    n = images.shape[1]
+    lab = np.arange(n)
+    while True:
+        low = np.minimum(lab, lab[images].min(axis=0, initial=n))
+        low = low[low]
+        if np.array_equal(low, lab):
+            return lab
+        lab = low
 
 
 def _empty_table(n: int) -> np.ndarray:
@@ -160,6 +182,23 @@ class _Spanned:
                 mask[front] = True
                 right = np.array(gens)
         return mask, gens
+
+    def _subgroup(self, rows) -> tuple[np.ndarray, list[int]]:
+        """``_span`` of the distinct rows of a subgroup; raises
+        NotSubgroupError unless the span, which holds them, has no other."""
+        mask, gens = self._span(rows)
+        if np.count_nonzero(mask) != len(rows):
+            raise NotSubgroupError("not a subgroup of distinct rows")
+        return mask, gens
+
+    def _cosets(self, gens) -> tuple[np.ndarray, np.ndarray]:
+        """(reps, coset_of) of the left cosets x<gens>, the orbits of right
+        multiplication by the rows gens: reps the least row of each,
+        ascending, and coset_of[x] the position of x's among them."""
+        gens = np.asarray(gens, dtype=np.int64)  # int64 when empty, as an index
+        least = _orbit_labels(self.product(np.arange(self.order), gens[:, None]))
+        reps = np.flatnonzero(least == np.arange(self.order))
+        return reps, np.searchsorted(reps, least)
 
     @cached_property
     def generators(self) -> list[int]:
@@ -489,19 +528,9 @@ class AbstractGroup(_Spanned):
     @cached_property
     def conjugacy(self):
         """(reps, class_of, class_sizes): reps ascending by least member.
-        Classes are the orbits under conjugation by the generators.  Each
-        element's label, at first itself, falls to the least label of its
-        conjugates by a generator, and pointer jumping (lab = lab[lab])
-        shortens the chains, until nothing changes; then every label is
-        the least member of its class."""
-        perms = self._conjugates(self.generators, np.arange(self.order))
-        lab = np.arange(self.order)
-        while True:
-            low = np.minimum(lab, lab[perms].min(axis=0, initial=self.order))
-            low = low[low]
-            if np.array_equal(low, lab):
-                break
-            lab = low
+        Classes are the orbits under conjugation by the generators, each
+        labelled by its least member (``_orbit_labels``)."""
+        lab = _orbit_labels(self._conjugates(self.generators, np.arange(self.order)))
         reps, class_of, sizes = np.unique(lab, return_inverse=True, return_counts=True)
         return reps.tolist(), class_of, sizes
 
@@ -536,17 +565,16 @@ class AbstractGroup(_Spanned):
         return mask
 
     def quotient(self, normal_elems):
-        """(quotient group, coset_of array); normal_elems must be a
-        normal subgroup.  Cosets are numbered by their least element."""
+        """(quotient group, coset_of array) for the distinct rows N of a
+        normal subgroup, which holds when the generators of G conjugate
+        those of N into N, as x<S>x^-1 = <xSx^-1>.  The cosets gN, orbits
+        of right multiplication by N's generators, are numbered by their
+        least element."""
         N = np.asarray(normal_elems, dtype=np.int64)
-        member = np.zeros(self.order, dtype=bool)
-        member[N] = True
-        if not member[self._conjugates(self.generators, N)].all():
+        member, gens = self._subgroup(N)
+        if not member[self._conjugates(self.generators, gens)].all():
             raise ValueError("subgroup is not normal")
-        rows = np.arange(self.order)
-        least = self.product(rows[:, None], N).min(axis=1)  # of the coset gN
-        reps = np.flatnonzero(least == rows)  # each coset's least member
-        coset_of = np.searchsorted(reps, least)
+        reps, coset_of = self._cosets(gens)
         qt = coset_of[self.product(reps[:, None], reps)]
         return AbstractGroup(qt, validate=False), coset_of
 

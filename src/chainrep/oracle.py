@@ -147,6 +147,14 @@ def _eigenvalues(A, l):
     return np.nonzero(P[d] == 0)[0]
 
 
+def _prime_above(bound: int, E: int) -> int:
+    """The least prime l = 1 (mod E) with l > bound."""
+    l = bound // E * E + 1
+    while l <= bound or not _is_prime(l):
+        l += E
+    return l
+
+
 def _verification_primes(bound: int, r: int, E: int) -> list[int]:
     """The fewest primes l = 1 (mod E) whose product passes the bound,
     each with r l^2 < 2^63, so that an r x r product of residues mod l
@@ -158,9 +166,7 @@ def _verification_primes(bound: int, r: int, E: int) -> list[int]:
     do not pass the bound."""
     top = math.isqrt((2**63 - 1) // r)  # the largest l with r l^2 < 2^63
     if bound < top:
-        l = bound // E * E + 1
-        while l <= bound or not _is_prime(l):
-            l += E
+        l = _prime_above(bound, E)
         if l <= top:
             return [l]
     primes, product = [], 1
@@ -228,7 +234,7 @@ class CharacterTable:
         lin, fibre = self._linear_rows()
         self.stats = {"linear_rows": len(lin), "complement_dim": self.r - len(lin), "class_matrices": 0, "primes": []}
         last_err = None
-        l = self._first_prime()
+        l = _prime_above(math.isqrt(4 * G.order), self.exponent)  # the least l = 1 (mod E) with l^2 > 4|G|
         for _ in range(MAX_PRIME_TRIES):
             try:
                 self._compute(l, lin, fibre)
@@ -237,26 +243,10 @@ class CharacterTable:
             except ModularPrimeNotFoundError as exc:
                 self.stats["primes"].append((l, str(exc)))
                 last_err = exc
-                l = self._next_prime(l)
+                l = _prime_above(l, self.exponent)
         else:
-            raise ModularPrimeNotFoundError(
-                f"no workable prime after {MAX_PRIME_TRIES} tries: {last_err}"
-            )
+            raise ModularPrimeNotFoundError(f"no workable prime after {MAX_PRIME_TRIES} tries: {last_err}")
         self._verify()
-
-    # prime selection: l = 1 (mod exponent), l > 2 sqrt|G|
-    def _first_prime(self) -> int:
-        E = self.exponent
-        l = E + 1
-        while not (_is_prime(l) and l * l > 4 * self.group.order):
-            l += E
-        return l
-
-    def _next_prime(self, l: int) -> int:
-        l += self.exponent
-        while not _is_prime(l):
-            l += self.exponent
-        return l
 
     @cached_property
     def _class_members(self):
@@ -271,7 +261,7 @@ class CharacterTable:
         G, r = self.group, self.r
         members, starts = self._class_members
         xinv = G.inverse[members[starts[i] : starts[i + 1]]]
-        cls = self.class_of[G.table[xinv[:, None], np.array(self.reps)]]
+        cls = self.class_of[G.product(xinv[:, None], np.array(self.reps))]
         return np.bincount((cls * r + np.arange(r)).ravel(), minlength=r * r).reshape(r, r)
 
     def _linear_rows(self):
@@ -384,7 +374,7 @@ class CharacterTable:
         pw = np.full(r, G.identity, dtype=np.int64)  # pw[j] = reps[j]^s
         for s in range(E):
             power_class[s] = self.class_of[pw]
-            pw = G.table[pw, reps]
+            pw = G.product(pw, reps)
         dims = [1] * len(lin) + dims
         mu = np.zeros((r, r, E), dtype=np.min_scalar_type(max(dims)))
         mu[np.arange(len(lin))[:, None], np.arange(r), lin] = 1

@@ -596,6 +596,26 @@ def induced_character_formula(group, chi: LinearChar) -> list[Cyclotomic]:
     ]
 
 
+def induce_loop(group, chi: LinearChar) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, exps) of the representation induced from chi, by the
+    discovery loop MonomialRep.induce ran before it labelled cosets as
+    orbits: the first row not yet in a coset is the least of a new one,
+    whose members rep * sub come from one product per representative."""
+    sub, vals, n = chi.rows, chi.exps, group.order
+    coset_of = np.full(n, -1, dtype=np.int64)
+    a_of = np.empty(n, dtype=np.int64)
+    reps, positions = [], np.arange(len(sub))
+    for g in range(n):
+        if coset_of[g] < 0:
+            w = group.product(g, sub)
+            coset_of[w] = len(reps)
+            a_of[w] = positions
+            reps.append(g)
+    assert not (coset_of < 0).any() and len(reps) * len(sub) == n, "cosets do not partition the group"
+    w = group.product(np.arange(n)[:, None], np.array(reps)[None, :])
+    return coset_of[w], vals[a_of[w]]
+
+
 # -- F_l elimination ------------------------------------------------------
 
 

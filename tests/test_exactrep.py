@@ -17,13 +17,14 @@ from chainrep.exactrep import (
     NotSubgroupError,
     cyclotomic_polynomial,
 )
-from chainrep.group_models import HeisenbergGroup, semidirect_cyclic
+from chainrep.group_models import HeisenbergGroup, semidirect_cyclic, semidirect_cyclic_hom, structure_scan
 from reference import (
     Cyclotomic,
     abelian_characters,
     character,
     check_homomorphism,
     cyc_sum,
+    induce_loop,
     induced_character_formula,
     sum_character,
 )
@@ -206,15 +207,15 @@ def test_identity_matrix_detection(group):
 def test_induce_rejects_non_subgroup(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
-    bad = sub[:-1]  # drops one rotation: not closed
-    with pytest.raises(NotSubgroupError):
-        MonomialRep.induce(G, LinearChar(1, bad, [0] * len(bad)))
+    for bad in (sub[:-1], sub + sub[:1]):  # drops one rotation: not closed; repeats one
+        with pytest.raises(NotSubgroupError):
+            MonomialRep.induce(G, LinearChar(1, bad, [0] * len(bad)))
 
 
 def test_induce_past_numpy_is_a_cap_refusal():
-    # the subgroup check's member mask is allocated after the span, whose
-    # mask is the first array of |G| entries: past what numpy can index,
-    # induction is refused as the span is
+    # the subgroup check counts the span's mask, the first array of |G|
+    # entries: past what numpy can index, induction is refused as the
+    # span is
     H = HeisenbergGroup(make_ring(2, 1, "inf", 1), 32)  # |G| = 2^65
     with pytest.raises(CapExceededError, match="a mask of its elements cannot be allocated"):
         MonomialRep.induce(H, LinearChar(1, H.index_of([H.identity]), [0]))
@@ -290,6 +291,71 @@ def test_trivial_induction_is_regular_rep(group):
         if g != G.identity:
             assert character(rho, g).is_zero()
     assert DirectSumRep([rho]).kernel().tolist() == [G.identity]
+
+
+def test_induce_from_the_trivial_subgroup_is_the_regular_action(group, heis):
+    # no generators: every row is its own coset, and sigma is the product
+    for G in (group("d4"), heis("hei3_f3"), heis("hei3_f3").to_abstract()):
+        rows = np.arange(G.order)
+        rho = MonomialRep.induce(G, LinearChar(1, G.index_of([G.identity]), [0]))
+        assert rho.degree == G.order
+        assert np.array_equal(rho.sigma, G.product(rows[:, None], rows))
+        assert not rho.exps.any()
+
+
+def _assert_induces_as_the_loop(G, chi, induce=MonomialRep.induce):
+    rho = induce(G, chi)
+    sigma, exps = induce_loop(G, chi)
+    assert rho.sigma.dtype == sigma.dtype and np.array_equal(rho.sigma, sigma)
+    assert rho.exps.dtype == exps.dtype and np.array_equal(rho.exps, exps)
+    return rho
+
+
+def test_induce_matches_the_discovery_loop(group):
+    # the orbit-labelled cosets give the loop's sigma and exps: a
+    # character of the center, of a maximal abelian subgroup and of each
+    # cyclic subgroup <g> of a few rows, and the trivial character of the
+    # trivial group, the commutator subgroup and the group
+    for name in ["d4", "q8", "m16", "s3", "z7_z16", "gl2_f3", "u3_f3", "aff_z4", "hei3_z4"]:
+        G = group(name)
+        scan = structure_scan(G)
+        cyclic = [np.flatnonzero(G._span([g])[0]) for g in range(0, G.order, max(1, G.order // 5))]
+        for rows in [scan.center, scan.maximal_abelian] + cyclic:
+            M, exps = abelian_characters(G, rows)[-1]
+            _assert_induces_as_the_loop(G, LinearChar(M, rows, exps))
+        for rows in [[G.identity], scan.commutator, range(G.order)]:
+            _assert_induces_as_the_loop(G, LinearChar(1, rows, np.zeros(len(rows))))
+
+
+def test_constructions_induce_as_the_discovery_loop(monkeypatch, group):
+    # every induction of the Heisenberg, affine and two-step constructions
+    from chainrep.minfaith_solver import (
+        construct_faithful_affine,
+        construct_faithful_heisenberg,
+        construct_faithful_two_step,
+    )
+
+    degrees = []
+
+    def checked(G, chi):
+        rho = _assert_induces_as_the_loop(G, chi, induce)
+        degrees.append(rho.degree)
+        return rho
+
+    induce = MonomialRep.induce
+    monkeypatch.setattr(MonomialRep, "induce", staticmethod(checked))
+    for sol in [
+        construct_faithful_heisenberg(make_ring(2, 1, 1, 2)),
+        construct_faithful_heisenberg(make_ring(2, 2, "inf", 1)),
+        construct_faithful_heisenberg(make_ring(3, 1, "inf", 1), k=2),
+        construct_faithful_affine(make_ring(3, 1, 1, 2)),
+        construct_faithful_affine(make_ring(2, 2, "inf", 1)),
+        construct_faithful_two_step(group("m27")),
+        construct_faithful_two_step(group("hei3_z4")),
+        construct_faithful_two_step(semidirect_cyclic_hom(4, 3, 4)),
+    ]:
+        assert sol.verified_faithful
+    assert degrees == [4, 4, 4, 9, 6, 3, 3, 4, 2, 1]
 
 
 def _character_kernel(rep):

@@ -13,6 +13,7 @@ from chainrep.group_models import (
     CapExceededError,
     HeisenbergGroup,
     UnitriangularGroup,
+    _orbit_labels,
     extend_character,
     general_linear_2,
     group_cap,
@@ -22,7 +23,6 @@ from chainrep.group_models import (
     structure_scan,
 )
 from chainrep.chain_ring import make_ring
-from chainrep.exactrep import _check_subgroup
 from chainrep.mackey_irreps import annihilator_indices
 from reference import (
     Cyclotomic,
@@ -192,7 +192,7 @@ def _check_subgroup_rows(G, rows, size, member):
     """rows: strictly ascending group rows of a subgroup of the given
     size whose elements (as coordinate rows) all satisfy member."""
     assert rows.dtype == np.int64 and (np.diff(rows) > 0).all()
-    _check_subgroup(G, rows)
+    G._subgroup(rows)
     assert len(rows) == size
     assert member(np.array(G.elements)[rows]).all()
 
@@ -340,6 +340,82 @@ def test_conjugacy_matches_reference(group):
         assert reps == ref_reps, G.order
         assert class_of.dtype == ref_class_of.dtype and np.array_equal(class_of, ref_class_of)
         assert sizes.dtype == ref_sizes.dtype and np.array_equal(sizes, ref_sizes)
+
+
+def _reference_orbit_labels(perms, n):
+    """The least member of each row's orbit under the permutations, by a
+    search from each row, ascending, that no earlier search reached: for
+    permutations what a row reaches is its whole orbit."""
+    lab = np.full(n, -1, dtype=np.int64)
+    for x in range(n):
+        if lab[x] < 0:
+            lab[x], front = x, [x]
+            while front:
+                y = front.pop()
+                for p in perms:
+                    if lab[p[y]] < 0:
+                        lab[p[y]] = x
+                        front.append(p[y])
+    return lab
+
+
+@st.composite
+def permutation_sets(draw):
+    # (n, up to four permutations of range(n)): each a uniform
+    # permutation, with a few large orbits, or one cycle through a
+    # random subset, which leaves many small ones
+    n = draw(st.integers(1, 40))
+    perms = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            perms.append(draw(st.permutations(range(n))))
+        else:
+            cycle = draw(st.lists(st.integers(0, n - 1), unique=True))
+            p = list(range(n))
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                p[a] = b
+            perms.append(p)
+    return n, perms
+
+
+@seed(20261019)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(permutation_sets())
+def test_orbit_labels_match_a_search(case):
+    # 200 derandomized sets of 0 to 4 permutations on 1 to 40 rows; the
+    # empty set labels each row by itself
+    n, perms = case
+    lab = _orbit_labels(np.array(perms, dtype=np.int64).reshape(len(perms), n))
+    assert lab.dtype == np.int64
+    assert lab.tolist() == _reference_orbit_labels(perms, n).tolist()
+
+
+def test_cosets_of_no_generators_are_the_rows(heis):
+    # an empty generator list stays an int64 index, on a table and on a law
+    assert _orbit_labels(np.empty((0, 5), dtype=np.int64)).tolist() == list(range(5))
+    F = heis("hei3_f3")
+    for G in (F, F.to_abstract(), AbstractGroup([[0]])):
+        assert G._cosets([])[1].tolist() == list(range(G.order))
+
+
+def test_quotient_by_the_trivial_group_and_by_the_whole_group(group, heis):
+    for G in (group("d4"), group("gl2_f3"), heis("hei3_f3").to_abstract()):
+        Q, coset_of = G.quotient([G.identity])
+        assert coset_of.tolist() == list(range(G.order))
+        assert np.array_equal(Q.table, G.table)
+        Q, coset_of = G.quotient(range(G.order))
+        assert Q.order == 1 and not coset_of.any()
+
+
+def test_quotient_rejects_a_set_that_is_not_a_subgroup(group):
+    # the identity and the class of a reflection of D_4: closed under
+    # conjugation, and not under products
+    G = group("d4")
+    reps, class_of, sizes = G.conjugacy
+    flip = next(g for g in G.elements if G.element_orders[g] == 2 and sizes[class_of[g]] == 2)
+    normal_set = [G.identity] + np.flatnonzero(class_of == class_of[flip]).tolist()
+    with pytest.raises(ValueError, match="not a subgroup of distinct rows"):
+        G.quotient(normal_set)
 
 
 def test_quotient_d4_by_center(group):
@@ -674,6 +750,25 @@ def test_scan_law_calls_are_pinned():
     scan = structure_scan(F.to_abstract())
     assert (len(scan.center), len(scan.maximal_abelian)) == (16, 256)
     assert len(calls) == 96
+
+
+def test_construction_law_calls_are_pinned(monkeypatch):
+    # the explicit construction on Hei(F_16), on its law, makes exactly
+    # this many calls of the family's product, which repeats from run to
+    # run.  Cosets discovered one representative at a time, with one call
+    # each, made 164
+    from chainrep.minfaith_solver import construct_faithful_heisenberg
+
+    calls, law = [], HeisenbergGroup.product
+
+    def counted(self, I, J):
+        calls.append(1)
+        return law(self, I, J)
+
+    monkeypatch.setattr(HeisenbergGroup, "product", counted)
+    sol = construct_faithful_heisenberg(make_ring(2, 4, 1, 1))
+    assert (sol.total_dim, sol.verified_faithful) == (64, True)
+    assert len(calls) == 108
 
 
 def test_semidirect_rejects_non_units():
