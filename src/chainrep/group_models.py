@@ -185,9 +185,9 @@ class _Spanned:
 
     def _subgroup(self, rows) -> tuple[np.ndarray, list[int]]:
         """``_span`` of the distinct rows of a subgroup; raises
-        NotSubgroupError unless the span, which holds them, has no other."""
+        NotSubgroupError unless they are distinct and their span has no other."""
         mask, gens = self._span(rows)
-        if np.count_nonzero(mask) != len(rows):
+        if np.count_nonzero(mask) != len(rows) or len(_distinct(rows)) != len(rows):
             raise NotSubgroupError("not a subgroup of distinct rows")
         return mask, gens
 
@@ -566,10 +566,9 @@ class AbstractGroup(_Spanned):
 
     def quotient(self, normal_elems):
         """(quotient group, coset_of array) for the distinct rows N of a
-        normal subgroup, which holds when the generators of G conjugate
-        those of N into N, as x<S>x^-1 = <xSx^-1>.  The cosets gN, orbits
-        of right multiplication by N's generators, are numbered by their
-        least element."""
+        normal subgroup, which holds when G's generators conjugate N's
+        into N, as x<S>x^-1 = <xSx^-1>.  The cosets gN, orbits of right
+        multiplication by N's generators, are numbered by least element."""
         N = np.asarray(normal_elems, dtype=np.int64)
         member, gens = self._subgroup(N)
         if not member[self._conjugates(self.generators, gens)].all():

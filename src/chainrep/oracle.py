@@ -245,7 +245,9 @@ class CharacterTable:
                 last_err = exc
                 l = _prime_above(l, self.exponent)
         else:
-            raise ModularPrimeNotFoundError(f"no workable prime after {MAX_PRIME_TRIES} tries: {last_err}")
+            raise ModularPrimeNotFoundError(
+                f"no workable prime after {MAX_PRIME_TRIES} tries: {last_err}"
+            )
         self._verify()
 
     @cached_property

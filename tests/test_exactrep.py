@@ -207,7 +207,9 @@ def test_identity_matrix_detection(group):
 def test_induce_rejects_non_subgroup(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
-    for bad in (sub[:-1], sub + sub[:1]):  # drops one rotation: not closed; repeats one
+    # drops one rotation: not closed; repeats one; drops r^3 and repeats
+    # r, a list as long as <r> that spans it
+    for bad in (sub[:-1], sub + sub[:1], sub[:-1] + sub[1:2]):
         with pytest.raises(NotSubgroupError):
             MonomialRep.induce(G, LinearChar(1, bad, [0] * len(bad)))
 

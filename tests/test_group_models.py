@@ -416,6 +416,11 @@ def test_quotient_rejects_a_set_that_is_not_a_subgroup(group):
     normal_set = [G.identity] + np.flatnonzero(class_of == class_of[flip]).tolist()
     with pytest.raises(ValueError, match="not a subgroup of distinct rows"):
         G.quotient(normal_set)
+    # e, r, r^2, r: as many rows as the normal subgroup <r> they span,
+    # with r^3 missing and r repeated
+    rot = [i for i, nm in enumerate(G.names) if nm[1] == 1]
+    with pytest.raises(ValueError, match="not a subgroup of distinct rows"):
+        G.quotient(rot[:-1] + rot[1:2])
 
 
 def test_quotient_d4_by_center(group):
