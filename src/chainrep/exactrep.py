@@ -9,10 +9,11 @@ multiplicities (the oracle's ``mu``) reduces by one product with it,
 and ``cyc_str`` prints the reduced vector.  Representations built here
 are monomial (permutation matrices with root-of-unity scalars), which
 is all the induction machinery ever produces from a linear character.
-Group elements are named by their rows in ``group.elements`` order
-only: a linear character is two aligned int64 arrays, the rows of its
-subgroup and its root-of-unity exponents there, and a representation is
-two (|G|, degree) integer arrays, sigma and exps, indexed by row.
+Group elements are named by their rows 0..|G|-1 only: a linear
+character is two aligned int64 arrays, the rows of its subgroup and its
+root-of-unity exponents there, and a representation is two
+(|G|, degree) integer arrays, sigma and exps, indexed by row; only an
+error message names an element by ``group.names``.
 Induction finds the cosets as orbits (``group._cosets``) and fills the
 arrays from index-array products (``group.product``), with no loop
 over the rows; the kernel is the rows equal to
@@ -132,20 +133,21 @@ def _check_character(group, sub, vals, m, gens):
     on the word length of the right factor."""
     pos = np.full(group.order, -1, dtype=np.int64)
     pos[sub] = np.arange(len(sub))
-    if vals[pos[group.index_of([group.identity])[0]]] % m != 0:
+    if vals[pos[group.identity]] % m != 0:
         raise ChiNotHomomorphismError("chi(identity) != 1")
     for s in gens:
         bad = np.flatnonzero((vals + vals[pos[s]] - vals[pos[group.product(sub, s)]]) % m)
         if len(bad):
-            a, b = group.elements[sub[bad[0]]], group.elements[s]
+            names = group.names or range(group.order)
+            a, b = names[sub[bad[0]]], names[s]
             raise ChiNotHomomorphismError(f"chi not multiplicative at ({a!r}, {b!r})")
 
 
 class MonomialRep:
     """A monomial representation: for the element in row g of the group
-    (``group.elements`` order) a permutation sigma[g] of the basis and
-    scalar exponents exps[g], rho(g) e_t = zeta^exps[g, t] e_sigma[g, t].
-    sigma and exps are (|G|, degree) integer arrays."""
+    a permutation sigma[g] of the basis and scalar exponents exps[g],
+    rho(g) e_t = zeta^exps[g, t] e_sigma[g, t].  sigma and exps are
+    (|G|, degree) integer arrays."""
 
     def __init__(self, group, degree, scalar_order, sigma, exps):
         self.group = group
@@ -191,4 +193,4 @@ class DirectSumRep:
         return np.flatnonzero(np.logical_and.reduce([s.identity_rows for s in self.summands]))
 
     def is_faithful(self) -> bool:
-        return self.kernel().tolist() == self.group.index_of([self.group.identity]).tolist()
+        return self.kernel().tolist() == [self.group.identity]

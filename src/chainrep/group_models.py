@@ -1,24 +1,22 @@
 """Group models: Heisenberg, unitriangular and affine groups over a
 chain ring, plus abstract groups, given by a table or by a family's law.
 
-Family elements are tuples of ring element indices, so they hash and
-sort canonically.  Each family writes its group law once, as a numpy
-function on coordinates through the ring lookup tables, and numbers its
-elements by a codec between coordinates and row indices, rows in
-``elements`` order.  The codec decodes rows by a gather from one array
-of |G| entries per coordinate, built on first use and refused past what
-numpy can allocate as the cap is.  The index-array ``product`` used by
-induction evaluates that one law, and so does ``to_abstract``, a
-LawGroup for groups up to the configured cap: an AbstractGroup whose
-``product`` is the family's law.  Its dense multiplication table,
-evaluated on an open mesh of coordinates, is built only when it is
-first read, which the character-table oracle does before anything
-else; the structure scan and the constructions need only products, and
-its inverses come from the walk g, g^2, ... that gives the element
-orders.  The distinguished table groups
-(semidirect products of cyclic groups, Q8 and GL_2) likewise write
-their law once, on row-index arrays, and their tables are filled a
-block of rows at a time.  AbstractGroup's group layer (element orders,
+A ring family is itself an AbstractGroup on rows 0..|G|-1.  Each family
+writes its group law once, as a numpy function on coordinates through
+the ring lookup tables, and numbers its elements by a codec between
+coordinates (tuples of ring element indices, listed in ``names``) and
+rows.  The codec decodes rows by a gather from one array of |G| entries
+per coordinate, built on first use and refused past what numpy can
+allocate as the cap is.  A family's ``product`` evaluates that one law
+until its dense multiplication table is first read, which the
+character-table oracle does before anything else, and indexes the
+table from then on; the table is evaluated on an open mesh of
+coordinates.  The structure scan and the constructions need only
+products, and a family's inverses come from the walk g, g^2, ... that
+gives the element orders.  The distinguished table groups (semidirect
+products of cyclic groups, Q8 and GL_2) likewise write their law once,
+on row-index arrays, and their tables are filled a block of rows at a
+time.  AbstractGroup's group layer (spans, element orders,
 centralizers, classes, the commutator subgroup, quotients and the
 structure scan) is written once, against ``product``, ``inverse`` and
 ``identity``.  Conjugacy classes, quotient cosets and the cosets of an
@@ -60,9 +58,6 @@ def _check_cap(order: int):
     cap = group_cap()
     if order > cap:
         raise CapExceededError(f"|G| = {order} exceeds cap {cap}")
-
-
-# -- the ring families ------------------------------------------------
 
 
 # Entries of a table block: the laws hold a few int64 arrays of a block
@@ -122,321 +117,15 @@ def _index_table(n: int, product, names, width: int = 1) -> "AbstractGroup":
     return AbstractGroup(table, names=names, validate=False)
 
 
-def _family_table(self) -> np.ndarray:
-    """The dense multiplication table of a ring family, from its law on
-    an open mesh.  Row indices are the codec's digits, so the table is
-    viewed with shape radices + radices: with w digits, digit t of the
-    left factor runs along axis t and of the right factor along axis
-    w + t.  Each coordinate of the law's output then spans only the axes
-    it depends on, and ``_encode`` broadcasts them to the full-size block
-    of the view.  A block fixes as few leading digits of the left factor
-    as keep it within _BLOCK entries."""
-    _check_cap(self.order)
-    n, table = self.order, _empty_table(self.order)  # before the digit arrays, which are O(|R|)
-    radices = [len(v) for v in self._digits]
-    lead = 0
-    while lead < len(radices) and n * math.prod(radices[lead:]) > _BLOCK:
-        lead += 1
-    view = table.reshape(radices + radices)
-    mesh = np.ix_(*self._digits[lead:], *self._digits)
-    free, right = list(mesh[: len(radices) - lead]), list(mesh[len(radices) - lead :])
-    for fixed in np.ndindex(*radices[:lead]):
-        left = [v[d] for v, d in zip(self._digits, fixed)] + free
-        view[fixed] = self._encode(self._law(left, right))
-    return table
-
-
-def _law_group(self) -> "LawGroup":
-    """The family as an AbstractGroup on its law; refused past the cap."""
-    _check_cap(self.order)
-    return LawGroup(self)
-
-
-class _Spanned:
-    """Spans of rows, written against ``product``, ``index_of`` and
-    ``identity``, which the ring families and the table groups share."""
-
-    def _span(self, seed, base=None) -> tuple[np.ndarray, list[int]]:
-        """Greedy closure: (member mask of the subgroup generated by the
-        rows seed, the seed rows that enlarged it, in seed order).  With
-        base, the (mask, rows) of a subgroup, the closure of that subgroup
-        and seed, which extends base in place.  Each kept row g grows the
-        mask breadth-first: the subgroup so far times g, then each new
-        layer times every kept row, which in a finite group reaches every
-        product.  The mask is the first array of |G| entries that the
-        structure scan and the constructions allocate on a LawGroup."""
-        if base is None:
-            mask = _allocate(self.order, "a mask of its elements", lambda: np.zeros(self.order, dtype=bool))
-            mask[self.index_of([self.identity])] = True
-            gens = []
-        else:
-            mask, gens = base
-        for g in seed:
-            if mask[g]:
-                continue
-            gens.append(int(g))
-            front, right = np.flatnonzero(mask), np.array([g])  # closed under the earlier rows
-            while len(front):
-                prod = self.product(front[:, None], right).ravel()
-                front = _distinct(prod[~mask[prod]])
-                mask[front] = True
-                right = np.array(gens)
-        return mask, gens
-
-    def _subgroup(self, rows) -> tuple[np.ndarray, list[int]]:
-        """``_span`` of the distinct rows of a subgroup; raises
-        NotSubgroupError unless they are distinct and their span has no other."""
-        mask, gens = self._span(rows)
-        if np.count_nonzero(mask) != len(rows) or len(_distinct(rows)) != len(rows):
-            raise NotSubgroupError("not a subgroup of distinct rows")
-        return mask, gens
-
-    def _cosets(self, gens) -> tuple[np.ndarray, np.ndarray]:
-        """(reps, coset_of) of the left cosets x<gens>, the orbits of right
-        multiplication by the rows gens: reps the least row of each,
-        ascending, and coset_of[x] the position of x's among them."""
-        gens = np.asarray(gens, dtype=np.int64)  # int64 when empty, as an index
-        least = _orbit_labels(self.product(np.arange(self.order), gens[:, None]))
-        reps = np.flatnonzero(least == np.arange(self.order))
-        return reps, np.searchsorted(reps, least)
-
-    @cached_property
-    def generators(self) -> list[int]:
-        """A generating set: each row that is not yet generated by the
-        smaller ones."""
-        return self._span(range(self.order))[1]
-
-
-class _RingFamily(_Spanned):
-    """What the ring families share.  Each family writes its product
-    once, as ``_law`` on coordinates (one integer or one numpy array per
-    coordinate), and numbers its elements by a codec ``_encode`` /
-    ``_decode`` between coordinates and row indices; the default codec
-    is a radix over the ring size, first coordinate most significant.
-    ``_digits`` holds, per radix digit, the coordinate value of each
-    digit value, and ``_decode`` gathers from ``_coords``, the
-    coordinates of every row, which they fill.  The index-array
-    ``product`` and the ``to_abstract`` group both come from the law,
-    and rows follow ``elements``.  Each family
-    class binds ``to_abstract`` in its own namespace, which is where
-    perfbench's tracer looks for it."""
-
-    @cached_property
-    def _digits(self) -> list[np.ndarray]:
-        return [np.arange(self.ring.size)] * len(self.identity)
-
-    # the ring's N x N tables, built on first use of the law: |G| and
-    # the closed forms need none
-    @cached_property
-    def _add(self) -> np.ndarray:
-        return self.ring.add_table.astype(np.int64)
-
-    @cached_property
-    def _mul(self) -> np.ndarray:
-        return self.ring.mul_table.astype(np.int64)
-
-    def _encode(self, coords):
-        idx = 0
-        for c in coords:
-            idx = idx * self.ring.size + c
-        return idx
-
-    @cached_property
-    def _coords(self) -> np.ndarray:
-        """(w, |G|) int64: coordinate t of the element in each row, which
-        ``_decode`` gathers.  Row indices are mixed-radix numbers over the
-        ``_digits``, so coordinate t, seen with one axis per digit, varies
-        along axis t alone and is filled by broadcasting."""
-        radices = [len(v) for v in self._digits]
-        w = len(radices)
-        coords = _allocate(self.order, "its coordinates", lambda: np.empty((w, self.order), dtype=np.int64))
-        view = coords.reshape([w] + radices)
-        for t, v in enumerate(self._digits):
-            view[t] = v.reshape([-1 if u == t else 1 for u in range(w)])
-        return coords
-
-    def _decode(self, idx):
-        return self._coords.take(idx, axis=1)
-
-    @cached_property
-    def elements(self) -> list[tuple]:
-        return list(zip(*self._coords.tolist()))
-
-    def index_of(self, elems) -> np.ndarray:
-        """Row indices of a list of elements."""
-        return self._encode(np.asarray(elems, dtype=np.int64).T)
-
-    def _rows(self, free) -> np.ndarray:
-        """Rows, ascending, of the elements whose coordinate t runs over
-        the ring indices free[t] and whose other coordinates are the
-        identity's."""
-        axes = [np.asarray(free.get(t, [c]), dtype=np.int64) for t, c in enumerate(self.identity)]
-        return np.sort(self._encode([a.ravel() for a in np.meshgrid(*axes, indexing="ij")]))
-
-    def product(self, I, J) -> np.ndarray:
-        """Row indices of the products of the elements with row indices
-        I and J (numpy broadcasting)."""
-        return self._encode(self._law(self._decode(I), self._decode(J)))
-
-
-# -- Heisenberg groups -----------------------------------------------
-
-
-class HeisenbergGroup(_RingFamily):
-    """Hei_{2k+1}(R): triples (x, y, z) with x, y in R^k, z in R, and
-    (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1.y2)."""
-
-    def __init__(self, R: RingSpec, k: int = 1):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.ring = R
-        self.k = k
-        self.order = R.size ** (2 * k + 1)
-        self.identity = (0,) * (2 * k + 1)
-
-    def __repr__(self):
-        return f"HeisenbergGroup({self.ring!r}, k={self.k})"
-
-    def _law(self, g, h):
-        k, add, mul = self.k, self._add, self._mul
-        z = add[g[2 * k], h[2 * k]]
-        for t in range(k):
-            z = add[z, mul[g[t], h[k + t]]]
-        return [add[g[t], h[t]] for t in range(2 * k)] + [z]
-
-    to_abstract = _law_group
-
-    @cached_property
-    def center(self) -> np.ndarray:
-        """Z = {(0, 0, z)}."""
-        return self._rows({2 * self.k: range(self.ring.size)})
-
-    def stabilizer_subgroup(self, ann_indices) -> np.ndarray:
-        """L_s = {(0, y, 0) : every y_t in the given ideal}."""
-        return self._rows({self.k + t: ann_indices for t in range(self.k)})
-
-
-# -- unitriangular groups --------------------------------------------
-
-
-class UnitriangularGroup(_RingFamily):
-    """Upper unitriangular size x size matrices over R; elements are
-    tuples of the strictly-upper entries in row-major order."""
-
-    def __init__(self, R: RingSpec, size: int):
-        if size < 2:
-            raise ValueError("matrix size must be >= 2")
-        self.ring = R
-        self.size = size
-        self.positions = [(i, j) for i in range(size) for j in range(i + 1, size)]
-        self.pos_index = {pos: t for t, pos in enumerate(self.positions)}
-        self.nentries = len(self.positions)
-        self.order = R.size**self.nentries
-        self.identity = (0,) * self.nentries
-
-    def __repr__(self):
-        return f"UnitriangularGroup({self.ring!r}, size={self.size})"
-
-    def _law(self, a, b):
-        add, mul, pos = self._add, self._mul, self.pos_index
-        out = []
-        for i, j in self.positions:
-            c = add[a[pos[i, j]], b[pos[i, j]]]
-            for t in range(i + 1, j):
-                c = add[c, mul[a[pos[i, t]], b[pos[t, j]]]]
-            out.append(c)
-        return out
-
-    to_abstract = _law_group
-
-    def _block_rows(self, entries) -> np.ndarray:
-        """Rows of the matrices supported on the given (i, j) entries."""
-        S = range(self.ring.size)
-        return self._rows({self.pos_index[pos]: S for pos in entries})
-
-    @cached_property
-    def center(self) -> np.ndarray:
-        """Matrices supported on the top-right corner entry."""
-        return self._block_rows([(0, self.size - 1)])
-
-    def embed_heisenberg(self, g) -> tuple:
-        """Image of a Hei_{2k+1} element (k = size-2): x fills the first
-        row, y the last column, z the corner."""
-        k = self.size - 2
-        out = [0] * self.nentries
-        for t in range(k):
-            out[self.pos_index[(0, 1 + t)]] = g[t]
-            out[self.pos_index[(1 + t, self.size - 1)]] = g[k + t]
-        out[self.pos_index[(0, self.size - 1)]] = g[2 * k]
-        return tuple(out)
-
-    @cached_property
-    def heisenberg_subgroup(self) -> np.ndarray:
-        """The image of ``embed_heisenberg``: the first row and last column."""
-        return self._block_rows([(i, j) for i, j in self.positions if i == 0 or j == self.size - 1])
-
-    @cached_property
-    def middle_subgroup(self) -> np.ndarray:
-        """Unitriangular matrices of the inner (size-2) block."""
-        return self._block_rows([(i, j) for i, j in self.positions if i > 0 and j < self.size - 1])
-
-
-# -- affine groups ----------------------------------------------------
-
-
-class AffineGroup(_RingFamily):
-    """Aff(R) = R join R^*: pairs (a, u) acting as x |-> a + u x, with
-    (a1,u1)(a2,u2) = (a1 + u1 a2, u1 u2).  Row a*|R^*| + i holds (a, u)
-    for the i-th unit u."""
-
-    def __init__(self, R: RingSpec):
-        self.ring = R
-        self.order = R.size * R.unit_count()
-        self.identity = (0, R.basis_index(0))
-
-    @cached_property
-    def _units(self) -> np.ndarray:
-        """The units, ascending, listed on first use of the law."""
-        return np.flatnonzero(self.ring.valuation_table == 0)
-
-    @cached_property
-    def _unit_pos(self) -> np.ndarray:
-        pos = np.full(self.ring.size, -1, dtype=np.int64)
-        pos[self._units] = np.arange(len(self._units))
-        return pos
-
-    @cached_property
-    def _digits(self) -> list[np.ndarray]:
-        return [np.arange(self.ring.size), self._units]
-
-    def __repr__(self):
-        return f"AffineGroup({self.ring!r})"
-
-    def _law(self, g, h):
-        (a1, u1), (a2, u2) = g, h
-        return [self._add[a1, self._mul[u1, a2]], self._mul[u1, u2]]
-
-    def _encode(self, coords):
-        a, u = coords
-        return a * len(self._units) + self._unit_pos[u]
-
-    to_abstract = _law_group
-
-    @cached_property
-    def translations(self) -> np.ndarray:
-        """{(a, 1)}: the normal subgroup R."""
-        return self._rows({0: range(self.ring.size)})
-
-
 # -- abstract groups -------------------------------------------------
 
 
-class AbstractGroup(_Spanned):
+class AbstractGroup:
     """A finite group on the elements 0..n-1, given by its dense
-    multiplication table; ``names`` optionally attaches labels (family
-    tuples).  Everything past the constructor, which checks the table,
-    is written against ``product``, ``inverse`` and ``identity`` only, so
-    LawGroup runs it on a ring family's law."""
+    multiplication table; ``names`` optionally attaches labels.
+    Everything past the constructor, which checks the table, is written
+    against ``product``, ``inverse`` and ``identity`` only, so a ring
+    family, a subclass with none of them stored, runs it on its law."""
 
     def __init__(self, table, names=None, validate=True):
         table = np.asarray(table)
@@ -476,11 +165,58 @@ class AbstractGroup(_Spanned):
     def elements(self):
         return list(range(self.order))
 
-    def index_of(self, elems) -> np.ndarray:
-        return np.asarray(elems, dtype=np.int64)
-
     def product(self, I, J) -> np.ndarray:
         return self.table[I, J]
+
+    def _span(self, seed, base=None) -> tuple[np.ndarray, list[int]]:
+        """Greedy closure: (member mask of the subgroup generated by the
+        rows seed, the seed rows that enlarged it, in seed order).  With
+        base, the (mask, rows) of a subgroup, the closure of that subgroup
+        and seed, which extends base in place.  Each kept row g grows the
+        mask breadth-first: the subgroup so far times g, then each new
+        layer times every kept row, which in a finite group reaches every
+        product.  The mask is the first array of |G| entries that the
+        structure scan and the constructions allocate on a ring family."""
+        if base is None:
+            mask = _allocate(self.order, "a mask of its elements", lambda: np.zeros(self.order, dtype=bool))
+            mask[self.identity] = True
+            gens = []
+        else:
+            mask, gens = base
+        for g in seed:
+            if mask[g]:
+                continue
+            gens.append(int(g))
+            front, right = np.flatnonzero(mask), np.array([g])  # closed under the earlier rows
+            while len(front):
+                prod = self.product(front[:, None], right).ravel()
+                front = _distinct(prod[~mask[prod]])
+                mask[front] = True
+                right = np.array(gens)
+        return mask, gens
+
+    def _subgroup(self, rows) -> tuple[np.ndarray, list[int]]:
+        """``_span`` of the distinct rows of a subgroup; raises
+        NotSubgroupError unless they are distinct and their span has no other."""
+        mask, gens = self._span(rows)
+        if np.count_nonzero(mask) != len(rows) or len(_distinct(rows)) != len(rows):
+            raise NotSubgroupError("not a subgroup of distinct rows")
+        return mask, gens
+
+    def _cosets(self, gens) -> tuple[np.ndarray, np.ndarray]:
+        """(reps, coset_of) of the left cosets x<gens>, the orbits of right
+        multiplication by the rows gens: reps the least row of each,
+        ascending, and coset_of[x] the position of x's among them."""
+        gens = np.asarray(gens, dtype=np.int64)  # int64 when empty, as an index
+        least = _orbit_labels(self.product(np.arange(self.order), gens[:, None]))
+        reps = np.flatnonzero(least == np.arange(self.order))
+        return reps, np.searchsorted(reps, least)
+
+    @cached_property
+    def generators(self) -> list[int]:
+        """A generating set: each row that is not yet generated by the
+        smaller ones."""
+        return self._span(range(self.order))[1]
 
     def _check_associativity(self):
         # Light's test: associativity on a generating set implies it
@@ -645,36 +381,262 @@ class AbstractGroup(_Spanned):
         return AbstractGroup(np.asarray(rows, dtype=np.int64), names=names, validate=True)
 
 
-class LawGroup(AbstractGroup):
-    """A ring family as an AbstractGroup (``to_abstract``): the family's
-    rows, with ``product`` the family's law until ``table`` is first
-    read, and an index into the table from then on.  ``table`` (the
-    family's open-mesh fill), ``inverse`` (from the walk that gives the
-    element orders) and ``names`` are built on first read.  The
-    character-table oracle reads ``table`` before anything else, so it
-    works on the table; the structure scan and the constructions, alone,
-    never build it."""
+# -- the ring families ------------------------------------------------
 
-    def __init__(self, family):
-        self.family = family
-        self.order = family.order
-        self.identity = int(family.index_of([family.identity])[0])
+
+def _itself(self) -> "_RingFamily":
+    """The family, which is its own AbstractGroup; refused past the cap."""
+    _check_cap(self.order)
+    return self
+
+
+class _RingFamily(AbstractGroup):
+    """What the ring families share: an AbstractGroup on rows 0..|G|-1
+    with nothing stored but its parameters.  Each family writes its
+    product once, as ``_law`` on coordinates (one integer or one numpy
+    array per coordinate), and numbers its elements by a codec
+    ``_encode`` / ``_decode`` between coordinates and rows; the default
+    codec is a radix over the ring size, first coordinate most
+    significant.  ``_digits`` holds, per radix digit, the coordinate
+    value of each digit value, and ``_decode`` gathers from ``_coords``,
+    the coordinates of every row, which they fill.  ``_identity`` is the
+    identity's coordinates and ``names`` the coordinates of each row.
+    ``product`` is the law until ``table`` (the open-mesh fill) is first
+    read, and an index into the table from then on; ``inverse`` comes
+    from the walk that gives the element orders.  ``to_abstract`` is the
+    family itself; each family class binds it in its own namespace,
+    which is where perfbench's tracer looks for it."""
 
     @cached_property
-    def table(self) -> np.ndarray:
-        return _family_table(self.family)
+    def identity(self) -> int:
+        return int(self._encode(self._identity))
+
+    @cached_property
+    def _digits(self) -> list[np.ndarray]:
+        return [np.arange(self.ring.size)] * len(self._identity)
+
+    # the ring's N x N tables, built on first use of the law: |G| and
+    # the closed forms need none
+    @cached_property
+    def _add(self) -> np.ndarray:
+        return self.ring.add_table.astype(np.int64)
+
+    @cached_property
+    def _mul(self) -> np.ndarray:
+        return self.ring.mul_table.astype(np.int64)
+
+    def _encode(self, coords):
+        idx = 0
+        for c in coords:
+            idx = idx * self.ring.size + c
+        return idx
+
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        """(w, |G|) int64: coordinate t of the element in each row, which
+        ``_decode`` gathers.  Row indices are mixed-radix numbers over the
+        ``_digits``, so coordinate t, seen with one axis per digit, varies
+        along axis t alone and is filled by broadcasting."""
+        radices = [len(v) for v in self._digits]
+        w = len(radices)
+        coords = _allocate(self.order, "its coordinates", lambda: np.empty((w, self.order), dtype=np.int64))
+        view = coords.reshape([w] + radices)
+        for t, v in enumerate(self._digits):
+            view[t] = v.reshape([-1 if u == t else 1 for u in range(w)])
+        return coords
+
+    def _decode(self, idx):
+        return self._coords.take(idx, axis=1)
+
+    @cached_property
+    def names(self) -> list[tuple]:
+        return list(zip(*self._coords.tolist()))
+
+    def index_of(self, elems) -> np.ndarray:
+        """Rows of a list of coordinate tuples."""
+        return self._encode(np.asarray(elems, dtype=np.int64).T)
+
+    def _rows(self, free) -> np.ndarray:
+        """Rows, ascending, of the elements whose coordinate t runs over
+        the ring indices free[t] and whose other coordinates are the
+        identity's."""
+        axes = [np.asarray(free.get(t, [c]), dtype=np.int64) for t, c in enumerate(self._identity)]
+        return np.sort(self._encode([a.ravel() for a in np.meshgrid(*axes, indexing="ij")]))
+
+    def product(self, I, J) -> np.ndarray:
+        """Rows of the products of the elements in rows I and J (numpy
+        broadcasting)."""
+        table = self.__dict__.get("table")
+        if table is not None:
+            return table[I, J]
+        return self._encode(self._law(self._decode(I), self._decode(J)))
 
     @cached_property
     def inverse(self) -> np.ndarray:
         return self._power_walk[1]
 
     @cached_property
-    def names(self) -> list[tuple]:
-        return self.family.elements
+    def table(self) -> np.ndarray:
+        """The dense multiplication table, from the law on an open mesh.
+        Rows are the codec's digits, so the table is viewed with shape
+        radices + radices: with w digits, digit t of the left factor runs
+        along axis t and of the right factor along axis w + t.  Each
+        coordinate of the law's output then spans only the axes it
+        depends on, and ``_encode`` broadcasts them to the full-size
+        block of the view.  A block fixes as few leading digits of the
+        left factor as keep it within _BLOCK entries."""
+        _check_cap(self.order)
+        n, table = self.order, _empty_table(self.order)  # before the digit arrays, which are O(|R|)
+        radices = [len(v) for v in self._digits]
+        lead = 0
+        while lead < len(radices) and n * math.prod(radices[lead:]) > _BLOCK:
+            lead += 1
+        view = table.reshape(radices + radices)
+        mesh = np.ix_(*self._digits[lead:], *self._digits)
+        free, right = list(mesh[: len(radices) - lead]), list(mesh[len(radices) - lead :])
+        for fixed in np.ndindex(*radices[:lead]):
+            left = [v[d] for v, d in zip(self._digits, fixed)] + free
+            view[fixed] = self._encode(self._law(left, right))
+        return table
 
-    def product(self, I, J) -> np.ndarray:
-        table = self.__dict__.get("table")
-        return self.family.product(I, J) if table is None else table[I, J]
+
+# -- Heisenberg groups -----------------------------------------------
+
+
+class HeisenbergGroup(_RingFamily):
+    """Hei_{2k+1}(R): triples (x, y, z) with x, y in R^k, z in R, and
+    (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1.y2)."""
+
+    def __init__(self, R: RingSpec, k: int = 1):
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        self.ring = R
+        self.k = k
+        self.order = R.size ** (2 * k + 1)
+        self._identity = (0,) * (2 * k + 1)
+
+    def __repr__(self):
+        return f"HeisenbergGroup({self.ring!r}, k={self.k})"
+
+    def _law(self, g, h):
+        k, add, mul = self.k, self._add, self._mul
+        z = add[g[2 * k], h[2 * k]]
+        for t in range(k):
+            z = add[z, mul[g[t], h[k + t]]]
+        return [add[g[t], h[t]] for t in range(2 * k)] + [z]
+
+    to_abstract = _itself
+
+    def stabilizer_subgroup(self, ann_indices) -> np.ndarray:
+        """L_s = {(0, y, 0) : every y_t in the given ideal}."""
+        return self._rows({self.k + t: ann_indices for t in range(self.k)})
+
+
+# -- unitriangular groups --------------------------------------------
+
+
+class UnitriangularGroup(_RingFamily):
+    """Upper unitriangular size x size matrices over R; elements are
+    tuples of the strictly-upper entries in row-major order."""
+
+    def __init__(self, R: RingSpec, size: int):
+        if size < 2:
+            raise ValueError("matrix size must be >= 2")
+        self.ring = R
+        self.size = size
+        self.positions = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        self.pos_index = {pos: t for t, pos in enumerate(self.positions)}
+        self.nentries = len(self.positions)
+        self.order = R.size**self.nentries
+        self._identity = (0,) * self.nentries
+
+    def __repr__(self):
+        return f"UnitriangularGroup({self.ring!r}, size={self.size})"
+
+    def _law(self, a, b):
+        add, mul, pos = self._add, self._mul, self.pos_index
+        out = []
+        for i, j in self.positions:
+            c = add[a[pos[i, j]], b[pos[i, j]]]
+            for t in range(i + 1, j):
+                c = add[c, mul[a[pos[i, t]], b[pos[t, j]]]]
+            out.append(c)
+        return out
+
+    to_abstract = _itself
+
+    def _block_rows(self, entries) -> np.ndarray:
+        """Rows of the matrices supported on the given (i, j) entries."""
+        S = range(self.ring.size)
+        return self._rows({self.pos_index[pos]: S for pos in entries})
+
+    def embed_heisenberg(self, g) -> tuple:
+        """Image of a Hei_{2k+1} element (k = size-2): x fills the first
+        row, y the last column, z the corner."""
+        k = self.size - 2
+        out = [0] * self.nentries
+        for t in range(k):
+            out[self.pos_index[(0, 1 + t)]] = g[t]
+            out[self.pos_index[(1 + t, self.size - 1)]] = g[k + t]
+        out[self.pos_index[(0, self.size - 1)]] = g[2 * k]
+        return tuple(out)
+
+    @cached_property
+    def heisenberg_subgroup(self) -> np.ndarray:
+        """The image of ``embed_heisenberg``: the first row and last column."""
+        return self._block_rows([(i, j) for i, j in self.positions if i == 0 or j == self.size - 1])
+
+    @cached_property
+    def middle_subgroup(self) -> np.ndarray:
+        """Unitriangular matrices of the inner (size-2) block."""
+        return self._block_rows([(i, j) for i, j in self.positions if i > 0 and j < self.size - 1])
+
+
+# -- affine groups ----------------------------------------------------
+
+
+class AffineGroup(_RingFamily):
+    """Aff(R) = R join R^*: pairs (a, u) acting as x |-> a + u x, with
+    (a1,u1)(a2,u2) = (a1 + u1 a2, u1 u2).  Row a*|R^*| + i holds (a, u)
+    for the i-th unit u."""
+
+    def __init__(self, R: RingSpec):
+        self.ring = R
+        self.order = R.size * R.unit_count()
+        self._identity = (0, R.basis_index(0))
+
+    @cached_property
+    def _units(self) -> np.ndarray:
+        """The units, ascending, listed on first use of the law."""
+        return np.flatnonzero(self.ring.valuation_table == 0)
+
+    @cached_property
+    def _unit_pos(self) -> np.ndarray:
+        pos = np.full(self.ring.size, -1, dtype=np.int64)
+        pos[self._units] = np.arange(len(self._units))
+        return pos
+
+    @cached_property
+    def _digits(self) -> list[np.ndarray]:
+        return [np.arange(self.ring.size), self._units]
+
+    def __repr__(self):
+        return f"AffineGroup({self.ring!r})"
+
+    def _law(self, g, h):
+        (a1, u1), (a2, u2) = g, h
+        return [self._add[a1, self._mul[u1, a2]], self._mul[u1, u2]]
+
+    def _encode(self, coords):
+        a, u = coords
+        return a * len(self._units) + self._unit_pos[u]
+
+    to_abstract = _itself
+
+    @cached_property
+    def translations(self) -> np.ndarray:
+        """{(a, 1)}: the normal subgroup R."""
+        return self._rows({0: range(self.ring.size)})
 
 
 # -- distinguished abstract groups -----------------------------------
@@ -826,7 +788,7 @@ def _generator_series(group, rows, seed=()):
     the earlier generators.  Row a of exps is the exponent vector of
     candidate a (0 <= e_i < d_i), and M is the exponent of A."""
     cand = np.concatenate([np.asarray(seed, dtype=np.int64), np.asarray(rows, dtype=np.int64)])
-    ident = int(group.index_of([group.identity])[0])
+    ident = group.identity
     where = np.full(group.order, -1, dtype=np.int64)  # position in members
     where[ident] = 0
     members, exps = np.array([ident]), np.zeros((1, 0), dtype=np.int64)

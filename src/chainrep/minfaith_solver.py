@@ -96,9 +96,12 @@ def formula_unitriangular(p: int, f: int, e, n: int, size: int) -> int:
     S_b, where the induced sum restricts to copies of psi(b .), which are
     jointly faithful there; a nontrivial normal subgroup of a p-group
     meets the centre, so the sum is faithful, and its degree is the
-    Heisenberg sum.  No step halves."""
-    if size < 3:
-        raise ValueError("matrix size must be >= 3")
+    Heisenberg sum.  No step halves.  Sizes from 2: U_2(R) is (R, +),
+    whose minimum is its generator count f * xi, the sum at k = 0."""
+    if size < 2:
+        raise ValueError("matrix size must be >= 2")
+    if size == 2:
+        return make_ring(p, f, e, n).d_invariant
     return formula_heisenberg(p, f, e, n, k=size - 2)
 
 

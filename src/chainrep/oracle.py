@@ -222,7 +222,7 @@ class CharacterTable:
 
     def __init__(self, G: AbstractGroup):
         _check_cap(G.order)
-        G.table  # first: a LawGroup then indexes its table, and refuses one it cannot allocate before any O(|G|) array
+        G.table  # first: a ring family then indexes its table, and refuses one it cannot allocate before any O(|G|) array
         self.group = G
         reps, class_of, sizes = G.conjugacy
         self.reps = list(reps)

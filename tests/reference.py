@@ -569,7 +569,7 @@ def check_homomorphism(rep) -> bool:
     length of the right factor, rho is then a homomorphism."""
     G, m = rep.group, rep.scalar_order
     g = np.arange(G.order)
-    if not rep.identity_rows[G.index_of([G.identity])[0]]:
+    if not rep.identity_rows[G.identity]:
         return False
     for s in G.generators:
         gs, ss = G.product(g, s), rep.sigma[s]

@@ -159,6 +159,25 @@ def test_minfaith_unitriangular(capsys):
     assert out.splitlines()[0] == "9"
 
 
+def test_minfaith_unitriangular_size_2(capsys):
+    # U_2(R) is (R, +), whose minimum is its generator count f * xi: the
+    # closed form agrees with the oracle, and --mode all runs both
+    from chainrep.chain_ring import make_ring
+    from chainrep.group_models import UnitriangularGroup
+    from chainrep.minfaith_solver import formula_unitriangular
+    from chainrep.oracle import CharacterTable, min_faithful_exhaustive
+
+    # Z/4, F_2[t]/t^2, F_9, (2, 1, 2, 3), GR(4, 2) and (3, 1, 2, 3)
+    cases = [((2, 1, 1, 2), 1), ((2, 1, "inf", 2), 2), ((3, 2, "inf", 1), 2),
+             ((2, 1, 2, 3), 2), ((2, 2, 1, 2), 2), ((3, 1, 2, 3), 2)]
+    for params, m in cases:
+        G = UnitriangularGroup(make_ring(*params), 2).to_abstract()
+        assert formula_unitriangular(*params, 2) == min_faithful_exhaustive(CharacterTable(G))[0] == m, params
+        argv = [arg for key, value in zip("pfen", params) for arg in (f"--{key}", str(value))]
+        code, out, err = run_cli(capsys, "minfaith", "unitriangular", *argv, "--size", "2", "--mode", "all")
+        assert (code, out, err) == (0, f"{m}\nformula: {m}\noracle: {m}\n", ""), params
+
+
 def test_closed_form_builds_no_ring_table(capsys):
     # |G| and the closed form need no N x N ring table, so a ring of
     # 101^2 elements, past the ring table cap, still gets its answer
@@ -238,7 +257,7 @@ def test_package_defines_no_scalar_layer(capsys):
     from chainrep import chain_ring, exactrep, group_models, oracle
 
     modules = [importlib.import_module(f"chainrep.{m.name}") for m in pkgutil.iter_modules(chainrep.__path__)]
-    for name in ("RingElem", "Cyclotomic", "cyc_sum", "index_inverse"):
+    for name in ("RingElem", "Cyclotomic", "cyc_sum", "index_inverse", "LawGroup", "_Spanned", "_law_group"):
         assert [m.__name__ for m in modules if hasattr(m, name)] == [], name
     removed = {
         chain_ring.RingSpec: "_canon _add_digits _neg_digits _mul_digits element zero one uniformizer "
@@ -249,7 +268,7 @@ def test_package_defines_no_scalar_layer(capsys):
         group_models.HeisenbergGroup: "mul inv",
         group_models.UnitriangularGroup: "mul inv",
         group_models.AffineGroup: "mul inv",
-        group_models.LawGroup: "mul inv conj closure",
+        group_models.AbstractGroup: "mul inv conj closure index_of",
     }
     for cls, names in removed.items():
         assert [name for name in names.split() if hasattr(cls, name)] == [], cls
@@ -308,7 +327,7 @@ def test_family_law_past_numpy_is_a_cap_refusal():
 
     H = HeisenbergGroup(make_ring(2, 1, 1, 1), 32)  # Hei_65(F_2): small ring tables, |G| = 2^65
     refusal = f"|G| = {2**65}: its coordinates cannot be allocated ("
-    for call in (lambda: H.product(0, 1), lambda: H.elements):
+    for call in (lambda: H.product(0, 1), lambda: H.names):
         with pytest.raises(CapExceededError) as info:
             call()
         assert str(info.value).startswith(refusal)

@@ -17,7 +17,13 @@ from chainrep.exactrep import (
     NotSubgroupError,
     cyclotomic_polynomial,
 )
-from chainrep.group_models import HeisenbergGroup, semidirect_cyclic, semidirect_cyclic_hom, structure_scan
+from chainrep.group_models import (
+    AbstractGroup,
+    HeisenbergGroup,
+    semidirect_cyclic,
+    semidirect_cyclic_hom,
+    structure_scan,
+)
 from reference import (
     Cyclotomic,
     abelian_characters,
@@ -220,7 +226,7 @@ def test_induce_past_numpy_is_a_cap_refusal():
     # span is
     H = HeisenbergGroup(make_ring(2, 1, "inf", 1), 32)  # |G| = 2^65
     with pytest.raises(CapExceededError, match="a mask of its elements cannot be allocated"):
-        MonomialRep.induce(H, LinearChar(1, H.index_of([H.identity]), [0]))
+        MonomialRep.induce(H, LinearChar(1, [H.identity], [0]))
 
 
 def test_induce_rejects_non_character(group):
@@ -230,6 +236,18 @@ def test_induce_rejects_non_character(group):
     exps[exps.index(1)] = 3  # breaks chi(a)chi(b) = chi(ab)
     with pytest.raises(ChiNotHomomorphismError):
         MonomialRep.induce(G, LinearChar(4, sub, exps))
+
+
+def test_non_character_message_names_the_elements():
+    # chi(0, 0, z) = zeta_3^[z != 0] on the centre of Hei(F_3) fails at
+    # (0, 0, 1)^2: a family names the pair by its coordinates, a table
+    # group without names by its rows
+    H = HeisenbergGroup(make_ring(3, 1, 1, 1))
+    centre = H._rows({2: range(3)})
+    for G, pair in [(H, "((0, 0, 1), (0, 0, 1))"), (AbstractGroup(H.table), "(1, 1)")]:
+        with pytest.raises(ChiNotHomomorphismError) as info:
+            MonomialRep.induce(G, LinearChar(3, centre, [0, 1, 1]))
+        assert str(info.value) == f"chi not multiplicative at {pair}"
 
 
 def test_induce_checks_every_row_past_512():
@@ -299,7 +317,7 @@ def test_induce_from_the_trivial_subgroup_is_the_regular_action(group, heis):
     # no generators: every row is its own coset, and sigma is the product
     for G in (group("d4"), heis("hei3_f3"), heis("hei3_f3").to_abstract()):
         rows = np.arange(G.order)
-        rho = MonomialRep.induce(G, LinearChar(1, G.index_of([G.identity]), [0]))
+        rho = MonomialRep.induce(G, LinearChar(1, [G.identity], [0]))
         assert rho.degree == G.order
         assert np.array_equal(rho.sigma, G.product(rows[:, None], rows))
         assert not rho.exps.any()

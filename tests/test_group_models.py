@@ -58,7 +58,7 @@ def test_heisenberg_orders(ring, heis):
 def test_heisenberg_group_laws(heis, rng):
     for name in ["hei3_z4", "hei3_z9", "hei5_f2", "hei3_gr42"]:
         H = heis(name)
-        els = H.elements
+        els = H.names
         e = els[0]
         for _ in range(150):
             g, h, w = rng.choice(els), rng.choice(els), rng.choice(els)
@@ -74,7 +74,7 @@ def test_heisenberg_commutator_form(heis, rng):
         R = H.ring
         k = H.k
         for _ in range(120):
-            g, h = rng.choice(H.elements), rng.choice(H.elements)
+            g, h = rng.choice(H.names), rng.choice(H.names)
             c = family_mul(H, family_mul(H, g, h), family_mul(H, family_inv(H, g), family_inv(H, h)))
             assert all(c[t] == 0 for t in range(2 * k))
             acc = ring_zero(R)
@@ -96,9 +96,21 @@ def test_heisenberg_to_abstract_names(heis):
     H = heis("hei3_f2t2")
     G = H.to_abstract()
     assert G.order == 64
-    assert G.names == H.elements
+    assert G.names == H.names
     # identity index consistent
-    assert G.names[G.identity] == H.elements[0]
+    assert G.names[G.identity] == H.names[0]
+
+
+def test_a_family_is_its_own_group(ring):
+    # to_abstract() is the family itself, whose identity is a row and
+    # whose names are coordinates: Aff(F_4)'s identity (0, 1) is row 1
+    F4 = AffineGroup(ring("f4"))
+    cases = [(HeisenbergGroup(ring("z4")), (0, 0, 0)), (UnitriangularGroup(ring("f3"), 4), (0,) * 6),
+             (AffineGroup(ring("z9")), (0, ring_one(ring("z9")).index)), (F4, (0, ring_one(F4.ring).index))]
+    for F, identity in cases:
+        assert F.to_abstract() is F and isinstance(F, AbstractGroup)
+        assert F.names[F.identity] == identity and F.index_of([identity]).tolist() == [F.identity]
+    assert F4.identity == 1
 
 
 # -- unitriangular models --------------------------------------------
@@ -115,33 +127,33 @@ def test_unitriangular_orders(ring):
 
 def test_unitriangular_group_laws(ring, rng):
     U = UnitriangularGroup(ring("f3"), 4)
-    els = U.elements
+    els = U.names
     for _ in range(120):
         a, b, c = rng.choice(els), rng.choice(els), rng.choice(els)
         assert family_mul(U, family_mul(U, a, b), c) == family_mul(U, a, family_mul(U, b, c))
-        assert family_mul(U, a, family_inv(U, a)) == U.identity
+        assert family_mul(U, a, family_inv(U, a)) == U.names[U.identity]
 
 
 def test_heisenberg_embedding_is_homomorphism(ring, rng):
     U = UnitriangularGroup(ring("f3"), 4)
     H = HeisenbergGroup(ring("f3"), k=2)
     for _ in range(150):
-        g, h = rng.choice(H.elements), rng.choice(H.elements)
+        g, h = rng.choice(H.names), rng.choice(H.names)
         assert family_mul(U, U.embed_heisenberg(g), U.embed_heisenberg(h)) == U.embed_heisenberg(
             family_mul(H, g, h)
         )
-    assert len(U.heisenberg_subgroup) == len(H.elements)
+    assert len(U.heisenberg_subgroup) == len(H.names)
     # corner entry carries the Heisenberg center
-    center = set(U.center.tolist())
-    assert all(U.index_of([U.embed_heisenberg(H.elements[z])])[0] in center for z in H.center)
+    center = set(U.center)
+    assert all(U.index_of([U.embed_heisenberg(H.names[z])])[0] in center for z in H.center)
 
 
 def test_u3_is_heisenberg(ring):
     # size-3 unitriangular group is Hei_3 on the nose
     U = UnitriangularGroup(ring("f3"), 3)
     H = HeisenbergGroup(ring("f3"), k=1)
-    imgs = {U.embed_heisenberg(g) for g in H.elements}
-    assert imgs == set(U.elements)
+    imgs = {U.embed_heisenberg(g) for g in H.names}
+    assert imgs == set(U.names)
 
 
 def test_middle_subgroup(ring):
@@ -164,17 +176,17 @@ def test_affine_orders(ring):
 
 def test_affine_group_laws(ring, rng):
     A = AffineGroup(ring("z9"))
-    els = A.elements
+    els = A.names
     for _ in range(200):
         g, h, w = rng.choice(els), rng.choice(els), rng.choice(els)
         assert family_mul(A, family_mul(A, g, h), w) == family_mul(A, g, family_mul(A, h, w))
-        assert family_mul(A, g, family_inv(A, g)) == A.identity
+        assert family_mul(A, g, family_inv(A, g)) == A.names[A.identity]
 
 
 def test_affine_translations_normal(ring):
     A = AffineGroup(ring("z4"))
-    T = {A.elements[t] for t in A.translations}
-    for g in A.elements:
+    T = {A.names[t] for t in A.translations}
+    for g in A.names:
         for t in T:
             assert family_mul(A, family_mul(A, g, t), family_inv(A, g)) in T
 
@@ -194,7 +206,7 @@ def _check_subgroup_rows(G, rows, size, member):
     assert rows.dtype == np.int64 and (np.diff(rows) > 0).all()
     G._subgroup(rows)
     assert len(rows) == size
-    assert member(np.array(G.elements)[rows]).all()
+    assert member(np.array(G.names)[rows]).all()
 
 
 def test_family_subgroups_are_ascending_rows(ring, heis):
@@ -203,7 +215,7 @@ def test_family_subgroups_are_ascending_rows(ring, heis):
         H = heis(name)
         S, k = H.ring.size, H.k
         x, y, z = (lambda c: c[:, :k]), (lambda c: c[:, k : 2 * k]), (lambda c: c[:, 2 * k])
-        _check_subgroup_rows(H, H.center, S, lambda c: (c[:, : 2 * k] == 0).all(axis=1))
+        _check_subgroup_rows(H, np.array(H.center), S, lambda c: (c[:, : 2 * k] == 0).all(axis=1))
         _check_subgroup_rows(H, abelian_polarization(H), S ** (k + 1), lambda c: (y(c) == 0).all(axis=1))
         _check_subgroup_rows(
             H, H.stabilizer_subgroup(range(S)), S**k, lambda c: (x(c) == 0).all(axis=1) & (z(c) == 0)
@@ -219,11 +231,11 @@ def test_family_subgroups_are_ascending_rows(ring, heis):
         last = size - 1
         kept = np.array([i == 0 or j == last for i, j in U.positions])  # first row, last column
         corner = np.array([(i, j) == (0, last) for i, j in U.positions])
-        _check_subgroup_rows(U, U.center, 3, lambda c: (c[:, ~corner] == 0).all(axis=1))
+        _check_subgroup_rows(U, np.array(U.center), 3, lambda c: (c[:, ~corner] == 0).all(axis=1))
         _check_subgroup_rows(U, U.heisenberg_subgroup, 3 ** (2 * size - 3), lambda c: (c[:, ~kept] == 0).all(axis=1))
         _check_subgroup_rows(U, U.middle_subgroup, 3 ** ((size - 2) * (size - 3) // 2), lambda c: (c[:, kept] == 0).all(axis=1))
         H = HeisenbergGroup(ring("f3"), size - 2)
-        embedded = U.index_of([U.embed_heisenberg(g) for g in H.elements])
+        embedded = U.index_of([U.embed_heisenberg(g) for g in H.names])
         assert U.heisenberg_subgroup.tolist() == sorted(embedded.tolist())
     for rname in ["f3", "z4", "z9", "f4"]:
         A = AffineGroup(ring(rname))
@@ -618,7 +630,7 @@ def test_family_scalar_and_index_products_agree(ring, heis, rng):
     # law through different plumbing: the codec must line up with elements
     for F in [heis("hei3_z4"), heis("hei5_f2"), UnitriangularGroup(ring("f3"), 4),
               AffineGroup(ring("z9")), AffineGroup(ring("f4"))]:
-        els = F.elements
+        els = F.names
         assert len(els) == F.order and F.index_of(els).tolist() == list(range(F.order))
         G = F.to_abstract()
         for _ in range(60):

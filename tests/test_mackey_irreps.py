@@ -188,7 +188,7 @@ def test_extended_character_values(heis):
         els = [from_index(R, i) for i in range(R.size)]
         add = np.array([[(a + c).index for c in els] for a in els])
         mul = np.array([[(a * c).index for c in els] for a in els])
-        catalog, coords = irrep_catalog(H), np.array(H.elements)
+        catalog, coords = irrep_catalog(H), np.array(H.names)
         for b in range(R.size):
             w = orbit_representatives(H, b)[0]
             ann = annihilator_indices(R, b)

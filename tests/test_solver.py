@@ -72,8 +72,9 @@ def test_formula_unitriangular():
     assert formula_unitriangular(3, 1, 1, 2, 3) == 9
     assert formula_unitriangular(2, 1, 1, 1, 4) == 4
     assert formula_unitriangular(2, 1, 1, 2, 4) == 16
+    assert formula_unitriangular(3, 1, 1, 2, 2) == 1  # U_2(Z/9) = Z/9
     with pytest.raises(ValueError):
-        formula_unitriangular(3, 1, 1, 1, 2)
+        formula_unitriangular(3, 1, 1, 1, 1)
 
 
 def test_unitriangular_upper_bound_is_faithful(ring):
