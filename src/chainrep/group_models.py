@@ -125,7 +125,7 @@ class AbstractGroup:
     multiplication table; ``names`` optionally attaches labels.
     Everything past the constructor, which checks the table, is written
     against ``product``, ``inverse`` and ``identity`` only, so a ring
-    family, a subclass with none of them stored, runs it on its law."""
+    family, a subclass that works them out from its law, runs it too."""
 
     def __init__(self, table, names=None, validate=True):
         table = np.asarray(table)
@@ -392,7 +392,7 @@ def _itself(self) -> "_RingFamily":
 
 class _RingFamily(AbstractGroup):
     """What the ring families share: an AbstractGroup on rows 0..|G|-1
-    with nothing stored but its parameters.  Each family writes its
+    given by its parameters, not by a table.  Each family writes its
     product once, as ``_law`` on coordinates (one integer or one numpy
     array per coordinate), and numbers its elements by a codec
     ``_encode`` / ``_decode`` between coordinates and rows; the default
