@@ -109,7 +109,7 @@ def parse_group_spec(spec: str):
         raise SpecParseError(f"unknown group family {name!r}")
     with _parse_errors(spec):
         b = FamilyInstance(family, kv)
-        b.group.table  # the oracle reads it: a table past memory is refused here
+        b.group.generators  # the oracle's first array of |G| entries: one past memory is refused here
         return b.group, b.family.describe(b)
 
 

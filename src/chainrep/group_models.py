@@ -7,21 +7,19 @@ the ring lookup tables, and numbers its elements by a codec between
 coordinates (tuples of ring element indices, listed in ``names``) and
 rows.  The codec decodes rows by a gather from one array of |G| entries
 per coordinate, built on first use and refused past what numpy can
-allocate as the cap is.  A family's ``product`` evaluates that one law
-until its dense multiplication table is first read, which the
-character-table oracle does before anything else, and indexes the
-table from then on; the table is evaluated on an open mesh of
-coordinates.  The structure scan and the constructions need only
-products, and a family's inverses come from the walk g, g^2, ... that
-gives the element orders.  The distinguished table groups (semidirect
-products of cyclic groups, Q8 and GL_2) likewise write their law once,
-on row-index arrays, and their tables are filled a block of rows at a
-time.  AbstractGroup's group layer (spans, element orders,
-centralizers, classes, the commutator subgroup, quotients and the
-structure scan) is written once, against ``product``, ``inverse`` and
-``identity``.  Conjugacy classes, quotient cosets and the cosets of an
-induction are orbits of the rows under a few permutations, each
-labelled by its least member by one loop, ``_orbit_labels``.
+allocate as the cap is.  A family's ``product`` is that one law: the
+structure scan, the constructions and the character-table oracle need
+only products, so none of them builds a |G|^2 table, and a family's
+inverses come from the walk g, g^2, ... that gives the element orders.
+The distinguished table groups (semidirect products of cyclic groups,
+Q8 and GL_2) likewise write their law once, on row-index arrays, and
+their tables are filled a block of rows at a time.  AbstractGroup's
+group layer (spans, element orders, centralizers, classes, the
+commutator subgroup, quotients and the structure scan) is written once,
+against ``product``, ``inverse`` and ``identity``.  Conjugacy classes,
+quotient cosets and the cosets of an induction are orbits of the rows
+under a few permutations, each labelled by its least member by one
+loop, ``_orbit_labels``.
 """
 
 from __future__ import annotations
@@ -160,10 +158,6 @@ class AbstractGroup:
         self.inverse = inv
         if validate:
             self._check_associativity()
-
-    @property
-    def elements(self):
-        return list(range(self.order))
 
     def product(self, I, J) -> np.ndarray:
         return self.table[I, J]
@@ -360,9 +354,6 @@ class AbstractGroup:
             maximal_abelian=max_ab,
         )
 
-    def to_json(self) -> dict:
-        return {"table": self.table.tolist()}
-
     @staticmethod
     def from_json(obj) -> "AbstractGroup":
         rows = obj.get("table") if isinstance(obj, dict) else None
@@ -401,11 +392,10 @@ class _RingFamily(AbstractGroup):
     value of each digit value, and ``_decode`` gathers from ``_coords``,
     the coordinates of every row, which they fill.  ``_identity`` is the
     identity's coordinates and ``names`` the coordinates of each row.
-    ``product`` is the law until ``table`` (the open-mesh fill) is first
-    read, and an index into the table from then on; ``inverse`` comes
-    from the walk that gives the element orders.  ``to_abstract`` is the
-    family itself; each family class binds it in its own namespace,
-    which is where perfbench's tracer looks for it."""
+    ``product`` is the law and ``inverse`` comes from the walk that
+    gives the element orders.  ``to_abstract`` is the family itself;
+    each family class binds it in its own namespace, which is where
+    perfbench's tracer looks for it."""
 
     @cached_property
     def identity(self) -> int:
@@ -465,10 +455,7 @@ class _RingFamily(AbstractGroup):
 
     def product(self, I, J) -> np.ndarray:
         """Rows of the products of the elements in rows I and J (numpy
-        broadcasting)."""
-        table = self.__dict__.get("table")
-        if table is not None:
-            return table[I, J]
+        broadcasting), from the law."""
         return self._encode(self._law(self._decode(I), self._decode(J)))
 
     @cached_property
@@ -478,6 +465,10 @@ class _RingFamily(AbstractGroup):
     @cached_property
     def table(self) -> np.ndarray:
         """The dense multiplication table, from the law on an open mesh.
+        Nothing in the package reads it: ``product`` is the law.  The
+        benchmark's relabelling (``perfbench/workloads.py``) and its table
+        count (``perfbench/tracer.py``) read it, and so do tests, which
+        compare a family with the plain table group of its law.
         Rows are the codec's digits, so the table is viewed with shape
         radices + radices: with w digits, digit t of the left factor runs
         along axis t and of the right factor along axis w + t.  Each

@@ -64,7 +64,6 @@ off the boolean kernel matrix."""
 
 from __future__ import annotations
 
-import contextlib
 import math
 from functools import cached_property
 
@@ -204,7 +203,11 @@ def _primitive_root_power(l: int, E: int) -> int:
 
 
 class CharacterTable:
-    """Exact character table of an abstract group.
+    """Exact character table of an abstract group, refused past
+    CHAINREP_ORACLE_CAP.  It reads the group through ``product``,
+    ``inverse`` and ``identity`` alone, so on a ring family it runs on
+    the law and its memory is a few arrays of |G| entries plus ``mu``,
+    not a |G|^2 table.
 
     Attributes: reps/sizes/class_of (classes ordered by least member),
     dims (ascending with the row order), mu (root-multiplicity tensor in
@@ -222,7 +225,6 @@ class CharacterTable:
 
     def __init__(self, G: AbstractGroup):
         _check_cap(G.order)
-        G.table  # first: a ring family then indexes its table, and refuses one it cannot allocate before any O(|G|) array
         self.group = G
         reps, class_of, sizes = G.conjugacy
         self.reps = list(reps)
@@ -725,12 +727,6 @@ def cross_validate(suite: dict) -> dict:
         values = {}
         notes = []
         try:
-            if "oracle" in routes:
-                # the oracle reads the table: built first, the other routes
-                # index it rather than run a family's law; a refusal is the
-                # note of each route that needs the group
-                with contextlib.suppress(CapExceededError):
-                    b.group.table
             for key, route in routes.items():
                 try:
                     out = route(b)

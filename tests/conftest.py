@@ -113,7 +113,7 @@ def group_names():
 
 
 @pytest.fixture(scope="session")
-def group(ring):
+def group(ring, heis):
     """Cached AbstractGroup instances by short name."""
     cache = {}
 
@@ -122,9 +122,8 @@ def group(ring):
             builder = GROUP_BUILDERS.get(name) or LARGE_BUILDERS.get(name)
             if builder is not None:
                 cache[name] = builder(ring)
-            else:  # its own object, so that reading its table leaves heis(name) on the law
-                rname, k = HEIS_PARAMS[name]
-                cache[name] = HeisenbergGroup(ring(rname), k=k).to_abstract()
+            else:
+                cache[name] = heis(name).to_abstract()
         return cache[name]
 
     return get

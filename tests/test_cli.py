@@ -268,7 +268,7 @@ def test_package_defines_no_scalar_layer(capsys):
         group_models.HeisenbergGroup: "mul inv",
         group_models.UnitriangularGroup: "mul inv",
         group_models.AffineGroup: "mul inv",
-        group_models.AbstractGroup: "mul inv conj closure index_of",
+        group_models.AbstractGroup: "mul inv conj closure index_of elements to_json",
     }
     for cls, names in removed.items():
         assert [name for name in names.split() if hasattr(cls, name)] == [], cls
@@ -276,30 +276,30 @@ def test_package_defines_no_scalar_layer(capsys):
     assert run_cli(capsys, "verify", "--suite", "default", "--format", "json") == (0, golden, "")
 
 
-def test_unallocatable_table_is_a_cap_refusal(capsys, monkeypatch):
-    # a cap past what numpy can index: the oracle's table is refused,
-    # before any memory is touched, as a skipped route
+def test_unallocatable_oracle_mask_is_a_cap_refusal(capsys, monkeypatch):
+    # a cap past what memory holds: the oracle runs on the family's law,
+    # and its first array of |G| entries, the mask of the generators'
+    # span, is refused before any memory is touched, as a skipped route
     monkeypatch.setenv("CHAINREP_ORACLE_CAP", "2000000000000")
     code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "101", "--n", "2", "--mode", "all")
     assert (code, out) == (0, "10201\nformula: 10201\n")
     construct, oracle = err.splitlines()
     assert construct == "construct skipped: ring of size 10201 exceeds table cap 6000"
-    assert oracle.startswith("oracle skipped: |G| = 1061520150601: its table cannot be allocated (")
-    # the oracle reads the table before anything else, so the group spec
-    # is refused at the table, before any array of |G| entries
+    assert oracle.startswith("oracle skipped: |G| = 1061520150601: a mask of its elements cannot be allocated (")
+    # the group spec reads the generators, so it is refused at that mask
     for action in ("minfaith", "table"):
         code, out, err = run_cli(capsys, "oracle", action, "--group", "heis:p=101,n=2")
         assert (code, out) == (2, "")
         assert err.startswith(
             "parse error: cannot build group from 'heis:p=101,n=2': "
-            "|G| = 1061520150601: its table cannot be allocated ("
+            "|G| = 1061520150601: a mask of its elements cannot be allocated ("
         )
 
 
 def test_unallocatable_mask_is_a_cap_refusal(capsys, monkeypatch, tmp_path):
-    # the two-step routes run on the family's law, whose first array of
-    # |G| entries is a mask: past what numpy can index, it is refused as
-    # the table is, and every route that needs the group is skipped
+    # the two-step routes and the oracle run on the family's law, whose
+    # first array of |G| entries is a mask: past what numpy can index, it
+    # is refused, and every route that needs the group is skipped
     order = 101**12
     monkeypatch.setenv("CHAINREP_ORACLE_CAP", str(order))
     path = tmp_path / "huge.json"
@@ -309,11 +309,10 @@ def test_unallocatable_mask_is_a_cap_refusal(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "--suite", str(path), "--format", "json")
     (entry,) = json.loads(out)["result"]["results"]
     assert (code, entry["match"], entry["values"]) == (0, True, {"formula": 101**4})
-    refused = [f"{route} skipped: |G| = {order}: {what} cannot be allocated (" for route, what in [
-        ("formula_two_step", "a mask of its elements"),
-        ("construct_two_step", "a mask of its elements"),
-        ("oracle", "its table"),
-    ]]
+    refused = [
+        f"{route} skipped: |G| = {order}: a mask of its elements cannot be allocated ("
+        for route in ("formula_two_step", "construct_two_step", "oracle")
+    ]
     notes = entry["notes"][2:]  # after the solver's and the construction's ring caps
     assert len(notes) == 3 and all(note.startswith(want) for note, want in zip(notes, refused)), notes
 
@@ -341,7 +340,7 @@ def test_irreps_past_explicit_cap(capsys):
 
 def test_minfaith_two_step_table(capsys, tmp_path, group, schema):
     path = tmp_path / "d4.json"
-    path.write_text(json.dumps(group("d4").to_json()))
+    path.write_text(json.dumps({"table": group("d4").table.tolist()}))
     code, out, _ = run_cli(
         capsys, "minfaith", "two-step", "--table", str(path), "--mode", "all", "--format", "json"
     )
@@ -439,7 +438,7 @@ def test_group_spec_parsing():
 
 def test_group_spec_table_forms(tmp_path, group):
     path = tmp_path / "d4.json"
-    path.write_text(json.dumps(group("d4").to_json()))
+    path.write_text(json.dumps({"table": group("d4").table.tolist()}))
     for spec in (f"table:{path}", f"table:path={path}"):
         G, desc = parse_group_spec(spec)
         assert G.order == 8
@@ -712,7 +711,7 @@ def test_suite_tables_are_read_by_the_check(capsys, tmp_path, monkeypatch, group
     reads = []
     monkeypatch.setattr(AbstractGroup, "from_json", staticmethod(lambda obj: reads.append(1) or from_json(obj)))
     path = tmp_path / "suite.json"
-    path.write_text(json.dumps({"instances": [{"name": "d4", "family": "table", "table": group("d4").to_json()}]}))
+    path.write_text(json.dumps({"instances": [{"name": "d4", "family": "table", "table": {"table": group("d4").table.tolist()}}]}))
     code, out, _ = run_cli(capsys, "verify", "--suite", str(path))
     assert (code, len(reads)) == (0, 1), out
     for table, reason in (

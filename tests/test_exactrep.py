@@ -160,7 +160,7 @@ def test_induce_dihedral(group):
     assert DirectSumRep([rho]).kernel().tolist() == [G.identity]
     # character: 2 at identity, -2 at the central rotation, 0 elsewhere
     two, zero = Cyclotomic.integer(2), Cyclotomic.integer(0)
-    vals = [character(rho, g) for g in G.elements]
+    vals = [character(rho, g) for g in range(G.order)]
     assert vals[G.identity] == two
     assert sum(1 for v in vals if v == -two) == 1
     assert sum(1 for v in vals if v == zero) == 6
@@ -171,7 +171,7 @@ def test_induced_character_formula_matches_matrices(group):
     sub = _rotation_subgroup(G)
     chi = _faithful_rotation_char(G, sub)
     rho = MonomialRep.induce(G, chi)
-    for g, value in zip(G.elements, induced_character_formula(G, chi)):
+    for g, value in zip(range(G.order), induced_character_formula(G, chi)):
         assert character(rho, g) == value
 
 
@@ -181,7 +181,7 @@ def test_linear_rep_and_direct_sum(group):
     chi = _faithful_rotation_char(G, sub)
     rho = MonomialRep.induce(G, chi)
     # sign character of the quotient by rotations
-    sgn = LinearChar(2, G.elements, [0 if g in sub else 1 for g in G.elements])
+    sgn = LinearChar(2, range(G.order), [0 if g in sub else 1 for g in range(G.order)])
     lin = MonomialRep.induce(G, sgn)
     assert lin.degree == 1 and check_homomorphism(lin)
     s = DirectSumRep([rho, lin])
@@ -197,8 +197,8 @@ def test_linear_reads_rows(group):
     # the exponents land on their own rows, in whatever order they come
     G = group("d4")
     sub = _rotation_subgroup(G)
-    sgn = [0 if g in sub else 1 for g in G.elements]
-    lin = MonomialRep.induce(G, LinearChar(2, G.elements[::-1], sgn[::-1]))
+    sgn = [0 if g in sub else 1 for g in range(G.order)]
+    lin = MonomialRep.induce(G, LinearChar(2, range(G.order)[::-1], sgn[::-1]))
     assert lin.exps[:, 0].tolist() == sgn
 
 
@@ -206,7 +206,7 @@ def test_identity_matrix_detection(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
     rho = MonomialRep.induce(G, _faithful_rotation_char(G, sub))
-    for g in G.elements:
+    for g in range(G.order):
         assert rho.identity_rows[g] == (g == G.identity)
 
 
@@ -281,11 +281,11 @@ def test_checks_use_every_generator(group):
     # through that generator: only the rotation (1, 1) catches it
     G = group("d4")
     assert G.generators == [1, 2] and G.product(2, 1) == 3
-    sign = np.array([2 * (G.names[g][1] == 3) for g in G.elements])
-    MonomialRep.induce(G, LinearChar(4, G.elements, sign))
+    sign = np.array([2 * (G.names[g][1] == 3) for g in range(G.order)])
+    MonomialRep.induce(G, LinearChar(4, range(G.order), sign))
     sign[[2, 3]] += 1
     with pytest.raises(ChiNotHomomorphismError):
-        MonomialRep.induce(G, LinearChar(4, G.elements, sign))
+        MonomialRep.induce(G, LinearChar(4, range(G.order), sign))
     rho = MonomialRep.induce(G, _faithful_rotation_char(G, _rotation_subgroup(G)))
     rho.exps[[2, 3]] += 1
     assert not check_homomorphism(rho)
@@ -307,15 +307,17 @@ def test_trivial_induction_is_regular_rep(group):
     rho = MonomialRep.induce(G, chi)
     assert rho.degree == G.order
     assert character(rho, G.identity) == Cyclotomic.integer(G.order)
-    for g in G.elements:
+    for g in range(G.order):
         if g != G.identity:
             assert character(rho, g).is_zero()
     assert DirectSumRep([rho]).kernel().tolist() == [G.identity]
 
 
 def test_induce_from_the_trivial_subgroup_is_the_regular_action(group, heis):
-    # no generators: every row is its own coset, and sigma is the product
-    for G in (group("d4"), heis("hei3_f3"), heis("hei3_f3").to_abstract()):
+    # no generators: every row is its own coset, and sigma is the product,
+    # on a table group, on a family's law and on the table of that law
+    F = heis("hei3_f3")
+    for G in (group("d4"), F, AbstractGroup(F.table, names=F.names, validate=False)):
         rows = np.arange(G.order)
         rho = MonomialRep.induce(G, LinearChar(1, [G.identity], [0]))
         assert rho.degree == G.order
@@ -381,7 +383,7 @@ def test_constructions_induce_as_the_discovery_loop(monkeypatch, group):
 def _character_kernel(rep):
     # the kernel by its definition through characters: chi(g) = chi(1)
     one = character(rep, rep.group.identity)
-    return [g for g in rep.group.elements if character(rep, g) == one]
+    return [g for g in range(rep.group.order) if character(rep, g) == one]
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -404,7 +406,7 @@ def test_row_kernel_is_character_kernel(data):
     top = [h for h, nm in enumerate(G.names) if nm[0] == 0]
     M, exps = data.draw(st.sampled_from(abelian_characters(G, top)), label="linear")
     at = {G.names[h]: e for h, e in zip(top, exps.tolist())}
-    lin = MonomialRep.induce(G, LinearChar(M, G.elements, [at[0, nm[1]] for nm in G.names]))
+    lin = MonomialRep.induce(G, LinearChar(M, range(G.order), [at[0, nm[1]] for nm in G.names]))
     assert DirectSumRep([lin]).kernel().tolist() == _character_kernel(lin)
     both = set(_character_kernel(rep)) & set(_character_kernel(lin))
     assert DirectSumRep([rep, lin]).kernel().tolist() == sorted(both)

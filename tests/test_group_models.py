@@ -49,7 +49,7 @@ def test_heisenberg_orders(ring, heis):
     }.items():
         H = heis(name)
         R = ring(rname)
-        assert len(H.elements) == R.size ** (2 * k + 1)
+        assert H.order == R.size ** (2 * k + 1)
         assert len(H.center) == R.size
         assert len(abelian_polarization(H)) == R.size ** (k + 1)
         assert len(H.stabilizer_subgroup(range(R.size))) == R.size**k
@@ -93,12 +93,13 @@ def test_heisenberg_center_is_commutator(heis):
 
 
 def test_heisenberg_to_abstract_names(heis):
+    # the plain table group of the family's law, named by its coordinates,
+    # finds the family's identity row and inverses from the table alone
     H = heis("hei3_f2t2")
-    G = H.to_abstract()
-    assert G.order == 64
-    assert G.names == H.names
-    # identity index consistent
-    assert G.names[G.identity] == H.names[0]
+    G = AbstractGroup(H.table, names=H.names, validate=False)
+    assert G.order == H.order == 64
+    assert G.identity == H.identity and G.names[G.identity] == H.names[0] == (0, 0, 0)
+    assert np.array_equal(G.inverse, H.inverse)
 
 
 def test_a_family_is_its_own_group(ring):
@@ -295,8 +296,7 @@ def test_abstract_validation_nonassociative_loop():
 def test_abstract_basics(group):
     G = group("d4")
     assert G.order == 8
-    assert sorted(G.elements) == list(range(8))
-    for g in G.elements:
+    for g in range(G.order):
         assert G.product(g, G.inverse[g]) == G.identity
     assert G.exponent == 4
     assert len(G.center) == 2
@@ -318,8 +318,8 @@ def test_class_map_consistent(group):
         counts = collections.Counter(int(c) for c in class_of)
         assert [counts[j] for j in range(len(reps))] == [int(s) for s in sizes]
         # classes are closed under conjugation
-        for g in list(G.elements)[:: max(1, G.order // 16)]:
-            for h in G.elements:
+        for g in range(G.order)[:: max(1, G.order // 16)]:
+            for h in range(G.order):
                 assert class_of[G.product(G.product(h, g), G.inverse[h])] == class_of[g]
 
 
@@ -406,7 +406,7 @@ def test_cosets_of_no_generators_are_the_rows(heis):
     # an empty generator list stays an int64 index, on a table and on a law
     assert _orbit_labels(np.empty((0, 5), dtype=np.int64)).tolist() == list(range(5))
     F = heis("hei3_f3")
-    for G in (F, F.to_abstract(), AbstractGroup([[0]])):
+    for G in (F, AbstractGroup(F.table, names=F.names, validate=False), AbstractGroup([[0]])):
         assert G._cosets([])[1].tolist() == list(range(G.order))
 
 
@@ -424,7 +424,7 @@ def test_quotient_rejects_a_set_that_is_not_a_subgroup(group):
     # conjugation, and not under products
     G = group("d4")
     reps, class_of, sizes = G.conjugacy
-    flip = next(g for g in G.elements if G.element_orders[g] == 2 and sizes[class_of[g]] == 2)
+    flip = next(g for g in range(G.order) if G.element_orders[g] == 2 and sizes[class_of[g]] == 2)
     normal_set = [G.identity] + np.flatnonzero(class_of == class_of[flip]).tolist()
     with pytest.raises(ValueError, match="not a subgroup of distinct rows"):
         G.quotient(normal_set)
@@ -446,14 +446,14 @@ def test_quotient_d4_by_center(group):
 def test_quotient_respects_multiplication(group):
     G = group("q8")
     Q, coset_of = G.quotient(G.center)
-    for a in G.elements:
-        for b in G.elements:
+    for a in range(G.order):
+        for b in range(G.order):
             assert coset_of[G.product(a, b)] == Q.product(coset_of[a], coset_of[b])
 
 
 def test_closure_and_subgroup(group):
     G = group("d4")
-    rot = next(g for g in G.elements if G.element_orders[g] == 4)
+    rot = next(g for g in range(G.order) if G.element_orders[g] == 4)
     sub = np.flatnonzero(G._span([rot])[0])
     assert len(sub) == 4
     assert max(int(G.element_orders[g]) for g in sub) == 4
@@ -467,17 +467,17 @@ def test_element_orders(group):
 
 def test_json_roundtrip(group):
     G = group("d4")
-    G2 = AbstractGroup.from_json(G.to_json())
+    G2 = AbstractGroup.from_json({"table": G.table.tolist()})
     assert G2.order == G.order
     assert (G2.table == G.table).all()
 
 
 def test_from_json_checks_names(group):
     G = group("d4")
-    assert AbstractGroup.from_json({**G.to_json(), "names": list("abcdefgh")}).names[7] == "h"
+    assert AbstractGroup.from_json({"table": G.table.tolist(), "names": list("abcdefgh")}).names[7] == "h"
     for names in (["e"], 5, "abcdefgh"):
         with pytest.raises(ValueError, match="'names' is a list with one entry per row"):
-            AbstractGroup.from_json({**G.to_json(), "names": names})
+            AbstractGroup.from_json({"table": G.table.tolist(), "names": names})
 
 
 # -- named constructions ---------------------------------------------
@@ -750,6 +750,30 @@ def test_construction_builds_no_cayley_table(monkeypatch):
     assert want[0] == [16] * 4
 
 
+def test_oracle_builds_no_cayley_table(monkeypatch, suite_report):
+    # the oracle reads a ring family's rows through its law alone: with the
+    # dense table unallocatable, Hei(GR(4,2)) gets the character table of
+    # the plain table group of its law, and a suite instance with the
+    # oracle on runs every route as the default suite does
+    from chainrep import group_models
+    from chainrep.cli import load_default_suite
+    from chainrep.oracle import CharacterTable, cross_validate, min_faithful_exhaustive
+
+    R = make_ring(2, 2, 1, 2)
+    want = CharacterTable(AbstractGroup(HeisenbergGroup(R).table, validate=False))
+    (inst,) = [inst for inst in load_default_suite()["instances"] if inst["name"] == "hei3-z4"]
+    (entry,) = [entry for entry in suite_report["results"] if entry["name"] == "hei3-z4"]
+
+    def refuse(n):
+        raise AssertionError(f"a {n} x {n} table was allocated")
+
+    monkeypatch.setattr(group_models, "_empty_table", refuse)
+    T = CharacterTable(HeisenbergGroup(R))
+    assert (T.prime, min_faithful_exhaustive(T)[0]) == (want.prime, 32) == (137, 32)
+    assert T.to_rows() == want.to_rows()
+    assert inst["oracle"] and cross_validate({"instances": [inst]})["results"] == [entry]
+
+
 def test_scan_law_calls_are_pinned():
     # the structure scan of Hei(F_16) on its law makes exactly this many
     # calls of the family's product, which repeats from run to run.  A
@@ -888,13 +912,13 @@ def test_abelian_characters_of_subgroup(group):
 
 def test_abelian_characters_orthogonality(make_abelian):
     G = make_abelian((2, 4))
-    chars = abelian_characters(G, G.elements)
+    chars = abelian_characters(G, range(G.order))
     assert len(chars) == 8
     seen = set()
     for M, exps in chars:
-        seen.add(tuple(exps[g] for g in G.elements))
-        total = cyc_sum([Cyclotomic.root(M, exps[g]) for g in G.elements])
-        if all(exps[g] == 0 for g in G.elements):
+        seen.add(tuple(exps[g] for g in range(G.order)))
+        total = cyc_sum([Cyclotomic.root(M, exps[g]) for g in range(G.order)])
+        if all(exps[g] == 0 for g in range(G.order)):
             assert total == Cyclotomic.integer(8)
         else:
             assert total.is_zero()
@@ -904,17 +928,16 @@ def test_abelian_characters_orthogonality(make_abelian):
 def test_extend_character(make_abelian):
     # extend the order-2 character of 2Z/8 over Z/8
     G = make_abelian((8,))
-    sub = [g for g in G.elements if G.names[g][0] % 2 == 0]
+    sub = [g for g in range(G.order) if G.names[g][0] % 2 == 0]
     sub_exps = [(G.names[g][0] // 2) % 2 for g in sub]
-    M, exps = extend_character(G, sub, 2, sub_exps, G.elements)
-    # the extension restricts correctly (exps is aligned with G.elements,
-    # which are the rows)
+    M, exps = extend_character(G, sub, 2, sub_exps, range(G.order))
+    # the extension restricts correctly (exps is aligned with the rows)
     t = M // 2
     for g, e in zip(sub, sub_exps):
         assert exps[g] % M == (t * e) % M
     # and is a character of the big group
-    for a in G.elements:
-        for b in G.elements:
+    for a in range(G.order):
+        for b in range(G.order):
             assert (exps[G.product(a, b)] - exps[a] - exps[b]) % M == 0
 
 
@@ -926,7 +949,7 @@ def _draw_abelian_subgroup(data, make_abelian):
     if kind == "abelian":
         orders = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=3).filter(lambda o: prod(o) <= 72))
         G = make_abelian(orders)
-        return G, G.elements
+        return G, list(range(G.order))
     modulus = data.draw(st.integers(2, 50), label="modulus")
     # each unit with its multiplicative order, when Z/modulus by it fits
     units = {}
