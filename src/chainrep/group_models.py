@@ -6,11 +6,12 @@ writes its group law once, as a numpy function on coordinates through
 the ring lookup tables, and numbers its elements by a codec between
 coordinates (tuples of ring element indices, listed in ``names``) and
 rows.  The codec decodes rows by a gather from one array of |G| entries
-per coordinate, built on first use and refused past what numpy can
-allocate as the cap is.  A family's ``product`` is that one law: the
-structure scan, the constructions and the character-table oracle need
-only products, so none of them builds a |G|^2 table, and a family's
-inverses come from the walk g, g^2, ... that gives the element orders.
+per coordinate, built on first use and refused past physical memory or
+what numpy can allocate, as the cap is.  A family's ``product`` is that
+one law: the structure scan, the constructions and the character-table
+oracle need only products, so none of them builds a |G|^2 table, and a
+family's inverses come from the walk g, g^2, ... that gives the element
+orders.
 The distinguished table groups (semidirect products of cyclic groups,
 Q8 and GL_2) likewise write their law once, on row-index arrays, and
 their tables are filled a block of rows at a time.  AbstractGroup's
@@ -63,11 +64,18 @@ def _check_cap(order: int):
 _BLOCK = 250_000
 
 
-def _allocate(n: int, what: str, make) -> np.ndarray:
-    """make(), an array for a group of order n; numpy's refusal to
-    allocate it (too big for an array, or for memory) is a cap refusal."""
+def _allocate(n: int, what: str, shape, dtype) -> np.ndarray:
+    """np.zeros(shape, dtype), an array for a group of order n.  An array
+    larger than physical memory is refused before numpy is asked, so the
+    refusal does not rest on how the system overcommits memory; numpy's
+    own refusal (too big for an array, or for the memory free) is one
+    too.  Either is a cap refusal."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     try:
-        return make()
+        if size > memory:
+            raise MemoryError(f"{size} bytes exceed the {memory} bytes of physical memory")
+        return np.zeros(shape, dtype=dtype)
     except (ValueError, MemoryError) as exc:
         raise CapExceededError(f"|G| = {n}: {what} cannot be allocated ({exc})") from None
 
@@ -98,8 +106,8 @@ def _orbit_labels(images) -> np.ndarray:
 
 
 def _empty_table(n: int) -> np.ndarray:
-    """An unfilled n x n int32 table."""
-    return _allocate(n, "its table", lambda: np.empty((n, n), dtype=np.int32))
+    """An n x n int32 table, to be filled."""
+    return _allocate(n, "its table", (n, n), np.int32)
 
 
 def _index_table(n: int, product, names, width: int = 1) -> "AbstractGroup":
@@ -172,7 +180,7 @@ class AbstractGroup:
         product.  The mask is the first array of |G| entries that the
         structure scan and the constructions allocate on a ring family."""
         if base is None:
-            mask = _allocate(self.order, "a mask of its elements", lambda: np.zeros(self.order, dtype=bool))
+            mask = _allocate(self.order, "a mask of its elements", (self.order,), bool)
             mask[self.identity] = True
             gens = []
         else:
@@ -429,7 +437,7 @@ class _RingFamily(AbstractGroup):
         along axis t alone and is filled by broadcasting."""
         radices = [len(v) for v in self._digits]
         w = len(radices)
-        coords = _allocate(self.order, "its coordinates", lambda: np.empty((w, self.order), dtype=np.int64))
+        coords = _allocate(self.order, "its coordinates", (w, self.order), np.int64)
         view = coords.reshape([w] + radices)
         for t, v in enumerate(self._digits):
             view[t] = v.reshape([-1 if u == t else 1 for u in range(w)])
@@ -441,10 +449,6 @@ class _RingFamily(AbstractGroup):
     @cached_property
     def names(self) -> list[tuple]:
         return list(zip(*self._coords.tolist()))
-
-    def index_of(self, elems) -> np.ndarray:
-        """Rows of a list of coordinate tuples."""
-        return self._encode(np.asarray(elems, dtype=np.int64).T)
 
     def _rows(self, free) -> np.ndarray:
         """Rows, ascending, of the elements whose coordinate t runs over
@@ -517,10 +521,6 @@ class HeisenbergGroup(_RingFamily):
         return [add[g[t], h[t]] for t in range(2 * k)] + [z]
 
     to_abstract = _itself
-
-    def stabilizer_subgroup(self, ann_indices) -> np.ndarray:
-        """L_s = {(0, y, 0) : every y_t in the given ideal}."""
-        return self._rows({self.k + t: ann_indices for t in range(self.k)})
 
 
 # -- unitriangular groups --------------------------------------------

@@ -75,10 +75,6 @@ from .exactrep import _ctx, cyc_str
 from .group_models import AbstractGroup, _check_cap, _generator_series, multiplier_closure
 
 
-class ModularPrimeNotFoundError(RuntimeError):
-    pass
-
-
 class OracleCheckError(AssertionError):
     """A table that fails its proof, or a catalog asked of a group that is
     not a p-group.  Raised explicitly, so python -O keeps the check."""
@@ -87,9 +83,6 @@ class OracleCheckError(AssertionError):
 def _check(ok, message: str) -> None:
     if not ok:
         raise OracleCheckError(message)
-
-
-MAX_PRIME_TRIES = 8
 
 
 # -- modular linear algebra ------------------------------------------
@@ -196,7 +189,7 @@ def _primitive_root_power(l: int, E: int) -> int:
     for g in range(2, l):
         if all(pow(g, (l - 1) // pf, l) != 1 for pf in fac):
             return pow(g, (l - 1) // E, l)
-    raise ModularPrimeNotFoundError(f"no generator mod {l}")
+    raise OracleCheckError(f"no generator mod {l}")
 
 
 # -- the character table ---------------------------------------------
@@ -214,14 +207,22 @@ class CharacterTable:
     the smallest unsigned dtype that holds max(dims): mu[c, j, u] is the
     multiplicity of zeta_exponent^u in chi_c(reps[j])), power_class
     (power_class[k, j] is the class of the k-th power of reps[j]),
-    kernels (the boolean kernel matrix), the modular prime actually used,
+    kernels (the boolean kernel matrix), prime (the modular prime l),
     and stats, a plain dict of counters: linear_rows (rows seeded from
     G/G'), complement_dim (the dimension left for the class matrices to
-    split), class_matrices (class matrices built, over every prime tried,
-    taking the classes in ascending size and stopping once every space
-    is a line) and primes (each prime tried, with the
-    ModularPrimeNotFoundError message it raised, or None for the prime
-    used)."""
+    split) and class_matrices (class matrices built, taking the classes
+    in ascending size and stopping once every space is a line).
+
+    One prime suffices, the least l = 1 (mod E) with l^2 > 4|G|.  Every
+    prime divisor of |G| divides E, so l does not divide |G|, and F_l
+    holds the E-th roots of unity: the class algebra mod l is split
+    semisimple, its central characters stay distinct, and the class
+    matrices split the space into lines.  A degree d <= sqrt|G| < l/2 is
+    the only t < l/2 with t^2 = d^2 (mod l), and a multiplicity, at most
+    d, is its residue mod l (Dixon, Numer. Math. 10, 1967; Schneider,
+    J. Symbolic Comput. 9, 1990).  Each step still checks what it finds
+    and raises OracleCheckError, since a failure there is a fault in this
+    code, not in the prime."""
 
     def __init__(self, G: AbstractGroup):
         _check_cap(G.order)
@@ -234,22 +235,8 @@ class CharacterTable:
         self.identity_class = int(self.class_of[G.identity])
         self.exponent = int(G.exponent)
         lin, fibre = self._linear_rows()
-        self.stats = {"linear_rows": len(lin), "complement_dim": self.r - len(lin), "class_matrices": 0, "primes": []}
-        last_err = None
-        l = _prime_above(math.isqrt(4 * G.order), self.exponent)  # the least l = 1 (mod E) with l^2 > 4|G|
-        for _ in range(MAX_PRIME_TRIES):
-            try:
-                self._compute(l, lin, fibre)
-                self.stats["primes"].append((l, None))
-                break
-            except ModularPrimeNotFoundError as exc:
-                self.stats["primes"].append((l, str(exc)))
-                last_err = exc
-                l = _prime_above(l, self.exponent)
-        else:
-            raise ModularPrimeNotFoundError(
-                f"no workable prime after {MAX_PRIME_TRIES} tries: {last_err}"
-            )
+        self.stats = {"linear_rows": len(lin), "complement_dim": self.r - len(lin), "class_matrices": 0}
+        self._compute(_prime_above(math.isqrt(4 * G.order), self.exponent), lin, fibre)
         self._verify()
 
     @cached_property
@@ -330,18 +317,15 @@ class CharacterTable:
                     N, free = _nullspace(A - lam * eye, l)
                     nxt.append(((B @ N) % l, piv[free]))
                     found += N.shape[1]
-                if found != d:
-                    raise ModularPrimeNotFoundError("class matrix not diagonalizable mod l")
+                _check(found == d, "class matrix not diagonalizable mod l")
             spaces = nxt
-        if not all(len(piv) == 1 for _, piv in spaces):
-            raise ModularPrimeNotFoundError("class algebra did not fully split")
+        _check(all(len(piv) == 1 for _, piv in spaces), "class algebra did not fully split")
         # 2. normalize to central-character rows omega
         omegas = np.empty((len(spaces), r), dtype=np.int64)
         for c, (B, _) in enumerate(spaces):
             v = B[:, 0] % l
             piv = int(v[self.identity_class])
-            if piv == 0:
-                raise ModularPrimeNotFoundError("eigenline vanishes at identity")
+            _check(piv != 0, "eigenline vanishes at identity")
             omegas[c] = (v * pow(piv, -1, l)) % l
         # 3. degrees through the orthogonality sum
         inv_sizes = np.array([pow(s, -1, l) for s in self.sizes], dtype=np.int64)
@@ -350,8 +334,7 @@ class CharacterTable:
         dims = []
         for c in range(len(spaces)):
             s = int(np.sum(omegas[c] * omegas[c][invcls] % l * inv_sizes % l) % l)
-            if s == 0:
-                raise ModularPrimeNotFoundError("degenerate orthogonality sum")
+            _check(s != 0, "degenerate orthogonality sum")
             dsq = order_mod * pow(s, -1, l) % l
             d = None
             t = 1
@@ -360,11 +343,9 @@ class CharacterTable:
                     d = t
                     break
                 t += 1
-            if d is None:
-                raise ModularPrimeNotFoundError("no degree matches the modular square")
+            _check(d is not None, "no degree matches the modular square")
             dims.append(d)
-        if len(lin) + sum(d * d for d in dims) != self.group.order:
-            raise ModularPrimeNotFoundError("degree squares do not sum to |G|")
+        _check(len(lin) + sum(d * d for d in dims) == self.group.order, "degree squares do not sum to |G|")
         # 4. modular character values, then exact lifting.  A linear row
         # is one-hot at its exponent.  chi(g^s) depends on s mod o(g)
         # alone, so for a class of element order o the multiplicities sit
@@ -392,10 +373,8 @@ class CharacterTable:
             wmat = np.array([pow(w, -u, l) for u in range(o)], dtype=np.int64)[np.outer(s, s) % o]
             F = X[:, power_class[:o, js]]  # (c, s, j)
             MU = np.einsum("csj,su->cju", F, wmat) % l * pow(o, -1, l) % l
-            if np.any(MU > dcol):
-                raise ModularPrimeNotFoundError("lifted multiplicity exceeds the degree")
-            if np.any(MU.sum(axis=2) != dcol[:, :, 0]):
-                raise ModularPrimeNotFoundError("multiplicities do not sum to the degree")
+            _check((MU <= dcol).all(), "lifted multiplicity exceeds the degree")
+            _check((MU.sum(axis=2) == dcol[:, :, 0]).all(), "multiplicities do not sum to the degree")
             mu[np.ix_(rows, js, E // o * s)] = MU
         # 5. deterministic row order: by dimension, then value data (the
         # big-endian bytes of an unsigned row compare as its values do)
@@ -416,7 +395,8 @@ class CharacterTable:
             N_ab = sum_j |C_j| chi_a(g_j) conj(chi_b(g_j)).
         (a) For each k in a generating set of (Z/E)^*, the table carries
             the Galois action chi^(sigma_k)(g) = chi(g^k):
-            mu[c, class(g_j^k), k u mod E] = mu[c, j, u].
+            mu[c, class(g_j^k), k u mod E] = mu[c, j, u], checked over
+            the classes of one element order at a time.
         (b) For gcd(k, E) = 1, g -> g^k permutes the classes and keeps
             their sizes, so by (a) every sigma_k fixes N_ab, which is
             then a rational integer.
@@ -439,20 +419,23 @@ class CharacterTable:
         _check((mu.sum(axis=2) == dims[:, None]).all(), "multiplicities do not sum to the degree")
         _check(np.array_equal(mu[:, idc, 0], dims) and not mu[:, idc, 1:].any(), "identity column")
         _check(int(dims @ dims) == G.order, "degree squares do not sum to |G|")
-        # (a) the Galois action, one (r, r, E) gather at a time
+        # (a) the Galois action, one element order at a time: g -> g^k
+        # keeps the order of g, so it maps the classes js of one order
+        # among themselves
+        orders = G.element_orders[np.array(self.reps)]
+        by_order = [(o, np.flatnonzero(orders == o)) for o in sorted(set(orders.tolist()))]
         u = np.arange(E)
         for k in _unit_generators(E):
             pc = self.power_class[k]
-            galois = mu[:, pc[:, None], (k * u % E)[None, :]]
-            _check(np.array_equal(galois, mu), f"Galois action sigma_{k} failed")
+            for _, js in by_order:
+                galois = mu[:, pc[js, None], (k * u % E)[None, :]]
+                _check(np.array_equal(galois, mu[:, js]), f"Galois action sigma_{k} failed")
         # (c) N = |G| I modulo primes l = 1 (mod E), from the classes of
         # each element order o: mu[:, js, (E/o) s], the multiplicity of w^s
         # for w = zeta^(E/o)
         sizes = np.array(self.sizes, dtype=np.int64)
-        orders = G.element_orders[np.array(self.reps)]
         blocks = []
-        for o in sorted(set(orders.tolist())):
-            js = np.flatnonzero(orders == o)
+        for o, js in by_order:
             block = mu[:, js].reshape(r, len(js), o, E // o)
             _check(not block[:, :, :, 1:].any(), f"multiplicity at a root of unity whose order does not divide o(g) = {o}")
             blocks.append((o, js, np.ascontiguousarray(block[:, :, :, 0])))

@@ -248,7 +248,8 @@ def test_construct_json_golden(capsys):
 def test_package_defines_no_scalar_layer(capsys):
     # the scalar ring, the Cyclotomic arithmetic and the scalar group
     # wrappers live in tests/reference.py alone: no chainrep module
-    # defines them, and the commands print the same bytes without them
+    # defines them, nor the names deleted as unused, and the commands
+    # print the same bytes without them
     import importlib
     import pkgutil
     from pathlib import Path
@@ -257,7 +258,8 @@ def test_package_defines_no_scalar_layer(capsys):
     from chainrep import chain_ring, exactrep, group_models, oracle
 
     modules = [importlib.import_module(f"chainrep.{m.name}") for m in pkgutil.iter_modules(chainrep.__path__)]
-    for name in ("RingElem", "Cyclotomic", "cyc_sum", "index_inverse", "LawGroup", "_Spanned", "_law_group"):
+    for name in ("RingElem", "Cyclotomic", "cyc_sum", "index_inverse", "LawGroup", "_Spanned", "_law_group",
+                 "ModularPrimeNotFoundError", "MAX_PRIME_TRIES"):
         assert [m.__name__ for m in modules if hasattr(m, name)] == [], name
     removed = {
         chain_ring.RingSpec: "_canon _add_digits _neg_digits _mul_digits element zero one uniformizer "
@@ -265,10 +267,11 @@ def test_package_defines_no_scalar_layer(capsys):
         exactrep.MonomialRep: "character check_homomorphism",
         exactrep.DirectSumRep: "character",
         oracle.CharacterTable: "value",
-        group_models.HeisenbergGroup: "mul inv",
+        group_models.HeisenbergGroup: "mul inv stabilizer_subgroup",
         group_models.UnitriangularGroup: "mul inv",
         group_models.AffineGroup: "mul inv",
         group_models.AbstractGroup: "mul inv conj closure index_of elements to_json",
+        group_models._RingFamily: "index_of",
     }
     for cls, names in removed.items():
         assert [name for name in names.split() if hasattr(cls, name)] == [], cls
@@ -330,6 +333,28 @@ def test_family_law_past_numpy_is_a_cap_refusal():
         with pytest.raises(CapExceededError) as info:
             call()
         assert str(info.value).startswith(refusal)
+
+
+def test_a_mask_past_physical_memory_is_refused_unallocated(monkeypatch):
+    # an array's size is compared with physical memory before numpy is
+    # asked, so a refusal does not rest on the operating system declining
+    # the allocation, which one that overcommits freely would grant
+    from chainrep import group_models
+    from chainrep.chain_ring import CapExceededError, make_ring
+
+    H = group_models.HeisenbergGroup(make_ring(3, 1, 1, 1))  # |G| = 27, a 27-byte mask
+    memory = {"SC_PHYS_PAGES": 13, "SC_PAGE_SIZE": 2}
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("an allocation was attempted")
+
+    monkeypatch.setattr(group_models.os, "sysconf", memory.__getitem__)
+    monkeypatch.setattr(group_models.np, "zeros", allocate)
+    with pytest.raises(CapExceededError) as info:
+        H.generators
+    assert str(info.value) == (
+        "|G| = 27: a mask of its elements cannot be allocated (27 bytes exceed the 26 bytes of physical memory)"
+    )
 
 
 def test_irreps_past_explicit_cap(capsys):

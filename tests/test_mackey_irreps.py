@@ -90,7 +90,7 @@ def test_stabilizer_sizes_exhaustive(heis):
             ann = annihilator_indices(R, b_idx)
             assert len(ann) == R.q**lev
             # y-side stabilizer directions: Ann(b)^k, of size q^(level k)
-            S = H.stabilizer_subgroup(ann)
+            S = H._rows({H.k + t: ann for t in range(H.k)})
             assert len(S) == len(ann) ** H.k == R.q ** (lev * H.k)
 
 
@@ -231,7 +231,7 @@ def test_induced_rep_central_character(heis):
     zero = [0] * H.k
     for z in range(R.size):
         g = tuple(zero + zero + [z])
-        row = H.index_of([g])[0]
+        row = H._encode(np.asarray([g]).T)[0]
         perm, exps = rho.sigma[row], rho.exps[row]
         assert list(perm) == list(range(rho.degree))  # center acts by scalars
         val = chi_b[z] * (rho.scalar_order // mod)

@@ -25,6 +25,7 @@ from chainrep.group_models import (
 )
 from chainrep.oracle import (
     CharacterTable,
+    OracleCheckError,
     _eigenvalues,
     _hessenberg,
     _nullspace,
@@ -632,7 +633,8 @@ def test_cyclic_224_builds_no_class_matrix():
     # Z/7 x Z/32 is cyclic of order 224: every row is a seeded linear
     # character, so no class matrix is built, and one summand is faithful
     T = cyclic_224()
-    assert T.stats == {"linear_rows": 224, "complement_dim": 0, "class_matrices": 0, "primes": [(449, None)]}
+    assert T.stats == {"linear_rows": 224, "complement_dim": 0, "class_matrices": 0}
+    assert T.prime == 449  # the least prime = 1 (mod 224) above 2 sqrt(224)
     assert T.dims == [1] * 224 and T.mu.dtype == np.uint8
     m, (c,) = min_faithful_exhaustive(T)
     assert m == 1 and kernel_rows(T, c) == [T.group.identity]
@@ -651,23 +653,23 @@ def test_elementary_abelian_64_needs_six_summands():
 
 def test_stats_count_the_seeded_split(table):
     T = table("hei3_z9")
-    assert T.stats == {"linear_rows": 81, "complement_dim": 24, "class_matrices": 15, "primes": [(73, None)]}
+    assert T.stats == {"linear_rows": 81, "complement_dim": 24, "class_matrices": 15}
+    assert T.prime == 73
     assert T.r == 105 and T.mu.dtype == np.uint8
 
 
-def test_stats_keep_each_rejected_prime(group, monkeypatch):
-    # a prime whose split fails is kept with its reason, and the next
-    # prime = 1 (mod 24) gives the same degrees
+def test_a_failed_split_is_a_check_failure(group, monkeypatch):
+    # 73, the least prime = 1 (mod 24) above 2 sqrt(48), splits GL_2(F_3)'s
+    # class algebra; a split that finds no eigenvalue there is a fault in
+    # the oracle, raised, and no other prime is tried
     eigenvalues = oracle._eigenvalues
 
     def none_at_73(A, l):
         return eigenvalues(A, l)[: 0 if l == 73 else None]
 
     monkeypatch.setattr(oracle, "_eigenvalues", none_at_73)
-    T = CharacterTable(group("gl2_f3"))
-    assert T.stats["primes"] == [(73, "class matrix not diagonalizable mod l"), (97, None)]
-    assert T.prime == 97 and sorted(T.dims) == FROZEN_DIMS["gl2_f3"]
-    assert T.stats["linear_rows"] == 2 and T.stats["complement_dim"] == 6
+    with pytest.raises(OracleCheckError, match="^class matrix not diagonalizable mod l$"):
+        CharacterTable(group("gl2_f3"))
 
 
 def test_catalog_from_table_pgroup(table):
