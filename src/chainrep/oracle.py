@@ -426,9 +426,9 @@ class CharacterTable:
         by_order = [(o, np.flatnonzero(orders == o)) for o in sorted(set(orders.tolist()))]
         u = np.arange(E)
         for k in _unit_generators(E):
-            pc = self.power_class[k]
+            pc, ku = self.power_class[k], k * u % E
             for _, js in by_order:
-                galois = mu[:, pc[js, None], (k * u % E)[None, :]]
+                galois = mu[:, pc[js, None], ku]
                 _check(np.array_equal(galois, mu[:, js]), f"Galois action sigma_{k} failed")
         # (c) N = |G| I modulo primes l = 1 (mod E), from the classes of
         # each element order o: mu[:, js, (E/o) s], the multiplicity of w^s
