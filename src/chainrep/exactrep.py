@@ -15,8 +15,9 @@ root-of-unity exponents there, and a representation is two
 (|G|, degree) integer arrays, sigma and exps, indexed by row; only an
 error message names an element by ``group.names``.
 Induction finds the cosets as orbits (``group._cosets``) and fills the
-arrays from index-array products (``group.product``), with no loop
-over the rows; the kernel is the rows equal to
+arrays from index-array products (``group.product``, and
+``group._every`` for every row times the coset representatives), with
+no loop over the rows; the kernel is the rows equal to
 (arange(degree), 0), an integer test that for these exact matrices is
 chi(g) = chi(1).
 
@@ -130,17 +131,21 @@ def _check_character(group, sub, vals, m, gens):
     """vals[i]: the exponent of chi at the element with row index sub[i];
     gens: rows generating the subgroup.  chi(x s) = chi(x) chi(s) for
     every x and each generator s makes chi multiplicative, by induction
-    on the word length of the right factor."""
+    on the word length of the right factor.  One product gives x s for
+    every pair; an error names the first bad pair by generator, then by
+    subgroup row."""
     pos = np.full(group.order, -1, dtype=np.int64)
     pos[sub] = np.arange(len(sub))
     if vals[pos[group.identity]] % m != 0:
         raise ChiNotHomomorphismError("chi(identity) != 1")
-    for s in gens:
-        bad = np.flatnonzero((vals + vals[pos[s]] - vals[pos[group.product(sub, s)]]) % m)
-        if len(bad):
-            names = group.names or range(group.order)
-            a, b = names[sub[bad[0]]], names[s]
-            raise ChiNotHomomorphismError(f"chi not multiplicative at ({a!r}, {b!r})")
+    gens = np.asarray(gens, dtype=np.int64)
+    prod = group.product(sub[:, None], gens)
+    bad = np.argwhere(((vals[:, None] + vals[pos[gens]] - vals[pos[prod]]) % m).T)
+    if len(bad):  # the first generator with a bad pair, then the first row
+        j, i = bad[0]
+        names = group.names or range(group.order)
+        a, b = names[sub[i]], names[gens[j]]
+        raise ChiNotHomomorphismError(f"chi not multiplicative at ({a!r}, {b!r})")
 
 
 class MonomialRep:
@@ -163,14 +168,16 @@ class MonomialRep:
         generators, that the rows form a subgroup and chi is a character
         of it.  The coset representatives are the least row of each left
         coset, an orbit of right multiplication by the subgroup's
-        generators; for each row w, w = reps[coset_of[w]] * sub[a_of[w]]."""
+        generators; for each row w, w = reps[coset_of[w]] * sub[a_of[w]],
+        and the products g reps[t] of every row g are one
+        ``group._every``."""
         m, sub, vals = chi.order, chi.rows, chi.exps
         gens = group._subgroup(sub)[1]
         _check_character(group, sub, vals, m, gens)
-        n, (reps, coset_of) = group.order, group._cosets(gens)
-        a_of = np.empty(n, dtype=np.int64)
+        reps, coset_of = group._cosets(gens)
+        a_of = np.empty(group.order, dtype=np.int64)
         a_of[group.product(reps[:, None], sub)] = np.arange(len(sub))
-        w = group.product(np.arange(n)[:, None], reps)
+        w = group._every(reps).T
         return MonomialRep(group, len(reps), m, coset_of[w], vals[a_of[w]])
 
     @property

@@ -17,10 +17,11 @@ Q8 and GL_2) likewise write their law once, on row-index arrays, and
 their tables are filled a block of rows at a time.  AbstractGroup's
 group layer (spans, element orders, centralizers, classes, the
 commutator subgroup, quotients and the structure scan) is written once,
-against ``product``, ``inverse`` and ``identity``.  Conjugacy classes,
-quotient cosets and the cosets of an induction are orbits of the rows
-under a few permutations, each labelled by its least member by one
-loop, ``_orbit_labels``.
+against ``product``, ``inverse`` and ``identity``, and ``_every``, the
+product of every row with a few rows, which a family evaluates on an
+open mesh.  Conjugacy classes, quotient cosets and the cosets of an
+induction are orbits of the rows under a few permutations, each
+labelled by its least member by one loop, ``_orbit_labels``.
 """
 
 from __future__ import annotations
@@ -170,6 +171,12 @@ class AbstractGroup:
     def product(self, I, J) -> np.ndarray:
         return self.table[I, J]
 
+    def _every(self, J, right=True) -> np.ndarray:
+        """(len(J), |G|): x J[i] at [i, x] for every row x, or J[i] x when
+        right is false."""
+        J, x = np.asarray(J, dtype=np.int64)[:, None], np.arange(self.order)
+        return self.product(x, J) if right else self.product(J, x)
+
     def _span(self, seed, base=None) -> tuple[np.ndarray, list[int]]:
         """Greedy closure: (member mask of the subgroup generated by the
         rows seed, the seed rows that enlarged it, in seed order).  With
@@ -207,10 +214,10 @@ class AbstractGroup:
 
     def _cosets(self, gens) -> tuple[np.ndarray, np.ndarray]:
         """(reps, coset_of) of the left cosets x<gens>, the orbits of right
-        multiplication by the rows gens: reps the least row of each,
-        ascending, and coset_of[x] the position of x's among them."""
-        gens = np.asarray(gens, dtype=np.int64)  # int64 when empty, as an index
-        least = _orbit_labels(self.product(np.arange(self.order), gens[:, None]))
+        multiplication by the rows gens, whose images x s are one
+        ``_every``: reps the least row of each, ascending, and coset_of[x]
+        the position of x's among them."""
+        least = _orbit_labels(self._every(gens))
         reps = np.flatnonzero(least == np.arange(self.order))
         return reps, np.searchsorted(reps, least)
 
@@ -267,8 +274,12 @@ class AbstractGroup:
     def conjugacy(self):
         """(reps, class_of, class_sizes): reps ascending by least member.
         Classes are the orbits under conjugation by the generators, each
-        labelled by its least member (``_orbit_labels``)."""
-        lab = _orbit_labels(self._conjugates(self.generators, np.arange(self.order)))
+        labelled by its least member (``_orbit_labels``).  The image
+        x s x^-1 of each row s is y x^-1 at y = x s, a gather from one
+        ``_every`` at the rows of another."""
+        X = self.generators
+        images = np.take_along_axis(self._every(self.inverse[X]), self._every(X, right=False), axis=1)
+        lab = _orbit_labels(images)
         reps, class_of, sizes = np.unique(lab, return_inverse=True, return_counts=True)
         return reps.tolist(), class_of, sizes
 
@@ -296,10 +307,8 @@ class AbstractGroup:
 
     def _commuting(self, elems, mask) -> np.ndarray:
         """mask, narrowed in place to the rows that commute with every row
-        of elems; each row of elems tests only the rows still in it."""
-        for s in elems:
-            live = np.flatnonzero(mask)
-            mask[live] = self.product(live, s) == self.product(s, live)
+        of elems: x s = s x, both sides one ``_every``."""
+        mask &= (self._every(elems) == self._every(elems, right=False)).all(axis=0)
         return mask
 
     def quotient(self, normal_elems):
@@ -400,8 +409,9 @@ class _RingFamily(AbstractGroup):
     value of each digit value, and ``_decode`` gathers from ``_coords``,
     the coordinates of every row, which they fill.  ``_identity`` is the
     identity's coordinates and ``names`` the coordinates of each row.
-    ``product`` is the law and ``inverse`` comes from the walk that
-    gives the element orders.  ``to_abstract`` is the family itself;
+    ``product`` is the law, ``_every`` the law of every row with a few
+    on an open mesh of coordinates, and ``inverse`` comes from the walk
+    that gives the element orders.  ``to_abstract`` is the family itself;
     each family class binds it in its own namespace, which is where
     perfbench's tracer looks for it."""
 
@@ -461,6 +471,18 @@ class _RingFamily(AbstractGroup):
         """Rows of the products of the elements in rows I and J (numpy
         broadcasting), from the law."""
         return self._encode(self._law(self._decode(I), self._decode(J)))
+
+    def _every(self, J, right=True) -> np.ndarray:
+        """AbstractGroup's ``_every`` from the law on an open mesh: with w
+        digits, digit t of x runs along axis 1 + t and the coordinates of
+        J along axis 0, so each coordinate of the law's output spans only
+        the axes it depends on, and ``_encode`` broadcasts them to
+        (len(J), |G|)."""
+        J, radices = np.asarray(J, dtype=np.int64), [len(v) for v in self._digits]
+        mesh = [m[None] for m in np.ix_(*self._digits)]
+        rows = self._decode(J).reshape(len(radices), len(J), *[1] * len(radices))
+        out = self._encode(self._law(mesh, rows) if right else self._law(rows, mesh))
+        return np.broadcast_to(out, (len(J), *radices)).reshape(len(J), self.order)
 
     @cached_property
     def inverse(self) -> np.ndarray:

@@ -218,6 +218,11 @@ def test_induce_rejects_non_subgroup(group):
     for bad in (sub[:-1], sub + sub[:1], sub[:-1] + sub[1:2]):
         with pytest.raises(NotSubgroupError):
             MonomialRep.induce(G, LinearChar(1, bad, [0] * len(bad)))
+    # S = {0, 1, 3, 4, 6, 7} in Z/9 holds 0 and S + 3 = 3 + S = S, yet
+    # 1 + 1 = 2 is not in S: closure on generators needs |<gens>| = |S| too
+    S = [0, 1, 3, 4, 6, 7]
+    with pytest.raises(NotSubgroupError):
+        MonomialRep.induce(semidirect_cyclic(9, [1]), LinearChar(1, S, [0] * len(S)))
 
 
 def test_induce_past_numpy_is_a_cap_refusal():

@@ -4,7 +4,7 @@ from math import gcd, prod
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from chainrep.group_models import (
@@ -676,6 +676,42 @@ def test_mesh_table_is_the_law(kind, p, f, e, n, data):
     AbstractGroup(G.table, validate=True)
 
 
+# Groups for the mesh kernel _every: each ring family, Aff(F_4) with its
+# identity in row 1, and a plain table group.
+EVERY_GROUPS = {
+    "hei3-z9": lambda: HeisenbergGroup(make_ring(3, 1, 1, 2)),
+    "hei5-f3": lambda: HeisenbergGroup(make_ring(3, 1, 1, 1), 2),
+    "u3-z4": lambda: UnitriangularGroup(make_ring(2, 1, 1, 2), 3),
+    "u4-f3": lambda: UnitriangularGroup(make_ring(3, 1, 1, 1), 4),
+    "aff-f4": lambda: AffineGroup(make_ring(2, 2, 1, 1)),
+    "aff-z9": lambda: AffineGroup(make_ring(3, 1, 1, 2)),
+    "z9-2": lambda: semidirect_cyclic(9, [2]),
+}
+
+
+@seed(20261019)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    st.sampled_from(sorted(EVERY_GROUPS)),
+    st.booleans(),
+    st.lists(st.integers(0, 10**6), max_size=6),
+)
+@example("hei5-f3", True, [])
+@example("aff-f4", False, [])
+@example("aff-f4", True, [1, 7, 1, 1])
+@example("u4-f3", False, [5, 700, 5])
+def test_every_is_the_product(kind, right, draws):
+    # _every(J, right) holds x J[i] (or J[i] x) at [i, x]: on a family the
+    # law on an open mesh, on a table group one gather, both equal to the
+    # index-array product of every row with J
+    G = EVERY_GROUPS[kind]()
+    J = [d % G.order for d in draws]
+    x, col = np.arange(G.order)[None, :], np.array(J, dtype=np.int64)[:, None]
+    got = G._every(J, right=right)
+    assert got.shape == (len(J), G.order)
+    assert (got == (G.product(x, col) if right else G.product(col, x))).all()
+
+
 def _group_layer(G) -> dict:
     """Everything AbstractGroup's group layer answers about G, as plain
     values; the quotients by the centre and the commutator subgroup as
@@ -774,42 +810,45 @@ def test_oracle_builds_no_cayley_table(monkeypatch, suite_report):
     assert inst["oracle"] and cross_validate({"instances": [inst]})["results"] == [entry]
 
 
+def _counted(law, name, calls):
+    """law, appending name to calls at each call."""
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return law(*args, **kwargs)
+    return counted
+
+
 def test_scan_law_calls_are_pinned():
     # the structure scan of Hei(F_16) on its law makes exactly this many
-    # calls of the family's product, which repeats from run to run.  A
-    # centralizer recomputed over every generator each round, spans
-    # rebuilt from scratch and inverses by squaring to g^(2|G|-1) would
-    # make 216
+    # calls of the family's product and of its mesh kernel _every, which
+    # repeat from run to run.  A centralizer recomputed over every
+    # generator each round, spans rebuilt from scratch and inverses by
+    # squaring to g^(2|G|-1) would make 216 products; centralizers by
+    # products, not _every, made 96
     F = HeisenbergGroup(make_ring(2, 4, 1, 1))
-    calls, law = [], F.product
-
-    def counted(I, J):
-        calls.append(1)
-        return law(I, J)
-
-    F.product = counted
+    calls = []
+    for name in ("product", "_every"):
+        setattr(F, name, _counted(getattr(F, name), name, calls))
     scan = structure_scan(F.to_abstract())
     assert (len(scan.center), len(scan.maximal_abelian)) == (16, 256)
-    assert len(calls) == 96
+    assert (calls.count("product"), calls.count("_every")) == (64, 10)
 
 
 def test_construction_law_calls_are_pinned(monkeypatch):
     # the explicit construction on Hei(F_16), on its law, makes exactly
-    # this many calls of the family's product, which repeats from run to
-    # run.  Cosets discovered one representative at a time, with one call
-    # each, made 164
+    # this many calls of the family's product and of its mesh kernel
+    # _every, which repeat from run to run.  Cosets discovered one
+    # representative at a time, with one call each, made 164 products;
+    # cosets and induction by products, not _every, and one product per
+    # generator in the character check made 108
     from chainrep.minfaith_solver import construct_faithful_heisenberg
 
-    calls, law = [], HeisenbergGroup.product
-
-    def counted(self, I, J):
-        calls.append(1)
-        return law(self, I, J)
-
-    monkeypatch.setattr(HeisenbergGroup, "product", counted)
+    calls = []
+    for name in ("product", "_every"):
+        monkeypatch.setattr(HeisenbergGroup, name, _counted(getattr(HeisenbergGroup, name), name, calls))
     sol = construct_faithful_heisenberg(make_ring(2, 4, 1, 1))
     assert (sol.total_dim, sol.verified_faithful) == (64, True)
-    assert len(calls) == 108
+    assert (calls.count("product"), calls.count("_every")) == (72, 8)
 
 
 def test_semidirect_rejects_non_units():
