@@ -9,12 +9,11 @@ rows.  The codec decodes rows by a gather from one array of |G| entries
 per coordinate, built on first use and refused past physical memory or
 what numpy can allocate, as the cap is.  A family's ``product`` is that
 one law: the structure scan, the constructions and the character-table
-oracle need only products, so none of them builds a |G|^2 table, and a
-family's inverses come from the walk g, g^2, ... that gives the element
-orders.
-The distinguished table groups (semidirect products of cyclic groups,
-Q8 and GL_2) likewise write their law once, on row-index arrays, and
-their tables are filled a block of rows at a time.  AbstractGroup's
+oracle need only products, so none of them builds a |G|^2 table.  The
+distinguished groups (semidirect products of cyclic groups, Q8 and GL_2)
+are laws too, written once on row-index arrays (``from_law``): only a
+JSON table or a quotient is a dense table group.  A law's inverses come
+from the walk g, g^2, ... that gives the element orders.  AbstractGroup's
 group layer (spans, element orders, centralizers, classes, the
 commutator subgroup, quotients and the structure scan) is written once,
 against ``product``, ``inverse`` and ``identity``, and ``_every``, the
@@ -111,28 +110,17 @@ def _empty_table(n: int) -> np.ndarray:
     return _allocate(n, "its table", (n, n), np.int32)
 
 
-def _index_table(n: int, product, names, width: int = 1) -> "AbstractGroup":
-    """The dense table of the index-array law ``product`` on rows
-    0..n-1, filled a block of rows at a time; ``names`` label the rows
-    and the caller vouches for the law.  The law holds about width + 2
-    int64 arrays of a block at once, so a block has _BLOCK // width
-    entries."""
-    table, idx = _empty_table(n), np.arange(n)
-    rows = max(1, _BLOCK // (n * width))
-    for lo in range(0, n, rows):
-        table[lo : lo + rows] = product(idx[lo : lo + rows, None], idx[None, :])
-    return AbstractGroup(table, names=names, validate=False)
-
-
 # -- abstract groups -------------------------------------------------
 
 
 class AbstractGroup:
     """A finite group on the elements 0..n-1, given by its dense
-    multiplication table; ``names`` optionally attaches labels.
-    Everything past the constructor, which checks the table, is written
-    against ``product``, ``inverse`` and ``identity`` only, so a ring
-    family, a subclass that works them out from its law, runs it too."""
+    multiplication table, which the constructor checks, or by an
+    index-array law (``from_law``), whose identity, inverses and table are
+    worked out on first use; ``names`` optionally attaches labels.  Past
+    the constructors everything is written against ``product``,
+    ``inverse`` and ``identity`` only, so a ring family, a subclass with
+    its own law, runs it too."""
 
     def __init__(self, table, names=None, validate=True):
         table = np.asarray(table)
@@ -167,6 +155,33 @@ class AbstractGroup:
         self.inverse = inv
         if validate:
             self._check_associativity()
+
+    @classmethod
+    def from_law(cls, order: int, product, names) -> "AbstractGroup":
+        """The group on rows 0..order-1 whose ``product`` is the index-array
+        law product(I, J); the caller vouches for the law."""
+        G = cls.__new__(cls)
+        G.order, G.product, G.names = order, product, names
+        return G
+
+    @cached_property
+    def identity(self) -> int:
+        """The row e with e 0 = 0, which in a group holds for e alone."""
+        return int(np.argmax(self._every([0])[0] == 0))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return self._power_walk[1]
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The dense table of the law, filled a block of rows at a time when
+        the benchmark or a test reads it: the package reads ``product``."""
+        table, idx = _empty_table(self.order), np.arange(self.order)
+        rows = max(1, _BLOCK // self.order)
+        for lo in range(0, self.order, rows):
+            table[lo : lo + rows] = self.product(idx[lo : lo + rows, None], idx)
+        return table
 
     def product(self, I, J) -> np.ndarray:
         return self.table[I, J]
@@ -307,8 +322,12 @@ class AbstractGroup:
 
     def _commuting(self, elems, mask) -> np.ndarray:
         """mask, narrowed in place to the rows that commute with every row
-        of elems: x s = s x, both sides one ``_every``."""
-        mask &= (self._every(elems) == self._every(elems, right=False)).all(axis=0)
+        of elems: x s = s x, both sides one ``_every`` on a block of elems
+        that keeps each within _BLOCK entries."""
+        elems, rows = np.asarray(elems, dtype=np.int64), max(1, _BLOCK // self.order)
+        for lo in range(0, len(elems), rows):
+            block = elems[lo : lo + rows]
+            mask &= (self._every(block) == self._every(block, right=False)).all(axis=0)
         return mask
 
     def quotient(self, normal_elems):
@@ -409,9 +428,8 @@ class _RingFamily(AbstractGroup):
     value of each digit value, and ``_decode`` gathers from ``_coords``,
     the coordinates of every row, which they fill.  ``_identity`` is the
     identity's coordinates and ``names`` the coordinates of each row.
-    ``product`` is the law, ``_every`` the law of every row with a few
-    on an open mesh of coordinates, and ``inverse`` comes from the walk
-    that gives the element orders.  ``to_abstract`` is the family itself;
+    ``product`` is the law and ``_every`` the law of every row with a few
+    on an open mesh of coordinates.  ``to_abstract`` is the family itself;
     each family class binds it in its own namespace, which is where
     perfbench's tracer looks for it."""
 
@@ -485,16 +503,8 @@ class _RingFamily(AbstractGroup):
         return np.broadcast_to(out, (len(J), *radices)).reshape(len(J), self.order)
 
     @cached_property
-    def inverse(self) -> np.ndarray:
-        return self._power_walk[1]
-
-    @cached_property
     def table(self) -> np.ndarray:
-        """The dense multiplication table, from the law on an open mesh.
-        Nothing in the package reads it: ``product`` is the law.  The
-        benchmark's relabelling (``perfbench/workloads.py``) and its table
-        count (``perfbench/tracer.py``) read it, and so do tests, which
-        compare a family with the plain table group of its law.
+        """AbstractGroup's lazy ``table``, from the law on an open mesh.
         Rows are the codec's digits, so the table is viewed with shape
         radices + radices: with w digits, digit t of the left factor runs
         along axis t and of the right factor along axis w + t.  Each
@@ -687,7 +697,7 @@ def semidirect_cyclic(modulus: int, multipliers) -> AbstractGroup:
         m1 = units[I % h]
         return (I // h + m1 * (J // h)) % modulus * h + pos[m1 * units[J % h] % modulus]
 
-    return _index_table(modulus * h, product, [(c, m) for c in range(modulus) for m in ms])
+    return AbstractGroup.from_law(modulus * h, product, [(c, m) for c in range(modulus) for m in ms])
 
 
 def semidirect_hom_order(modulus: int, multiplier: int, h_order: int) -> int:
@@ -714,9 +724,8 @@ def semidirect_cyclic_hom(modulus: int, multiplier: int, h_order: int) -> Abstra
         c = (I // h_order + mt[I % h_order] * (J // h_order)) % modulus
         return c * h_order + (I + J) % h_order
 
-    return _index_table(
-        modulus * h_order, product, [(c, t) for c in range(modulus) for t in range(h_order)]
-    )
+    names = [(c, t) for c in range(modulus) for t in range(h_order)]
+    return AbstractGroup.from_law(modulus * h_order, product, names)
 
 
 def quaternion_group() -> AbstractGroup:
@@ -730,13 +739,14 @@ def quaternion_group() -> AbstractGroup:
         a, b = I // 2, J // 2
         return 2 * (a ^ b) + (I ^ J ^ neg[a, b]) % 2
 
-    return _index_table(8, product, [(ax, s) for ax in ("1", "i", "j", "k") for s in (1, -1)])
+    return AbstractGroup.from_law(8, product, [(ax, s) for ax in ("1", "i", "j", "k") for s in (1, -1)])
 
 
 def general_linear_2(R: RingSpec) -> AbstractGroup:
     """GL_2 over a residue field (n = 1 rings only; oracle-scale).
     Elements are (a, b, c, d) for the matrix [[a, b], [c, d]], in radix
-    order over the field's element indices."""
+    order over the field's element indices.  Row i of a product is row i
+    of the left factor times the right one, a gather from vN."""
     if R.n != 1:
         raise ValueError("general_linear_2 supports fields only")
     q = R.size
@@ -747,22 +757,16 @@ def general_linear_2(R: RingSpec) -> AbstractGroup:
     coords = quad[:, add[mul[a, d], R.neg_table[mul[b, c]]] != 0]
     n = coords.shape[1]
     pos = np.zeros(q**4, dtype=np.int64)  # radix index -> row
-    pos[((coords[0] * q + coords[1]) * q + coords[2]) * q + coords[3]] = np.arange(n)
+    top, bot = coords[0] * q + coords[1], coords[2] * q + coords[3]
+    pos[top * q * q + bot] = np.arange(n)
+    x, y = np.divmod(np.arange(q * q)[:, None], q)
+    e, f, g, h = coords  # vN: radix index x q + y of the row vector (x, y) times each element
+    vN = add[mul[x, e], mul[y, g]] * q + add[mul[x, f], mul[y, h]]
 
     def product(I, J):
-        (a, b, c, d), (e, f, g, h) = coords[:, I], coords[:, J]
-        entries = (
-            add[mul[a, e], mul[b, g]],
-            add[mul[a, f], mul[b, h]],
-            add[mul[c, e], mul[d, g]],
-            add[mul[c, f], mul[d, h]],
-        )
-        radix = 0
-        for x in entries:
-            radix = radix * q + x
-        return pos[radix]
+        return pos[vN[top[I], J] * (q * q) + vN[bot[I], J]]
 
-    return _index_table(n, product, list(zip(*coords.tolist())), width=4)
+    return AbstractGroup.from_law(n, product, list(zip(*coords.tolist())))
 
 
 # -- structure scan ---------------------------------------------------

@@ -13,7 +13,9 @@ tensor.  ``Cyclotomic`` adds and multiplies exact values in Z[zeta_m] as
 reduced coefficient vectors, where the oracle holds root-of-unity
 multiplicities and reduces a whole row at once.  The group helpers
 (``index_inverse``, ``family_mul``, ``family_inv``) multiply and invert
-one element at a time through a family's law.  ``rref_loop`` and
+one element at a time through a family's law, and ``tabulate`` and the
+``*_law`` helpers multiply the names of a distinguished group one pair
+at a time, where its builder writes an index-array law.  ``rref_loop`` and
 ``nullspace_loop`` eliminate over F_l one row and one entry at a time,
 where the package clears a pivot column with one rank-one update."""
 
@@ -549,6 +551,78 @@ def family_inv(F, g) -> tuple:
     """The inverse of an element of a ring family, as a coordinate tuple,
     by ``index_inverse`` on its row."""
     return tuple(int(c) for c in F._decode(index_inverse(F, F._encode(g))))
+
+
+# -- the distinguished groups, one product of names at a time -----------
+
+
+def tabulate(els, mul, rows=None):
+    """The dense int32 table of the law mul on the element list els, or
+    its rows listed in rows, one scalar product per entry, and els."""
+    pos = {g: i for i, g in enumerate(els)}
+    rows = range(len(els)) if rows is None else rows
+    table = np.empty((len(rows), len(els)), dtype=np.int32)
+    for r, i in enumerate(rows):
+        table[r] = [pos[mul(els[i], h)] for h in els]
+    return table, els
+
+
+def semidirect_law(modulus, multipliers):
+    """(names, mul) of semidirect_cyclic: the pairs (c, m) in row order,
+    and (c1, m1)(c2, m2) = (c1 + m1 c2, m1 m2)."""
+    from chainrep.group_models import multiplier_closure
+
+    def mul(g, h):
+        return (g[0] + g[1] * h[0]) % modulus, g[1] * h[1] % modulus
+
+    return [(c, m) for c in range(modulus) for m in multiplier_closure(modulus, multipliers)], mul
+
+
+def semidirect_hom_law(modulus, multiplier, h_order):
+    """(names, mul) of semidirect_cyclic_hom: the pairs (c, t) in row
+    order, and (c1, t1)(c2, t2) = (c1 + multiplier^t1 c2, t1 + t2)."""
+    def mul(g, h):
+        return (g[0] + pow(multiplier, g[1], modulus) * h[0]) % modulus, (g[1] + h[1]) % h_order
+
+    return [(c, t) for c in range(modulus) for t in range(h_order)], mul
+
+
+def quaternion_law():
+    """(names, mul) of quaternion_group: (axis, sign) pairs, multiplied
+    by the rules ij = k, jk = i, ki = j and i^2 = j^2 = k^2 = -1."""
+    basis = {
+        ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1), ("1", "k"): ("k", 1),
+        ("i", "1"): ("i", 1), ("j", "1"): ("j", 1), ("k", "1"): ("k", 1),
+        ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
+        ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
+        ("j", "k"): ("i", 1), ("k", "j"): ("i", -1),
+        ("k", "i"): ("j", 1), ("i", "k"): ("j", -1),
+    }
+
+    def mul(g, h):
+        ax, s = basis[(g[0], h[0])]
+        return ax, s * g[1] * h[1]
+
+    return [(ax, s) for ax in ("1", "i", "j", "k") for s in (1, -1)], mul
+
+
+def gl2_law(R: RingSpec):
+    """(names, mul) of general_linear_2(R): the invertible (a, b, c, d)
+    in radix order over the field's element indices, and the matrix
+    product through the ring tables, one entry at a time."""
+    q = R.size
+    mul, add, neg = R.mul_table.tolist(), R.add_table.tolist(), R.neg_table.tolist()
+
+    def matmul(x, y):
+        (a, b, c, d), (e, f, g, h) = x, y
+        return (
+            add[mul[a][e]][mul[b][g]],
+            add[mul[a][f]][mul[b][h]],
+            add[mul[c][e]][mul[d][g]],
+            add[mul[c][f]][mul[d][h]],
+        )
+
+    return [(a, b, c, d) for a, b, c, d in product(range(q), repeat=4) if add[mul[a][d]][neg[mul[b][c]]]], matmul
 
 
 def character(rep, row) -> Cyclotomic:

@@ -32,8 +32,13 @@ from reference import (
     family_inv,
     family_mul,
     from_index,
+    gl2_law,
+    quaternion_law,
     ring_one,
     ring_zero,
+    semidirect_hom_law,
+    semidirect_law,
+    tabulate,
 )
 
 
@@ -510,87 +515,68 @@ def test_built_tables_are_associative(ring):
         G._check_associativity()
 
 
-def tabulate(els, mul):
-    """Reference: the dense table of the law mul on the element list els,
-    one scalar product per entry."""
-    pos = {g: i for i, g in enumerate(els)}
-    table = np.empty((len(els), len(els)), dtype=np.int32)
-    for i, g in enumerate(els):
-        table[i] = [pos[mul(g, h)] for h in els]
-    return table, els
-
-
-def reference_semidirect(modulus, multipliers):
-    from chainrep.group_models import multiplier_closure
-
-    ms = multiplier_closure(modulus, multipliers)
-    return tabulate(
-        [(c, m) for c in range(modulus) for m in ms],
-        lambda g, h: ((g[0] + g[1] * h[0]) % modulus, (g[1] * h[1]) % modulus),
-    )
-
-
-def reference_semidirect_hom(modulus, multiplier, h_order):
-    mt = [pow(multiplier % modulus, t, modulus) for t in range(h_order)]
-    return tabulate(
-        [(c, t) for c in range(modulus) for t in range(h_order)],
-        lambda g, h: ((g[0] + mt[g[1]] * h[0]) % modulus, (g[1] + h[1]) % h_order),
-    )
-
-
-def reference_quaternion():
-    basis = {
-        ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1), ("1", "k"): ("k", 1),
-        ("i", "1"): ("i", 1), ("j", "1"): ("j", 1), ("k", "1"): ("k", 1),
-        ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
-        ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
-        ("j", "k"): ("i", 1), ("k", "j"): ("i", -1),
-        ("k", "i"): ("j", 1), ("i", "k"): ("j", -1),
-    }
-
-    def mul(g, h):
-        ax, s = basis[(g[0], h[0])]
-        return ax, s * g[1] * h[1]
-
-    return tabulate([(ax, s) for ax in ("1", "i", "j", "k") for s in (1, -1)], mul)
-
-
-def reference_gl2(R):
-    from itertools import product
-
-    q = R.size
-    mul, add, neg = R.mul_table.tolist(), R.add_table.tolist(), R.neg_table.tolist()
-    els = [(a, b, c, d) for a, b, c, d in product(range(q), repeat=4) if add[mul[a][d]][neg[mul[b][c]]]]
-
-    def matmul(x, y):
-        (a, b, c, d), (e, f, g, h) = x, y
-        return (
-            add[mul[a][e]][mul[b][g]],
-            add[mul[a][f]][mul[b][h]],
-            add[mul[c][e]][mul[d][g]],
-            add[mul[c][f]][mul[d][h]],
-        )
-
-    return tabulate(els, matmul)
-
-
 def test_builders_match_the_scalar_loop(ring):
     # the index-array laws against one scalar product per table entry:
     # same element order, names and int32 table bytes
-    cases = [(semidirect_cyclic(*a), reference_semidirect(*a)) for a in [
+    cases = [(semidirect_cyclic(*a), tabulate(*semidirect_law(*a))) for a in [
         (3, [2]), (4, [3]), (8, [3, 5]), (9, [2]), (12, [5, 7]), (15, [2]), (16, [3]),
     ]]
-    cases += [(semidirect_cyclic_hom(*a), reference_semidirect_hom(*a)) for a in [
+    cases += [(semidirect_cyclic_hom(*a), tabulate(*semidirect_hom_law(*a))) for a in [
         (5, 2, 4), (8, 7, 4), (9, 4, 6), (7, 2, 9), (16, 1, 3),
     ]]
-    cases += [(quaternion_group(), reference_quaternion())]
-    cases += [(general_linear_2(R), reference_gl2(R)) for R in (
+    cases += [(quaternion_group(), tabulate(*quaternion_law()))]
+    cases += [(general_linear_2(R), tabulate(*gl2_law(R))) for R in (
         ring("f2"), ring("f3"), ring("f5"), make_ring(7, 1, 1, 1),
     )]
     for G, (table, names) in cases:
         assert G.table.dtype == np.int32
         assert G.table.tobytes() == table.tobytes()
         assert G.names == names
+
+
+# The fields F_q, q <= 7, as make_ring's (p, f).
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)]
+
+
+@st.composite
+def built_laws(draw):
+    """(group, (names, mul)): a group from semidirect_cyclic,
+    semidirect_cyclic_hom or general_linear_2 on drawn parameters, and
+    the scalar reference for its names."""
+    kind = draw(st.sampled_from(["semidirect", "hom", "gl2"]))
+    if kind == "gl2":
+        R = make_ring(*draw(st.sampled_from(SMALL_FIELDS)), 1, 1)
+        return general_linear_2(R), gl2_law(R)
+    modulus = draw(st.integers(2, 40))
+    units = [m for m in range(1, modulus) if gcd(m, modulus) == 1]
+    if kind == "semidirect":
+        args = modulus, draw(st.lists(st.sampled_from(units), min_size=1, max_size=3))
+        return semidirect_cyclic(*args), semidirect_law(*args)
+    m = draw(st.sampled_from(units))
+    order = next(t for t in range(1, modulus) if pow(m, t, modulus) == 1)
+    args = modulus, m, order * draw(st.integers(1, 3))
+    return semidirect_cyclic_hom(*args), semidirect_hom_law(*args)
+
+
+@seed(20261031)
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(built_laws(), st.data())
+def test_built_law_is_the_name_product(built, data):
+    # a builder's index-array law against the scalar product of its
+    # names: random row pairs, the identity, every inverse, and the table,
+    # filled only when read, on drawn rows and the last
+    G, (names, mul) = built
+    assert G.names == names
+    rows = st.integers(0, G.order - 1)
+    I, J = (np.array(data.draw(st.lists(rows, min_size=50, max_size=50))) for _ in range(2))
+    assert [names[k] for k in G.product(I, J)] == [mul(names[i], names[j]) for i, j in zip(I, J)]
+    e = names[G.identity]
+    assert all(mul(e, g) == g == mul(g, e) for g in names)
+    assert all(mul(g, names[k]) == e == mul(names[k], g) for g, k in zip(names, G.inverse))
+    assert "table" not in vars(G)
+    T = data.draw(st.lists(rows, min_size=1, max_size=3)) + [G.order - 1]
+    assert G.table.dtype == np.int32
+    assert G.table[T].tobytes() == tabulate(names, mul, T)[0].tobytes()
 
 
 # sha256 of to_abstract().table.tobytes() and of repr(names), taken when
@@ -787,27 +773,59 @@ def test_construction_builds_no_cayley_table(monkeypatch):
 
 
 def test_oracle_builds_no_cayley_table(monkeypatch, suite_report):
-    # the oracle reads a ring family's rows through its law alone: with the
-    # dense table unallocatable, Hei(GR(4,2)) gets the character table of
-    # the plain table group of its law, and a suite instance with the
-    # oracle on runs every route as the default suite does
+    # the oracle reads a built group's rows through its law alone: with
+    # the dense table unallocatable, Hei(GR(4,2)), GL_2(F_7), two
+    # semidirect products and Q8 get the character table of the plain
+    # table group of their law, and the suite instances with the oracle
+    # on among them run every route as the default suite does
     from chainrep import group_models
     from chainrep.cli import load_default_suite
     from chainrep.oracle import CharacterTable, cross_validate, min_faithful_exhaustive
 
-    R = make_ring(2, 2, 1, 2)
-    want = CharacterTable(AbstractGroup(HeisenbergGroup(R).table, validate=False))
-    (inst,) = [inst for inst in load_default_suite()["instances"] if inst["name"] == "hei3-z4"]
-    (entry,) = [entry for entry in suite_report["results"] if entry["name"] == "hei3-z4"]
+    builders = {
+        "hei3-gr42": lambda: HeisenbergGroup(make_ring(2, 2, 1, 2)),
+        "gl2-f7": lambda: general_linear_2(make_ring(7, 1, 1, 1)),
+        "z9-units": lambda: semidirect_cyclic(9, [2]),
+        "z8-by-z4-quotient-action": lambda: semidirect_cyclic_hom(8, 7, 4),
+        "q8": quaternion_group,
+    }
+
+    def oracle(G):
+        T = CharacterTable(G)
+        return T.prime, min_faithful_exhaustive(T)[0], T.to_rows()
+
+    want = {name: oracle(AbstractGroup(build().table, validate=False)) for name, build in builders.items()}
+    names = {"hei3-z4", "z9-units", "z8-by-z4-quotient-action", "q8", "gl2-f3"}
+    insts = [inst for inst in load_default_suite()["instances"] if inst["name"] in names]
+    entries = [entry for entry in suite_report["results"] if entry["name"] in names]
 
     def refuse(n):
         raise AssertionError(f"a {n} x {n} table was allocated")
 
     monkeypatch.setattr(group_models, "_empty_table", refuse)
-    T = CharacterTable(HeisenbergGroup(R))
-    assert (T.prime, min_faithful_exhaustive(T)[0]) == (want.prime, 32) == (137, 32)
-    assert T.to_rows() == want.to_rows()
-    assert inst["oracle"] and cross_validate({"instances": [inst]})["results"] == [entry]
+    assert {name: oracle(build()) for name, build in builders.items()} == want
+    assert want["hei3-gr42"][:2] == (137, 32) and want["gl2-f7"][1] == 6
+    assert len(insts) == 5 and all(inst["oracle"] for inst in insts)
+    assert cross_validate({"instances": insts})["results"] == entries
+
+
+def test_centralizer_memory_is_bounded():
+    # _commuting takes its rows a block at a time: the centralizer of
+    # Hei(Z/16)'s 256-element greedy maximal abelian subgroup, which is
+    # that subgroup, holds a few MB, where the two (256, 4096) products
+    # at once peaked at 18.6 MB
+    import tracemalloc
+
+    G = HeisenbergGroup(make_ring(2, 1, 1, 4))
+    A = G.scan.maximal_abelian  # builds the codec and the ring tables, cached
+    tracemalloc.start()
+    try:
+        C = G.centralizer(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(A) == 256 and C == A
+    assert peak < 8e6
 
 
 def _counted(law, name, calls):
