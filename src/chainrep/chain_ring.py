@@ -57,50 +57,66 @@ def _is_prime(m: int) -> bool:
     return m > 1 and _factorize(m) == {m: 1}
 
 
-def _poly_mulmod(a, b, h, p):
-    # product of a, b mod (h, p); h monic
-    f = len(h) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    for d in range(len(out) - 1, f - 1, -1):
-        c = out[d]
+def _divide(num, den, p=0):
+    """(quotient, remainder) of num by the monic den, as coefficient
+    lists; the remainder has length deg den.  With p, over F_p: every
+    coefficient of both is reduced into [0, p)."""
+    num, deg = list(num), len(den) - 1
+    num += [0] * (deg - len(num))
+    quot = [0] * max(len(num) - deg, 0)
+    terms = [(t - deg, v) for t, v in enumerate(den[:deg]) if v]
+    for d in range(len(num) - 1, deg - 1, -1):
+        c = num[d] % p if p else num[d]
         if c:
-            out[d] = 0
-            for t in range(f + 1):
-                out[d - f + t] = (out[d - f + t] - c * h[t]) % p
-    out = out[:f]
-    while out and out[-1] == 0:
-        out.pop()
+            quot[d - deg] = c
+            for t, v in terms:  # x^d = -sum den_t x^(d - deg + t) mod den
+                num[d + t] -= c * v
+    rem = num[:deg]
+    return quot, [c % p for c in rem] if p else rem
+
+
+def _powers(den, count) -> np.ndarray:
+    """Row s of the (count, deg den) int64 array holds x^s mod the monic
+    den, by x^(s+1) = x * x^s: shift up one place and fold the top
+    coefficient back with x^deg = -sum den_t x^t."""
+    deg = len(den) - 1
+    low = np.array(den[:deg], dtype=np.int64)
+    out = np.zeros((count, deg), dtype=np.int64)
+    out[0, 0] = 1
+    for s in range(1, count):
+        out[s, 1:] = out[s - 1, :-1]
+        out[s] -= out[s - 1, -1] * low
     return out
 
 
+def _poly_mulmod(a, b, h, p):
+    # product of a, b mod (h, p); h monic
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _divide(out, h, p)[1]
+
+
 def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
+    # monic gcd of a and a nonzero b over F_p
+    while True:
         inv = pow(b[-1], -1, p)
-        b = [(c * inv) % p for c in b]
-        while len(a) >= len(b):
-            c = a[-1]
-            off = len(a) - len(b)
-            for t in range(len(b)):
-                a[off + t] = (a[off + t] - c * b[t]) % p
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return a
+        b = [c * inv % p for c in b]
+        a, b = b, _divide(a, b, p)[1]
+        while b and b[-1] == 0:
+            b.pop()
+        if not b:
+            return a
 
 
 def _is_irreducible(h, p) -> bool:
     # h monic of degree f over F_p; irreducible iff gcd(x^(p^d) - x, h)
     # is trivial for every d <= f//2
     f = len(h) - 1
-    if f == 1:
-        return True
     for d in range(1, f // 2 + 1):
-        # x^(p^d) mod h via square-and-multiply
+        # x^(p^d) mod h via square-and-multiply; at least one product,
+        # so acc has the f coefficients of a remainder
         exp = p**d
         acc = [1]
         base = [0, 1]
@@ -109,14 +125,8 @@ def _is_irreducible(h, p) -> bool:
                 acc = _poly_mulmod(acc, base, h, p)
             base = _poly_mulmod(base, base, h, p)
             exp >>= 1
-        diff = list(acc)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        while diff and diff[-1] == 0:
-            diff.pop()
-        g = _poly_gcd(diff, h, p)
-        if len(g) > 1:
+        acc[1] -= 1
+        if len(_poly_gcd(acc, h, p)) > 1:
             return False
     return True
 
@@ -159,7 +169,6 @@ class RingSpec:
         self.unramified_poly = minimal_irreducible(p, f)
         self._fn = f * n
         self._radix = tuple(p ** (self._fn - 1 - t) for t in range(self._fn))
-        self._yred = self._build_yred()
 
     # -- identity ----------------------------------------------------
 
@@ -178,26 +187,11 @@ class RingSpec:
 
     # -- the unramified basis ----------------------------------------
 
-    def _build_yred(self):
-        # y^s mod h for 0 <= s <= 2f-2, with integer (unreduced) coeffs
-        f = self.f
-        h = self.unramified_poly
-        rows = []
-        for s in range(2 * f - 1):
-            if s < f:
-                row = [0] * f
-                row[s] = 1
-            else:
-                prev = rows[s - 1]
-                row = [0] * f
-                for t in range(f - 1):
-                    row[t + 1] = prev[t]
-                lead = prev[f - 1]
-                if lead:
-                    for t in range(f):
-                        row[t] -= lead * h[t]
-            rows.append(row)
-        return rows
+    @cached_property
+    def _yred(self) -> list[list[int]]:
+        """Row s: y^s mod h for 0 <= s <= 2f-2, integer (unreduced)
+        coefficients."""
+        return _powers(self.unramified_poly, 2 * self.f - 1).tolist()
 
     # -- distinguished subsets ---------------------------------------
 

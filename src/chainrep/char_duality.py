@@ -4,11 +4,11 @@ the p-torsion subgroup.
 The fixed primitive character psi is a linear form in the digits: a
 modulus p^M and one weight per digit position, with psi(x) =
 zeta_{p^M}^(digits(x) . w).  The weights are all 1 mod p (the digit sum)
-in equal characteristic, the Galois-ring trace for unramified rings,
-and for ramified rings a coefficient-precision construction (the
-additive group decomposes as a sum of cyclic p-groups whose j-th block
-has precision ceil((n-j)/e); the character weights each block
-accordingly).  Every additive character is then x |-> psi(b x) for a
+in equal characteristic, the Galois-ring trace (the trace of the
+multiplication map) for unramified rings, and for ramified rings a
+coefficient-precision construction (the additive group decomposes as a
+sum of cyclic p-groups whose j-th block has precision ceil((n-j)/e);
+the character weights each block accordingly).  Every additive character is then x |-> psi(b x) for a
 unique b, of level val(b); its values are psi over the row b of the
 multiplication table, and nothing here enumerates the ring.
 
@@ -41,8 +41,10 @@ def character_weights(R: RingSpec) -> tuple[int, tuple[int, ...]]:
         mod = p
         w = [1] * (f * n)
     elif e == 1:
+        # Tr(omega_i): the trace of multiplication by y^i, whose column
+        # t is the row y^(i+t) of _yred
         mod = p**n
-        w = [t * p**j for t in _trace_coefficients(R) for j in range(n)]
+        w = [sum(R._yred[i + t][t] for t in range(f)) * p**j for i in range(f) for j in range(n)]
     else:
         # column c is place c // e of block c mod e, whose precision
         # ceil((n - c mod e)/e) is -((n - c % e) // -e)
@@ -54,28 +56,6 @@ def character_weights(R: RingSpec) -> tuple[int, tuple[int, ...]]:
     # elements have digits in column n-1 only
     assert any(w[i * n + n - 1] for i in range(f)), "base character not primitive"
     return mod, w
-
-
-def _trace_coefficients(R: RingSpec) -> list[int]:
-    """The traces T_i = Tr(omega_i), i < f, of an unramified ring (e = 1)
-    as integers mod p^n: the power sums of rho^i over the roots rho of
-    the unramified polynomial h inside R.
-
-    h is irreducible mod p, so its f roots in F_{p^f} (a normal
-    extension) are distinct: h is separable mod p.  By Hensel's lemma
-    each simple root lifts to a root in R = GR(p^n, f), and the lifts
-    are pairwise distinct mod p, so h = prod (x - rho) splits into
-    distinct linear factors over R.  Newton's identities then give the
-    power sums from the coefficients a_k of x^(f-k) in h,
-        T_k = -(a_1 T_(k-1) + ... + a_(k-1) T_1 + k a_k),  0 < k < f,
-    with T_0 = f.  The recurrence has integer coefficients, so each T_k
-    lies in the prime subring Z/p^n, and no root is searched for."""
-    f, h, mod = R.f, R.unramified_poly, R.p**R.n
-    a = h[::-1]  # a[k]: coefficient of x^(f-k)
-    T = [f]
-    for k in range(1, f):
-        T.append(-(sum(a[t] * T[k - t] for t in range(1, k)) + k * a[k]) % mod)
-    return T
 
 
 def psi(R: RingSpec, idx) -> np.ndarray:

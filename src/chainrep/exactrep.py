@@ -33,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .chain_ring import _divide, _powers
 from .group_models import NotSubgroupError  # noqa: F401 (induce raises it, through group._subgroup)
 
 
@@ -60,46 +61,13 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _ctx(m: int):
     """(deg Phi_m, Phi_m, zpow): row s of the read-only (m, deg) array
-    zpow holds z^s reduced mod Phi_m, by z^(s+1) = z * z^s: shift up one
-    place and fold the top coefficient back with z^deg = -sum phi_t z^t.
-    The coefficients stay small (at most 15 in absolute value for every
-    m < 1200 and for m = 4290), far inside int64."""
+    zpow holds z^s reduced mod Phi_m (``_powers``).  The coefficients
+    stay small (at most 15 in absolute value for every m < 1200 and for
+    m = 4290), far inside int64."""
     phi_poly = cyclotomic_polynomial(m)
-    deg = len(phi_poly) - 1
-    low = np.array(phi_poly[:deg], dtype=np.int64)
-    zpow = np.zeros((m, deg), dtype=np.int64)
-    zpow[0, 0] = 1
-    for s in range(1, m):
-        zpow[s, 1:] = zpow[s - 1, :-1]
-        zpow[s] -= zpow[s - 1, -1] * low
+    zpow = _powers(phi_poly, m)
     zpow.flags.writeable = False
-    return deg, phi_poly, zpow
-
-
-@lru_cache(maxsize=None)
-def _fold_terms(den) -> list[tuple[int, int]]:
-    """(t - deg, den_t) for the nonzero coefficients den_t, t < deg, of a
-    monic den: z^d = -sum den_t z^(d - deg + t) mod den."""
-    deg = len(den) - 1
-    assert den[deg] == 1
-    return [(t - deg, v) for t, v in enumerate(den[:deg]) if v]
-
-
-def _divide(num, den):
-    """(quotient, remainder) of num by the monic den, as coefficient
-    lists; the remainder has length deg den."""
-    num, deg = list(num), len(den) - 1
-    num += [0] * (deg - len(num))
-    quot = [0] * max(len(num) - deg, 0)
-    terms = _fold_terms(den)
-    for d in range(len(num) - 1, deg - 1, -1):
-        c = num[d]
-        if c:
-            num[d] = 0
-            quot[d - deg] = c
-            for t, v in terms:
-                num[d + t] -= c * v
-    return quot, num[:deg]
+    return len(phi_poly) - 1, phi_poly, zpow
 
 
 def cyc_str(terms) -> str:

@@ -341,11 +341,12 @@ class Family:
     parameter ``keys`` and ``defaults`` (a key without one is required),
     and callables on a FamilyInstance that build the ring (None: no
     ring) and table group, give |G| (building no group, but for a
-    table), describe it, and run the family's ``routes`` and orbit
-    ``bound``, which cross_validate runs before the two-step routes and
-    the oracle; ``oracle`` says whether the oracle runs by default.  What
-    each parameter's value takes is in VALUE_KINDS, and FamilyInstance
-    checks it.  The callables look builders up when called, so a rebound
+    table), describe it, and run the family's ``routes``, which
+    cross_validate runs before the two-step routes and the oracle (an
+    ``orbit_bound`` route gives the orbit lower bound and whether the
+    action is faithful); ``oracle`` says whether the oracle runs by
+    default.  What each parameter's value takes is in VALUE_KINDS, and
+    FamilyInstance checks it.  The callables look builders up when called, so a rebound
     module-level builder is the one run."""
 
     spec: str
@@ -356,7 +357,6 @@ class Family:
     describe: Callable
     ring: Callable | None = None
     routes: dict = field(default_factory=dict)
-    bound: Callable | None = None
     oracle: bool = True
 
 
@@ -374,6 +374,8 @@ def _semidirect_order(b) -> int:
     """|G| with the parameter checks of its build, and no table."""
     if b.h_order is None:
         return b.modulus * len(multiplier_closure(b.modulus, b.multipliers))
+    if len(b.multipliers) != 1:
+        raise ValueError(f"multipliers = {json.dumps(b.multipliers)}, not one multiplier, with h_order = {b.h_order}")
     return semidirect_hom_order(b.modulus, b.multipliers[0], b.h_order)
 
 
@@ -434,7 +436,7 @@ FAMILIES = {
             if b.h_order is None
             else f"Z/{b.modulus} by Z/{b.h_order} via {b.multipliers[0]}"
         ),
-        bound=lambda b: orbit_lower_bound(b.modulus, b.multipliers, b.h_order),
+        routes={"orbit_bound": lambda b: orbit_lower_bound(b.modulus, b.multipliers, b.h_order)},
     ),
     "quaternion": Family(
         "quaternion", (), {},

@@ -677,7 +677,7 @@ def cross_validate(suite: dict) -> dict:
     ``name`` and a ``family``, for a name two instances share, or for the
     first malformed instance (_suite_instance).
     The routes run in this order: the family's own (closed form, greedy
-    solver, explicit construction), the orbit bound, the two-step closed
+    solver, explicit construction, orbit bound), the two-step closed
     form and construction when ``two_step`` is true, and the oracle
     search when ``oracle`` is true (by default for the families given by
     their group), with the greedy solver on its catalog under
@@ -701,8 +701,6 @@ def cross_validate(suite: dict) -> dict:
         b, name = built.pop(), inst["name"]
         fam = b.family
         routes = dict(fam.routes)
-        if fam.bound is not None:
-            routes["orbit_bound"] = fam.bound
         if inst.get("two_step", False):
             routes.update({f"{key}_two_step": route for key, route in solver.TWO_STEP_ROUTES.items()})
         if inst.get("oracle", fam.oracle):

@@ -25,9 +25,9 @@ from itertools import product
 
 import numpy as np
 
-from chainrep.chain_ring import INF, RingParameterError, RingSpec
+from chainrep.chain_ring import INF, RingParameterError, RingSpec, _divide
 from chainrep.char_duality import DualVector, character_weights
-from chainrep.exactrep import LinearChar, _ctx, _divide, cyc_str
+from chainrep.exactrep import LinearChar, _ctx, cyc_str
 from chainrep.group_models import HeisenbergGroup, _generator_series, _relation_value
 from chainrep.mackey_irreps import EXPLICIT_CAP, ideal_of
 from chainrep.minfaith_solver import formula_heisenberg

@@ -3,10 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from chainrep.chain_ring import (
     INF,
     RingParameterError,
+    _divide,
+    _powers,
     make_ring,
     minimal_irreducible,
 )
@@ -68,6 +72,38 @@ def test_minimal_irreducible_frozen():
     assert minimal_irreducible(3, 2) == (1, 0, 1)
     assert minimal_irreducible(5, 2) == (2, 0, 1)
     assert minimal_irreducible(2, 3) == (1, 1, 0, 1)
+
+
+@seed(20261019)
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    st.lists(st.integers(-30, 30), max_size=16),
+    st.sampled_from((0, 2, 3, 5, 7)),
+    st.integers(1, 14),
+)
+def test_divide_and_powers(low, num, p, count):
+    # num = quot * den + rem with len(rem) = deg den, over Z (p = 0) and
+    # mod p with every coefficient in [0, p); row s of _powers(den, count)
+    # is the remainder of x^s
+    den, deg = low + [1], len(low)
+    quot, rem = _divide(num, den, p)
+    assert len(rem) == deg
+    back = [0] * max(len(num), len(quot) + deg)
+    for i, c in enumerate(quot):
+        for t, v in enumerate(den):
+            back[i + t] += c * v
+    for t, c in enumerate(rem):
+        back[t] += c
+    num = num + [0] * (len(back) - len(num))
+    if p:
+        assert all(0 <= c < p for c in quot + rem)
+        num, back = [c % p for c in num], [c % p for c in back]
+    assert back == num
+    powers = _powers(den, count)
+    assert powers.shape == (count, deg)
+    for s in range(count):
+        assert powers[s].tolist() == _divide([0] * s + [1], den)[1], s
 
 
 def test_from_int_index_roundtrip(ring):

@@ -726,6 +726,22 @@ def test_suite_instance_keys_are_checked(capsys, tmp_path):
         assert err == f"parse error: cannot build suite from {str(path)!r}: instance 'x' has {reason}\n"
 
 
+def test_h_order_takes_one_multiplier(capsys, tmp_path):
+    # with h_order the group is built from one multiplier, so a second one
+    # is refused by the spec and the suite alike, not dropped from the
+    # group while the orbit bound closes over it
+    reason = "multipliers = [7, 3], not one multiplier, with h_order = 2"
+    spec = "semidirect:modulus=8,multipliers=7|3,h_order=2"
+    code, out, err = run_cli(capsys, "oracle", "minfaith", "--group", spec)
+    assert (code, out, err) == (2, "", f"parse error: cannot build group from {spec!r}: {reason}\n")
+    path = tmp_path / "suite.json"
+    instance = {"name": "x", "family": "semidirect", "modulus": 8, "multipliers": [7, 3], "h_order": 2}
+    path.write_text(json.dumps({"instances": [instance]}))
+    code, out, err = run_cli(capsys, "verify", "--suite", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: cannot build suite from {str(path)!r}: instance 'x' has {reason}\n"
+
+
 def test_suite_tables_are_read_by_the_check(capsys, tmp_path, monkeypatch, group):
     # the suite check reads each table instance's table: a malformed or
     # missing one is a parse error naming the instance, and a good one
