@@ -20,7 +20,7 @@ lookup tables, each built by carrying digit vectors to that normal form
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -131,10 +131,11 @@ def _is_irreducible(h, p) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def minimal_irreducible(p: int, f: int) -> tuple[int, ...]:
     """Monic irreducible of degree f over F_p whose lower-coefficient
     digits, read as a base-p integer, are smallest.  Returns coefficient
-    tuple (c0, ..., c_{f-1}, 1)."""
+    tuple (c0, ..., c_{f-1}, 1), searched once per (p, f)."""
     for k in range(p**f):
         low = [(k // p**t) % p for t in range(f)]
         h = tuple(low) + (1,)

@@ -169,8 +169,7 @@ def _cmd_irreps(args) -> int:
     from .mackey_irreps import irrep_catalog
 
     b = _flag_instance("heisenberg", vars(args))
-    R = b.ring
-    H = HeisenbergGroup(R, b.k)
+    H = HeisenbergGroup(b.ring, b.k)
     catalog = irrep_catalog(H)
     agg = {}
     for d in catalog:
@@ -188,11 +187,10 @@ def _cmd_irreps(args) -> int:
                 "multiplicity": mult,
             }
         )
-    order = R.size ** (2 * args.k + 1)
     total = sum(d.dim**2 for d in catalog)
-    assert total == order
+    assert total == H.order
     result = {
-        "order": order,
+        "order": H.order,
         "irrep_count": len(catalog),
         "dim_sq_total": total,
         "catalog": rows,
@@ -205,7 +203,7 @@ def _cmd_irreps(args) -> int:
             out.append(["|".join(str(x) for x in r["orbit_rep"]), r["level"], r["dim"], r["multiplicity"]])
         _emit_csv(out)
     else:
-        print(f"order {order}, {len(catalog)} irreducibles, sum dim^2 = {total}")
+        print(f"order {H.order}, {len(catalog)} irreducibles, sum dim^2 = {total}")
         for r in rows:
             print(
                 f"orbit_rep={tuple(r['orbit_rep'])} level={r['level']} "
@@ -288,17 +286,13 @@ def _cmd_oracle(args) -> int:
     G, desc = parse_group_spec(args.group)
     T = orc.CharacterTable(G)
     if args.action == "table":
-        classes = [
-            {"rep": (T.group.names[g] if T.group.names else int(g)), "size": T.sizes[j]}
-            for j, g in enumerate(T.reps)
-        ]
         rows = [[str(x) for x in row] for row in T.to_rows()]
         result = {
             "order": G.order,
             "prime": T.prime,
             "exponent": T.exponent,
             "classes": [
-                {"rep": str(c["rep"]), "size": int(c["size"])} for c in classes
+                {"rep": str(G.names[g] if G.names else g), "size": int(s)} for g, s in zip(T.reps, T.sizes)
             ],
             "dims": list(T.dims),
             "rows": rows,

@@ -12,11 +12,13 @@ one law: the structure scan, the constructions and the character-table
 oracle need only products, so none of them builds a |G|^2 table.  The
 distinguished groups (semidirect products of cyclic groups, Q8 and GL_2)
 are laws too, written once on row-index arrays (``from_law``): only a
-JSON table or a quotient is a dense table group.  A law's inverses come
-from the walk g, g^2, ... that gives the element orders.  AbstractGroup's
-group layer (spans, element orders, centralizers, classes, the
-commutator subgroup, quotients and the structure scan) is written once,
-against ``product``, ``inverse`` and ``identity``, and ``_every``, the
+JSON table or a quotient is a dense table group, whose constructor only
+checks it.  Every group, a table group too, finds its identity (the row
+e with e 0 = 0) and its inverses (the walk g, g^2, ... that gives the
+element orders) on first use.  AbstractGroup's group layer (spans,
+element orders, centralizers, classes, the commutator subgroup,
+quotients and the structure scan) is written once, against
+``product``, ``inverse`` and ``identity``, and ``_every``, the
 product of every row with a few rows, which a family evaluates on an
 open mesh.  Conjugacy classes, quotient cosets and the cosets of an
 induction are orbits of the rows under a few permutations, each
@@ -115,12 +117,13 @@ def _empty_table(n: int) -> np.ndarray:
 
 class AbstractGroup:
     """A finite group on the elements 0..n-1, given by its dense
-    multiplication table, which the constructor checks, or by an
-    index-array law (``from_law``), whose identity, inverses and table are
-    worked out on first use; ``names`` optionally attaches labels.  Past
-    the constructors everything is written against ``product``,
-    ``inverse`` and ``identity`` only, so a ring family, a subclass with
-    its own law, runs it too."""
+    multiplication table, which the constructor checks unless validate is
+    false, or by an index-array law (``from_law``), whose table is filled
+    on first use; ``names`` optionally attaches labels.  Either way the
+    identity and the inverses are worked out from ``product`` on first
+    use.  Past the constructors everything is written against
+    ``product``, ``inverse`` and ``identity`` only, so a ring family, a
+    subclass with its own law, runs it too."""
 
     def __init__(self, table, names=None, validate=True):
         table = np.asarray(table)
@@ -130,30 +133,13 @@ class AbstractGroup:
         self.table = table
         self.order = n
         self.names = list(names) if names is not None else None
-        # the identity row is the first equal to 0..n-1; it has g 0 = 0,
-        # which in a group holds for g = e alone, so only those rows are
-        # compared
-        ident = None
-        rng = np.arange(n)
-        for g in np.flatnonzero(table[:, 0] == 0).tolist():
-            if np.array_equal(table[g], rng):
-                ident = g
-                break
-        if ident is None or not np.array_equal(table[:, ident], rng):
-            raise ValueError("no two-sided identity")
-        self.identity = ident
-        # the first identity in each row, a block of rows at a time; with n
-        # identities in all, no row holds a second
-        inv = np.empty(n, dtype=np.int64)
-        count, rows = 0, max(1, _BLOCK // n)
-        for lo in range(0, n, rows):
-            hit = table[lo : lo + rows] == ident
-            inv[lo : lo + rows] = hit.argmax(axis=1)
-            count += np.count_nonzero(hit)
-        if count != n or (table[rng, inv] != ident).any() or (table[inv, rng] != ident).any():
-            raise ValueError("inverses missing or not two-sided")
-        self.inverse = inv
         if validate:
+            e, rng = self.identity, np.arange(n)
+            if not (np.array_equal(table[e], rng) and np.array_equal(table[:, e], rng)):
+                raise ValueError(f"no two-sided identity: row {e}, the first with e 0 = 0 if any, is not one")
+            inv = self.inverse
+            if (table[rng, inv] != e).any() or (table[inv, rng] != e).any():
+                raise ValueError("inverses missing or not two-sided")
             self._check_associativity()
 
     @classmethod
@@ -265,7 +251,7 @@ class AbstractGroup:
         while len(live):
             step += 1
             if step > n:
-                raise ValueError("order computation ran away")
+                raise ValueError(f"inverses missing: the powers of row {live[0]} never reach the identity")
             nxt = self.product(power, live)
             done = nxt == e
             orders[live[done]] = step

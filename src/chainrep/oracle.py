@@ -330,21 +330,14 @@ class CharacterTable:
         # 3. degrees through the orthogonality sum
         inv_sizes = np.array([pow(s, -1, l) for s in self.sizes], dtype=np.int64)
         invcls = self.class_of[self.group.inverse[np.array(self.reps)]]
-        order_mod = self.group.order % l
-        dims = []
-        for c in range(len(spaces)):
-            s = int(np.sum(omegas[c] * omegas[c][invcls] % l * inv_sizes % l) % l)
-            _check(s != 0, "degenerate orthogonality sum")
-            dsq = order_mod * pow(s, -1, l) % l
-            d = None
-            t = 1
-            while t * t <= self.group.order:
-                if t * t % l == dsq:
-                    d = t
-                    break
-                t += 1
-            _check(d is not None, "no degree matches the modular square")
-            dims.append(d)
+        sums = (omegas * omegas[:, invcls] % l * inv_sizes % l).sum(axis=1) % l
+        _check(bool(sums.all()), "degenerate orthogonality sum")
+        dsq = np.array([self.group.order * pow(int(s), -1, l) % l for s in sums], dtype=np.int64)
+        # the least degree t <= sqrt|G| with t^2 = dsq mod l, at once for every row
+        t = np.arange(1, math.isqrt(self.group.order) + 1, dtype=np.int64)
+        hit = t * t % l == dsq[:, None]
+        _check(bool(hit.any(axis=1).all()), "no degree matches the modular square")
+        dims = (hit.argmax(axis=1) + 1).tolist()
         _check(len(lin) + sum(d * d for d in dims) == self.group.order, "degree squares do not sum to |G|")
         # 4. modular character values, then exact lifting.  A linear row
         # is one-hot at its exponent.  chi(g^s) depends on s mod o(g)

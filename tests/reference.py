@@ -13,7 +13,9 @@ tensor.  ``Cyclotomic`` adds and multiplies exact values in Z[zeta_m] as
 reduced coefficient vectors, where the oracle holds root-of-unity
 multiplicities and reduces a whole row at once.  The group helpers
 (``index_inverse``, ``family_mul``, ``family_inv``) multiply and invert
-one element at a time through a family's law, and ``tabulate`` and the
+one element at a time through a family's law, ``is_group`` checks a
+table's identity, inverses and triples one entry at a time where the
+package checks whole rows and Light's test, and ``tabulate`` and the
 ``*_law`` helpers multiply the names of a distinguished group one pair
 at a time, where its builder writes an index-array law.  ``rref_loop`` and
 ``nullspace_loop`` eliminate over F_l one row and one entry at a time,
@@ -526,6 +528,20 @@ def abelian_characters(group, rows):
             v + [_relation_value(rel, v, M) // d + k * (M // d)] for v in choices for k in range(d)
         ]
     return [(M, exps @ np.array(v, dtype=np.int64) % M) for v in choices]
+
+
+def is_group(tab):
+    """(identity, list of inverses) when the table on 0..n-1 is a group,
+    else None, each by search: the first two-sided identity, for each
+    element the first two-sided inverse, then all n^3 triples."""
+    n = range(len(tab))
+    e = next((e for e in n if all(tab[e][x] == x == tab[x][e] for x in n)), None)
+    if e is None:
+        return None
+    inv = [next((h for h in n if tab[g][h] == e == tab[h][g]), None) for g in n]
+    if None in inv or any(tab[tab[a][b]][c] != tab[a][tab[b][c]] for a in n for b in n for c in n):
+        return None
+    return e, inv
 
 
 def index_inverse(group, I):

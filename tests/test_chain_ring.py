@@ -74,6 +74,21 @@ def test_minimal_irreducible_frozen():
     assert minimal_irreducible(2, 3) == (1, 1, 0, 1)
 
 
+def test_minimal_irreducible_is_searched_once(monkeypatch):
+    # the polynomial depends on (p, f) alone: a second ring over F_27
+    # reuses the first ring's search, whose first candidate x^3 is reducible
+    from chainrep import chain_ring
+
+    calls = []
+    test = chain_ring._is_irreducible
+    monkeypatch.setattr(chain_ring, "_is_irreducible", lambda h, p: calls.append(h) or test(h, p))
+    minimal_irreducible.cache_clear()
+    make_ring(3, 3, 1, 1)
+    searched = len(calls)
+    make_ring(3, 3, 1, 1)
+    assert searched > 1 and len(calls) == searched
+
+
 @seed(20261019)
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(

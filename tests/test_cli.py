@@ -758,6 +758,7 @@ def test_suite_tables_are_read_by_the_check(capsys, tmp_path, monkeypatch, group
     for table, reason in (
         ({"table": [[0, 1], [1, False]]}, "a group table's entries are integers in [0, 2)"),
         ({"table": [[0, 1], [0, 1]]}, "no two-sided identity"),
+        ({"table": [[0, 1], [1, 1]]}, "inverse"),  # a monoid: 1 1 = 1
         (str(tmp_path / "missing.json"), "No such file or directory"),
     ):
         path.write_text(json.dumps({"instances": [{"name": "x", "family": "table", "table": table}]}))

@@ -1,5 +1,6 @@
 """Group families, table-backed groups, and abelian character tests."""
 
+from itertools import permutations, product
 from math import gcd, prod
 
 import numpy as np
@@ -33,6 +34,7 @@ from reference import (
     family_mul,
     from_index,
     gl2_law,
+    is_group,
     quaternion_law,
     ring_one,
     ring_zero,
@@ -265,14 +267,14 @@ def test_abstract_validation_no_identity():
         AbstractGroup([[0, 1], [0, 1]])
 
 
-def test_abstract_identity_is_the_first_row_equal_to_the_labels():
+def test_abstract_identity_is_the_first_row_fixing_zero():
     # rows 0 and 2 both have g 0 = 0, which a group allows for one row
-    # only: the identity is row 2, the first row equal to 0..n-1, and the
-    # table passes the identity and inverse checks but not associativity;
-    # with column 2 changed it fails the identity check
+    # only: the identity is row 0, the first with e 0 = 0, as on a law,
+    # and validation refuses it, since row 0 is not 0..n-1 (row 2 is);
+    # with column 2 changed as well no row is an identity
     tab = [[0, 2, 0], [2, 1, 1], [0, 1, 2]]
-    assert AbstractGroup(tab, validate=False).identity == 2
-    with pytest.raises(ValueError, match="associativity"):
+    assert AbstractGroup(tab, validate=False).identity == 0
+    with pytest.raises(ValueError, match="no two-sided identity"):
         AbstractGroup(tab)
     with pytest.raises(ValueError, match="no two-sided identity"):
         AbstractGroup([[0, 2, 1], [2, 1, 1], [0, 1, 2]])
@@ -296,6 +298,52 @@ def test_abstract_validation_nonassociative_loop():
     ]
     with pytest.raises(ValueError, match="associativity"):
         AbstractGroup(loop)
+
+
+# Cayley tables of order <= 6 by their element lists and laws.
+SMALL_GROUPS = [(range(n), lambda a, b, n=n: (a + b) % n) for n in range(1, 7)] + [
+    (range(4), lambda a, b: a ^ b),  # Z/2 x Z/2
+    (list(permutations(range(3))), lambda a, b: tuple(a[i] for i in b)),  # S_3
+]
+
+
+@st.composite
+def small_tables(draw):
+    # a relabelled Cayley table, that table with one or two entries
+    # changed, or a random table with an identity row and column forced
+    kind = draw(st.sampled_from(["group", "changed", "random"]))
+    if kind == "random":
+        n = draw(st.integers(1, 6))
+        tab = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n)]
+        e = draw(st.integers(0, n - 1))
+        for x in range(n):
+            tab[e][x] = tab[x][e] = x
+        return tab
+    els, mul = draw(st.sampled_from(SMALL_GROUPS))
+    els = list(els)
+    n, label = len(els), draw(st.permutations(range(len(els))))
+    tab = [[0] * n for _ in range(n)]
+    for a, b in product(range(n), repeat=2):
+        tab[label[a]][label[b]] = label[els.index(mul(els[a], els[b]))]
+    if kind == "changed":
+        for _ in range(draw(st.integers(1, 2))):
+            tab[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    return tab
+
+
+@seed(20261019)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(small_tables())
+def test_validation_accepts_exactly_the_group_tables(tab):
+    # 150 derandomized tables of order <= 6: the constructor's checks
+    # against a search over identities, inverses and all n^3 triples
+    want = is_group(tab)
+    if want is None:
+        with pytest.raises(ValueError):
+            AbstractGroup(tab)
+    else:
+        G = AbstractGroup(tab)
+        assert (G.identity, G.inverse.tolist()) == want
 
 
 def test_abstract_basics(group):
