@@ -3,26 +3,29 @@ chain ring, plus abstract groups, given by a table or by a family's law.
 
 A ring family is itself an AbstractGroup on rows 0..|G|-1.  Each family
 writes its group law once, as a numpy function on coordinates through
-the ring lookup tables, and numbers its elements by a codec between
-coordinates (tuples of ring element indices, listed in ``names``) and
-rows.  The codec decodes rows by a gather from one array of |G| entries
-per coordinate, built on first use and refused past physical memory or
-what numpy can allocate, as the cap is.  A family's ``product`` is that
-one law: the structure scan, the constructions and the character-table
-oracle need only products, so none of them builds a |G|^2 table.  The
-distinguished groups (semidirect products of cyclic groups, Q8 and GL_2)
-are laws too, written once on row-index arrays (``from_law``): only a
-JSON table or a quotient is a dense table group, whose constructor only
-checks it.  Every group, a table group too, finds its identity (the row
-e with e 0 = 0) and its inverses (the walk g, g^2, ... that gives the
-element orders) on first use.  AbstractGroup's group layer (spans,
-element orders, centralizers, classes, the commutator subgroup,
-quotients and the structure scan) is written once, against
-``product``, ``inverse`` and ``identity``, and ``_every``, the
-product of every row with a few rows, which a family evaluates on an
-open mesh.  Conjugacy classes, quotient cosets and the cosets of an
-induction are orbits of the rows under a few permutations, each
-labelled by its least member by one loop, ``_orbit_labels``.
+the ring lookup tables: the Heisenberg and unitriangular groups share
+one, the upper unitriangular product on a pattern of entries, Hei_{2k+1}
+being the first row, last column and corner of U_{k+2}.  A family
+numbers its elements by a codec between coordinates (tuples of ring
+element indices, listed in ``names``) and rows.  The codec decodes rows
+by a gather from one array of |G| entries per coordinate, built on
+first use and refused past physical memory or what numpy can allocate,
+as the cap is.  A family's ``product`` is that one law: the structure
+scan, the constructions and the character-table oracle need only
+products, so none of them builds a |G|^2 table.  The distinguished
+groups (semidirect products of cyclic groups, Q8 and GL_2) and the
+quotients are laws too, written once on row-index arrays
+(``from_law``): only a JSON table is a dense table group, whose
+constructor only checks it.  Every group, a table group too, finds its
+identity (the row e with e 0 = 0) and its inverses (the walk g, g^2,
+... that gives the element orders) on first use.  AbstractGroup's group
+layer (spans, element orders, centralizers, classes, the commutator
+subgroup, quotients and the structure scan) is written once, against
+``product``, ``inverse`` and ``identity``, and ``_every``, the product
+of every row with a few rows, which a family evaluates on an open mesh.
+Conjugacy classes, quotient cosets and the cosets of an induction are
+orbits of the rows under a few permutations, each labelled by its least
+member by one loop, ``_orbit_labels``.
 """
 
 from __future__ import annotations
@@ -66,17 +69,22 @@ def _check_cap(order: int):
 _BLOCK = 250_000
 
 
-def _allocate(n: int, what: str, shape, dtype) -> np.ndarray:
-    """np.zeros(shape, dtype), an array for a group of order n.  An array
-    larger than physical memory is refused before numpy is asked, so the
-    refusal does not rest on how the system overcommits memory; numpy's
-    own refusal (too big for an array, or for the memory free) is one
-    too.  Either is a cap refusal."""
+def _check_memory(n: int, what: str, shape, dtype):
+    """Refuse, as a cap refusal, an array for a group of order n that is
+    larger than physical memory, before numpy is asked: the refusal then
+    does not rest on how the system overcommits memory."""
     size = math.prod(shape) * np.dtype(dtype).itemsize
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if size > memory:
+        raise CapExceededError(f"|G| = {n}: {what} cannot be allocated ({size} bytes exceed the {memory} bytes of physical memory)")
+
+
+def _allocate(n: int, what: str, shape, dtype) -> np.ndarray:
+    """np.zeros(shape, dtype), an array for a group of order n, past
+    ``_check_memory``; numpy's own refusal (too big for an array, or for
+    the memory free) is a cap refusal too."""
+    _check_memory(n, what, shape, dtype)
     try:
-        if size > memory:
-            raise MemoryError(f"{size} bytes exceed the {memory} bytes of physical memory")
         return np.zeros(shape, dtype=dtype)
     except (ValueError, MemoryError) as exc:
         raise CapExceededError(f"|G| = {n}: {what} cannot be allocated ({exc})") from None
@@ -320,14 +328,15 @@ class AbstractGroup:
         """(quotient group, coset_of array) for the distinct rows N of a
         normal subgroup, which holds when G's generators conjugate N's
         into N, as x<S>x^-1 = <xSx^-1>.  The cosets gN, orbits of right
-        multiplication by N's generators, are numbered by least element."""
+        multiplication by N's generators, are numbered by least element,
+        and the quotient is the law gN hN = (g h)N on those least rows."""
         N = np.asarray(normal_elems, dtype=np.int64)
         member, gens = self._subgroup(N)
         if not member[self._conjugates(self.generators, gens)].all():
             raise ValueError("subgroup is not normal")
         reps, coset_of = self._cosets(gens)
-        qt = coset_of[self.product(reps[:, None], reps)]
-        return AbstractGroup(qt, validate=False), coset_of
+        Q = AbstractGroup.from_law(len(reps), lambda I, J: coset_of[self.product(reps[I], reps[J])], None)
+        return Q, coset_of
 
     @cached_property
     def scan(self) -> "StructureScan":
@@ -513,92 +522,68 @@ class _RingFamily(AbstractGroup):
         return table
 
 
-# -- Heisenberg groups -----------------------------------------------
+# -- upper unitriangular groups on a pattern of entries ----------------
 
 
-class HeisenbergGroup(_RingFamily):
-    """Hei_{2k+1}(R): triples (x, y, z) with x, y in R^k, z in R, and
-    (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1.y2)."""
+class _PatternGroup(_RingFamily):
+    """Upper unitriangular matrices over R whose strictly-upper entries
+    off the pattern ``positions`` are zero; an element is the tuple of
+    its entries at the positions.  The pattern is closed under the
+    product (with (i, s) and (s, j) it holds (i, j)), so the law is the
+    matrix product restricted to it: entry (i, j) of g h is
+    g_ij + h_ij + sum_s g_is h_sj over the (i, s), (s, j) in the pattern,
+    whose coordinate pairs ``_terms`` lists once per group."""
+
+    def __init__(self, R: RingSpec, positions):
+        self.ring = R
+        self.positions = list(positions)
+        self.pos_index = {pos: t for t, pos in enumerate(self.positions)}
+        self.order = R.size ** len(self.positions)
+        self._identity = (0,) * len(self.positions)
+        self._terms = [[(self.pos_index[i, s], self.pos_index[s, j]) for s in range(i + 1, j)
+                        if (i, s) in self.pos_index and (s, j) in self.pos_index] for i, j in self.positions]
+
+    def _law(self, g, h):
+        add, mul, out = self._add, self._mul, []
+        for t, terms in enumerate(self._terms):
+            c = add[g[t], h[t]]
+            for u, v in terms:
+                c = add[c, mul[g[u], h[v]]]
+            out.append(c)
+        return out
+
+
+class HeisenbergGroup(_PatternGroup):
+    """Hei_{2k+1}(R): triples (x, y, z) with x, y in R^k and z in R, the
+    pattern of U_{k+2}(R) that puts x in the first row, y in the last
+    column and z in the corner, as the paper embeds it."""
 
     def __init__(self, R: RingSpec, k: int = 1):
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.ring = R
         self.k = k
-        self.order = R.size ** (2 * k + 1)
-        self._identity = (0,) * (2 * k + 1)
+        super().__init__(R, [(0, 1 + t) for t in range(k)] + [(1 + t, k + 1) for t in range(k)] + [(0, k + 1)])
 
     def __repr__(self):
         return f"HeisenbergGroup({self.ring!r}, k={self.k})"
 
-    def _law(self, g, h):
-        k, add, mul = self.k, self._add, self._mul
-        z = add[g[2 * k], h[2 * k]]
-        for t in range(k):
-            z = add[z, mul[g[t], h[k + t]]]
-        return [add[g[t], h[t]] for t in range(2 * k)] + [z]
-
     to_abstract = _itself
 
 
-# -- unitriangular groups --------------------------------------------
-
-
-class UnitriangularGroup(_RingFamily):
+class UnitriangularGroup(_PatternGroup):
     """Upper unitriangular size x size matrices over R; elements are
     tuples of the strictly-upper entries in row-major order."""
 
     def __init__(self, R: RingSpec, size: int):
         if size < 2:
             raise ValueError("matrix size must be >= 2")
-        self.ring = R
         self.size = size
-        self.positions = [(i, j) for i in range(size) for j in range(i + 1, size)]
-        self.pos_index = {pos: t for t, pos in enumerate(self.positions)}
-        self.nentries = len(self.positions)
-        self.order = R.size**self.nentries
-        self._identity = (0,) * self.nentries
+        super().__init__(R, [(i, j) for i in range(size) for j in range(i + 1, size)])
 
     def __repr__(self):
         return f"UnitriangularGroup({self.ring!r}, size={self.size})"
 
-    def _law(self, a, b):
-        add, mul, pos = self._add, self._mul, self.pos_index
-        out = []
-        for i, j in self.positions:
-            c = add[a[pos[i, j]], b[pos[i, j]]]
-            for t in range(i + 1, j):
-                c = add[c, mul[a[pos[i, t]], b[pos[t, j]]]]
-            out.append(c)
-        return out
-
     to_abstract = _itself
-
-    def _block_rows(self, entries) -> np.ndarray:
-        """Rows of the matrices supported on the given (i, j) entries."""
-        S = range(self.ring.size)
-        return self._rows({self.pos_index[pos]: S for pos in entries})
-
-    def embed_heisenberg(self, g) -> tuple:
-        """Image of a Hei_{2k+1} element (k = size-2): x fills the first
-        row, y the last column, z the corner."""
-        k = self.size - 2
-        out = [0] * self.nentries
-        for t in range(k):
-            out[self.pos_index[(0, 1 + t)]] = g[t]
-            out[self.pos_index[(1 + t, self.size - 1)]] = g[k + t]
-        out[self.pos_index[(0, self.size - 1)]] = g[2 * k]
-        return tuple(out)
-
-    @cached_property
-    def heisenberg_subgroup(self) -> np.ndarray:
-        """The image of ``embed_heisenberg``: the first row and last column."""
-        return self._block_rows([(i, j) for i, j in self.positions if i == 0 or j == self.size - 1])
-
-    @cached_property
-    def middle_subgroup(self) -> np.ndarray:
-        """Unitriangular matrices of the inner (size-2) block."""
-        return self._block_rows([(i, j) for i, j in self.positions if i > 0 and j < self.size - 1])
 
 
 # -- affine groups ----------------------------------------------------

@@ -87,17 +87,19 @@ def formula_heisenberg(p: int, f: int, e, n: int, k: int = 1) -> int:
 
 def formula_unitriangular(p: int, f: int, e, n: int, size: int) -> int:
     """m(U_{k+2}(R)) = m(Hei_{2k+1}(R)) for matrix size k+2, in every
-    residue characteristic.  Lower bound: embed_heisenberg puts
-    Hei_{2k+1}(R) in U_{k+2}(R).  Upper bound: for each basis parameter
-    b of heisenberg_basis_parameters, psi(b g_{1,k+2}) is a character of
-    S_b = {g : g_{1j} in Ann(b) for 1 < j < k+2}, since b kills the cross
-    terms of the corner entry, and its induced representation has degree
-    [U : S_b] = |R/Ann(b)|^k.  The centre is the corner, inside every
-    S_b, where the induced sum restricts to copies of psi(b .), which are
-    jointly faithful there; a nontrivial normal subgroup of a p-group
-    meets the centre, so the sum is faithful, and its degree is the
-    Heisenberg sum.  No step halves.  Sizes from 2: U_2(R) is (R, +),
-    whose minimum is its generator count f * xi, the sum at k = 0."""
+    residue characteristic.  Lower bound: Hei_{2k+1}(R) is the subgroup
+    of U_{k+2}(R) on the pattern of the first row, the last column and
+    the corner (HeisenbergGroup's positions).  Upper bound: for each
+    basis parameter b of heisenberg_basis_parameters, psi(b g_{1,k+2}) is
+    a character of S_b = {g : g_{1j} in Ann(b) for 1 < j < k+2}, since b
+    kills the cross terms of the corner entry, and its induced
+    representation has degree [U : S_b] = |R/Ann(b)|^k.  The centre is
+    the corner, inside every S_b, where the induced sum restricts to
+    copies of psi(b .), which are jointly faithful there; a nontrivial
+    normal subgroup of a p-group meets the centre, so the sum is
+    faithful, and its degree is the Heisenberg sum.  No step halves.
+    Sizes from 2: U_2(R) is (R, +), whose minimum is its generator count
+    f * xi, the sum at k = 0."""
     if size < 2:
         raise ValueError("matrix size must be >= 2")
     if size == 2:
@@ -148,19 +150,13 @@ class FaithfulSolution:
         out = {
             "group": self.group,
             "total_dim": self.total_dim,
-            "summands": [_summand_json(s) for s in self.summands],
+            "summands": list(self.summands),
         }
         if self.certificate is not None:
             out["certificate"] = [list(v) for v in self.certificate]
         if self.verified_faithful is not None:
             out["verified_faithful"] = self.verified_faithful
         return out
-
-
-def _summand_json(s):
-    if isinstance(s, dict):
-        return s
-    return {"summand": repr(s)}
 
 
 def solve_pgroup(entries, p: int, ambient_dim: int) -> FaithfulSolution:

@@ -72,7 +72,7 @@ import numpy as np
 from .chain_ring import CapExceededError, RingParameterError, _factorize, _is_prime
 from .char_duality import DualVector, _rref
 from .exactrep import _ctx, cyc_str
-from .group_models import AbstractGroup, _check_cap, _generator_series, multiplier_closure
+from .group_models import AbstractGroup, _allocate, _check_cap, _check_memory, _generator_series, multiplier_closure
 
 
 class OracleCheckError(AssertionError):
@@ -354,7 +354,7 @@ class CharacterTable:
             power_class[s] = self.class_of[pw]
             pw = G.product(pw, reps)
         dims = [1] * len(lin) + dims
-        mu = np.zeros((r, r, E), dtype=np.min_scalar_type(max(dims)))
+        mu = _allocate(G.order, "its multiplicities mu", (r, r, E), np.min_scalar_type(max(dims)))
         mu[np.arange(len(lin))[:, None], np.arange(r), lin] = 1
         z_root = _primitive_root_power(l, E)
         rows = np.arange(len(lin), r)
@@ -364,6 +364,7 @@ class CharacterTable:
             w = pow(z_root, E // o, l)
             s = np.arange(o)
             wmat = np.array([pow(w, -u, l) for u in range(o)], dtype=np.int64)[np.outer(s, s) % o]
+            _check_memory(G.order, "its lifting arrays F and MU", (2, len(X), o, len(js)), np.int64)
             F = X[:, power_class[:o, js]]  # (c, s, j)
             MU = np.einsum("csj,su->cju", F, wmat) % l * pow(o, -1, l) % l
             _check((MU <= dcol).all(), "lifted multiplicity exceeds the degree")
@@ -547,7 +548,7 @@ def min_faithful_exhaustive(T: CharacterTable):
             key=lambda u: sum(1 for c in pool if (cover[c] >> u) & 1),
         )
         cands = [c for c in pool if (cover[c] >> u) & 1 and c not in chosen]
-        assert cands, "regular representation must cover every witness"
+        _check(cands, "regular representation must cover every witness")
         pick = min(cands, key=lambda c: (T.dims[c], c))
         chosen.append(pick)
         covered |= cover[pick]
@@ -609,8 +610,8 @@ def catalog_from_table(T: CharacterTable):
     V = T.mu[:, T.class_of[gens], :]  # (row, generator, root exponent)
     t = V.argmax(axis=2)
     scalar = (np.count_nonzero(V, axis=2) == 1) & (V.max(axis=2) == np.array(T.dims)[:, None])
-    assert scalar.all(), "central class value is not a scalar root of unity"
-    assert (t % step == 0).all()
+    _check(scalar.all(), "central class value is not a scalar root of unity")
+    _check((t % step == 0).all(), "central class value is not a p-th root of unity")
     coords = (t // step % p).tolist()
     return [(T.dims[c], DualVector(p, tuple(coords[c])), c) for c in range(T.r)]
 

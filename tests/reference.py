@@ -13,7 +13,9 @@ tensor.  ``Cyclotomic`` adds and multiplies exact values in Z[zeta_m] as
 reduced coefficient vectors, where the oracle holds root-of-unity
 multiplicities and reduces a whole row at once.  The group helpers
 (``index_inverse``, ``family_mul``, ``family_inv``) multiply and invert
-one element at a time through a family's law, ``is_group`` checks a
+one element at a time through a family's law, ``scatter`` places the
+coordinates of a pattern group, such as Hei_{2k+1}, at their entries of
+U_{k+2}, ``is_group`` checks a
 table's identity, inverses and triples one entry at a time where the
 package checks whole rows and Light's test, and ``tabulate`` and the
 ``*_law`` helpers multiply the names of a distinguished group one pair
@@ -567,6 +569,17 @@ def family_inv(F, g) -> tuple:
     """The inverse of an element of a ring family, as a coordinate tuple,
     by ``index_inverse`` on its row."""
     return tuple(int(c) for c in F._decode(index_inverse(F, F._encode(g))))
+
+
+def scatter(U, positions, coords) -> tuple:
+    """Coordinates on a pattern of entries (positions, such as a
+    HeisenbergGroup's) as coordinates of the unitriangular group U: each
+    at its position in U, zero (ring index 0) off the pattern.  coords is
+    one tuple, or one array per coordinate."""
+    out = [0 * coords[0]] * len(U.positions)
+    for c, pos in zip(coords, positions):
+        out[U.pos_index[pos]] = c
+    return tuple(out)
 
 
 # -- the distinguished groups, one product of names at a time -----------

@@ -38,6 +38,7 @@ from reference import (
     quaternion_law,
     ring_one,
     ring_zero,
+    scatter,
     semidirect_hom_law,
     semidirect_law,
     tabulate,
@@ -143,32 +144,43 @@ def test_unitriangular_group_laws(ring, rng):
 
 
 def test_heisenberg_embedding_is_homomorphism(ring, rng):
+    # Hei_5 is U_4's pattern of the first row, the last column and the
+    # corner: scattered there its product is U_4's, and it is the scalar
+    # formula (x1+x2, y1+y2, z1+z2+x1.y2) in the reference ring
     U = UnitriangularGroup(ring("f3"), 4)
     H = HeisenbergGroup(ring("f3"), k=2)
+    R, k = H.ring, H.k
     for _ in range(150):
         g, h = rng.choice(H.names), rng.choice(H.names)
-        assert family_mul(U, U.embed_heisenberg(g), U.embed_heisenberg(h)) == U.embed_heisenberg(
-            family_mul(H, g, h)
-        )
-    assert len(U.heisenberg_subgroup) == len(H.names)
+        gh = family_mul(H, g, h)
+        assert family_mul(U, scatter(U, H.positions, g), scatter(U, H.positions, h)) == scatter(U, H.positions, gh)
+        a, b = [from_index(R, c) for c in g], [from_index(R, c) for c in h]
+        z = a[2 * k] + b[2 * k]
+        for t in range(k):
+            z = z + a[t] * b[k + t]
+        assert gh == tuple((a[t] + b[t]).index for t in range(2 * k)) + (z.index,)
+    assert len(U._rows({U.pos_index[pos]: range(R.size) for pos in H.positions})) == len(H.names)
     # corner entry carries the Heisenberg center
     center = set(U.center)
-    assert all(U._encode(np.asarray([U.embed_heisenberg(H.names[z])]).T)[0] in center for z in H.center)
+    assert all(U._encode(np.asarray([scatter(U, H.positions, H.names[z])]).T)[0] in center for z in H.center)
 
 
 def test_u3_is_heisenberg(ring):
     # size-3 unitriangular group is Hei_3 on the nose
     U = UnitriangularGroup(ring("f3"), 3)
     H = HeisenbergGroup(ring("f3"), k=1)
-    imgs = {U.embed_heisenberg(g) for g in H.names}
+    imgs = {scatter(U, H.positions, g) for g in H.names}
     assert imgs == set(U.names)
 
 
 def test_middle_subgroup(ring):
+    # the inner block of U_4: the rows zero on Hei_5's pattern
     U = UnitriangularGroup(ring("f3"), 4)
-    assert len(U.middle_subgroup) == 3
-    members = set(U.middle_subgroup.tolist())
-    for m in U.middle_subgroup.tolist():
+    H = HeisenbergGroup(ring("f3"), k=2)
+    middle = np.flatnonzero((U._coords[[U.pos_index[pos] for pos in H.positions]] == 0).all(axis=0))
+    assert len(middle) == 3
+    members = set(middle.tolist())
+    for m in middle.tolist():
         assert m in members
 
 
@@ -236,15 +248,17 @@ def test_family_subgroups_are_ascending_rows(ring, heis):
             )
     for size in (3, 4):
         U = UnitriangularGroup(ring("f3"), size)
+        H = HeisenbergGroup(ring("f3"), size - 2)
         last = size - 1
         kept = np.array([i == 0 or j == last for i, j in U.positions])  # first row, last column
         corner = np.array([(i, j) == (0, last) for i, j in U.positions])
+        heis = U._rows({U.pos_index[pos]: range(3) for pos in H.positions})
+        middle = U._rows({t: range(3) for t in np.flatnonzero(~kept).tolist()})
         _check_subgroup_rows(U, np.array(U.center), 3, lambda c: (c[:, ~corner] == 0).all(axis=1))
-        _check_subgroup_rows(U, U.heisenberg_subgroup, 3 ** (2 * size - 3), lambda c: (c[:, ~kept] == 0).all(axis=1))
-        _check_subgroup_rows(U, U.middle_subgroup, 3 ** ((size - 2) * (size - 3) // 2), lambda c: (c[:, kept] == 0).all(axis=1))
-        H = HeisenbergGroup(ring("f3"), size - 2)
-        embedded = U._encode(np.asarray([U.embed_heisenberg(g) for g in H.names]).T)
-        assert U.heisenberg_subgroup.tolist() == sorted(embedded.tolist())
+        _check_subgroup_rows(U, heis, 3 ** (2 * size - 3), lambda c: (c[:, ~kept] == 0).all(axis=1))
+        _check_subgroup_rows(U, middle, 3 ** ((size - 2) * (size - 3) // 2), lambda c: (c[:, kept] == 0).all(axis=1))
+        embedded = U._encode(scatter(U, H.positions, H._coords))
+        assert heis.tolist() == sorted(embedded.tolist())
     for rname in ["f3", "z4", "z9", "f4"]:
         A = AffineGroup(ring(rname))
         one = ring_one(A.ring).index
@@ -822,10 +836,12 @@ def test_construction_builds_no_cayley_table(monkeypatch):
 
 def test_oracle_builds_no_cayley_table(monkeypatch, suite_report):
     # the oracle reads a built group's rows through its law alone: with
-    # the dense table unallocatable, Hei(GR(4,2)), GL_2(F_7), two
-    # semidirect products and Q8 get the character table of the plain
-    # table group of their law, and the suite instances with the oracle
-    # on among them run every route as the default suite does
+    # the dense table unallocatable and the table constructor refused,
+    # Hei(GR(4,2)), GL_2(F_7), two semidirect products, Q8 and the
+    # abelian U_2(F_2[t]/t^6), whose quotient by its commutator subgroup
+    # is itself, get the character table of the plain table group of
+    # their law, and the suite instances with the oracle on among them
+    # run every route as the default suite does
     from chainrep import group_models
     from chainrep.cli import load_default_suite
     from chainrep.oracle import CharacterTable, cross_validate, min_faithful_exhaustive
@@ -836,6 +852,7 @@ def test_oracle_builds_no_cayley_table(monkeypatch, suite_report):
         "z9-units": lambda: semidirect_cyclic(9, [2]),
         "z8-by-z4-quotient-action": lambda: semidirect_cyclic_hom(8, 7, 4),
         "q8": quaternion_group,
+        "u2-f2t6": lambda: UnitriangularGroup(make_ring(2, 1, "inf", 6), 2),
     }
 
     def oracle(G):
@@ -847,12 +864,13 @@ def test_oracle_builds_no_cayley_table(monkeypatch, suite_report):
     insts = [inst for inst in load_default_suite()["instances"] if inst["name"] in names]
     entries = [entry for entry in suite_report["results"] if entry["name"] in names]
 
-    def refuse(n):
-        raise AssertionError(f"a {n} x {n} table was allocated")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense table was allocated or a table group built")
 
     monkeypatch.setattr(group_models, "_empty_table", refuse)
+    monkeypatch.setattr(AbstractGroup, "__init__", refuse)
     assert {name: oracle(build()) for name, build in builders.items()} == want
-    assert want["hei3-gr42"][:2] == (137, 32) and want["gl2-f7"][1] == 6
+    assert want["hei3-gr42"][:2] == (137, 32) and want["gl2-f7"][1] == 6 and want["u2-f2t6"][1] == 6
     assert len(insts) == 5 and all(inst["oracle"] for inst in insts)
     assert cross_validate({"instances": insts})["results"] == entries
 

@@ -686,6 +686,43 @@ def test_catalog_from_table_rejects_non_p_group(table):
         catalog_from_table(table("aff_z9"))
 
 
+def test_catalog_from_table_checks_the_central_values(table):
+    # a socle class of M_27 (exponent 9) holds, in each row, one root of
+    # unity of order dividing 3, times the degree: with one unit of a
+    # degree-3 row's multiplicity moved a step the value is not scalar,
+    # and with all three moved it is a 9th root, not a cube root.  Each
+    # raises OracleCheckError, which python -O keeps
+    T = copy.copy(table("m27"))
+    G = T.group
+    j = T.class_of[G._span(g for g in G.center if G.element_orders[g] == 3)[1][0]]
+    c = T.dims.index(3)
+    u = int(T.mu[c, j].argmax())
+    for moved, message in [(1, "not a scalar root of unity"), (3, "not a p-th root of unity")]:
+        T.mu = table("m27").mu.copy()
+        T.mu[c, j, u] -= moved
+        T.mu[c, j, u + 1] += moved
+        with pytest.raises(OracleCheckError, match=message):
+            catalog_from_table(T)
+
+
+def test_lifting_arrays_past_physical_memory_are_refused(monkeypatch):
+    # the multiplicities mu and each element order's lifting arrays F and
+    # MU are compared with physical memory before numpy forms them.  On
+    # the dihedral group of order 128 (31 rows of degree 2), mu is 35 x
+    # 35 x 64 bytes and F and MU for the 16 classes of order 64 are two
+    # 31 x 64 x 16 int64 arrays: 256 KB refuses F and MU, 64 KB refuses mu
+    from chainrep import group_models
+
+    G = semidirect_cyclic(64, [63])
+    for kb, what, size in [(256, "its lifting arrays F and MU", 507_904), (64, "its multiplicities mu", 78_400)]:
+        monkeypatch.setattr(group_models.os, "sysconf", {"SC_PHYS_PAGES": kb, "SC_PAGE_SIZE": 1024}.__getitem__)
+        with pytest.raises(CapExceededError) as info:
+            CharacterTable(G)
+        assert str(info.value) == (
+            f"|G| = 128: {what} cannot be allocated ({size} bytes exceed the {kb * 1024} bytes of physical memory)"
+        )
+
+
 def test_cap_enforcement(group, monkeypatch):
     G = group("d4")
     monkeypatch.setenv("CHAINREP_ORACLE_CAP", "4")
