@@ -15,13 +15,13 @@ multiplicities and reduces a whole row at once.  The group helpers
 (``index_inverse``, ``family_mul``, ``family_inv``) multiply and invert
 one element at a time through a family's law, ``scatter`` places the
 coordinates of a pattern group, such as Hei_{2k+1}, at their entries of
-U_{k+2}, ``is_group`` checks a
-table's identity, inverses and triples one entry at a time where the
-package checks whole rows and Light's test, and ``tabulate`` and the
-``*_law`` helpers multiply the names of a distinguished group one pair
-at a time, where its builder writes an index-array law.  ``rref_loop`` and
-``nullspace_loop`` eliminate over F_l one row and one entry at a time,
-where the package clears a pivot column with one rank-one update."""
+U_{k+2}, ``is_group`` checks a table's identity, inverses and triples
+one entry at a time where the package checks whole rows and Light's
+test, and ``tabulate`` and the ``*_law`` helpers multiply the names of a
+distinguished group one pair at a time, where its builder writes an
+index-array law.  ``rref_loop`` and ``nullspace_loop`` eliminate over
+F_l one row and one entry at a time, where the package clears a pivot
+column with one rank-one update."""
 
 import math
 from dataclasses import dataclass
