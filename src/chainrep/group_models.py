@@ -2,8 +2,9 @@
 chain ring, plus abstract groups, given by a table or by a family's law.
 
 A ring family is itself an AbstractGroup on rows 0..|G|-1.  Each family
-writes its group law once, as a numpy function on coordinates through
-the ring lookup tables: the Heisenberg and unitriangular groups share
+writes its group law once, as a numpy function on coordinates that
+gathers from the ring's add and mul tables, which the ring builds on
+first use of a law: the Heisenberg and unitriangular groups share
 one, the upper unitriangular product on a pattern of entries, Hei_{2k+1}
 being the first row, last column and corner of U_{k+2}.  A family
 numbers its elements by a codec between coordinates (tuples of ring
@@ -417,7 +418,9 @@ class _RingFamily(AbstractGroup):
     given by its parameters, not by a table.  Each family writes its
     product once, as ``_law`` on coordinates (one integer or one numpy
     array per coordinate), and numbers its elements by a codec
-    ``_encode`` / ``_decode`` between coordinates and rows; the default
+    ``_encode`` / ``_decode`` between coordinates and rows.  The law
+    gathers from ``ring.add_table`` and ``ring.mul_table``, built on its
+    first use, so |G| and the closed forms need neither.  The default
     codec is a radix over the ring size, first coordinate most
     significant.  ``_digits`` holds, per radix digit, the coordinate
     value of each digit value, and ``_decode`` gathers from ``_coords``,
@@ -435,16 +438,6 @@ class _RingFamily(AbstractGroup):
     @cached_property
     def _digits(self) -> list[np.ndarray]:
         return [np.arange(self.ring.size)] * len(self._identity)
-
-    # the ring's N x N tables, built on first use of the law: |G| and
-    # the closed forms need none
-    @cached_property
-    def _add(self) -> np.ndarray:
-        return self.ring.add_table.astype(np.int64)
-
-    @cached_property
-    def _mul(self) -> np.ndarray:
-        return self.ring.mul_table.astype(np.int64)
 
     def _encode(self, coords):
         idx = 0
@@ -544,7 +537,7 @@ class _PatternGroup(_RingFamily):
                         if (i, s) in self.pos_index and (s, j) in self.pos_index] for i, j in self.positions]
 
     def _law(self, g, h):
-        add, mul, out = self._add, self._mul, []
+        add, mul, out = self.ring.add_table, self.ring.mul_table, []
         for t, terms in enumerate(self._terms):
             c = add[g[t], h[t]]
             for u, v in terms:
@@ -619,7 +612,8 @@ class AffineGroup(_RingFamily):
 
     def _law(self, g, h):
         (a1, u1), (a2, u2) = g, h
-        return [self._add[a1, self._mul[u1, a2]], self._mul[u1, u2]]
+        add, mul = self.ring.add_table, self.ring.mul_table
+        return [add[a1, mul[u1, a2]], mul[u1, u2]]
 
     def _encode(self, coords):
         a, u = coords
@@ -722,10 +716,10 @@ def general_linear_2(R: RingSpec) -> AbstractGroup:
         raise ValueError("general_linear_2 supports fields only")
     q = R.size
     _check_cap((q * q - 1) * (q * q - q))
-    add, mul = R.add_table.astype(np.int64), R.mul_table.astype(np.int64)
+    add, mul = R.add_table, R.mul_table
     quad = np.indices((q,) * 4).reshape(4, -1)
     a, b, c, d = quad
-    coords = quad[:, add[mul[a, d], R.neg_table[mul[b, c]]] != 0]
+    coords = quad[:, mul[a, d] != mul[b, c]]  # ad - bc != 0: indices are canonical
     n = coords.shape[1]
     pos = np.zeros(q**4, dtype=np.int64)  # radix index -> row
     top, bot = coords[0] * q + coords[1], coords[2] * q + coords[3]

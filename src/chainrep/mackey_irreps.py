@@ -90,7 +90,7 @@ def extended_character(H: HeisenbergGroup, b_vec: tuple, b_idx: int, lam_label: 
     """The linear character psi_{b_vec, b} x lambda on H_s = A . L_s:
     (x, y, z) -> psi(b z + b_vec.x + lam_label.y) for y in Ann(b)^k."""
     R, k = H.ring, H.k
-    add, mul = H._add, H._mul  # the ring table cap refuses before any row is listed
+    add, mul = R.add_table, R.mul_table  # the ring table cap refuses before any row is listed
     S = range(R.size)
     ann = annihilator_indices(R, b_idx)
     rows = H._rows({t: S if t < k or t == 2 * k else ann for t in range(2 * k + 1)})

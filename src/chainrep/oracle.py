@@ -234,6 +234,8 @@ class CharacterTable:
         self.r = len(reps)
         self.identity_class = int(self.class_of[G.identity])
         self.exponent = int(G.exponent)
+        # before the linear rows and powers: mu is refused at its narrowest dtype
+        _check_memory(G.order, "its multiplicities mu", (self.r, self.r, self.exponent), np.uint8)
         lin, fibre = self._linear_rows()
         self.stats = {"linear_rows": len(lin), "complement_dim": self.r - len(lin), "class_matrices": 0}
         self._compute(_prime_above(math.isqrt(4 * G.order), self.exponent), lin, fibre)

@@ -440,11 +440,11 @@ class SymplecticModule:
 
     def pairing_index(self, v: tuple, w: tuple) -> int:
         R = self.ring
-        add, mul, neg = R.add_table, R.mul_table, R.neg_table
+        add, mul = R.add_table, R.mul_table
         acc = 0
         for t in range(self.k):
             acc = add[acc, mul[v[t], w[self.k + t]]]
-            acc = add[acc, neg[mul[v[self.k + t], w[t]]]]
+            acc = add[acc, (-from_index(R, int(mul[v[self.k + t], w[t]]))).index]
         return int(acc)
 
     def radical_of_ideal(self, ideal_index: int) -> list[tuple]:
@@ -640,7 +640,8 @@ def gl2_law(R: RingSpec):
     in radix order over the field's element indices, and the matrix
     product through the ring tables, one entry at a time."""
     q = R.size
-    mul, add, neg = R.mul_table.tolist(), R.add_table.tolist(), R.neg_table.tolist()
+    mul, add = R.mul_table.tolist(), R.add_table.tolist()
+    neg = [(-x).index for x in ring_elements(R)]
 
     def matmul(x, y):
         (a, b, c, d), (e, f, g, h) = x, y

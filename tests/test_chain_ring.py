@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -245,13 +246,13 @@ def test_omega1_is_p_torsion(ring):
 def test_tables_agree_with_arithmetic(ring):
     for name in ["z4", "f2t2", "ram222", "z9"]:
         R = ring(name)
+        assert R.add_table.dtype == R.mul_table.dtype == np.int64
         for a in range(R.size):
             ea = from_index(R, a)
             for b in range(R.size):
                 eb = from_index(R, b)
                 assert int(R.add_table[a, b]) == (ea + eb).index
                 assert int(R.mul_table[a, b]) == (ea * eb).index
-            assert int(R.neg_table[a]) == (-ea).index
             assert int(R.valuation_table[a]) == valuation(R, ea)
 
 

@@ -140,7 +140,7 @@ SMALL_RINGS = [
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(st.sampled_from(SMALL_RINGS))
 def test_ring_tables_and_psi_property(params):
-    # the vectorized digits, valuations, negatives and products agree
+    # the vectorized digits, valuations and products agree
     # with the scalar arithmetic, the product distributes over the sum,
     # psi is additive and nontrivial on the socle, and the linear map
     # restricts every psi(b .) as the scalar reference does
@@ -149,7 +149,6 @@ def test_ring_tables_and_psi_property(params):
     elems = list(ring_elements(R))
     assert R.digits(idx).tolist() == [list(x.coords) for x in elems]
     assert R.valuation_table.tolist() == [valuation(R, x) for x in elems]
-    assert R.neg_table.tolist() == [(-x).index for x in elems]
     # the rings are commutative: the table is symmetric, and each pair
     # a <= b is checked once against the scalar product
     add, mul = R.add_table, R.mul_table

@@ -263,7 +263,7 @@ def test_package_defines_no_scalar_layer(capsys):
         assert [m.__name__ for m in modules if hasattr(m, name)] == [], name
     removed = {
         chain_ring.RingSpec: "_canon _add_digits _neg_digits _mul_digits element zero one uniformizer "
-        "from_int index from_index elements add neg sub mul valuation additive_order units",
+        "from_int index from_index elements add neg sub mul valuation additive_order units neg_table",
         exactrep.MonomialRep: "character check_homomorphism",
         exactrep.DirectSumRep: "character",
         oracle.CharacterTable: "value",
@@ -271,7 +271,7 @@ def test_package_defines_no_scalar_layer(capsys):
         group_models.UnitriangularGroup: "mul inv",
         group_models.AffineGroup: "mul inv",
         group_models.AbstractGroup: "mul inv conj closure index_of elements to_json",
-        group_models._RingFamily: "index_of",
+        group_models._RingFamily: "index_of _add _mul",
     }
     for cls, names in removed.items():
         assert [name for name in names.split() if hasattr(cls, name)] == [], cls
@@ -354,6 +354,26 @@ def test_a_mask_past_physical_memory_is_refused_unallocated(monkeypatch):
         H.generators
     assert str(info.value) == (
         "|G| = 27: a mask of its elements cannot be allocated (27 bytes exceed the 26 bytes of physical memory)"
+    )
+
+
+def test_an_impossible_mu_is_refused_before_the_linear_rows(monkeypatch):
+    # mu's shape (r, r, E) is known once the classes and the exponent are,
+    # so it is refused at one byte per entry, its narrowest dtype, before
+    # the linear rows and the power classes are paid for
+    from chainrep import group_models, oracle
+    from chainrep.chain_ring import CapExceededError
+
+    def linear_rows(self):
+        raise AssertionError("the linear rows were built")
+
+    monkeypatch.setattr(group_models.os, "sysconf", {"SC_PHYS_PAGES": 25000, "SC_PAGE_SIZE": 4}.__getitem__)
+    monkeypatch.setattr(oracle.CharacterTable, "_linear_rows", linear_rows)
+    G = group_models.semidirect_cyclic(64, [1])  # Z/64: r = E = 64, and its span mask is 64 bytes
+    with pytest.raises(CapExceededError) as info:
+        oracle.CharacterTable(G)
+    assert str(info.value) == (
+        "|G| = 64: its multiplicities mu cannot be allocated (262144 bytes exceed the 100000 bytes of physical memory)"
     )
 
 
