@@ -241,10 +241,9 @@ class RingSpec:
             for i in range(f):
                 pos = i * n + j
                 c = np.remainder(acc[..., pos], p)
-                carry = (acc[..., pos] - c) // p
+                if e != INF and j + e < n:  # the carry is kept only here
+                    acc[..., i * n + j + e] += (acc[..., pos] - c) // p
                 acc[..., pos] = c
-                if e != INF and j + e < n:
-                    acc[..., i * n + j + e] += carry
         return acc
 
     @cached_property
@@ -271,7 +270,7 @@ class RingSpec:
         BP = self.basis_products.reshape(fn, -1)
         add = np.empty((N, N), dtype=np.int64)
         mul = np.empty((N, N), dtype=np.int64)
-        chunk = max(1, 2_000_000 // N)
+        chunk = max(1, 2_000_000 // (N * fn))  # (chunk, N, fn) digit arrays of 2M entries
         for lo in range(0, N, chunk):
             hi = min(N, lo + chunk)
             raw = D[lo:hi, None, :] + D[None, :, :]

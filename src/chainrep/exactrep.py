@@ -12,14 +12,17 @@ is all the induction machinery ever produces from a linear character.
 Group elements are named by their rows 0..|G|-1 only: a linear
 character is two aligned int64 arrays, the rows of its subgroup and its
 root-of-unity exponents there, and a representation is two
-(|G|, degree) integer arrays, sigma and exps, indexed by row; only an
-error message names an element by ``group.names``.
+(|G|, degree) arrays, sigma and exps, indexed by row, each in the
+narrowest unsigned dtype that holds its values (``np.min_scalar_type``
+of degree - 1 and of m - 1: uint8 up to 256); only an error message
+names an element by ``group.names``.  Arithmetic on exponents upcasts
+first, as unsigned sums wrap.
 Induction finds the cosets as orbits (``group._cosets``) and fills the
 arrays from index-array products (``group.product``, and
-``group._every`` for every row times the coset representatives), with
-no loop over the rows; the kernel is the rows equal to
-(arange(degree), 0), an integer test that for these exact matrices is
-chi(g) = chi(1).
+``group._every`` for every row times a block of the coset
+representatives), with no loop over the rows and no int64 array of the
+models' size; the kernel is the rows equal to (arange(degree), 0), an
+integer test that for these exact matrices is chi(g) = chi(1).
 
 Checks are exact, on generators: induction requires the greedy span of
 the subgroup's rows to be those rows, and chi(x s) = chi(x) chi(s) for
@@ -34,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain_ring import _divide, _powers
-from .group_models import NotSubgroupError  # noqa: F401 (induce raises it, through group._subgroup)
+from .group_models import _BLOCK, NotSubgroupError  # noqa: F401 (induce raises it, through group._subgroup)
 
 
 class ChiNotHomomorphismError(ValueError):
@@ -54,7 +57,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     for d in range(1, m):
         if m % d == 0:
             num, rem = _divide(num, cyclotomic_polynomial(d))
-            assert not any(rem), "non-exact cyclotomic division"
+            if any(rem):
+                raise AssertionError("non-exact cyclotomic division")
     return tuple(num)
 
 
@@ -120,7 +124,8 @@ class MonomialRep:
     """A monomial representation: for the element in row g of the group
     a permutation sigma[g] of the basis and scalar exponents exps[g],
     rho(g) e_t = zeta^exps[g, t] e_sigma[g, t].  sigma and exps are
-    (|G|, degree) integer arrays."""
+    (|G|, degree) arrays of unsigned integers, exps reduced mod
+    scalar_order."""
 
     def __init__(self, group, degree, scalar_order, sigma, exps):
         self.group = group
@@ -137,28 +142,41 @@ class MonomialRep:
         of it.  The coset representatives are the least row of each left
         coset, an orbit of right multiplication by the subgroup's
         generators; for each row w, w = reps[coset_of[w]] * sub[a_of[w]],
-        and the products g reps[t] of every row g are one
-        ``group._every``."""
+        and chi_at[w] = chi(sub[a_of[w]]).  The products g reps[t] of every
+        row g are one ``group._every`` per block of representatives that
+        keeps it within _BLOCK entries, written straight into the narrow
+        sigma and exps."""
         m, sub, vals = chi.order, chi.rows, chi.exps
         gens = group._subgroup(sub)[1]
         _check_character(group, sub, vals, m, gens)
         reps, coset_of = group._cosets(gens)
-        a_of = np.empty(group.order, dtype=np.int64)
+        n, degree = group.order, len(reps)
+        coset_of = coset_of.astype(np.min_scalar_type(degree - 1))
+        a_of = np.empty(n, dtype=np.int64)
         a_of[group.product(reps[:, None], sub)] = np.arange(len(sub))
-        w = group._every(reps).T
-        return MonomialRep(group, len(reps), m, coset_of[w], vals[a_of[w]])
+        chi_at = vals.astype(np.min_scalar_type(m - 1))[a_of]
+        sigma = np.empty((n, degree), dtype=coset_of.dtype)
+        exps = np.empty((n, degree), dtype=chi_at.dtype)
+        step = max(1, _BLOCK // n)
+        for lo in range(0, degree, step):
+            w = group._every(reps[lo : lo + step]).T
+            sigma[:, lo : lo + step] = coset_of[w]
+            exps[:, lo : lo + step] = chi_at[w]
+        return MonomialRep(group, degree, m, sigma, exps)
 
     @property
     def identity_rows(self) -> np.ndarray:
-        """Mask of the rows whose matrix is the identity: the kernel."""
-        return ((self.sigma == np.arange(self.degree)) & (self.exps % self.scalar_order == 0)).all(axis=1)
+        """Mask of the rows whose matrix is the identity: the kernel.  exps
+        is reduced mod scalar_order, so a scalar is 1 when its exponent is 0."""
+        return ((self.sigma == np.arange(self.degree)) & (self.exps == 0)).all(axis=1)
 
 
 class DirectSumRep:
     """A direct sum of monomial representations over a common group."""
 
     def __init__(self, summands):
-        assert summands
+        if not summands:
+            raise ValueError("a direct sum needs a summand")
         self.summands = list(summands)
         self.group = summands[0].group
         self.degree = sum(s.degree for s in summands)

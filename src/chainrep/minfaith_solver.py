@@ -68,6 +68,17 @@ class PoolDoesNotSpanError(NotSpanningError):
     pass
 
 
+class ConstructionCheckError(AssertionError):
+    """A construction whose models disagree with its closed form or with
+    the structure it was built from.  Raised explicitly, so python -O
+    keeps the check."""
+
+
+def _check(ok, message: str) -> None:
+    if not ok:
+        raise ConstructionCheckError(message)
+
+
 # -- closed forms -----------------------------------------------------
 
 
@@ -227,12 +238,12 @@ def construct_faithful_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
         total += dim
         summands.append({"b": digits, "level": j, "dim": dim})
     expected = formula_heisenberg(R.p, R.f, R.e, R.n, k)
-    assert total == expected, "construction total deviates from the closed form"
+    _check(total == expected, "construction total deviates from the closed form")
     reps = None
     verified = None
     if H.order <= group_cap():
         reps = [mackey_induced_rep(H, (0,) * k, b, (0,) * k) for b in params]
-        assert [r.degree for r in reps] == [s["dim"] for s in summands]
+        _check([r.degree for r in reps] == [s["dim"] for s in summands], "model degrees deviate from the summands")
         verified = DirectSumRep(reps).is_faithful()
     return FaithfulSolution(
         group=f"heisenberg k={k} over {R!r}",
@@ -262,10 +273,8 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     b = next(g for g in B if G.element_orders[g] == len(B))
     MA, expsA = extend_character(G, [b], len(B), [1], A)
     rho = MonomialRep.induce(G, LinearChar(MA, A, expsA))
-    assert rho.degree == G.order // len(A)
-    assert rho.degree**2 == G.order // len(Z), (
-        "maximal abelian does not sit halfway between center and group"
-    )
+    _check(rho.degree == G.order // len(A), "induced degree is not the index of the maximal abelian subgroup")
+    _check(rho.degree**2 == G.order // len(Z), "maximal abelian does not sit halfway between center and group")
     reps = [rho]
     Q, coset_of = G.quotient(B)
     kernel = sorted(set(coset_of[Z][expsA[np.searchsorted(A, Z)] == 0].tolist()))  # Z in A, both ascending
@@ -274,7 +283,7 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
         MQ, expsQ = extend_character(Q, basis, scan.p, unit, range(Q.order))
         reps.append(MonomialRep.induce(G, LinearChar(MQ, range(G.order), expsQ[coset_of])))
     total = sum(rep.degree for rep in reps)
-    assert total == target, f"construction reached {total}, closed form {target}"
+    _check(total == target, f"construction reached {total}, closed form {target}")
     verified = DirectSumRep(reps).is_faithful()
     return FaithfulSolution(
         group=f"two-step table group of order {G.order}",
@@ -300,7 +309,7 @@ def construct_faithful_affine(R: RingSpec) -> FaithfulSolution:
         trans = Aff.translations
         chi = LinearChar(character_weights(R)[0], trans, psi(R, Aff._decode(trans)[0]))
         rho = MonomialRep.induce(Aff, chi)
-        assert rho.degree == target
+        _check(rho.degree == target, f"induced degree {rho.degree}, closed form {target}")
         reps = [rho]
         verified = DirectSumRep(reps).is_faithful()
     return FaithfulSolution(

@@ -675,12 +675,13 @@ def check_homomorphism(rep) -> bool:
     g = np.arange(G.order)
     if not rep.identity_rows[G.identity]:
         return False
+    exps = rep.exps.astype(np.int64)  # unsigned sums wrap: 0 - 1 is 255 in uint8, 0 mod 3
     for s in G.generators:
         gs, ss = G.product(g, s), rep.sigma[s]
         # rho(g) rho(s) e_t = zeta^(exps[s, t] + exps[g, ss[t]]) e_sigma[g, ss[t]]
         if (rep.sigma[:, ss] != rep.sigma[gs]).any():
             return False
-        if ((rep.exps[s] + rep.exps[:, ss] - rep.exps[gs]) % m).any():
+        if ((exps[s] + exps[:, ss] - exps[gs]) % m).any():
             return False
     return True
 

@@ -256,6 +256,24 @@ def test_tables_agree_with_arithmetic(ring):
             assert int(R.valuation_table[a]) == valuation(R, ea)
 
 
+def test_table_build_peaks_near_the_tables():
+    # F_2[t]/t^10: 1024 elements, 10 digits; chunks of N * fn digit
+    # entries keep the traced peak of the build under three times the
+    # two finished tables (16.8 MB), where a whole (N, N, fn) int64 digit
+    # array alone would be 84 MB
+    import tracemalloc
+
+    R = make_ring(2, 1, INF, 10)
+    R.basis_products, R._place
+    tracemalloc.start()
+    try:
+        R._tables
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= 2 * 8 * R.size**2 and peak < 3 * held
+
+
 def test_eisenstein_square_is_two(ring):
     # fully ramified quadratic over Z/2: pi^2 = 2 (unit u = 1)
     R = ring("ram222")

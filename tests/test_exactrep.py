@@ -24,6 +24,7 @@ from chainrep.group_models import (
     semidirect_cyclic_hom,
     structure_scan,
 )
+from chainrep.minfaith_solver import construct_faithful_heisenberg
 from reference import (
     Cyclotomic,
     abelian_characters,
@@ -304,6 +305,21 @@ def test_check_homomorphism_rejects_non_invertible(group):
     assert not check_homomorphism(MonomialRep(G, 2, 1, sigma, np.zeros_like(sigma)))
 
 
+def test_check_homomorphism_upcasts_narrow_exponents():
+    # uint8 sums wrap modulo 256, and 256 = 1 (mod 3): a defect of -1
+    # would read 255 = 0 (mod 3).  One exponent of Hei(F_3)'s model moved
+    # by -1 is refused, and so is this map of Z/9 to the cube roots of
+    # unity, whose defects are -1 and 3 only
+    rho = construct_faithful_heisenberg(make_ring(3, 1, "inf", 1)).reps[0]
+    assert rho.scalar_order == 3 and rho.exps.dtype == np.uint8 and check_homomorphism(rho)
+    g = rho.group.generators[0]
+    rho.exps[g, 0] = (int(rho.exps[g, 0]) - 1) % 3
+    assert not check_homomorphism(rho)
+    Z = AbstractGroup(np.add.outer(np.arange(9), np.arange(9)) % 9)
+    exps = np.array([[0], [1], [2], [0], [2], [0], [2], [0], [2]], dtype=np.uint8)
+    assert not check_homomorphism(MonomialRep(Z, 1, 3, np.zeros_like(exps), exps))
+
+
 def test_trivial_induction_is_regular_rep(group):
     # inducing the trivial character of the trivial subgroup gives the
     # regular representation: character |G| at 1 and 0 elsewhere
@@ -331,11 +347,46 @@ def test_induce_from_the_trivial_subgroup_is_the_regular_action(group, heis):
 
 
 def _assert_induces_as_the_loop(G, chi, induce=MonomialRep.induce):
+    # the loop's values, in the narrowest unsigned dtypes that hold
+    # degree - 1 and order - 1
     rho = induce(G, chi)
     sigma, exps = induce_loop(G, chi)
-    assert rho.sigma.dtype == sigma.dtype and np.array_equal(rho.sigma, sigma)
-    assert rho.exps.dtype == exps.dtype and np.array_equal(rho.exps, exps)
+    assert rho.sigma.dtype == np.min_scalar_type(sigma.shape[1] - 1) and np.array_equal(rho.sigma, sigma)
+    assert rho.exps.dtype == np.min_scalar_type(chi.order - 1) and np.array_equal(rho.exps, exps)
     return rho
+
+
+def test_induce_past_uint8(group):
+    # degree 512 from the trivial subgroup of the dihedral group of order
+    # 512 gives uint16 sigma; a faithful character of Z/1024 gives uint16
+    # exps
+    G = semidirect_cyclic(256, [255])
+    rho = _assert_induces_as_the_loop(G, LinearChar(1, [G.identity], [0]))
+    assert (rho.degree, rho.sigma.dtype, rho.exps.dtype) == (512, np.uint16, np.uint8)
+    Z = semidirect_cyclic(1024, [1])
+    rho = _assert_induces_as_the_loop(Z, LinearChar(1024, range(1024), [Z.names[g][0] for g in range(1024)]))
+    assert (rho.degree, rho.sigma.dtype, rho.exps.dtype) == (1, np.uint8, np.uint16)
+    assert rho.exps[:, 0].tolist() == [Z.names[g][0] for g in range(1024)]
+
+
+def test_induce_in_blocks_equals_one_block(monkeypatch):
+    # the subgroup 16 Z/4096 of Z/4096 has 16 cosets; with blocks of 5
+    # representatives the induction takes 4 ``_every`` calls, and gives
+    # the one-block result
+    from chainrep import exactrep
+
+    G = semidirect_cyclic(4096, [1])
+    rows = np.flatnonzero([G.names[g][0] % 16 == 0 for g in range(G.order)])
+    chi = LinearChar(256, rows, [G.names[g][0] // 16 for g in rows])
+    one = MonomialRep.induce(G, chi)
+    calls = []
+    every = type(G)._every
+    monkeypatch.setattr(type(G), "_every", lambda self, J, right=True: calls.append(len(J)) or every(self, J, right))
+    monkeypatch.setattr(exactrep, "_BLOCK", 5 * G.order)
+    blocked = MonomialRep.induce(G, chi)
+    assert calls[-4:] == [5, 5, 5, 1] and one.degree == 16
+    for a, b in [(one.sigma, blocked.sigma), (one.exps, blocked.exps)]:
+        assert a.dtype == b.dtype == np.uint8 and np.array_equal(a, b)
 
 
 def test_induce_matches_the_discovery_loop(group):

@@ -273,6 +273,42 @@ def test_construct_two_step_rejects(group, monkeypatch):
         construct_faithful_two_step(G)
 
 
+def test_construction_checks_survive_python_O():
+    # python -O strips assert statements: with each closed form off by
+    # one, its construction still raises ConstructionCheckError
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = "\n".join([
+        'import sys; sys.path[:0] = ["src"]',
+        'from chainrep import minfaith_solver as ms',
+        'from chainrep.chain_ring import make_ring',
+        'from chainrep.group_models import semidirect_cyclic_hom',
+        'if not sys.flags.optimize: sys.exit("asserts are on")',
+        'for name, build, arg in [',
+        '    ("formula_heisenberg", ms.construct_faithful_heisenberg, make_ring(2, 1, 1, 1)),',
+        '    ("formula_affine", ms.construct_faithful_affine, make_ring(3, 1, 1, 1)),',
+        '    ("formula_two_step", ms.construct_faithful_two_step, semidirect_cyclic_hom(8, 5, 4)),',
+        ']:',
+        '    formula = getattr(ms, name)',
+        '    setattr(ms, name, lambda *a, f=formula, **k: f(*a, **k) + 1)',
+        '    try:',
+        '        build(arg)',
+        '    except ms.ConstructionCheckError as exc:',
+        '        print(exc)',
+        '    setattr(ms, name, formula)',
+    ])
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=root, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "construction total deviates from the closed form\n"
+        "induced degree 2, closed form 3\n"
+        "construction reached 3, closed form 4\n"
+    )
+
+
 def _check_two_step(G):
     sol = construct_faithful_two_step(G)
     assert sol.verified_faithful is True
