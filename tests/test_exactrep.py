@@ -356,7 +356,7 @@ def _assert_induces_as_the_loop(G, chi, induce=MonomialRep.induce):
     return rho
 
 
-def test_induce_past_uint8(group):
+def test_induce_past_uint8():
     # degree 512 from the trivial subgroup of the dihedral group of order
     # 512 gives uint16 sigma; a faithful character of Z/1024 gives uint16
     # exps
