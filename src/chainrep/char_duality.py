@@ -54,7 +54,8 @@ def character_weights(R: RingSpec) -> tuple[int, tuple[int, ...]]:
     w = tuple(v % mod for v in w)
     # primitivity: nontrivial somewhere on the socle pi^(n-1) R, whose
     # elements have digits in column n-1 only
-    assert any(w[i * n + n - 1] for i in range(f)), "base character not primitive"
+    if not any(w[i * n + n - 1] for i in range(f)):
+        raise AssertionError("base character not primitive")
     return mod, w
 
 
@@ -76,7 +77,8 @@ def _socle_matrix(R: RingSpec) -> np.ndarray:
     prods = R._canon_array(np.einsum("gq,tqr->tgr", gens, R.basis_products))
     exps = prods @ np.array(w, dtype=np.int64) % mod
     scale = mod // R.p
-    assert not (exps % scale).any(), "character value on p-torsion is not a p-th root"
+    if (exps % scale).any():
+        raise AssertionError("character value on p-torsion is not a p-th root")
     return exps // scale
 
 

@@ -188,7 +188,8 @@ def _cmd_irreps(args) -> int:
             }
         )
     total = sum(d.dim**2 for d in catalog)
-    assert total == H.order
+    if total != H.order:
+        raise AssertionError(f"irreps list: sum dim^2 = {total}, |G| = {H.order}")
     result = {
         "order": H.order,
         "irrep_count": len(catalog),

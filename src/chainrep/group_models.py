@@ -170,12 +170,13 @@ class AbstractGroup:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """The dense table of the law, filled a block of rows at a time when
-        the benchmark or a test reads it: the package reads ``product``."""
+        """The dense table of the law, which the package never reads: filled
+        for the benchmark or a test a block of rows J at a time, as ``_every(J, right=False)``."""
+        _check_cap(self.order)
         table, idx = _empty_table(self.order), np.arange(self.order)
         rows = max(1, _BLOCK // self.order)
         for lo in range(0, self.order, rows):
-            table[lo : lo + rows] = self.product(idx[lo : lo + rows, None], idx)
+            table[lo : lo + rows] = self._every(idx[lo : lo + rows], right=False)
         return table
 
     def product(self, I, J) -> np.ndarray:
@@ -489,30 +490,6 @@ class _RingFamily(AbstractGroup):
         rows = self._decode(J).reshape(len(radices), len(J), *[1] * len(radices))
         out = self._encode(self._law(mesh, rows) if right else self._law(rows, mesh))
         return np.broadcast_to(out, (len(J), *radices)).reshape(len(J), self.order)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """AbstractGroup's lazy ``table``, from the law on an open mesh.
-        Rows are the codec's digits, so the table is viewed with shape
-        radices + radices: with w digits, digit t of the left factor runs
-        along axis t and of the right factor along axis w + t.  Each
-        coordinate of the law's output then spans only the axes it
-        depends on, and ``_encode`` broadcasts them to the full-size
-        block of the view.  A block fixes as few leading digits of the
-        left factor as keep it within _BLOCK entries."""
-        _check_cap(self.order)
-        n, table = self.order, _empty_table(self.order)  # before the digit arrays, which are O(|R|)
-        radices = [len(v) for v in self._digits]
-        lead = 0
-        while lead < len(radices) and n * math.prod(radices[lead:]) > _BLOCK:
-            lead += 1
-        view = table.reshape(radices + radices)
-        mesh = np.ix_(*self._digits[lead:], *self._digits)
-        free, right = list(mesh[: len(radices) - lead]), list(mesh[len(radices) - lead :])
-        for fixed in np.ndindex(*radices[:lead]):
-            left = [v[d] for v, d in zip(self._digits, fixed)] + free
-            view[fixed] = self._encode(self._law(left, right))
-        return table
 
 
 # -- upper unitriangular groups on a pattern of entries ----------------

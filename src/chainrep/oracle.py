@@ -248,6 +248,12 @@ class CharacterTable:
         members = np.argsort(self.class_of, kind="stable")
         return members, np.cumsum([0] + self.sizes)
 
+    @cached_property
+    def _by_order(self) -> list[tuple[int, np.ndarray]]:
+        """(o, js) for each element order o of the classes, ascending: js the classes of order o."""
+        orders = self.group.element_orders[np.array(self.reps)]
+        return [(o, np.flatnonzero(orders == o)) for o in sorted(set(orders.tolist()))]
+
     def _class_matrix(self, i: int):
         """M[j,k] = #{x in C_i : x^{-1} z_k in C_j}, one count over the
         flat index r j + k."""
@@ -360,9 +366,7 @@ class CharacterTable:
         mu[np.arange(len(lin))[:, None], np.arange(r), lin] = 1
         z_root = _primitive_root_power(l, E)
         rows = np.arange(len(lin), r)
-        orders = G.element_orders[reps]
-        for o in sorted(set(orders.tolist())):
-            js = np.flatnonzero(orders == o)
+        for o, js in self._by_order:
             w = pow(z_root, E // o, l)
             s = np.arange(o)
             wmat = np.array([pow(w, -u, l) for u in range(o)], dtype=np.int64)[np.outer(s, s) % o]
@@ -418,12 +422,10 @@ class CharacterTable:
         # (a) the Galois action, one element order at a time: g -> g^k
         # keeps the order of g, so it maps the classes js of one order
         # among themselves
-        orders = G.element_orders[np.array(self.reps)]
-        by_order = [(o, np.flatnonzero(orders == o)) for o in sorted(set(orders.tolist()))]
         u = np.arange(E)
         for k in _unit_generators(E):
             pc, ku = self.power_class[k], k * u % E
-            for _, js in by_order:
+            for _, js in self._by_order:
                 galois = mu[:, pc[js, None], ku]
                 _check(np.array_equal(galois, mu[:, js]), f"Galois action sigma_{k} failed")
         # (c) N = |G| I modulo primes l = 1 (mod E), from the classes of
@@ -431,21 +433,19 @@ class CharacterTable:
         # for w = zeta^(E/o)
         sizes = np.array(self.sizes, dtype=np.int64)
         blocks = []
-        for o, js in by_order:
+        for o, js in self._by_order:
             block = mu[:, js].reshape(r, len(js), o, E // o)
             _check(not block[:, :, :, 1:].any(), f"multiplicity at a root of unity whose order does not divide o(g) = {o}")
             blocks.append((o, js, np.ascontiguousarray(block[:, :, :, 0])))
         for l in _verification_primes(2 * G.order**2, r, E):
             zl = _primitive_root_power(l, E)
-            X = np.empty((r, r), dtype=np.int64)
-            Y = np.empty((r, r), dtype=np.int64)
+            X, Y = np.empty((2, r, r), dtype=np.int64)
             for o, js, part in blocks:
                 w = np.array([pow(zl, E // o * s, l) for s in range(o)], dtype=np.int64)
                 X[:, js] = part @ w % l
                 Y[:, js] = part @ w[-np.arange(o) % o] % l
             N = (X * sizes % l) @ Y.T % l
-            identity = G.order % l * np.eye(r, dtype=np.int64)
-            _check(np.array_equal(N, identity), f"orthogonality failed mod {l}")
+            _check(np.array_equal(N, G.order % l * np.eye(r, dtype=np.int64)), f"orthogonality failed mod {l}")
 
     # -- exact values and kernels ------------------------------------
 

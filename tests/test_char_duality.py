@@ -351,3 +351,36 @@ def test_dual_vector_hashable():
     assert a == b and len({a, b}) == 1
     with pytest.raises(AttributeError):
         a.coords = (0, 0)
+
+
+def test_character_checks_survive_python_O():
+    # python -O strips assert statements: a non-primitive base character,
+    # a character value on the socle that is not a p-th root, and an irreps
+    # catalog whose squared degrees miss |G| still raise, the last making
+    # ``irreps list`` exit 1
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = "\n".join([
+        'import sys; sys.path[:0] = ["src"]',
+        'from chainrep import char_duality as cd, cli, mackey_irreps',
+        'from chainrep.chain_ring import RingSpec, make_ring',
+        'if not sys.flags.optimize: sys.exit("asserts are on")',
+        'weights, catalog = cd.character_weights, mackey_irreps.irrep_catalog',
+        'R = RingSpec(3, 1, 1, 2)',
+        'R._yred = [[0]]  # the trace weights of Z/9, all zero',
+        'cd.character_weights = lambda R: (4, (1, 1))  # psi(2) = i on Z/4',
+        'for check, arg in [(weights.__wrapped__, R), (cd._socle_matrix.__wrapped__, make_ring(2, 1, 1, 2))]:',
+        '    try:',
+        '        check(arg)',
+        '    except AssertionError as exc:',
+        '        print(exc)',
+        'cd.character_weights = weights',
+        'mackey_irreps.irrep_catalog = lambda H: catalog(H)[1:]  # one irrep dropped',
+        'print(cli.main(["irreps", "list", "--p", "2", "--n", "2"]))',
+    ])
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=root, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "base character not primitive\ncharacter value on p-torsion is not a p-th root\n1\n", proc.stderr
+    assert proc.returncode == 0 and proc.stderr == "error: AssertionError: irreps list: sum dim^2 = 63, |G| = 64\n"

@@ -654,8 +654,8 @@ FROZEN_FAMILY_TABLES = {
                "db371fadca59fa9c0e984d90dc6cc871cca148ecab9246971a81dcfd0b89f8ab"),
     "aff_z9": ("47d1e2674a1c82e91a994ee78e0d2a16c88f18591d453cce95a80e2b9747eddb",
                "e5b3ad8814f87a0f71fe1f60f9a51e8e2aa84e2eeae0da5b39d80dc1f88a6be0"),
-    # taken from the row-block fill, before the open-mesh fill: large
-    # enough that a block fixes two (Hei) and three (U_5) leading digits
+    # taken from an earlier row-block fill: large enough that the table,
+    # now filled from ``_every``, takes more than one block of rows
     "hei3_gr42": ("e09bf13312708a3a391fcaf1a0b4e4be3cb6835a40ed735005c44fd309ab6ea7",
                   "84284b701ec2bd8bd1d55e79ed85e62e19c05712682104d0b556039eefc4bf95"),
     "u5_f2": ("7b29e899d43c12f6cff33356574a4cc7f0169a3581a7e20854a29c6e955e038f",
@@ -664,8 +664,12 @@ FROZEN_FAMILY_TABLES = {
 
 
 def test_family_tables_frozen(group):
+    # a family's table is AbstractGroup's one fill, from the family's ``_every``
     import hashlib
 
+    from chainrep import group_models
+
+    assert "table" not in vars(group_models._RingFamily)
     for name, (table_sha, names_sha) in FROZEN_FAMILY_TABLES.items():
         G = group(name)
         assert G.table.dtype == np.int32
@@ -712,8 +716,9 @@ MESH_FAMILIES = {
     st.data(),
 )
 def test_mesh_table_is_the_law(kind, p, f, e, n, data):
-    # the open-mesh table against the index-array product on random
-    # pairs, and Light's associativity test on the whole table
+    # the table, filled from the open-mesh ``_every``, against the
+    # index-array product on random pairs, and Light's associativity
+    # test on the whole table
     build, order = MESH_FAMILIES[kind]
     assume(order(p ** (f * n), p**f) <= 1024)
     F = build(make_ring(p, f, e, n))
@@ -1016,11 +1021,21 @@ def test_structure_scan_non_p_group(group):
 
 
 def test_cap_enforcement(heis, monkeypatch):
-    H = heis("hei3_z4")
+    # the dense table is refused before it is allocated, on a ring family
+    # and on a law group built under a higher cap alike
+    from chainrep import group_models
+
+    H, law = heis("hei3_z4"), semidirect_cyclic(27, [2])
+
+    def refuse(n):
+        raise AssertionError(f"a {n} x {n} table was allocated")
+
+    monkeypatch.setattr(group_models, "_empty_table", refuse)
     monkeypatch.setenv("CHAINREP_ORACLE_CAP", "10")
     assert group_cap() == 10
-    with pytest.raises(CapExceededError, match="exceeds cap 10"):
-        H.to_abstract()
+    for read in (H.to_abstract, lambda: HeisenbergGroup(H.ring, H.k).table, lambda: law.table):
+        with pytest.raises(CapExceededError, match="exceeds cap 10"):
+            read()
 
 
 # -- abelian characters ----------------------------------------------
