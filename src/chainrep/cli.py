@@ -2,7 +2,7 @@
 
 Subcommands: ``ring`` (chain-ring summary), ``irreps list`` (Heisenberg
 irreducible catalog), ``minfaith`` (minimal faithful dimension by
-closed form, explicit construction, and/or oracle), ``oracle``
+closed form, greedy solver, explicit construction, and/or oracle), ``oracle``
 (character tables and exact minimum search for any supported group
 specifier), and ``verify`` (full cross-validation suite).
 
@@ -214,40 +214,34 @@ def _cmd_irreps(args) -> int:
 
 
 def _minfaith_values(target, params):
-    """(values dict, solution json or None) for the requested mode.  The
-    two-step target is the table family with the two-step routes.  A
-    single mode the target has no route for is a parse error.  In mode
-    all, a route past a size cap (CapExceededError), the oracle above the
-    group cap among them, is left out, with its reason on stderr."""
-    from . import oracle as orc
+    """(values dict, solution json or None) for the requested mode: the
+    instance's routes (minfaith_solver.routes, oracle on) keyed by mode.
+    A single mode the target has no route for is a parse error.  In mode
+    all, a route past a size cap (CapExceededError) is left out, with its
+    reason on stderr; the solution is the last route's that gives one."""
     from .chain_ring import CapExceededError
-    from .minfaith_solver import FAMILIES, TWO_STEP_ROUTES, FaithfulSolution
+    from .minfaith_solver import routes
 
     mode = params["mode"]
     two_step = target == "two-step"
-
-    def oracle(b):  # the group build checks the cap before allocating
-        return orc.min_faithful_exhaustive(orc.CharacterTable(b.group))[0]
-
-    routes = {**(TWO_STEP_ROUTES if two_step else FAMILIES[target].routes), "oracle": oracle}
-    if mode != "all" and mode not in routes:
-        raise SpecParseError(f"{target} has no {mode} route; its routes are {', '.join(routes)}")
     b = _flag_instance("table" if two_step else target, params)
+    found = routes(b, {"two_step": two_step, "oracle": True})
+    modes = [route_mode for _, route_mode, _ in found]
+    if mode != "all" and mode not in modes:
+        raise SpecParseError(f"{target} has no {mode} route; its routes are {', '.join(modes)}")
     values = {}
     solution = None
-    for key in ("formula", "construct", "oracle") if mode == "all" else (mode,):
-        if key in routes:
+    for key, route_mode, run in found:
+        if mode in ("all", route_mode):
             try:
-                out = routes[key](b)
+                out, _notes, sol = run(b)
             except CapExceededError as exc:
                 if mode != "all":
                     raise
-                print(f"{key} skipped: {exc}", file=sys.stderr)
+                print(f"{route_mode} skipped: {exc}", file=sys.stderr)
                 continue
-            if isinstance(out, FaithfulSolution):
-                solution = out.to_json()
-                out = out.total_dim
-            values[key] = out
+            values[route_mode] = out[key]
+            solution = sol.to_json() if sol is not None else solution
     return values, solution
 
 
@@ -414,12 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
         ring_flags(pp, with_k=with_k)
         if extra:
             pp.add_argument(f"--{extra}", type=int, required=True)
-        pp.add_argument("--mode", choices=["formula", "construct", "oracle", "all"], default="formula")
+        pp.add_argument("--mode", choices=["formula", "solver", "construct", "oracle", "all"], default="formula")
         fmt_flag(pp)
         pp.set_defaults(func=_cmd_minfaith)
     pp = mf_sub.add_parser("two-step")
     pp.add_argument("--table", required=True, help="JSON file with a multiplication table")
-    pp.add_argument("--mode", choices=["formula", "construct", "oracle", "all"], default="formula")
+    pp.add_argument("--mode", choices=["formula", "solver", "construct", "oracle", "all"], default="formula")
     fmt_flag(pp)
     pp.set_defaults(func=_cmd_minfaith)
 

@@ -441,10 +441,9 @@ class _RingFamily(AbstractGroup):
         return [np.arange(self.ring.size)] * len(self._identity)
 
     def _encode(self, coords):
-        idx = 0
-        for c in coords:
-            idx = idx * self.ring.size + c
-        return idx
+        """The radix terms c_t s^(w-1-t), summed from the smallest array
+        up, so only the last sums take the full broadcast shape."""
+        return sum(sorted((c * self.ring.size**t for t, c in enumerate(coords[::-1])), key=np.size))
 
     @cached_property
     def _coords(self) -> np.ndarray:

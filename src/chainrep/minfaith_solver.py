@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -161,7 +161,7 @@ class FaithfulSolution:
         out = {
             "group": self.group,
             "total_dim": self.total_dim,
-            "summands": list(self.summands),
+            "summands": [asdict(s) if is_dataclass(s) else s for s in self.summands],
         }
         if self.certificate is not None:
             out["certificate"] = [list(v) for v in self.certificate]
@@ -346,13 +346,11 @@ class Family:
     parameter ``keys`` and ``defaults`` (a key without one is required),
     and callables on a FamilyInstance that build the ring (None: no
     ring) and table group, give |G| (building no group, but for a
-    table), describe it, and run the family's ``routes``, which
-    cross_validate runs before the two-step routes and the oracle (an
-    ``orbit_bound`` route gives the orbit lower bound and whether the
-    action is faithful); ``oracle`` says whether the oracle runs by
-    default.  What each parameter's value takes is in VALUE_KINDS, and
-    FamilyInstance checks it.  The callables look builders up when called, so a rebound
-    module-level builder is the one run."""
+    table), describe it, and run the family's ``routes``, the first that
+    routes() lists; ``oracle`` says whether the oracle runs by default.
+    What each parameter's value takes is in VALUE_KINDS, and
+    FamilyInstance checks it.  The callables look builders up when
+    called, so a rebound module-level builder is the one run."""
 
     spec: str
     keys: tuple
@@ -457,11 +455,51 @@ FAMILIES = {
     ),
 }
 
-# The two-step closed form and construction, for any table group.
-TWO_STEP_ROUTES = {
-    "formula": lambda b: formula_two_step(b.group),
-    "construct": lambda b: construct_faithful_two_step(b.group),
-}
+
+def _oracle(b, pgroup_catalog: bool) -> dict:
+    """The oracle's minimum on the group of b and the dims of its
+    selection, then, given ``pgroup_catalog``, the greedy solver's minimum
+    on the oracle's catalog."""
+    from . import oracle as orc
+
+    T = orc.CharacterTable(b.group)
+    m, sel = orc.min_faithful_exhaustive(T)
+    values = {"oracle": m, "oracle_selection_dims": [T.dims[c] for c in sel]}
+    if pgroup_catalog:
+        entries = orc.catalog_from_table(T)
+        values["solver_catalog"] = solve_pgroup(entries, entries[0][1].p, len(entries[0][1].coords)).total_dim
+    return values
+
+
+def _outcome(key, out):
+    """(values, notes, solution) of a route's output: the oracle's dict,
+    a FaithfulSolution (noting a failed kernel check), the orbit bound
+    with whether the action is faithful, or a value."""
+    if isinstance(out, dict):
+        return out, [], None
+    if isinstance(out, FaithfulSolution):
+        return {key: out.total_dim}, [] if out.verified_faithful is not False else ["construction kernel check failed"], out
+    if isinstance(out, tuple):
+        return {key: out[0]}, ["action faithful" if out[1] else "action through a quotient"], None
+    return {key: out}, [], None
+
+
+def routes(b, flags: dict) -> list:
+    """The ordered (key, mode, run) of every route that runs on the
+    FamilyInstance b, which verify and minfaith both iterate: the
+    family's own routes, the two-step closed form and construction under
+    ``two_step``, then the oracle under ``oracle`` (by default the
+    family's), with the greedy solver on its catalog under
+    ``pgroup_catalog``.  ``key`` names the value in verify, ``mode`` the
+    minfaith --mode that runs it; run(b) gives (values, notes, solution)
+    and looks its function up on this module when called."""
+    found = [(key, key, route) for key, route in b.family.routes.items()]
+    if flags.get("two_step", False):
+        found += [("formula_two_step", "formula", lambda b: formula_two_step(b.group)),
+                  ("construct_two_step", "construct", lambda b: construct_faithful_two_step(b.group))]
+    if flags.get("oracle", b.family.oracle):
+        found.append(("oracle", "oracle", lambda b: _oracle(b, flags.get("pgroup_catalog", False))))
+    return [(key, mode, lambda b, key=key, route=route: _outcome(key, route(b))) for key, mode, route in found]
 
 
 _INT = (lambda v: type(v) is int, "an integer")

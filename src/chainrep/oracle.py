@@ -649,22 +649,6 @@ def _suite_instance(inst: dict):
         raise ValueError(f"instance {inst['name']!r} has {exc}") from None
 
 
-def _oracle_values(b, pgroup_catalog: bool):
-    """The oracle's (key, value) pairs on the group of b: its minimum and
-    the dims of its selection, then, given ``pgroup_catalog``, the greedy
-    solver's minimum on the oracle's catalog."""
-    from . import minfaith_solver as solver
-
-    T = CharacterTable(b.group)
-    m, sel = min_faithful_exhaustive(T)
-    yield "oracle", m
-    yield "oracle_selection_dims", [T.dims[c] for c in sel]
-    if pgroup_catalog:
-        entries = catalog_from_table(T)
-        p, dprime = entries[0][1].p, len(entries[0][1].coords)
-        yield "solver_catalog", solver.solve_pgroup(entries, p, dprime).total_dim
-
-
 def cross_validate(suite: dict) -> dict:
     """Check every instance of a suite, then run each through the routes
     that apply and report agreement.  The check builds each instance once
@@ -672,12 +656,8 @@ def cross_validate(suite: dict) -> dict:
     an object whose ``instances`` is a list of objects with a string
     ``name`` and a ``family``, for a name two instances share, or for the
     first malformed instance (_suite_instance).
-    The routes run in this order: the family's own (closed form, greedy
-    solver, explicit construction, orbit bound), the two-step closed
-    form and construction when ``two_step`` is true, and the oracle
-    search when ``oracle`` is true (by default for the families given by
-    their group), with the greedy solver on its catalog under
-    ``pgroup_catalog``.  A route past a size cap (CapExceededError) is
+    The routes are those solver.routes lists for the instance and its
+    flags, in its order.  A route past a size cap (CapExceededError) is
     left out with a "<key> skipped: <reason>" note; any other failure ends
     the instance with an error entry."""
     from . import minfaith_solver as solver
@@ -695,28 +675,17 @@ def cross_validate(suite: dict) -> dict:
     results = []
     for inst in suite["instances"]:  # popped, so each built instance is freed once it has run
         b, name = built.pop(), inst["name"]
-        fam = b.family
-        routes = dict(fam.routes)
-        if inst.get("two_step", False):
-            routes.update({f"{key}_two_step": route for key, route in solver.TWO_STEP_ROUTES.items()})
-        if inst.get("oracle", fam.oracle):
-            routes["oracle"] = lambda b: _oracle_values(b, inst.get("pgroup_catalog", False))
         values = {}
         notes = []
         try:
-            for key, route in routes.items():
+            for key, _mode, run in solver.routes(b, inst):
                 try:
-                    out = route(b)
-                    if key == "orbit_bound":
-                        out, faithful = out
-                        notes.append("action faithful" if faithful else "action through a quotient")
-                    elif isinstance(out, solver.FaithfulSolution):
-                        if out.verified_faithful is False:
-                            notes.append("construction kernel check failed")
-                        out = out.total_dim
-                    values.update(out if key == "oracle" else {key: out})
+                    out, route_notes, _solution = run(b)
                 except CapExceededError as exc:
                     notes.append(f"{key} skipped: {exc}")
+                    continue
+                values.update(out)
+                notes += route_notes
         except Exception as exc:  # mismatch bookkeeping, not control flow
             results.append(
                 {

@@ -142,6 +142,56 @@ def test_minfaith_all_modes(capsys, schema):
     assert res["solution"]["verified_faithful"] is True
 
 
+def test_minfaith_solver_json(capsys, schema):
+    # the greedy solver's summands are catalog descriptors, written as
+    # objects that the output schema takes
+    argv = ["minfaith", "heisenberg", "--p", "3", "--mode", "solver", "--format", "json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    check_schema(schema, payload)
+    res = payload["result"]
+    assert res["values"] == {"solver": 3} and res["solution"]["total_dim"] == 3
+    assert res["solution"]["summands"] == [
+        {"dim": 3, "lambda_label": [0], "level": 0, "orbit_rep": [[0], 1], "stabilizer_order": 1}
+    ]
+
+
+def test_verify_and_minfaith_read_one_list_of_routes(capsys, monkeypatch, tmp_path, group):
+    # a probe route added to the Heisenberg family gives a value in verify
+    # and in minfaith --mode all; and each route looks its function up on
+    # its module when called, so a rebound two-step construction (as
+    # perfbench's tracer rebinds it) is the one both commands run
+    from chainrep import minfaith_solver as solver
+
+    calls = []
+    construct = solver.construct_faithful_two_step
+
+    def counted(G):
+        calls.append(G.order)
+        return construct(G)
+
+    def probe(b):
+        return solver.formula_heisenberg(b.ring.p, b.ring.f, b.ring.e, b.ring.n, b.k)
+
+    monkeypatch.setattr(solver, "construct_faithful_two_step", counted)
+    monkeypatch.setitem(solver.FAMILIES["heisenberg"].routes, "probe", probe)
+    code, out, err = run_cli(capsys, "verify", "--suite", "default", "--format", "json")
+    assert (code, err) == (0, "")
+    instances = load_default_suite()["instances"]
+    for inst, rr in zip(instances, json.loads(out)["result"]["results"], strict=True):
+        values = rr["values"]
+        assert values.get("probe") == (values["formula"] if inst["family"] == "heisenberg" else None), rr
+    assert len(calls) == sum(inst.get("two_step", False) for inst in instances) == 9
+    code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "2", "--mode", "all")
+    routes = "construct: 2\nformula: 2\noracle: 2\nprobe: 2\nsolver: 2\n"
+    assert (code, out, err) == (0, f"2\n{routes}construction faithful: True\n", "")
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps({"table": group("d4").table.tolist()}))
+    code, out, err = run_cli(capsys, "minfaith", "two-step", "--table", str(path), "--mode", "construct")
+    assert (code, out, err, calls[9:]) == (0, "2\nconstruct: 2\nconstruction faithful: True\n", "", [8])
+
+
 def test_minfaith_affine(capsys):
     code, out, _ = run_cli(
         capsys, "minfaith", "affine", "--p", "3", "--n", "2", "--mode", "all"
@@ -194,13 +244,16 @@ def test_mode_all_skips_refusing_routes(capsys):
     argv = ["minfaith", "heisenberg", "--p", "101", "--n", "2", "--mode"]
     code, out, err = run_cli(capsys, *argv, "all")
     assert (code, out) == (0, "10201\nconstruct: 10201\nformula: 10201\n")
-    assert err == "oracle skipped: |G| = 1061520150601 exceeds cap 4096\n"
+    assert err == (
+        "solver skipped: dual of size 104060401 exceeds the explicit cap 100000\n"
+        "oracle skipped: |G| = 1061520150601 exceeds cap 4096\n"
+    )
     code, out, err = run_cli(capsys, *argv, "construct")
     assert (code, out, err) == (0, "10201\nconstruct: 10201\n", "")
-    # the oracle alone above the cap: stdout is the two routes that ran
+    # the oracle alone above the cap: stdout is the three routes that ran
     argv = ["minfaith", "heisenberg", "--p", "2", "--f", "2", "--n", "3", "--mode", "all"]
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (0, "128\nconstruct: 128\nformula: 128\n")
+    assert (code, out) == (0, "128\nconstruct: 128\nformula: 128\nsolver: 128\n")
     assert err == "oracle skipped: |G| = 262144 exceeds cap 4096\n"
 
 
@@ -222,13 +275,13 @@ def test_large_rings_are_not_enumerated(capsys, monkeypatch):
         return digits(self, idx)
 
     monkeypatch.setattr(RingSpec, "digits", counted)
-    for family, m, order in [
-        ("heisenberg", 104060401, 101**12),
-        ("affine", 103030100, 101**4 * 103030100),
+    for family, m, order, solver in [
+        ("heisenberg", 104060401, 101**12, f"solver skipped: dual of size {101**8} exceeds the explicit cap 100000\n"),
+        ("affine", 103030100, 101**4 * 103030100, ""),
     ]:
         code, out, err = run_cli(capsys, "minfaith", family, "--p", "101", "--n", "4", "--mode", "all")
         assert (code, out) == (0, f"{m}\nconstruct: {m}\nformula: {m}\n")
-        assert err == f"oracle skipped: |G| = {order} exceeds cap 4096\n"
+        assert err == f"{solver}oracle skipped: |G| = {order} exceeds cap 4096\n"
 
 
 def test_construct_json_golden(capsys):
@@ -286,7 +339,8 @@ def test_unallocatable_oracle_mask_is_a_cap_refusal(capsys, monkeypatch):
     monkeypatch.setenv("CHAINREP_ORACLE_CAP", "2000000000000")
     code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "101", "--n", "2", "--mode", "all")
     assert (code, out) == (0, "10201\nformula: 10201\n")
-    construct, oracle = err.splitlines()
+    solver, construct, oracle = err.splitlines()
+    assert solver == "solver skipped: dual of size 104060401 exceeds the explicit cap 100000"
     assert construct == "construct skipped: ring of size 10201 exceeds table cap 6000"
     assert oracle.startswith("oracle skipped: |G| = 1061520150601: a mask of its elements cannot be allocated (")
     # the group spec reads the generators, so it is refused at that mask
