@@ -231,7 +231,9 @@ class RingSpec:
     def digits(self, idx) -> np.ndarray:
         """Digit vectors of the elements with indices idx: an int64 array
         with one more axis, of length f*n: digit c[i][j] at position
-        i*n + j."""
+        i*n + j.  Raises CapExceededError if the largest place p^(fn-1) is past int64."""
+        if self._radix[0] >= 2**63:
+            raise CapExceededError(f"digit place {self.p}^{self._fn - 1} exceeds int64")
         return np.asarray(idx, dtype=np.int64)[..., None] // self._place % self.p
 
     def _canon_array(self, acc):

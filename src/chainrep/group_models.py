@@ -501,7 +501,8 @@ class _PatternGroup(_RingFamily):
     product (with (i, s) and (s, j) it holds (i, j)), so the law is the
     matrix product restricted to it: entry (i, j) of g h is
     g_ij + h_ij + sum_s g_is h_sj over the (i, s), (s, j) in the pattern,
-    whose coordinate pairs ``_terms`` lists once per group."""
+    whose coordinate pairs ``_terms`` lists once per group, s ascending,
+    by pairing each (i, s) with the entries (s, j) of row s."""
 
     def __init__(self, R: RingSpec, positions):
         self.ring = R
@@ -509,8 +510,13 @@ class _PatternGroup(_RingFamily):
         self.pos_index = {pos: t for t, pos in enumerate(self.positions)}
         self.order = R.size ** len(self.positions)
         self._identity = (0,) * len(self.positions)
-        self._terms = [[(self.pos_index[i, s], self.pos_index[s, j]) for s in range(i + 1, j)
-                        if (i, s) in self.pos_index and (s, j) in self.pos_index] for i, j in self.positions]
+        rows = {}
+        for s, j in self.positions:
+            rows.setdefault(s, []).append((j, self.pos_index[s, j]))
+        self._terms = [[] for _ in self.positions]
+        for i, s in sorted(self.positions):
+            for j, sj in rows.get(s, ()):
+                self._terms[self.pos_index[i, j]].append((self.pos_index[i, s], sj))
 
     def _law(self, g, h):
         add, mul, out = self.ring.add_table, self.ring.mul_table, []

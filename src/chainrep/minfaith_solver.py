@@ -69,9 +69,9 @@ class PoolDoesNotSpanError(NotSpanningError):
 
 
 class ConstructionCheckError(AssertionError):
-    """A construction whose models disagree with its closed form or with
-    the structure it was built from.  Raised explicitly, so python -O
-    keeps the check."""
+    """A construction that fails a check: its summands off the closed
+    form or the structure, its models off the summands, or their sum not
+    faithful.  Raised explicitly, so python -O keeps the check."""
 
 
 def _check(ok, message: str) -> None:
@@ -220,39 +220,36 @@ def heisenberg_basis_parameters(R: RingSpec) -> list[int]:
     return [R.basis_index(i * R.n + j) for i in range(R.f) for j in range(R.xi)]
 
 
+def _induced_sum(name, G, summands, target, models, certificate=None) -> FaithfulSolution:
+    """The one checked path of every construction: the summands' dims,
+    read off the structure of G, must total the closed form ``target``;
+    when |G| is within the group cap, models() builds their models, whose
+    degrees must be the dims and whose sum must be faithful.  A failed
+    check raises ConstructionCheckError: verified_faithful is True, or
+    None past the cap, when no model is built."""
+    dims = [s["dim"] for s in summands]
+    _check(sum(dims) == target, f"{name}: summands total {sum(dims)}, closed form {target}")
+    reps = None
+    if G.order <= group_cap():
+        reps = models()
+        degrees = [rep.degree for rep in reps]
+        _check(degrees == dims, f"{name}: model degrees {degrees}, summand dims {dims}")
+        _check(DirectSumRep(reps).is_faithful(), f"{name}: the sum of the models has a nontrivial kernel")
+    return FaithfulSolution(name, sum(dims), summands, certificate, reps, None if reps is None else True)
+
+
 def construct_faithful_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
-    """Direct sum over the basis parameters b_ij of the induced model
-    with trivial orbit and stabilizer character.  Emits explicit
-    monomial matrices and verifies the kernel when |G| is within
-    group_cap()."""
-    H = HeisenbergGroup(R, k)
+    """Direct sum over the basis parameters b_ij of the induced model with
+    trivial orbit and stabilizer character, of degree q^(k(n-j)) at level j."""
+    H, name = HeisenbergGroup(R, k), f"heisenberg k={k} over {R!r}"
     params = heisenberg_basis_parameters(R)
     vectors = socle_restriction(R, params).tolist()
-    if not spans_dual(vectors, R):
-        raise PoolDoesNotSpanError("basis parameters fail to span (internal error)")
-    summands = []
-    total = 0
-    for t, digits in enumerate(R.digits(params).tolist()):
-        j = t % R.xi  # b_ij has level j
-        dim = R.q ** (k * (R.n - j))
-        total += dim
-        summands.append({"b": digits, "level": j, "dim": dim})
-    expected = formula_heisenberg(R.p, R.f, R.e, R.n, k)
-    _check(total == expected, "construction total deviates from the closed form")
-    reps = None
-    verified = None
-    if H.order <= group_cap():
-        reps = [mackey_induced_rep(H, (0,) * k, b, (0,) * k) for b in params]
-        _check([r.degree for r in reps] == [s["dim"] for s in summands], "model degrees deviate from the summands")
-        verified = DirectSumRep(reps).is_faithful()
-    return FaithfulSolution(
-        group=f"heisenberg k={k} over {R!r}",
-        total_dim=total,
-        summands=summands,
-        certificate=[tuple(v) for v in vectors],
-        reps=reps,
-        verified_faithful=verified,
-    )
+    _check(spans_dual(vectors, R), f"{name}: basis parameters fail to span")
+    summands = [{"b": digits, "level": t % R.xi, "dim": R.q ** (k * (R.n - t % R.xi))}  # b_ij has level j
+                for t, digits in enumerate(R.digits(params).tolist())]
+    return _induced_sum(name, H, summands, formula_heisenberg(R.p, R.f, R.e, R.n, k),
+                        lambda: [mackey_induced_rep(H, (0,) * k, b, (0,) * k) for b in params],
+                        certificate=[tuple(v) for v in vectors])
 
 
 def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
@@ -266,59 +263,41 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     subgroup meets Omega_1(Z), so the kernel is trivial.  Each summand,
     linear ones included, is built by MonomialRep.induce, which checks its
     character exactly."""
-    scan = structure_scan(G)
+    scan, name = structure_scan(G), f"two-step table group of order {G.order}"
     target = formula_two_step(G, scan)
     Z, B, A = scan.center, scan.commutator, scan.maximal_abelian
+    index = G.order // len(A)
+    _check(index**2 == G.order // len(Z), f"{name}: maximal abelian does not sit halfway between center and group")
     # chi1 on A: b -> zeta_|B| for a generator b of B
     b = next(g for g in B if G.element_orders[g] == len(B))
     MA, expsA = extend_character(G, [b], len(B), [1], A)
-    rho = MonomialRep.induce(G, LinearChar(MA, A, expsA))
-    _check(rho.degree == G.order // len(A), "induced degree is not the index of the maximal abelian subgroup")
-    _check(rho.degree**2 == G.order // len(Z), "maximal abelian does not sit halfway between center and group")
-    reps = [rho]
     Q, coset_of = G.quotient(B)
     kernel = sorted(set(coset_of[Z][expsA[np.searchsorted(A, Z)] == 0].tolist()))  # Z in A, both ascending
     basis = Q._span(g for g in kernel if Q.element_orders[g] == scan.p)[1]
-    for unit in np.eye(len(basis), dtype=np.int64):
-        MQ, expsQ = extend_character(Q, basis, scan.p, unit, range(Q.order))
-        reps.append(MonomialRep.induce(G, LinearChar(MQ, range(G.order), expsQ[coset_of])))
-    total = sum(rep.degree for rep in reps)
-    _check(total == target, f"construction reached {total}, closed form {target}")
-    verified = DirectSumRep(reps).is_faithful()
-    return FaithfulSolution(
-        group=f"two-step table group of order {G.order}",
-        total_dim=total,
-        summands=[{"kind": "induced", "dim": rho.degree}]
-        + [{"kind": "linear", "dim": 1} for _ in reps[1:]],
-        reps=reps,
-        verified_faithful=verified,
-    )
+
+    def models():
+        reps = [MonomialRep.induce(G, LinearChar(MA, A, expsA))]
+        for unit in np.eye(len(basis), dtype=np.int64):
+            MQ, expsQ = extend_character(Q, basis, scan.p, unit, range(Q.order))
+            reps.append(MonomialRep.induce(G, LinearChar(MQ, range(G.order), expsQ[coset_of])))
+        return reps
+
+    summands = [{"kind": "induced", "dim": index}] + [{"kind": "linear", "dim": 1} for _ in basis]
+    return _induced_sum(name, G, summands, target, models)
 
 
 def construct_faithful_affine(R: RingSpec) -> FaithfulSolution:
     """Induce the fixed primitive character of the translation subgroup
-    up to Aff(R): a faithful model of dimension q^n - q^(n-1), with
-    explicit matrices and a verified kernel when |G| is within
-    group_cap()."""
+    up to Aff(R): a faithful model of degree [Aff(R) : R], the unit
+    count q^n - q^(n-1)."""
     Aff = AffineGroup(R)
-    target = formula_affine(R.p, R.f, R.n)
-    summand = {"kind": "induced from translations", "dim": target}
-    reps = None
-    verified = None
-    if Aff.order <= group_cap():
+
+    def models():
         trans = Aff.translations
-        chi = LinearChar(character_weights(R)[0], trans, psi(R, Aff._decode(trans)[0]))
-        rho = MonomialRep.induce(Aff, chi)
-        _check(rho.degree == target, f"induced degree {rho.degree}, closed form {target}")
-        reps = [rho]
-        verified = DirectSumRep(reps).is_faithful()
-    return FaithfulSolution(
-        group=f"affine over {R!r}",
-        total_dim=target,
-        summands=[summand],
-        reps=reps,
-        verified_faithful=verified,
-    )
+        return [MonomialRep.induce(Aff, LinearChar(character_weights(R)[0], trans, psi(R, Aff._decode(trans)[0])))]
+
+    summands = [{"kind": "induced from translations", "dim": Aff.order // R.size}]
+    return _induced_sum(f"affine over {R!r}", Aff, summands, formula_affine(R.p, R.f, R.n), models)
 
 
 # -- cyclic-by-multipliers orbit bound -------------------------------
@@ -473,12 +452,12 @@ def _oracle(b, pgroup_catalog: bool) -> dict:
 
 def _outcome(key, out):
     """(values, notes, solution) of a route's output: the oracle's dict,
-    a FaithfulSolution (noting a failed kernel check), the orbit bound
-    with whether the action is faithful, or a value."""
+    a FaithfulSolution, the orbit bound with whether the action is
+    faithful, or a value."""
     if isinstance(out, dict):
         return out, [], None
     if isinstance(out, FaithfulSolution):
-        return {key: out.total_dim}, [] if out.verified_faithful is not False else ["construction kernel check failed"], out
+        return {key: out.total_dim}, [], out
     if isinstance(out, tuple):
         return {key: out[0]}, ["action faithful" if out[1] else "action through a quotient"], None
     return {key: out}, [], None

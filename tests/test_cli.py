@@ -192,6 +192,31 @@ def test_verify_and_minfaith_read_one_list_of_routes(capsys, monkeypatch, tmp_pa
     assert (code, out, err, calls[9:]) == (0, "2\nconstruct: 2\nconstruction faithful: True\n", "", [8])
 
 
+def test_an_unfaithful_sum_fails_verify_and_minfaith(capsys, monkeypatch, tmp_path, group):
+    # every construction's kernel check raises ConstructionCheckError, so
+    # with the check failing verify gives the instance an error entry and
+    # exits 1, and minfaith --mode construct exits 1
+    from chainrep.exactrep import DirectSumRep
+
+    monkeypatch.setattr(DirectSumRep, "is_faithful", lambda self: False)
+    unfaithful = "the sum of the models has a nontrivial kernel"
+    instance = next(inst for inst in load_default_suite()["instances"] if inst["name"] == "hei3-f2")
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"name": "one", "instances": [instance]}))
+    code, out, err = run_cli(capsys, "verify", "--suite", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["result"]["results"] == [{
+        "name": "hei3-f2", "values": {"formula": 2, "solver": 2}, "match": False,
+        "error": f"ConstructionCheckError: heisenberg k=1 over RingSpec(p=2, f=1, e=1, n=1): {unfaithful}",
+    }]
+    code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "2", "--mode", "construct")
+    assert (code, out, err) == (1, "", f"error: ConstructionCheckError: heisenberg k=1 over RingSpec(p=2, f=1, e=1, n=1): {unfaithful}\n")
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps({"table": group("d4").table.tolist()}))
+    code, out, err = run_cli(capsys, "minfaith", "two-step", "--table", str(path), "--mode", "construct")
+    assert (code, out, err) == (1, "", f"error: ConstructionCheckError: two-step table group of order 8: {unfaithful}\n")
+
+
 def test_minfaith_affine(capsys):
     code, out, _ = run_cli(
         capsys, "minfaith", "affine", "--p", "3", "--n", "2", "--mode", "all"
@@ -255,6 +280,22 @@ def test_mode_all_skips_refusing_routes(capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (0, "128\nconstruct: 128\nformula: 128\nsolver: 128\n")
     assert err == "oracle skipped: |G| = 262144 exceeds cap 4096\n"
+
+
+def test_ring_index_past_int64_is_a_cap_refusal(capsys):
+    # the top digit place of F_{2^64}, 2^63, is past int64: the
+    # construction is refused as past a cap, before numpy reads an index,
+    # and mode all prints the closed form.  The test is the top place, not
+    # the ring size: F_{3^40} is larger than 2^63, but its places are not
+    code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "2", "--f", "64", "--mode", "all")
+    assert (code, out) == (0, "1180591620717411303424\nformula: 1180591620717411303424\n")
+    assert err == (
+        f"solver skipped: dual of size {2**128} exceeds the explicit cap 100000\n"
+        "construct skipped: digit place 2^63 exceeds int64\n"
+        f"oracle skipped: |G| = {2**192} exceeds cap 4096\n"
+    )
+    code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "3", "--f", "40", "--mode", "construct")
+    assert (code, out, err) == (0, f"{40 * 3**40}\nconstruct: {40 * 3**40}\n", "")
 
 
 def test_large_rings_are_not_enumerated(capsys, monkeypatch):

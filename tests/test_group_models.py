@@ -940,6 +940,36 @@ def test_construction_law_calls_are_pinned(monkeypatch):
     assert (calls.count("product"), calls.count("_every")) == (72, 8)
 
 
+def test_pattern_terms_pair_each_entry_with_its_row(ring):
+    # _terms, built by pairing each (i, s) with the entries (s, j) of row
+    # s, is the scan over i < s < j of both entries in the pattern
+    def scanned(G):
+        return [[(G.pos_index[i, s], G.pos_index[s, j]) for s in range(i + 1, j)
+                 if (i, s) in G.pos_index and (s, j) in G.pos_index] for i, j in G.positions]
+
+    for G in [HeisenbergGroup(ring("f2")), HeisenbergGroup(ring("f2"), 3),
+              UnitriangularGroup(ring("f2"), 5), UnitriangularGroup(ring("f2"), 7)]:
+        assert G._terms == scanned(G), G
+
+
+def test_pattern_terms_take_linear_time():
+    # Hei_{2k+1}(F_2) at k = 40000 lists 40000 terms; the scan over
+    # i < s < j took time quadratic in k, minutes at this k
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = "\n".join([
+        'import sys; sys.path[:0] = ["src"]',
+        'from chainrep.chain_ring import make_ring',
+        'from chainrep.group_models import HeisenbergGroup',
+        'print(sum(map(len, HeisenbergGroup(make_ring(2, 1, 1, 1), 40000)._terms)))',
+    ])
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "40000\n"), proc.stderr
+
+
 def test_semidirect_rejects_non_units():
     with pytest.raises(ValueError):
         semidirect_cyclic(8, [2])

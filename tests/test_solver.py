@@ -13,6 +13,7 @@ from chainrep.group_models import HeisenbergGroup, UnitriangularGroup, semidirec
 from chainrep.mackey_irreps import annihilator_indices
 from chainrep.minfaith_solver import (
     CommutatorNotCyclicError,
+    ConstructionCheckError,
     FaithfulSolution,
     NotTwoStepError,
     PoolDoesNotSpanError,
@@ -275,7 +276,8 @@ def test_construct_two_step_rejects(group, monkeypatch):
 
 def test_construction_checks_survive_python_O():
     # python -O strips assert statements: with each closed form off by
-    # one, its construction still raises ConstructionCheckError
+    # one, and then with every sum's kernel check failing, each
+    # construction still raises ConstructionCheckError
     import subprocess
     import sys
     from pathlib import Path
@@ -298,14 +300,26 @@ def test_construction_checks_survive_python_O():
         '    except ms.ConstructionCheckError as exc:',
         '        print(exc)',
         '    setattr(ms, name, formula)',
+        'ms.DirectSumRep.is_faithful = lambda self: False',
+        'for build, arg in [(ms.construct_faithful_heisenberg, make_ring(2, 1, 1, 1)),',
+        '                   (ms.construct_faithful_affine, make_ring(3, 1, 1, 1)),',
+        '                   (ms.construct_faithful_two_step, semidirect_cyclic_hom(8, 5, 4))]:',
+        '    try:',
+        '        build(arg)',
+        '    except ms.ConstructionCheckError as exc:',
+        '        print(exc)',
     ])
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=root, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    hei, aff, two = "heisenberg k=1 over RingSpec(p=2, f=1, e=1, n=1)", "affine over RingSpec(p=3, f=1, e=1, n=1)", "two-step table group of order 32"
     assert proc.stdout == (
-        "construction total deviates from the closed form\n"
-        "induced degree 2, closed form 3\n"
-        "construction reached 3, closed form 4\n"
+        f"{hei}: summands total 2, closed form 3\n"
+        f"{aff}: summands total 2, closed form 3\n"
+        f"{two}: summands total 3, closed form 4\n"
+        f"{hei}: the sum of the models has a nontrivial kernel\n"
+        f"{aff}: the sum of the models has a nontrivial kernel\n"
+        f"{two}: the sum of the models has a nontrivial kernel\n"
     )
 
 
@@ -334,6 +348,20 @@ def test_construct_two_step_property(params):
 def test_construct_two_step_heisenberg_tables(group, ring):
     _check_two_step(group("hei3_z9"))
     _check_two_step(HeisenbergGroup(ring("z8")).to_abstract())
+
+
+def test_construct_affine_past_the_cap_checks_its_index(ring, monkeypatch):
+    # past the cap no model is built, but the summand's dim is the index
+    # [Aff : R], read off the group, so a closed form off by one is
+    # still refused
+    monkeypatch.setenv("CHAINREP_ORACLE_CAP", "4")
+    R = ring("f3")
+    sol = construct_faithful_affine(R)
+    assert (sol.total_dim, sol.reps, sol.verified_faithful) == (2, None, None)
+    formula = minfaith_solver.formula_affine
+    monkeypatch.setattr(minfaith_solver, "formula_affine", lambda *args: formula(*args) + 1)
+    with pytest.raises(ConstructionCheckError, match="summands total 2, closed form 3"):
+        construct_faithful_affine(R)
 
 
 def test_construct_affine(ring):
