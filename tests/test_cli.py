@@ -1096,6 +1096,207 @@ def test_json_byte_determinism(capsys):
     assert out1 == out2
 
 
+# -- output bytes -----------------------------------------------------
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (setup, argv, exit code, sha256 of stdout, sha256 of stderr): every
+# subcommand in every format, with the parse-error, cap-refusal, failure
+# and mismatch forms.  Each runs in a directory holding PIN_FILES, so the
+# paths in the JSON parameters are these names.  Setup "cap10" sets
+# CHAINREP_ORACLE_CAP=10; "mismatch" makes the unitriangular closed form
+# answer 5, so that minfaith's routes disagree.
+PINNED = [
+    ("", "ring --p 3 --n 2", 0,
+     "9bfc493f9b034f96aad4c2ee29b8a346986639c527ee35eea025a8363e851ab2",
+     EMPTY),
+    ("", "ring --p 3 --n 2 --format csv", 0,
+     "a9fb85cf8c6ef0f5bd74f8525f18d93b6569e6434a7b8e6dbd103d626fa16598",
+     EMPTY),
+    ("", "ring --p 3 --n 2 --format json", 0,
+     "7cf1e41af917edbfad594169bca56964db803498a3a58edd8a5a8a57fcb52d7f",
+     EMPTY),
+    ("", "ring --p 2 --e inf --n 3 --format json", 0,
+     "405745c6653789a4d695072ab959792d79091395f8899615711c0dd4d46b11bb",
+     EMPTY),
+    ("", "ring --p 4", 2,
+     EMPTY,
+     "df1796a47b0a045d06ad91a304caed1ac86b1da576400ebf9e98154977a43c0b"),
+    ("", "irreps list --p 2 --n 2", 0,
+     "d25dead43dfee52a469e0bd8d6cc09776f35192aab2665b8ccfa5ad7d6a75196",
+     EMPTY),
+    ("", "irreps list --p 2 --n 2 --format csv", 0,
+     "a2de4cccda8cbd8746a16e110c926b858640d72a73f0cd58bfe4a20667738c59",
+     EMPTY),
+    ("", "irreps list --p 2 --n 2 --format json", 0,
+     "ac73e0164dc3ac3f0eb99f88b6dc12a44f3bbb90219b7ff5fc14070c1993ee96",
+     EMPTY),
+    ("", "irreps list --p 101 --n 2", 1,
+     EMPTY,
+     "abd88cd8ddb30dfa8c03abdae75a3458716df0a2e417ef4986ed052729688ee0"),
+    ("", "minfaith heisenberg --p 2 --n 2 --mode all", 0,
+     "814a3e2f3f34412e795cf670851f93b833eb112f60ed86d0c4d072f003c05473",
+     EMPTY),
+    ("", "minfaith heisenberg --p 2 --n 2 --mode all --format csv", 0,
+     "7c51db120d62140c3ceec3e6ed7d9fc23f3eee0d308014c317b1150f5955d637",
+     EMPTY),
+    ("", "minfaith heisenberg --p 2 --n 2 --mode all --format json", 0,
+     "d66c6c6e215fe69560e8a017a39fe256aacaa6a36ce52de1de6c31fb54de5878",
+     EMPTY),
+    ("", "minfaith heisenberg --p 3", 0,
+     "fae2b5aea3586e4b649cca47940dc0230b78590dec853573cec64825441634e2",
+     EMPTY),
+    ("", "minfaith heisenberg --p 4", 2,
+     EMPTY,
+     "df1796a47b0a045d06ad91a304caed1ac86b1da576400ebf9e98154977a43c0b"),
+    ("", "minfaith heisenberg --p 2 --mode construct --format json", 0,
+     "4480aa76d44d36609bf1f9d950c45064731454464a4d56a13bce02ee3762d459",
+     EMPTY),
+    ("", "minfaith unitriangular --p 2 --size 4 --mode all", 0,
+     "a0d6d276a2c04d470bc98735ac5f1996e8ee3fcf1786cf21ba644c38bad3692b",
+     EMPTY),
+    ("", "minfaith unitriangular --p 2 --size 4 --mode all --format csv", 0,
+     "e8d7e280f8b63ee220203d32ac25cefde5db5729117960cbe3fd02bde033778c",
+     EMPTY),
+    ("", "minfaith unitriangular --p 2 --size 4 --mode all --format json", 0,
+     "b86619e95ebb0a03e03d69411f85850603be47c502c718b41a43f6e5ada657be",
+     EMPTY),
+    ("", "minfaith unitriangular --p 5 --size 4 --mode all", 0,
+     "3edf38b811008d464b2f4eda9cb401b77c2f2d90923ff0355df499cb6994513d",
+     "75abd06678b3e9323b332e0b5fee2bc7e07425945f4c527e959ee1d042762a71"),
+    ("", "minfaith unitriangular --p 3 --size 3 --mode construct", 2,
+     EMPTY,
+     "4c5f298b2c3b191eff32a3befa275d02d4ff7d221fe0e9eb84d1ca41869fd4c9"),
+    ("", "minfaith unitriangular --p 3", 2,
+     EMPTY,
+     "36ad6e69a311783ea8af07f7e1afc12b29a6353e256fa53ab0bb308283110bbc"),
+    ("", "minfaith affine --p 3 --mode all", 0,
+     "5350c134b86d2b9e3bf177867a18cdb1b04301680e6dc5d21f1b06f258e3399b",
+     EMPTY),
+    ("", "minfaith affine --p 3 --mode all --format csv", 0,
+     "7c806dc460e06002b30905d7544e81f8383e59613141c2af2723a5e6eac8a255",
+     EMPTY),
+    ("", "minfaith affine --p 3 --mode all --format json", 0,
+     "df14d00d90ed1edc383d80f5582560d2399daccfc3ec27a9175c1d02e97def1a",
+     EMPTY),
+    ("", "minfaith two-step --table d4.json --mode all", 0,
+     "5350c134b86d2b9e3bf177867a18cdb1b04301680e6dc5d21f1b06f258e3399b",
+     EMPTY),
+    ("", "minfaith two-step --table d4.json --mode all --format csv", 0,
+     "6db618ba95e6d3f8c6034ddb7609687d39dd8ff2b8dd13b870d84b6ee6930d27",
+     EMPTY),
+    ("", "minfaith two-step --table d4.json --mode all --format json", 0,
+     "083d09c3ef330df0d5c52c5f6346b0a7bc0c2e9f96a639deffa9fb7c872c13c8",
+     EMPTY),
+    ("", "minfaith two-step --table z2.json --mode all", 1,
+     EMPTY,
+     "20ec450db4aa6d0d3356277d4d30b9942b4fe4ebcf74897c12afada85c612594"),
+    ("", "minfaith two-step --table z2.json --mode oracle --format json", 0,
+     "567b28a3485caf04fdb70b8bb1b52c1b955b1055075209b8cf41ba511de24a20",
+     EMPTY),
+    ("mismatch", "minfaith unitriangular --p 2 --size 4 --mode all", 1,
+     "d1d5c707a1923eb3fc210134dce3e39449f68d9d857f96ca6ea880556b36b7ca",
+     "ab51b2d88caab9be22e99213e325baa4ee709902ea997409f78ae1f4688af079"),
+    ("mismatch", "minfaith unitriangular --p 2 --size 4 --mode all --format csv", 1,
+     "bbae77593f5947efb1aeed7a38155ac9d1154941b381632436deee38cd2b3831",
+     EMPTY),
+    ("mismatch", "minfaith unitriangular --p 2 --size 4 --mode all --format json", 1,
+     "b7a5b59f63aec474a303bbcdca2016020b536a066eb343d3d2314be80acb1e41",
+     EMPTY),
+    ("", "oracle table --group gl2:p=3", 0,
+     "e94d71b5fb7c0a917712defa2e219bcae4ae29d8f1577ec0fa3f0f16b21061bf",
+     EMPTY),
+    ("", "oracle table --group gl2:p=3 --format csv", 0,
+     "09a2a4edc4438e735538a4fa5e9c2192c718e50a5adb8e2ee16888961adaf162",
+     EMPTY),
+    ("", "oracle table --group quaternion: --format json", 0,
+     "f2eccd3eeb922cf0f7e731e666c68e213892544b6e0313a68fc3720bd58d8d1b",
+     EMPTY),
+    ("", "oracle table --group wat:x=1", 2,
+     EMPTY,
+     "cb098f061fa925be912ba7f96da35992a267cf78edab89e24e7cdb94c5c7e5ac"),
+    ("", "oracle minfaith --group gl2:p=3", 0,
+     "780fd08210826599d922ebcc88471874e15c8de669b54d7d60d9e41178674c92",
+     EMPTY),
+    ("", "oracle minfaith --group gl2:p=3 --format csv", 0,
+     "520647c726f6bfd29c825ddd34ab9227f3132e12f0cf1bab24fb0ec9f8b413d7",
+     EMPTY),
+    ("", "oracle minfaith --group gl2:p=3 --format json", 0,
+     "e08e9eecf9af2718529a756b082800cb16baeee960489d60f2a41d35b2681f2d",
+     EMPTY),
+    ("", "oracle minfaith --group gl2:p=3,bogus=1", 2,
+     EMPTY,
+     "310ebca698ffe8cf1a6d76457466fc50fa8be8c02a3e5d0d59dafcab0bad9209"),
+    ("", "verify --suite ok.json", 0,
+     "702002cef4b6ff695ac4231352d4e92e3f267ec3988225b9de76a52731b91e17",
+     EMPTY),
+    ("", "verify --suite ok.json --format csv", 0,
+     "099515fdd30bbd3c9064f23ac7ea015ef325b6d0b84a501875de99ad6a5fee6a",
+     EMPTY),
+    ("", "verify --suite ok.json --format json", 0,
+     "116574681719c9cd897e854e7c412c16b98c7f31c452c212397f3e862351c6ac",
+     EMPTY),
+    ("", "verify --suite bad.json", 1,
+     "e67d9674409de62810631e2f89d104cde50b426087834afe3cd9173d28bd0757",
+     EMPTY),
+    ("", "verify --suite bad.json --format csv", 1,
+     "85b8ccf29998bbfb0af0ffa10629e1c9cb207505407c64b257b522a74eb156ae",
+     EMPTY),
+    ("", "verify --suite bad.json --format json", 1,
+     "549c899511b03e1e9ef468f19d843dc692a79d8d166c544f4d2afe1d67f5c0f4",
+     EMPTY),
+    ("cap10", "verify --suite cap.json", 1,
+     "ea2c445674b25facf289fb098a21cc340c097d7a49bf3c63945332e9e4349296",
+     EMPTY),
+    ("cap10", "minfaith heisenberg --p 2 --n 2 --mode oracle", 1,
+     EMPTY,
+     "4a9d70ed08b4f5ff856f8bb64db1da03335066b0d52c170bd58be2da1fc86641"),
+]
+
+
+def _pin_files():
+    from chainrep.group_models import semidirect_cyclic
+
+    return {
+        "ok.json": {"name": "pins", "instances": [
+            {"name": "hei3-f2", "family": "heisenberg", "p": 2, "oracle": True, "expected": 2},
+            {"name": "aff-f3", "family": "affine", "p": 3, "oracle": True, "expected": 2},
+            {"name": "z4-by-3", "family": "semidirect", "modulus": 4, "multipliers": [3], "expected": 2},
+            {"name": "d4-table", "family": "table", "table": "d4.json", "two_step": True, "expected": 2},
+        ]},
+        "bad.json": {"name": "bad", "instances": [
+            {"name": "hei3-f2", "family": "heisenberg", "p": 2, "expected": 5},
+            {"name": "z2", "family": "table", "table": "z2.json", "two_step": True},
+        ]},
+        "cap.json": {"name": "cap", "instances": [{"name": "gl2-f3", "family": "gl2", "p": 3, "expected": 2}]},
+        "d4.json": {"table": semidirect_cyclic(4, [3]).table.tolist()},
+        "z2.json": {"table": [[0, 1], [1, 0]]},
+    }
+
+
+@pytest.fixture(scope="module")
+def pin_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pins")
+    for name, obj in _pin_files().items():
+        (path / name).write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("setup, argv, code, out_sha, err_sha", PINNED, ids=[f"{s} {a}".strip() for s, a, *_ in PINNED])
+def test_output_bytes_pinned(capsys, monkeypatch, pin_dir, setup, argv, code, out_sha, err_sha):
+    from chainrep import minfaith_solver
+
+    monkeypatch.chdir(pin_dir)
+    if setup == "cap10":
+        monkeypatch.setenv("CHAINREP_ORACLE_CAP", "10")
+    if setup == "mismatch":
+        monkeypatch.setattr(minfaith_solver, "formula_unitriangular", lambda *args: 5)
+    got, out, err = run_cli(capsys, *argv.split())
+    digests = (got, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
+    assert digests == (code, out_sha, err_sha), (out, err)
+
+
 # -- tooling ----------------------------------------------------------
 
 
