@@ -116,14 +116,16 @@ def parse_group_spec(spec: str):
 # -- emission ---------------------------------------------------------
 
 
-def _emit_json(command, parameters, result):
-    print(json.dumps({"command": command, "parameters": parameters, "result": result}, sort_keys=True))
-
-
-def _emit_csv(rows):
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    for row in rows:
-        w.writerow(row)
+def _emit(args, command, parameters, result, rows, lines) -> None:
+    """Print a command's result in its --format: the JSON payload (keys
+    sorted), the csv rows, or the human lines."""
+    if args.format == "json":
+        print(json.dumps({"command": command, "parameters": parameters, "result": result}, sort_keys=True))
+    elif args.format == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        for line in lines:
+            print(line)
 
 
 # -- subcommand bodies ------------------------------------------------
@@ -143,17 +145,8 @@ def _cmd_ring(args) -> int:
         "d_invariant": R.d_invariant,
         "omega1_generators": R.omega1_generators(),
     }
-    if args.format == "json":
-        _emit_json("ring", _ring_params(args), result)
-    elif args.format == "csv":
-        _emit_csv([list(result.keys())[:-1] + ["omega1_generators"]])
-        _emit_csv([
-            [result[k] for k in list(result.keys())[:-1]]
-            + ["|".join(str(x) for x in result["omega1_generators"])]
-        ])
-    else:
-        for k, v in result.items():
-            print(f"{k}: {v}")
+    rows = [list(result), list(result.values())[:-1] + ["|".join(str(x) for x in result["omega1_generators"])]]
+    _emit(args, "ring", _ring_params(args), result, rows, [f"{k}: {v}" for k, v in result.items()])
     return 0
 
 
@@ -196,29 +189,24 @@ def _cmd_irreps(args) -> int:
         "dim_sq_total": total,
         "catalog": rows,
     }
-    if args.format == "json":
-        _emit_json("irreps", _ring_params(args), result)
-    elif args.format == "csv":
-        out = [["orbit_rep", "level", "dim", "multiplicity"]]
-        for r in rows:
-            out.append(["|".join(str(x) for x in r["orbit_rep"]), r["level"], r["dim"], r["multiplicity"]])
-        _emit_csv(out)
-    else:
-        print(f"order {H.order}, {len(catalog)} irreducibles, sum dim^2 = {total}")
-        for r in rows:
-            print(
-                f"orbit_rep={tuple(r['orbit_rep'])} level={r['level']} "
-                f"dim={r['dim']} multiplicity={r['multiplicity']}"
-            )
+    out = [["orbit_rep", "level", "dim", "multiplicity"]]
+    lines = [f"order {H.order}, {len(catalog)} irreducibles, sum dim^2 = {total}"]
+    for r in rows:
+        out.append(["|".join(str(x) for x in r["orbit_rep"]), r["level"], r["dim"], r["multiplicity"]])
+        lines.append(
+            f"orbit_rep={tuple(r['orbit_rep'])} level={r['level']} "
+            f"dim={r['dim']} multiplicity={r['multiplicity']}"
+        )
+    _emit(args, "irreps", _ring_params(args), result, out, lines)
     return 0
 
 
 def _minfaith_values(target, params):
     """(values dict, solution json or None) for the requested mode: the
     instance's routes (minfaith_solver.routes, oracle on) keyed by mode.
-    A single mode the target has no route for is a parse error.  In mode
-    all, a route past a size cap (CapExceededError) is left out, with its
-    reason on stderr; the solution is the last route's that gives one."""
+    A mode the target has no route for is a parse error.  Route notes go
+    to stderr, as does, in mode all, why a route past a size cap
+    (CapExceededError) is left out.  The last solution given is kept."""
     from .chain_ring import CapExceededError
     from .minfaith_solver import routes
 
@@ -234,12 +222,14 @@ def _minfaith_values(target, params):
     for key, route_mode, run in found:
         if mode in ("all", route_mode):
             try:
-                out, _notes, sol = run(b)
+                out, notes, sol = run(b)
             except CapExceededError as exc:
                 if mode != "all":
                     raise
                 print(f"{route_mode} skipped: {exc}", file=sys.stderr)
                 continue
+            for note in notes:
+                print(note, file=sys.stderr)
             values[route_mode] = out[key]
             solution = sol.to_json() if sol is not None else solution
     return values, solution
@@ -254,24 +244,18 @@ def _cmd_minfaith(args) -> int:
     agree = len(set(values.values())) <= 1
     m = next(iter(values.values())) if values else None
     result = {"family": family, "values": values, "agree": agree}
+    keys = sorted(values)
+    lines = [f"{k}: {values[k]}" for k in keys]
     if m is not None:
         result["m"] = m
+        lines.insert(0, str(m))
     if solution is not None:
         result["solution"] = solution
-    if args.format == "json":
-        _emit_json("minfaith", params, result)
-    elif args.format == "csv":
-        keys = sorted(values)
-        _emit_csv([["family"] + keys, [family] + [values[k] for k in keys]])
-    else:
-        if m is not None:
-            print(m)
-        for k in sorted(values):
-            print(f"{k}: {values[k]}")
-        if solution is not None and solution.get("verified_faithful") is not None:
-            print(f"construction faithful: {solution['verified_faithful']}")
-        if not agree:
-            print("MISMATCH between routes", file=sys.stderr)
+        if solution.get("verified_faithful") is not None:
+            lines.append(f"construction faithful: {solution['verified_faithful']}")
+    _emit(args, "minfaith", params, result, [["family"] + keys, [family] + [values[k] for k in keys]], lines)
+    if not agree and args.format == "human":
+        print("MISMATCH between routes", file=sys.stderr)
     return 0 if agree else 1
 
 
@@ -292,30 +276,15 @@ def _cmd_oracle(args) -> int:
             "dims": list(T.dims),
             "rows": rows,
         }
-        if args.format == "json":
-            _emit_json("oracle-table", {"group": args.group}, result)
-        elif args.format == "csv":
-            out = [["dim"] + [f"C{j}(size {s})" for j, s in enumerate(T.sizes)]]
-            out += rows
-            _emit_csv(out)
-        else:
-            print(f"{desc}: order {G.order}, {T.r} classes, prime {T.prime}")
-            for row in rows:
-                print("  ".join(row))
-        return 0
-    m, sel = orc.min_faithful_exhaustive(T)
-    result = {
-        "m": m,
-        "selection_rows": list(sel),
-        "selection_dims": [T.dims[c] for c in sel],
-    }
-    if args.format == "json":
-        _emit_json("oracle-minfaith", {"group": args.group}, result)
-    elif args.format == "csv":
-        _emit_csv([["m", "selection_dims"], [m, "|".join(str(d) for d in result["selection_dims"])]])
+        out = [["dim"] + [f"C{j}(size {s})" for j, s in enumerate(T.sizes)]] + rows
+        lines = [f"{desc}: order {G.order}, {T.r} classes, prime {T.prime}"] + ["  ".join(row) for row in rows]
     else:
-        print(m)
-        print(f"selection dims: {result['selection_dims']}")
+        m, sel = orc.min_faithful_exhaustive(T)
+        dims = [T.dims[c] for c in sel]
+        result = {"m": m, "selection_rows": list(sel), "selection_dims": dims}
+        out = [["m", "selection_dims"], [m, "|".join(str(d) for d in dims)]]
+        lines = [str(m), f"selection dims: {dims}"]
+    _emit(args, f"oracle-{args.action}", {"group": args.group}, result, out, lines)
     return 0
 
 
@@ -336,35 +305,26 @@ def _cmd_verify(args) -> int:
             with open(args.suite) as fh:
                 suite = json.load(fh)
         report = orc.cross_validate(suite)
-    if args.format == "json":
-        _emit_json("verify", {"suite": args.suite}, report)
-    elif args.format == "csv":
-        out = [["name", "match", "expected", "values"]]
-        for rr in report["results"]:
-            out.append(
-                [
-                    rr["name"],
-                    rr["match"],
-                    rr.get("expected", ""),
-                    "|".join(f"{k}={v}" for k, v in sorted(rr.get("values", {}).items())),
-                ]
-            )
-        _emit_csv(out)
-    else:
-        for rr in report["results"]:
-            vals = " ".join(
-                f"{k}={v}" for k, v in sorted(rr.get("values", {}).items()) if not k.endswith("_dims")
-            )
-            status = "ok" if rr["match"] else "MISMATCH"
-            extra = f"  [{rr['error']}]" if "error" in rr else ""
-            if not rr["match"] and "notes" in rr:
-                extra += f"  ({'; '.join(rr['notes'])})"
-            print(f"{rr['name']}: {status}  {vals}{extra}")
-        print(f"suite {report['suite']}: {'all match' if report['ok'] else 'MISMATCHES: ' + ', '.join(report['mismatches'])}")
+    out = [["name", "match", "expected", "values"]]
+    lines = []
+    for rr in report["results"]:
+        values = sorted(rr.get("values", {}).items())
+        out.append([rr["name"], rr["match"], rr.get("expected", ""), "|".join(f"{k}={v}" for k, v in values)])
+        vals = " ".join(f"{k}={v}" for k, v in values if not k.endswith("_dims"))
+        status = "ok" if rr["match"] else "MISMATCH"
+        extra = f"  [{rr['error']}]" if "error" in rr else ""
+        if not rr["match"] and "notes" in rr:
+            extra += f"  ({'; '.join(rr['notes'])})"
+        lines.append(f"{rr['name']}: {status}  {vals}{extra}")
+    lines.append(f"suite {report['suite']}: {'all match' if report['ok'] else 'MISMATCHES: ' + ', '.join(report['mismatches'])}")
+    _emit(args, "verify", {"suite": args.suite}, report, out, lines)
     return 0 if report["ok"] else 1
 
 
 # -- argument parsing -------------------------------------------------
+
+
+_MODES = ["formula", "solver", "construct", "oracle", "all"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,12 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
         ring_flags(pp, with_k=with_k)
         if extra:
             pp.add_argument(f"--{extra}", type=int, required=True)
-        pp.add_argument("--mode", choices=["formula", "solver", "construct", "oracle", "all"], default="formula")
+        pp.add_argument("--mode", choices=_MODES, default="formula")
         fmt_flag(pp)
         pp.set_defaults(func=_cmd_minfaith)
     pp = mf_sub.add_parser("two-step")
     pp.add_argument("--table", required=True, help="JSON file with a multiplication table")
-    pp.add_argument("--mode", choices=["formula", "solver", "construct", "oracle", "all"], default="formula")
+    pp.add_argument("--mode", choices=_MODES, default="formula")
     fmt_flag(pp)
     pp.set_defaults(func=_cmd_minfaith)
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain_ring import INF, RingSpec, _factorize, make_ring
+from .chain_ring import RingSpec, _factorize, make_ring
 from .char_duality import (
     DualVector,
     NotSpanningError,
@@ -86,14 +86,8 @@ def formula_heisenberg(p: int, f: int, e, n: int, k: int = 1) -> int:
     """sum_{i<xi} f * q^(k(n-i)) for Hei_{2k+1}(R)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if e == "inf":
-        e = INF
-    xi = n if e == INF else min(e, n)
-    q = p**f
-    if not isinstance(xi, int):
-        raise ValueError("bad parameters")
-    make_ring(p, f, e, n)  # parameter validation
-    return sum(f * q ** (k * (n - i)) for i in range(xi))
+    R = make_ring(p, f, e, n)
+    return sum(f * R.q ** (k * (n - i)) for i in range(R.xi))
 
 
 def formula_unitriangular(p: int, f: int, e, n: int, size: int) -> int:
@@ -450,14 +444,18 @@ def _oracle(b, pgroup_catalog: bool) -> dict:
     return values
 
 
-def _outcome(key, out):
+def _outcome(key, mode, out, order):
     """(values, notes, solution) of a route's output: the oracle's dict,
     a FaithfulSolution, the orbit bound with whether the action is
-    faithful, or a value."""
+    faithful, or a value.  A construction past the group cap built no
+    models, so its note says that its sum was not kernel-checked."""
     if isinstance(out, dict):
         return out, [], None
     if isinstance(out, FaithfulSolution):
-        return {key: out.total_dim}, [], out
+        notes = []
+        if mode == "construct" and out.verified_faithful is None:
+            notes.append(f"{key} not kernel-checked: |G| = {order} exceeds cap {group_cap()}")
+        return {key: out.total_dim}, notes, out
     if isinstance(out, tuple):
         return {key: out[0]}, ["action faithful" if out[1] else "action through a quotient"], None
     return {key: out}, [], None
@@ -478,7 +476,8 @@ def routes(b, flags: dict) -> list:
                   ("construct_two_step", "construct", lambda b: construct_faithful_two_step(b.group))]
     if flags.get("oracle", b.family.oracle):
         found.append(("oracle", "oracle", lambda b: _oracle(b, flags.get("pgroup_catalog", False))))
-    return [(key, mode, lambda b, key=key, route=route: _outcome(key, route(b))) for key, mode, route in found]
+    return [(key, mode, lambda b, key=key, mode=mode, route=route: _outcome(key, mode, route(b), b.order))
+            for key, mode, route in found]
 
 
 _INT = (lambda v: type(v) is int, "an integer")

@@ -266,20 +266,41 @@ def test_mode_all_skips_refusing_routes(capsys):
     # past the group cap the oracle refuses: mode all leaves it out and
     # names it on stderr, while the construction, which builds no matrices
     # there and so needs no ring table, answers past the ring table cap
+    # and says on stderr that its sum was not kernel-checked
     argv = ["minfaith", "heisenberg", "--p", "101", "--n", "2", "--mode"]
+    unchecked = "construct not kernel-checked: |G| = 1061520150601 exceeds cap 4096\n"
     code, out, err = run_cli(capsys, *argv, "all")
     assert (code, out) == (0, "10201\nconstruct: 10201\nformula: 10201\n")
     assert err == (
         "solver skipped: dual of size 104060401 exceeds the explicit cap 100000\n"
-        "oracle skipped: |G| = 1061520150601 exceeds cap 4096\n"
+        + unchecked
+        + "oracle skipped: |G| = 1061520150601 exceeds cap 4096\n"
     )
     code, out, err = run_cli(capsys, *argv, "construct")
-    assert (code, out, err) == (0, "10201\nconstruct: 10201\n", "")
+    assert (code, out, err) == (0, "10201\nconstruct: 10201\n", unchecked)
     # the oracle alone above the cap: stdout is the three routes that ran
     argv = ["minfaith", "heisenberg", "--p", "2", "--f", "2", "--n", "3", "--mode", "all"]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (0, "128\nconstruct: 128\nformula: 128\nsolver: 128\n")
-    assert err == "oracle skipped: |G| = 262144 exceeds cap 4096\n"
+    assert err == (
+        "construct not kernel-checked: |G| = 262144 exceeds cap 4096\n"
+        "oracle skipped: |G| = 262144 exceeds cap 4096\n"
+    )
+
+
+def test_an_unchecked_construction_says_so(capsys, tmp_path):
+    # Hei(F_64) has order 2^18, past the group cap: the construction
+    # builds no models, and minfaith and verify both say that its sum was
+    # not kernel-checked
+    note = "construct not kernel-checked: |G| = 262144 exceeds cap 4096"
+    code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "2", "--f", "6", "--mode", "all")
+    assert (code, out) == (0, "384\nconstruct: 384\nformula: 384\nsolver: 384\n")
+    assert err == f"{note}\noracle skipped: |G| = 262144 exceeds cap 4096\n"
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"name": "h", "instances": [{"name": "h", "family": "heisenberg", "p": 2, "f": 6}]}))
+    code, out, _ = run_cli(capsys, "verify", "--suite", str(path), "--format", "json")
+    (rr,) = json.loads(out)["result"]["results"]
+    assert (code, rr["match"], rr["notes"]) == (0, True, [note])
 
 
 def test_ring_index_past_int64_is_a_cap_refusal(capsys):
@@ -295,7 +316,8 @@ def test_ring_index_past_int64_is_a_cap_refusal(capsys):
         f"oracle skipped: |G| = {2**192} exceeds cap 4096\n"
     )
     code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "3", "--f", "40", "--mode", "construct")
-    assert (code, out, err) == (0, f"{40 * 3**40}\nconstruct: {40 * 3**40}\n", "")
+    unchecked = f"construct not kernel-checked: |G| = {3**120} exceeds cap 4096\n"
+    assert (code, out, err) == (0, f"{40 * 3**40}\nconstruct: {40 * 3**40}\n", unchecked)
 
 
 def test_large_rings_are_not_enumerated(capsys, monkeypatch):
@@ -322,7 +344,10 @@ def test_large_rings_are_not_enumerated(capsys, monkeypatch):
     ]:
         code, out, err = run_cli(capsys, "minfaith", family, "--p", "101", "--n", "4", "--mode", "all")
         assert (code, out) == (0, f"{m}\nconstruct: {m}\nformula: {m}\n")
-        assert err == f"{solver}oracle skipped: |G| = {order} exceeds cap 4096\n"
+        assert err == (
+            f"{solver}construct not kernel-checked: |G| = {order} exceeds cap 4096\n"
+            f"oracle skipped: |G| = {order} exceeds cap 4096\n"
+        )
 
 
 def test_construct_json_golden(capsys):
@@ -785,7 +810,10 @@ def test_refused_route_is_skipped(capsys, tmp_path, monkeypatch, schema):
     code, out, _ = run_cli(capsys, "verify", "--suite", str(path), "--format", "json")
     assert code == 0
     (rr,) = json.loads(out)["result"]["results"]
-    assert rr["match"] is True and rr["notes"] == ["oracle skipped: |G| = 27 exceeds cap 20"], rr
+    assert rr["match"] is True and rr["notes"] == [
+        "construct not kernel-checked: |G| = 27 exceeds cap 20",
+        "oracle skipped: |G| = 27 exceeds cap 20",
+    ], rr
 
 
 def test_malformed_suite_is_a_parse_error(capsys, tmp_path):

@@ -66,6 +66,13 @@ def test_formula_heisenberg_validation():
         formula_heisenberg(6, 1, 1, 1)
 
 
+def test_formula_heisenberg_reads_its_ring():
+    # xi and q come from the ring it builds: a ramification index that is
+    # no integer is refused as a ring, not left to a bare ValueError
+    with pytest.raises(RingParameterError, match="ramification e = 1.5 invalid"):
+        formula_heisenberg(2, 1, 1.5, 2)
+
+
 def test_formula_unitriangular():
     assert formula_unitriangular(3, 1, 1, 1, 3) == 3
     assert formula_unitriangular(3, 1, 1, 1, 4) == 9
