@@ -145,8 +145,8 @@ def _cmd_ring(args) -> int:
         "d_invariant": R.d_invariant,
         "omega1_generators": R.omega1_generators(),
     }
-    rows = [list(result), list(result.values())[:-1] + ["|".join(str(x) for x in result["omega1_generators"])]]
-    _emit(args, "ring", _ring_params(args), result, rows, [f"{k}: {v}" for k, v in result.items()])
+    out = [list(result), list(result.values())[:-1] + ["|".join(str(x) for x in result["omega1_generators"])]]
+    _emit(args, "ring", _ring_params(args), result, out, [f"{k}: {v}" for k, v in result.items()])
     return 0
 
 
