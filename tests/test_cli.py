@@ -1131,8 +1131,8 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 
 # (setup, argv, exit code, sha256 of stdout, sha256 of stderr): every
 # subcommand in every format, with the parse-error, cap-refusal, failure
-# and mismatch forms.  Each runs in a directory holding PIN_FILES, so the
-# paths in the JSON parameters are these names.  Setup "cap10" sets
+# and mismatch forms.  Each runs in pin_dir, so the paths in the JSON
+# parameters are the bare file names.  Setup "cap10" sets
 # CHAINREP_ORACLE_CAP=10; "mismatch" makes the unitriangular closed form
 # answer 5, so that minfaith's routes disagree.
 PINNED = [
@@ -1283,10 +1283,12 @@ PINNED = [
 ]
 
 
-def _pin_files():
+@pytest.fixture(scope="module")
+def pin_dir(tmp_path_factory):
+    """A directory holding the suites and tables the pinned forms read."""
     from chainrep.group_models import semidirect_cyclic
 
-    return {
+    files = {
         "ok.json": {"name": "pins", "instances": [
             {"name": "hei3-f2", "family": "heisenberg", "p": 2, "oracle": True, "expected": 2},
             {"name": "aff-f3", "family": "affine", "p": 3, "oracle": True, "expected": 2},
@@ -1301,12 +1303,8 @@ def _pin_files():
         "d4.json": {"table": semidirect_cyclic(4, [3]).table.tolist()},
         "z2.json": {"table": [[0, 1], [1, 0]]},
     }
-
-
-@pytest.fixture(scope="module")
-def pin_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("pins")
-    for name, obj in _pin_files().items():
+    for name, obj in files.items():
         (path / name).write_text(json.dumps(obj))
     return path
 
