@@ -201,47 +201,24 @@ def _cmd_irreps(args) -> int:
     return 0
 
 
-def _minfaith_values(target, params):
-    """(values dict, solution json or None) for the requested mode: the
-    instance's routes (minfaith_solver.routes, oracle on) keyed by mode.
-    A mode the target has no route for is a parse error.  Route notes go
-    to stderr, as does, in mode all, why a route past a size cap
-    (CapExceededError) is left out.  The last solution given is kept."""
-    from .chain_ring import CapExceededError
-    from .minfaith_solver import routes
-
-    mode = params["mode"]
-    two_step = target == "two-step"
-    b = _flag_instance("table" if two_step else target, params)
-    found = routes(b, {"two_step": two_step, "oracle": True})
-    modes = [route_mode for _, route_mode, _ in found]
-    if mode != "all" and mode not in modes:
-        raise SpecParseError(f"{target} has no {mode} route; its routes are {', '.join(modes)}")
-    values = {}
-    solution = None
-    for key, route_mode, run in found:
-        if mode in ("all", route_mode):
-            try:
-                out, notes, sol = run(b)
-            except CapExceededError as exc:
-                if mode != "all":
-                    raise
-                print(f"{route_mode} skipped: {exc}", file=sys.stderr)
-                continue
-            for note in notes:
-                print(note, file=sys.stderr)
-            values[route_mode] = out[key]
-            solution = sol.to_json() if sol is not None else solution
-    return values, solution
-
-
 def _cmd_minfaith(args) -> int:
-    family = args.target
-    params = dict(vars(args))
-    for drop in ("func", "format", "target"):
-        params.pop(drop, None)
-    values, solution = _minfaith_values(family, params)
-    agree = len(set(values.values())) <= 1
+    """Run the target's routes for --mode, oracle on, and judge them
+    (minfaith_solver); a mode that no route has is a parse error."""
+    from .minfaith_solver import judge, run_routes
+
+    family, mode = args.target, args.mode
+    params = {key: value for key, value in vars(args).items() if key not in ("func", "format", "target")}
+    two_step = family == "two-step"
+    run = run_routes(_flag_instance("table" if two_step else family, params), {"two_step": two_step, "oracle": True}, mode)
+    if mode != "all" and mode not in run.modes.values():
+        raise SpecParseError(f"{family} has no {mode} route; its routes are {', '.join(run.modes.values())}")
+    agree, notes = judge(run)
+    for note in notes:
+        print(note, file=sys.stderr)
+    if run.error is not None:
+        print(f"error: {run.error}", file=sys.stderr)
+        return 1
+    values = {run.modes[key]: value for key, value in run.values.items() if key in run.modes}
     m = next(iter(values.values())) if values else None
     result = {"family": family, "values": values, "agree": agree}
     keys = sorted(values)
@@ -249,8 +226,10 @@ def _cmd_minfaith(args) -> int:
     if m is not None:
         result["m"] = m
         lines.insert(0, str(m))
-    if solution is not None:
-        result["solution"] = solution
+    if notes:
+        result["notes"] = notes
+    if run.solution is not None:
+        result["solution"] = solution = run.solution.to_json()
         if solution.get("verified_faithful") is not None:
             lines.append(f"construction faithful: {solution['verified_faithful']}")
     _emit(args, "minfaith", params, result, [["family"] + keys, [family] + [values[k] for k in keys]], lines)

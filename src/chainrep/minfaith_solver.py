@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain_ring import RingSpec, _factorize, make_ring
+from .chain_ring import CapExceededError, RingSpec, _factorize, make_ring
 from .char_duality import (
     DualVector,
     NotSpanningError,
@@ -444,40 +444,85 @@ def _oracle(b, pgroup_catalog: bool) -> dict:
     return values
 
 
-def _outcome(key, mode, out, order):
-    """(values, notes, solution) of a route's output: the oracle's dict,
-    a FaithfulSolution, the orbit bound with whether the action is
-    faithful, or a value.  A construction past the group cap built no
-    models, so its note says that its sum was not kernel-checked."""
-    if isinstance(out, dict):
-        return out, [], None
-    if isinstance(out, FaithfulSolution):
-        notes = []
-        if mode == "construct" and out.verified_faithful is None:
-            notes.append(f"{key} not kernel-checked: |G| = {order} exceeds cap {group_cap()}")
-        return {key: out.total_dim}, notes, out
-    if isinstance(out, tuple):
-        return {key: out[0]}, ["action faithful" if out[1] else "action through a quotient"], None
-    return {key: out}, [], None
-
-
 def routes(b, flags: dict) -> list:
-    """The ordered (key, mode, run) of every route that runs on the
-    FamilyInstance b, which verify and minfaith both iterate: the
-    family's own routes, the two-step closed form and construction under
-    ``two_step``, then the oracle under ``oracle`` (by default the
-    family's), with the greedy solver on its catalog under
-    ``pgroup_catalog``.  ``key`` names the value in verify, ``mode`` the
-    minfaith --mode that runs it; run(b) gives (values, notes, solution)
-    and looks its function up on this module when called."""
+    """The ordered (key, mode, route) of every route that runs on the
+    FamilyInstance b, which run_routes runs: the family's own routes,
+    the two-step closed form and construction under ``two_step``, then
+    the oracle under ``oracle`` (by default the family's), with the
+    greedy solver on its catalog under ``pgroup_catalog``.  ``key`` names
+    the value in verify, ``mode`` the minfaith --mode that runs it;
+    route(b) looks its function up on this module when called."""
     found = [(key, key, route) for key, route in b.family.routes.items()]
     if flags.get("two_step", False):
         found += [("formula_two_step", "formula", lambda b: formula_two_step(b.group)),
                   ("construct_two_step", "construct", lambda b: construct_faithful_two_step(b.group))]
     if flags.get("oracle", b.family.oracle):
         found.append(("oracle", "oracle", lambda b: _oracle(b, flags.get("pgroup_catalog", False))))
-    return [(key, mode, lambda b, key=key, mode=mode, route=route: _outcome(key, mode, route(b), b.order))
-            for key, mode, route in found]
+    return found
+
+
+@dataclass
+class RouteRun:
+    """What run_routes gives: the values by key, the notes, the last
+    solution given, the failure that ended the run as "Type: message"
+    (None if none), and the mode of every route listed, by key."""
+
+    values: dict = field(default_factory=dict)
+    notes: list = field(default_factory=list)
+    solution: FaithfulSolution | None = None
+    error: str | None = None
+    modes: dict = field(default_factory=dict)
+
+
+def run_routes(b, flags: dict, mode: str = "all") -> RouteRun:
+    """Run in order the routes of b that routes() lists for ``flags`` and
+    ``mode`` selects ("all", or a route's mode).  A route gives the
+    oracle's dict, a FaithfulSolution (a construction past the group cap
+    built no models: noted), the orbit bound with whether the action is
+    faithful (noted), or a value.  A route past a size cap
+    (CapExceededError) is the note "<key> skipped: <reason>" in mode all;
+    in any other mode it, like any other failure, is the error that ends
+    the run."""
+    found = routes(b, flags)
+    run = RouteRun(modes={key: route_mode for key, route_mode, _ in found})
+    for key, route_mode, route in found:
+        if mode not in ("all", route_mode):
+            continue
+        try:
+            out = route(b)
+        except Exception as exc:  # a failed route is reported, not raised
+            if isinstance(exc, CapExceededError) and mode == "all":
+                run.notes.append(f"{key} skipped: {exc}")
+                continue
+            run.error = f"{type(exc).__name__}: {exc}"
+            break
+        if isinstance(out, dict):
+            run.values.update(out)
+        elif isinstance(out, FaithfulSolution):
+            run.values[key] = out.total_dim
+            run.solution = out
+            if route_mode == "construct" and out.verified_faithful is None:
+                run.notes.append(f"{key} not kernel-checked: |G| = {b.order} exceeds cap {group_cap()}")
+        elif isinstance(out, tuple):
+            run.values[key] = out[0]
+            run.notes.append("action faithful" if out[1] else "action through a quotient")
+        else:
+            run.values[key] = out
+    return run
+
+
+def judge(run: RouteRun, expected=None) -> tuple:
+    """(match, notes) of a run.  A run that failed does not match.
+    Otherwise at least one route must give a value of m (orbit_bound and
+    oracle_selection_dims are not), all equal, and equal to ``expected``
+    when given; and the oracle may not fall below the orbit bound.  The
+    notes are the run's, then why there is no value or the bound fails."""
+    if run.error is not None:
+        return False, run.notes
+    m = {value for key, value in run.values.items() if key not in ("orbit_bound", "oracle_selection_dims")}
+    below = run.values.get("oracle", math.inf) < run.values.get("orbit_bound", 0)
+    notes = run.notes + ["no route gave a value"] * (not m) + ["oracle fell below the orbit lower bound"] * below
+    return (len(m) == 1 if expected is None else m == {expected}) and not below, notes
 
 
 _INT = (lambda v: type(v) is int, "an integer")

@@ -69,7 +69,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain_ring import CapExceededError, RingParameterError, _factorize, _is_prime
+from .chain_ring import RingParameterError, _factorize, _is_prime
 from .char_duality import DualVector, _rref
 from .exactrep import _ctx, cyc_str
 from .group_models import AbstractGroup, _allocate, _check_cap, _check_memory, _generator_series, multiplier_closure
@@ -656,10 +656,9 @@ def cross_validate(suite: dict) -> dict:
     an object whose ``instances`` is a list of objects with a string
     ``name`` and a ``family``, for a name two instances share, or for the
     first malformed instance (_suite_instance).
-    The routes are those solver.routes lists for the instance and its
-    flags, in its order.  A route past a size cap (CapExceededError) is
-    left out with a "<key> skipped: <reason>" note; any other failure ends
-    the instance with an error entry."""
+    Each instance's routes are those solver.routes lists for it and its
+    flags, run by solver.run_routes and judged by solver.judge against
+    its ``expected``."""
     from . import minfaith_solver as solver
 
     instances = suite.get("instances") if isinstance(suite, dict) else None
@@ -674,44 +673,18 @@ def cross_validate(suite: dict) -> dict:
     built = [_suite_instance(inst) for inst in instances][::-1]
     results = []
     for inst in suite["instances"]:  # popped, so each built instance is freed once it has run
-        b, name = built.pop(), inst["name"]
-        values = {}
-        notes = []
-        try:
-            for key, _mode, run in solver.routes(b, inst):
-                try:
-                    out, route_notes, _solution = run(b)
-                except CapExceededError as exc:
-                    notes.append(f"{key} skipped: {exc}")
-                    continue
-                values.update(out)
-                notes += route_notes
-        except Exception as exc:  # mismatch bookkeeping, not control flow
-            results.append(
-                {
-                    "name": name,
-                    "values": values,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "match": False,
-                }
-            )
-            continue
-
+        run = solver.run_routes(built.pop(), inst)
         expected = inst.get("expected")
-        core = {k: v for k, v in values.items() if k not in ("orbit_bound", "oracle_selection_dims")}
-        match = len(set(core.values())) <= 1
-        if "orbit_bound" in values and "oracle" in values:
-            if values["oracle"] < values["orbit_bound"]:
-                match = False
-                notes.append("oracle fell below the orbit lower bound")
-        if expected is not None and set(core.values()) != {expected}:
-            match = False
-        entry = {"name": name, "values": values, "match": match}
+        match, notes = solver.judge(run, expected)
+        entry = {"name": inst["name"], "values": run.values, "match": match}
         if expected is not None:
             entry["expected"] = expected
         if notes:
             entry["notes"] = notes
+        if run.error is not None:
+            entry["error"] = run.error
         results.append(entry)
+        del run  # else its solution (the models, and so the group) lives through the next run
     mismatches = [rr["name"] for rr in results if not rr["match"]]
     return {
         "suite": suite.get("name", "unnamed"),

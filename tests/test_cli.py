@@ -159,8 +159,10 @@ def test_minfaith_solver_json(capsys, schema):
 
 def test_verify_and_minfaith_read_one_list_of_routes(capsys, monkeypatch, tmp_path, group):
     # a probe route added to the Heisenberg family gives a value in verify
-    # and in minfaith --mode all; and each route looks its function up on
-    # its module when called, so a rebound two-step construction (as
+    # and in minfaith --mode all, and both judge it by one rule: a probe one
+    # above the closed form makes exactly the Heisenberg instances, and the
+    # minfaith call, mismatch.  Each route looks its function up on its
+    # module when called, so a rebound two-step construction (as
     # perfbench's tracer rebinds it) is the one both commands run
     from chainrep import minfaith_solver as solver
 
@@ -172,20 +174,27 @@ def test_verify_and_minfaith_read_one_list_of_routes(capsys, monkeypatch, tmp_pa
         return construct(G)
 
     def probe(b):
-        return solver.formula_heisenberg(b.ring.p, b.ring.f, b.ring.e, b.ring.n, b.k)
+        return solver.formula_heisenberg(b.ring.p, b.ring.f, b.ring.e, b.ring.n, b.k) + offset
 
     monkeypatch.setattr(solver, "construct_faithful_two_step", counted)
     monkeypatch.setitem(solver.FAMILIES["heisenberg"].routes, "probe", probe)
-    code, out, err = run_cli(capsys, "verify", "--suite", "default", "--format", "json")
-    assert (code, err) == (0, "")
     instances = load_default_suite()["instances"]
-    for inst, rr in zip(instances, json.loads(out)["result"]["results"], strict=True):
-        values = rr["values"]
-        assert values.get("probe") == (values["formula"] if inst["family"] == "heisenberg" else None), rr
-    assert len(calls) == sum(inst.get("two_step", False) for inst in instances) == 9
-    code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "2", "--mode", "all")
-    routes = "construct: 2\nformula: 2\noracle: 2\nprobe: 2\nsolver: 2\n"
-    assert (code, out, err) == (0, f"2\n{routes}construction faithful: True\n", "")
+    heisenberg = [inst["name"] for inst in instances if inst["family"] == "heisenberg"]
+    assert len(heisenberg) == 9
+    for offset in (0, 1):
+        calls.clear()
+        code, out, err = run_cli(capsys, "verify", "--suite", "default", "--format", "json")
+        assert (code, err) == (offset, "")
+        report = json.loads(out)["result"]
+        for inst, rr in zip(instances, report["results"], strict=True):
+            values = rr["values"]
+            assert values.get("probe") == (values["formula"] + offset if inst["family"] == "heisenberg" else None), rr
+        assert report["mismatches"] == (heisenberg if offset else [])
+        assert len(calls) == sum(inst.get("two_step", False) for inst in instances) == 9
+        code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "2", "--mode", "all")
+        routes = f"construct: 2\nformula: 2\noracle: 2\nprobe: {2 + offset}\nsolver: 2\n"
+        mismatch = "MISMATCH between routes\n" if offset else ""
+        assert (code, out, err) == (offset, f"2\n{routes}construction faithful: True\n", mismatch)
     path = tmp_path / "d4.json"
     path.write_text(json.dumps({"table": group("d4").table.tolist()}))
     code, out, err = run_cli(capsys, "minfaith", "two-step", "--table", str(path), "--mode", "construct")
@@ -206,7 +215,7 @@ def test_an_unfaithful_sum_fails_verify_and_minfaith(capsys, monkeypatch, tmp_pa
     code, out, err = run_cli(capsys, "verify", "--suite", str(path), "--format", "json")
     assert (code, err) == (1, "")
     assert json.loads(out)["result"]["results"] == [{
-        "name": "hei3-f2", "values": {"formula": 2, "solver": 2}, "match": False,
+        "name": "hei3-f2", "values": {"formula": 2, "solver": 2}, "match": False, "expected": 2,
         "error": f"ConstructionCheckError: heisenberg k=1 over RingSpec(p=2, f=1, e=1, n=1): {unfaithful}",
     }]
     code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "2", "--mode", "construct")
@@ -288,14 +297,20 @@ def test_mode_all_skips_refusing_routes(capsys):
     )
 
 
-def test_an_unchecked_construction_says_so(capsys, tmp_path):
+def test_an_unchecked_construction_says_so(capsys, tmp_path, schema):
     # Hei(F_64) has order 2^18, past the group cap: the construction
-    # builds no models, and minfaith and verify both say that its sum was
-    # not kernel-checked
+    # builds no models, and minfaith (on stderr and in its JSON notes) and
+    # verify both say that its sum was not kernel-checked
     note = "construct not kernel-checked: |G| = 262144 exceeds cap 4096"
-    code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "2", "--f", "6", "--mode", "all")
+    skipped = "oracle skipped: |G| = 262144 exceeds cap 4096"
+    argv = ["minfaith", "heisenberg", "--p", "2", "--f", "6", "--mode", "all"]
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (0, "384\nconstruct: 384\nformula: 384\nsolver: 384\n")
-    assert err == f"{note}\noracle skipped: |G| = 262144 exceeds cap 4096\n"
+    assert err == f"{note}\n{skipped}\n"
+    code, out, json_err = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    check_schema(schema, payload)
+    assert (code, json_err, payload["result"]["notes"]) == (0, err, [note, skipped])
     path = tmp_path / "suite.json"
     path.write_text(json.dumps({"name": "h", "instances": [{"name": "h", "family": "heisenberg", "p": 2, "f": 6}]}))
     code, out, _ = run_cli(capsys, "verify", "--suite", str(path), "--format", "json")
@@ -761,7 +776,17 @@ def test_verify_custom_suite_mismatch(capsys, tmp_path, monkeypatch):
     path.write_text(json.dumps({"name": "cap", "instances": [instance]}))
     code, out, _ = run_cli(capsys, "verify", "--suite", str(path))
     assert code == 1
-    assert out.splitlines()[0] == "gl2-f3: MISMATCH    (oracle skipped: |G| = 48 exceeds cap 10)"
+    assert out.splitlines()[0] == "gl2-f3: MISMATCH    (oracle skipped: |G| = 48 exceeds cap 10; no route gave a value)"
+    # an error entry keeps the notes of the routes that ran before it
+    monkeypatch.delenv("CHAINREP_ORACLE_CAP")
+    instance = {"name": "z9-by-2", "family": "semidirect", "modulus": 9, "multipliers": [2], "two_step": True}
+    path.write_text(json.dumps({"name": "error", "instances": [instance]}))
+    code, out, _ = run_cli(capsys, "verify", "--suite", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["result"]["results"] == [{
+        "name": "z9-by-2", "values": {"orbit_bound": 6}, "match": False, "notes": ["action faithful"],
+        "error": "NotTwoStepError: group is not a p-group",
+    }]
 
 
 def test_verify_csv(capsys, tmp_path):
@@ -1131,10 +1156,11 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 
 # (setup, argv, exit code, sha256 of stdout, sha256 of stderr): every
 # subcommand in every format, with the parse-error, cap-refusal, failure
-# and mismatch forms.  Each runs in pin_dir, so the paths in the JSON
-# parameters are the bare file names.  Setup "cap10" sets
-# CHAINREP_ORACLE_CAP=10; "mismatch" makes the unitriangular closed form
-# answer 5, so that minfaith's routes disagree.
+# and mismatch forms, a suite whose instances give no value of m
+# (none.json) and an error entry with notes (error.json).  Each runs in
+# pin_dir, so the paths in the JSON parameters are the bare file names.
+# Setup "cap10" sets CHAINREP_ORACLE_CAP=10; "mismatch" makes the
+# unitriangular closed form answer 5, so that minfaith's routes disagree.
 PINNED = [
     ("", "ring --p 3 --n 2", 0,
      "9bfc493f9b034f96aad4c2ee29b8a346986639c527ee35eea025a8363e851ab2",
@@ -1275,8 +1301,23 @@ PINNED = [
      "549c899511b03e1e9ef468f19d843dc692a79d8d166c544f4d2afe1d67f5c0f4",
      EMPTY),
     ("cap10", "verify --suite cap.json", 1,
-     "ea2c445674b25facf289fb098a21cc340c097d7a49bf3c63945332e9e4349296",
+     "a46bafcc3ba9fe69ab85fe09f735b4dc62bb8f0f9054fd1d9a6fc930d9ecc270",
      EMPTY),
+    ("cap10", "verify --suite none.json", 1,
+     "457f7847c1c5b9e0452f5b4688c40e4e65b628648e59e0d0d10f90ab39f39134",
+     EMPTY),
+    ("cap10", "verify --suite none.json --format json", 1,
+     "81011fd18e3f270011ad5258bf7964e9d0d8a67e8ce2fb593f749762550de010",
+     EMPTY),
+    ("", "verify --suite error.json", 1,
+     "a86e05f8c4090381598bdbcbb62299780a7f05f4e3024839ead9bc58c9dccc0c",
+     EMPTY),
+    ("", "verify --suite error.json --format json", 1,
+     "7c2bd9cb2ffecb9742f374cc14cd21eb50d9358a83f79a6d0631fbce871742b2",
+     EMPTY),
+    ("", "minfaith heisenberg --p 2 --f 6 --mode all --format json", 0,
+     "df67b83d8001bdd5990b03bcce2190d0e862dfbdf3de91fe387add5ad141c980",
+     "db7544ada163d2bebcdd4dba57db634c3d7dac9e98cd3e775c8b724983caaeb1"),
     ("cap10", "minfaith heisenberg --p 2 --n 2 --mode oracle", 1,
      EMPTY,
      "4a9d70ed08b4f5ff856f8bb64db1da03335066b0d52c170bd58be2da1fc86641"),
@@ -1300,6 +1341,13 @@ def pin_dir(tmp_path_factory):
             {"name": "z2", "family": "table", "table": "z2.json", "two_step": True},
         ]},
         "cap.json": {"name": "cap", "instances": [{"name": "gl2-f3", "family": "gl2", "p": 3, "expected": 2}]},
+        "none.json": {"name": "none", "instances": [
+            {"name": "g", "family": "gl2", "p": 3},
+            {"name": "s", "family": "semidirect", "modulus": 4, "multipliers": [3], "oracle": False},
+        ]},
+        "error.json": {"name": "error", "instances": [
+            {"name": "z9-by-2", "family": "semidirect", "modulus": 9, "multipliers": [2], "two_step": True},
+        ]},
         "d4.json": {"table": semidirect_cyclic(4, [3]).table.tolist()},
         "z2.json": {"table": [[0, 1], [1, 0]]},
     }

@@ -895,16 +895,21 @@ def test_cross_validate_route_selection(group):
             inst["two_step"] = True
         instances.append(inst)
     report = cross_validate({"name": "routes", "instances": instances})
-    assert report["ok"] is True
+    # an instance where no route gives a value of m is a mismatch
+    empty = ["gl2/False/False", "semidirect/False/False", "semidirect-hom/False/False",
+             "quaternion/False/False", "table/False/False"]
+    assert report["mismatches"] == empty
     for (family, _, _, keys), rr in zip(ROUTE_CASES, report["results"]):
         assert sorted(rr["values"]) == keys.split(), rr["name"]
-        assert rr.get("notes") == ROUTE_NOTES.get(family), rr["name"]
+        no_value = ["no route gave a value"] if rr["name"] in empty else []
+        assert rr.get("notes", []) == ROUTE_NOTES.get(family, []) + no_value, rr["name"]
 
 
 def test_family_instance_builds_its_group_on_first_use(monkeypatch):
     # |G| = 5000 is past the group cap, but with the oracle off only the
     # orbit bound runs, and it needs no group; the two-step routes need
-    # it, and are skipped past the cap
+    # it, and are skipped past the cap.  The orbit bound is no value of m,
+    # so the instance is a mismatch
     inst = {"name": "big", "family": "semidirect", "modulus": 5000, "multipliers": [1], "oracle": False}
     monkeypatch.delenv("CHAINREP_ORACLE_CAP", raising=False)
     refusal = "skipped: |G| = 5000 exceeds cap 4096"
@@ -914,5 +919,5 @@ def test_family_instance_builds_its_group_on_first_use(monkeypatch):
     ):
         (rr,) = cross_validate({"name": "lazy", "instances": [dict(inst, **extra)]})["results"]
         assert rr["values"] == {"orbit_bound": 1}
-        assert rr["notes"] == notes
-        assert rr["match"] is True
+        assert rr["notes"] == notes + ["no route gave a value"]
+        assert rr["match"] is False
