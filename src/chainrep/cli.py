@@ -163,40 +163,16 @@ def _cmd_irreps(args) -> int:
 
     b = _flag_instance("heisenberg", vars(args))
     H = HeisenbergGroup(b.ring, b.k)
-    catalog = irrep_catalog(H)
-    agg = {}
-    for d in catalog:
-        key = (d.orbit_rep, d.level, d.dim)
-        agg[key] = agg.get(key, 0) + 1
-    rows = []
-    for (orbit_rep, level, dim), mult in sorted(agg.items()):
-        b_vec, b = orbit_rep
-        rows.append(
-            {
-                "orbit_rep": list(b_vec) + [b],
-                "b": b,
-                "level": level,
-                "dim": dim,
-                "multiplicity": mult,
-            }
-        )
-    total = sum(d.dim**2 for d in catalog)
-    if total != H.order:
-        raise AssertionError(f"irreps list: sum dim^2 = {total}, |G| = {H.order}")
-    result = {
-        "order": H.order,
-        "irrep_count": len(catalog),
-        "dim_sq_total": total,
-        "catalog": rows,
-    }
+    catalog = irrep_catalog(H)  # which checks that sum count * dim^2 = |G|
+    rows = [{"orbit_rep": list(o.orbit_rep[0]) + [o.orbit_rep[1]], "b": o.orbit_rep[1], "level": o.level,
+             "dim": o.dim, "multiplicity": o.count} for o in sorted(catalog, key=lambda o: o.orbit_rep)]
+    count = sum(o.count for o in catalog)
+    result = {"order": H.order, "irrep_count": count, "dim_sq_total": H.order, "catalog": rows}
     out = [["orbit_rep", "level", "dim", "multiplicity"]]
-    lines = [f"order {H.order}, {len(catalog)} irreducibles, sum dim^2 = {total}"]
+    lines = [f"order {H.order}, {count} irreducibles, sum dim^2 = {H.order}"]
     for r in rows:
         out.append(["|".join(str(x) for x in r["orbit_rep"]), r["level"], r["dim"], r["multiplicity"]])
-        lines.append(
-            f"orbit_rep={tuple(r['orbit_rep'])} level={r['level']} "
-            f"dim={r['dim']} multiplicity={r['multiplicity']}"
-        )
+        lines.append(f"orbit_rep={tuple(r['orbit_rep'])} level={r['level']} dim={r['dim']} multiplicity={r['multiplicity']}")
     _emit(args, "irreps", _ring_params(args), result, out, lines)
     return 0
 

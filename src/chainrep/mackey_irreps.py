@@ -6,7 +6,8 @@ The complement L = {(0,y,0)} acts by psi_{w,b} |-> psi_{w + b y, b}, so
 orbits at central parameter b are cosets of (bR)^k, the stabilizer is
 Ann(b)^k, and the induced representation attached to an orbit plus a
 stabilizer character has dimension q^{(n-i)k} where i = val(b).  The
-catalog enumerates one entry per (orbit, stabilizer character) pair.
+catalog is counted, not listed: one entry per orbit, with the number of
+its stabilizer characters, each of which gives one irreducible.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from itertools import product
 from .chain_ring import CapExceededError, RingSpec
 from .char_duality import character_weights, psi
 from .exactrep import LinearChar, MonomialRep
-from .group_models import HeisenbergGroup, _distinct
+from .group_models import HeisenbergGroup
 
 EXPLICIT_CAP = 100_000
 
 
 @dataclass(frozen=True)
 class IrrepDescriptor:
+    """One irreducible: an orbit and a stabilizer character's label."""
     orbit_rep: tuple  # (b_vec indices, b index)
     level: int
     dim: int
@@ -31,56 +33,64 @@ class IrrepDescriptor:
     stabilizer_order: int
 
 
+@dataclass(frozen=True)
+class OrbitDescriptor:
+    """One orbit, with one irreducible per stabilizer character."""
+    orbit_rep: tuple  # (b_vec indices, b index)
+    level: int
+    dim: int
+    count: int
+
+
 def annihilator_indices(R: RingSpec, b_idx: int) -> list[int]:
     """Indices of Ann(b) = {y : b y = 0} = pi^(n - val b) R."""
     return R.ideal_indices(R.n - int(R.valuation_table[b_idx]))
 
 
-def ideal_of(R: RingSpec, b_idx: int) -> list[int]:
-    """Indices of the principal ideal b R = pi^(val b) R."""
-    return R.ideal_indices(int(R.valuation_table[b_idx]))
+def coset_representatives(R: RingSpec, level: int) -> list[int]:
+    """The least index in each coset of pi^level R in R, ascending: the
+    elements with no digit at pi^j for j >= level.  Carries run up in j,
+    so adding pi^level R keeps the digits below the level, and the least
+    member of a coset has none above it."""
+    places = [R.basis_index(i * R.n + j) for i in range(R.f) for j in range(min(level, R.n))]
+    return [sum(c * w for c, w in zip(digits, places)) for digits in product(range(R.p), repeat=len(places))]
 
 
-def _coset_reps(R: RingSpec, ideal: list[int], k: int) -> list[tuple]:
-    """The lex-least representatives of the cosets of ideal^k in R^k,
-    ascending."""
-    least = _distinct(R.add_table[:, ideal].min(axis=1)).tolist()
-    return list(product(least, repeat=k))
+def orbit_count(R: RingSpec, k: int) -> int:
+    """The catalog's length, sum over b of |R/bR|^k, by level i = val b."""
+    q, n = R.q, R.n
+    return q ** (n * k) + sum((q ** (n - i) - q ** (n - i - 1)) * q ** (i * k) for i in range(n))
 
 
-def orbit_representatives(H: HeisenbergGroup, b_idx: int) -> list[tuple]:
-    """Lex-least representatives of the orbits of L on characters with
-    central parameter b: cosets of (bR)^k."""
-    return _coset_reps(H.ring, ideal_of(H.ring, b_idx), H.k)
-
-
-def irrep_catalog(H: HeisenbergGroup) -> list[IrrepDescriptor]:
-    """One descriptor per irreducible: orbit representative plus a
-    character label of the stabilizer.  Refuses a dual past
-    EXPLICIT_CAP."""
-    R = H.ring
-    if R.size ** (H.k + 1) > EXPLICIT_CAP:
-        raise CapExceededError(f"dual of size {R.size ** (H.k + 1)} exceeds the explicit cap {EXPLICIT_CAP}")
-    out = []
-    for b_idx in range(R.size):
-        level = int(R.valuation_table[b_idx])
-        ann = annihilator_indices(R, b_idx)
-        # dim = [L : stabilizer] = orbit size = |bR|^k
-        dim = len(ideal_of(R, b_idx)) ** H.k
-        # lambda labels: coset reps of pi^level R ... duality for Ann(b)
-        lam_labels = _coset_reps(R, R.ideal_indices(level), H.k)
-        for w in orbit_representatives(H, b_idx):
-            for lab in lam_labels:
-                out.append(
-                    IrrepDescriptor(
-                        orbit_rep=(w, b_idx),
-                        level=level,
-                        dim=dim,
-                        lambda_label=lab,
-                        stabilizer_order=len(ann) ** H.k,
-                    )
-                )
+def irrep_catalog(H: HeisenbergGroup) -> list[OrbitDescriptor]:
+    """One descriptor per orbit, b ascending and then its lex-least
+    representative w, one per coset of (bR)^k in R^k.  The stabilizer
+    characters are labelled by the same cosets, so they number |R/bR|^k.
+    Refuses more than EXPLICIT_CAP orbits before reading the ring, and
+    raises AssertionError unless sum count * dim^2 = |G|."""
+    R, k = H.ring, H.k
+    if orbit_count(R, k) > EXPLICIT_CAP:
+        raise CapExceededError(f"catalog of {orbit_count(R, k)} orbits exceeds the explicit cap {EXPLICIT_CAP}")
+    reps = [list(product(coset_representatives(R, level), repeat=k)) for level in range(R.n + 1)]
+    out = [OrbitDescriptor((w, b), level, R.q ** ((R.n - level) * k), len(reps[level]))
+           for b, level in enumerate(R.valuation_table.tolist()) for w in reps[level]]
+    total = sum(o.count * o.dim**2 for o in out)
+    if total != H.order:
+        raise AssertionError(f"irrep catalog: sum count * dim^2 = {total}, |G| = {H.order}")
     return out
+
+
+def central_irreps(H: HeisenbergGroup) -> list[IrrepDescriptor]:
+    """The first irreducible over each central parameter b, b ascending:
+    orbit representative and stabilizer label 0.  Every irreducible over
+    b has dim |bR|^k and central character psi(b .).  Refuses a
+    ring of more than EXPLICIT_CAP elements before reading it."""
+    R, k = H.ring, H.k
+    if R.size > EXPLICIT_CAP:
+        raise CapExceededError(f"dual of size {R.size} exceeds the explicit cap {EXPLICIT_CAP}")
+    zero = (0,) * k
+    return [IrrepDescriptor((zero, b), level, R.q ** ((R.n - level) * k), zero, R.q ** (level * k))
+            for b, level in enumerate(R.valuation_table.tolist())]
 
 
 # -- explicit induced models -----------------------------------------

@@ -49,7 +49,7 @@ from .group_models import (
     semidirect_hom_order,
     structure_scan,
 )
-from .mackey_irreps import irrep_catalog, mackey_induced_rep
+from .mackey_irreps import central_irreps, mackey_induced_rep
 
 
 class NotTwoStepError(ValueError):
@@ -190,11 +190,13 @@ def solve_pgroup(entries, p: int, ambient_dim: int) -> FaithfulSolution:
 
 
 def heisenberg_catalog_entries(H: HeisenbergGroup):
-    """(dim, DualVector, descriptor) per catalog irrep: the restriction
-    of its central character psi(b .) to Omega_1."""
-    p, catalog = H.ring.p, irrep_catalog(H)
-    vectors = socle_restriction(H.ring, [desc.orbit_rep[1] for desc in catalog]).tolist()
-    return [(desc.dim, DualVector(p, tuple(v)), desc) for desc, v in zip(catalog, vectors)]
+    """(dim, DualVector, descriptor) per central parameter b: the first
+    irreducible over b and the restriction of psi(b .) to Omega_1.  The
+    other irreducibles over b repeat its dim and vector, and come after
+    it in the catalog's order, so the greedy would never take them."""
+    catalog = central_irreps(H)
+    vectors = socle_restriction(H.ring, np.arange(len(catalog))).tolist()
+    return [(desc.dim, DualVector(H.ring.p, tuple(v)), desc) for desc, v in zip(catalog, vectors)]
 
 
 def solve_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:

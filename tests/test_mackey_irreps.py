@@ -3,17 +3,21 @@ laws, stabilizers, and explicit induced models."""
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from chainrep.char_duality import character_weights, psi
+from chainrep.chain_ring import make_ring
+from chainrep.char_duality import basis_greedy, character_weights, psi
 from chainrep.group_models import HeisenbergGroup
 from chainrep.mackey_irreps import (
     annihilator_indices,
     extended_character,
-    ideal_of,
     irrep_catalog,
     mackey_induced_rep,
-    orbit_representatives,
+    orbit_count,
 )
+from chainrep.minfaith_solver import heisenberg_catalog_entries, solve_heisenberg
+from test_char_duality import SMALL_RINGS
 from reference import (
     Char2UnsupportedError,
     Cyclotomic,
@@ -21,15 +25,23 @@ from reference import (
     catalog_summary,
     character,
     cyc_sum,
+    expand_catalog,
     from_index,
+    ideal_of,
     orbit_of,
     psi_b,
+    restrict_to_omega1,
     ring_elements,
     ring_one,
     schrodinger_dim,
     uniformizer,
     valuation,
 )
+
+def first_orbit(H, b_idx):
+    """The catalog's first orbit representative over b."""
+    return next(o.orbit_rep[0] for o in irrep_catalog(H) if o.orbit_rep[1] == b_idx)
+
 
 CATALOG_COUNTS = {
     "hei3_f2": 5,
@@ -48,9 +60,10 @@ CATALOG_COUNTS = {
 def test_catalog_counts_and_sum_of_squares(heis):
     for name, count in CATALOG_COUNTS.items():
         H = heis(name)
-        cat = irrep_catalog(H)
-        assert len(cat) == count
-        assert sum(d.dim**2 for d in cat) == H.order
+        orbits = irrep_catalog(H)
+        cat = expand_catalog(H, orbits)
+        assert len(cat) == sum(o.count for o in orbits) == count
+        assert sum(d.dim**2 for d in cat) == sum(o.count * o.dim**2 for o in orbits) == H.order
 
 
 def test_catalog_matches_class_count(group, heis):
@@ -67,7 +80,8 @@ def test_catalog_matches_class_count(group, heis):
         "hei3_z9",
     ]:
         reps, _, _ = group(name).conjugacy
-        assert len(irrep_catalog(heis(name))) == len(reps)
+        H = heis(name)
+        assert len(expand_catalog(H, irrep_catalog(H))) == len(reps)
 
 
 def test_dimension_law(heis):
@@ -75,7 +89,7 @@ def test_dimension_law(heis):
     for name in CATALOG_COUNTS:
         H = heis(name)
         q, n, k = H.ring.q, H.ring.n, H.k
-        for d in irrep_catalog(H):
+        for d in expand_catalog(H, irrep_catalog(H)):
             assert d.dim == q ** ((n - d.level) * k)
             assert d.stabilizer_order == q ** (d.level * k)
 
@@ -98,8 +112,9 @@ def test_orbits_partition_dual(heis):
     for name in ["hei3_z4", "hei3_z9", "hei5_f2"]:
         H = heis(name)
         R = H.ring
+        catalog = irrep_catalog(H)
         for b_idx in range(R.size):
-            reps = orbit_representatives(H, b_idx)
+            reps = [o.orbit_rep[0] for o in catalog if o.orbit_rep[1] == b_idx]
             seen = set()
             for w in reps:
                 orb = orbit_of(H, w, b_idx)
@@ -116,7 +131,7 @@ def test_stone_von_neumann_dimension(heis):
     # catalog, all have the Stone-von Neumann degree [H : A] = q^(nk)
     for name, dim in (("hei3_z9", 9), ("hei5_f2", 4)):
         H = heis(name)
-        generic = [d for d in irrep_catalog(H) if d.level == 0]
+        generic = [d for d in expand_catalog(H, irrep_catalog(H)) if d.level == 0]
         assert {d.dim for d in generic} == {H.ring.q ** (H.ring.n * H.k)} == {dim}
         assert all(psi_b(H.ring, from_index(H.ring, d.orbit_rep[1])).level == 0 for d in generic)
         # and there is one of them per primitive central character
@@ -143,8 +158,11 @@ def test_schrodinger_refuses_char_two(ring):
 
 
 def test_catalog_cap(ring):
-    H = HeisenbergGroup(ring("z8"), k=5)
-    with pytest.raises(ValueError, match="explicit cap"):
+    # the cap bounds the orbits listed: 33,860 for Hei_11(Z/8), 266,372
+    # for Hei_13(Z/8)
+    assert orbit_count(ring("z8"), 5) == 33_860
+    H = HeisenbergGroup(ring("z8"), k=6)
+    with pytest.raises(ValueError, match="catalog of 266372 orbits exceeds the explicit cap"):
         irrep_catalog(H)
 
 
@@ -152,7 +170,8 @@ def test_catalog_summary_consistency(ring, heis):
     for name in ["z4", "z9", "gr42"]:
         R = ring(name)
         levels = catalog_summary(R, 1)
-        cat = irrep_catalog(heis("hei3_" + name))
+        H = heis("hei3_" + name)
+        cat = expand_catalog(H, irrep_catalog(H))
         for s in levels:
             at_level = [d for d in cat if d.level == s.level]
             assert len(at_level) == s.irrep_count
@@ -162,11 +181,40 @@ def test_catalog_summary_consistency(ring, heis):
     assert sum(s.dim_sq_total for s in big) == 8**11
 
 
+# the rings of test_ring_tables_and_psi_property, with k <= 3 where the
+# catalog lists at most |R|^(2k) <= 4096 irreducibles one by one
+CATALOG_CASES = [(params, k) for params in SMALL_RINGS for k in (1, 2, 3) if params[0] ** (2 * k * params[1] * params[3]) <= 4096]
+
+
+@seed(20261020)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.sampled_from(CATALOG_CASES))
+def test_counted_catalog_property(case):
+    # the counted catalog against the closed-form counts of each level,
+    # and the solver's pool, one entry per central parameter, against the
+    # greedy over every irreducible, with the scalar restriction of psi(b .)
+    params, k = case
+    R = make_ring(*params)
+    H = HeisenbergGroup(R, k)
+    catalog = irrep_catalog(H)
+    assert len(catalog) == orbit_count(R, k)
+    for s in catalog_summary(R, k):
+        at_level = [o for o in catalog if o.level == s.level]
+        assert len(at_level) == s.num_central_params * s.orbits_per_param
+        assert sum(o.count for o in at_level) == s.irrep_count
+        assert {o.dim for o in at_level} == {s.dim}
+    assert len(heisenberg_catalog_entries(H)) == R.size
+    full = expand_catalog(H, catalog)
+    vectors = [restrict_to_omega1(psi_b(R, from_index(R, b))) for b in range(R.size)]
+    chosen = basis_greedy([vectors[d.orbit_rep[1]] for d in full], [d.dim for d in full], R.p, R.d_invariant)
+    assert solve_heisenberg(R, k).summands == [full[i] for i in chosen]
+
+
 def test_extended_character_is_multiplicative(heis, rng):
     H = heis("hei3_z4")
     R = H.ring
     for b_idx in [ring_one(R).index, uniformizer(R).index, 0]:
-        w = orbit_representatives(H, b_idx)[0]
+        w = first_orbit(H, b_idx)
         chi = extended_character(H, w, b_idx, (0,))
         rows = chi.rows.tolist()
         value = dict(zip(rows, chi.exps.tolist()))
@@ -188,9 +236,9 @@ def test_extended_character_values(heis):
         els = [from_index(R, i) for i in range(R.size)]
         add = np.array([[(a + c).index for c in els] for a in els])
         mul = np.array([[(a * c).index for c in els] for a in els])
-        catalog, coords = irrep_catalog(H), np.array(H.names)
+        catalog, coords = expand_catalog(H, irrep_catalog(H)), np.array(H.names)
         for b in range(R.size):
-            w = orbit_representatives(H, b)[0]
+            w = first_orbit(H, b)
             ann = annihilator_indices(R, b)
             for lam in sorted({d.lambda_label for d in catalog if d.orbit_rep == (w, b)}):
                 chi = extended_character(H, w, b, lam)
@@ -208,7 +256,7 @@ def test_induced_rep_explicit(heis):
     for name in ["hei3_f3", "hei3_z4"]:
         H = heis(name)
         R = H.ring
-        cat = irrep_catalog(H)
+        cat = expand_catalog(H, irrep_catalog(H))
         # one representative per level
         for lev in range(R.n + 1):
             d = next(c for c in cat if c.level == lev)
@@ -225,7 +273,7 @@ def test_induced_rep_central_character(heis):
     H = heis("hei3_z4")
     R = H.ring
     b_idx = ring_one(R).index
-    w = orbit_representatives(H, b_idx)[0]
+    w = first_orbit(H, b_idx)
     rho = mackey_induced_rep(H, w, b_idx)
     mod, chi_b = character_weights(R)[0], psi(R, R.mul_table[b_idx])  # psi(b z) by z
     zero = [0] * H.k
@@ -242,8 +290,8 @@ def test_distinct_lambda_labels_are_orthogonal(heis):
     H = heis("hei3_z4")
     R = H.ring
     b_idx = uniformizer(R).index  # level 1: two orbit reps, two lambdas
-    w = orbit_representatives(H, b_idx)[0]
-    cat = [d for d in irrep_catalog(H) if d.orbit_rep == (w, b_idx)]
+    w = first_orbit(H, b_idx)
+    cat = [d for d in expand_catalog(H, irrep_catalog(H)) if d.orbit_rep == (w, b_idx)]
     assert len(cat) >= 2
     r1 = mackey_induced_rep(H, w, b_idx, cat[0].lambda_label)
     r2 = mackey_induced_rep(H, w, b_idx, cat[1].lambda_label)
