@@ -158,9 +158,10 @@ def test_schrodinger_refuses_char_two(ring):
 
 
 def test_catalog_cap(ring):
-    # the cap bounds the orbits listed: 33,860 for Hei_11(Z/8), 266,372
-    # for Hei_13(Z/8)
+    # the cap bounds the orbits listed: 33,860 for Hei_11(Z/8), 30,401 for
+    # Hei(Z/101^2), 266,372 for Hei_13(Z/8)
     assert orbit_count(ring("z8"), 5) == 33_860
+    assert orbit_count(make_ring(101, 1, 1, 2), 1) == 30_401
     H = HeisenbergGroup(ring("z8"), k=6)
     with pytest.raises(ValueError, match="catalog of 266372 orbits exceeds the explicit cap"):
         irrep_catalog(H)
