@@ -206,6 +206,13 @@ class RingSpec:
         """Indices of the ideal pi^j R, j in [0, n]."""
         return np.flatnonzero(self.valuation_table >= min(j, self.n)).tolist()
 
+    def ideal_basis(self, j: int) -> list[int]:
+        """Indices of the digit basis elements omega_i pi^j' of the ideal
+        pi^j R, j <= j' < n, (i, j')-lexicographic.  They generate it
+        additively: an element of it is the sum of c[i][j'] copies of each,
+        its digits below j being 0."""
+        return [self.basis_index(i * self.n + t) for i in range(self.f) for t in range(j, self.n)]
+
     @property
     def d_invariant(self) -> int:
         """Minimal generator count of (R, +): f * xi."""

@@ -11,23 +11,28 @@ are monomial (permutation matrices with root-of-unity scalars), which
 is all the induction machinery ever produces from a linear character.
 Group elements are named by their rows 0..|G|-1 only: a linear
 character is two aligned int64 arrays, the rows of its subgroup and its
-root-of-unity exponents there, and a representation is two
-(|G|, degree) arrays, sigma and exps, indexed by row, each in the
-narrowest unsigned dtype that holds its values (``np.min_scalar_type``
-of degree - 1 and of m - 1: uint8 up to 256); only an error message
-names an element by ``group.names``.  Arithmetic on exponents upcasts
-first, as unsigned sums wrap.
-Induction finds the cosets as orbits (``group._cosets``) and fills the
-arrays from index-array products (``group.product``, and
-``group._every`` for every row times a block of the coset
-representatives), with no loop over the rows and no int64 array of the
-models' size; the kernel is the rows equal to (arange(degree), 0), an
-integer test that for these exact matrices is chi(g) = chi(1).
+root-of-unity exponents there, with, when its maker knows them, rows
+that generate the subgroup; a representation is two (|G|, degree)
+arrays, sigma and exps, indexed by row, each in the narrowest unsigned
+dtype that holds its values (``np.min_scalar_type`` of degree - 1 and
+of m - 1: uint8 up to 256); only an error message names an element by
+``group.names``.  Arithmetic on exponents upcasts first, as unsigned
+sums wrap.
+Induction reads the subgroup check, the cosets (orbits of right
+multiplication by the generators) and the character check's products
+from one ``group._every`` of the generators, and fills the arrays from
+index-array products (``group.product``, and ``group._every`` for every
+row times a block of the coset representatives), with no loop over the
+rows and no int64 array of the models' size; the kernel is the rows
+equal to (arange(degree), 0), an integer test that for these exact
+matrices is chi(g) = chi(1).
 
-Checks are exact, on generators: induction requires the greedy span of
-the subgroup's rows to be those rows, and chi(x s) = chi(x) chi(s) for
-every row x and each generator s of the span, which by induction on word
-length makes chi multiplicative.
+Checks are exact, on generators, the character's own or else the
+greedy span of its rows: induction requires the orbit of the identity
+under right multiplication by the generators, which is the subgroup
+they generate, to be the subgroup's rows, distinct, and
+chi(x s) = chi(x) chi(s) for every row x and each generator s, which by
+induction on word length makes chi multiplicative.
 """
 
 from __future__ import annotations
@@ -91,28 +96,28 @@ def cyc_str(terms) -> str:
 class LinearChar:
     """A one-dimensional character of a subgroup, tabulated as root-of-
     unity exponents on the subgroup's group rows: chi(rows[i]) =
-    zeta_order^exps[i], rows and exps aligned int64 arrays."""
+    zeta_order^exps[i], rows and exps aligned int64 arrays.  gens, when
+    given, are rows that generate the subgroup; induction checks that
+    they do.  Without them induction takes the greedy span of the rows."""
 
-    def __init__(self, order: int, rows, exps):
+    def __init__(self, order: int, rows, exps, gens=None):
         self.order = order
         self.rows = np.asarray(rows, dtype=np.int64)
         self.exps = np.asarray(exps, dtype=np.int64) % order
+        self.gens = None if gens is None else np.asarray(gens, dtype=np.int64)
 
 
-def _check_character(group, sub, vals, m, gens):
+def _check_character(group, sub, vals, m, gens, prod):
     """vals[i]: the exponent of chi at the element with row index sub[i];
-    gens: rows generating the subgroup.  chi(x s) = chi(x) chi(s) for
-    every x and each generator s makes chi multiplicative, by induction
-    on the word length of the right factor.  One product gives x s for
-    every pair; an error names the first bad pair by generator, then by
-    subgroup row."""
+    gens: rows generating the subgroup, and prod[j, i] = sub[i] gens[j].
+    chi(x s) = chi(x) chi(s) for every x and each generator s makes chi
+    multiplicative, by induction on the word length of the right factor.
+    An error names the first bad pair by generator, then by subgroup row."""
     pos = np.full(group.order, -1, dtype=np.int64)
     pos[sub] = np.arange(len(sub))
     if vals[pos[group.identity]] % m != 0:
         raise ChiNotHomomorphismError("chi(identity) != 1")
-    gens = np.asarray(gens, dtype=np.int64)
-    prod = group.product(sub[:, None], gens)
-    bad = np.argwhere(((vals[:, None] + vals[pos[gens]] - vals[pos[prod]]) % m).T)
+    bad = np.argwhere((vals + vals[pos[gens]][:, None] - vals[pos[prod]]) % m)
     if len(bad):  # the first generator with a bad pair, then the first row
         j, i = bad[0]
         names = group.names or range(group.order)
@@ -139,17 +144,22 @@ class MonomialRep:
         """Induction of the linear character chi from its subgroup (the
         rows chi.rows) to the whole group, after checking exactly, on
         generators, that the rows form a subgroup and chi is a character
-        of it.  The coset representatives are the least row of each left
-        coset, an orbit of right multiplication by the subgroup's
+        of it.  The generators are chi.gens, or the greedy span of the
+        rows.  One ``group._every(gens)``, the products x s of every row x
+        with each generator s, gives three things: the subgroup check
+        (the orbit of the identity, which is <gens>, must be the rows,
+        and they distinct), the cosets, and the products that the
+        character check reads.  The coset representatives are the least
+        row of each left coset, an orbit of right multiplication by the
         generators; for each row w, w = reps[coset_of[w]] * sub[a_of[w]],
         and chi_at[w] = chi(sub[a_of[w]]).  The products g reps[t] of every
         row g are one ``group._every`` per block of representatives that
         keeps it within _BLOCK entries, written straight into the narrow
         sigma and exps."""
         m, sub, vals = chi.order, chi.rows, chi.exps
-        gens = group._subgroup(sub)[1]
-        _check_character(group, sub, vals, m, gens)
-        reps, coset_of = group._cosets(gens)
+        gens = np.asarray(group._span(sub)[1] if chi.gens is None else chi.gens, dtype=np.int64)
+        images, reps, coset_of = group._subgroup(sub, gens)
+        _check_character(group, sub, vals, m, gens, images[:, sub])
         n, degree = group.order, len(reps)
         coset_of = coset_of.astype(np.min_scalar_type(degree - 1))
         a_of = np.empty(n, dtype=np.int64)

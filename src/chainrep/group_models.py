@@ -18,9 +18,11 @@ groups (semidirect products of cyclic groups, Q8 and GL_2) and the
 quotients are laws too, written once on row-index arrays
 (``from_law``): only a JSON table is a dense table group, whose
 constructor only checks it.  Every group, a table group too, finds its
-identity (the row e with e 0 = 0) and its inverses (the walk g, g^2,
-... that gives the element orders) on first use.  AbstractGroup's group
-layer (spans, element orders, centralizers, classes, the commutator
+identity (the row e with e 0 = 0) on first use, and the orders and
+inverses of the rows it reads by one walk g, g^2, ...: the oracle walks
+every row, the group layer the generators, and the structure scan the
+centre and commutator rows.  AbstractGroup's group layer (spans by
+cosets, element orders, centralizers, classes, the commutator
 subgroup, quotients and the structure scan) is written once, against
 ``product``, ``inverse`` and ``identity``, and ``_every``, the product
 of every row with a few rows, which a family evaluates on an open mesh.
@@ -192,10 +194,16 @@ class AbstractGroup:
         """Greedy closure: (member mask of the subgroup generated by the
         rows seed, the seed rows that enlarged it, in seed order).  With
         base, the (mask, rows) of a subgroup, the closure of that subgroup
-        and seed, which extends base in place.  Each kept row g grows the
-        mask breadth-first: the subgroup so far times g, then each new
-        layer times every kept row, which in a finite group reaches every
-        product.  The mask is the first array of |G| entries that the
+        and seed, which extends base in place.  The seed rows already in
+        the mask are skipped in bulk.  Each kept row g grows the closed
+        subgroup H so far by right cosets H c (Dimino's algorithm; G.
+        Butler, Fundamental Algorithms for Permutation Groups, LNCS 559):
+        the first candidate is g, and each layer is one law call that
+        makes the cosets H c of its candidates c, one per coset (by least
+        member), and their products c s with every kept row s, the next
+        layer's candidates.  A rep times every kept row lands in a coset
+        already made, so the union is closed and each element is made
+        once.  The mask is the first array of |G| entries that the
         structure scan and the constructions allocate on a ring family."""
         if base is None:
             mask = _allocate(self.order, "a mask of its elements", (self.order,), bool)
@@ -203,34 +211,58 @@ class AbstractGroup:
             gens = []
         else:
             mask, gens = base
-        for g in seed:
-            if mask[g]:
-                continue
-            gens.append(int(g))
-            front, right = np.flatnonzero(mask), np.array([g])  # closed under the earlier rows
-            while len(front):
-                prod = self.product(front[:, None], right).ravel()
-                front = _distinct(prod[~mask[prod]])
-                mask[front] = True
-                right = np.array(gens)
-        return mask, gens
+        if isinstance(seed, range):  # after the mask: a range past memory is refused as it is
+            seed = np.arange(seed.start, seed.stop, seed.step)
+        seed = seed.astype(np.int64, copy=False) if isinstance(seed, np.ndarray) else np.fromiter(seed, dtype=np.int64)
+        at = 0
+        while True:
+            new = np.flatnonzero(~mask[seed[at:]])
+            if not len(new):
+                return mask, gens
+            at += int(new[0])
+            gens.append(int(seed[at]))
+            H, right, cand = np.flatnonzero(mask), np.array(gens), seed[at : at + 1]
+            h, r = len(H), len(right)
+            while len(cand):
+                c = len(cand)
+                # H x cand, then cand x right, as flat index arrays
+                prod = self.product(np.concatenate([H.repeat(c), cand.repeat(r)]),
+                                    np.concatenate([cand[None].repeat(h, 0).ravel(), right[None].repeat(c, 0).ravel()]))
+                cosets, nxt = prod[: h * c].reshape(h, c), prod[h * c :].reshape(c, r)
+                if h > 1 and c > 1:  # candidates may share a coset: keep one per least member
+                    least = cosets.min(axis=0)
+                    order = np.argsort(least, kind="stable")
+                    keep = np.ones(c, dtype=bool)
+                    np.not_equal(least[order[1:]], least[order[:-1]], out=keep[1:])
+                    cosets, nxt = cosets[:, order[keep]], nxt[order[keep]]
+                mask[cosets] = True
+                nxt = nxt.ravel()
+                cand = _distinct(nxt[~mask[nxt]])
 
-    def _subgroup(self, rows) -> tuple[np.ndarray, list[int]]:
-        """``_span`` of the distinct rows of a subgroup; raises
-        NotSubgroupError unless they are distinct and their span has no other."""
-        mask, gens = self._span(rows)
-        if np.count_nonzero(mask) != len(rows) or len(_distinct(rows)) != len(rows):
+    def _subgroup(self, rows, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_cosets(gens)`` of the subgroup <gens> whose rows are rows,
+        after checking that the rows are distinct and are the coset of the
+        identity, which is <gens>, the orbit of the identity under right
+        multiplication by gens: all in it and |G| / #cosets of them.
+        Raises NotSubgroupError otherwise.  A group whose images and
+        labels would not fit in memory is refused before either is made."""
+        rows = np.asarray(rows, dtype=np.int64)
+        _check_memory(self.order, "the cosets of a subgroup", (len(gens) + 1, self.order), np.int64)
+        images, reps, coset_of = self._cosets(gens)
+        if (len(reps) * len(rows) != self.order or len(_distinct(rows)) != len(rows)
+                or (coset_of[rows] != coset_of[self.identity]).any()):
             raise NotSubgroupError("not a subgroup of distinct rows")
-        return mask, gens
+        return images, reps, coset_of
 
-    def _cosets(self, gens) -> tuple[np.ndarray, np.ndarray]:
-        """(reps, coset_of) of the left cosets x<gens>, the orbits of right
-        multiplication by the rows gens, whose images x s are one
-        ``_every``: reps the least row of each, ascending, and coset_of[x]
-        the position of x's among them."""
-        least = _orbit_labels(self._every(gens))
+    def _cosets(self, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(images, reps, coset_of) of the left cosets x<gens>, the orbits
+        of right multiplication by the rows gens: images the one
+        ``_every(gens)``, x gens[i] at [i, x], reps the least row of each
+        coset, ascending, and coset_of[x] the position of x's among them."""
+        images = self._every(gens)
+        least = _orbit_labels(images)
         reps = np.flatnonzero(least == np.arange(self.order))
-        return reps, np.searchsorted(reps, least)
+        return images, reps, np.searchsorted(reps, least)
 
     @cached_property
     def generators(self) -> list[int]:
@@ -247,27 +279,34 @@ class AbstractGroup:
             if not np.array_equal(left, right):
                 raise ValueError(f"associativity fails through element {a}")
 
-    @cached_property
-    def _power_walk(self) -> tuple[np.ndarray, np.ndarray]:
-        """(element orders, inverses) from one walk g, g^2, ... over the
-        rows whose order is still open: at the first step s at which g^s
-        is the identity, s is the order of g and g^(s-1) its inverse."""
-        n, e = self.order, self.identity
-        orders = np.zeros(n, dtype=np.int64)
-        inverse = np.empty(n, dtype=np.int64)
-        orders[e], inverse[e] = 1, e
-        live = np.flatnonzero(np.arange(n) != e)
-        power, step = live, 1  # power = live^step
+    def _walk(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(orders, inverses) of the rows, aligned with them, from one walk
+        g, g^2, ... over the rows whose order is still open: at the first
+        step s at which g^s is the identity, s is the order of g and
+        g^(s-1) its inverse."""
+        rows = np.asarray(rows, dtype=np.int64)
+        e = self.identity
+        orders = np.ones(len(rows), dtype=np.int64)
+        inverse = np.full(len(rows), e, dtype=np.int64)
+        live = np.flatnonzero(rows != e)
+        base = power = rows[live]  # power = base^step
+        step = 1
         while len(live):
             step += 1
-            if step > n:
-                raise ValueError(f"inverses missing: the powers of row {live[0]} never reach the identity")
-            nxt = self.product(power, live)
+            if step > self.order:
+                raise ValueError(f"inverses missing: the powers of row {base[0]} never reach the identity")
+            nxt = self.product(power, base)
             done = nxt == e
             orders[live[done]] = step
             inverse[live[done]] = power[done]
-            live, power = live[~done], nxt[~done]
+            live, base, power = live[~done], base[~done], nxt[~done]
         return orders, inverse
+
+    @cached_property
+    def _power_walk(self) -> tuple[np.ndarray, np.ndarray]:
+        """(element orders, inverses) of every row, which the oracle reads;
+        the group layer walks only the rows it reads."""
+        return self._walk(np.arange(self.order))
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -298,20 +337,26 @@ class AbstractGroup:
     def commutator_subgroup(self) -> list[int]:
         """The normal closure of the commutators of the generators: modulo
         it the generators commute, so the quotient is abelian."""
-        X = self.generators
-        comm = self.product(self._conjugates(X, X), self.inverse[X])  # x y x^-1 y^-1
+        comm = self.product(self._conjugates(self.generators), self._generator_inverses)  # x y x^-1 y^-1
         mask, gens = self._span(comm.ravel())
         new = gens
         while new:  # conjugates of the earlier generators are already in
             done = len(gens)
-            mask, gens = self._span(self._conjugates(X, new).ravel(), (mask, gens))
+            mask, gens = self._span(self._conjugates(new).ravel(), (mask, gens))
             new = gens[done:]
         return np.flatnonzero(mask).tolist()
 
-    def _conjugates(self, X, elems) -> np.ndarray:
-        """x s x^-1 at [x, s] for x in X and s in elems."""
-        X = np.asarray(X, dtype=np.int64)[:, None]
-        return self.product(self.product(X, np.asarray(elems, dtype=np.int64)), self.inverse[X])
+    @cached_property
+    def _generator_inverses(self) -> np.ndarray:
+        """The generators' inverses, aligned with them: read from the walk
+        over every row when the oracle has made it, else walked alone."""
+        walk = self.__dict__.get("_power_walk")
+        return self._walk(self.generators)[1] if walk is None else walk[1][self.generators]
+
+    def _conjugates(self, elems) -> np.ndarray:
+        """x s x^-1 at [i, s] for the i-th generator x and s in elems."""
+        X = np.asarray(self.generators, dtype=np.int64)[:, None]
+        return self.product(self.product(X, np.asarray(elems, dtype=np.int64)), self._generator_inverses[:, None])
 
     def centralizer(self, elems) -> list[int]:
         return np.flatnonzero(self._commuting(elems, np.ones(self.order, dtype=bool))).tolist()
@@ -333,10 +378,10 @@ class AbstractGroup:
         multiplication by N's generators, are numbered by least element,
         and the quotient is the law gN hN = (g h)N on those least rows."""
         N = np.asarray(normal_elems, dtype=np.int64)
-        member, gens = self._subgroup(N)
-        if not member[self._conjugates(self.generators, gens)].all():
+        gens = self._span(N)[1]
+        _, reps, coset_of = self._subgroup(N, gens)
+        if (coset_of[self._conjugates(gens)] != coset_of[self.identity]).any():
             raise ValueError("subgroup is not normal")
-        reps, coset_of = self._cosets(gens)
         Q = AbstractGroup.from_law(len(reps), lambda I, J: coset_of[self.product(reps[I], reps[J])], None)
         return Q, coset_of
 
@@ -353,12 +398,15 @@ class AbstractGroup:
         comm = self.commutator_subgroup
         cset = set(center)
         two_step = all(g in cset for g in comm) and len(comm) > 1
-        comm_orders = [int(self.element_orders[g]) for g in comm]
-        comm_cyclic = max(comm_orders) == len(comm) if len(comm) > 1 else True
+        # the orders of the centre and commutator rows, one walk
+        orders, walked = np.zeros(n, dtype=np.int64), _distinct(center + comm)
+        orders[walked] = self._walk(walked)[0]
+        comm_cyclic = int(orders[comm].max()) == len(comm) if len(comm) > 1 else True
 
         # d(Z): the largest rank of the socle of a Sylow subgroup of Z, whose
         # greedy generators are a basis
-        rank = max((len(self._span(g for g in center if self.element_orders[g] == q)[1]) for q in facs), default=0)
+        Z = np.asarray(center, dtype=np.int64)
+        rank = max((len(self._span(Z[orders[Z] == q])[1]) for q in facs), default=0)
 
         # greedy maximal abelian: extend the center by the least element
         # that commutes with every generator so far, and not yet generated.
@@ -441,9 +489,15 @@ class _RingFamily(AbstractGroup):
         return [np.arange(self.ring.size)] * len(self._identity)
 
     def _encode(self, coords):
-        """The radix terms c_t s^(w-1-t), summed from the smallest array
-        up, so only the last sums take the full broadcast shape."""
-        return sum(sorted((c * self.ring.size**t for t, c in enumerate(coords[::-1])), key=np.size))
+        """The radix number sum c_t s^(w-1-t) over the ring size s, by
+        Horner's rule, each step broadcasting to the axes its coordinates
+        span so far.  The partial row is this call's own, so it is scaled
+        in place: an open mesh holds at most it and the next sum at once."""
+        row = 0
+        for c in coords:
+            row *= self.ring.size
+            row = row + c
+        return row
 
     @cached_property
     def _coords(self) -> np.ndarray:
@@ -472,6 +526,14 @@ class _RingFamily(AbstractGroup):
         identity's."""
         axes = [np.asarray(free.get(t, [c]), dtype=np.int64) for t, c in enumerate(self._identity)]
         return np.sort(self._encode([a.ravel() for a in np.meshgrid(*axes, indexing="ij")]))
+
+    def _axis_rows(self, free) -> np.ndarray:
+        """Rows of the elements that differ from the identity in one
+        coordinate t alone, which takes each ring index in free[t], in
+        the order free lists them."""
+        axis = np.repeat(list(free), [len(v) for v in free.values()])
+        value = np.concatenate(list(free.values())).astype(np.int64)
+        return self._encode([np.where(axis == t, value, c) for t, c in enumerate(self._identity)])
 
     def product(self, I, J) -> np.ndarray:
         """Rows of the products of the elements in rows I and J (numpy

@@ -98,17 +98,22 @@ def central_irreps(H: HeisenbergGroup) -> list[IrrepDescriptor]:
 
 def extended_character(H: HeisenbergGroup, b_vec: tuple, b_idx: int, lam_label: tuple) -> LinearChar:
     """The linear character psi_{b_vec, b} x lambda on H_s = A . L_s:
-    (x, y, z) -> psi(b z + b_vec.x + lam_label.y) for y in Ann(b)^k."""
+    (x, y, z) -> psi(b z + b_vec.x + lam_label.y) for y in Ann(b)^k.
+    Its generators are the elementary rows of H_s: one coordinate a digit
+    basis element of R, or of Ann(b) for y, the others 0, since
+    (x, y, z) = (x, 0, 0)(0, y, 0)(0, 0, z - x.y)."""
     R, k = H.ring, H.k
     add, mul = R.add_table, R.mul_table  # the ring table cap refuses before any row is listed
     S = range(R.size)
     ann = annihilator_indices(R, b_idx)
+    level = R.n - int(R.valuation_table[b_idx])  # Ann(b) = pi^level R
     rows = H._rows({t: S if t < k or t == 2 * k else ann for t in range(2 * k + 1)})
+    gens = H._axis_rows({t: R.ideal_basis(0 if t < k or t == 2 * k else level) for t in range(2 * k + 1)})
     c = H._decode(rows)
     acc = mul[b_idx, c[2 * k]]
     for t in range(k):
         acc = add[add[acc, mul[b_vec[t], c[t]]], mul[lam_label[t], c[k + t]]]
-    return LinearChar(character_weights(R)[0], rows, psi(R, acc))
+    return LinearChar(character_weights(R)[0], rows, psi(R, acc), gens)
 
 
 def mackey_induced_rep(

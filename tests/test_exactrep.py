@@ -224,6 +224,9 @@ def test_induce_rejects_non_subgroup(group):
     S = [0, 1, 3, 4, 6, 7]
     with pytest.raises(NotSubgroupError):
         MonomialRep.induce(semidirect_cyclic(9, [1]), LinearChar(1, S, [0] * len(S)))
+    # given the generator 3, whose orbit from the identity is {0, 3, 6}
+    with pytest.raises(NotSubgroupError):
+        MonomialRep.induce(semidirect_cyclic(9, [1]), LinearChar(1, S, [0] * len(S), gens=[3]))
 
 
 def test_induce_past_numpy_is_a_cap_refusal():
@@ -233,6 +236,20 @@ def test_induce_past_numpy_is_a_cap_refusal():
     H = HeisenbergGroup(make_ring(2, 1, "inf", 1), 32)  # |G| = 2^65
     with pytest.raises(CapExceededError, match="a mask of its elements cannot be allocated"):
         MonomialRep.induce(H, LinearChar(1, [H.identity], [0]))
+    # with its generators given there is no span: the cosets' images and
+    # labels, the first arrays of |G| entries, are refused before either
+    # is made, for no generator and for one
+    import tracemalloc
+
+    for gens in ([], [H.identity]):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="the cosets of a subgroup cannot be allocated"):
+                MonomialRep.induce(H, LinearChar(1, [H.identity], [0], gens))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def test_induce_rejects_non_character(group):

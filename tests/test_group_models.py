@@ -224,7 +224,7 @@ def _check_subgroup_rows(G, rows, size, member):
     """rows: strictly ascending group rows of a subgroup of the given
     size whose elements (as coordinate rows) all satisfy member."""
     assert rows.dtype == np.int64 and (np.diff(rows) > 0).all()
-    G._subgroup(rows)
+    G._subgroup(rows, G._span(rows)[1])
     assert len(rows) == size
     assert member(np.array(G.names)[rows]).all()
 
@@ -474,7 +474,7 @@ def test_cosets_of_no_generators_are_the_rows(heis):
     assert _orbit_labels(np.empty((0, 5), dtype=np.int64)).tolist() == list(range(5))
     F = heis("hei3_f3")
     for G in (F, AbstractGroup(F.table, names=F.names, validate=False), AbstractGroup([[0]])):
-        assert G._cosets([])[1].tolist() == list(range(G.order))
+        assert G._cosets([])[2].tolist() == list(range(G.order))
 
 
 def test_quotient_by_the_trivial_group_and_by_the_whole_group(group, heis):
@@ -913,14 +913,16 @@ def test_scan_law_calls_are_pinned():
     # repeat from run to run.  A centralizer recomputed over every
     # generator each round, spans rebuilt from scratch and inverses by
     # squaring to g^(2|G|-1) would make 216 products; centralizers by
-    # products, not _every, made 96
+    # products, not _every, made 96; spans that multiplied each new
+    # element by every kept row, and inverses and orders walked over
+    # every row, made 64
     F = HeisenbergGroup(make_ring(2, 4, 1, 1))
     calls = []
     for name in ("product", "_every"):
         setattr(F, name, _counted(getattr(F, name), name, calls))
     scan = structure_scan(F.to_abstract())
     assert (len(scan.center), len(scan.maximal_abelian)) == (16, 256)
-    assert (calls.count("product"), calls.count("_every")) == (64, 10)
+    assert (calls.count("product"), calls.count("_every")) == (35, 10)
 
 
 def test_construction_law_calls_are_pinned(monkeypatch):
@@ -929,7 +931,9 @@ def test_construction_law_calls_are_pinned(monkeypatch):
     # _every, which repeat from run to run.  Cosets discovered one
     # representative at a time, with one call each, made 164 products;
     # cosets and induction by products, not _every, and one product per
-    # generator in the character check made 108
+    # generator in the character check made 108; each subgroup respanned
+    # from the identity, and the character check's own product, made 72.
+    # Now each induction makes one product, for the row map a_of
     from chainrep.minfaith_solver import construct_faithful_heisenberg
 
     calls = []
@@ -937,7 +941,19 @@ def test_construction_law_calls_are_pinned(monkeypatch):
         monkeypatch.setattr(HeisenbergGroup, name, _counted(getattr(HeisenbergGroup, name), name, calls))
     sol = construct_faithful_heisenberg(make_ring(2, 4, 1, 1))
     assert (sol.total_dim, sol.verified_faithful) == (64, True)
-    assert (calls.count("product"), calls.count("_every")) == (72, 8)
+    assert (calls.count("product"), calls.count("_every")) == (4, 8)
+
+
+def test_generators_law_calls_are_pinned():
+    # the greedy generators of Hei(Z/16) on its law: twelve rows, each of
+    # index 2 over the ones before, so one coset layer, one product, each.
+    # Multiplying every new element by every kept row made 24 products
+    F = HeisenbergGroup(make_ring(2, 1, 1, 4))
+    calls = []
+    for name in ("product", "_every"):
+        setattr(F, name, _counted(getattr(F, name), name, calls))
+    assert F.generators == [2**t for t in range(12)]
+    assert (calls.count("product"), calls.count("_every")) == (12, 0)
 
 
 def test_pattern_terms_pair_each_entry_with_its_row(ring):

@@ -531,7 +531,7 @@ def reference_witnesses(T):
     G = T.group
     others = np.arange(G.order) != G.identity
     closures = {
-        G._span(G._conjugates(np.arange(G.order), [g]).ravel())[0].tobytes()
+        G._span(G.table[G.table[:, g], G.inverse])[0].tobytes()  # x g x^-1 for every x
         for g in np.flatnonzero(others)
     }
     masks = [np.frombuffer(N, dtype=bool) for N in closures]

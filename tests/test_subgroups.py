@@ -7,7 +7,10 @@ centralises every element found so far, the quotient filled by two
 loops over G x N, and one minimal normal witness per class from element
 closures.  The fast code must give the same lists and arrays on every
 fixture group and on random semidirect products, where the oracle's
-minimum is also held to the orbit bound and the two-step closed form."""
+minimum is also held to the orbit bound and the two-step closed form.
+The coset closure ``_span`` is held to the set closure and a greedy over
+it on generated groups, and induction's subgroup check to the
+generators it is given."""
 
 from functools import lru_cache
 from math import gcd
@@ -17,7 +20,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from chainrep.chain_ring import INF, make_ring
+from chainrep.exactrep import LinearChar, MonomialRep
 from chainrep.group_models import (
+    AbstractGroup,
+    HeisenbergGroup,
+    NotSubgroupError,
+    UnitriangularGroup,
     multiplier_closure,
     semidirect_cyclic,
     semidirect_cyclic_hom,
@@ -42,6 +51,17 @@ def ref_closure(G, seed):
         frontier = new - out
         out |= frontier
     return sorted(out)
+
+
+def ref_greedy(G, seed, start=()):
+    """The rows of seed kept by a greedy closure from the rows start:
+    each that the closure of start and the rows kept before it lacks."""
+    kept, closed = [], set(ref_closure(G, list(start)))
+    for g in seed:
+        if g not in closed:
+            kept.append(g)
+            closed = set(ref_closure(G, list(start) + kept))
+    return kept
 
 
 def ref_center(G):
@@ -210,3 +230,88 @@ def test_orbit_bound_for_a_composite_modulus():
     m, _ = min_faithful_exhaustive(semidirect_table(15, (2, 7), None))
     assert m == 6
     assert orbit_lower_bound(15, [2, 7]) == (4, True)
+
+
+# -- coset closure and induction's subgroup check on generated groups --
+
+# small pattern groups: Hei(F_2), Hei(F_3), Hei(Z/4), Hei(F_4), Hei_5(F_2),
+# U_4(F_2) and U_3(Z/4), of orders 8 to 64
+PATTERN_GROUPS = [
+    (HeisenbergGroup, (2, 1, INF, 1), 1), (HeisenbergGroup, (3, 1, INF, 1), 1),
+    (HeisenbergGroup, (2, 1, 1, 2), 1), (HeisenbergGroup, (2, 2, INF, 1), 1),
+    (HeisenbergGroup, (2, 1, INF, 1), 2), (UnitriangularGroup, (2, 1, INF, 1), 4),
+    (UnitriangularGroup, (2, 1, 1, 2), 3),
+]
+
+
+@st.composite
+def small_groups(draw):
+    """A semidirect_cyclic_hom of order at most 240, a small pattern group
+    on its law, or either relabelled by a random permutation as a dense
+    table group, whose identity may then be any row."""
+    if draw(st.booleans(), label="semidirect"):
+        modulus = draw(st.integers(2, 30), label="modulus")
+        m = draw(st.sampled_from([u for u in range(1, modulus) if gcd(u, modulus) == 1]), label="multiplier")
+        order = next(t for t in range(1, modulus + 1) if pow(m, t, modulus) == 1)
+        h = order * draw(st.integers(1, max(1, 240 // (modulus * order))), label="h_order / order")
+        G = semidirect_cyclic_hom(modulus, m, h)
+    else:
+        family, params, arg = draw(st.sampled_from(PATTERN_GROUPS), label="pattern group")
+        G = family(make_ring(*params), arg)
+    if draw(st.booleans(), label="relabel"):
+        perm = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="perm seed")).permutation(G.order)
+        table = np.empty_like(G.table)
+        table[np.ix_(perm, perm)] = perm[G.table]
+        G = AbstractGroup(table)
+    return G
+
+
+def subgroup_property(test):
+    """40 examples from one pinned seed."""
+    return seed(20151003)(settings(max_examples=40, derandomize=True, deadline=None, database=None)(
+        given(st.data())(test)))
+
+
+def _rows(data, G, label):
+    return data.draw(st.lists(st.integers(0, G.order - 1), max_size=6), label=label)
+
+
+@subgroup_property
+def test_span_matches_set_closure_and_greedy(data):
+    # with and without a base, from a list, an array or an iterator
+    G = data.draw(small_groups(), label="group")
+    base_rows, rows = _rows(data, G, "base rows"), _rows(data, G, "rows")
+    form = data.draw(st.sampled_from([list, np.array, iter]), label="seed form")
+    mask, gens = G._span(form(rows))
+    assert np.flatnonzero(mask).tolist() == ref_closure(G, rows)
+    assert gens == ref_greedy(G, rows)
+    base = G._span(base_rows)
+    assert base[1] == ref_greedy(G, base_rows)
+    mask, gens = G._span(form(rows), base)
+    assert np.flatnonzero(mask).tolist() == ref_closure(G, base_rows + rows)
+    assert gens == ref_greedy(G, base_rows) + ref_greedy(G, rows, base_rows)
+
+
+@subgroup_property
+def test_induce_checks_the_given_generators(data):
+    # the greedy generators of a subgroup S are accepted; induction from S
+    # refuses generators that span a proper subgroup or leave S, rows that
+    # miss one of S's, rows with a repeat, as many as S's or one more, and
+    # the rows of another coset x S
+    G = data.draw(small_groups(), label="group")
+    mask, gens = G._span(_rows(data, G, "rows"))
+    S = np.flatnonzero(mask)
+
+    def induce(rows, gens):
+        return MonomialRep.induce(G, LinearChar(1, rows, [0] * len(rows), gens))
+
+    assert induce(S, gens).degree == G.order // len(S)
+    refused = [(np.append(S, S[0]), gens)]
+    if gens:
+        refused += [(S[:-1], gens), (np.append(S[1:], S[-1]), gens), (S, gens[:-1])]
+    if not mask.all():
+        x = int(np.argmin(mask))
+        refused += [(S, gens + [x]), (G.product(x, S), gens)]
+    for rows, bad in refused:
+        with pytest.raises(NotSubgroupError):
+            induce(rows, bad)
