@@ -201,10 +201,11 @@ class AbstractGroup:
         the first candidate is g, and each layer is one law call that
         makes the cosets H c of its candidates c, one per coset (by least
         member), and their products c s with every kept row s, the next
-        layer's candidates.  A rep times every kept row lands in a coset
-        already made, so the union is closed and each element is made
-        once.  The mask is the first array of |G| entries that the
-        structure scan and the constructions allocate on a ring family."""
+        layer's candidates.  The layers stop when every such product lies
+        in a coset made: h c s = h (c s), so the union is then closed under
+        the kept rows, the subgroup they generate.  The mask is the first
+        array of |G| entries that the structure scan and the constructions
+        allocate on a ring family."""
         if base is None:
             mask = _allocate(self.order, "a mask of its elements", (self.order,), bool)
             mask[self.identity] = True
