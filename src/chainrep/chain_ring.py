@@ -225,9 +225,8 @@ class RingSpec:
 
     def omega1_generators(self) -> list[int]:
         """Indices of the f*xi generators omega_i * pi^(n-xi+j),
-        (i, j)-lexicographic."""
-        n, xi = self.n, self.xi
-        return [self.basis_index(i * n + n - xi + j) for i in range(self.f) for j in range(xi)]
+        (i, j)-lexicographic: the digit basis of pi^(n-xi) R."""
+        return self.ideal_basis(self.n - self.xi)
 
     # -- lookup tables ------------------------------------------------
 

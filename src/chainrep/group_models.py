@@ -329,7 +329,7 @@ class AbstractGroup:
         x s x^-1 of each row s is y x^-1 at y = x s, a gather from one
         ``_every`` at the rows of another."""
         X = self.generators
-        images = np.take_along_axis(self._every(self.inverse[X]), self._every(X, right=False), axis=1)
+        images = np.take_along_axis(self._every(self._generator_inverses), self._every(X, right=False), axis=1)
         lab = _orbit_labels(images)
         reps, class_of, sizes = np.unique(lab, return_inverse=True, return_counts=True)
         return reps.tolist(), class_of, sizes
@@ -349,10 +349,8 @@ class AbstractGroup:
 
     @cached_property
     def _generator_inverses(self) -> np.ndarray:
-        """The generators' inverses, aligned with them: read from the walk
-        over every row when the oracle has made it, else walked alone."""
-        walk = self.__dict__.get("_power_walk")
-        return self._walk(self.generators)[1] if walk is None else walk[1][self.generators]
+        """The generators' inverses, aligned with them, walked alone."""
+        return self._walk(self.generators)[1]
 
     def _conjugates(self, elems) -> np.ndarray:
         """x s x^-1 at [i, s] for the i-th generator x and s in elems."""
@@ -409,21 +407,6 @@ class AbstractGroup:
         Z = np.asarray(center, dtype=np.int64)
         rank = max((len(self._span(Z[orders[Z] == q])[1]) for q in facs), default=0)
 
-        # greedy maximal abelian: extend the center by the least element
-        # that commutes with every generator so far, and not yet generated.
-        # C is their centralizer, G itself while they lie in the center,
-        # narrowed by each new generator.
-        S, gens = self._span(center)
-        C = np.ones(n, dtype=bool)
-        while True:
-            extra = np.flatnonzero(C & ~S)
-            if not len(extra):
-                break
-            g = int(extra[0])
-            S, gens = self._span([g], (S, gens))
-            C = self._commuting([g], C)
-        max_ab = np.flatnonzero(S).tolist()
-
         return StructureScan(
             order=n,
             is_p_group=is_p,
@@ -433,8 +416,25 @@ class AbstractGroup:
             commutator=comm,
             is_two_step=two_step,
             commutator_cyclic=comm_cyclic,
-            maximal_abelian=max_ab,
+            maximal_abelian=self._maximal_abelian[0],
         )
+
+    @cached_property
+    def _maximal_abelian(self) -> tuple[list[int], list[int]]:
+        """(rows, generators) of the scan's greedy maximal abelian
+        subgroup: the center extended by the least element that commutes
+        with every generator so far, and not yet generated.  C is their
+        centralizer, G itself while they lie in the center, narrowed by
+        each new generator."""
+        S, gens = self._span(self.center)
+        C = np.ones(self.order, dtype=bool)
+        while True:
+            extra = np.flatnonzero(C & ~S)
+            if not len(extra):
+                return np.flatnonzero(S).tolist(), gens
+            g = int(extra[0])
+            S, gens = self._span([g], (S, gens))
+            C = self._commuting([g], C)
 
     @staticmethod
     def from_json(obj) -> "AbstractGroup":
@@ -490,15 +490,9 @@ class _RingFamily(AbstractGroup):
         return [np.arange(self.ring.size)] * len(self._identity)
 
     def _encode(self, coords):
-        """The radix number sum c_t s^(w-1-t) over the ring size s, by
-        Horner's rule, each step broadcasting to the axes its coordinates
-        span so far.  The partial row is this call's own, so it is scaled
-        in place: an open mesh holds at most it and the next sum at once."""
-        row = 0
-        for c in coords:
-            row *= self.ring.size
-            row = row + c
-        return row
+        """The radix terms c_t s^(w-1-t), summed from the smallest array
+        up, so only the last sums take the full broadcast shape."""
+        return sum(sorted((c * self.ring.size**t for t, c in enumerate(coords[::-1])), key=np.size))
 
     @cached_property
     def _coords(self) -> np.ndarray:

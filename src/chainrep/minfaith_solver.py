@@ -261,7 +261,8 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     character exactly."""
     scan, name = structure_scan(G), f"two-step table group of order {G.order}"
     target = formula_two_step(G, scan)
-    Z, B, A = scan.center, scan.commutator, scan.maximal_abelian
+    Z, B = scan.center, scan.commutator
+    A, gens_A = G._maximal_abelian  # the scan's maximal abelian subgroup and the rows that grew it
     index = G.order // len(A)
     _check(index**2 == G.order // len(Z), f"{name}: maximal abelian does not sit halfway between center and group")
     # chi1 on A: b -> zeta_|B| for a generator b of B
@@ -272,7 +273,7 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     basis = Q._span(kernel[Q._walk(kernel)[0] == scan.p])[1]
 
     def models():
-        reps = [MonomialRep.induce(G, LinearChar(MA, A, expsA))]
+        reps = [MonomialRep.induce(G, LinearChar(MA, A, expsA, gens_A))]
         for unit in np.eye(len(basis), dtype=np.int64):
             MQ, expsQ = extend_character(Q, basis, scan.p, unit, range(Q.order))
             reps.append(MonomialRep.induce(G, LinearChar(MQ, range(G.order), expsQ[coset_of], G.generators)))
