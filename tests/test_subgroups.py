@@ -137,6 +137,9 @@ def check_against_references(G, T):
     assert G.center == center
     assert G.commutator_subgroup == comm
     assert structure_scan(G).maximal_abelian == ref_maximal_abelian(G)
+    A, gens_A = G._maximal_abelian  # the rows that grew it generate it
+    assert ref_closure(G, gens_A) == A
+    assert G._generator_inverses.tolist() == G.inverse[G.generators].tolist()
     for j in range(T.r):
         members = np.nonzero(T.class_of == j)[0].tolist()
         assert np.flatnonzero(G._span(members)[0]).tolist() == ref_closure(G, members)
