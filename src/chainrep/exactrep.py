@@ -10,29 +10,27 @@ and ``cyc_str`` prints the reduced vector.  Representations built here
 are monomial (permutation matrices with root-of-unity scalars), which
 is all the induction machinery ever produces from a linear character.
 Group elements are named by their rows 0..|G|-1 only: a linear
-character is two aligned int64 arrays, the rows of its subgroup and its
-root-of-unity exponents there, with, when its maker knows them, rows
-that generate the subgroup; a representation is two (|G|, degree)
-arrays, sigma and exps, indexed by row, each in the narrowest unsigned
-dtype that holds its values (``np.min_scalar_type`` of degree - 1 and
-of m - 1: uint8 up to 256); only an error message names an element by
-``group.names``.  Arithmetic on exponents upcasts first, as unsigned
-sums wrap.
-Induction reads the subgroup check, the cosets (orbits of right
-multiplication by the generators) and the character check's products
-from one ``group._every`` of the generators, and fills the arrays from
+character is two aligned int64 arrays, rows that generate its subgroup
+and its root-of-unity exponents at them; a representation is two
+(|G|, degree) arrays, sigma and exps, indexed by row, each in the
+narrowest unsigned dtype that holds its values (``np.min_scalar_type``
+of degree - 1 and of m - 1: uint8 up to 256); only an error message
+names an element by ``group.names``.  Arithmetic on exponents upcasts
+first, as unsigned sums wrap.
+Induction reads the cosets (orbits of right multiplication by the
+generators) and the character's spread and check from one
+``group._every`` of the generators, and fills the arrays from
 index-array products (``group.product``, and ``group._every`` for every
 row times a block of the coset representatives), with no loop over the
 rows and no int64 array of the models' size; the kernel is the rows
 equal to (arange(degree), 0), an integer test that for these exact
 matrices is chi(g) = chi(1).
 
-Checks are exact, on generators, the character's own or else the
-greedy span of its rows: induction requires the orbit of the identity
-under right multiplication by the generators, which is the subgroup
-they generate, to be the subgroup's rows, distinct, and
-chi(x s) = chi(x) chi(s) for every row x and each generator s, which by
-induction on word length makes chi multiplicative.
+Checks are exact, on generators: induction spreads chi from the
+identity along right multiplication by the generators, over the
+subgroup they generate, and requires chi(x s) = chi(x) chi(s) for every
+row x of it and each generator s, which by induction on word length
+makes chi multiplicative.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain_ring import _divide, _powers
-from .group_models import _BLOCK, NotSubgroupError  # noqa: F401 (induce raises it, through group._subgroup)
+from .group_models import _BLOCK, _distinct
 
 
 class ChiNotHomomorphismError(ValueError):
@@ -94,35 +92,43 @@ def cyc_str(terms) -> str:
 
 
 class LinearChar:
-    """A one-dimensional character of a subgroup, tabulated as root-of-
-    unity exponents on the subgroup's group rows: chi(rows[i]) =
-    zeta_order^exps[i], rows and exps aligned int64 arrays.  gens, when
-    given, are rows that generate the subgroup; induction checks that
-    they do.  Without them induction takes the greedy span of the rows."""
+    """A one-dimensional character of the subgroup generated by the rows
+    gens, given by its root-of-unity exponents there: chi(gens[i]) =
+    zeta_order^exps[i], gens and exps aligned int64 arrays.  Induction
+    checks that these values extend to a character."""
 
-    def __init__(self, order: int, rows, exps, gens=None):
+    def __init__(self, order: int, gens, exps):
         self.order = order
-        self.rows = np.asarray(rows, dtype=np.int64)
+        self.gens = np.asarray(gens, dtype=np.int64)
         self.exps = np.asarray(exps, dtype=np.int64) % order
-        self.gens = None if gens is None else np.asarray(gens, dtype=np.int64)
 
 
-def _check_character(group, sub, vals, m, gens, prod):
-    """vals[i]: the exponent of chi at the element with row index sub[i];
-    gens: rows generating the subgroup, and prod[j, i] = sub[i] gens[j].
-    chi(x s) = chi(x) chi(s) for every x and each generator s makes chi
-    multiplicative, by induction on the word length of the right factor.
-    An error names the first bad pair by generator, then by subgroup row."""
-    pos = np.full(group.order, -1, dtype=np.int64)
-    pos[sub] = np.arange(len(sub))
-    if vals[pos[group.identity]] % m != 0:
-        raise ChiNotHomomorphismError("chi(identity) != 1")
-    bad = np.argwhere((vals + vals[pos[gens]][:, None] - vals[pos[prod]]) % m)
+def _spread(group, chi, images):
+    """(sub, exps): the rows of the subgroup <gens>, ascending, and chi's
+    exponents there, spread from the identity, at 0, breadth first along
+    x -> x s: chi(x s) = chi(x) + chi.exps[i] for the i-th generator s
+    (images[i, x] = x s), one gather from images per round.  Then
+    chi(x s) = chi(x) + chi.exps[i] must hold for every row x of the
+    subgroup and each generator, which by induction on the word length of
+    the right factor makes chi multiplicative.  An error names the first
+    bad pair by generator, then by subgroup row."""
+    m, vals = chi.order, chi.exps
+    at = np.full(group.order, -1, dtype=np.int64)
+    front = np.array([group.identity])
+    at[front] = 0
+    while len(front):  # exponents add up unreduced, at most the depth times m
+        nxt = images[:, front].ravel()
+        fresh = at[nxt] < 0
+        at[nxt[fresh]] = (at[front] + vals[:, None]).ravel()[fresh]
+        front = _distinct(nxt[fresh])
+    sub = np.flatnonzero(at >= 0)
+    bad = np.argwhere((at[sub] + vals[:, None] - at[images[:, sub]]) % m)
     if len(bad):  # the first generator with a bad pair, then the first row
         j, i = bad[0]
         names = group.names or range(group.order)
-        a, b = names[sub[i]], names[gens[j]]
+        a, b = names[sub[i]], names[chi.gens[j]]
         raise ChiNotHomomorphismError(f"chi not multiplicative at ({a!r}, {b!r})")
+    return sub, at[sub] % m
 
 
 class MonomialRep:
@@ -141,30 +147,26 @@ class MonomialRep:
 
     @staticmethod
     def induce(group, chi: LinearChar) -> "MonomialRep":
-        """Induction of the linear character chi from its subgroup (the
-        rows chi.rows) to the whole group, after checking exactly, on
-        generators, that the rows form a subgroup and chi is a character
-        of it.  The generators are chi.gens, or the greedy span of the
-        rows.  One ``group._every(gens)``, the products x s of every row x
-        with each generator s, gives three things: the subgroup check
-        (the orbit of the identity, which is <gens>, must be the rows,
-        and they distinct), the cosets, and the products that the
-        character check reads.  The coset representatives are the least
-        row of each left coset, an orbit of right multiplication by the
-        generators; for each row w, w = reps[coset_of[w]] * sub[a_of[w]],
-        and chi_at[w] = chi(sub[a_of[w]]).  The products g reps[t] of every
-        row g are one ``group._every`` per block of representatives that
-        keeps it within _BLOCK entries, written straight into the narrow
-        sigma and exps."""
-        m, sub, vals = chi.order, chi.rows, chi.exps
-        gens = np.asarray(group._span(sub)[1] if chi.gens is None else chi.gens, dtype=np.int64)
-        images, reps, coset_of = group._subgroup(sub, gens)
-        _check_character(group, sub, vals, m, gens, images[:, sub])
+        """Induction of the linear character chi from the subgroup its
+        generators chi.gens generate to the whole group.  One
+        ``group._every(chi.gens)``, the products x s of every row x with
+        each generator s, gives the cosets, orbits of right
+        multiplication by the generators, and ``_spread`` reads it again
+        for chi on the subgroup's rows sub, checking exactly that chi is
+        a character.  The coset representatives are the least row of
+        each coset; for each row w, w = reps[coset_of[w]] * h for one h in
+        sub, and chi_at[w] = chi(h), placed by one product of reps and
+        sub.  The products g reps[t] of every row g are one
+        ``group._every`` per block of representatives that keeps it
+        within _BLOCK entries, written straight into the narrow sigma and
+        exps."""
+        m = chi.order
+        images, reps, coset_of = group._cosets(chi.gens)
+        sub, vals = _spread(group, chi, images)
         n, degree = group.order, len(reps)
+        chi_at = np.empty(n, dtype=np.min_scalar_type(m - 1))
+        chi_at[group.product(reps[:, None], sub)] = vals
         coset_of = coset_of.astype(np.min_scalar_type(degree - 1))
-        a_of = np.empty(n, dtype=np.int64)
-        a_of[group.product(reps[:, None], sub)] = np.arange(len(sub))
-        chi_at = vals.astype(np.min_scalar_type(m - 1))[a_of]
         sigma = np.empty((n, degree), dtype=coset_of.dtype)
         exps = np.empty((n, degree), dtype=chi_at.dtype)
         step = max(1, _BLOCK // n)

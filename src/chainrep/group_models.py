@@ -43,10 +43,6 @@ import numpy as np
 from .chain_ring import CapExceededError, RingSpec, _factorize
 
 
-class NotSubgroupError(ValueError):
-    pass
-
-
 def group_cap() -> int:
     """The largest group order built or tabulated: CHAINREP_ORACLE_CAP
     when set, else 4096.  Raises ValueError for a setting that is not a
@@ -240,26 +236,14 @@ class AbstractGroup:
                 nxt = nxt.ravel()
                 cand = _distinct(nxt[~mask[nxt]])
 
-    def _subgroup(self, rows, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_cosets(gens)`` of the subgroup <gens> whose rows are rows,
-        after checking that the rows are distinct and are the coset of the
-        identity, which is <gens>, the orbit of the identity under right
-        multiplication by gens: all in it and |G| / #cosets of them.
-        Raises NotSubgroupError otherwise.  A group whose images and
-        labels would not fit in memory is refused before either is made."""
-        rows = np.asarray(rows, dtype=np.int64)
-        _check_memory(self.order, "the cosets of a subgroup", (len(gens) + 1, self.order), np.int64)
-        images, reps, coset_of = self._cosets(gens)
-        if (len(reps) * len(rows) != self.order or len(_distinct(rows)) != len(rows)
-                or (coset_of[rows] != coset_of[self.identity]).any()):
-            raise NotSubgroupError("not a subgroup of distinct rows")
-        return images, reps, coset_of
-
     def _cosets(self, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(images, reps, coset_of) of the left cosets x<gens>, the orbits
         of right multiplication by the rows gens: images the one
         ``_every(gens)``, x gens[i] at [i, x], reps the least row of each
-        coset, ascending, and coset_of[x] the position of x's among them."""
+        coset, ascending, and coset_of[x] the position of x's among them.
+        A group whose images and labels would not fit in memory is refused
+        before either is made."""
+        _check_memory(self.order, "the cosets of a subgroup", (len(gens) + 1, self.order), np.int64)
         images = self._every(gens)
         least = _orbit_labels(images)
         reps = np.flatnonzero(least == np.arange(self.order))
@@ -370,15 +354,14 @@ class AbstractGroup:
             mask &= (self._every(block) == self._every(block, right=False)).all(axis=0)
         return mask
 
-    def quotient(self, normal_elems):
-        """(quotient group, coset_of array) for the distinct rows N of a
-        normal subgroup, which holds when G's generators conjugate N's
+    def quotient(self, gens):
+        """(quotient group, coset_of array) by the subgroup N generated by
+        the rows gens, which is normal when G's generators conjugate gens
         into N, as x<S>x^-1 = <xSx^-1>.  The cosets gN, orbits of right
-        multiplication by N's generators, are numbered by least element,
-        and the quotient is the law gN hN = (g h)N on those least rows."""
-        N = np.asarray(normal_elems, dtype=np.int64)
-        gens = self._span(N)[1]
-        _, reps, coset_of = self._subgroup(N, gens)
+        multiplication by gens, are numbered by least element, and the
+        quotient is the law gN hN = (g h)N on those least rows."""
+        gens = np.asarray(gens, dtype=np.int64)
+        _, reps, coset_of = self._cosets(gens)
         if (coset_of[self._conjugates(gens)] != coset_of[self.identity]).any():
             raise ValueError("subgroup is not normal")
         Q = AbstractGroup.from_law(len(reps), lambda I, J: coset_of[self.product(reps[I], reps[J])], None)
@@ -514,13 +497,6 @@ class _RingFamily(AbstractGroup):
     @cached_property
     def names(self) -> list[tuple]:
         return list(zip(*self._coords.tolist()))
-
-    def _rows(self, free) -> np.ndarray:
-        """Rows, ascending, of the elements whose coordinate t runs over
-        the ring indices free[t] and whose other coordinates are the
-        identity's."""
-        axes = [np.asarray(free.get(t, [c]), dtype=np.int64) for t, c in enumerate(self._identity)]
-        return np.sort(self._encode([a.ravel() for a in np.meshgrid(*axes, indexing="ij")]))
 
     def _axis_rows(self, free) -> np.ndarray:
         """Rows of the elements that differ from the identity in one
@@ -659,11 +635,6 @@ class AffineGroup(_RingFamily):
         return a * len(self._units) + self._unit_pos[u]
 
     to_abstract = _itself
-
-    @cached_property
-    def translations(self) -> np.ndarray:
-        """{(a, 1)}: the normal subgroup R."""
-        return self._rows({0: range(self.ring.size)})
 
 
 # -- distinguished abstract groups -----------------------------------
@@ -807,13 +778,14 @@ def _generator_series(group, rows, seed=()):
     orders its relative order d_i (the least d with g_i^d in
     <g_1..g_{i-1}>) and relations the exponent vector of g_i^{d_i} over
     the earlier generators.  Row a of exps is the exponent vector of
-    candidate a (0 <= e_i < d_i), and M is the exponent of A."""
+    candidate a (0 <= e_i < d_i), and M is the exponent of A, the lcm of
+    the generators' orders, from one walk over them."""
     cand = np.concatenate([np.asarray(seed, dtype=np.int64), np.asarray(rows, dtype=np.int64)])
     ident = group.identity
     where = np.full(group.order, -1, dtype=np.int64)  # position in members
     where[ident] = 0
     members, exps = np.array([ident]), np.zeros((1, 0), dtype=np.int64)
-    picks, orders, relations, M = [], [], [], 1
+    picks, orders, relations = [], [], []
     for a, g in enumerate(cand.tolist()):
         if where[g] >= 0:
             continue
@@ -821,16 +793,14 @@ def _generator_series(group, rows, seed=()):
         while where[x] < 0:
             powers.append(x)
             x = int(group.product(x, g))
-        d = o = len(powers)
+        d = len(powers)
         picks.append(a)
         orders.append(d)
         relations.append(exps[where[x]].tolist())
-        while x != ident:  # the order of g is d_i times that of g^{d_i}
-            x, o = int(group.product(x, g)), o + 1
-        M = math.lcm(M, o)
         members = group.product(members[:, None], np.array(powers)[None, :]).ravel()
         where[members] = np.arange(len(members))
         exps = np.column_stack([np.repeat(exps, d, axis=0), np.tile(np.arange(d), len(members) // d)])
+    M = math.lcm(*group._walk(cand[picks])[0].tolist())
     return picks, orders, relations, exps[where[cand]], M
 
 

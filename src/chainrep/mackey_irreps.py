@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .chain_ring import CapExceededError, RingSpec
 from .char_duality import character_weights, psi
 from .exactrep import LinearChar, MonomialRep
@@ -40,11 +42,6 @@ class OrbitDescriptor:
     level: int
     dim: int
     count: int
-
-
-def annihilator_indices(R: RingSpec, b_idx: int) -> list[int]:
-    """Indices of Ann(b) = {y : b y = 0} = pi^(n - val b) R."""
-    return R.ideal_indices(R.n - int(R.valuation_table[b_idx]))
 
 
 def coset_representatives(R: RingSpec, level: int) -> list[int]:
@@ -100,20 +97,17 @@ def extended_character(H: HeisenbergGroup, b_vec: tuple, b_idx: int, lam_label: 
     """The linear character psi_{b_vec, b} x lambda on H_s = A . L_s:
     (x, y, z) -> psi(b z + b_vec.x + lam_label.y) for y in Ann(b)^k.
     Its generators are the elementary rows of H_s: one coordinate a digit
-    basis element of R, or of Ann(b) for y, the others 0, since
-    (x, y, z) = (x, 0, 0)(0, y, 0)(0, 0, z - x.y)."""
+    basis element of R, or of Ann(b) = pi^(n - val b) R for y, the
+    others 0, since (x, y, z) = (x, 0, 0)(0, y, 0)(0, 0, z - x.y).  Its
+    value at one is psi of the coordinate's coefficient (b_vec[t],
+    lam_label[t] or b) times the basis element."""
     R, k = H.ring, H.k
-    add, mul = R.add_table, R.mul_table  # the ring table cap refuses before any row is listed
-    S = range(R.size)
-    ann = annihilator_indices(R, b_idx)
-    level = R.n - int(R.valuation_table[b_idx])  # Ann(b) = pi^level R
-    rows = H._rows({t: S if t < k or t == 2 * k else ann for t in range(2 * k + 1)})
-    gens = H._axis_rows({t: R.ideal_basis(0 if t < k or t == 2 * k else level) for t in range(2 * k + 1)})
-    c = H._decode(rows)
-    acc = mul[b_idx, c[2 * k]]
-    for t in range(k):
-        acc = add[add[acc, mul[b_vec[t], c[t]]], mul[lam_label[t], c[k + t]]]
-    return LinearChar(character_weights(R)[0], rows, psi(R, acc), gens)
+    mul = R.mul_table  # the ring table cap refuses before any row is listed
+    level = R.n - int(R.valuation_table[b_idx])
+    free = {t: R.ideal_basis(0 if t < k or t == 2 * k else level) for t in range(2 * k + 1)}
+    coef = np.repeat([*b_vec, *lam_label, b_idx], [len(v) for v in free.values()])
+    values = psi(R, mul[coef, np.concatenate(list(free.values())).astype(np.int64)])
+    return LinearChar(character_weights(R)[0], H._axis_rows(free), values)
 
 
 def mackey_induced_rep(

@@ -268,15 +268,15 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     # chi1 on A: b -> zeta_|B| for a generator b of B
     b = B[int(np.argmax(G._walk(B)[0] == len(B)))]  # B is cyclic: it has one
     MA, expsA = extend_character(G, [b], len(B), [1], A)
-    Q, coset_of = G.quotient(B)
+    Q, coset_of = G.quotient([b])
     kernel = np.array(sorted(set(coset_of[Z][expsA[np.searchsorted(A, Z)] == 0].tolist())))  # Z in A, both ascending
     basis = Q._span(kernel[Q._walk(kernel)[0] == scan.p])[1]
 
     def models():
-        reps = [MonomialRep.induce(G, LinearChar(MA, A, expsA, gens_A))]
-        for unit in np.eye(len(basis), dtype=np.int64):
-            MQ, expsQ = extend_character(Q, basis, scan.p, unit, range(Q.order))
-            reps.append(MonomialRep.induce(G, LinearChar(MQ, range(G.order), expsQ[coset_of], G.generators)))
+        reps = [MonomialRep.induce(G, LinearChar(MA, gens_A, expsA[np.searchsorted(A, gens_A)]))]
+        for unit in np.eye(len(basis), dtype=np.int64):  # values at the images of G's generators, which generate Q
+            MQ, expsQ = extend_character(Q, basis, scan.p, unit, coset_of[G.generators])
+            reps.append(MonomialRep.induce(G, LinearChar(MQ, G.generators, expsQ)))
         return reps
 
     summands = [{"kind": "induced", "dim": index}] + [{"kind": "linear", "dim": 1} for _ in basis]
@@ -287,12 +287,12 @@ def construct_faithful_affine(R: RingSpec) -> FaithfulSolution:
     """Induce the fixed primitive character of the translation subgroup
     up to Aff(R): a faithful model of degree [Aff(R) : R], the unit
     count q^n - q^(n-1).  The translations by the digit basis of R
-    generate the translations."""
+    generate the translations, and psi takes its value at each."""
     Aff = AffineGroup(R)
 
     def models():
-        trans, gens = Aff.translations, Aff._axis_rows({0: R.ideal_basis(0)})
-        return [MonomialRep.induce(Aff, LinearChar(character_weights(R)[0], trans, psi(R, Aff._decode(trans)[0]), gens))]
+        basis = R.ideal_basis(0)
+        return [MonomialRep.induce(Aff, LinearChar(character_weights(R)[0], Aff._axis_rows({0: basis}), psi(R, basis)))]
 
     summands = [{"kind": "induced from translations", "dim": Aff.order // R.size}]
     return _induced_sum(f"affine over {R!r}", Aff, summands, formula_affine(R.p, R.f, R.n), models)

@@ -21,7 +21,14 @@ test, and ``tabulate`` and the ``*_law`` helpers multiply the names of a
 distinguished group one pair at a time, where its builder writes an
 index-array law.  ``rref_loop`` and ``nullspace_loop`` eliminate over
 F_l one row and one entry at a time, where the package clears a pivot
-column with one rank-one update."""
+column with one rank-one update.  The package names a subgroup by rows
+that generate it and a linear character by its values there:
+``rows_of``, ``translations`` and ``extended_character_table`` list
+every row of a family's subgroup (and a character's value at each),
+``linear_char`` hands a character tabled on rows to the package at the
+rows' greedy generators, and ``word_values`` evaluates a character on
+words in its generators one row at a time, where induction spreads it
+by whole arrays."""
 
 import math
 from dataclasses import dataclass
@@ -30,10 +37,10 @@ from itertools import product
 import numpy as np
 
 from chainrep.chain_ring import INF, RingParameterError, RingSpec, _divide
-from chainrep.char_duality import DualVector, character_weights
+from chainrep.char_duality import DualVector, character_weights, psi
 from chainrep.exactrep import LinearChar, _ctx, cyc_str
-from chainrep.group_models import HeisenbergGroup, _generator_series, _relation_value
-from chainrep.mackey_irreps import IrrepDescriptor, annihilator_indices
+from chainrep.group_models import AffineGroup, HeisenbergGroup, _generator_series, _relation_value
+from chainrep.mackey_irreps import IrrepDescriptor
 from chainrep.minfaith_solver import formula_heisenberg
 
 
@@ -378,10 +385,43 @@ def conductor(chi: AddChar) -> int:
 # -- Heisenberg orbits and level counts --------------------------------
 
 
+def rows_of(F, free) -> np.ndarray:
+    """Rows, ascending, of the elements of the ring family F whose
+    coordinate t runs over the ring indices free[t] and whose other
+    coordinates are the identity's."""
+    axes = [np.asarray(free.get(t, [c]), dtype=np.int64) for t, c in enumerate(F._identity)]
+    return np.sort(F._encode([a.ravel() for a in np.meshgrid(*axes, indexing="ij")]))
+
+
+def translations(A: AffineGroup) -> np.ndarray:
+    """{(a, 1)}: the normal subgroup R of Aff(R)."""
+    return rows_of(A, {0: range(A.ring.size)})
+
+
+def annihilator_indices(R: RingSpec, b_idx: int) -> list[int]:
+    """Indices of Ann(b) = {y : b y = 0} = pi^(n - val b) R."""
+    return R.ideal_indices(R.n - int(R.valuation_table[b_idx]))
+
+
 def abelian_polarization(H: HeisenbergGroup) -> np.ndarray:
     """A = {(x, 0, z)}: the fixed maximal abelian subgroup."""
     k, S = H.k, range(H.ring.size)
-    return H._rows({t: S for t in (*range(k), 2 * k)})
+    return rows_of(H, {t: S for t in (*range(k), 2 * k)})
+
+
+def extended_character_table(H: HeisenbergGroup, b_vec: tuple, b_idx: int, lam_label: tuple):
+    """(order, rows, exps): psi(b z + b_vec.x + lam_label.y) at every row
+    (x, y, z) of H_s, y in Ann(b)^k, where the package's
+    extended_character gives its values at H_s's generators."""
+    R, k = H.ring, H.k
+    add, mul = R.add_table, R.mul_table
+    S, ann = range(R.size), annihilator_indices(R, b_idx)
+    rows = rows_of(H, {t: S if t < k or t == 2 * k else ann for t in range(2 * k + 1)})
+    c = H._decode(rows)
+    acc = mul[b_idx, c[2 * k]]
+    for t in range(k):
+        acc = add[add[acc, mul[b_vec[t], c[t]]], mul[lam_label[t], c[k + t]]]
+    return character_weights(R)[0], rows, psi(R, acc)
 
 
 def ideal_of(R: RingSpec, b_idx: int) -> list[int]:
@@ -718,13 +758,53 @@ def check_homomorphism(rep) -> bool:
     return True
 
 
+def linear_char(group, order, rows, exps) -> LinearChar:
+    """The character with exponents exps on the subgroup whose rows are
+    rows, as the package takes it: by its values at the rows' greedy
+    generators."""
+    gens = group._span(rows)[1]
+    at = dict(zip(np.asarray(rows).tolist(), np.asarray(exps).tolist()))
+    return LinearChar(order, gens, [at[g] for g in gens])
+
+
+def word_values(group, chi: LinearChar):
+    """{row: exponent} of chi on the subgroup its generators generate, by
+    evaluating words: from the identity, breadth first, each row first
+    reached as x s takes chi(x) + chi(s).  None unless then
+    chi(x s) = chi(x) + chi(s) for every row x reached and each
+    generator s, that is unless the values at the generators extend to a
+    character."""
+    gens, exps, m = chi.gens, chi.exps.tolist(), chi.order
+    value, queue, steps = {group.identity: 0}, [group.identity], []
+    for x in queue:
+        ys = group.product(x, gens).tolist()
+        steps.append((x, ys))
+        for y, v in zip(ys, exps):
+            if y not in value:
+                value[y] = (value[x] + v) % m
+                queue.append(y)
+    if any((value[x] + v - value[y]) % m for x, ys in steps for y, v in zip(ys, exps)):
+        return None
+    return value
+
+
+def _table(group, chi):
+    """(rows ascending, exponents aligned) of chi on its subgroup, from
+    ``word_values``, which must find a character."""
+    value = word_values(group, chi)
+    assert value is not None, "the values at the generators are not a character"
+    rows = sorted(value)
+    return np.array(rows, dtype=np.int64), np.array([value[r] for r in rows], dtype=np.int64)
+
+
 def induced_character_formula(group, chi: LinearChar) -> list[Cyclotomic]:
     """Independent evaluation of the induced character at every row g:
     the sum of chi(r^-1 g r) over coset representatives r (the least row
     of each left coset) with r^-1 g r in the subgroup.  The
     representatives and their inverses are found once per character."""
-    value = dict(zip(chi.rows.tolist(), chi.exps.tolist()))
-    reps = np.unique(group.product(np.arange(group.order)[:, None], chi.rows[None, :]).min(axis=1))
+    sub, vals = _table(group, chi)
+    value = dict(zip(sub.tolist(), vals.tolist()))
+    reps = np.unique(group.product(np.arange(group.order)[:, None], sub[None, :]).min(axis=1))
     rows = np.arange(group.order)[:, None]
     conj = group.product(index_inverse(group, reps)[None, :], group.product(rows, reps[None, :]))
     return [
@@ -738,7 +818,7 @@ def induce_loop(group, chi: LinearChar) -> tuple[np.ndarray, np.ndarray]:
     discovery loop MonomialRep.induce ran before it labelled cosets as
     orbits: the first row not yet in a coset is the least of a new one,
     whose members rep * sub come from one product per representative."""
-    sub, vals, n = chi.rows, chi.exps, group.order
+    (sub, vals), n = _table(group, chi), group.order
     coset_of = np.full(n, -1, dtype=np.int64)
     a_of = np.empty(n, dtype=np.int64)
     reps, positions = [], np.arange(len(sub))

@@ -13,8 +13,8 @@ import random
 
 from chainrep.chain_ring import INF
 from chainrep.char_duality import character_weights, psi, socle_restriction, spans_dual
-from chainrep.exactrep import DirectSumRep, LinearChar, MonomialRep
-from chainrep.mackey_irreps import annihilator_indices, irrep_catalog
+from chainrep.exactrep import DirectSumRep, MonomialRep
+from chainrep.mackey_irreps import irrep_catalog
 from chainrep.minfaith_solver import (
     construct_faithful_affine,
     construct_faithful_heisenberg,
@@ -29,13 +29,16 @@ from reference import (
     Cyclotomic,
     SymplecticModule,
     abelian_characters,
+    annihilator_indices,
     character,
     conductor,
     cyc_sum,
     from_index,
     induced_character_formula,
     levels_lower_bound_audit,
+    linear_char,
     psi_b,
+    rows_of,
     schrodinger_dim,
 )
 
@@ -270,7 +273,7 @@ def test_criterion_7b_stabilizer_sizes(heis, capsys):
                 level = int(R.valuation_table[b_idx])
                 ann = annihilator_indices(R, b_idx)
                 assert len(ann) == R.q**level
-                S = H._rows({H.k + t: ann for t in range(H.k)})
+                S = rows_of(H, {H.k + t: ann for t in range(H.k)})
                 assert len(S) == R.q ** (level * H.k), (name, b_idx)
 
 
@@ -343,7 +346,7 @@ def test_criterion_7e_induced_characters(group, heis, capsys):
         for G, sub in plans:
             assert G.order <= 512
             for M, exps in abelian_characters(G, sub):
-                chi = LinearChar(M, sub, exps)
+                chi = linear_char(G, M, sub, exps)
                 rep = MonomialRep.induce(G, chi)
                 vals = [character(rep, g) for g in range(G.order)]
                 for g, value in enumerate(induced_character_formula(G, chi)):

@@ -14,7 +14,6 @@ from chainrep.exactrep import (
     DirectSumRep,
     LinearChar,
     MonomialRep,
-    NotSubgroupError,
     cyclotomic_polynomial,
 )
 from chainrep.group_models import (
@@ -33,6 +32,8 @@ from reference import (
     cyc_sum,
     induce_loop,
     induced_character_formula,
+    linear_char,
+    rows_of,
     sum_character,
 )
 
@@ -148,7 +149,7 @@ def _rotation_subgroup(G):
 
 
 def _faithful_rotation_char(G, sub):
-    return LinearChar(4, sub, [G.names[g][0] for g in sub])
+    return linear_char(G, 4, sub, [G.names[g][0] for g in sub])
 
 
 def test_induce_dihedral(group):
@@ -182,7 +183,7 @@ def test_linear_rep_and_direct_sum(group):
     chi = _faithful_rotation_char(G, sub)
     rho = MonomialRep.induce(G, chi)
     # sign character of the quotient by rotations
-    sgn = LinearChar(2, range(G.order), [0 if g in sub else 1 for g in range(G.order)])
+    sgn = linear_char(G, 2, range(G.order), [0 if g in sub else 1 for g in range(G.order)])
     lin = MonomialRep.induce(G, sgn)
     assert lin.degree == 1 and check_homomorphism(lin)
     s = DirectSumRep([rho, lin])
@@ -195,7 +196,8 @@ def test_linear_rep_and_direct_sum(group):
 
 
 def test_linear_reads_rows(group):
-    # the exponents land on their own rows, in whatever order they come
+    # the exponents land on their own generators, in whatever order they
+    # come: here every row is one
     G = group("d4")
     sub = _rotation_subgroup(G)
     sgn = [0 if g in sub else 1 for g in range(G.order)]
@@ -211,41 +213,18 @@ def test_identity_matrix_detection(group):
         assert rho.identity_rows[g] == (g == G.identity)
 
 
-def test_induce_rejects_non_subgroup(group):
-    G = group("d4")
-    sub = _rotation_subgroup(G)
-    # drops one rotation: not closed; repeats one; drops r^3 and repeats
-    # r, a list as long as <r> that spans it
-    for bad in (sub[:-1], sub + sub[:1], sub[:-1] + sub[1:2]):
-        with pytest.raises(NotSubgroupError):
-            MonomialRep.induce(G, LinearChar(1, bad, [0] * len(bad)))
-    # S = {0, 1, 3, 4, 6, 7} in Z/9 holds 0 and S + 3 = 3 + S = S, yet
-    # 1 + 1 = 2 is not in S: closure on generators needs |<gens>| = |S| too
-    S = [0, 1, 3, 4, 6, 7]
-    with pytest.raises(NotSubgroupError):
-        MonomialRep.induce(semidirect_cyclic(9, [1]), LinearChar(1, S, [0] * len(S)))
-    # given the generator 3, whose orbit from the identity is {0, 3, 6}
-    with pytest.raises(NotSubgroupError):
-        MonomialRep.induce(semidirect_cyclic(9, [1]), LinearChar(1, S, [0] * len(S), gens=[3]))
-
-
 def test_induce_past_numpy_is_a_cap_refusal():
-    # the subgroup check counts the span's mask, the first array of |G|
-    # entries: past what numpy can index, induction is refused as the
-    # span is
-    H = HeisenbergGroup(make_ring(2, 1, "inf", 1), 32)  # |G| = 2^65
-    with pytest.raises(CapExceededError, match="a mask of its elements cannot be allocated"):
-        MonomialRep.induce(H, LinearChar(1, [H.identity], [0]))
-    # with its generators given there is no span: the cosets' images and
-    # labels, the first arrays of |G| entries, are refused before either
-    # is made, for no generator and for one
+    # past what numpy can index, the cosets' images and labels, the first
+    # arrays of |G| entries, are refused before either is made, and so
+    # before the spread's values: for no generator and for one
     import tracemalloc
 
+    H = HeisenbergGroup(make_ring(2, 1, "inf", 1), 32)  # |G| = 2^65
     for gens in ([], [H.identity]):
         tracemalloc.start()
         try:
             with pytest.raises(CapExceededError, match="the cosets of a subgroup cannot be allocated"):
-                MonomialRep.induce(H, LinearChar(1, [H.identity], [0], gens))
+                MonomialRep.induce(H, LinearChar(1, gens, [0] * len(gens)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -258,15 +237,21 @@ def test_induce_rejects_non_character(group):
     exps = [G.names[g][0] for g in sub]
     exps[exps.index(1)] = 3  # breaks chi(a)chi(b) = chi(ab)
     with pytest.raises(ChiNotHomomorphismError):
-        MonomialRep.induce(G, LinearChar(4, sub, exps))
+        MonomialRep.induce(G, LinearChar(4, sub, exps))  # every row of the subgroup a generator
+    # a generator r of order 4 at zeta_4^2 with r^2 at zeta_4, and the
+    # identity as a generator at a value other than 1
+    r = next(g for g in sub if G.names[g][0] == 1)
+    for gens, values in [([r, G.product(r, r)], [2, 1]), ([G.identity], [1])]:
+        with pytest.raises(ChiNotHomomorphismError):
+            MonomialRep.induce(G, LinearChar(4, gens, values))
 
 
 def test_non_character_message_names_the_elements():
-    # chi(0, 0, z) = zeta_3^[z != 0] on the centre of Hei(F_3) fails at
-    # (0, 0, 1)^2: a family names the pair by its coordinates, a table
-    # group without names by its rows
+    # zeta_3^[z != 0] at each row (0, 0, z) of the centre of Hei(F_3),
+    # every one a generator, fails at (0, 0, 1)^2: a family names the
+    # pair by its coordinates, a table group without names by its rows
     H = HeisenbergGroup(make_ring(3, 1, 1, 1))
-    centre = H._rows({2: range(3)})
+    centre = rows_of(H, {2: range(3)})
     for G, pair in [(H, "((0, 0, 1), (0, 0, 1))"), (AbstractGroup(H.table), "(1, 1)")]:
         with pytest.raises(ChiNotHomomorphismError) as info:
             MonomialRep.induce(G, LinearChar(3, centre, [0, 1, 1]))
@@ -289,7 +274,7 @@ def test_check_homomorphism_checks_every_row_past_512():
     # sampled with seed 17 never touch
     G = semidirect_cyclic(512, [511])
     sub = _rotation_subgroup(G)
-    rho = MonomialRep.induce(G, LinearChar(512, sub, [G.names[g][0] for g in sub]))
+    rho = MonomialRep.induce(G, linear_char(G, 512, sub, [G.names[g][0] for g in sub]))
     assert check_homomorphism(rho)
     assert G.names[13] == (6, 511)
     for t in range(rho.degree):
@@ -381,7 +366,7 @@ def test_induce_past_uint8():
     rho = _assert_induces_as_the_loop(G, LinearChar(1, [G.identity], [0]))
     assert (rho.degree, rho.sigma.dtype, rho.exps.dtype) == (512, np.uint16, np.uint8)
     Z = semidirect_cyclic(1024, [1])
-    rho = _assert_induces_as_the_loop(Z, LinearChar(1024, range(1024), [Z.names[g][0] for g in range(1024)]))
+    rho = _assert_induces_as_the_loop(Z, linear_char(Z, 1024, range(1024), [Z.names[g][0] for g in range(1024)]))
     assert (rho.degree, rho.sigma.dtype, rho.exps.dtype) == (1, np.uint8, np.uint16)
     assert rho.exps[:, 0].tolist() == [Z.names[g][0] for g in range(1024)]
 
@@ -394,7 +379,7 @@ def test_induce_in_blocks_equals_one_block(monkeypatch):
 
     G = semidirect_cyclic(4096, [1])
     rows = np.flatnonzero([G.names[g][0] % 16 == 0 for g in range(G.order)])
-    chi = LinearChar(256, rows, [G.names[g][0] // 16 for g in rows])
+    chi = linear_char(G, 256, rows, [G.names[g][0] // 16 for g in rows])
     one = MonomialRep.induce(G, chi)
     calls = []
     every = type(G)._every
@@ -417,9 +402,9 @@ def test_induce_matches_the_discovery_loop(group):
         cyclic = [np.flatnonzero(G._span([g])[0]) for g in range(0, G.order, max(1, G.order // 5))]
         for rows in [scan.center, scan.maximal_abelian] + cyclic:
             M, exps = abelian_characters(G, rows)[-1]
-            _assert_induces_as_the_loop(G, LinearChar(M, rows, exps))
+            _assert_induces_as_the_loop(G, linear_char(G, M, rows, exps))
         for rows in [[G.identity], scan.commutator, range(G.order)]:
-            _assert_induces_as_the_loop(G, LinearChar(1, rows, np.zeros(len(rows))))
+            _assert_induces_as_the_loop(G, linear_char(G, 1, rows, np.zeros(len(rows))))
 
 
 def test_constructions_induce_as_the_discovery_loop(monkeypatch, group):
@@ -473,13 +458,13 @@ def test_row_kernel_is_character_kernel(data):
     while G.product(powers[-1], g) != G.identity:
         powers.append(G.product(powers[-1], g))
     j = data.draw(st.integers(0, len(powers) - 1), label="j")
-    chi = LinearChar(len(powers), powers, [i * j for i in range(len(powers))])
+    chi = LinearChar(len(powers), [g], [j])
     rep = MonomialRep.induce(G, chi)
     assert DirectSumRep([rep]).kernel().tolist() == _character_kernel(rep)
     top = [h for h, nm in enumerate(G.names) if nm[0] == 0]
     M, exps = data.draw(st.sampled_from(abelian_characters(G, top)), label="linear")
     at = {G.names[h]: e for h, e in zip(top, exps.tolist())}
-    lin = MonomialRep.induce(G, LinearChar(M, range(G.order), [at[0, nm[1]] for nm in G.names]))
+    lin = MonomialRep.induce(G, linear_char(G, M, range(G.order), [at[0, nm[1]] for nm in G.names]))
     assert DirectSumRep([lin]).kernel().tolist() == _character_kernel(lin)
     both = set(_character_kernel(rep)) & set(_character_kernel(lin))
     assert DirectSumRep([rep, lin]).kernel().tolist() == sorted(both)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from chainrep.chain_ring import make_ring
 from chainrep.char_duality import basis_greedy, character_weights, psi
+from chainrep.exactrep import LinearChar, MonomialRep, _spread
 from chainrep.group_models import HeisenbergGroup
 from chainrep.mackey_irreps import (
-    annihilator_indices,
     extended_character,
     irrep_catalog,
     mackey_induced_rep,
@@ -22,10 +22,12 @@ from reference import (
     Char2UnsupportedError,
     Cyclotomic,
     SymplecticModule,
+    annihilator_indices,
     catalog_summary,
     character,
     cyc_sum,
     expand_catalog,
+    extended_character_table,
     from_index,
     ideal_of,
     orbit_of,
@@ -34,8 +36,10 @@ from reference import (
     ring_elements,
     ring_one,
     schrodinger_dim,
+    rows_of,
     uniformizer,
     valuation,
+    word_values,
 )
 
 def first_orbit(H, b_idx):
@@ -104,7 +108,7 @@ def test_stabilizer_sizes_exhaustive(heis):
             ann = annihilator_indices(R, b_idx)
             assert len(ann) == R.q**lev
             # y-side stabilizer directions: Ann(b)^k, of size q^(level k)
-            S = H._rows({H.k + t: ann for t in range(H.k)})
+            S = rows_of(H, {H.k + t: ann for t in range(H.k)})
             assert len(S) == len(ann) ** H.k == R.q ** (lev * H.k)
 
 
@@ -217,8 +221,8 @@ def test_extended_character_is_multiplicative(heis, rng):
     for b_idx in [ring_one(R).index, uniformizer(R).index, 0]:
         w = first_orbit(H, b_idx)
         chi = extended_character(H, w, b_idx, (0,))
-        rows = chi.rows.tolist()
-        value = dict(zip(rows, chi.exps.tolist()))
+        value = word_values(H, chi)
+        rows = sorted(value)
         for _ in range(200):
             a, b = rng.choice(rows), rng.choice(rows)
             ab = int(H.product(a, b))
@@ -227,9 +231,10 @@ def test_extended_character_is_multiplicative(heis, rng):
 
 
 def test_extended_character_values(heis):
-    # psi(b z + w.x + lambda.y) at every row of H_s, for every b, its first
-    # orbit representative w and every lambda label, against sums and
-    # products formed with RingElem digit arithmetic
+    # psi(b z + w.x + lambda.y) at every row of H_s, as induction spreads
+    # it from the generators, for every b, its first orbit representative
+    # w and every lambda label, against sums and products formed with
+    # RingElem digit arithmetic
     for name in ["hei3_z4", "hei3_f2t2", "hei3_z9", "hei5_f2", "hei3_gr42"]:
         H = heis(name)
         R, k = H.ring, H.k
@@ -243,14 +248,35 @@ def test_extended_character_values(heis):
             ann = annihilator_indices(R, b)
             for lam in sorted({d.lambda_label for d in catalog if d.orbit_rep == (w, b)}):
                 chi = extended_character(H, w, b, lam)
-                c = coords[chi.rows]
-                assert len(chi.rows) == R.size ** (k + 1) * len(ann) ** k
+                rows, values = _spread(H, chi, H._cosets(chi.gens)[0])
+                c = coords[rows]
+                assert len(rows) == R.size ** (k + 1) * len(ann) ** k
                 assert np.isin(c[:, k : 2 * k], ann).all()
                 acc = mul[b, c[:, 2 * k]]
                 for t in range(k):
                     acc = add[add[acc, mul[w[t], c[:, t]]], mul[lam[t], c[:, k + t]]]
                 assert chi.order == mod
-                assert chi.exps.tolist() == np.array(base)[acc].tolist(), (name, b, lam)
+                assert values.tolist() == np.array(base)[acc].tolist(), (name, b, lam)
+
+
+# the rings of test_ring_tables_and_psi_property, with k <= 2 where |H| <= 1024
+MODEL_CASES = [(params, k) for params in SMALL_RINGS for k in (1, 2) if params[0] ** ((2 * k + 1) * params[1] * params[3]) <= 1024]
+
+
+@seed(20261020)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.data())
+def test_extended_character_induces_as_the_formula(data):
+    # the model induced from the values at H_s's generators is the model
+    # induced from psi(b z + b_vec.x + lambda.y) given at every row of H_s
+    params, k = data.draw(st.sampled_from(MODEL_CASES), label="ring, k")
+    H = HeisenbergGroup(make_ring(*params), k)
+    elems = st.integers(0, H.ring.size - 1)
+    b, b_vec, lam = data.draw(st.tuples(elems, st.tuples(*[elems] * k), st.tuples(*[elems] * k)), label="b, b_vec, lambda")
+    rho = mackey_induced_rep(H, b_vec, b, lam)
+    ref = MonomialRep.induce(H, LinearChar(*extended_character_table(H, b_vec, b, lam)))
+    assert rho.degree == ref.degree == H.ring.size ** k // len(annihilator_indices(H.ring, b)) ** k
+    assert np.array_equal(rho.sigma, ref.sigma) and np.array_equal(rho.exps, ref.exps)
 
 
 def test_induced_rep_explicit(heis):

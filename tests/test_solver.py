@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from chainrep import minfaith_solver
 from chainrep.chain_ring import INF, RingParameterError, make_ring
 from chainrep.char_duality import DualVector, character_weights, psi
-from chainrep.exactrep import ChiNotHomomorphismError, DirectSumRep, LinearChar, MonomialRep
+from chainrep.exactrep import ChiNotHomomorphismError, DirectSumRep, MonomialRep
 from chainrep.group_models import HeisenbergGroup, UnitriangularGroup, semidirect_cyclic_hom, structure_scan
-from chainrep.mackey_irreps import annihilator_indices
 from chainrep.minfaith_solver import (
     CommutatorNotCyclicError,
     ConstructionCheckError,
@@ -30,7 +29,7 @@ from chainrep.minfaith_solver import (
     solve_heisenberg,
     solve_pgroup,
 )
-from reference import ConstraintViolationError, levels_lower_bound_audit
+from reference import ConstraintViolationError, annihilator_indices, levels_lower_bound_audit, linear_char, rows_of
 from chainrep.oracle import CharacterTable, min_faithful_exhaustive
 
 HEISENBERG_VALUES = [
@@ -96,9 +95,9 @@ def test_unitriangular_upper_bound_is_faithful(ring):
         reps = []
         for b in heisenberg_basis_parameters(R):
             ann = annihilator_indices(R, b)
-            rows = U._rows({t: ann if i == 0 and j < size - 1 else range(R.size) for t, (i, j) in enumerate(U.positions)})
+            rows = rows_of(U, {t: ann if i == 0 and j < size - 1 else range(R.size) for t, (i, j) in enumerate(U.positions)})
             corner = U._decode(rows)[U.pos_index[0, size - 1]]
-            chi = LinearChar(character_weights(R)[0], rows, psi(R, R.mul_table[b, corner]))
+            chi = linear_char(U, character_weights(R)[0], rows, psi(R, R.mul_table[b, corner]))
             reps.append(MonomialRep.induce(U, chi))
             assert reps[-1].degree == (R.size // len(ann)) ** (size - 2)
         assert sum(rep.degree for rep in reps) == formula_unitriangular(R.p, R.f, R.e, R.n, size)
@@ -262,9 +261,11 @@ def test_construct_two_step_rejects(group, monkeypatch):
         construct_faithful_two_step(group("d8_16"))
     with pytest.raises(CommutatorNotCyclicError):
         construct_faithful_two_step(group("hei3_f4"))
-    # a linear summand is checked like the induced one: corrupt the
-    # exponents of the one linear summand of Z/8 by Z/4 via 5, whose
-    # centre Z/4 x Z/2 has rank 2
+    # a linear summand is checked like the induced one: corrupt the one
+    # linear summand of Z/8 by Z/4 via 5, whose centre Z/4 x Z/2 has rank
+    # 2.  Its values are at G's generators, whose images generate G/B =
+    # Z/4 x Z/4 freely, so every change of them mod 4 is a character
+    # again; read mod 8, the generator (0, 1) of order 4 is at zeta_8
     G = semidirect_cyclic_hom(8, 5, 4)
     assert len(construct_faithful_two_step(G).reps) == 2
     original = minfaith_solver.extend_character
@@ -272,8 +273,8 @@ def test_construct_two_step_rejects(group, monkeypatch):
     def corrupted(group, *args):
         M, exps = original(group, *args)
         if group is not G:  # a linear summand, a character of G/B
-            exps = exps.copy()
-            exps[-1] += 1
+            assert (M, exps.tolist(), G.names[G.generators[0]]) == (4, [1, 0], (0, 1))
+            M = 2 * M
         return M, exps
 
     monkeypatch.setattr(minfaith_solver, "extend_character", corrupted)

@@ -9,8 +9,8 @@ closures.  The fast code must give the same lists and arrays on every
 fixture group and on random semidirect products, where the oracle's
 minimum is also held to the orbit bound and the two-step closed form.
 The coset closure ``_span`` is held to the set closure and a greedy over
-it on generated groups, and induction's subgroup check to the
-generators it is given."""
+it on generated groups, and induction to the subgroup its generators
+generate."""
 
 from functools import lru_cache
 from math import gcd
@@ -21,11 +21,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from chainrep.chain_ring import INF, make_ring
-from chainrep.exactrep import LinearChar, MonomialRep
+from chainrep.exactrep import ChiNotHomomorphismError, LinearChar, MonomialRep
 from chainrep.group_models import (
     AbstractGroup,
     HeisenbergGroup,
-    NotSubgroupError,
     UnitriangularGroup,
     multiplier_closure,
     semidirect_cyclic,
@@ -34,6 +33,7 @@ from chainrep.group_models import (
 )
 from chainrep.minfaith_solver import formula_two_step, orbit_lower_bound
 from chainrep.oracle import CharacterTable, min_faithful_exhaustive, minimal_normal_witnesses
+from reference import induce_loop, word_values
 
 # -- reference algorithms ----------------------------------------------
 
@@ -144,7 +144,7 @@ def check_against_references(G, T):
         members = np.nonzero(T.class_of == j)[0].tolist()
         assert np.flatnonzero(G._span(members)[0]).tolist() == ref_closure(G, members)
     for N in (center, comm):
-        Q, coset_of = G.quotient(N)
+        Q, coset_of = G.quotient(G._span(N)[1])
         qt, ref_coset_of = ref_quotient(G, N)
         assert np.array_equal(Q.table, qt)
         assert np.array_equal(coset_of, ref_coset_of)
@@ -161,9 +161,9 @@ def test_quotient_rejects_a_subgroup_that_is_not_normal(group):
     G = group("s3")
     flip = next(g for g in range(G.order) if G.element_orders[g] == 2)
     sub = np.flatnonzero(G._span([flip])[0]).tolist()
-    for quotient in (G.quotient, lambda N: ref_quotient(G, N)):
+    for quotient in (lambda: G.quotient([flip]), lambda: ref_quotient(G, sub)):
         with pytest.raises(ValueError, match="not normal"):
-            quotient(sub)
+            quotient()
 
 
 # -- random semidirect products ----------------------------------------
@@ -297,24 +297,26 @@ def test_span_matches_set_closure_and_greedy(data):
 
 @subgroup_property
 def test_induce_checks_the_given_generators(data):
-    # the greedy generators of a subgroup S are accepted; induction from S
-    # refuses generators that span a proper subgroup or leave S, rows that
-    # miss one of S's, rows with a repeat, as many as S's or one more, and
-    # the rows of another coset x S
+    # induction is from the subgroup the generators generate: the greedy
+    # generators of a subgroup S, the same with a repeat, and with one row
+    # x outside S added give [G : S] cosets, or [G : <S, x>].  Random
+    # values at them are a character, and then induce as the loop on the
+    # values of words in them, or are refused
     G = data.draw(small_groups(), label="group")
     mask, gens = G._span(_rows(data, G, "rows"))
-    S = np.flatnonzero(mask)
 
-    def induce(rows, gens):
-        return MonomialRep.induce(G, LinearChar(1, rows, [0] * len(rows), gens))
+    def degree(gens):
+        return MonomialRep.induce(G, LinearChar(1, gens, [0] * len(gens))).degree
 
-    assert induce(S, gens).degree == G.order // len(S)
-    refused = [(np.append(S, S[0]), gens)]
-    if gens:
-        refused += [(S[:-1], gens), (np.append(S[1:], S[-1]), gens), (S, gens[:-1])]
+    assert degree(gens) == degree(gens + gens[:1]) == G.order // int(mask.sum())
     if not mask.all():
         x = int(np.argmin(mask))
-        refused += [(S, gens + [x]), (G.product(x, S), gens)]
-    for rows, bad in refused:
-        with pytest.raises(NotSubgroupError):
-            induce(rows, bad)
+        assert degree(gens + [x]) == G.order // len(ref_closure(G, gens + [x]))
+    m = data.draw(st.integers(1, 4), label="order")
+    chi = LinearChar(m, gens, data.draw(st.lists(st.integers(0, m - 1), min_size=len(gens), max_size=len(gens)), label="values"))
+    if word_values(G, chi) is None:
+        with pytest.raises(ChiNotHomomorphismError):
+            MonomialRep.induce(G, chi)
+    else:
+        rho, (sigma, exps) = MonomialRep.induce(G, chi), induce_loop(G, chi)
+        assert np.array_equal(rho.sigma, sigma) and np.array_equal(rho.exps, exps)
