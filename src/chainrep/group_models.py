@@ -779,13 +779,13 @@ def _generator_series(group, rows, seed=()):
     <g_1..g_{i-1}>) and relations the exponent vector of g_i^{d_i} over
     the earlier generators.  Row a of exps is the exponent vector of
     candidate a (0 <= e_i < d_i), and M is the exponent of A, the lcm of
-    the generators' orders, from one walk over them."""
+    the generators' orders d_i |g_i^{d_i}|, the latter from one walk."""
     cand = np.concatenate([np.asarray(seed, dtype=np.int64), np.asarray(rows, dtype=np.int64)])
     ident = group.identity
     where = np.full(group.order, -1, dtype=np.int64)  # position in members
     where[ident] = 0
     members, exps = np.array([ident]), np.zeros((1, 0), dtype=np.int64)
-    picks, orders, relations = [], [], []
+    picks, orders, relations, tops = [], [], [], []
     for a, g in enumerate(cand.tolist()):
         if where[g] >= 0:
             continue
@@ -797,10 +797,11 @@ def _generator_series(group, rows, seed=()):
         picks.append(a)
         orders.append(d)
         relations.append(exps[where[x]].tolist())
+        tops.append(x)
         members = group.product(members[:, None], np.array(powers)[None, :]).ravel()
         where[members] = np.arange(len(members))
         exps = np.column_stack([np.repeat(exps, d, axis=0), np.tile(np.arange(d), len(members) // d)])
-    M = math.lcm(*group._walk(cand[picks])[0].tolist())
+    M = math.lcm(*(np.array(orders, dtype=np.int64) * group._walk(tops)[0]).tolist())
     return picks, orders, relations, exps[where[cand]], M
 
 
