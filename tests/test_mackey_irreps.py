@@ -35,8 +35,8 @@ from reference import (
     restrict_to_omega1,
     ring_elements,
     ring_one,
-    schrodinger_dim,
     rows_of,
+    schrodinger_dim,
     uniformizer,
     valuation,
     word_values,
