@@ -40,13 +40,6 @@ def _text_value(key, text):
         return text
 
 
-def _ring_from_args(args):
-    from .chain_ring import make_ring
-
-    with _parse_errors(f"p={args.p},f={args.f},e={args.e},n={args.n}", "ring"):
-        return make_ring(args.p, args.f, _text_value("e", args.e), args.n)
-
-
 def _e_repr(e):
     import math
 
@@ -71,13 +64,13 @@ def _parse_errors(source, what="group", ring_source=None):
 def _flag_instance(family, flags):
     """The FamilyInstance of a subcommand's flags: the family's keys only,
     each through _text_value, so --e takes what a spec's e= takes."""
-    from .minfaith_solver import FAMILIES, FamilyInstance
+    from .minfaith_solver import _RING_KEYS, FAMILIES, FamilyInstance
 
-    keys = FAMILIES[family].keys
-    source = ",".join(f"{key}={flags[key]}" for key in keys)
-    ring_source = None if family == "table" else ",".join(f"{key}={flags[key]}" for key in "pfen")
+    fam = FAMILIES[family]
+    source = ",".join(f"{key}={flags[key]}" for key in fam.keys)
+    ring_source = None if fam.ring is None else ",".join(f"{key}={flags[key]}" for key in fam.keys if key in _RING_KEYS)
     with _parse_errors(source, ring_source=ring_source):
-        return FamilyInstance(family, {key: _text_value(key, flags[key]) for key in keys})
+        return FamilyInstance(family, {key: _text_value(key, flags[key]) for key in fam.keys})
 
 
 def parse_group_spec(spec: str):
@@ -132,7 +125,12 @@ def _emit(args, command, parameters, result, rows, lines) -> None:
 
 
 def _cmd_ring(args) -> int:
-    R = _ring_from_args(args)
+    from .chain_ring import make_ring
+    from .minfaith_solver import _RING_KEYS
+
+    params = {key: vars(args)[key] for key in _RING_KEYS}
+    with _parse_errors(",".join(f"{key}={value}" for key, value in params.items()), "ring"):
+        R = make_ring(*(_text_value(key, value) for key, value in params.items()))
     result = {
         "p": R.p,
         "f": R.f,
@@ -146,15 +144,8 @@ def _cmd_ring(args) -> int:
         "omega1_generators": R.omega1_generators(),
     }
     out = [list(result), list(result.values())[:-1] + ["|".join(str(x) for x in result["omega1_generators"])]]
-    _emit(args, "ring", _ring_params(args), result, out, [f"{k}: {v}" for k, v in result.items()])
+    _emit(args, "ring", params, result, out, [f"{k}: {v}" for k, v in result.items()])
     return 0
-
-
-def _ring_params(args):
-    out = {"p": args.p, "f": args.f, "e": args.e, "n": args.n}
-    if getattr(args, "k", None) is not None:
-        out["k"] = args.k
-    return out
 
 
 def _cmd_irreps(args) -> int:
@@ -173,7 +164,7 @@ def _cmd_irreps(args) -> int:
     for r in rows:
         out.append(["|".join(str(x) for x in r["orbit_rep"]), r["level"], r["dim"], r["multiplicity"]])
         lines.append(f"orbit_rep={tuple(r['orbit_rep'])} level={r['level']} dim={r['dim']} multiplicity={r['multiplicity']}")
-    _emit(args, "irreps", _ring_params(args), result, out, lines)
+    _emit(args, "irreps", {key: vars(args)[key] for key in b.family.keys}, result, out, lines)
     return 0
 
 
@@ -182,12 +173,11 @@ def _cmd_minfaith(args) -> int:
     (minfaith_solver); a mode that no route has is a parse error."""
     from .minfaith_solver import judge, run_routes
 
-    family, mode = args.target, args.mode
+    target, mode = args.target, args.mode
     params = {key: value for key, value in vars(args).items() if key not in ("func", "format", "target")}
-    two_step = family == "two-step"
-    run = run_routes(_flag_instance("table" if two_step else family, params), {"two_step": two_step, "oracle": True}, mode)
+    run = run_routes(_flag_instance(_TARGETS[target], params), {"two_step": target == "two-step", "oracle": True}, mode)
     if mode != "all" and mode not in run.modes.values():
-        raise SpecParseError(f"{family} has no {mode} route; its routes are {', '.join(run.modes.values())}")
+        raise SpecParseError(f"{target} has no {mode} route; its routes are {', '.join(run.modes.values())}")
     agree, notes = judge(run)
     for note in notes:
         print(note, file=sys.stderr)
@@ -196,7 +186,7 @@ def _cmd_minfaith(args) -> int:
         return 1
     values = {run.modes[key]: value for key, value in run.values.items() if key in run.modes}
     m = next(iter(values.values())) if values else None
-    result = {"family": family, "values": values, "agree": agree}
+    result = {"family": target, "values": values, "agree": agree}
     keys = sorted(values)
     lines = [f"{k}: {values[k]}" for k in keys]
     if m is not None:
@@ -208,7 +198,7 @@ def _cmd_minfaith(args) -> int:
         result["solution"] = solution = run.solution.to_json()
         if solution.get("verified_faithful") is not None:
             lines.append(f"construction faithful: {solution['verified_faithful']}")
-    _emit(args, "minfaith", params, result, [["family"] + keys, [family] + [values[k] for k in keys]], lines)
+    _emit(args, "minfaith", params, result, [["family"] + keys, [target] + [values[k] for k in keys]], lines)
     if not agree and args.format == "human":
         print("MISMATCH between routes", file=sys.stderr)
     return 0 if agree else 1
@@ -281,56 +271,53 @@ def _cmd_verify(args) -> int:
 
 _MODES = ["formula", "solver", "construct", "oracle", "all"]
 
+# The family whose parameters each minfaith target takes as flags, and
+# the help of the flags that have one.
+_TARGETS = {"heisenberg": "heisenberg", "unitriangular": "unitriangular", "affine": "affine", "two-step": "table"}
+_FLAG_HELP = {"e": "ramification index or 'inf'", "table": "JSON file with a multiplication table"}
+
 
 def build_parser() -> argparse.ArgumentParser:
+    from .minfaith_solver import _RING_DEFAULTS, _RING_KEYS, FAMILIES, VALUE_KINDS
+
     ap = argparse.ArgumentParser(
         prog="chainrep",
         description="Minimal faithful dimensions of nilpotent groups over finite chain rings",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def ring_flags(p, with_k=False):
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--f", type=int, default=1)
-        p.add_argument("--e", default="1", help="ramification index or 'inf'")
-        p.add_argument("--n", type=int, default=1)
-        if with_k:
-            p.add_argument("--k", type=int, default=1)
+    def family_flags(p, keys, defaults):
+        """A --key flag for each key, required unless it has a default:
+        text where VALUE_KINDS names the key, as the family check converts
+        it (so --e defaults to the text "1"), an integer otherwise."""
+        for key in keys:
+            kind = str if key in VALUE_KINDS else int
+            need = {"default": kind(defaults[key])} if key in defaults else {"required": True}
+            p.add_argument(f"--{key}", type=kind, help=_FLAG_HELP.get(key), **need)
 
     def fmt_flag(p):
         p.add_argument("--format", choices=["human", "csv", "json"], default="human")
 
     p_ring = sub.add_parser("ring", help="chain ring summary")
-    ring_flags(p_ring)
+    family_flags(p_ring, _RING_KEYS, _RING_DEFAULTS)
     fmt_flag(p_ring)
     p_ring.set_defaults(func=_cmd_ring)
 
     p_ir = sub.add_parser("irreps", help="Heisenberg irreducible catalog")
     ir_sub = p_ir.add_subparsers(dest="action", required=True)
     p_list = ir_sub.add_parser("list")
-    ring_flags(p_list, with_k=True)
+    family_flags(p_list, FAMILIES["heisenberg"].keys, FAMILIES["heisenberg"].defaults)
     fmt_flag(p_list)
     p_list.set_defaults(func=_cmd_irreps)
 
     p_mf = sub.add_parser("minfaith", help="minimal faithful dimension")
     mf_sub = p_mf.add_subparsers(dest="target", required=True)
-    for fam, with_k, extra in (
-        ("heisenberg", True, None),
-        ("unitriangular", False, "size"),
-        ("affine", False, None),
-    ):
-        pp = mf_sub.add_parser(fam)
-        ring_flags(pp, with_k=with_k)
-        if extra:
-            pp.add_argument(f"--{extra}", type=int, required=True)
+    for target, family in _TARGETS.items():
+        pp = mf_sub.add_parser(target)
+        family_flags(pp, FAMILIES[family].keys, FAMILIES[family].defaults)
         pp.add_argument("--mode", choices=_MODES, default="formula")
         fmt_flag(pp)
         pp.set_defaults(func=_cmd_minfaith)
-    pp = mf_sub.add_parser("two-step")
-    pp.add_argument("--table", required=True, help="JSON file with a multiplication table")
-    pp.add_argument("--mode", choices=_MODES, default="formula")
-    fmt_flag(pp)
-    pp.set_defaults(func=_cmd_minfaith)
 
     p_or = sub.add_parser("oracle", help="character tables and exact search")
     or_sub = p_or.add_subparsers(dest="action", required=True)

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain_ring import _divide, _powers
-from .group_models import _BLOCK, _distinct
+from .group_models import _BLOCK, _allocate, _distinct
 
 
 class ChiNotHomomorphismError(ValueError):
@@ -159,7 +159,7 @@ class MonomialRep:
         sub.  The products g reps[t] of every row g are one
         ``group._every`` per block of representatives that keeps it
         within _BLOCK entries, written straight into the narrow sigma and
-        exps."""
+        exps, which ``_allocate`` makes: a model past memory is refused."""
         m = chi.order
         images, reps, coset_of = group._cosets(chi.gens)
         sub, vals = _spread(group, chi, images)
@@ -167,8 +167,8 @@ class MonomialRep:
         chi_at = np.empty(n, dtype=np.min_scalar_type(m - 1))
         chi_at[group.product(reps[:, None], sub)] = vals
         coset_of = coset_of.astype(np.min_scalar_type(degree - 1))
-        sigma = np.empty((n, degree), dtype=coset_of.dtype)
-        exps = np.empty((n, degree), dtype=chi_at.dtype)
+        sigma = _allocate(n, f"its induced model of degree {degree}", (n, degree), coset_of.dtype)
+        exps = _allocate(n, f"its induced model of degree {degree}", (n, degree), chi_at.dtype)
         step = max(1, _BLOCK // n)
         for lo in range(0, degree, step):
             w = group._every(reps[lo : lo + step]).T

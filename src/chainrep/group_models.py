@@ -329,7 +329,17 @@ class AbstractGroup:
             done = len(gens)
             mask, gens = self._span(self._conjugates(new).ravel(), (mask, gens))
             new = gens[done:]
-        return np.flatnonzero(mask).tolist()
+        rows = np.flatnonzero(mask).tolist()
+        self.__dict__["_commutator"] = rows, gens  # the cached pair below
+        return rows
+
+    @cached_property
+    def _commutator(self) -> tuple[list[int], list[int]]:
+        """(rows, generators) of the commutator subgroup, as its closure
+        grew them.  That closure caches this pair as it runs, so its time
+        is the ``commutator_subgroup`` property's."""
+        self.commutator_subgroup
+        return self.__dict__["_commutator"]
 
     @cached_property
     def _generator_inverses(self) -> np.ndarray:

@@ -273,7 +273,7 @@ class CharacterTable:
         d_i v_i = rel . v (mod M): once the earlier values fix the right
         side c, the solutions are c/d_i + k M/d_i for 0 <= k < d_i."""
         G = self.group
-        Q, coset_of = G.quotient(G._span(G.commutator_subgroup)[1])
+        Q, coset_of = G.quotient(G._commutator[1])
         _, orders, relations, exps, M = _generator_series(Q, np.arange(Q.order))
         values = np.zeros((1, 0), dtype=np.int64)  # one row per character
         for d, rel in zip(orders, relations):

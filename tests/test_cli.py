@@ -1375,6 +1375,26 @@ def test_output_bytes_pinned(capsys, monkeypatch, pin_dir, setup, argv, code, ou
     assert digests == (code, out_sha, err_sha), (out, err)
 
 
+# sha256 of `--help` stdout at 80 columns for each command whose flags
+# are made from a family's keys: pins the flags' order, metavars, help and
+# which are required
+HELP_PINNED = {
+    "ring": "16b84913f5b1e3597cb90fade0ac051e3475ab79bb91096a32a606bc8624dd6f",
+    "irreps list": "c9d5ba99b5bc1a222fdc625b3728f27d8e906f936794a841341044a424181ed8",
+    "minfaith heisenberg": "0c9e204b1cc621f40c9aa2fb231f49d1ac3d05c51aa7136d6012f9d7614c78e9",
+    "minfaith unitriangular": "6abe549a3e2c9445c08ad0cf35d17cb685bee8ff27fa78887db15cec55ca001c",
+    "minfaith affine": "b7917613f2c4f87e018a3be0a88804286930445b1798fc77625233d2b6381971",
+    "minfaith two-step": "c328fff8147faf04a56ca7721cfe329c62c60bc3ab7cf76a12381680faebc9f3",
+}
+
+
+@pytest.mark.parametrize("command", HELP_PINNED)
+def test_help_bytes_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *command.split(), "--help")
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, HELP_PINNED[command], ""), out
+
+
 # -- tooling ----------------------------------------------------------
 
 

@@ -231,6 +231,22 @@ def test_induce_past_numpy_is_a_cap_refusal():
         assert peak < 1e6
 
 
+def test_induce_past_memory_is_a_cap_refusal(monkeypatch):
+    # the cosets of <g>, g of order 2 in Z/64, fit in 1500 bytes: two
+    # int64 rows of 64; the (|G|, degree) model, 64 x 32 uint8 for sigma,
+    # does not, and is refused before numpy is asked
+    from chainrep import group_models
+
+    G = semidirect_cyclic(64, [1])
+    g = int(np.flatnonzero(G.element_orders == 2)[0])
+    monkeypatch.setattr(group_models.os, "sysconf", {"SC_PHYS_PAGES": 1500, "SC_PAGE_SIZE": 1}.__getitem__)
+    with pytest.raises(CapExceededError) as info:
+        MonomialRep.induce(G, LinearChar(2, [g], [1]))
+    assert str(info.value) == (
+        "|G| = 64: its induced model of degree 32 cannot be allocated (2048 bytes exceed the 1500 bytes of physical memory)"
+    )
+
+
 def test_induce_rejects_non_character(group):
     G = group("d4")
     sub = _rotation_subgroup(G)

@@ -651,6 +651,20 @@ def test_elementary_abelian_64_needs_six_summands():
     assert len(minimal_normal_witnesses(T)) == 63
 
 
+def test_linear_rows_reuse_the_commutator_generators(monkeypatch):
+    # G/G' is taken by the generators that commutator_subgroup's closure
+    # kept: one span for G's generators and two for the closure (the
+    # commutators, then their conjugates), and none to close G' again
+    calls = []
+    span = AbstractGroup._span
+    monkeypatch.setattr(AbstractGroup, "_span", lambda G, *args: calls.append(len(calls)) or span(G, *args))
+    G = AffineGroup(make_ring(3, 1, 1, 2)).to_abstract()  # |G| = 54, |G'| = 9 on two generators
+    CharacterTable(G)
+    assert len(calls) == 3
+    rows, gens = G._commutator
+    assert rows == G.commutator_subgroup and np.flatnonzero(span(G, gens)[0]).tolist() == rows
+
+
 def test_stats_count_the_seeded_split(table):
     T = table("hei3_z9")
     assert T.stats == {"linear_rows": 81, "complement_dim": 24, "class_matrices": 15}
