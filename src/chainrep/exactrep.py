@@ -31,6 +31,14 @@ identity along right multiplication by the generators, over the
 subgroup they generate, and requires chi(x s) = chi(x) chi(s) for every
 row x of it and each generator s, which by induction on word length
 makes chi multiplicative.
+
+A sum of induced models is checked without the models (``InducedSum``):
+the kernel of Ind_S^G chi is the core of ker chi, the intersection of its
+conjugates r (ker chi) r^-1 by the coset representatives r (Isaacs,
+Character Theory of Finite Groups, ch. 5), and a sum's kernel is the
+intersection of its summands'.  So the check takes ker chi from chi's
+spread and conjugates it by the representatives, a block at a time,
+and no (|G|, degree) array is made.
 """
 
 from __future__ import annotations
@@ -103,24 +111,44 @@ class LinearChar:
         self.exps = np.asarray(exps, dtype=np.int64) % order
 
 
-def _spread(group, chi, images):
+def _tree(group, images) -> list:
+    """The breadth-first spanning tree of the subgroup <gens> from the
+    identity along x -> x s (images[i, x] = x s for the i-th generator
+    s): one (rows, generators, parents) triple per round, the rows first
+    reached in it, ascending, each reached as x s from its parent x by
+    its generator's position, the last such step in the round's
+    (generator, front) order.  It depends on the generators alone, so
+    the characters of one subgroup share it."""
+    seen = np.zeros(group.order, dtype=bool)
+    last = np.empty(group.order, dtype=np.int64)
+    front = np.array([group.identity])
+    seen[front] = True
+    rounds = []
+    while len(front):
+        nxt = images[:, front].ravel()
+        fresh = np.flatnonzero(~seen[nxt])
+        last[nxt[fresh]] = fresh
+        rows = _distinct(nxt[fresh])
+        seen[rows] = True
+        rounds.append((rows, last[rows] // len(front), front[last[rows] % len(front)]))
+        front = rows
+    return rounds
+
+
+def _spread(group, chi, images, tree=None):
     """(sub, exps): the rows of the subgroup <gens>, ascending, and chi's
-    exponents there, spread from the identity, at 0, breadth first along
-    x -> x s: chi(x s) = chi(x) + chi.exps[i] for the i-th generator s
-    (images[i, x] = x s), one gather from images per round.  Then
+    exponents there, spread from the identity, at 0, along ``_tree``'s
+    steps x -> x s (made from images unless given): chi(x s) = chi(x) +
+    chi.exps[i] for the i-th generator s, one gather per round.  Then
     chi(x s) = chi(x) + chi.exps[i] must hold for every row x of the
     subgroup and each generator, which by induction on the word length of
     the right factor makes chi multiplicative.  An error names the first
     bad pair by generator, then by subgroup row."""
     m, vals = chi.order, chi.exps
     at = np.full(group.order, -1, dtype=np.int64)
-    front = np.array([group.identity])
-    at[front] = 0
-    while len(front):  # exponents add up unreduced, at most the depth times m
-        nxt = images[:, front].ravel()
-        fresh = at[nxt] < 0
-        at[nxt[fresh]] = (at[front] + vals[:, None]).ravel()[fresh]
-        front = _distinct(nxt[fresh])
+    at[group.identity] = 0
+    for rows, gens, parents in _tree(group, images) if tree is None else tree:
+        at[rows] = at[parents] + vals[gens]  # exponents add up unreduced, at most the depth times m
     sub = np.flatnonzero(at >= 0)
     bad = np.argwhere((at[sub] + vals[:, None] - at[images[:, sub]]) % m)
     if len(bad):  # the first generator with a bad pair, then the first row
@@ -199,3 +227,74 @@ class DirectSumRep:
 
     def is_faithful(self) -> bool:
         return self.kernel().tolist() == [self.group.identity]
+
+
+class InducedSum:
+    """The direct sum of the representations induced from the linear
+    characters chars, each of the subgroup its generators generate,
+    checked without its models.  The characters are read in order, each
+    checked by ``_spread`` as ``MonomialRep.induce`` checks it, and the
+    characters given by one list of generators share one ``_cosets``
+    walk and one ``_tree`` of their subgroup.  ``degrees`` are the
+    summands' coset counts, the degrees of their models."""
+
+    def __init__(self, group, chars):
+        self.group, self.chars, self.degrees = group, list(chars), []
+        self._subgroups = {}  # generator bytes -> (representatives but the subgroup's own, kernels)
+        walks = {}
+        for chi in self.chars:
+            key = chi.gens.tobytes()
+            if key not in walks:
+                images, reps, coset_of = group._cosets(chi.gens)
+                walks[key] = images, _tree(group, images)
+                self._subgroups[key] = np.delete(reps, coset_of[group.identity]), []
+            sub, vals = _spread(group, chi, *walks[key])
+            others, kernels = self._subgroups[key]
+            kernels.append(sub[vals == 0])
+            self.degrees.append(len(others) + 1)
+
+    def kernel(self) -> np.ndarray:
+        """Rows, ascending, whose matrix is the identity in every summand.
+        The kernel of Ind chi is the core of K = ker chi, the intersection
+        of r K r^-1 over the coset representatives r (Isaacs, Character
+        Theory of Finite Groups, ch. 5), and a sum's kernel is the
+        intersection of its summands', so the characters of one subgroup
+        give the core of the intersection of their kernels: a row x of it
+        in the kernel so far stays when r^-1 x r lies in it for every
+        representative r but the subgroup's own (which conjugates K onto
+        itself), whose inverses are one ``_walk``."""
+        G, e = self.group, self.group.identity
+        kernel = np.ones(G.order, dtype=bool)
+        for others, kernels in self._subgroups.values():
+            inside = np.bincount(np.concatenate(kernels), minlength=G.order) == len(kernels)
+            keep = np.flatnonzero(kernel & inside)
+            if (keep != e).any():
+                inverses = G._walk(others)[1]
+                keep = np.concatenate([_conjugated_into(G, keep[lo : lo + _BLOCK], others, inverses, inside)
+                                       for lo in range(0, len(keep), _BLOCK)])
+            kernel[:] = False
+            kernel[keep] = True
+        return np.flatnonzero(kernel)
+
+    def is_faithful(self) -> bool:
+        return self.kernel().tolist() == [self.group.identity]
+
+    def models(self) -> list:
+        """The summands' monomial models, by ``MonomialRep.induce``."""
+        return [MonomialRep.induce(self.group, chi) for chi in self.chars]
+
+
+def _conjugated_into(group, rows, reps, inverses, inside) -> np.ndarray:
+    """The rows x, at most _BLOCK of them, with r^-1 x r in the mask
+    inside for every r of reps (inverses aligned with them): the
+    conjugates are one pair of products per block of reps that keeps
+    them within _BLOCK entries, made by ``_allocate``, and the rows left
+    shrink after each block; the identity always stays, so the blocks
+    stop when it is all that is left."""
+    lo, e = 0, group.identity
+    while lo < len(reps) and (rows != e).any():
+        hi = lo + max(1, _BLOCK // len(rows))
+        conj = _allocate(group.order, "a block of conjugates of a kernel", (len(reps[lo:hi]), len(rows)), np.int64)
+        conj[:] = group.product(group.product(inverses[lo:hi, None], rows), reps[lo:hi, None])
+        rows, lo = rows[inside[conj].all(axis=0)], hi
+    return rows

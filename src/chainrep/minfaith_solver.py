@@ -32,7 +32,7 @@ from .char_duality import (
     socle_restriction,
     spans_dual,
 )
-from .exactrep import DirectSumRep, LinearChar, MonomialRep
+from .exactrep import InducedSum, LinearChar
 from .group_models import (
     AbstractGroup,
     AffineGroup,
@@ -49,7 +49,7 @@ from .group_models import (
     semidirect_hom_order,
     structure_scan,
 )
-from .mackey_irreps import central_irreps, mackey_induced_rep
+from .mackey_irreps import central_irreps, extended_character
 
 
 class NotTwoStepError(ValueError):
@@ -141,15 +141,20 @@ def formula_two_step(G: AbstractGroup, scan: StructureScan | None = None) -> int
 @dataclass
 class FaithfulSolution:
     """A minimal faithful direct sum: summand descriptors, total
-    dimension, and (when materialized) explicit monomial models with a
-    verified trivial kernel."""
+    dimension, and, when its kernel was checked trivial, ``models``,
+    which makes the explicit monomial models that ``reps`` gives, made
+    on its first read."""
 
     group: str
     total_dim: int
     summands: list
     certificate: list | None = None
-    reps: list | None = field(default=None, repr=False)
+    models: Callable | None = field(default=None, repr=False)
     verified_faithful: bool | None = None
+
+    @cached_property
+    def reps(self) -> list | None:
+        return None if self.models is None else self.models()
 
     def to_json(self) -> dict:
         out = {
@@ -216,22 +221,24 @@ def heisenberg_basis_parameters(R: RingSpec) -> list[int]:
     return [R.basis_index(i * R.n + j) for i in range(R.f) for j in range(R.xi)]
 
 
-def _induced_sum(name, G, summands, target, models, certificate=None) -> FaithfulSolution:
+def _induced_sum(name, G, summands, target, characters, certificate=None) -> FaithfulSolution:
     """The one checked path of every construction: the summands' dims,
     read off the structure of G, must total the closed form ``target``;
-    when |G| is within the group cap, models() builds their models, whose
-    degrees must be the dims and whose sum must be faithful.  A failed
-    check raises ConstructionCheckError: verified_faithful is True, or
-    None past the cap, when no model is built."""
+    when |G| is within the group cap, characters() gives the linear
+    characters whose inductions are the models, checked by InducedSum
+    with no model built: their degrees must be the dims, and their sum
+    must be faithful, that is the cores of the characters' kernels must
+    meet in the identity.  A failed check raises ConstructionCheckError:
+    verified_faithful is True, or None past the cap, where no character
+    is checked.  The models are induced when ``reps`` is first read."""
     dims = [s["dim"] for s in summands]
     _check(sum(dims) == target, f"{name}: summands total {sum(dims)}, closed form {target}")
-    reps = None
-    if G.order <= group_cap():
-        reps = models()
-        degrees = [rep.degree for rep in reps]
-        _check(degrees == dims, f"{name}: model degrees {degrees}, summand dims {dims}")
-        _check(DirectSumRep(reps).is_faithful(), f"{name}: the sum of the models has a nontrivial kernel")
-    return FaithfulSolution(name, sum(dims), summands, certificate, reps, None if reps is None else True)
+    if G.order > group_cap():
+        return FaithfulSolution(name, sum(dims), summands, certificate)
+    induced = InducedSum(G, characters())
+    _check(induced.degrees == dims, f"{name}: model degrees {induced.degrees}, summand dims {dims}")
+    _check(induced.is_faithful(), f"{name}: the sum of the models has a nontrivial kernel")
+    return FaithfulSolution(name, sum(dims), summands, certificate, induced.models, True)
 
 
 def construct_faithful_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
@@ -244,7 +251,7 @@ def construct_faithful_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
     summands = [{"b": digits, "level": t % R.xi, "dim": R.q ** (k * (R.n - t % R.xi))}  # b_ij has level j
                 for t, digits in enumerate(R.digits(params).tolist())]
     return _induced_sum(name, H, summands, formula_heisenberg(R.p, R.f, R.e, R.n, k),
-                        lambda: [mackey_induced_rep(H, (0,) * k, b, (0,) * k) for b in params],
+                        lambda: [extended_character(H, (0,) * k, b, (0,) * k) for b in params],
                         certificate=[tuple(v) for v in vectors])
 
 
@@ -257,8 +264,7 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     Omega_1(Z) inside ker(chi1), where the linear characters are jointly
     faithful, so not at all; in a p-group every nontrivial normal
     subgroup meets Omega_1(Z), so the kernel is trivial.  Each summand,
-    linear ones included, is built by MonomialRep.induce, which checks its
-    character exactly."""
+    linear ones included, is checked exactly as a character."""
     scan, name = structure_scan(G), f"two-step table group of order {G.order}"
     target = formula_two_step(G, scan)
     Z, B = scan.center, scan.commutator
@@ -272,15 +278,15 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     kernel = np.array(sorted(set(coset_of[Z][expsA[np.searchsorted(A, Z)] == 0].tolist())))  # Z in A, both ascending
     basis = Q._span(kernel[Q._walk(kernel)[0] == scan.p])[1]
 
-    def models():
-        reps = [MonomialRep.induce(G, LinearChar(MA, gens_A, expsA[np.searchsorted(A, gens_A)]))]
+    def characters():
+        chars = [LinearChar(MA, gens_A, expsA[np.searchsorted(A, gens_A)])]
         for unit in np.eye(len(basis), dtype=np.int64):  # values at the images of G's generators, which generate Q
             MQ, expsQ = extend_character(Q, basis, scan.p, unit, coset_of[G.generators])
-            reps.append(MonomialRep.induce(G, LinearChar(MQ, G.generators, expsQ)))
-        return reps
+            chars.append(LinearChar(MQ, G.generators, expsQ))
+        return chars
 
     summands = [{"kind": "induced", "dim": index}] + [{"kind": "linear", "dim": 1} for _ in basis]
-    return _induced_sum(name, G, summands, target, models)
+    return _induced_sum(name, G, summands, target, characters)
 
 
 def construct_faithful_affine(R: RingSpec) -> FaithfulSolution:
@@ -290,12 +296,12 @@ def construct_faithful_affine(R: RingSpec) -> FaithfulSolution:
     generate the translations, and psi takes its value at each."""
     Aff = AffineGroup(R)
 
-    def models():
+    def characters():
         basis = R.ideal_basis(0)
-        return [MonomialRep.induce(Aff, LinearChar(character_weights(R)[0], Aff._axis_rows({0: basis}), psi(R, basis)))]
+        return [LinearChar(character_weights(R)[0], Aff._axis_rows({0: basis}), psi(R, basis))]
 
     summands = [{"kind": "induced from translations", "dim": Aff.order // R.size}]
-    return _induced_sum(f"affine over {R!r}", Aff, summands, formula_affine(R.p, R.f, R.n), models)
+    return _induced_sum(f"affine over {R!r}", Aff, summands, formula_affine(R.p, R.f, R.n), characters)
 
 
 # -- cyclic-by-multipliers orbit bound -------------------------------

@@ -205,9 +205,9 @@ def test_an_unfaithful_sum_fails_verify_and_minfaith(capsys, monkeypatch, tmp_pa
     # every construction's kernel check raises ConstructionCheckError, so
     # with the check failing verify gives the instance an error entry and
     # exits 1, and minfaith --mode construct exits 1
-    from chainrep.exactrep import DirectSumRep
+    from chainrep.exactrep import InducedSum
 
-    monkeypatch.setattr(DirectSumRep, "is_faithful", lambda self: False)
+    monkeypatch.setattr(InducedSum, "is_faithful", lambda self: False)
     unfaithful = "the sum of the models has a nontrivial kernel"
     instance = next(inst for inst in load_default_suite()["instances"] if inst["name"] == "hei3-f2")
     path = tmp_path / "suite.json"

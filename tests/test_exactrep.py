@@ -1,17 +1,19 @@
 """Cyclotomic polynomials, the exact cyclotomic reference, and monomial
 induced representations."""
 
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from chainrep.chain_ring import CapExceededError, make_ring
 from chainrep.exactrep import (
     ChiNotHomomorphismError,
     DirectSumRep,
+    InducedSum,
     LinearChar,
     MonomialRep,
     cyclotomic_polynomial,
@@ -35,6 +37,7 @@ from reference import (
     linear_char,
     rows_of,
     sum_character,
+    word_values,
 )
 
 
@@ -247,6 +250,29 @@ def test_induce_past_memory_is_a_cap_refusal(monkeypatch):
     )
 
 
+def test_core_check_past_memory_is_a_cap_refusal(monkeypatch):
+    # the cosets of <g>, g of order 2 in Z/64, fit in 1500 bytes; with the
+    # memory figure then at 400 bytes, the first block of conjugates of
+    # the trivial character's kernel <g> by the 31 other representatives,
+    # 31 x 2 int64 rows, does not, and is refused before numpy is asked
+    from chainrep import group_models
+
+    G = semidirect_cyclic(64, [1])
+    g = int(np.flatnonzero(G.element_orders == 2)[0])
+    memory = {"SC_PHYS_PAGES": 1500, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(group_models.os, "sysconf", memory.__getitem__)
+    induced = InducedSum(G, [LinearChar(1, [g], [0])])
+    assert induced.degrees == [32]
+    memory["SC_PHYS_PAGES"] = 400
+    with pytest.raises(CapExceededError) as info:
+        induced.kernel()
+    assert str(info.value) == (
+        "|G| = 64: a block of conjugates of a kernel cannot be allocated (496 bytes exceed the 400 bytes of physical memory)"
+    )
+    memory["SC_PHYS_PAGES"] = 1500
+    assert induced.kernel().tolist() == sorted([G.identity, g])
+
+
 def test_induce_rejects_non_character(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
@@ -424,7 +450,8 @@ def test_induce_matches_the_discovery_loop(group):
 
 
 def test_constructions_induce_as_the_discovery_loop(monkeypatch, group):
-    # every induction of the Heisenberg, affine and two-step constructions
+    # every induction of the Heisenberg, affine and two-step constructions,
+    # made when their models are first read
     from chainrep.minfaith_solver import (
         construct_faithful_affine,
         construct_faithful_heisenberg,
@@ -450,7 +477,7 @@ def test_constructions_induce_as_the_discovery_loop(monkeypatch, group):
         construct_faithful_two_step(group("hei3_z4")),
         construct_faithful_two_step(semidirect_cyclic_hom(4, 3, 4)),
     ]:
-        assert sol.verified_faithful
+        assert sol.verified_faithful and len(sol.reps) == len(sol.summands)
     assert degrees == [4, 4, 4, 9, 6, 3, 3, 4, 2, 1]
 
 
@@ -484,3 +511,129 @@ def test_row_kernel_is_character_kernel(data):
     assert DirectSumRep([lin]).kernel().tolist() == _character_kernel(lin)
     both = set(_character_kernel(rep)) & set(_character_kernel(lin))
     assert DirectSumRep([rep, lin]).kernel().tolist() == sorted(both)
+
+
+# -- the kernel by cores ----------------------------------------------
+
+
+def _assert_core_kernels(G, chars):
+    # InducedSum's degrees and kernel are the models': for the sum, each
+    # summand alone and the sum with each summand dropped
+    models = [MonomialRep.induce(G, chi) for chi in chars]
+    picks = [list(range(len(chars)))] + [[i] for i in range(len(chars))]
+    picks += [[j for j in range(len(chars)) if j != i] for i in range(len(chars))] if len(chars) > 1 else []
+    for pick in picks:
+        induced = InducedSum(G, [chars[i] for i in pick])
+        assert induced.degrees == [models[i].degree for i in pick]
+        kernel = DirectSumRep([models[i] for i in pick]).kernel()
+        assert np.array_equal(induced.kernel(), kernel), pick
+        assert induced.is_faithful() == (kernel.tolist() == [G.identity])
+
+
+def test_core_kernel_is_the_model_kernel_on_every_construction(monkeypatch, group):
+    # every construction tier-1 builds, from the default suite and the
+    # tests: the characters each hands to InducedSum, whose kernel by
+    # cores is the kernel of their models, and not only when trivial
+    from chainrep import minfaith_solver
+    from chainrep.cli import load_default_suite
+    from chainrep.minfaith_solver import (
+        construct_faithful_affine,
+        construct_faithful_two_step,
+        run_routes,
+    )
+    from chainrep.oracle import _suite_instance
+
+    made = []
+
+    class Recorded(InducedSum):
+        def __init__(self, G, chars):
+            super().__init__(G, chars)
+            made.append((G, self.chars))
+
+    monkeypatch.setattr(minfaith_solver, "InducedSum", Recorded)
+    for inst in load_default_suite()["instances"]:
+        run = run_routes(_suite_instance(inst), inst, "construct")
+        assert run.error is None, inst["name"]
+    for params, k in [((2, 1, 1, 2), 1), ((2, 1, "inf", 2), 1), ((2, 1, 2, 2), 1), ((2, 1, 1, 3), 1),
+                      ((2, 2, "inf", 1), 1), ((3, 1, "inf", 1), 2), ((2, 4, 1, 1), 1), ((2, 1, 1, 4), 1)]:
+        construct_faithful_heisenberg(make_ring(*params), k)
+    for params in [(3, 1, 1, 1), (2, 1, 1, 2), (3, 1, 1, 2), (2, 2, 1, 1), (2, 2, "inf", 1)]:
+        construct_faithful_affine(make_ring(*params))
+    for G in [group("hei3_z4"), group("hei3_z9"), semidirect_cyclic_hom(8, 5, 4), semidirect_cyclic_hom(4, 3, 4),
+              HeisenbergGroup(make_ring(2, 1, 1, 3)).to_abstract(), HeisenbergGroup(make_ring(2, 1, 1, 4)).to_abstract()]:
+        construct_faithful_two_step(G)
+    assert len(made) == 41
+    assert sum(len(chars) > 1 for _, chars in made) == 9
+    for G, chars in made:
+        _assert_core_kernels(G, chars)
+
+
+@lru_cache(maxsize=None)
+def _property_group(spec):
+    family, *params = spec
+    if family == "heisenberg":
+        return HeisenbergGroup(make_ring(*params[:4]), params[4])
+    return semidirect_cyclic_hom(*params)
+
+
+# semidirect_cyclic_hom(modulus, multiplier, h_order) of order at most
+# 600, and the tier-1 Heisenberg groups up to order 729
+CORE_GROUPS = [("semidirect", modulus, u, h) for modulus in range(2, 31) for u in range(1, modulus)
+               if gcd(u, modulus) == 1 for h in range(1, 601 // modulus)
+               if pow(u, h, modulus) == 1 and modulus * h <= 600] + [
+    ("heisenberg", *params, k) for params, k in [((2, 1, 1, 1), 1), ((3, 1, 1, 1), 1), ((5, 1, 1, 1), 1),
+                                                 ((2, 2, "inf", 1), 1), ((2, 1, 1, 2), 1), ((2, 1, "inf", 2), 1),
+                                                 ((2, 1, 2, 2), 1), ((3, 1, 1, 2), 1), ((2, 1, 1, 1), 2)]]
+
+
+def _random_character(data, G, label):
+    # a random subgroup, the span of up to three random rows, and on it a
+    # random character when it is abelian (one of all its characters), or
+    # random values otherwise, which may not be a character
+    rows = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3), label=f"{label} rows")
+    mask, gens = G._span(rows)
+    sub, g = np.flatnonzero(mask), np.array(gens, dtype=np.int64)
+    if (G.product(g[:, None], g) == G.product(g, g[:, None])).all():
+        M, exps = data.draw(st.sampled_from(abelian_characters(G, sub)), label=f"{label} character")
+        return linear_char(G, M, sub, exps)
+    m = data.draw(st.integers(1, 6), label=f"{label} order")
+    return LinearChar(m, gens, data.draw(st.lists(st.integers(0, m - 1), min_size=len(gens), max_size=len(gens)), label=f"{label} values"))
+
+
+@seed(20261021)
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_core_kernel_property(data):
+    # random characters of random subgroups, two of them on one subgroup
+    # (the second a power of the first): InducedSum checks each as
+    # induction does, with the same refusal, and its kernel by cores is
+    # the models' on every sum, summand and sum less one summand
+    G = _property_group(data.draw(st.sampled_from(CORE_GROUPS), label="group"))
+    chars = [_random_character(data, G, "first"), _random_character(data, G, "second")]
+    t = data.draw(st.integers(0, 5), label="power")
+    chars.insert(1, LinearChar(chars[0].order, chars[0].gens, t * chars[0].exps))
+    bad = next((chi for chi in chars if word_values(G, chi) is None), None)
+    if bad is None:
+        _assert_core_kernels(G, chars)
+        return
+    with pytest.raises(ChiNotHomomorphismError) as induced:
+        InducedSum(G, chars)
+    with pytest.raises(ChiNotHomomorphismError) as model:
+        MonomialRep.induce(G, bad)
+    assert str(induced.value) == str(model.value)
+
+
+def test_constructions_are_checked_without_models(monkeypatch, group):
+    # with induction refused, every construction is still kernel-checked,
+    # and its models are induced only when reps is first read
+    from chainrep.minfaith_solver import construct_faithful_affine, construct_faithful_two_step
+
+    def refuse(G, chi):
+        raise AssertionError("a model was induced")
+
+    monkeypatch.setattr(MonomialRep, "induce", staticmethod(refuse))
+    for sol in [construct_faithful_heisenberg(make_ring(2, 4, 1, 1)), construct_faithful_affine(make_ring(3, 1, 1, 2)),
+                construct_faithful_two_step(group("hei3_z4"))]:
+        assert sol.verified_faithful is True
+        with pytest.raises(AssertionError, match="a model was induced"):
+            sol.reps

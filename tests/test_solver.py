@@ -308,7 +308,7 @@ def test_construction_checks_survive_python_O():
         '    except ms.ConstructionCheckError as exc:',
         '        print(exc)',
         '    setattr(ms, name, formula)',
-        'ms.DirectSumRep.is_faithful = lambda self: False',
+        'ms.InducedSum.is_faithful = lambda self: False',
         'for build, arg in [(ms.construct_faithful_heisenberg, make_ring(2, 1, 1, 1)),',
         '                   (ms.construct_faithful_affine, make_ring(3, 1, 1, 1)),',
         '                   (ms.construct_faithful_two_step, semidirect_cyclic_hom(8, 5, 4))]:',
