@@ -37,8 +37,9 @@ the kernel of Ind_S^G chi is the core of ker chi, the intersection of its
 conjugates r (ker chi) r^-1 by the coset representatives r (Isaacs,
 Character Theory of Finite Groups, ch. 5), and a sum's kernel is the
 intersection of its summands'.  So the check takes ker chi from chi's
-spread and conjugates it by the representatives, a block at a time,
-and no (|G|, degree) array is made.
+spread and keeps its rows x with r^-1 x r in ker chi, that is x r in
+r (ker chi), for every r, from products a block at a time, and no
+(|G|, degree) array is made.
 """
 
 from __future__ import annotations
@@ -240,18 +241,18 @@ class InducedSum:
 
     def __init__(self, group, chars):
         self.group, self.chars, self.degrees = group, list(chars), []
-        self._subgroups = {}  # generator bytes -> (representatives but the subgroup's own, kernels)
+        self._subgroups = {}  # generator bytes -> (representatives, coset_of, kernels)
         walks = {}
         for chi in self.chars:
             key = chi.gens.tobytes()
             if key not in walks:
                 images, reps, coset_of = group._cosets(chi.gens)
                 walks[key] = images, _tree(group, images)
-                self._subgroups[key] = np.delete(reps, coset_of[group.identity]), []
+                self._subgroups[key] = reps, coset_of, []
             sub, vals = _spread(group, chi, *walks[key])
-            others, kernels = self._subgroups[key]
+            reps, _, kernels = self._subgroups[key]
             kernels.append(sub[vals == 0])
-            self.degrees.append(len(others) + 1)
+            self.degrees.append(len(reps))
 
     def kernel(self) -> np.ndarray:
         """Rows, ascending, whose matrix is the identity in every summand.
@@ -259,19 +260,24 @@ class InducedSum:
         of r K r^-1 over the coset representatives r (Isaacs, Character
         Theory of Finite Groups, ch. 5), and a sum's kernel is the
         intersection of its summands', so the characters of one subgroup
-        give the core of the intersection of their kernels: a row x of it
-        in the kernel so far stays when r^-1 x r lies in it for every
-        representative r but the subgroup's own (which conjugates K onto
-        itself), whose inverses are one ``_walk``."""
+        give the core of the intersection K of their kernels: a row x of
+        K in the kernel so far stays when r^-1 x r lies in K, that is
+        x r lies in r K, for every representative r.  The cosets r K are
+        marked by one pass of products r K, and x r by another, in
+        ``_blocks``; with only the identity left there is nothing to check."""
         G, e = self.group, self.group.identity
         kernel = np.ones(G.order, dtype=bool)
-        for others, kernels in self._subgroups.values():
-            inside = np.bincount(np.concatenate(kernels), minlength=G.order) == len(kernels)
-            keep = np.flatnonzero(kernel & inside)
+        for reps, coset_of, kernels in self._subgroups.values():
+            inside = np.flatnonzero(np.bincount(np.concatenate(kernels), minlength=G.order) == len(kernels))
+            keep = inside[kernel[inside]]
             if (keep != e).any():
-                inverses = G._walk(others)[1]
-                keep = np.concatenate([_conjugated_into(G, keep[lo : lo + _BLOCK], others, inverses, inside)
-                                       for lo in range(0, len(keep), _BLOCK)])
+                cosets = np.zeros(G.order, dtype=bool)  # the cosets r K, each inside its own r S
+                for _, _, block in _blocks(G, reps, inside, right=False):
+                    cosets[block] = True
+                stays = np.ones(len(keep), dtype=bool)
+                for i, j, block in _blocks(G, reps, keep, right=True):
+                    stays[j] &= ((coset_of[block] == np.arange(len(reps))[i, None]) & cosets[block]).all(axis=0)
+                keep = keep[stays]
             kernel[:] = False
             kernel[keep] = True
         return np.flatnonzero(kernel)
@@ -284,17 +290,17 @@ class InducedSum:
         return [MonomialRep.induce(self.group, chi) for chi in self.chars]
 
 
-def _conjugated_into(group, rows, reps, inverses, inside) -> np.ndarray:
-    """The rows x, at most _BLOCK of them, with r^-1 x r in the mask
-    inside for every r of reps (inverses aligned with them): the
-    conjugates are one pair of products per block of reps that keeps
-    them within _BLOCK entries, made by ``_allocate``, and the rows left
-    shrink after each block; the identity always stays, so the blocks
-    stop when it is all that is left."""
-    lo, e = 0, group.identity
-    while lo < len(reps) and (rows != e).any():
-        hi = lo + max(1, _BLOCK // len(rows))
-        conj = _allocate(group.order, "a block of conjugates of a kernel", (len(reps[lo:hi]), len(rows)), np.int64)
-        conj[:] = group.product(group.product(inverses[lo:hi, None], rows), reps[lo:hi, None])
-        rows, lo = rows[inside[conj].all(axis=0)], hi
-    return rows
+def _blocks(group, reps, rows, right):
+    """(i, j, block) for blocks of the products of rows and reps, slices
+    i of reps and j of rows, each block within _BLOCK entries and made by
+    ``_allocate``, so one past memory is refused before numpy is asked:
+    block[a, b] = rows[j][b] reps[i][a] when right, else reps[i][a]
+    rows[j][b]."""
+    cols = min(len(rows), _BLOCK)
+    step = max(1, _BLOCK // cols)
+    for c in range(0, len(rows), cols):
+        for lo in range(0, len(reps), step):
+            i, j = slice(lo, lo + step), slice(c, c + cols)
+            block = _allocate(group.order, "a block of products with the coset representatives", (len(reps[i]), len(rows[j])), np.int64)
+            block[:] = group.product(rows[j], reps[i, None]) if right else group.product(reps[i, None], rows[j])
+            yield i, j, block

@@ -252,9 +252,9 @@ def test_induce_past_memory_is_a_cap_refusal(monkeypatch):
 
 def test_core_check_past_memory_is_a_cap_refusal(monkeypatch):
     # the cosets of <g>, g of order 2 in Z/64, fit in 1500 bytes; with the
-    # memory figure then at 400 bytes, the first block of conjugates of
-    # the trivial character's kernel <g> by the 31 other representatives,
-    # 31 x 2 int64 rows, does not, and is refused before numpy is asked
+    # memory figure then at 400 bytes, the first block of products of the
+    # 32 coset representatives and the trivial character's kernel <g>,
+    # 32 x 2 int64 rows, does not, and is refused before numpy is asked
     from chainrep import group_models
 
     G = semidirect_cyclic(64, [1])
@@ -267,7 +267,8 @@ def test_core_check_past_memory_is_a_cap_refusal(monkeypatch):
     with pytest.raises(CapExceededError) as info:
         induced.kernel()
     assert str(info.value) == (
-        "|G| = 64: a block of conjugates of a kernel cannot be allocated (496 bytes exceed the 400 bytes of physical memory)"
+        "|G| = 64: a block of products with the coset representatives cannot be allocated"
+        " (512 bytes exceed the 400 bytes of physical memory)"
     )
     memory["SC_PHYS_PAGES"] = 1500
     assert induced.kernel().tolist() == sorted([G.identity, g])

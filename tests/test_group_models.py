@@ -921,10 +921,10 @@ def test_construction_law_calls_are_pinned(monkeypatch):
     # from the identity, and the character check's own product, made 72;
     # one induction per summand, each with one product placing the
     # character's values on the cosets, made (4, 8).  Now the four
-    # characters, of one subgroup, share one coset walk (one _every), the
-    # walk of its representatives' inverses takes one product, and one
-    # pair of products conjugates the intersection of their kernels, with
-    # no model built
+    # characters, of one subgroup, share one coset walk (one _every), and
+    # the kernel check takes two products, the cosets r K of the
+    # intersection K of their kernels and x r for its rows x, with no
+    # model built
     from chainrep.minfaith_solver import construct_faithful_heisenberg
 
     calls = []
@@ -932,7 +932,7 @@ def test_construction_law_calls_are_pinned(monkeypatch):
         monkeypatch.setattr(HeisenbergGroup, name, _counted(getattr(HeisenbergGroup, name), name, calls))
     sol = construct_faithful_heisenberg(make_ring(2, 4, 1, 1))
     assert (sol.total_dim, sol.verified_faithful) == (64, True)
-    assert (calls.count("product"), calls.count("_every")) == (3, 1)
+    assert (calls.count("product"), calls.count("_every")) == (2, 1)
 
 
 def test_generators_law_calls_are_pinned():
