@@ -578,13 +578,14 @@ def _property_group(spec):
 
 
 # semidirect_cyclic_hom(modulus, multiplier, h_order) of order at most
-# 600, and the tier-1 Heisenberg groups up to order 729
-CORE_GROUPS = [("semidirect", modulus, u, h) for modulus in range(2, 31) for u in range(1, modulus)
-               if gcd(u, modulus) == 1 for h in range(1, 601 // modulus)
-               if pow(u, h, modulus) == 1 and modulus * h <= 600] + [
-    ("heisenberg", *params, k) for params, k in [((2, 1, 1, 1), 1), ((3, 1, 1, 1), 1), ((5, 1, 1, 1), 1),
-                                                 ((2, 2, "inf", 1), 1), ((2, 1, 1, 2), 1), ((2, 1, "inf", 2), 1),
-                                                 ((2, 1, 2, 2), 1), ((3, 1, 1, 2), 1), ((2, 1, 1, 1), 2)]]
+# 600, and the tier-1 Heisenberg groups up to order 729, drawn half and half
+CORE_GROUPS = (
+    [("semidirect", modulus, u, h) for modulus in range(2, 31) for u in range(1, modulus)
+     if gcd(u, modulus) == 1 for h in range(1, 601 // modulus) if pow(u, h, modulus) == 1],
+    [("heisenberg", *params, k) for params, k in [((2, 1, 1, 1), 1), ((3, 1, 1, 1), 1), ((5, 1, 1, 1), 1),
+                                                   ((2, 2, "inf", 1), 1), ((2, 1, 1, 2), 1), ((2, 1, "inf", 2), 1),
+                                                   ((2, 1, 2, 2), 1), ((3, 1, 1, 2), 1), ((2, 1, 1, 1), 2)]],
+)
 
 
 def _random_character(data, G, label):
@@ -602,14 +603,14 @@ def _random_character(data, G, label):
 
 
 @seed(20261021)
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(st.data())
 def test_core_kernel_property(data):
     # random characters of random subgroups, two of them on one subgroup
     # (the second a power of the first): InducedSum checks each as
     # induction does, with the same refusal, and its kernel by cores is
     # the models' on every sum, summand and sum less one summand
-    G = _property_group(data.draw(st.sampled_from(CORE_GROUPS), label="group"))
+    G = _property_group(data.draw(st.sampled_from(CORE_GROUPS).flatmap(st.sampled_from), label="group"))
     chars = [_random_character(data, G, "first"), _random_character(data, G, "second")]
     t = data.draw(st.integers(0, 5), label="power")
     chars.insert(1, LinearChar(chars[0].order, chars[0].gens, t * chars[0].exps))
