@@ -301,6 +301,7 @@ def _blocks(group, reps, rows, right):
     for c in range(0, len(rows), cols):
         for lo in range(0, len(reps), step):
             i, j = slice(lo, lo + step), slice(c, c + cols)
-            block = _allocate(group.order, "a block of products with the coset representatives", (len(reps[i]), len(rows[j])), np.int64)
+            shape = (len(reps[i]), len(rows[j]))
+            block = _allocate(group.order, "a block of products with the coset representatives", shape, np.int64)
             block[:] = group.product(rows[j], reps[i, None]) if right else group.product(reps[i, None], rows[j])
             yield i, j, block

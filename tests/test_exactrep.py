@@ -599,7 +599,8 @@ def _random_character(data, G, label):
         M, exps = data.draw(st.sampled_from(abelian_characters(G, sub)), label=f"{label} character")
         return linear_char(G, M, sub, exps)
     m = data.draw(st.integers(1, 6), label=f"{label} order")
-    return LinearChar(m, gens, data.draw(st.lists(st.integers(0, m - 1), min_size=len(gens), max_size=len(gens)), label=f"{label} values"))
+    values = st.lists(st.integers(0, m - 1), min_size=len(gens), max_size=len(gens))
+    return LinearChar(m, gens, data.draw(values, label=f"{label} values"))
 
 
 @seed(20261021)
