@@ -102,7 +102,7 @@ def parse_group_spec(spec: str):
         raise SpecParseError(f"unknown group family {name!r}")
     with _parse_errors(spec):
         b = FamilyInstance(family, kv)
-        b.group.generators  # the oracle's first array of |G| entries: one past memory is refused here
+        b.group._generator_inverses  # the oracle's first array of |G| entries: one past memory is refused here
         return b.group, b.family.describe(b)
 
 

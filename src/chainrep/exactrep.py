@@ -33,13 +33,13 @@ row x of it and each generator s, which by induction on word length
 makes chi multiplicative.
 
 A sum of induced models is checked without the models (``InducedSum``):
-the kernel of Ind_S^G chi is the core of ker chi, the intersection of its
-conjugates r (ker chi) r^-1 by the coset representatives r (Isaacs,
-Character Theory of Finite Groups, ch. 5), and a sum's kernel is the
-intersection of its summands'.  So the check takes ker chi from chi's
-spread and keeps its rows x with r^-1 x r in ker chi, that is x r in
-r (ker chi), for every r, from products a block at a time, and no
-(|G|, degree) array is made.
+the kernel of Ind_S^G chi is the core of ker chi, the largest normal
+subgroup of G inside it (Isaacs, Character Theory of Finite Groups,
+ch. 5), so a sum's kernel, the intersection of its summands', is the
+core of the intersection K of the characters' kernels.  The check takes
+each ker chi from chi's spread and drops from K every row that G's
+generators conjugate out of it, round after round, a block at a time,
+until none is dropped.  No (|G|, degree) array is made.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain_ring import _divide, _powers
-from .group_models import _BLOCK, _allocate, _distinct
+from .group_models import _BLOCK, _allocate, _check_memory, _distinct
 
 
 class ChiNotHomomorphismError(ValueError):
@@ -235,52 +235,50 @@ class InducedSum:
     characters chars, each of the subgroup its generators generate,
     checked without its models.  The characters are read in order, each
     checked by ``_spread`` as ``MonomialRep.induce`` checks it, and the
-    characters given by one list of generators share one ``_cosets``
-    walk and one ``_tree`` of their subgroup.  ``degrees`` are the
-    summands' coset counts, the degrees of their models."""
+    characters given by one list of generators share one ``_every`` of
+    those generators and one ``_tree`` of their subgroup.  ``degrees`` are
+    the summands' indices |G| / |S|, the degrees of their models."""
 
     def __init__(self, group, chars):
         self.group, self.chars, self.degrees = group, list(chars), []
-        self._subgroups = {}  # generator bytes -> (representatives, coset_of, kernels)
+        self._inside = np.ones(group.order, dtype=bool)  # the intersection of the characters' kernels
         walks = {}
         for chi in self.chars:
             key = chi.gens.tobytes()
             if key not in walks:
-                images, reps, coset_of = group._cosets(chi.gens)
+                _check_memory(group.order, "the products with a subgroup's generators", (len(chi.gens) + 1, group.order), np.int64)
+                images = group._every(chi.gens)
                 walks[key] = images, _tree(group, images)
-                self._subgroups[key] = reps, coset_of, []
             sub, vals = _spread(group, chi, *walks[key])
-            reps, _, kernels = self._subgroups[key]
-            kernels.append(sub[vals == 0])
-            self.degrees.append(len(reps))
+            self._inside &= np.bincount(sub[vals == 0], minlength=group.order) > 0
+            self.degrees.append(group.order // len(sub))
 
     def kernel(self) -> np.ndarray:
         """Rows, ascending, whose matrix is the identity in every summand.
-        The kernel of Ind chi is the core of K = ker chi, the intersection
-        of r K r^-1 over the coset representatives r (Isaacs, Character
-        Theory of Finite Groups, ch. 5), and a sum's kernel is the
-        intersection of its summands', so the characters of one subgroup
-        give the core of the intersection K of their kernels: a row x of
-        K in the kernel so far stays when r^-1 x r lies in K, that is
-        x r lies in r K, for every representative r.  The cosets r K are
-        marked by one pass of products r K, and x r by another, in
-        ``_blocks``; with only the identity left there is nothing to check."""
-        G, e = self.group, self.group.identity
-        kernel = np.ones(G.order, dtype=bool)
-        for reps, coset_of, kernels in self._subgroups.values():
-            inside = np.flatnonzero(np.bincount(np.concatenate(kernels), minlength=G.order) == len(kernels))
-            keep = inside[kernel[inside]]
-            if (keep != e).any():
-                cosets = np.zeros(G.order, dtype=bool)  # the cosets r K, each inside its own r S
-                for _, _, block in _blocks(G, reps, inside, right=False):
-                    cosets[block] = True
-                stays = np.ones(len(keep), dtype=bool)
-                for i, j, block in _blocks(G, reps, keep, right=True):
-                    stays[j] &= ((coset_of[block] == np.arange(len(reps))[i, None]) & cosets[block]).all(axis=0)
-                keep = keep[stays]
-            kernel[:] = False
-            kernel[keep] = True
-        return np.flatnonzero(kernel)
+        The kernel of Ind chi is the core of ker chi (Isaacs, Character
+        Theory of Finite Groups, ch. 5), a sum's kernel is the intersection
+        of its summands', and the cores of subgroups meet in the core of
+        their intersection, so this is the core of the intersection K of
+        the characters' kernels: the largest subset of K that conjugation
+        by G's generators keeps inside it, as one closed under them is
+        closed under G.  Each round drops the rows s of K with some
+        x s x^-1 outside K, x a generator, a block of s at a time, until a
+        round drops none; with only the identity left there is nothing to check."""
+        G, inside = self.group, self._inside.copy()
+        keep = np.flatnonzero(inside)
+        while (keep != G.identity).any():
+            cols = max(1, _BLOCK // len(G.generators))
+            stays = np.ones(len(keep), dtype=bool)
+            for lo in range(0, len(keep), cols):
+                rows = keep[lo : lo + cols]
+                block = _allocate(G.order, "a block of conjugates by its generators", (len(G.generators), len(rows)), np.int64)
+                block[:] = G._conjugates(rows)
+                stays[lo : lo + cols] = inside[block].all(axis=0)
+            if stays.all():
+                break
+            inside[keep[~stays]] = False
+            keep = keep[stays]
+        return keep
 
     def is_faithful(self) -> bool:
         return self.kernel().tolist() == [self.group.identity]
@@ -288,20 +286,3 @@ class InducedSum:
     def models(self) -> list:
         """The summands' monomial models, by ``MonomialRep.induce``."""
         return [MonomialRep.induce(self.group, chi) for chi in self.chars]
-
-
-def _blocks(group, reps, rows, right):
-    """(i, j, block) for blocks of the products of rows and reps, slices
-    i of reps and j of rows, each block within _BLOCK entries and made by
-    ``_allocate``, so one past memory is refused before numpy is asked:
-    block[a, b] = rows[j][b] reps[i][a] when right, else reps[i][a]
-    rows[j][b]."""
-    cols = min(len(rows), _BLOCK)
-    step = max(1, _BLOCK // cols)
-    for c in range(0, len(rows), cols):
-        for lo in range(0, len(reps), step):
-            i, j = slice(lo, lo + step), slice(c, c + cols)
-            shape = (len(reps[i]), len(rows[j]))
-            block = _allocate(group.order, "a block of products with the coset representatives", shape, np.int64)
-            block[:] = group.product(rows[j], reps[i, None]) if right else group.product(reps[i, None], rows[j])
-            yield i, j, block

@@ -199,9 +199,8 @@ class AbstractGroup:
         member), and their products c s with every kept row s, the next
         layer's candidates.  The layers stop when every such product lies
         in a coset made: h c s = h (c s), so the union is then closed under
-        the kept rows, the subgroup they generate.  The mask is the first
-        array of |G| entries that the structure scan and the constructions
-        allocate on a ring family."""
+        the kept rows, the subgroup they generate.  The mask is made by
+        ``_allocate``, so one past memory is refused before numpy is asked."""
         if base is None:
             mask = _allocate(self.order, "a mask of its elements", (self.order,), bool)
             mask[self.identity] = True
@@ -251,8 +250,9 @@ class AbstractGroup:
 
     @cached_property
     def generators(self) -> list[int]:
-        """A generating set: each row that is not yet generated by the
-        smaller ones."""
+        """A generating set, which the classes, the centre, the commutator
+        closure and the kernel check by cores conjugate by: each row not yet
+        generated by the smaller ones (a pattern group lists its own)."""
         return self._span(range(self.order))[1]
 
     def _check_associativity(self):
@@ -352,7 +352,11 @@ class AbstractGroup:
         return self.product(self.product(X, np.asarray(elems, dtype=np.int64)), self._generator_inverses[:, None])
 
     def centralizer(self, elems) -> list[int]:
-        return np.flatnonzero(self._commuting(elems, np.ones(self.order, dtype=bool))).tolist()
+        return np.flatnonzero(self._commuting(elems, self._full_mask())).tolist()
+
+    def _full_mask(self) -> np.ndarray:
+        """A mask of every row, past ``_allocate``: the scan's first array of |G| entries."""
+        return ~_allocate(self.order, "a mask of its elements", (self.order,), bool)
 
     def _commuting(self, elems, mask) -> np.ndarray:
         """mask, narrowed in place to the rows that commute with every row
@@ -420,7 +424,7 @@ class AbstractGroup:
         centralizer, G itself while they lie in the center, narrowed by
         each new generator."""
         S, gens = self._span(self.center)
-        C = np.ones(self.order, dtype=bool)
+        C = self._full_mask()
         while True:
             extra = np.flatnonzero(C & ~S)
             if not len(extra):
@@ -560,6 +564,17 @@ class _PatternGroup(_RingFamily):
         for i, s in sorted(self.positions):
             for j, sj in rows.get(s, ()):
                 self._terms[self.pos_index[i, j]].append((self.pos_index[i, s], sj))
+
+    @cached_property
+    def generators(self) -> list[int]:
+        """The elementary rows E_ij(b) at the positions whose entry is no
+        product of two others (empty ``_terms``: Hei's first row and last
+        column, U's superdiagonal), b over the generators omega_a pi^c (a < f,
+        c < xi) of (R, +), with no closure.  They generate, as every other
+        entry is reached by commutators [E_is(1), E_sj(b)] = E_ij(b)."""
+        R = self.ring
+        gens = [R.basis_index(a * R.n + c) for a in range(R.f) for c in range(R.xi)]
+        return self._axis_rows({t: gens for t, terms in enumerate(self._terms) if not terms}).tolist()
 
     def _law(self, g, h):
         add, mul, out = self.ring.add_table, self.ring.mul_table, []

@@ -412,28 +412,30 @@ def test_package_defines_no_scalar_layer(capsys):
 
 def test_unallocatable_oracle_mask_is_a_cap_refusal(capsys, monkeypatch):
     # a cap past what memory holds: the oracle runs on the family's law,
-    # and its first array of |G| entries, the mask of the generators'
-    # span, is refused before any memory is touched, as a skipped route
+    # and its first array of |G| entries, the coordinates that the walk
+    # of the generators decodes, is refused before any memory is touched,
+    # as a skipped route
     monkeypatch.setenv("CHAINREP_ORACLE_CAP", "2000000000000")
     code, out, err = run_cli(capsys, "minfaith", "heisenberg", "--p", "101", "--n", "2", "--mode", "all")
     assert (code, out) == (0, "10201\nformula: 10201\nsolver: 10201\n")
     construct, oracle = err.splitlines()
     assert construct == "construct skipped: ring of size 10201 exceeds table cap 6000"
-    assert oracle.startswith("oracle skipped: |G| = 1061520150601: a mask of its elements cannot be allocated (")
-    # the group spec reads the generators, so it is refused at that mask
+    assert oracle.startswith("oracle skipped: |G| = 1061520150601: its coordinates cannot be allocated (")
+    # the group spec walks the generators, so it is refused at those coordinates
     for action in ("minfaith", "table"):
         code, out, err = run_cli(capsys, "oracle", action, "--group", "heis:p=101,n=2")
         assert (code, out) == (2, "")
         assert err.startswith(
             "parse error: cannot build group from 'heis:p=101,n=2': "
-            "|G| = 1061520150601: a mask of its elements cannot be allocated ("
+            "|G| = 1061520150601: its coordinates cannot be allocated ("
         )
 
 
 def test_unallocatable_mask_is_a_cap_refusal(capsys, monkeypatch, tmp_path):
     # the two-step routes and the oracle run on the family's law, whose
-    # first array of |G| entries is a mask: past what numpy can index, it
-    # is refused, and every route that needs the group is skipped
+    # first array of |G| entries is the scan's mask and the oracle's
+    # coordinates: past what numpy can index, each is refused, and every
+    # route that needs the group is skipped
     order = 101**12
     monkeypatch.setenv("CHAINREP_ORACLE_CAP", str(order))
     path = tmp_path / "huge.json"
@@ -444,8 +446,9 @@ def test_unallocatable_mask_is_a_cap_refusal(capsys, monkeypatch, tmp_path):
     (entry,) = json.loads(out)["result"]["results"]
     assert (code, entry["match"], entry["values"]) == (0, True, {"formula": 101**4})
     refused = [
-        f"{route} skipped: |G| = {order}: a mask of its elements cannot be allocated ("
-        for route in ("formula_two_step", "construct_two_step", "oracle")
+        f"{route} skipped: |G| = {order}: {what} cannot be allocated ("
+        for route, what in [("formula_two_step", "a mask of its elements"),
+                            ("construct_two_step", "a mask of its elements"), ("oracle", "its coordinates")]
     ]
     notes = entry["notes"][2:]  # after the solver's and the construction's ring caps
     assert len(notes) == 3 and all(note.startswith(want) for note, want in zip(notes, refused)), notes
@@ -482,7 +485,7 @@ def test_a_mask_past_physical_memory_is_refused_unallocated(monkeypatch):
     monkeypatch.setattr(group_models.os, "sysconf", memory.__getitem__)
     monkeypatch.setattr(group_models.np, "zeros", allocate)
     with pytest.raises(CapExceededError) as info:
-        H.generators
+        H.center
     assert str(info.value) == (
         "|G| = 27: a mask of its elements cannot be allocated (27 bytes exceed the 26 bytes of physical memory)"
     )

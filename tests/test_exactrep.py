@@ -251,24 +251,26 @@ def test_induce_past_memory_is_a_cap_refusal(monkeypatch):
 
 
 def test_core_check_past_memory_is_a_cap_refusal(monkeypatch):
-    # the cosets of <g>, g of order 2 in Z/64, fit in 1500 bytes; with the
-    # memory figure then at 400 bytes, the first block of products of the
-    # 32 coset representatives and the trivial character's kernel <g>,
-    # 32 x 2 int64 rows, does not, and is refused before numpy is asked
+    # the products of Z/64's rows with g, of order 2, fit in 1500 bytes;
+    # with the memory figure then at 8 bytes, the first block of
+    # conjugates of the trivial character's kernel <g> by the one
+    # generator, 1 x 2 int64 rows, does not, and is refused before numpy
+    # is asked
     from chainrep import group_models
 
     G = semidirect_cyclic(64, [1])
     g = int(np.flatnonzero(G.element_orders == 2)[0])
+    assert len(G.generators) == 1
     memory = {"SC_PHYS_PAGES": 1500, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(group_models.os, "sysconf", memory.__getitem__)
     induced = InducedSum(G, [LinearChar(1, [g], [0])])
     assert induced.degrees == [32]
-    memory["SC_PHYS_PAGES"] = 400
+    memory["SC_PHYS_PAGES"] = 8
     with pytest.raises(CapExceededError) as info:
         induced.kernel()
     assert str(info.value) == (
-        "|G| = 64: a block of products with the coset representatives cannot be allocated"
-        " (512 bytes exceed the 400 bytes of physical memory)"
+        "|G| = 64: a block of conjugates by its generators cannot be allocated"
+        " (16 bytes exceed the 8 bytes of physical memory)"
     )
     memory["SC_PHYS_PAGES"] = 1500
     assert induced.kernel().tolist() == sorted([G.identity, g])

@@ -790,7 +790,13 @@ def test_law_group_is_its_table(kind, p, f, e, n):
     G = build(make_ring(p, f, e, n)).to_abstract()
     on_law = _group_layer(G)
     assert "table" not in vars(G)  # nothing above read the table
-    assert on_law == _group_layer(AbstractGroup(G.table))
+    on_table = _group_layer(AbstractGroup(G.table))
+    gens, table_gens = on_law.pop("generators"), on_table.pop("generators")
+    assert on_law == on_table
+    # a pattern group lists its own generators, which span G; the affine
+    # group keeps the greedy closure of the table group
+    assert G._span(gens)[0].all()
+    assert kind.startswith(("hei", "u")) or gens == table_gens
 
 
 def test_construction_builds_no_cayley_table(monkeypatch):
@@ -901,14 +907,15 @@ def test_scan_law_calls_are_pinned():
     # squaring to g^(2|G|-1) would make 216 products; centralizers by
     # products, not _every, made 96; spans that multiplied each new
     # element by every kept row, and inverses and orders walked over
-    # every row, made 64
+    # every row, made 64; the twelve greedy generators, in place of the
+    # pattern's eight, made (35, 10)
     F = HeisenbergGroup(make_ring(2, 4, 1, 1))
     calls = []
     for name in ("product", "_every"):
         setattr(F, name, _counted(getattr(F, name), name, calls))
     scan = structure_scan(F.to_abstract())
     assert (len(scan.center), len(scan.maximal_abelian)) == (16, 256)
-    assert (calls.count("product"), calls.count("_every")) == (35, 10)
+    assert (calls.count("product"), calls.count("_every")) == (23, 10)
 
 
 def test_construction_law_calls_are_pinned(monkeypatch):
@@ -920,11 +927,13 @@ def test_construction_law_calls_are_pinned(monkeypatch):
     # generator in the character check made 108; each subgroup respanned
     # from the identity, and the character check's own product, made 72;
     # one induction per summand, each with one product placing the
-    # character's values on the cosets, made (4, 8).  Now the four
-    # characters, of one subgroup, share one coset walk (one _every), and
-    # the kernel check takes two products, the cosets r K of the
-    # intersection K of their kernels and x r for its rows x, with no
-    # model built
+    # character's values on the cosets, made (4, 8); one coset walk for
+    # the four characters, of one subgroup, and products of the coset
+    # representatives with the intersection K of their kernels made
+    # (2, 1).  Now one _every spreads the characters, one product walks
+    # the generators' inverses, and one round of conjugates x s x^-1 of
+    # K's rows by the generators, two products, leaves the identity, with
+    # no model built
     from chainrep.minfaith_solver import construct_faithful_heisenberg
 
     calls = []
@@ -932,19 +941,47 @@ def test_construction_law_calls_are_pinned(monkeypatch):
         monkeypatch.setattr(HeisenbergGroup, name, _counted(getattr(HeisenbergGroup, name), name, calls))
     sol = construct_faithful_heisenberg(make_ring(2, 4, 1, 1))
     assert (sol.total_dim, sol.verified_faithful) == (64, True)
-    assert (calls.count("product"), calls.count("_every")) == (2, 1)
+    assert (calls.count("product"), calls.count("_every")) == (3, 1)
 
 
 def test_generators_law_calls_are_pinned():
-    # the greedy generators of Hei(Z/16) on its law: twelve rows, each of
-    # index 2 over the ones before, so one coset layer, one product, each.
-    # Multiplying every new element by every kept row made 24 products
-    F = HeisenbergGroup(make_ring(2, 1, 1, 4))
+    # the greedy generators of Aff(Z/16), a family with no pattern, on its
+    # law: seven rows, each of index 2 over the ones before, so one coset
+    # layer, one product, each.  Multiplying every new element by every
+    # kept row made twice as many.  Hei(Z/16) lists its two generators,
+    # the x and y entries at 1, with no law call, where its greedy closure
+    # kept twelve rows in 12 products
+    F = AffineGroup(make_ring(2, 1, 1, 4))
     calls = []
     for name in ("product", "_every"):
         setattr(F, name, _counted(getattr(F, name), name, calls))
-    assert F.generators == [2**t for t in range(12)]
-    assert (calls.count("product"), calls.count("_every")) == (12, 0)
+    assert F.generators == [2**t for t in range(7)]
+    assert (calls.count("product"), calls.count("_every")) == (7, 0)
+    H = HeisenbergGroup(make_ring(2, 1, 1, 4))
+    calls.clear()
+    for name in ("product", "_every"):
+        setattr(H, name, _counted(getattr(H, name), name, calls))
+    assert H.generators == [2048, 128]
+    assert calls == []
+
+
+def test_pattern_generators_are_minimal(ring):
+    # a pattern group's generators, the elementary rows at the entries
+    # that are no product of two others with the additive generators of R
+    # as coefficients, span G, number (such entries) f xi, and none lies
+    # in the span of the others.  The greedy closure over every row kept
+    # twelve rows on Hei(Z/16), row 1 among them, a commutator
+    names = ("f2", "f3", "f4", "f5", "z4", "f2t2", "ram222", "z9", "gr42", "z8", "f3t2")
+    rings = [ring(name) for name in names] + [make_ring(2, 1, 1, 4)]
+    groups = [HeisenbergGroup(R, 1) for R in rings]
+    groups += [HeisenbergGroup(ring(name), 2) for name in ("f2", "f3", "z4", "ram222", "f2t2")]
+    groups += [UnitriangularGroup(ring(name), size) for name in ("f2", "f3", "z4") for size in (3, 4, 5)]
+    for G in groups:
+        gens = G.generators
+        assert len(gens) == sum(not terms for terms in G._terms) * G.ring.f * G.ring.xi, G
+        assert G._span(gens)[0].all(), G
+        for i in range(len(gens)):
+            assert not G._span(gens[:i] + gens[i + 1 :])[0].all(), (G, gens[i])
 
 
 def test_pattern_terms_pair_each_entry_with_its_row(ring):
