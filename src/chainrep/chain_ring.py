@@ -218,6 +218,10 @@ class RingSpec:
         """Minimal generator count of (R, +): f * xi."""
         return self.f * self.xi
 
+    def additive_generators(self) -> list[int]:
+        """Indices of omega_i pi^j, i < f, j < xi, (i, j)-lexicographic: f xi generators of (R, +)."""
+        return [self.basis_index(i * self.n + j) for i in range(self.f) for j in range(self.xi)]
+
     def basis_index(self, pos: int) -> int:
         """Index of the digit basis element beta_pos = omega_i pi^j, pos =
         i*n + j: digit 1 at position pos, 0 elsewhere.  beta_0 is 1."""

@@ -569,11 +569,10 @@ class _PatternGroup(_RingFamily):
     def generators(self) -> list[int]:
         """The elementary rows E_ij(b) at the positions whose entry is no
         product of two others (empty ``_terms``: Hei's first row and last
-        column, U's superdiagonal), b over the generators omega_a pi^c (a < f,
-        c < xi) of (R, +), with no closure.  They generate, as every other
-        entry is reached by commutators [E_is(1), E_sj(b)] = E_ij(b)."""
-        R = self.ring
-        gens = [R.basis_index(a * R.n + c) for a in range(R.f) for c in range(R.xi)]
+        column, U's superdiagonal), b over R's ``additive_generators``,
+        with no closure.  They generate, as (R, +) is generated by the b and
+        every other entry is reached by [E_is(1), E_sj(b)] = E_ij(b)."""
+        gens = self.ring.additive_generators()
         return self._axis_rows({t: gens for t, terms in enumerate(self._terms) if not terms}).tolist()
 
     def _law(self, g, h):

@@ -218,7 +218,7 @@ def heisenberg_basis_parameters(R: RingSpec) -> list[int]:
     """Indices of the central parameters b_ij = omega_i pi^j, i < f,
     j < xi, (i, j)-lexicographic, whose characters restrict to a basis of
     the dual of Omega_1."""
-    return [R.basis_index(i * R.n + j) for i in range(R.f) for j in range(R.xi)]
+    return R.additive_generators()
 
 
 def _induced_sum(name, G, summands, target, characters, certificate=None) -> FaithfulSolution:
