@@ -12,7 +12,7 @@ element indices, listed in ``names``) and rows.  The codec decodes rows
 by a gather from one array of |G| entries per coordinate, built on
 first use and refused past physical memory or what numpy can allocate,
 as the cap is.  A family's ``product`` is that one law: the structure
-scan, the constructions and the character-table oracle need only
+facts, the constructions and the character-table oracle need only
 products, so none of them builds a |G|^2 table.  The distinguished
 groups (semidirect products of cyclic groups, Q8 and GL_2) and the
 quotients are laws too, written once on row-index arrays
@@ -20,10 +20,11 @@ quotients are laws too, written once on row-index arrays
 constructor only checks it.  Every group, a table group too, finds its
 identity (the row e with e 0 = 0) on first use, and the orders and
 inverses of the rows it reads by one walk g, g^2, ...: the oracle walks
-every row, the group layer the generators, and the structure scan the
+every row, the group layer the generators, and the structure facts the
 centre and commutator rows.  AbstractGroup's group layer (spans by
 cosets, element orders, centralizers, classes, the commutator
-subgroup, quotients and the structure scan) is written once, against
+subgroup, quotients and the structure facts, each cached when first
+read) is written once, against
 ``product``, ``inverse`` and ``identity``, and ``_every``, the product
 of every row with a few rows, which a family evaluates on an open mesh.
 Conjugacy classes, quotient cosets and the cosets of an induction are
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -355,7 +355,7 @@ class AbstractGroup:
         return np.flatnonzero(self._commuting(elems, self._full_mask())).tolist()
 
     def _full_mask(self) -> np.ndarray:
-        """A mask of every row, past ``_allocate``: the scan's first array of |G| entries."""
+        """A mask of every row, past ``_allocate``: the centre's first array of |G| entries."""
         return ~_allocate(self.order, "a mask of its elements", (self.order,), bool)
 
     def _commuting(self, elems, mask) -> np.ndarray:
@@ -382,47 +382,44 @@ class AbstractGroup:
         return Q, coset_of
 
     @cached_property
-    def scan(self) -> "StructureScan":
-        """The structure scan (``structure_scan``), made once per group."""
-        _check_cap(self.order)
-        n = self.order
-        facs = _factorize(n)
-        is_p = len(facs) == 1
-        p = next(iter(facs)) if is_p else None
+    def p(self) -> int | None:
+        """The prime of a p-group; None unless |G| is a prime power."""
+        facs = _factorize(self.order)
+        return next(iter(facs)) if len(facs) == 1 else None
 
-        center = self.center
+    @cached_property
+    def is_p_group(self) -> bool:
+        return self.p is not None
+
+    @cached_property
+    def is_two_step(self) -> bool:
+        """Whether the commutator subgroup is nontrivial and central; the
+        centre is read first, so a group past memory is refused at its mask."""
+        cset = set(self.center)
         comm = self.commutator_subgroup
-        cset = set(center)
-        two_step = all(g in cset for g in comm) and len(comm) > 1
-        # the orders of the centre and commutator rows, one walk
-        orders, walked = np.zeros(n, dtype=np.int64), _distinct(center + comm)
-        orders[walked] = self._walk(walked)[0]
-        comm_cyclic = int(orders[comm].max()) == len(comm) if len(comm) > 1 else True
+        return len(comm) > 1 and all(g in cset for g in comm)
 
-        # d(Z): the largest rank of the socle of a Sylow subgroup of Z, whose
-        # greedy generators are a basis
-        Z = np.asarray(center, dtype=np.int64)
-        rank = max((len(self._span(Z[orders[Z] == q])[1]) for q in facs), default=0)
+    @cached_property
+    def commutator_cyclic(self) -> bool:
+        """Whether the commutator subgroup is cyclic: some row of it has its order."""
+        comm = self.commutator_subgroup
+        return len(comm) == 1 or int(self._walk(comm)[0].max()) == len(comm)
 
-        return StructureScan(
-            order=n,
-            is_p_group=is_p,
-            p=p,
-            center=center,
-            center_invariant_count=rank,
-            commutator=comm,
-            is_two_step=two_step,
-            commutator_cyclic=comm_cyclic,
-            maximal_abelian=self._maximal_abelian[0],
-        )
+    @cached_property
+    def center_invariant_count(self) -> int:
+        """d(Z): the largest rank of the socle of a Sylow subgroup of the
+        centre, whose greedy generators are a basis."""
+        Z = np.asarray(self.center, dtype=np.int64)
+        orders = self._walk(Z)[0]
+        return max((len(self._span(Z[orders == q])[1]) for q in _factorize(self.order)), default=0)
 
     @cached_property
     def _maximal_abelian(self) -> tuple[list[int], list[int]]:
-        """(rows, generators) of the scan's greedy maximal abelian
-        subgroup: the center extended by the least element that commutes
-        with every generator so far, and not yet generated.  C is their
-        centralizer, G itself while they lie in the center, narrowed by
-        each new generator."""
+        """(rows, generators) of the greedy maximal abelian subgroup that
+        the two-step construction induces from: the center extended by the
+        least element that commutes with every generator so far, and not
+        yet generated.  C is their centralizer, G itself while they lie in
+        the center, narrowed by each new generator."""
         S, gens = self._span(self.center)
         C = self._full_mask()
         while True:
@@ -771,24 +768,11 @@ def general_linear_2(R: RingSpec) -> AbstractGroup:
 # -- structure scan ---------------------------------------------------
 
 
-@dataclass
-class StructureScan:
-    order: int
-    is_p_group: bool
-    p: int | None
-    center: list
-    center_invariant_count: int
-    commutator: list
-    is_two_step: bool
-    commutator_cyclic: bool
-    maximal_abelian: list
-
-
-def structure_scan(G: AbstractGroup) -> StructureScan:
-    """Center, commutator subgroup, two-step and cyclicity flags, the
-    socle rank of Z and a greedy maximal abelian subgroup of G, made once
-    per group and cached on it (``G.scan``)."""
-    return G.scan
+def structure_scan(G: AbstractGroup) -> AbstractGroup:
+    """G itself, refused past the cap: its structure facts are cached
+    properties, each computed when first read."""
+    _check_cap(G.order)
+    return G
 
 
 # -- characters of abelian subgroups ---------------------------------

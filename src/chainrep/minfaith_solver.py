@@ -37,7 +37,6 @@ from .group_models import (
     AbstractGroup,
     AffineGroup,
     HeisenbergGroup,
-    StructureScan,
     UnitriangularGroup,
     extend_character,
     general_linear_2,
@@ -95,7 +94,7 @@ def formula_unitriangular(p: int, f: int, e, n: int, size: int) -> int:
     residue characteristic.  Lower bound: Hei_{2k+1}(R) is the subgroup
     of U_{k+2}(R) on the pattern of the first row, the last column and
     the corner (HeisenbergGroup's positions).  Upper bound: for each
-    basis parameter b of heisenberg_basis_parameters, psi(b g_{1,k+2}) is
+    basis parameter b of R.additive_generators(), psi(b g_{1,k+2}) is
     a character of S_b = {g : g_{1j} in Ann(b) for 1 < j < k+2}, since b
     kills the cross terms of the corner entry, and its induced
     representation has degree [U : S_b] = |R/Ann(b)|^k.  The centre is
@@ -118,9 +117,9 @@ def formula_affine(p: int, f: int, n: int) -> int:
     return q**n - q ** (n - 1)
 
 
-def formula_two_step(G: AbstractGroup, scan: StructureScan | None = None) -> int:
+def formula_two_step(G: AbstractGroup, scan: AbstractGroup | None = None) -> int:
     """sqrt([G:Z]) + d'(Z) - 1 for a two-step p-group with cyclic
-    commutator subgroup."""
+    commutator subgroup, from the facts of scan = structure_scan(G), G itself."""
     scan = scan or structure_scan(G)
     if not scan.is_p_group:
         raise NotTwoStepError("group is not a p-group")
@@ -214,13 +213,6 @@ def solve_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
 # -- explicit constructions ------------------------------------------
 
 
-def heisenberg_basis_parameters(R: RingSpec) -> list[int]:
-    """Indices of the central parameters b_ij = omega_i pi^j, i < f,
-    j < xi, (i, j)-lexicographic, whose characters restrict to a basis of
-    the dual of Omega_1."""
-    return R.additive_generators()
-
-
 def _induced_sum(name, G, summands, target, characters, certificate=None) -> FaithfulSolution:
     """The one checked path of every construction: the summands' dims,
     read off the structure of G, must total the closed form ``target``;
@@ -242,10 +234,11 @@ def _induced_sum(name, G, summands, target, characters, certificate=None) -> Fai
 
 
 def construct_faithful_heisenberg(R: RingSpec, k: int = 1) -> FaithfulSolution:
-    """Direct sum over the basis parameters b_ij of the induced model with
-    trivial orbit and stabilizer character, of degree q^(k(n-j)) at level j."""
+    """Direct sum over the basis parameters b_ij (R.additive_generators())
+    of the induced model with trivial orbit and stabilizer character, of
+    degree q^(k(n-j)) at level j."""
     H, name = HeisenbergGroup(R, k), f"heisenberg k={k} over {R!r}"
-    params = heisenberg_basis_parameters(R)
+    params = R.additive_generators()
     vectors = socle_restriction(R, params).tolist()
     _check(spans_dual(vectors, R), f"{name}: basis parameters fail to span")
     summands = [{"b": digits, "level": t % R.xi, "dim": R.q ** (k * (R.n - t % R.xi))}  # b_ij has level j
@@ -265,10 +258,10 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     faithful, so not at all; in a p-group every nontrivial normal
     subgroup meets Omega_1(Z), so the kernel is trivial.  Each summand,
     linear ones included, is checked exactly as a character."""
-    scan, name = structure_scan(G), f"two-step table group of order {G.order}"
-    target = formula_two_step(G, scan)
-    Z, B = scan.center, scan.commutator
-    A, gens_A = G._maximal_abelian  # the scan's maximal abelian subgroup and the rows that grew it
+    name = f"two-step table group of order {G.order}"
+    target = formula_two_step(G)
+    Z, B = G.center, G.commutator_subgroup
+    A, gens_A = G._maximal_abelian  # with the rows that grew it
     index = G.order // len(A)
     _check(index**2 == G.order // len(Z), f"{name}: maximal abelian does not sit halfway between center and group")
     # chi1 on A: b -> zeta_|B| for a generator b of B
@@ -276,12 +269,12 @@ def construct_faithful_two_step(G: AbstractGroup) -> FaithfulSolution:
     MA, expsA = extend_character(G, [b], len(B), [1], A)
     Q, coset_of = G.quotient([b])
     kernel = np.array(sorted(set(coset_of[Z][expsA[np.searchsorted(A, Z)] == 0].tolist())))  # Z in A, both ascending
-    basis = Q._span(kernel[Q._walk(kernel)[0] == scan.p])[1]
+    basis = Q._span(kernel[Q._walk(kernel)[0] == G.p])[1]
 
     def characters():
         chars = [LinearChar(MA, gens_A, expsA[np.searchsorted(A, gens_A)])]
         for unit in np.eye(len(basis), dtype=np.int64):  # values at the images of G's generators, which generate Q
-            MQ, expsQ = extend_character(Q, basis, scan.p, unit, coset_of[G.generators])
+            MQ, expsQ = extend_character(Q, basis, G.p, unit, coset_of[G.generators])
             chars.append(LinearChar(MQ, G.generators, expsQ))
         return chars
 

@@ -445,10 +445,10 @@ def test_induce_matches_the_discovery_loop(group):
         G = group(name)
         scan = structure_scan(G)
         cyclic = [np.flatnonzero(G._span([g])[0]) for g in range(0, G.order, max(1, G.order // 5))]
-        for rows in [scan.center, scan.maximal_abelian] + cyclic:
+        for rows in [scan.center, G._maximal_abelian[0]] + cyclic:
             M, exps = abelian_characters(G, rows)[-1]
             _assert_induces_as_the_loop(G, linear_char(G, M, rows, exps))
-        for rows in [[G.identity], scan.commutator, range(G.order)]:
+        for rows in [[G.identity], scan.commutator_subgroup, range(G.order)]:
             _assert_induces_as_the_loop(G, linear_char(G, 1, rows, np.zeros(len(rows))))
 
 

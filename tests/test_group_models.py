@@ -99,7 +99,7 @@ def test_heisenberg_center_is_commutator(heis):
     G = H.to_abstract()
     scan = structure_scan(G)
     assert scan.is_two_step and scan.commutator_cyclic
-    assert len(scan.commutator) == len(scan.center) == H.ring.size
+    assert len(scan.commutator_subgroup) == len(scan.center) == H.ring.size
 
 
 def test_heisenberg_to_abstract_names(heis):
@@ -751,6 +751,12 @@ def test_every_is_the_product(kind, right, draws):
     assert (got == (G.product(x, col) if right else G.product(col, x))).all()
 
 
+def _scan_facts(G) -> dict:
+    """The structure facts of G, by name."""
+    names = "p is_p_group is_two_step commutator_cyclic center_invariant_count center commutator_subgroup"
+    return {name: getattr(G, name) for name in names.split()}
+
+
 def _group_layer(G) -> dict:
     """Everything AbstractGroup's group layer answers about G, as plain
     values; the quotients by the centre and the commutator subgroup as
@@ -765,7 +771,8 @@ def _group_layer(G) -> dict:
         "center": G.center,
         "conjugacy": (reps, class_of.tolist(), sizes.tolist()),
         "commutator_subgroup": G.commutator_subgroup,
-        "scan": vars(structure_scan(G)),
+        "scan": _scan_facts(G),
+        "maximal_abelian": G._maximal_abelian[0],
     }
     for key in ("center", "commutator_subgroup"):
         Q, coset_of = G.quotient(G._span(out[key])[1])
@@ -817,7 +824,7 @@ def test_construction_builds_no_cayley_table(monkeypatch):
         con, two = construct_faithful_heisenberg(R), construct_faithful_two_step(G)
         assert con.verified_faithful and two.verified_faithful
         dims = [solve_heisenberg(R).total_dim, con.total_dim, formula_two_step(G, scan), two.total_dim]
-        return dims, vars(scan), [rep.sigma.tolist() for rep in two.reps]
+        return dims, _scan_facts(scan), G._maximal_abelian[0], [rep.sigma.tolist() for rep in two.reps]
 
     want = routes(AbstractGroup(HeisenbergGroup(R).to_abstract().table, validate=False))
 
@@ -880,7 +887,7 @@ def test_centralizer_memory_is_bounded():
     import tracemalloc
 
     G = HeisenbergGroup(make_ring(2, 1, 1, 4))
-    A = G.scan.maximal_abelian  # builds the codec and the ring tables, cached
+    A = G._maximal_abelian[0]  # builds the codec and the ring tables, cached
     tracemalloc.start()
     try:
         C = G.centralizer(A)
@@ -900,7 +907,7 @@ def _counted(law, name, calls):
 
 
 def test_scan_law_calls_are_pinned():
-    # the structure scan of Hei(F_16) on its law makes exactly this many
+    # the structure facts of Hei(F_16) on its law make exactly this many
     # calls of the family's product and of its mesh kernel _every, which
     # repeat from run to run.  A centralizer recomputed over every
     # generator each round, spans rebuilt from scratch and inverses by
@@ -908,14 +915,26 @@ def test_scan_law_calls_are_pinned():
     # products, not _every, made 96; spans that multiplied each new
     # element by every kept row, and inverses and orders walked over
     # every row, made 64; the twelve greedy generators, in place of the
-    # pattern's eight, made (35, 10)
+    # pattern's eight, made (35, 10); a scan that also grew the greedy
+    # maximal abelian subgroup, which no fact reads, made (23, 10)
     F = HeisenbergGroup(make_ring(2, 4, 1, 1))
     calls = []
     for name in ("product", "_every"):
         setattr(F, name, _counted(getattr(F, name), name, calls))
-    scan = structure_scan(F.to_abstract())
-    assert (len(scan.center), len(scan.maximal_abelian)) == (16, 256)
-    assert (calls.count("product"), calls.count("_every")) == (23, 10)
+    G = structure_scan(F.to_abstract())
+    _scan_facts(G)  # reads every fact
+    assert len(G.center) == 16 and G.commutator_subgroup == G.center
+    assert (G.p, G.is_two_step, G.commutator_cyclic, G.center_invariant_count) == (2, True, False, 4)
+    assert (calls.count("product"), calls.count("_every")) == (16, 2)
+
+
+def test_scan_computes_only_what_is_read():
+    # each structure fact is computed the first time it is read: the
+    # cyclicity of G' reads the commutator subgroup alone, so neither the
+    # socle rank of Z nor the maximal abelian subgroup is grown
+    G = HeisenbergGroup(make_ring(2, 4, 1, 1))
+    assert structure_scan(G).commutator_cyclic is False
+    assert "_maximal_abelian" not in vars(G) and "center_invariant_count" not in vars(G)
 
 
 def test_construction_law_calls_are_pinned(monkeypatch):
@@ -1083,7 +1102,7 @@ def test_structure_scan_maximal_abelian(group, heis):
     for name in ["d4", "q8", "m16", "m27", "hei3_z4", "hei3_z9"]:
         G = group(name)
         scan = structure_scan(G)
-        A = scan.maximal_abelian
+        A = G._maximal_abelian[0]
         assert len(A) * len(A) == G.order * len(scan.center)
         # A really is abelian and self-centralizing
         assert set(G.centralizer(A)) == set(A)
@@ -1178,7 +1197,7 @@ def _draw_abelian_subgroup(data, make_abelian):
     if kind == "center":
         return G, G.center
     if kind == "maximal":
-        return G, structure_scan(G).maximal_abelian
+        return G, G._maximal_abelian[0]
     return G, np.flatnonzero(G._span([data.draw(st.integers(0, G.order - 1), label="g")])[0]).tolist()
 
 

@@ -796,13 +796,12 @@ def test_cross_validate_detects_mismatch():
 
 
 def test_cross_validate_tiny_suite(monkeypatch):
-    # the two-step routes share one structure scan of the instance: the
-    # scan is made once, however often it is asked for
-    from chainrep import group_models
+    # the two-step routes share the structure facts of the instance's
+    # group: its centre is computed once, however often it is read
+    from chainrep.group_models import AbstractGroup
 
-    scans = []
-    made = group_models.StructureScan
-    monkeypatch.setattr(group_models, "StructureScan", lambda **kw: scans.append(kw) or made(**kw))
+    centres, made = [], AbstractGroup.center.func
+    monkeypatch.setattr(AbstractGroup.center, "func", lambda G: centres.append(G.order) or made(G))
     suite = {
         "name": "tiny",
         "instances": [
@@ -830,7 +829,7 @@ def test_cross_validate_tiny_suite(monkeypatch):
     report = cross_validate(suite)
     assert report["ok"] is True
     assert {r["name"] for r in report["results"]} == {"aff-f3", "m27"}
-    assert len(scans) == 1
+    assert centres == [27]
 
 
 def test_verify_default_golden(suite_report):

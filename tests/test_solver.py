@@ -23,7 +23,6 @@ from chainrep.minfaith_solver import (
     formula_heisenberg,
     formula_two_step,
     formula_unitriangular,
-    heisenberg_basis_parameters,
     heisenberg_catalog_entries,
     orbit_lower_bound,
     solve_heisenberg,
@@ -93,7 +92,7 @@ def test_unitriangular_upper_bound_is_faithful(ring):
         R = ring(name)
         U = UnitriangularGroup(R, size)
         reps = []
-        for b in heisenberg_basis_parameters(R):
+        for b in R.additive_generators():
             ann = annihilator_indices(R, b)
             rows = rows_of(U, {t: ann if i == 0 and j < size - 1 else range(R.size) for t, (i, j) in enumerate(U.positions)})
             corner = U._decode(rows)[U.pos_index[0, size - 1]]
@@ -210,7 +209,7 @@ def test_solver_greedy_picks_cheapest_spanning_set(heis):
 def test_basis_parameters_shape(ring):
     for name in ["z4", "f2t2", "gr42"]:
         R = ring(name)
-        params = heisenberg_basis_parameters(R)
+        params = R.additive_generators()
         assert len(params) == R.d_invariant
         levels = sorted(R.valuation_table[params].tolist())
         assert levels == sorted(j for _ in range(R.f) for j in range(R.xi))
