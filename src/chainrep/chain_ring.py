@@ -202,10 +202,6 @@ class RingSpec:
     def unit_count(self) -> int:
         return self.q**self.n - self.q ** (self.n - 1)
 
-    def ideal_indices(self, j: int) -> list[int]:
-        """Indices of the ideal pi^j R, j in [0, n]."""
-        return np.flatnonzero(self.valuation_table >= min(j, self.n)).tolist()
-
     def ideal_basis(self, j: int) -> list[int]:
         """Indices of the digit basis elements omega_i pi^j' of the ideal
         pi^j R, j <= j' < n, (i, j')-lexicographic.  They generate it

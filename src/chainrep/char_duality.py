@@ -143,13 +143,9 @@ def _independent(vectors, p: int) -> list[int]:
     return _rref(np.array(rows, dtype=np.int64).T, p)[1]
 
 
-def fp_rank(vectors, p: int) -> int:
-    return len(_independent(vectors, p))
-
-
 def spans_dual(vectors, R: RingSpec) -> bool:
     """Do the restricted characters span the full dual of Omega_1?"""
-    return fp_rank(vectors, R.p) == R.d_invariant
+    return len(_independent(vectors, R.p)) == R.d_invariant
 
 
 def basis_greedy(vectors, weights, p: int, dim: int) -> list[int]:

@@ -40,12 +40,6 @@ def _text_value(key, text):
         return text
 
 
-def _e_repr(e):
-    import math
-
-    return "inf" if e == math.inf else int(e)
-
-
 @contextmanager
 def _parse_errors(source, what="group", ring_source=None):
     """A ring or group that cannot be built from its parameters, or an
@@ -125,7 +119,7 @@ def _emit(args, command, parameters, result, rows, lines) -> None:
 
 
 def _cmd_ring(args) -> int:
-    from .chain_ring import make_ring
+    from .chain_ring import INF, make_ring
     from .minfaith_solver import _RING_KEYS
 
     params = {key: vars(args)[key] for key in _RING_KEYS}
@@ -134,7 +128,7 @@ def _cmd_ring(args) -> int:
     result = {
         "p": R.p,
         "f": R.f,
-        "e": _e_repr(R.e),
+        "e": "inf" if R.e == INF else R.e,
         "n": R.n,
         "q": R.q,
         "xi": R.xi,

@@ -451,10 +451,11 @@ class AbstractGroup:
 # -- the ring families ------------------------------------------------
 
 
-def _itself(self) -> "_RingFamily":
-    """The family, which is its own AbstractGroup; refused past the cap."""
-    _check_cap(self.order)
-    return self
+def structure_scan(G: AbstractGroup) -> AbstractGroup:
+    """G itself, refused past the cap: its structure facts are cached
+    properties, each computed when first read."""
+    _check_cap(G.order)
+    return G
 
 
 class _RingFamily(AbstractGroup):
@@ -471,9 +472,9 @@ class _RingFamily(AbstractGroup):
     the coordinates of every row, which they fill.  ``_identity`` is the
     identity's coordinates and ``names`` the coordinates of each row.
     ``product`` is the law and ``_every`` the law of every row with a few
-    on an open mesh of coordinates.  ``to_abstract`` is the family itself;
-    each family class binds it in its own namespace, which is where
-    perfbench's tracer looks for it."""
+    on an open mesh of coordinates.  ``to_abstract`` is ``structure_scan``,
+    the family itself; each family class binds it in its own namespace,
+    which is where perfbench's tracer looks for it."""
 
     @cached_property
     def identity(self) -> int:
@@ -596,7 +597,7 @@ class HeisenbergGroup(_PatternGroup):
     def __repr__(self):
         return f"HeisenbergGroup({self.ring!r}, k={self.k})"
 
-    to_abstract = _itself
+    to_abstract = structure_scan
 
 
 class UnitriangularGroup(_PatternGroup):
@@ -612,7 +613,7 @@ class UnitriangularGroup(_PatternGroup):
     def __repr__(self):
         return f"UnitriangularGroup({self.ring!r}, size={self.size})"
 
-    to_abstract = _itself
+    to_abstract = structure_scan
 
 
 # -- affine groups ----------------------------------------------------
@@ -655,7 +656,7 @@ class AffineGroup(_RingFamily):
         a, u = coords
         return a * len(self._units) + self._unit_pos[u]
 
-    to_abstract = _itself
+    to_abstract = structure_scan
 
 
 # -- distinguished abstract groups -----------------------------------
@@ -765,30 +766,19 @@ def general_linear_2(R: RingSpec) -> AbstractGroup:
     return AbstractGroup.from_law(n, product, list(zip(*coords.tolist())))
 
 
-# -- structure scan ---------------------------------------------------
-
-
-def structure_scan(G: AbstractGroup) -> AbstractGroup:
-    """G itself, refused past the cap: its structure facts are cached
-    properties, each computed when first read."""
-    _check_cap(G.order)
-    return G
-
-
 # -- characters of abelian subgroups ---------------------------------
 
 
-def _generator_series(group, rows, seed=()):
+def _generator_series(group, rows):
     """Greedy generator series of the abelian subgroup A generated by the
-    rows seed and rows: (picks, orders, relations, exps, M).  Candidates
-    are seed then rows, and each that is not yet generated becomes the
-    next generator g_i; picks holds its position among the candidates,
-    orders its relative order d_i (the least d with g_i^d in
-    <g_1..g_{i-1}>) and relations the exponent vector of g_i^{d_i} over
-    the earlier generators.  Row a of exps is the exponent vector of
-    candidate a (0 <= e_i < d_i), and M is the exponent of A, the lcm of
-    the generators' orders d_i |g_i^{d_i}|, the latter from one walk."""
-    cand = np.concatenate([np.asarray(seed, dtype=np.int64), np.asarray(rows, dtype=np.int64)])
+    rows: (picks, orders, relations, exps, M).  Each row that is not yet
+    generated becomes the next generator g_i; picks holds its position
+    among the rows, orders its relative order d_i (the least d with g_i^d
+    in <g_1..g_{i-1}>) and relations the exponent vector of g_i^{d_i}
+    over the earlier generators.  Row a of exps is the exponent vector of
+    row a (0 <= e_i < d_i), and M is the exponent of A, the lcm of the
+    generators' orders d_i |g_i^{d_i}|, the latter from one walk."""
+    cand = np.asarray(rows, dtype=np.int64)
     ident = group.identity
     where = np.full(group.order, -1, dtype=np.int64)  # position in members
     where[ident] = 0
@@ -813,12 +803,6 @@ def _generator_series(group, rows, seed=()):
     return picks, orders, relations, exps[where[cand]], M
 
 
-def _relation_value(relation, values, M) -> int:
-    """chi(g_i^{d_i}) as an exponent mod M, from its exponent vector over
-    generators with the given values."""
-    return sum(r * v for r, v in zip(relation, values)) % M
-
-
 def extend_character(group, sub, sub_order, sub_exps, big):
     """Extend a character of a subgroup (rows sub, exponents sub_exps
     aligned with them at the stated root order) over a larger abelian
@@ -827,12 +811,13 @@ def extend_character(group, sub, sub_order, sub_exps, big):
     seeded with the subgroup fixes the seed generators' values and takes
     the least value at each later one.  Raises ValueError when the seed
     values are not a character of the subgroup."""
-    picks, orders, relations, exps, M = _generator_series(group, big, seed=sub)
+    cand = np.concatenate([np.asarray(sub, dtype=np.int64), np.asarray(big, dtype=np.int64)])
+    picks, orders, relations, exps, M = _generator_series(group, cand)
     M = math.lcm(M, sub_order)
     seed = M // sub_order * np.asarray(sub_exps, dtype=np.int64) % M
     values = []
     for a, d, rel in zip(picks, orders, relations):
-        c = _relation_value(rel, values, M)
+        c = sum(r * v for r, v in zip(rel, values)) % M  # chi(g_i^{d_i})
         if a >= len(seed):
             values.append(c // d)
         elif (d * seed[a] - c) % M:

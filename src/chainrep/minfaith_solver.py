@@ -180,16 +180,11 @@ def solve_pgroup(entries, p: int, ambient_dim: int) -> FaithfulSolution:
         chosen = basis_greedy(vecs, dims, p, ambient_dim)
     except NotSpanningError as exc:
         raise PoolDoesNotSpanError(str(exc)) from None
-    total = sum(dims[i] for i in chosen)
-
-    def _coords(v):
-        return tuple(v.coords) if isinstance(v, DualVector) else tuple(v)
-
     return FaithfulSolution(
         group="p-group catalog",
-        total_dim=total,
+        total_dim=sum(dims[i] for i in chosen),
         summands=[entries[i][2] for i in chosen],
-        certificate=[_coords(vecs[i]) for i in chosen],
+        certificate=[tuple(vecs[i].coords) for i in chosen],
     )
 
 

@@ -603,11 +603,9 @@ def catalog_from_table(T: CharacterTable):
     central character restricted to a fixed basis of the socle
     Omega_1(Z(G)).  Feeds the greedy basis solver."""
     G = T.group
-    primes = list(_factorize(G.order))
-    _check(len(primes) == 1, "catalog_from_table requires a p-group")
-    p = primes[0]
-    orders = G.element_orders
-    gens = G._span(g for g in G.center if orders[g] == p)[1]
+    _check(G.is_p_group, "catalog_from_table requires a p-group")
+    p, Z = G.p, np.asarray(G.center, dtype=np.int64)
+    gens = G._span(Z[G.element_orders[Z] == p])[1]
     step = T.exponent // p
     V = T.mu[:, T.class_of[gens], :]  # (row, generator, root exponent)
     t = V.argmax(axis=2)

@@ -39,7 +39,7 @@ import numpy as np
 from chainrep.chain_ring import INF, RingParameterError, RingSpec, _divide
 from chainrep.char_duality import DualVector, character_weights, psi
 from chainrep.exactrep import LinearChar, _ctx, cyc_str
-from chainrep.group_models import AffineGroup, HeisenbergGroup, _generator_series, _relation_value
+from chainrep.group_models import AffineGroup, HeisenbergGroup, _generator_series
 from chainrep.mackey_irreps import IrrepDescriptor
 from chainrep.minfaith_solver import formula_heisenberg
 
@@ -398,9 +398,14 @@ def translations(A: AffineGroup) -> np.ndarray:
     return rows_of(A, {0: range(A.ring.size)})
 
 
+def ideal_indices(R: RingSpec, j: int) -> list[int]:
+    """Indices of the ideal pi^j R, j in [0, n]."""
+    return np.flatnonzero(R.valuation_table >= min(j, R.n)).tolist()
+
+
 def annihilator_indices(R: RingSpec, b_idx: int) -> list[int]:
     """Indices of Ann(b) = {y : b y = 0} = pi^(n - val b) R."""
-    return R.ideal_indices(R.n - int(R.valuation_table[b_idx]))
+    return ideal_indices(R, R.n - int(R.valuation_table[b_idx]))
 
 
 def abelian_polarization(H: HeisenbergGroup) -> np.ndarray:
@@ -426,7 +431,7 @@ def extended_character_table(H: HeisenbergGroup, b_vec: tuple, b_idx: int, lam_l
 
 def ideal_of(R: RingSpec, b_idx: int) -> list[int]:
     """Indices of the principal ideal b R = pi^(val b) R."""
-    return R.ideal_indices(int(R.valuation_table[b_idx]))
+    return ideal_indices(R, int(R.valuation_table[b_idx]))
 
 
 def orbit_of(H: HeisenbergGroup, b_vec: tuple, b_idx: int) -> list[tuple]:
@@ -476,7 +481,7 @@ def catalog_summary(R: RingSpec, k: int) -> list[LevelSummary]:
 def coset_minima(R: RingSpec, level: int) -> list[int]:
     """The least member of each coset of pi^level R, ascending, read off
     the add table."""
-    ideal = R.ideal_indices(level)
+    ideal = ideal_indices(R, level)
     return sorted({int(R.add_table[x, ideal].min()) for x in range(R.size)})
 
 
@@ -599,7 +604,7 @@ def abelian_characters(group, rows):
     choices = [[]]
     for d, rel in zip(orders, relations):
         choices = [
-            v + [_relation_value(rel, v, M) // d + k * (M // d)] for v in choices for k in range(d)
+            v + [sum(r * x for r, x in zip(rel, v)) % M // d + k * (M // d)] for v in choices for k in range(d)
         ]
     return [(M, exps @ np.array(v, dtype=np.int64) % M) for v in choices]
 

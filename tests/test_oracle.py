@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from chainrep import minfaith_solver as solver
@@ -562,6 +562,27 @@ def test_min_faithful_exhaustive(table):
             joint &= set(kernel_rows(T, c))
         assert joint == {T.group.identity}
         assert sum(int(T.dims[c]) for c in sel) == m
+
+
+def brute_force_minimum(T):
+    """The least sum of dims over the sets of rows whose kernels meet in
+    the identity class alone, trying all 2^r sets."""
+    sets = np.arange(1 << T.r)[:, None] >> np.arange(T.r) & 1  # [S, c]: row c is in set S
+    escaping = sets @ ~T.kernels  # [S, j]: the rows of S whose kernel misses class j
+    faithful = np.count_nonzero(escaping, axis=1) == T.r - 1  # every class but the identity's
+    return int((sets @ np.array(T.dims))[faithful].min())
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(group=st.one_of(st.lists(st.integers(2, 12), min_size=1, max_size=3), semidirect_groups(bound=200)))
+@example(group=semidirect_cyclic(6, [5]))  # D_12: the greedy start costs 3, the search improves it to 2
+def test_min_faithful_exhaustive_is_the_brute_force_minimum(make_abelian, group):
+    if isinstance(group, list):  # the orders of the cyclic factors of an abelian group
+        assume(math.prod(group) <= 12)
+        group = make_abelian(group)
+    assume(len(group.conjugacy[0]) <= 12)
+    T = CharacterTable(group)
+    assert min_faithful_exhaustive(T)[0] == brute_force_minimum(T)
 
 
 def test_min_faithful_exhaustive_frees_its_table(group):
