@@ -37,9 +37,9 @@ the kernel of Ind_S^G chi is the core of ker chi, the largest normal
 subgroup of G inside it (Isaacs, Character Theory of Finite Groups,
 ch. 5), so a sum's kernel, the intersection of its summands', is the
 core of the intersection K of the characters' kernels.  The check takes
-each ker chi from chi's spread and drops from K every row that G's
-generators conjugate out of it, round after round, a block at a time,
-until none is dropped.  No (|G|, degree) array is made.
+each ker chi from one spread of all the characters on chi's generators,
+and drops from K every row that G's generators conjugate out of it,
+round after round, a block at a time, until none is dropped.
 """
 
 from __future__ import annotations
@@ -112,52 +112,41 @@ class LinearChar:
         self.exps = np.asarray(exps, dtype=np.int64) % order
 
 
-def _tree(group, images) -> list:
-    """The breadth-first spanning tree of the subgroup <gens> from the
-    identity along x -> x s (images[i, x] = x s for the i-th generator
-    s): one (rows, generators, parents) triple per round, the rows first
-    reached in it, ascending, each reached as x s from its parent x by
-    its generator's position, the last such step in the round's
-    (generator, front) order.  It depends on the generators alone, so
-    the characters of one subgroup share it."""
-    seen = np.zeros(group.order, dtype=bool)
-    last = np.empty(group.order, dtype=np.int64)
+def _spread(group, chars, images):
+    """(sub, vals): the rows of the subgroup <gens>, ascending, and at
+    vals[c] the exponents there of chars[c], characters on the generators
+    s of images (images[j, x] = x s_j).  One breadth-first pass from the
+    identity, at 0, spreads them all, one gather per round: a row first
+    reached in a round takes chi(x s_j) = chi(x) + chi.exps[j] from its
+    last such step in (generator, front) order, reduced mod chi.order in
+    the narrowest unsigned dtype, added in uint64: no wrap, no float.  Then
+    chi(x s_j) = chi(x) + chi.exps[j] must hold for every row x of the
+    subgroup and each j, which by induction on the word length of the
+    right factor makes chi multiplicative.  An error names the first bad
+    character, then its first bad pair by generator, then by row."""
+    exps, m = np.array([chi.exps for chi in chars], dtype=np.uint64).T, np.array([chi.order for chi in chars], dtype=np.uint64)
+    at = np.zeros((group.order, len(chars)), dtype=np.min_scalar_type(m.max() - 1))
+    seen, last = np.zeros(group.order, dtype=bool), np.empty(group.order, dtype=np.int64)
     front = np.array([group.identity])
     seen[front] = True
-    rounds = []
     while len(front):
         nxt = images[:, front].ravel()
         fresh = np.flatnonzero(~seen[nxt])
         last[nxt[fresh]] = fresh
         rows = _distinct(nxt[fresh])
         seen[rows] = True
-        rounds.append((rows, last[rows] // len(front), front[last[rows] % len(front)]))
+        step = last[rows]
+        at[rows] = (at[front[step % len(front)]] + exps[step // len(front)]) % m
         front = rows
-    return rounds
-
-
-def _spread(group, chi, images, tree=None):
-    """(sub, exps): the rows of the subgroup <gens>, ascending, and chi's
-    exponents there, spread from the identity, at 0, along ``_tree``'s
-    steps x -> x s (made from images unless given): chi(x s) = chi(x) +
-    chi.exps[i] for the i-th generator s, one gather per round.  Then
-    chi(x s) = chi(x) + chi.exps[i] must hold for every row x of the
-    subgroup and each generator, which by induction on the word length of
-    the right factor makes chi multiplicative.  An error names the first
-    bad pair by generator, then by subgroup row."""
-    m, vals = chi.order, chi.exps
-    at = np.full(group.order, -1, dtype=np.int64)
-    at[group.identity] = 0
-    for rows, gens, parents in _tree(group, images) if tree is None else tree:
-        at[rows] = at[parents] + vals[gens]  # exponents add up unreduced, at most the depth times m
-    sub = np.flatnonzero(at >= 0)
-    bad = np.argwhere((at[sub] + vals[:, None] - at[images[:, sub]]) % m)
-    if len(bad):  # the first generator with a bad pair, then the first row
-        j, i = bad[0]
-        names = group.names or range(group.order)
-        a, b = names[sub[i]], names[chi.gens[j]]
-        raise ChiNotHomomorphismError(f"chi not multiplicative at ({a!r}, {b!r})")
-    return sub, at[sub] % m
+    sub = np.flatnonzero(seen)
+    ends = images[:, sub]
+    for chi, vals, e, mod in zip(chars, at.T, exps.T, m):
+        bad = np.argwhere((vals[sub] + e[:, None]) % mod != vals[ends])
+        if len(bad):  # the first generator with a bad pair, then the first row
+            j, i = bad[0]
+            names = group.names or range(group.order)
+            raise ChiNotHomomorphismError(f"chi not multiplicative at ({names[sub[i]]!r}, {names[chi.gens[j]]!r})")
+    return sub, at[sub].T
 
 
 class MonomialRep:
@@ -191,7 +180,7 @@ class MonomialRep:
         exps, which ``_allocate`` makes: a model past memory is refused."""
         m = chi.order
         images, reps, coset_of = group._cosets(chi.gens)
-        sub, vals = _spread(group, chi, images)
+        sub, (vals,) = _spread(group, [chi], images)
         n, degree = group.order, len(reps)
         chi_at = np.empty(n, dtype=np.min_scalar_type(m - 1))
         chi_at[group.product(reps[:, None], sub)] = vals
@@ -233,25 +222,26 @@ class DirectSumRep:
 class InducedSum:
     """The direct sum of the representations induced from the linear
     characters chars, each of the subgroup its generators generate,
-    checked without its models.  The characters are read in order, each
-    checked by ``_spread`` as ``MonomialRep.induce`` checks it, and the
-    characters given by one list of generators share one ``_every`` of
-    those generators and one ``_tree`` of their subgroup.  ``degrees`` are
+    checked without its models.  The characters given by one list of
+    generators share one ``_every`` of them and one ``_spread``, which
+    checks each as ``MonomialRep.induce`` does; the lists are taken in the
+    order they first appear, so with bad characters on several lists the
+    error names the first bad one of the first such list.  ``degrees`` are
     the summands' indices |G| / |S|, the degrees of their models."""
 
     def __init__(self, group, chars):
-        self.group, self.chars, self.degrees = group, list(chars), []
-        self._inside = np.ones(group.order, dtype=bool)  # the intersection of the characters' kernels
-        walks = {}
+        self.group, self.chars = group, list(chars)
+        self._inside = ~_allocate(group.order, "a mask of its elements", (group.order,), bool)  # the intersection of the characters' kernels
+        lists, degree = {}, {}
         for chi in self.chars:
-            key = chi.gens.tobytes()
-            if key not in walks:
-                _check_memory(group.order, "the products with a subgroup's generators", (len(chi.gens) + 1, group.order), np.int64)
-                images = group._every(chi.gens)
-                walks[key] = images, _tree(group, images)
-            sub, vals = _spread(group, chi, *walks[key])
-            self._inside &= np.bincount(sub[vals == 0], minlength=group.order) > 0
-            self.degrees.append(group.order // len(sub))
+            lists.setdefault(chi.gens.tobytes(), []).append(chi)
+        for key, same in lists.items():
+            width = 8 * len(same[0].gens) + 9 + len(same) * np.min_scalar_type(max(c.order for c in same) - 1).itemsize  # bytes a row: images, last, seen, values
+            _check_memory(group.order, "the products with a subgroup's generators and their spread", (width, group.order), np.uint8)
+            sub, vals = _spread(group, same, group._every(same[0].gens))
+            self._inside &= np.bincount(sub[(vals == 0).all(axis=0)], minlength=group.order) > 0
+            degree[key] = group.order // len(sub)
+        self.degrees = [degree[chi.gens.tobytes()] for chi in self.chars]
 
     def kernel(self) -> np.ndarray:
         """Rows, ascending, whose matrix is the identity in every summand.

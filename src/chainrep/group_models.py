@@ -547,7 +547,8 @@ class _PatternGroup(_RingFamily):
     matrix product restricted to it: entry (i, j) of g h is
     g_ij + h_ij + sum_s g_is h_sj over the (i, s), (s, j) in the pattern,
     whose coordinate pairs ``_terms`` lists once per group, s ascending,
-    by pairing each (i, s) with the entries (s, j) of row s."""
+    by pairing each (i, s) with the entries (s, j) of row s, when first
+    read: |G| and the closed forms need none of them."""
 
     def __init__(self, R: RingSpec, positions):
         self.ring = R
@@ -555,13 +556,16 @@ class _PatternGroup(_RingFamily):
         self.pos_index = {pos: t for t, pos in enumerate(self.positions)}
         self.order = R.size ** len(self.positions)
         self._identity = (0,) * len(self.positions)
-        rows = {}
+
+    @cached_property
+    def _terms(self) -> list[list[tuple[int, int]]]:
+        rows, terms = {}, [[] for _ in self.positions]
         for s, j in self.positions:
             rows.setdefault(s, []).append((j, self.pos_index[s, j]))
-        self._terms = [[] for _ in self.positions]
         for i, s in sorted(self.positions):
             for j, sj in rows.get(s, ()):
-                self._terms[self.pos_index[i, j]].append((self.pos_index[i, s], sj))
+                terms[self.pos_index[i, j]].append((self.pos_index[i, s], sj))
+        return terms
 
     @cached_property
     def generators(self) -> list[int]:

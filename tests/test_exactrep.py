@@ -276,6 +276,38 @@ def test_core_check_past_memory_is_a_cap_refusal(monkeypatch):
     assert induced.kernel().tolist() == sorted([G.identity, g])
 
 
+def test_core_mask_past_numpy_is_a_cap_refusal():
+    # the kernel mask of a group of order 2^62, 4 EiB, is refused before
+    # numpy is asked, as the other arrays of |G| entries are
+    import types
+
+    with pytest.raises(CapExceededError, match="a mask of its elements cannot be allocated"):
+        InducedSum(types.SimpleNamespace(order=2**62), [])
+
+
+def test_characters_on_one_generator_list():
+    # on Hei(F_3), two characters of <(0,1,0), (0,0,1), (0,1,1)>, whose
+    # third generator is the product of the first two, and one of the
+    # centre: the second is not multiplicative, and InducedSum names its
+    # pair as induction does, whether the centre's list comes first or
+    # not, and also when a bad character on a later list (z and z^2 both
+    # at zeta_3) comes before it; a good second character gives the
+    # models' kernels
+    H = HeisenbergGroup(make_ring(3, 1, 1, 1))
+    gens = [H.names.index(name) for name in [(0, 1, 0), (0, 0, 1), (0, 1, 1)]]
+    centre = LinearChar(3, [H.names.index((0, 0, 1))], [1])
+    off = LinearChar(3, [H.names.index((0, 0, 1)), H.names.index((0, 0, 2))], [1, 1])
+    good, bad = LinearChar(3, gens, [1, 1, 2]), LinearChar(3, gens, [1, 1, 0])
+    with pytest.raises(ChiNotHomomorphismError) as model:
+        MonomialRep.induce(H, bad)
+    assert str(model.value) == "chi not multiplicative at ((0, 0, 1), (0, 1, 0))"
+    for chars in [[good, bad, centre], [centre, good, bad], [good, off, bad]]:
+        with pytest.raises(ChiNotHomomorphismError) as induced:
+            InducedSum(H, chars)
+        assert str(induced.value) == str(model.value), chars
+    _assert_core_kernels(H, [good, LinearChar(3, gens, [2, 0, 2]), centre])
+
+
 def test_induce_rejects_non_character(group):
     G = group("d4")
     sub = _rotation_subgroup(G)
@@ -414,6 +446,13 @@ def test_induce_past_uint8():
     rho = _assert_induces_as_the_loop(Z, linear_char(Z, 1024, range(1024), [Z.names[g][0] for g in range(1024)]))
     assert (rho.degree, rho.sigma.dtype, rho.exps.dtype) == (1, np.uint8, np.uint16)
     assert rho.exps[:, 0].tolist() == [Z.names[g][0] for g in range(1024)]
+    # an order of 2^62 - 1 on Z/3, whose exponents float64 would round:
+    # uint64 exps, and the sum of the same character is checked too
+    W, m = semidirect_cyclic(3, [1]), 2**62 - 1
+    chi = linear_char(W, m, range(3), [W.names[g][0] * (m // 3) for g in range(3)])
+    rho = _assert_induces_as_the_loop(W, chi)
+    assert (rho.degree, rho.exps.dtype) == (1, np.uint64)
+    assert InducedSum(W, [chi]).is_faithful()
 
 
 def test_induce_in_blocks_equals_one_block(monkeypatch):

@@ -1015,6 +1015,14 @@ def test_pattern_terms_pair_each_entry_with_its_row(ring):
         assert G._terms == scanned(G), G
 
 
+def test_pattern_order_builds_no_terms():
+    # |G| and the closed forms read the pattern alone: U_300(F_2) lists
+    # no term until its law or generators are read
+    G = UnitriangularGroup(make_ring(2, 1, 1, 1), 300)
+    assert G.order == 2 ** (300 * 299 // 2)
+    assert "_terms" not in vars(G)
+
+
 def test_pattern_terms_take_linear_time():
     # Hei_{2k+1}(F_2) at k = 40000 lists 40000 terms; the scan over
     # i < s < j took time quadratic in k, minutes at this k

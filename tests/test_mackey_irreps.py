@@ -248,7 +248,7 @@ def test_extended_character_values(heis):
             ann = annihilator_indices(R, b)
             for lam in sorted({d.lambda_label for d in catalog if d.orbit_rep == (w, b)}):
                 chi = extended_character(H, w, b, lam)
-                rows, values = _spread(H, chi, H._cosets(chi.gens)[0])
+                rows, (values,) = _spread(H, [chi], H._cosets(chi.gens)[0])
                 c = coords[rows]
                 assert len(rows) == R.size ** (k + 1) * len(ann) ** k
                 assert np.isin(c[:, k : 2 * k], ann).all()
